@@ -33,6 +33,7 @@ from .guidedquant import (
 from .hessian import (
     ChannelPartition,
     HessianCache,
+    dataset_hash,
     guided_hessians,
     hessian_cache_key,
     model_hash,
@@ -185,7 +186,7 @@ def cmd_hessian(args) -> int:
     data, _ = artifacts.load_dataset(args.data)
     calib = run_calibrate(model, data)
     cache = HessianCache(args.out)
-    digest = model_hash(model)
+    digest, data_digest = model_hash(model), dataset_hash(data)
     index = {}
     for l, c in enumerate(calib):
         if args.kind == "plain":
@@ -197,7 +198,7 @@ def cmd_hessian(args) -> int:
                                    grad_scale=args.grad_scale,
                                    damping_rel=args.damping_rel)
             g, scale = args.g, args.grad_scale
-        key = hessian_cache_key(digest, data.seed, l, g, scale,
+        key = hessian_cache_key(digest, data_digest, l, g, scale,
                                 args.damping_rel, args.kind)
         cache.store(key, hset)
         index[str(l)] = key

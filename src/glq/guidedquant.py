@@ -40,6 +40,7 @@ from .hessian import (
     ChannelPartition,
     HessianCache,
     HessianSet,
+    dataset_hash,
     fisher_diag,
     guided_hessians,
     hessian_cache_key,
@@ -144,12 +145,12 @@ def _layer_hessians(
     if job.method in ("rtn", "squeezellm"):
         return None
     kind = "plain" if job.method == "lnq_plain" else "guided"
-    digest = model_hash(model)
+    digest, data_digest = model_hash(model), dataset_hash(data)
     out = []
     for l, c in enumerate(calib):
         g = 1 if kind == "plain" else job.g
         key = hessian_cache_key(
-            digest, data.seed, l, g, job.grad_scale if kind == "guided" else 1.0,
+            digest, data_digest, l, g, job.grad_scale if kind == "guided" else 1.0,
             job.damping_rel, kind,
         )
         hset = cache.load(key) if cache is not None else None
@@ -170,24 +171,24 @@ def _layer_hessians(
 
 def _quantize_group(
     W: Matrix,
-    calib: LayerCalibration,
+    F: Matrix | None,
     job: QuantJob,
     hset: HessianSet | None,
     layer_idx: int,
     group_idx: int,
 ) -> tuple[int, int, tuple[int, ...], list[ChannelQuantState]]:
-    """Quantize the channels of one (layer, group) task. Pure function
-    of its arguments, so dispatch order cannot change the result."""
+    """Quantize the channels of one (layer, group) task. `F` is the
+    layer's diagonal Fisher (None for rtn); the task slices its group's
+    columns. Pure function of its arguments, so dispatch order cannot
+    change the result."""
     if job.method == "rtn":
         ql = rtn_quantize(W, job.bits, layer_idx=layer_idx)
         return layer_idx, group_idx, tuple(range(W.shape[1])), ql.channels
     if job.method == "squeezellm":
-        F = fisher_diag(calib)
         ql = squeezellm_quantize(W, F, job.bits, seed=job.seed, layer_idx=layer_idx)
         return layer_idx, group_idx, tuple(range(W.shape[1])), ql.channels
     channels = hset.partition.groups[group_idx]
     cols = np.array(channels, dtype=np.int64)
-    F = fisher_diag(calib)
     init_full = squeezellm_quantize(
         W[:, cols], F[:, cols], job.bits, seed=job.seed, layer_idx=layer_idx
     )
@@ -199,6 +200,30 @@ def _quantize_group(
         layer_idx=layer_idx,
     )
     return layer_idx, group_idx, channels, ql.channels
+
+
+def _quantize_tasks(
+    model: MlpModel,
+    calib: list[LayerCalibration],
+    job: QuantJob,
+    hsets: list[HessianSet] | None,
+    workers: int,
+) -> list[tuple[int, int, tuple[int, ...], list[ChannelQuantState]]]:
+    """Run one `_quantize_group` task per (layer, group) on `workers`
+    threads; results come back in task order. Each layer's
+    diagonal Fisher is built once and shared by its groups; it is freed
+    on return, before the caller's evaluation stage."""
+    tasks = []
+    for l, W in enumerate(model.layers):
+        hset = hsets[l] if hsets is not None else None
+        F = fisher_diag(calib[l]) if job.method != "rtn" else None
+        n_groups = hset.partition.g if (hset is not None and job.method == "lnq_guided") else 1
+        for k in range(n_groups):
+            tasks.append((W, F, job, hset, l, k))
+    if workers == 1:
+        return [_quantize_group(*t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda t: _quantize_group(*t), tasks))
 
 
 def run_job(
@@ -225,19 +250,8 @@ def run_job(
     hsets = _layer_hessians(model, data, calib, job, hessian_cache)
     t_hess = time.perf_counter() - t0
 
-    tasks = []
-    for l, W in enumerate(model.layers):
-        hset = hsets[l] if hsets is not None else None
-        n_groups = hset.partition.g if (hset is not None and job.method == "lnq_guided") else 1
-        for k in range(n_groups):
-            tasks.append((W, calib[l], job, hset, l, k))
-
     t0 = time.perf_counter()
-    if workers == 1:
-        results = [_quantize_group(*t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: _quantize_group(*t), tasks))
+    results = _quantize_tasks(model, calib, job, hsets, workers)
     t_quant = time.perf_counter() - t0
 
     results.sort(key=lambda r: (r[0], r[1]))

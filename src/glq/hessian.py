@@ -33,8 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .calib_model import LayerCalibration, MlpModel
-from .errors import EmptyCalibration, InvalidSize, PartitionMismatch
+from .calib_model import Dataset, LayerCalibration, MlpModel
+from .errors import CorruptFile, EmptyCalibration, InvalidSize, PartitionMismatch
 from .linalg import Matrix, ensure_matrix
 
 DEFAULT_GRAD_SCALE = 1e3
@@ -243,20 +243,36 @@ def model_hash(model: MlpModel) -> str:
     return h.hexdigest()
 
 
+def dataset_hash(data: Dataset) -> str:
+    """Content hash of a dataset: header (shapes) plus inputs and targets
+    bytes. The seed is left out: two datasets drawn with one seed but a
+    different n are different data."""
+    h = hashlib.sha256()
+    header = json.dumps(
+        {"inputs": list(data.inputs.shape), "targets": list(data.targets.shape)},
+        sort_keys=True,
+    ).encode()
+    h.update(header)
+    for M in (data.inputs, data.targets):
+        h.update(np.ascontiguousarray(M, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 def hessian_cache_key(
     model_digest: str,
-    dataset_seed: int,
+    dataset_digest: str,
     layer_idx: int,
     g: int,
     grad_scale: float,
     damping_rel: float,
     kind: str,
 ) -> str:
-    """Deterministic cache key for one layer's HessianSet."""
+    """Deterministic cache key for one layer's HessianSet, from the
+    content hashes of the model and the calibration dataset."""
     payload = json.dumps(
         {
             "model": model_digest,
-            "dataset_seed": dataset_seed,
+            "dataset": dataset_digest,
             "layer": layer_idx,
             "g": g,
             "grad_scale": repr(float(grad_scale)),
@@ -273,7 +289,8 @@ class HessianCache:
 
     Each entry holds ``hess.L<layer>.G<k>.gqt`` tensor files plus a
     ``manifest.json`` recording the partition, grad scale, damping rule
-    and per-file content hashes. A reload is bit-exact.
+    and per-file content hashes. A reload checks those hashes first and
+    raises CorruptFile on a mismatch, so it is bit-exact or refused.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -283,7 +300,7 @@ class HessianCache:
         return self.root / key
 
     def load(self, key: str) -> HessianSet | None:
-        from .tensorio import read_tensor
+        from .tensorio import read_tensor, verify_manifest
 
         d = self._dir(key)
         man = d / "manifest.json"
@@ -294,10 +311,11 @@ class HessianCache:
             d_out=meta["d_out"],
             groups=tuple(tuple(grp) for grp in meta["groups"]),
         )
-        hessians = [
-            read_tensor(d / f"hess.L{meta['layer_idx']}.G{k}.gqt")
-            for k in range(part.g)
-        ]
+        names = [f"hess.L{meta['layer_idx']}.G{k}.gqt" for k in range(part.g)]
+        bad = verify_manifest(d) + [n for n in names if n not in meta.get("files", {})]
+        if bad:
+            raise CorruptFile(f"{d}: hessian cache entry fails its manifest: {bad}")
+        hessians = [read_tensor(d / name) for name in names]
         return HessianSet(
             layer_idx=meta["layer_idx"],
             partition=part,

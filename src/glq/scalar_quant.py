@@ -183,6 +183,12 @@ def lloyd(
     iters=0 just assigns against the input codebook. When `trace` is
     given the weighted SSE after every half-step is appended to it; the
     sequence never increases.
+
+    An iteration is a pure function of the centers, so once one leaves
+    them bitwise unchanged every later iteration would repeat it; the
+    loop stops there. The trace still gets 2 * iters + 1 entries: the
+    skipped half-steps are padded with the last SSE, the value they
+    would have recomputed. Results equal running all `iters` bit for bit.
     """
     if iters < 0:
         raise InvalidSize(f"iters must be >= 0, got {iters}")
@@ -196,7 +202,8 @@ def lloyd(
         r = pts.x - c[a]
         return float(np.sum(pts.wgt * r * r))
 
-    for _ in range(iters):
+    for it in range(iters):
+        before = centers.tobytes()  # bit patterns, so -0.0 != 0.0
         a = _assign(centers)
         if trace is not None:
             trace.append(_sse(centers, a))
@@ -208,6 +215,10 @@ def lloyd(
         centers = np.sort(centers)
         if trace is not None:
             trace.append(_sse(centers, a))
+        if centers.tobytes() == before:
+            if trace is not None:
+                trace.extend([trace[-1]] * (2 * (iters - it - 1)))
+            break
     final = _assign(centers)
     if trace is not None:
         trace.append(_sse(centers, final))

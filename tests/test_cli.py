@@ -102,6 +102,49 @@ class TestTrainCalibrateHessian:
         assert sorted(index["layers"]) == ["0", "1"]
 
 
+class TestHessianCacheFlag:
+    def _quantize(self, model, data, out, cache=None):
+        args = ["quantize", "--model", str(model), "--data", str(data),
+                "--method", "lnq_guided", "--bits", "2", "--g", "2", "--out", str(out)]
+        assert main(args + (["--hessian-cache", str(cache)] if cache else [])) == 0
+        return dir_digest(out)
+
+    def test_hessian_command_entries_are_hits(self, pipeline, tmp_path):
+        data, model = pipeline
+        cache = tmp_path / "hc"
+        assert main(["hessian", "--model", str(model), "--data", str(data),
+                     "--kind", "guided", "--g", "2", "--out", str(cache)]) == 0
+        entries = sorted(p.name for p in cache.iterdir() if p.is_dir())
+        cached = self._quantize(model, data, tmp_path / "qa", cache)
+        assert sorted(p.name for p in cache.iterdir() if p.is_dir()) == entries
+        assert cached == self._quantize(model, data, tmp_path / "qb")
+
+    def test_cache_not_reused_for_other_data_with_same_seed(self, pipeline, tmp_path):
+        data, model = pipeline
+        big = tmp_path / "big"
+        assert main(["gen-data", "--seed", "0", "--n", "96", "--d0", "6", "--dt", "3",
+                     "--out", str(big)]) == 0
+        cache = tmp_path / "hc"
+        assert main(["hessian", "--model", str(model), "--data", str(data),
+                     "--kind", "guided", "--g", "2", "--out", str(cache)]) == 0
+        cached = self._quantize(model, big, tmp_path / "qa", cache)
+        assert cached == self._quantize(model, big, tmp_path / "qb")
+
+    def test_tampered_cache_entry_refused(self, pipeline, tmp_path, capsys):
+        data, model = pipeline
+        cache = tmp_path / "hc"
+        assert main(["hessian", "--model", str(model), "--data", str(data),
+                     "--kind", "guided", "--g", "2", "--out", str(cache)]) == 0
+        victim = sorted(cache.rglob("hess.*.gqt"))[0]
+        blob = bytearray(victim.read_bytes())
+        blob[-8] ^= 0x01  # lowest mantissa bit: a valid, slightly wrong Hessian
+        victim.write_bytes(bytes(blob))
+        assert main(["quantize", "--model", str(model), "--data", str(data),
+                     "--method", "lnq_guided", "--bits", "2", "--g", "2",
+                     "--hessian-cache", str(cache), "--out", str(tmp_path / "q")]) == 2
+        assert "manifest" in capsys.readouterr().err
+
+
 class TestQuantizeAndEval:
     def test_quantize_rerun_byte_identical(self, pipeline, tmp_path):
         data, model = pipeline

@@ -2,7 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from glq.calib_model import LayerCalibration, calibrate
+from glq import guidedquant
+from glq.calib_model import LayerCalibration, calibrate, gen_dataset
 from glq.errors import ConfigError, DimensionMismatch
 from glq.guidedquant import (
     CSV_COLUMNS,
@@ -168,6 +169,31 @@ class TestRunJob:
         for a, b in zip(l1, l2):
             npt.assert_array_equal(a.W_hat, b.W_hat)
         assert r1.csv_row() == r2.csv_row()
+
+    def test_hessian_cache_not_reused_across_datasets(self, toy_problem, tmp_path):
+        # a larger dataset drawn with the same seed must not hit the
+        # entries cached for the smaller one
+        model, small = toy_problem
+        big = gen_dataset(small.seed, 4 * small.n, small.inputs.shape[1],
+                          small.targets.shape[1])
+        assert big.seed == small.seed
+        cache = HessianCache(tmp_path / "hc")
+        job = QuantJob(method="lnq_guided", bits=2, g=2)
+        run_job(model, small, job, hessian_cache=cache)
+        _, cached, r_cached = run_job(model, big, job, hessian_cache=cache)
+        _, fresh, r_fresh = run_job(model, big, job)
+        for a, b in zip(cached, fresh):
+            npt.assert_array_equal(a.W_hat, b.W_hat)
+        assert r_cached.csv_row() == r_fresh.csv_row()
+
+    def test_fisher_diag_once_per_layer(self, toy_problem, monkeypatch):
+        model, data = toy_problem
+        calls = []
+        real = guidedquant.fisher_diag
+        monkeypatch.setattr(guidedquant, "fisher_diag",
+                            lambda c: calls.append(1) or real(c))
+        run_job(model, data, QuantJob(method="lnq_guided", bits=2, g=4))
+        assert len(calls) == model.n_layers
 
     def test_invalid_worker_count(self, toy_problem):
         model, data = toy_problem

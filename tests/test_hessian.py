@@ -1,12 +1,15 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from glq.calib_model import LayerCalibration, calibrate
-from glq.errors import EmptyCalibration, InvalidSize, PartitionMismatch
+from glq.calib_model import Dataset, LayerCalibration, calibrate, gen_dataset
+from glq.errors import CorruptFile, EmptyCalibration, InvalidSize, PartitionMismatch
 from glq.hessian import (
     ChannelPartition,
     HessianCache,
+    dataset_hash,
     fisher_block_oracle,
     fisher_diag,
     guided_hessians,
@@ -190,6 +193,40 @@ class TestCacheAndHash:
         assert back.lambdas == hset.lambdas
         for a, b in zip(hset.hessians, back.hessians):
             npt.assert_array_equal(a, b)
+
+    def test_dataset_hash_sensitivity(self):
+        a = gen_dataset(0, 16, 4, 2)
+        assert dataset_hash(a) == dataset_hash(gen_dataset(0, 16, 4, 2))
+        assert dataset_hash(gen_dataset(0, 32, 4, 2)) != dataset_hash(a)  # same seed
+        bumped = Dataset(inputs=a.inputs, targets=a.targets.copy(), seed=a.seed)
+        bumped.targets[0, 0] += 1e-12
+        assert dataset_hash(bumped) != dataset_hash(a)
+        # same byte stream, split differently between inputs and targets
+        raw = np.concatenate([a.inputs.ravel(), a.targets.ravel()])
+        other = Dataset(inputs=raw[:80].reshape(16, 5), targets=raw[80:].reshape(16, 1),
+                        seed=a.seed)
+        assert dataset_hash(other) != dataset_hash(a)
+
+    def test_load_rejects_tampered_file(self, tmp_path, toy_calib):
+        hset = guided_hessians(toy_calib[0], ChannelPartition.consecutive(16, 2))
+        cache = HessianCache(tmp_path)
+        cache.store("k", hset)
+        path = tmp_path / "k" / "hess.L0.G1.gqt"
+        blob = bytearray(path.read_bytes())
+        blob[-8] ^= 0x01  # lowest mantissa bit of the last entry
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptFile):
+            cache.load("k")
+
+    def test_load_rejects_unlisted_file(self, tmp_path, toy_calib):
+        cache = HessianCache(tmp_path)
+        cache.store("k", guided_hessians(toy_calib[0], ChannelPartition.consecutive(16, 2)))
+        man = tmp_path / "k" / "manifest.json"
+        meta = json.loads(man.read_text())
+        del meta["files"]["hess.L0.G0.gqt"]
+        man.write_text(json.dumps(meta))
+        with pytest.raises(CorruptFile):
+            cache.load("k")
 
     def test_missing_key_returns_none(self, tmp_path):
         assert HessianCache(tmp_path).load("nope") is None

@@ -123,7 +123,64 @@ class TestKmeansPP:
         assert set(cb.values) <= set(pts.x)
 
 
+def _lloyd_every_iter(pts, cb, iters, trace):
+    """Lloyd that runs all `iters` iterations, with no fixed-point exit."""
+    centers = cb.values.copy()
+
+    def _sse(c, a):
+        r = pts.x - c[a]
+        return float(np.sum(pts.wgt * r * r))
+
+    for _ in range(iters):
+        a = np.abs(centers[None, :] - pts.x[:, None]).argmin(axis=1)
+        trace.append(_sse(centers, a))
+        for q in range(centers.shape[0]):
+            mask = a == q
+            tw = float(np.sum(pts.wgt[mask]))
+            if tw > 0.0:
+                centers[q] = float(np.sum(pts.wgt[mask] * pts.x[mask])) / tw
+        centers = np.sort(centers)
+        trace.append(_sse(centers, a))
+    final = np.abs(centers[None, :] - pts.x[:, None]).argmin(axis=1)
+    trace.append(_sse(centers, final))
+    return centers, final
+
+
+@st.composite
+def lloyd_case(draw):
+    """Points drawn from a small value pool (duplicates), weights with
+    zeros, and a free codebook that may sit outside the data (empty
+    clusters) or repeat values."""
+    n = draw(st.integers(1, 14))
+    pool = draw(st.lists(st.floats(-8, 8, allow_subnormal=False), min_size=1, max_size=6))
+    x = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    w = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(0, 5),
+                      min_size=n, max_size=n))
+    if not any(v > 0 for v in w):
+        w[0] = 1.0
+    m = draw(st.integers(1, 6))
+    vals = draw(st.lists(st.sampled_from(pool) | st.floats(-20, 20), min_size=m, max_size=m))
+    return (WeightedPoints(x=np.array(x), wgt=np.array(w)),
+            Codebook(values=np.sort(np.array(vals))), draw(st.integers(0, 60)))
+
+
 class TestLloyd:
+    @settings(max_examples=200, deadline=None)
+    @given(lloyd_case())
+    def test_fixed_point_exit_is_bit_identical(self, case):
+        pts, cb, iters = case
+        ref_trace: list[float] = []
+        ref_c, ref_a = _lloyd_every_iter(pts, cb, iters, ref_trace)
+        trace: list[float] = []
+        out_cb, assign = lloyd(pts, cb, iters, trace=trace)
+        assert out_cb.values.tobytes() == ref_c.tobytes()
+        assert np.array_equal(assign.idx, ref_a)
+        assert trace == ref_trace
+        assert len(trace) == 2 * iters + 1
+        bare_cb, bare_a = lloyd(pts, cb, iters)
+        assert bare_cb.values.tobytes() == ref_c.tobytes()
+        assert np.array_equal(bare_a.idx, ref_a)
+
     def test_zero_iters_assigns_only(self):
         pts = _pts([0.0, 1.0, 10.0])
         cb = Codebook(values=np.array([0.0, 8.0]))
@@ -264,6 +321,19 @@ class TestBaselines:
         for st_ in ql.channels:
             for a, b in zip(st_.objective_trace, st_.objective_trace[1:]):
                 assert b <= a + 1e-9 * (1.0 + abs(a))
+
+    @pytest.mark.parametrize("lloyd_iters", [0, 7, 50])
+    def test_clustered_trace_length(self, lloyd_iters):
+        # traces.json stores these traces: one entry per half-step plus
+        # the final SSE, whatever iteration Lloyd settles at
+        rng = np.random.default_rng(13)
+        W = rng.standard_normal((40, 5))
+        W[:, 0] = np.repeat([1.0, 2.0], 20)  # fits the codebook, not clustered
+        F = rng.uniform(0, 1, (40, 5))
+        ql = squeezellm_quantize(W, F, bits=2, seed=3, lloyd_iters=lloyd_iters)
+        assert ql.channels[0].objective_trace == [0.0]
+        for st_ in ql.channels[1:]:
+            assert len(st_.objective_trace) == 2 * lloyd_iters + 1
 
     def test_layer_accessors(self):
         rng = np.random.default_rng(12)
