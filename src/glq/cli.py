@@ -30,15 +30,7 @@ from .guidedquant import (
     run_job,
     sweep as run_sweep,
 )
-from .hessian import (
-    ChannelPartition,
-    HessianCache,
-    dataset_hash,
-    guided_hessians,
-    hessian_cache_key,
-    model_hash,
-    plain_hessian,
-)
+from .hessian import HessianCache, layer_hessians, plain_hessian
 from .lnq import CD_ENGINES
 from .runconfig import RunConfig
 from .tensorio import write_json_atomic
@@ -185,23 +177,10 @@ def cmd_hessian(args) -> int:
     model = artifacts.load_model(args.model)
     data, _ = artifacts.load_dataset(args.data)
     calib = run_calibrate(model, data)
-    cache = HessianCache(args.out)
-    digest, data_digest = model_hash(model), dataset_hash(data)
-    index = {}
-    for l, c in enumerate(calib):
-        if args.kind == "plain":
-            hset = plain_hessian(c, layer_idx=l, damping_rel=args.damping_rel)
-            g, scale = 1, 1.0
-        else:
-            part = ChannelPartition.consecutive(c.gradZ.shape[1], args.g)
-            hset = guided_hessians(c, part, layer_idx=l,
-                                   grad_scale=args.grad_scale,
-                                   damping_rel=args.damping_rel)
-            g, scale = args.g, args.grad_scale
-        key = hessian_cache_key(digest, data_digest, l, g, scale,
-                                args.damping_rel, args.kind)
-        cache.store(key, hset)
-        index[str(l)] = key
+    # always rebuilt and rewritten, so a rerun replaces a damaged entry
+    entries = layer_hessians(model, data, calib, args.kind, args.g, args.grad_scale,
+                             args.damping_rel, cache=HessianCache(args.out), reuse=False)
+    index = {str(l): key for l, (key, _hset) in enumerate(entries)}
     write_json_atomic(Path(args.out) / "index.json",
                       {"kind": args.kind, "layers": index})
     print(f"wrote {len(index)} hessian sets ({args.kind}) to {args.out}")

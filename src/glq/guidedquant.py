@@ -19,9 +19,12 @@ error ||X (W - What)||_F^2, the gradient-weighted error
 ||gradZ * (X (W - What))||_F^2 (elementwise product), and the damped
 quadratic under the Hessian set the method used (plain Hessians for the
 Hessian-free baselines, unit gradient scale). The gradient-weighted
-error also equals the sum of per-channel Fisher quadratic forms
-n * delta^T F_j delta; `fisher_quadratic` reports that sum computed
-the channel-by-channel way as a cross-check.
+error equals the sum of per-channel Fisher quadratic forms
+n * delta^T F_j delta with n F_j = X^T Diag(gradZ[:, j]^2) X, so the
+`fisher_quadratic` column is filled from that identity: it is the
+guided objective. The independent channel-by-channel route is
+`oracle.full_fisher_quadratic`, which the tests and `glq verify` check
+the guided objective against.
 """
 
 from __future__ import annotations
@@ -37,14 +40,10 @@ from .errors import ConfigError, DimensionMismatch
 from .hessian import (
     DEFAULT_DAMPING_REL,
     DEFAULT_GRAD_SCALE,
-    ChannelPartition,
     HessianCache,
     HessianSet,
-    dataset_hash,
     fisher_diag,
-    guided_hessians,
-    hessian_cache_key,
-    model_hash,
+    layer_hessians,
     plain_hessian,
 )
 from .linalg import Matrix, quad_form
@@ -92,7 +91,6 @@ class QuantJob:
             K=self.K,
             cd_engine=self.cd_engine,
             lazy_batch_size=self.lazy_batch_size,
-            seed=self.seed,
         )
 
 
@@ -131,42 +129,6 @@ class QuantReport:
             "damped_objective": t["damped_objective"],
             "fisher_quadratic": self.fisher_quadratic,
         }
-
-
-def _layer_hessians(
-    model: MlpModel,
-    data: Dataset,
-    calib: list[LayerCalibration],
-    job: QuantJob,
-    cache: HessianCache | None,
-) -> list[HessianSet] | None:
-    """Hessian sets per layer for the methods that need them, honoring
-    the disk cache when one is supplied."""
-    if job.method in ("rtn", "squeezellm"):
-        return None
-    kind = "plain" if job.method == "lnq_plain" else "guided"
-    digest, data_digest = model_hash(model), dataset_hash(data)
-    out = []
-    for l, c in enumerate(calib):
-        g = 1 if kind == "plain" else job.g
-        key = hessian_cache_key(
-            digest, data_digest, l, g, job.grad_scale if kind == "guided" else 1.0,
-            job.damping_rel, kind,
-        )
-        hset = cache.load(key) if cache is not None else None
-        if hset is None:
-            if kind == "plain":
-                hset = plain_hessian(c, layer_idx=l, damping_rel=job.damping_rel)
-            else:
-                part = ChannelPartition.consecutive(c.gradZ.shape[1], job.g)
-                hset = guided_hessians(
-                    c, part, layer_idx=l,
-                    grad_scale=job.grad_scale, damping_rel=job.damping_rel,
-                )
-            if cache is not None:
-                cache.store(key, hset)
-        out.append(hset)
-    return out
 
 
 def _quantize_group(
@@ -247,7 +209,12 @@ def run_job(
     t_calib = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    hsets = _layer_hessians(model, data, calib, job, hessian_cache)
+    hsets = None
+    if job.method in ("lnq_plain", "lnq_guided"):
+        kind = "plain" if job.method == "lnq_plain" else "guided"
+        entries = layer_hessians(model, data, calib, kind, job.g, job.grad_scale,
+                                 job.damping_rel, cache=hessian_cache)
+        hsets = [hset for _key, hset in entries]
     t_hess = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -305,10 +272,11 @@ def eval_objectives(
 ) -> list[dict]:
     """Per-layer reconstruction objectives (see module docstring).
 
-    The `fisher_quadratic` entry recomputes the gradient-weighted error
-    channel by channel through the Diag identity
-    n F_j = X^T Diag(gradZ[:, j]^2) X, a deliberately different route
-    than the elementwise `guided_objective`.
+    Each row's `fisher_quadratic` is its `guided_objective`: by the
+    identity sum_j n delta_j^T F_j delta_j = ||gradZ * (X delta)||_F^2
+    the channel-by-channel Fisher sum is the elementwise error, so it
+    is not rebuilt here. `oracle.full_fisher_quadratic` computes it the
+    independent way.
     """
     if len(w_hat_layers) != model.n_layers:
         raise DimensionMismatch("one quantized matrix per layer required")
@@ -320,16 +288,12 @@ def eval_objectives(
         plain = float(np.sum(E * E))
         GE = c.gradZ * E
         guided = float(np.sum(GE * GE))
-        fq = 0.0
-        for j in range(W.shape[1]):
-            nFj = (c.X * (c.gradZ[:, j] ** 2)[:, None]).T @ c.X
-            fq += quad_form(nFj, Wh[:, j] - W[:, j])
         rows.append(
             {
                 "layer": l,
                 "plain_objective": plain,
                 "guided_objective": guided,
-                "fisher_quadratic": fq,
+                "fisher_quadratic": guided,
             }
         )
     return rows

@@ -34,7 +34,13 @@ from pathlib import Path
 import numpy as np
 
 from .calib_model import Dataset, LayerCalibration, MlpModel
-from .errors import CorruptFile, EmptyCalibration, InvalidSize, PartitionMismatch
+from .errors import (
+    ConfigError,
+    CorruptFile,
+    EmptyCalibration,
+    InvalidSize,
+    PartitionMismatch,
+)
 from .linalg import Matrix, ensure_matrix
 
 DEFAULT_GRAD_SCALE = 1e3
@@ -348,3 +354,46 @@ class HessianCache:
         }
         write_json_atomic(d / "manifest.json", meta)
         return d
+
+
+def layer_hessians(
+    model: MlpModel,
+    data: Dataset,
+    calib: list[LayerCalibration],
+    kind: str,
+    g: int = 1,
+    grad_scale: float = DEFAULT_GRAD_SCALE,
+    damping_rel: float = DEFAULT_DAMPING_REL,
+    cache: HessianCache | None = None,
+    reuse: bool = True,
+) -> list[tuple[str, HessianSet]]:
+    """(cache key, HessianSet) for every layer of `model`.
+
+    kind "plain" builds X^T X with one group, keyed with g = 1 and unit
+    grad scale; kind "guided" builds the grouped Hessians over g
+    consecutive channel groups. With a `cache`, an existing entry is
+    loaded when `reuse` is set, and every set built here is stored under
+    its key. This is the only place a layer Hessian is built and keyed,
+    so a quantize run finds exactly the entries a hessian run wrote.
+    """
+    if kind not in ("plain", "guided"):
+        raise ConfigError(f"unknown hessian kind {kind!r}")
+    if kind == "plain":
+        g, grad_scale = 1, 1.0
+    digest, data_digest = model_hash(model), dataset_hash(data)
+    out = []
+    for l, c in enumerate(calib):
+        key = hessian_cache_key(digest, data_digest, l, g, grad_scale, damping_rel, kind)
+        hset = cache.load(key) if cache is not None and reuse else None
+        if hset is None:
+            if kind == "plain":
+                hset = plain_hessian(c, layer_idx=l, damping_rel=damping_rel)
+            else:
+                part = ChannelPartition.consecutive(c.gradZ.shape[1], g)
+                hset = guided_hessians(
+                    c, part, layer_idx=l, grad_scale=grad_scale, damping_rel=damping_rel
+                )
+            if cache is not None:
+                cache.store(key, hset)
+        out.append((key, hset))
+    return out

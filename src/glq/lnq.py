@@ -72,7 +72,6 @@ class LnqConfig:
     K: int = 4
     cd_engine: str = "precompute"
     lazy_batch_size: int = DEFAULT_LAZY_BATCH
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 1 <= self.bits <= 8:

@@ -105,7 +105,9 @@ def round_rows(u: np.ndarray, codebooks: np.ndarray) -> np.ndarray:
     """Vectorized nearest-value rounding, one codebook row per entry of u.
 
     `codebooks` is c x m with each row sorted ascending, `u` has length
-    c. First-occurrence argmin keeps the tie rule of round_to_codebook.
+    c. A 1-D sorted codebook of length m is shared by every entry: it
+    broadcasts against u[:, None] with the same elementwise arithmetic.
+    First-occurrence argmin keeps the tie rule of round_to_codebook.
     """
     return np.abs(codebooks - u[:, None]).argmin(axis=1)
 
@@ -117,7 +119,7 @@ def weighted_sse(pts: WeightedPoints, cb: Codebook, assign: Assignment) -> float
 
 
 def nearest_assignment(pts: WeightedPoints, cb: Codebook) -> Assignment:
-    return Assignment(idx=round_rows(pts.x, np.broadcast_to(cb.values, (pts.n, cb.m))))
+    return Assignment(idx=round_rows(pts.x, cb.values))
 
 
 def _distinct(pts: WeightedPoints) -> tuple[np.ndarray, np.ndarray]:
@@ -195,16 +197,13 @@ def lloyd(
     centers = cb.values.copy()
     m = centers.shape[0]
 
-    def _assign(c: np.ndarray) -> np.ndarray:
-        return np.abs(c[None, :] - pts.x[:, None]).argmin(axis=1)
-
     def _sse(c: np.ndarray, a: np.ndarray) -> float:
         r = pts.x - c[a]
         return float(np.sum(pts.wgt * r * r))
 
     for it in range(iters):
         before = centers.tobytes()  # bit patterns, so -0.0 != 0.0
-        a = _assign(centers)
+        a = round_rows(pts.x, centers)
         if trace is not None:
             trace.append(_sse(centers, a))
         for q in range(m):
@@ -219,7 +218,7 @@ def lloyd(
             if trace is not None:
                 trace.extend([trace[-1]] * (2 * (iters - it - 1)))
             break
-    final = _assign(centers)
+    final = round_rows(pts.x, centers)
     if trace is not None:
         trace.append(_sse(centers, final))
     return Codebook(values=centers), Assignment(idx=final)
@@ -374,7 +373,7 @@ def rtn_quantize(W: np.ndarray, bits: int, layer_idx: int = 0) -> QuantizedLayer
         else:
             vals = np.linspace(float(col.min()), float(col.max()), m)
         cb = Codebook(values=vals)
-        idx = round_rows(col, np.broadcast_to(cb.values, (col.shape[0], m)))
+        idx = round_rows(col, cb.values)
         channels.append(ChannelQuantState.from_parts(cb, Assignment(idx=idx)))
     return QuantizedLayer(layer_idx=layer_idx, bits=bits, channels=channels)
 

@@ -25,10 +25,15 @@ from .calib_model import (
 )
 from .errors import TooLarge
 from .guidedquant import QuantJob, eval_objectives, run_job
-from .hessian import ChannelPartition, fisher_block_oracle, guided_hessians
+from .hessian import ChannelPartition, guided_hessians
 from .linalg import cholesky
 from .lnq import LnqConfig, lnq_quantize
-from .oracle import exhaustive_lnq, fd_gradient_check, kmeans_partition_oracle
+from .oracle import (
+    exhaustive_lnq,
+    fd_gradient_check,
+    full_fisher_quadratic,
+    kmeans_partition_oracle,
+)
 from .runconfig import RunConfig
 from .scalar_quant import (
     Assignment,
@@ -148,21 +153,11 @@ def check_fisher_identity() -> str | None:
     calib = calibrate(model, data)
     rng = np.random.default_rng(11)
     w_hats = [W + 0.05 * rng.standard_normal(W.shape) for W in model.layers]
-    rows = eval_objectives(model, w_hats, calib)
-    for row in rows:
-        guided, fq = row["guided_objective"], row["fisher_quadratic"]
-        if abs(guided - fq) > 1e-9 * max(1.0, abs(guided)):
-            return f"layer {row['layer']}: elementwise {guided} vs fisher path {fq}"
-    # and the slow per-sample outer-product oracle on the last layer
-    l = model.n_layers - 1
-    c = calib[l]
-    delta = w_hats[l] - model.layers[l]
-    slow = sum(
-        data.n * float(delta[:, j] @ fisher_block_oracle(c, j, data.n) @ delta[:, j])
-        for j in range(delta.shape[1])
-    )
-    if abs(slow - rows[l]["guided_objective"]) > 1e-9 * max(1.0, slow):
-        return f"outer-product oracle {slow} vs {rows[l]['guided_objective']}"
+    guided = sum(r["guided_objective"] for r in eval_objectives(model, w_hats, calib))
+    # the slow per-sample outer-product oracle, summed over every layer
+    slow = full_fisher_quadratic(model, data, w_hats)
+    if abs(guided - slow) > 1e-9 * max(1.0, abs(slow)):
+        return f"elementwise {guided} vs per-channel Fisher oracle {slow}"
     return None
 
 

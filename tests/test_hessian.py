@@ -5,7 +5,13 @@ import numpy.testing as npt
 import pytest
 
 from glq.calib_model import Dataset, LayerCalibration, calibrate, gen_dataset
-from glq.errors import CorruptFile, EmptyCalibration, InvalidSize, PartitionMismatch
+from glq.errors import (
+    ConfigError,
+    CorruptFile,
+    EmptyCalibration,
+    InvalidSize,
+    PartitionMismatch,
+)
 from glq.hessian import (
     ChannelPartition,
     HessianCache,
@@ -14,6 +20,7 @@ from glq.hessian import (
     fisher_diag,
     guided_hessians,
     hessian_cache_key,
+    layer_hessians,
     model_hash,
     plain_hessian,
     squared_grad_averages,
@@ -230,3 +237,34 @@ class TestCacheAndHash:
 
     def test_missing_key_returns_none(self, tmp_path):
         assert HessianCache(tmp_path).load("nope") is None
+
+
+class TestLayerHessians:
+    def test_plain_keys_ignore_group_knobs(self, toy_problem, toy_calib):
+        model, data = toy_problem
+        a = layer_hessians(model, data, toy_calib, "plain")
+        b = layer_hessians(model, data, toy_calib, "plain", g=4, grad_scale=5.0)
+        assert [k for k, _ in a] == [k for k, _ in b]
+        assert all(h.partition.g == 1 and h.kind == "plain" for _, h in b)
+        guided = layer_hessians(model, data, toy_calib, "guided", g=4)
+        assert all(h.partition.g == 4 for _, h in guided)
+        assert {k for k, _ in guided}.isdisjoint(k for k, _ in a)
+        with pytest.raises(ConfigError):
+            layer_hessians(model, data, toy_calib, "fisher")
+
+    def test_reuse_loads_and_rebuild_overwrites(self, tmp_path, toy_problem, toy_calib):
+        model, data = toy_problem
+        cache = HessianCache(tmp_path)
+        built = layer_hessians(model, data, toy_calib, "guided", g=2, cache=cache)
+        victim = tmp_path / built[0][0] / "hess.L0.G0.gqt"
+        blob = bytearray(victim.read_bytes())
+        blob[-8] ^= 0x01
+        victim.write_bytes(bytes(blob))
+        with pytest.raises(CorruptFile):
+            layer_hessians(model, data, toy_calib, "guided", g=2, cache=cache)
+        layer_hessians(model, data, toy_calib, "guided", g=2, cache=cache, reuse=False)
+        again = layer_hessians(model, data, toy_calib, "guided", g=2, cache=cache)
+        for (k1, h1), (k2, h2) in zip(built, again):
+            assert k1 == k2
+            for a, b in zip(h1.hessians, h2.hessians):
+                npt.assert_array_equal(a, b)
