@@ -15,9 +15,9 @@ import sys
 from pathlib import Path
 
 from glq.artifacts import report_csv_text
+from glq.calib_model import toy_problem
 from glq.experiments import PROTOCOL
 from glq.guidedquant import METHODS, QuantJob, format_table, sweep
-from glq.verify import toy_problem
 
 
 def main(argv=None) -> int:
@@ -27,7 +27,6 @@ def main(argv=None) -> int:
     ap.add_argument("--g", type=int, default=PROTOCOL["g"])
     ap.add_argument("--task", default=PROTOCOL["task"])
     ap.add_argument("--steps", type=int, default=PROTOCOL["steps"])
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", type=Path, help="CSV output path")
     args = ap.parse_args(argv)
 
@@ -37,7 +36,7 @@ def main(argv=None) -> int:
         for b in args.bits
         for m in METHODS
     ]
-    rows = sweep(model, data, jobs, workers=args.workers)
+    rows = sweep(model, data, jobs)
     print(format_table(rows))
     if args.out:
         args.out.parent.mkdir(parents=True, exist_ok=True)

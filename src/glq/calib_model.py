@@ -30,6 +30,9 @@ logger = logging.getLogger(__name__)
 ACTIVATIONS = ("tanh",)
 LOSSES = ("squared_error", "softmax_cross_entropy")
 
+TOY_DIMS = [8, 16, 16, 4]
+TOY_N = 64
+
 
 @dataclass
 class MlpModel:
@@ -133,6 +136,16 @@ def gen_dataset(seed: int, n: int, d0: int, dt: int, task: str = "squared_error"
         Y = np.zeros((n, dt))
         Y[np.arange(n), labels] = 1.0
     return Dataset(inputs=X, targets=Y, seed=seed)
+
+
+def toy_problem(seed: int = 0, loss: str = "squared_error",
+                steps: int = 150) -> tuple[MlpModel, Dataset]:
+    """The standard toy problem: a TOY_DIMS model trained for `steps`
+    full-batch steps (lr 2e-3) on TOY_N samples drawn with `seed`; the
+    model is initialized from seed + 1."""
+    data = gen_dataset(seed, TOY_N, TOY_DIMS[0], TOY_DIMS[-1], task=loss)
+    model = random_model(TOY_DIMS, seed + 1, loss=loss)
+    return train(model, data, steps=steps, lr=2e-3), data
 
 
 def random_model(dims: list[int], seed: int, loss: str = "squared_error") -> MlpModel:

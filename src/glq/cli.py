@@ -31,7 +31,6 @@ from .guidedquant import (
     sweep as run_sweep,
 )
 from .hessian import HessianCache, layer_hessians, plain_hessian
-from .lnq import CD_ENGINES
 from .runconfig import RunConfig
 from .tensorio import write_json_atomic
 from .verify import run_verify
@@ -107,11 +106,8 @@ def build_parser() -> _Parser:
     q.add_argument("--seed", type=int)
     q.add_argument("--T", type=int)
     q.add_argument("--K", type=int)
-    q.add_argument("--cd-engine", choices=list(CD_ENGINES))
-    q.add_argument("--lazy-batch-size", type=int)
     q.add_argument("--grad-scale", type=float)
     q.add_argument("--damping-rel", type=float)
-    q.add_argument("--workers", type=int)
     q.add_argument("--hessian-cache")
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_quantize)
@@ -135,7 +131,6 @@ def build_parser() -> _Parser:
     s.add_argument("--K", type=int, default=4)
     s.add_argument("--grad-scale", type=float, default=1e3)
     s.add_argument("--damping-rel", type=float, default=1e-7)
-    s.add_argument("--workers", type=int, default=1)
     s.add_argument("--out", help="CSV output path")
     s.set_defaults(func=cmd_sweep)
 
@@ -204,17 +199,13 @@ def cmd_quantize(args) -> int:
         damping_rel=pick(args.damping_rel, cfg.damping_rel),
         T=pick(args.T, cfg.T),
         K=pick(args.K, cfg.K),
-        cd_engine=pick(args.cd_engine, cfg.cd_engine),
-        lazy_batch_size=pick(args.lazy_batch_size, cfg.lazy_batch_size),
     )
     cache = HessianCache(args.hessian_cache) if args.hessian_cache else None
-    workers = pick(args.workers, cfg.workers)
-    _, qlayers, report = run_job(model, data, job, workers=workers, hessian_cache=cache)
+    _, qlayers, report = run_job(model, data, job, hessian_cache=cache)
     meta = {
         "method": job.method, "g": job.g, "seed": job.seed,
         "grad_scale": job.grad_scale, "damping_rel": job.damping_rel,
-        "T": job.T, "K": job.K, "cd_engine": job.cd_engine,
-        "lazy_batch_size": job.lazy_batch_size,
+        "T": job.T, "K": job.K,
     }
     artifacts.save_quantized(args.out, qlayers, report, meta)
     print(format_table([report.csv_row()]))
@@ -267,7 +258,7 @@ def cmd_sweep(args) -> int:
                         grad_scale=args.grad_scale, damping_rel=args.damping_rel,
                         T=args.T, K=args.K,
                     ))
-    rows = run_sweep(model, data, jobs, workers=args.workers)
+    rows = run_sweep(model, data, jobs)
     print(format_table(rows))
     if args.out:
         Path(args.out).write_text(artifacts.report_csv_text(rows))

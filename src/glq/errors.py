@@ -10,7 +10,8 @@ class DimensionMismatch(GlqError):
 
 
 class NotPositiveDefinite(GlqError):
-    """Cholesky hit a pivot <= 0; the caller should raise the damping."""
+    """Cholesky hit a pivot <= 0. Nothing retries with more damping: it
+    propagates like any GlqError (exit 2 from the CLI)."""
 
 
 class DivergedLoss(GlqError):

@@ -40,8 +40,8 @@ import time
 
 import numpy as np
 
+from .calib_model import toy_problem
 from .guidedquant import QuantJob, run_job
-from .verify import toy_problem
 
 COMPARED_METHODS = ("squeezellm", "lnq_plain", "lnq_guided")
 

@@ -11,11 +11,9 @@ count g. Methods:
 * ``lnq_guided``: alternating minimization against the grouped
   loss-guided Hessians, same initialization, one run per group.
 
-Layers (and groups within a layer) are independent given the
-calibration pass, so jobs dispatch them to a thread pool and merge
-results in (layer, group) order; the output is identical for any
-worker count. Reported objectives per layer: the plain reconstruction
-error ||X (W - What)||_F^2, the gradient-weighted error
+Layers, and the groups within a layer, are quantized one at a time in
+(layer, group) order. Reported objectives per layer: the plain
+reconstruction error ||X (W - What)||_F^2, the gradient-weighted error
 ||gradZ * (X (W - What))||_F^2 (elementwise product), and the damped
 quadratic under the Hessian set the method used (plain Hessians for the
 Hessian-free baselines, unit gradient scale). The gradient-weighted
@@ -30,7 +28,6 @@ the guided objective against.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,8 +70,6 @@ class QuantJob:
     damping_rel: float = DEFAULT_DAMPING_REL
     T: int = 2
     K: int = 4
-    cd_engine: str = "precompute"
-    lazy_batch_size: int = 128
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -85,13 +80,7 @@ class QuantJob:
             raise ConfigError(f"g must be >= 1, got {self.g}")
 
     def lnq_config(self) -> LnqConfig:
-        return LnqConfig(
-            bits=self.bits,
-            T=self.T,
-            K=self.K,
-            cd_engine=self.cd_engine,
-            lazy_batch_size=self.lazy_batch_size,
-        )
+        return LnqConfig(bits=self.bits, T=self.T, K=self.K)
 
 
 @dataclass
@@ -141,8 +130,7 @@ def _quantize_group(
 ) -> tuple[int, int, tuple[int, ...], list[ChannelQuantState]]:
     """Quantize the channels of one (layer, group) task. `F` is the
     layer's diagonal Fisher (None for rtn); the task slices its group's
-    columns. Pure function of its arguments, so dispatch order cannot
-    change the result."""
+    columns."""
     if job.method == "rtn":
         ql = rtn_quantize(W, job.bits, layer_idx=layer_idx)
         return layer_idx, group_idx, tuple(range(W.shape[1])), ql.channels
@@ -169,41 +157,32 @@ def _quantize_tasks(
     calib: list[LayerCalibration],
     job: QuantJob,
     hsets: list[HessianSet] | None,
-    workers: int,
 ) -> list[tuple[int, int, tuple[int, ...], list[ChannelQuantState]]]:
-    """Run one `_quantize_group` task per (layer, group) on `workers`
-    threads; results come back in task order. Each layer's
-    diagonal Fisher is built once and shared by its groups; it is freed
-    on return, before the caller's evaluation stage."""
-    tasks = []
+    """Run one `_quantize_group` task per (layer, group), in (layer,
+    group) order. Each layer's diagonal Fisher is built once and shared
+    by its groups; it is freed on return, before the caller's
+    evaluation stage."""
+    results = []
     for l, W in enumerate(model.layers):
         hset = hsets[l] if hsets is not None else None
         F = fisher_diag(calib[l]) if job.method != "rtn" else None
         n_groups = hset.partition.g if (hset is not None and job.method == "lnq_guided") else 1
         for k in range(n_groups):
-            tasks.append((W, F, job, hset, l, k))
-    if workers == 1:
-        return [_quantize_group(*t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: _quantize_group(*t), tasks))
+            results.append(_quantize_group(W, F, job, hset, l, k))
+    return results
 
 
 def run_job(
     model: MlpModel,
     data: Dataset,
     job: QuantJob,
-    workers: int = 1,
     hessian_cache: HessianCache | None = None,
 ) -> tuple[MlpModel, list[QuantizedLayer], QuantReport]:
     """Quantize every layer of `model` per `job`.
 
     Returns the quantized model, the per-layer quantization states, and
-    the report. Independent (layer, group) tasks run on a thread pool
-    of `workers`; results are merged in fixed order, so any worker
-    count produces identical output.
+    the report.
     """
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
     t0 = time.perf_counter()
     calib = calibrate(model, data)
     t_calib = time.perf_counter() - t0
@@ -218,10 +197,9 @@ def run_job(
     t_hess = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    results = _quantize_tasks(model, calib, job, hsets, workers)
+    results = _quantize_tasks(model, calib, job, hsets)
     t_quant = time.perf_counter() - t0
 
-    results.sort(key=lambda r: (r[0], r[1]))
     per_layer_states: list[list[ChannelQuantState | None]] = [
         [None] * W.shape[1] for W in model.layers
     ]
@@ -313,7 +291,6 @@ def sweep(
     model: MlpModel,
     data: Dataset,
     jobs: list[QuantJob],
-    workers: int = 1,
     hessian_cache: HessianCache | None = None,
 ) -> list[dict]:
     """Run jobs in order and return one CSV row dict per job.
@@ -324,7 +301,7 @@ def sweep(
     """
     rows = []
     for job in jobs:
-        _, _, report = run_job(model, data, job, workers=workers, hessian_cache=hessian_cache)
+        _, _, report = run_job(model, data, job, hessian_cache=hessian_cache)
         rows.append(report.csv_row())
     return rows
 

@@ -22,20 +22,22 @@ phases alternate T times:
       u_i  = W_ij - sum_{r != i} (H_ir / H_ii) (What_rj - W_rj),
 
   so the update rounds u_i to the nearest codebook value (ties to the
-  smaller value). Three engines share this decision rule exactly:
-
-  - ``naive``: evaluates the full quadratic for every codebook
-    candidate; the independent reference.
-  - ``closed_form``: applies the u_i rounding rule one coordinate at a
-    time, recomputing the residual correction from scratch each step.
-  - ``precompute``: normalizes rows once (Htil = Diag(H)^-1 H, strict
-    upper part U), forms B = U (What - W) per cycle, and maintains B
-    with one rank-1 correction per updated row, using the strict lower
-    column of Htil so the running sums match the sequential rule.
-  - ``lazy_batch``: same as precompute inside a batch of rows, with one
-    blocked correction for all later rows after each batch. Batch size
-    1 and batch size d reproduce precompute bit for bit; in between,
-    assignments still match on tie-free instances.
+  smaller value). One engine, ``cd_cycle``, applies this rule in the
+  GPTQ-style lazy-batch form (Frantar et al., arXiv 2210.17323): rows
+  are normalized once (Htil = Diag(H)^-1 H), the corrections from
+  not-yet-visited rows are formed as one product per cycle, and each
+  update is propagated to the later rows of its batch of b rows at
+  once and to the rows after the batch in one blocked product. Batch
+  size changes only the order in which the floating-point corrections
+  are summed: b = 1 and every b >= d give the same bits, and any b
+  gives the same assignments whenever no rounding decision is within
+  that summation error of a tie. The production batch CD_BATCH = 128
+  is clipped to d, so layers with d <= 128 (the toy model throughout)
+  run the b = d form exactly. On the 64-256-256-16 benchmark model
+  (layers with d = 256, seeds 7-16) b = 128 gave the same assignments
+  and codebooks as b = d. ``oracle.naive_cd_cycle`` evaluates
+  the full quadratic for every candidate and is the independent
+  reference.
 
 Both phases descend the same damped objective, so the recorded
 per-channel objective trace (initial value, then one entry after every
@@ -59,8 +61,7 @@ from .scalar_quant import (
     round_rows,
 )
 
-CD_ENGINES = ("naive", "closed_form", "precompute", "lazy_batch")
-DEFAULT_LAZY_BATCH = 128
+CD_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,6 @@ class LnqConfig:
     bits: int
     T: int = 2
     K: int = 4
-    cd_engine: str = "precompute"
-    lazy_batch_size: int = DEFAULT_LAZY_BATCH
 
     def __post_init__(self) -> None:
         if not 1 <= self.bits <= 8:
@@ -80,10 +79,6 @@ class LnqConfig:
             raise InvalidSize(f"T must be >= 1, got {self.T}")
         if self.K < 1:
             raise InvalidSize(f"K must be >= 1, got {self.K}")
-        if self.cd_engine not in CD_ENGINES:
-            raise ValueError(f"unknown cd engine {self.cd_engine!r}")
-        if self.lazy_batch_size < 1:
-            raise InvalidSize("lazy_batch_size must be >= 1")
 
     @property
     def m(self) -> int:
@@ -128,137 +123,25 @@ def codebook_closed_form(
     return Codebook(values=values[order]), Assignment(idx=inv[a])
 
 
-def naive_candidate_objectives(
-    H: Matrix, w: np.ndarray, values: np.ndarray, assign_idx: np.ndarray, i: int
-) -> np.ndarray:
-    """Full quadratic objective for every choice of slot at coordinate i."""
-    d = w.shape[0]
-    if H.shape != (d, d):
-        raise DimensionMismatch("H and w disagree on dimension")
-    if H[i, i] <= 0.0:
-        raise ZeroDiagonal(f"H[{i},{i}] = {H[i, i]} <= 0")
-    delta = values[assign_idx] - w
-    m = values.shape[0]
-    D = np.repeat(delta[None, :], m, axis=0)
-    D[:, i] = values - w[i]
-    return np.einsum("qd,de,qe->q", D, H, D)
-
-
-def cd_step_naive(H: Matrix, w: np.ndarray, state: ChannelQuantState, i: int) -> ChannelQuantState:
-    """One exact coordinate update by exhaustive candidate evaluation.
-
-    Keeps the codebook fixed; re-evaluates the full quadratic for all m
-    candidate values at coordinate i and takes the first minimizer,
-    which is the smallest value because codebooks are sorted.
-    """
-    objs = naive_candidate_objectives(H, w, state.codebook.values, state.assign.idx, i)
-    q = int(objs.argmin())
-    idx = state.assign.idx.copy()
-    idx[i] = q
-    return ChannelQuantState.from_parts(state.codebook, Assignment(idx=idx),
-                                        trace=state.objective_trace)
-
-
-def _round_block(u: np.ndarray, C: np.ndarray, stats: dict | None) -> np.ndarray:
-    """Round one coordinate's targets against all channel codebooks,
-    tracking the distance margin between best and runner-up."""
-    dist = np.abs(C - u[:, None])
-    if stats is not None and C.shape[1] > 1:
-        part = np.partition(dist, 1, axis=1)
-        margin = float(np.min(part[:, 1] - part[:, 0]))
-        stats["min_margin"] = min(stats.get("min_margin", np.inf), margin)
-    return dist.argmin(axis=1)
-
-
-def cd_step_closed_form(
-    H: Matrix,
-    W: Matrix,
-    C: np.ndarray,
-    A: np.ndarray,
-    i: int,
-    stats: dict | None = None,
-) -> None:
-    """One closed-form coordinate update across all channels, in place.
-
-    Forms u_i from the current residual and rounds it against each
-    channel's codebook. Mutates row i of the assignment matrix A.
-    """
-    if H[i, i] <= 0.0:
-        raise ZeroDiagonal(f"H[{i},{i}] = {H[i, i]} <= 0")
-    Wh = np.take_along_axis(C, A.T, axis=1).T
-    D = Wh - W
-    row = H[i, :] / H[i, i]
-    corr = row @ D - D[i, :]
-    u = W[i, :] - corr
-    A[i, :] = _round_block(u, C, stats)
-
-
-def _cycle_naive(
+def cd_cycle(
     H: Matrix, W: Matrix, C: np.ndarray, A: np.ndarray, cycles: int,
-    stats: dict | None = None,
+    b: int = CD_BATCH, stats: dict | None = None,
 ) -> None:
-    d, c = W.shape
-    for _ in range(cycles):
-        for i in range(d):
-            for j in range(c):
-                objs = naive_candidate_objectives(H, W[:, j], C[j], A[:, j], i)
-                A[i, j] = int(objs.argmin())
-
-
-def _cycle_closed_form(
-    H: Matrix, W: Matrix, C: np.ndarray, A: np.ndarray, cycles: int,
-    stats: dict | None = None,
-) -> None:
-    d = W.shape[0]
-    for _ in range(cycles):
-        for i in range(d):
-            cd_step_closed_form(H, W, C, A, i, stats=stats)
-
-
-def cd_cycle_precompute(
-    H: Matrix, W: Matrix, C: np.ndarray, A: np.ndarray, cycles: int,
-    stats: dict | None = None,
-) -> None:
-    """K cycles of closed-form descent with cached normalized rows.
+    """`cycles` sweeps of coordinate descent over rows 0..d-1, in place.
 
     Htil = Diag(H)^-1 H; B = StrictUpper(Htil) (What - W) gives each
-    row's contribution from not-yet-visited rows, and after every row
-    update the strict lower column of Htil propagates the change to the
-    rows still to come. Matches the sequential closed-form rule exactly.
+    row's correction from rows not yet visited in the sweep. Inside a
+    batch of b rows every update reaches the rows after it in the batch
+    as a rank-1 correction from the strict lower column of Htil; rows
+    after the batch receive one blocked correction when it finishes.
+    The batch size is clipped to d. When `stats` is given, its
+    "min_margin" entry tracks the smallest distance gap between the
+    best and the runner-up codebook value over all rounding decisions.
     """
     d, c = W.shape
-    diag = np.diag(H).copy()
-    if np.any(diag <= 0.0):
-        raise ZeroDiagonal("H has a non-positive diagonal entry")
-    Htil = H / diag[:, None]
-    U = np.triu(Htil, 1)
-    for _ in range(cycles):
-        Wh = np.take_along_axis(C, A.T, axis=1).T
-        D = Wh - W
-        B = U @ D
-        for i in range(d):
-            u = W[i, :] - B[i, :]
-            A[i, :] = _round_block(u, C, stats)
-            new_delta = C[np.arange(c), A[i, :]] - W[i, :]
-            if i + 1 < d:
-                B[i + 1 :, :] += Htil[i + 1 :, i : i + 1] * new_delta[None, :]
-
-
-def cd_cycle_lazy_batch(
-    H: Matrix, W: Matrix, C: np.ndarray, A: np.ndarray, cycles: int,
-    b_batch: int = DEFAULT_LAZY_BATCH, stats: dict | None = None,
-) -> None:
-    """Precompute-style cycles with corrections batched over row blocks.
-
-    Rows inside the active batch receive rank-1 corrections immediately;
-    rows after the batch receive one blocked correction when the batch
-    finishes. The batch size is clipped to d. Batch sizes 1 and d
-    reproduce cd_cycle_precompute bit for bit.
-    """
-    d, c = W.shape
-    if b_batch < 1:
-        raise InvalidSize("b_batch must be >= 1")
-    b = min(b_batch, d)
+    if b < 1:
+        raise InvalidSize("b must be >= 1")
+    b = min(b, d)
     diag = np.diag(H).copy()
     if np.any(diag <= 0.0):
         raise ZeroDiagonal("H has a non-positive diagonal entry")
@@ -272,21 +155,17 @@ def cd_cycle_lazy_batch(
             e = min(s + b, d)
             for i in range(s, e):
                 u = W[i, :] - B[i, :]
-                A[i, :] = _round_block(u, C, stats)
+                if stats is not None and C.shape[1] > 1:
+                    part = np.partition(np.abs(C - u[:, None]), 1, axis=1)
+                    margin = float(np.min(part[:, 1] - part[:, 0]))
+                    stats["min_margin"] = min(stats.get("min_margin", np.inf), margin)
+                A[i, :] = round_rows(u, C)
                 new_delta = C[np.arange(c), A[i, :]] - W[i, :]
                 if i + 1 < e:
                     B[i + 1 : e, :] += Htil[i + 1 : e, i : i + 1] * new_delta[None, :]
             if e < d:
                 Wh_batch = np.take_along_axis(C, A[s:e, :].T, axis=1).T
                 B[e:, :] += Htil[e:, s:e] @ (Wh_batch - W[s:e, :])
-
-
-_ENGINES = {
-    "naive": lambda H, W, C, A, K, b, stats: _cycle_naive(H, W, C, A, K, stats),
-    "closed_form": lambda H, W, C, A, K, b, stats: _cycle_closed_form(H, W, C, A, K, stats),
-    "precompute": lambda H, W, C, A, K, b, stats: cd_cycle_precompute(H, W, C, A, K, stats),
-    "lazy_batch": lambda H, W, C, A, K, b, stats: cd_cycle_lazy_batch(H, W, C, A, K, b, stats),
-}
 
 
 def lnq_quantize(
@@ -300,8 +179,9 @@ def lnq_quantize(
     """Alternating minimization for one Hessian group of channels.
 
     `H_damped` must already include its diagonal shift; no further
-    damping is applied here, and a NotPositiveDefinite from the
-    factorization signals the caller to raise the damping. `init`
+    damping is applied here. A factorization failure raises
+    NotPositiveDefinite, which propagates as a GlqError (exit 2 from the
+    CLI); nothing retries with more damping. `init`
     supplies one starting state per column of `W_block` (all with the
     same codebook size 2**bits). The returned states carry the
     non-increasing damped objective trace described in the module
@@ -336,11 +216,10 @@ def lnq_quantize(
             A[:, j] = asg.idx
 
     record()
-    engine = _ENGINES[cfg.cd_engine]
     for _ in range(cfg.T):
         solve_codebooks()
         record()
-        engine(H, W, C, A, cfg.K, cfg.lazy_batch_size, stats)
+        cd_cycle(H, W, C, A, cfg.K, stats=stats)
         record()
     solve_codebooks()
     record()

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calib_model import Dataset, MlpModel, calibrate, end_loss, weight_gradients
-from .errors import DimensionMismatch, InvalidSize, TooLarge
+from .errors import DimensionMismatch, InvalidSize, TooLarge, ZeroDiagonal
 from .hessian import fisher_block_oracle
 from .linalg import Matrix, ensure_matrix, ensure_vector
-from .scalar_quant import WeightedPoints
+from .scalar_quant import Assignment, ChannelQuantState, WeightedPoints
 
 EXHAUSTIVE_CAP = 1_000_000
 FISHER_WEIGHT_CAP = 5_000
@@ -83,6 +83,53 @@ def exhaustive_lnq(H_damped: Matrix, w: np.ndarray, m: int) -> ExhaustiveResult:
         objective=best_obj,
         n_enumerated=count,
     )
+
+
+def naive_candidate_objectives(
+    H: Matrix, w: np.ndarray, values: np.ndarray, assign_idx: np.ndarray, i: int
+) -> np.ndarray:
+    """Full quadratic objective for every choice of slot at coordinate i."""
+    d = w.shape[0]
+    if H.shape != (d, d):
+        raise DimensionMismatch("H and w disagree on dimension")
+    if H[i, i] <= 0.0:
+        raise ZeroDiagonal(f"H[{i},{i}] = {H[i, i]} <= 0")
+    delta = values[assign_idx] - w
+    m = values.shape[0]
+    D = np.repeat(delta[None, :], m, axis=0)
+    D[:, i] = values - w[i]
+    return np.einsum("qd,de,qe->q", D, H, D)
+
+
+def cd_step_naive(H: Matrix, w: np.ndarray, state: ChannelQuantState, i: int) -> ChannelQuantState:
+    """One exact coordinate update by exhaustive candidate evaluation.
+
+    Keeps the codebook fixed; re-evaluates the full quadratic for all m
+    candidate values at coordinate i and takes the first minimizer,
+    which is the smallest value because codebooks are sorted.
+    """
+    objs = naive_candidate_objectives(H, w, state.codebook.values, state.assign.idx, i)
+    q = int(objs.argmin())
+    idx = state.assign.idx.copy()
+    idx[i] = q
+    return ChannelQuantState.from_parts(state.codebook, Assignment(idx=idx),
+                                        trace=state.objective_trace)
+
+
+def naive_cd_cycle(
+    H: Matrix, W: Matrix, C: np.ndarray, A: np.ndarray, cycles: int,
+    stats: dict | None = None,
+) -> None:
+    """Reference for lnq.cd_cycle: same arguments, same in-place update
+    of A, every coordinate decided by naive_candidate_objectives. No
+    rounding margins are recorded; `stats` is accepted so the two are
+    interchangeable inside lnq_quantize."""
+    d, c = W.shape
+    for _ in range(cycles):
+        for i in range(d):
+            for j in range(c):
+                objs = naive_candidate_objectives(H, W[:, j], C[j], A[:, j], i)
+                A[i, j] = int(objs.argmin())
 
 
 def full_fisher_quadratic(

@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .guidedquant import METHODS
-from .lnq import CD_ENGINES
 
 _TASKS = ("squared_error", "softmax_cross_entropy")
 
@@ -35,9 +34,6 @@ class RunConfig:
     damping_rel: float = 1e-7
     T: int = 2
     K: int = 4
-    cd_engine: str = "precompute"
-    lazy_batch_size: int = 128
-    workers: int = 1
 
     def __post_init__(self) -> None:
         checks = [
@@ -54,9 +50,6 @@ class RunConfig:
             (self.damping_rel >= 0, "damping_rel must be >= 0"),
             (self.T >= 1, "T must be >= 1"),
             (self.K >= 1, "K must be >= 1"),
-            (self.cd_engine in CD_ENGINES, f"cd_engine must be one of {CD_ENGINES}"),
-            (self.lazy_batch_size >= 1, "lazy_batch_size must be >= 1"),
-            (self.workers >= 1, "workers must be >= 1"),
         ]
         for ok, msg in checks:
             if not ok:

@@ -15,24 +15,26 @@ import numpy as np
 
 from . import artifacts
 from .calib_model import (
+    TOY_DIMS,
     Dataset,
     calibrate,
     end_loss,
     gen_dataset,
     per_sample_losses,
     random_model,
-    train,
+    toy_problem,
 )
 from .errors import TooLarge
 from .guidedquant import QuantJob, eval_objectives, run_job
 from .hessian import ChannelPartition, guided_hessians
 from .linalg import cholesky
-from .lnq import LnqConfig, lnq_quantize
+from .lnq import LnqConfig, cd_cycle, lnq_quantize
 from .oracle import (
     exhaustive_lnq,
     fd_gradient_check,
     full_fisher_quadratic,
     kmeans_partition_oracle,
+    naive_cd_cycle,
 )
 from .runconfig import RunConfig
 from .scalar_quant import (
@@ -48,22 +50,13 @@ from .scalar_quant import (
 )
 from .tensorio import read_tensor, write_tensor
 
-TOY_DIMS = [8, 16, 16, 4]
-TOY_N = 64
-
-
-def toy_problem(seed: int = 0, loss: str = "squared_error", steps: int = 150):
-    data = gen_dataset(seed, TOY_N, TOY_DIMS[0], TOY_DIMS[-1], task=loss)
-    model = random_model(TOY_DIMS, seed + 1, loss=loss)
-    trained = train(model, data, steps=steps, lr=2e-3)
-    return trained, data
-
-
-def random_spd(rng: np.random.Generator, d: int) -> np.ndarray:
+def random_spd(rng: np.random.Generator, d: int, damp: float = 1e-6) -> np.ndarray:
+    """X^T X for a (d + 4) x d Gaussian X, plus `damp` times its mean
+    diagonal on the diagonal."""
     X = rng.standard_normal((d + 4, d))
     H = X.T @ X
     H = 0.5 * (H + H.T)
-    return H + 1e-6 * float(np.mean(np.diag(H))) * np.eye(d)
+    return H + damp * float(np.mean(np.diag(H))) * np.eye(d)
 
 
 def uniform_init(w: np.ndarray, m: int) -> ChannelQuantState:
@@ -79,16 +72,6 @@ def random_lnq_instance(rng: np.random.Generator, d: int, bits: int):
     H = random_spd(rng, d)
     w = rng.standard_normal(d)
     return H, w, uniform_init(w, 2 ** bits)
-
-
-def tie_free_lnq_run(H, w, init, cfg: LnqConfig, margin: float = 1e-6):
-    """Run lnq_quantize tracking rounding margins; None if any decision
-    came within `margin` of a tie."""
-    stats: dict = {}
-    out = lnq_quantize(H, w.reshape(-1, 1), cfg, [init], stats=stats)
-    if stats.get("min_margin", np.inf) < margin:
-        return None
-    return out
 
 
 # each check returns None on pass or a failure detail string
@@ -199,7 +182,9 @@ def check_kmeans_dp() -> str | None:
     return None
 
 
-def check_cd_engines() -> str | None:
+def check_cd_cycle() -> str | None:
+    """cd_cycle at b in {1, 3, d} against the naive reference, two
+    cycles from a uniform init, on tie-free instances."""
     rng = np.random.default_rng(33)
     found = 0
     attempts = 0
@@ -208,22 +193,22 @@ def check_cd_engines() -> str | None:
         d = int(rng.integers(4, 13))
         bits = int(rng.integers(1, 3))
         H, w, init = random_lnq_instance(rng, d, bits)
-        ref = None
-        ok = True
-        for engine, b in (("precompute", 1), ("naive", 1), ("closed_form", 1),
-                          ("lazy_batch", 1), ("lazy_batch", 3), ("lazy_batch", d)):
-            cfg = LnqConfig(bits=bits, T=2, K=2, cd_engine=engine, lazy_batch_size=b)
-            out = tie_free_lnq_run(H, w, init, cfg)
-            if out is None:
-                ok = False
-                break
-            a = out.channels[0].assign.idx
-            if ref is None:
-                ref = a
-            elif not np.array_equal(ref, a):
-                return f"engine {engine} (b={b}) diverged on d={d}"
-        if ok:
-            found += 1
+        W = w.reshape(-1, 1)
+        C = init.codebook.values[None, :]
+        ref = init.assign.idx[:, None].copy()
+        naive_cd_cycle(H, W, C, ref, 2)
+        stats: dict = {}
+        runs = []
+        for b in (1, 3, d):
+            A = init.assign.idx[:, None].copy()
+            cd_cycle(H, W, C, A, 2, b=b, stats=stats)
+            runs.append((b, A))
+        if stats.get("min_margin", np.inf) < 1e-6:
+            continue
+        found += 1
+        for b, A in runs:
+            if not np.array_equal(ref, A):
+                return f"cd_cycle (b={b}) diverged from the naive reference on d={d}"
     if found < 20:
         return f"only {found} tie-free instances in {attempts} attempts"
     return None
@@ -308,17 +293,17 @@ def check_config_validation() -> str | None:
 def check_pipeline_determinism() -> str | None:
     model, data = toy_problem(seed=9, steps=80)
     job = QuantJob(method="lnq_guided", bits=2, g=4, seed=0)
-    _, q1, r1 = run_job(model, data, job, workers=1)
-    _, q4, r4 = run_job(model, data, job, workers=4)
-    for a, b in zip(q1, q4):
+    _, q1, r1 = run_job(model, data, job)
+    _, q2, r2 = run_job(model, data, job)
+    for a, b in zip(q1, q2):
         if not np.array_equal(a.assign_matrix(), b.assign_matrix()):
-            return "assignments differ across worker counts"
+            return "assignments differ between reruns"
         if not np.array_equal(a.codebook_matrix(), b.codebook_matrix()):
-            return "codebooks differ across worker counts"
+            return "codebooks differ between reruns"
     with tempfile.TemporaryDirectory() as td:
         d1, d2 = Path(td) / "a", Path(td) / "b"
         artifacts.save_quantized(d1, q1, r1, {"method": job.method})
-        artifacts.save_quantized(d2, q4, r4, {"method": job.method})
+        artifacts.save_quantized(d2, q2, r2, {"method": job.method})
         for name in sorted(p.name for p in d1.iterdir()):
             if (d1 / name).read_bytes() != (d2 / name).read_bytes():
                 return f"artifact {name} not byte-identical"
@@ -333,7 +318,7 @@ CHECKS = [
     ("fisher_identity", check_fisher_identity, True),
     ("hessian_group_consistency", check_hessian_groups, True),
     ("kmeans_dp_optimal", check_kmeans_dp, True),
-    ("cd_engine_agreement", check_cd_engines, False),
+    ("cd_cycle_vs_naive", check_cd_cycle, False),
     ("lnq_descent", check_lnq_descent, True),
     ("lnq_vs_exhaustive", check_lnq_vs_exhaustive, False),
     ("grad_scale_invariance", check_scale_invariance, False),

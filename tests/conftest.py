@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 
-from glq.calib_model import calibrate, gen_dataset, random_model, train
-from glq.verify import TOY_DIMS, TOY_N
+from glq.calib_model import calibrate
+from glq.calib_model import toy_problem as build_toy_problem
 
 _toy_cache = {}
 
@@ -11,10 +10,7 @@ def toy(loss: str = "squared_error", seed: int = 0, steps: int = 150):
     """Trained standard toy problem, cached per (loss, seed, steps)."""
     key = (loss, seed, steps)
     if key not in _toy_cache:
-        data = gen_dataset(seed, TOY_N, TOY_DIMS[0], TOY_DIMS[-1], task=loss)
-        model = train(random_model(TOY_DIMS, seed + 1, loss=loss), data,
-                      steps=steps, lr=2e-3)
-        _toy_cache[key] = (model, data)
+        _toy_cache[key] = build_toy_problem(seed=seed, loss=loss, steps=steps)
     return _toy_cache[key]
 
 
@@ -27,10 +23,3 @@ def toy_problem():
 def toy_calib(toy_problem):
     model, data = toy_problem
     return calibrate(model, data)
-
-
-def random_spd(rng: np.random.Generator, d: int, damp: float = 1e-6) -> np.ndarray:
-    X = rng.standard_normal((d + 4, d))
-    H = X.T @ X
-    H = 0.5 * (H + H.T)
-    return H + damp * float(np.mean(np.diag(H))) * np.eye(d)

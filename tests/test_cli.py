@@ -6,7 +6,15 @@ import pytest
 
 from glq import artifacts
 from glq.cli import main
-from glq.tensorio import file_sha256, verify_manifest
+from glq.errors import ConfigError
+from glq.runconfig import RunConfig
+from glq.tensorio import (
+    file_sha256,
+    read_manifest,
+    verify_manifest,
+    write_json_atomic,
+    write_manifest,
+)
 
 
 def dir_digest(d: Path) -> dict:
@@ -202,6 +210,46 @@ class TestQuantizeAndEval:
         # squeezellm reports its damped objective under plain Hessians, the
         # same convention eval uses, so the whole row survives the roundtrip
         assert csv_path.read_text() == stored
+
+    def test_eval_loads_quant_json_with_removed_keys(self, pipeline, tmp_path):
+        # quant.json as older versions wrote it, with the CD engine knobs
+        data, model = pipeline
+        out = tmp_path / "q"
+        assert main(["quantize", "--model", str(model), "--data", str(data),
+                     "--method", "lnq_guided", "--bits", "2", "--g", "2",
+                     "--out", str(out)]) == 0
+        meta = json.loads((out / "quant.json").read_text())
+        assert "cd_engine" not in meta and "lazy_batch_size" not in meta
+
+        def eval_csv(name: str) -> str:
+            assert main(["eval", "--model", str(model), "--data", str(data),
+                         "--quant", str(out), "--csv", str(tmp_path / name)]) == 0
+            return (tmp_path / name).read_text()
+
+        new = eval_csv("new.csv")
+        write_json_atomic(out / "quant.json",
+                          dict(meta, cd_engine="precompute", lazy_batch_size=128))
+        manifest = read_manifest(out)
+        write_manifest(out, {"kind": manifest["kind"]}, list(manifest["files"]))
+        assert verify_manifest(out) == []
+        assert eval_csv("old.csv") == new
+        assert new.splitlines()[1].startswith("lnq_guided,2,2,0,")
+
+    def test_removed_knob_flags_rejected(self, pipeline, tmp_path):
+        data, model = pipeline
+        base = ["--model", str(model), "--data", str(data)]
+        for extra in (["--workers", "2"], ["--cd-engine", "precompute"],
+                      ["--lazy-batch-size", "4"]):
+            assert main(["quantize", *base, "--method", "rtn", *extra,
+                         "--out", str(tmp_path / "q")]) == 1
+        assert main(["sweep", *base, "--methods", "rtn", "--workers", "2"]) == 1
+        assert not (tmp_path / "q").exists()
+
+    def test_config_removed_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"method": "rtn", "workers": 2}))
+        with pytest.raises(ConfigError, match="workers"):
+            RunConfig.from_file(cfg)
 
     def test_eval_missing_artifact(self, pipeline, tmp_path):
         data, model = pipeline

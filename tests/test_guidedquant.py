@@ -116,16 +116,16 @@ class TestRunJob:
         _, _, coarse = run_job(model, data, QuantJob(method="rtn", bits=2))
         assert report.totals()["plain_objective"] < coarse.totals()["plain_objective"]
 
-    def test_worker_count_does_not_change_output(self, toy_problem):
+    def test_rerun_does_not_change_output(self, toy_problem):
         model, data = toy_problem
         job = QuantJob(method="lnq_guided", bits=2, g=2)
-        q1, l1, r1 = run_job(model, data, job, workers=1)
-        q3, l3, r3 = run_job(model, data, job, workers=3)
-        for a, b in zip(l1, l3):
+        q1, l1, r1 = run_job(model, data, job)
+        q2, l2, r2 = run_job(model, data, job)
+        for a, b in zip(l1, l2):
             npt.assert_array_equal(a.W_hat, b.W_hat)
-        for a, b in zip(q1.layers, q3.layers):
+        for a, b in zip(q1.layers, q2.layers):
             npt.assert_array_equal(a, b)
-        assert r1.csv_row() == r3.csv_row()
+        assert r1.csv_row() == r2.csv_row()
 
     def test_final_trace_matches_damped_objective(self, toy_problem):
         model, data = toy_problem
@@ -208,11 +208,6 @@ class TestRunJob:
                             lambda c: calls.append(1) or real(c))
         run_job(model, data, QuantJob(method="lnq_guided", bits=2, g=4))
         assert len(calls) == model.n_layers
-
-    def test_invalid_worker_count(self, toy_problem):
-        model, data = toy_problem
-        with pytest.raises(ConfigError):
-            run_job(model, data, QuantJob(method="rtn", bits=2), workers=0)
 
 
 class TestSweep:

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from glq.errors import DimensionMismatch, NotPositiveDefinite
 from glq.linalg import CholeskyFactor, cholesky, least_squares, quad_form
 from glq.oracle import least_squares_normal_oracle
-
-from conftest import random_spd
+from glq.verify import random_spd
 
 
 class TestCholesky:

@@ -1,26 +1,23 @@
+import functools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glq import lnq
 from glq.errors import DimensionMismatch, InvalidSize, ZeroDiagonal
 from glq.linalg import cholesky
-from glq.lnq import (
-    LnqConfig,
-    cd_cycle_lazy_batch,
-    cd_cycle_precompute,
-    cd_step_closed_form,
+from glq.lnq import LnqConfig, cd_cycle, codebook_closed_form, lnq_quantize
+from glq.oracle import (
     cd_step_naive,
-    codebook_closed_form,
-    lnq_quantize,
+    exhaustive_lnq,
     naive_candidate_objectives,
+    naive_cd_cycle,
 )
-from glq.oracle import exhaustive_lnq
 from glq.scalar_quant import Assignment, ChannelQuantState, Codebook, round_rows
-from glq.verify import random_lnq_instance, tie_free_lnq_run, uniform_init
-
-from conftest import random_spd
+from glq.verify import random_lnq_instance, random_spd, uniform_init
 
 
 def _state(values, idx) -> ChannelQuantState:
@@ -141,23 +138,23 @@ class TestCdSteps:
         npt.assert_array_equal(once.assign.idx, twice.assign.idx)
 
     def test_closed_form_matches_naive(self):
+        # one cycle of the u_i rounding rule against the naive reference
         rng = np.random.default_rng(7)
-        agree = checked = 0
+        checked = 0
         while checked < 300:
             d = int(rng.integers(3, 10))
             H, w, st_ = random_lnq_instance(rng, d, bits=int(rng.integers(1, 3)))
-            i = int(rng.integers(d))
             W = w.reshape(-1, 1)
             C = st_.codebook.values[None, :].copy()
             A = st_.assign.idx[:, None].copy()
             stats: dict = {}
-            cd_step_closed_form(H, W, C, A, i, stats=stats)
+            cd_cycle(H, W, C, A, 1, stats=stats)
             if stats.get("min_margin", np.inf) < 1e-9:
                 continue
-            naive = cd_step_naive(H, w, st_, i)
+            ref = st_.assign.idx[:, None].copy()
+            naive_cd_cycle(H, W, C, ref, 1)
             checked += 1
-            agree += int(naive.assign.idx[i] == A[i, 0])
-        assert agree == checked
+            npt.assert_array_equal(A, ref)
 
     def test_zero_diagonal_raises(self):
         H = np.eye(3)
@@ -167,8 +164,8 @@ class TestCdSteps:
         with pytest.raises(ZeroDiagonal):
             cd_step_naive(H, w, st_, 1)
         with pytest.raises(ZeroDiagonal):
-            cd_step_closed_form(H, w.reshape(-1, 1), st_.codebook.values[None, :],
-                                st_.assign.idx[:, None].copy(), 1)
+            cd_cycle(H, w.reshape(-1, 1), st_.codebook.values[None, :],
+                     st_.assign.idx[:, None].copy(), 1)
 
 
 class TestCycleEngines:
@@ -180,35 +177,36 @@ class TestCycleEngines:
         A = np.stack([s.assign.idx for s in inits], axis=1)
         return H, W, C, A
 
-    def test_precompute_equals_sequential_steps(self):
+    def test_cd_cycle_equals_naive_cycles(self):
         rng = np.random.default_rng(8)
         matched = 0
         while matched < 40:
             d, c = int(rng.integers(3, 14)), int(rng.integers(1, 4))
             H, W, C, A = self._block(rng, d, c, bits=2)
-            A_seq = A.copy()
+            A_cd = A.copy()
             stats: dict = {}
-            for _ in range(2):
-                for i in range(d):
-                    cd_step_closed_form(H, W, C, A_seq, i, stats=stats)
-            A_pre = A.copy()
-            cd_cycle_precompute(H, W, C, A_pre, 2)
+            cd_cycle(H, W, C, A_cd, 2, stats=stats)
             if stats.get("min_margin", np.inf) < 1e-6:
                 continue
-            npt.assert_array_equal(A_seq, A_pre)
+            A_ref = A.copy()
+            naive_cd_cycle(H, W, C, A_ref, 2)
+            npt.assert_array_equal(A_cd, A_ref)
             matched += 1
 
-    def test_lazy_batch_edges_bitwise_equal_precompute(self):
+    def test_batch_edges_bitwise_equal(self):
+        # b = 1 and b >= d both add each row's correction to the later
+        # rows as one outer product, in row order
         rng = np.random.default_rng(9)
         for _ in range(25):
             d, c = int(rng.integers(3, 14)), int(rng.integers(1, 4))
             H, W, C, A = self._block(rng, d, c, bits=2)
-            A_pre = A.copy()
-            cd_cycle_precompute(H, W, C, A_pre, 3)
+            runs = []
             for b in (1, d, d + 7):
-                A_lazy = A.copy()
-                cd_cycle_lazy_batch(H, W, C, A_lazy, 3, b_batch=b)
-                npt.assert_array_equal(A_pre, A_lazy)
+                A_b = A.copy()
+                cd_cycle(H, W, C, A_b, 3, b=b)
+                runs.append(A_b)
+            npt.assert_array_equal(runs[0], runs[1])
+            npt.assert_array_equal(runs[1], runs[2])
 
     def test_lazy_batch_interior_sizes_agree(self):
         rng = np.random.default_rng(10)
@@ -217,15 +215,21 @@ class TestCycleEngines:
             d = int(rng.integers(5, 16))
             H, W, C, A = self._block(rng, d, 2, bits=2)
             stats: dict = {}
-            A_pre = A.copy()
-            cd_cycle_precompute(H, W, C, A_pre, 2, stats=stats)
+            A_full = A.copy()
+            cd_cycle(H, W, C, A_full, 2, b=d, stats=stats)
             if stats.get("min_margin", np.inf) < 1e-6:
                 continue
             for b in (2, 3, 4):
-                A_lazy = A.copy()
-                cd_cycle_lazy_batch(H, W, C, A_lazy, 2, b_batch=b)
-                npt.assert_array_equal(A_pre, A_lazy)
+                A_b = A.copy()
+                cd_cycle(H, W, C, A_b, 2, b=b)
+                npt.assert_array_equal(A_full, A_b)
             matched += 1
+
+    def test_batch_size_validated(self):
+        rng = np.random.default_rng(20)
+        H, W, C, A = self._block(rng, 4, 1, bits=1)
+        with pytest.raises(InvalidSize):
+            cd_cycle(H, W, C, A, 1, b=0)
 
     def test_diagonal_hessian_single_cycle_is_rtn(self):
         rng = np.random.default_rng(11)
@@ -235,7 +239,7 @@ class TestCycleEngines:
         init = uniform_init(W[:, 0], 4)
         C = init.codebook.values[None, :].copy()
         A = init.assign.idx[:, None].copy()
-        cd_cycle_precompute(H, W, C, A, 1)
+        cd_cycle(H, W, C, A, 1)
         npt.assert_array_equal(A[:, 0], round_rows(W[:, 0], np.repeat(C, d, axis=0)))
 
 
@@ -276,22 +280,25 @@ class TestLnqQuantize:
         assert out.channels[0].objective_trace[-1] == pytest.approx(0.0, abs=1e-18)
         npt.assert_allclose(out.channels[0].w_hat, w, atol=1e-12)
 
-    def test_engines_identical_on_tie_free(self):
+    def test_engines_identical_on_tie_free(self, monkeypatch):
         rng = np.random.default_rng(15)
         found = 0
         while found < 30:
             d = int(rng.integers(3, 15))
             bits = int(rng.integers(1, 3))
+            cfg = LnqConfig(bits=bits, T=2, K=3)
             H, w, init = random_lnq_instance(rng, d, bits)
-            base = tie_free_lnq_run(H, w, init, LnqConfig(bits=bits, T=2, K=3))
-            if base is None:
+            stats: dict = {}
+            base = lnq_quantize(H, w.reshape(-1, 1), cfg, [init], stats=stats)
+            if stats.get("min_margin", np.inf) < 1e-6:
                 continue
             found += 1
             ref = base.channels[0]
-            for engine, b in (("naive", 1), ("closed_form", 1), ("lazy_batch", 1),
-                              ("lazy_batch", 4), ("lazy_batch", 64)):
-                cfg = LnqConfig(bits=bits, T=2, K=3, cd_engine=engine, lazy_batch_size=b)
+            for engine in (naive_cd_cycle, *(functools.partial(cd_cycle, b=b)
+                                             for b in (1, 4, 64))):
+                monkeypatch.setattr(lnq, "cd_cycle", engine)
                 out = lnq_quantize(H, w.reshape(-1, 1), cfg, [init])
+                monkeypatch.undo()
                 npt.assert_array_equal(out.channels[0].assign.idx, ref.assign.idx)
                 npt.assert_array_equal(out.channels[0].codebook.values, ref.codebook.values)
 
@@ -355,8 +362,6 @@ class TestLnqQuantize:
             LnqConfig(bits=2, T=0)
         with pytest.raises(InvalidSize):
             LnqConfig(bits=2, K=0)
-        with pytest.raises(ValueError):
-            LnqConfig(bits=2, cd_engine="turbo")
 
 
 @settings(max_examples=25, deadline=None)

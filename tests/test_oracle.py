@@ -15,8 +15,9 @@ from glq.oracle import (
     least_squares_normal_oracle,
 )
 from glq.scalar_quant import WeightedPoints
+from glq.verify import random_spd
 
-from conftest import random_spd, toy
+from conftest import toy
 
 
 class TestExhaustiveLnq:
