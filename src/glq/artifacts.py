@@ -29,7 +29,7 @@ from .calib_model import Dataset, LayerCalibration, MlpModel
 from .errors import CorruptFile
 from .guidedquant import CSV_COLUMNS, QuantReport
 from .scalar_quant import Assignment, ChannelQuantState, Codebook, QuantizedLayer
-from .tensorio import read_manifest, read_tensor, verify_manifest, write_json_atomic, write_manifest, write_tensor
+from .tensorio import read_tensor, verify_manifest, write_json_atomic, write_manifest, write_tensor
 
 
 def _check(dir_path: str | Path) -> Path:

@@ -13,12 +13,19 @@ G^(l) = d l_i / d Z^(l) (n x d_out). The weight gradient of the summed
 loss is then X^(l)^T G^(l), which ``train`` uses for full-batch descent.
 Backprop through tanh uses G^(l) = (G^(l+1) W_{l+1}^T) * (1 - X^(l+1)^2),
 valid because X^(l+1) stores the post-tanh values.
+
+``calibrate`` and ``train`` share that pass (``_forward_backward``, the
+only place the recursion lives). ``train`` runs it once per step on
+plain weight arrays: the pass over the weights after update s yields
+both the summed loss that update s is checked against and the gradients
+of update s + 1, and one extra pass after the last update gives the
+final loss and gradient norm for its log line.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,13 +169,16 @@ def random_model(dims: list[int], seed: int, loss: str = "squared_error") -> Mlp
 
 def forward(model: MlpModel, X: Matrix) -> tuple[list[Matrix], Matrix]:
     """Return ([X^(0), ..., X^(L-1)] layer inputs, final output Z)."""
-    X = ensure_matrix(X, "X")
+    return _forward(model.layers, ensure_matrix(X, "X"))
+
+
+def _forward(layers: list[Matrix], X: Matrix) -> tuple[list[Matrix], Matrix]:
     acts = []
     cur = X
-    for i, W in enumerate(model.layers):
+    for i, W in enumerate(layers):
         acts.append(cur)
         cur = cur @ W
-        if i < len(model.layers) - 1:
+        if i < len(layers) - 1:
             cur = np.tanh(cur)
     return acts, cur
 
@@ -182,10 +192,11 @@ def _loss_and_grad(loss: str, Z: Matrix, Y: Matrix) -> tuple[np.ndarray, Matrix]
         return np.sum(R * R, axis=1), 2.0 * R
     # softmax cross entropy, stable via the logsumexp shift
     zmax = np.max(Z, axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.sum(np.exp(Z - zmax), axis=1))
-    per = lse - np.sum(Z * Y, axis=1)
     soft = np.exp(Z - zmax)
-    soft /= np.sum(soft, axis=1, keepdims=True)
+    total = np.sum(soft, axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(total[:, 0])
+    per = lse - np.sum(Z * Y, axis=1)
+    soft /= total
     return per, soft - Y
 
 
@@ -203,23 +214,35 @@ def per_sample_losses(model: MlpModel, data: Dataset) -> np.ndarray:
     return per
 
 
+def _forward_backward(
+    layers: list[Matrix], loss: str, X: Matrix, Y: Matrix
+) -> tuple[np.ndarray, list[LayerCalibration]]:
+    """One forward/backward pass over plain weight arrays: the per-sample
+    losses and, per layer, the input X^(l) and output gradient G^(l).
+
+    Raises EmptyCalibration when X has zero rows.
+    """
+    if X.shape[0] == 0:
+        raise EmptyCalibration("calibration requires at least one sample")
+    acts, Z = _forward(layers, X)
+    per, G = _loss_and_grad(loss, Z, Y)
+    out: list[LayerCalibration] = [LayerCalibration(X=acts[-1], gradZ=G)]
+    # Walk backwards: gradient w.r.t. the input of layer i+1 is
+    # (G W^T) * (1 - X^2) because acts[i+1] holds the post-tanh values.
+    for i in range(len(layers) - 2, -1, -1):
+        G = (G @ layers[i + 1].T) * (1.0 - acts[i + 1] ** 2)
+        out.append(LayerCalibration(X=acts[i], gradZ=G))
+    out.reverse()
+    return per, out
+
+
 def calibrate(model: MlpModel, data: Dataset) -> list[LayerCalibration]:
     """One forward/backward pass recording (X, gradZ) per layer.
 
     Raises EmptyCalibration when the dataset has zero rows.
     """
-    if data.n == 0:
-        raise EmptyCalibration("calibration requires at least one sample")
-    acts, Z = forward(model, data.inputs)
-    _, G = _loss_and_grad(model.loss, Z, data.targets)
-    out: list[LayerCalibration] = [LayerCalibration(X=acts[-1], gradZ=G)]
-    # Walk backwards: gradient w.r.t. the input of layer i+1 is
-    # (G W^T) * (1 - X^2) because acts[i+1] holds the post-tanh values.
-    for i in range(model.n_layers - 2, -1, -1):
-        G = (G @ model.layers[i + 1].T) * (1.0 - acts[i + 1] ** 2)
-        out.append(LayerCalibration(X=acts[i], gradZ=G))
-    out.reverse()
-    return out
+    X = ensure_matrix(data.inputs, "X")
+    return _forward_backward(model.layers, model.loss, X, data.targets)[1]
 
 
 def weight_gradients(model: MlpModel, data: Dataset) -> list[Matrix]:
@@ -229,25 +252,41 @@ def weight_gradients(model: MlpModel, data: Dataset) -> list[Matrix]:
 
 
 def train(model: MlpModel, data: Dataset, steps: int, lr: float) -> MlpModel:
-    """Full-batch gradient descent on the summed loss.
+    """Full-batch gradient descent on the summed loss, W <- W - lr * grad.
 
     Returns a new model; the input model is never mutated. steps=0
-    returns an identical copy. Raises DivergedLoss the moment the loss
-    or a gradient stops being finite.
+    returns an identical copy. Each step runs one forward/backward pass
+    (`_forward_backward`) over plain weight arrays, and one more pass
+    follows the last update, so `steps` updates cost steps + 1 passes.
+    Pass s yields the summed loss of the weights after update s - 1 and
+    the gradients for update s. Checks, in the order they are made:
+
+    * pass s > 0: a non-finite loss raises DivergedLoss "non-finite loss
+      at step s - 1" (the update that produced it);
+    * pass s < steps: a non-finite gradient raises DivergedLoss
+      "non-finite gradient at step s";
+    * update s: a non-finite weight raises ValueError "layer i:
+      non-finite entries" (`ensure_matrix`).
+
+    The final pass's loss and gradient norm go to the ``train:`` log line.
     """
     if steps < 0:
         raise InvalidSize(f"steps must be >= 0, got {steps}")
-    cur = model.copy()
-    for step in range(steps):
-        grads = weight_gradients(cur, data)
+    X = ensure_matrix(data.inputs, "X")
+    layers = [W.copy() for W in model.layers]
+    for step in range(steps + 1):
+        per, calib = _forward_backward(layers, model.loss, X, data.targets)
+        loss = float(np.sum(per))
+        if step > 0 and not np.isfinite(loss):
+            raise DivergedLoss(f"non-finite loss at step {step - 1}")
+        grads = [c.X.T @ c.gradZ for c in calib]
+        if step == steps:
+            break
         if any(not np.all(np.isfinite(g)) for g in grads):
             raise DivergedLoss(f"non-finite gradient at step {step}")
-        layers = [W - lr * g for W, g in zip(cur.layers, grads)]
-        cur = cur.with_layers(layers)
-        loss = end_loss(cur, data)
-        if not np.isfinite(loss):
-            raise DivergedLoss(f"non-finite loss at step {step}")
-    gnorm = float(np.sqrt(sum(float(np.sum(g * g)) for g in weight_gradients(cur, data))))
+        layers = [ensure_matrix(W - lr * g, f"layer {i}")
+                  for i, (W, g) in enumerate(zip(layers, grads))]
+    gnorm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
     logger.info("train: steps=%d lr=%g final_loss=%.6g grad_norm=%.3g",
-                steps, lr, end_loss(cur, data), gnorm)
-    return cur
+                steps, lr, loss, gnorm)
+    return model.with_layers(layers)

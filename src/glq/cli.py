@@ -14,14 +14,11 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import artifacts
 from .calib_model import calibrate as run_calibrate
 from .calib_model import end_loss, gen_dataset, random_model, train as run_train
 from .errors import GlqError
 from .guidedquant import (
-    CSV_COLUMNS,
     QuantJob,
     QuantReport,
     damped_quadratic,

@@ -18,6 +18,11 @@ class DivergedLoss(GlqError):
     """Training produced a non-finite loss or gradient."""
 
 
+class ZeroGradientGroup(GlqError):
+    """A guided channel group has zero gradient on every sample, so its
+    Hessian and its relative damping would both be 0."""
+
+
 class EmptyCalibration(GlqError):
     """A calibration set with zero samples was supplied."""
 

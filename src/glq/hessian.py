@@ -21,14 +21,16 @@ with a single group covering every channel.
 
 Each Hbar_k is assembled as B^T B with B = Diag(sqrt(s_k)) X, so it is
 positive semidefinite by construction; the relative damping makes it
-positive definite whenever X has a nonzero row.
+positive definite whenever B has a nonzero row. A group whose s_k is
+zero on every sample (a zero-gradient group) would get Hbar_k = 0 and
+lambda_k = 0; ``guided_hessians`` refuses it with ZeroGradientGroup.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,7 @@ from .errors import (
     EmptyCalibration,
     InvalidSize,
     PartitionMismatch,
+    ZeroGradientGroup,
 )
 from .linalg import Matrix, ensure_matrix
 
@@ -182,11 +185,23 @@ def guided_hessians(
     grad_scale: float = DEFAULT_GRAD_SCALE,
     damping_rel: float = DEFAULT_DAMPING_REL,
 ) -> HessianSet:
-    """One damped Hbar_k per channel group (see module docstring)."""
+    """One damped Hbar_k per channel group (see module docstring).
+
+    Raises ZeroGradientGroup when a group's scaled squared gradients are
+    zero on every sample: its Hbar_k and lambda_k would both be 0, which
+    no solver downstream can factor.
+    """
     X, _ = _check_calib(calib)
     avgs = squared_grad_averages(calib, partition, grad_scale)
     hessians, lambdas = [], []
     for k in range(partition.g):
+        if not np.any(avgs.s[:, k]):
+            grp = partition.groups[k]
+            raise ZeroGradientGroup(
+                f"layer {layer_idx} group {k} (channels {grp[0]}..{grp[-1]}): "
+                f"zero gradient on every sample, so its guided Hessian and "
+                f"damping would both be 0"
+            )
         B = X * np.sqrt(avgs.s[:, k])[:, None]
         M = B.T @ B
         M = 0.5 * (M + M.T)

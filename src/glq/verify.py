@@ -27,7 +27,6 @@ from .calib_model import (
 from .errors import TooLarge
 from .guidedquant import QuantJob, eval_objectives, run_job
 from .hessian import ChannelPartition, guided_hessians
-from .linalg import cholesky
 from .lnq import LnqConfig, cd_cycle, lnq_quantize
 from .oracle import (
     exhaustive_lnq,
@@ -38,7 +37,6 @@ from .oracle import (
 )
 from .runconfig import RunConfig
 from .scalar_quant import (
-    Assignment,
     ChannelQuantState,
     Codebook,
     WeightedPoints,

@@ -1,8 +1,11 @@
 import hashlib
+import logging
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glq.calib_model import (
     Dataset,
@@ -23,6 +26,35 @@ from glq.oracle import fd_gradient_check
 GOLDEN_INPUTS = "db187c1ce8968af3"
 GOLDEN_TARGETS_SQ = "97ba4db4b42eeb02"
 GOLDEN_TARGETS_CE = "9b2237201c7ea408"
+
+
+def two_pass_train(model: MlpModel, data: Dataset, steps: int, lr: float) -> MlpModel:
+    """`train` as it was before it was fused, kept as the reference: a
+    gradient pass, a rebuilt model and a separate loss pass per step."""
+    cur = model.copy()
+    for step in range(steps):
+        grads = weight_gradients(cur, data)
+        if any(not np.all(np.isfinite(g)) for g in grads):
+            raise DivergedLoss(f"non-finite gradient at step {step}")
+        cur = cur.with_layers([W - lr * g for W, g in zip(cur.layers, grads)])
+        if not np.isfinite(end_loss(cur, data)):
+            raise DivergedLoss(f"non-finite loss at step {step}")
+    return cur
+
+
+def _outcome(fn, *args):
+    """Result layers, or the exception's type and message."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args).layers
+    except (DivergedLoss, ValueError) as e:
+        return type(e), str(e)
+
+
+def _scalar_problem(x: float, w0: float) -> tuple[MlpModel, Dataset]:
+    """One sample, one feature, one output, target 0: z = x * w."""
+    model = MlpModel(layers=[np.array([[w0]])])
+    return model, Dataset(inputs=np.array([[x]]), targets=np.zeros((1, 1)), seed=0)
 
 
 def _sha(a: np.ndarray) -> str:
@@ -198,6 +230,99 @@ class TestTrain:
         model = random_model([4, 3], 2)
         with pytest.raises(InvalidSize):
             train(model, gen_dataset(2, 4, 4, 3), steps=-1, lr=0.1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        loss=st.sampled_from(["squared_error", "softmax_cross_entropy"]),
+        widths=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+        steps=st.integers(0, 30),
+        lr=st.sampled_from([1e-3, 2e-2, 0.3, 1e3, 1e100, 1e300]),
+    )
+    def test_matches_two_pass_loop_bitwise(self, loss, widths, n, seed, steps, lr):
+        # depth 1-3; large lr makes some runs diverge, which must raise the
+        # same error at the same step as the reference
+        data = gen_dataset(seed, n, widths[0], widths[-1], task=loss)
+        model = random_model(widths, seed + 1, loss=loss)
+        got = _outcome(train, model, data, steps, lr)
+        want = _outcome(two_pass_train, model, data, steps, lr)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_nonfinite_gradient_names_its_step(self):
+        # x = 2^520, w0 = 2^-30, lr = 2^-1039: every update multiplies w
+        # by -3 exactly, so the gradient 2^1011 * 3^s overflows first at
+        # s = 9 while the loss 2^980 * 9^s stays finite
+        model, data = _scalar_problem(2.0 ** 520, 2.0 ** -30)
+        lr = 2.0 ** -1039
+        with pytest.raises(DivergedLoss, match=r"^non-finite gradient at step 9$"):
+            train(model, data, steps=20, lr=lr)
+        assert _outcome(two_pass_train, model, data, 20, lr) == (
+            DivergedLoss, "non-finite gradient at step 9")
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_nonfinite_loss_names_its_step(self):
+        # x = 1, w0 = 2^500, lr = 2: update s leaves w = 2^500 * (-3)^(s+1),
+        # whose loss 2^1000 * 9^(s+1) overflows first after update 7; the
+        # gradient 2^501 * 3^s stays finite throughout
+        model, data = _scalar_problem(1.0, 2.0 ** 500)
+        with pytest.raises(DivergedLoss, match=r"^non-finite loss at step 7$"):
+            train(model, data, steps=20, lr=2.0)
+        assert _outcome(two_pass_train, model, data, 20, 2.0) == (
+            DivergedLoss, "non-finite loss at step 7")
+        # the loss after the last update is checked by the final pass
+        with pytest.raises(DivergedLoss, match=r"^non-finite loss at step 7$"):
+            train(model, data, steps=8, lr=2.0)
+        train(model, data, steps=7, lr=2.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_nonfinite_weight_raises_value_error(self):
+        # gradient 2 is finite, but w - 1e308 * 2 is not
+        model, data = _scalar_problem(1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^layer 0: non-finite entries$"):
+            train(model, data, steps=3, lr=1e308)
+
+    @pytest.mark.parametrize("steps", [0, 25])
+    def test_log_line_reports_final_loss_and_gradient(self, caplog, steps):
+        model = random_model([6, 5, 3], 4, loss="softmax_cross_entropy")
+        data = gen_dataset(4, 24, 6, 3, task="softmax_cross_entropy")
+        with caplog.at_level(logging.INFO, logger="glq.calib_model"):
+            out = train(model, data, steps=steps, lr=1e-2)
+        (rec,) = [r for r in caplog.records if r.getMessage().startswith("train:")]
+        logged_steps, lr, final_loss, gnorm = rec.args
+        assert (logged_steps, lr) == (steps, 1e-2)
+        assert final_loss == end_loss(out, data)
+        grads = weight_gradients(out, data)
+        assert gnorm == float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 10),
+        k=st.integers(1, 6),
+        scale=st.sampled_from([1e-3, 1.0, 30.0, 700.0]),
+    )
+    def test_softmax_loss_and_grad_bits(self, seed, n, k, scale):
+        # Z = Z @ I exactly, so a one-layer identity model exposes the loss
+        # and output gradient; compare with the two-exp formula bit for bit
+        rng = np.random.default_rng(seed)
+        Z = scale * rng.standard_normal((n, k))
+        Y = np.zeros((n, k))
+        Y[np.arange(n), rng.integers(0, k, n)] = 1.0
+        data = Dataset(inputs=Z, targets=Y, seed=0)
+        model = MlpModel(layers=[np.eye(k)], loss="softmax_cross_entropy")
+        zmax = np.max(Z, axis=1, keepdims=True)
+        lse = zmax[:, 0] + np.log(np.sum(np.exp(Z - zmax), axis=1))
+        soft = np.exp(Z - zmax)
+        soft /= np.sum(soft, axis=1, keepdims=True)
+        assert np.array_equal(per_sample_losses(model, data), lse - np.sum(Z * Y, axis=1))
+        assert np.array_equal(calibrate(model, data)[0].gradZ, soft - Y)
 
     def test_training_deterministic(self):
         model = random_model([6, 5, 3], 3)

@@ -4,7 +4,7 @@ import pytest
 
 from glq import guidedquant
 from glq.calib_model import LayerCalibration, calibrate, gen_dataset
-from glq.errors import ConfigError, DimensionMismatch
+from glq.errors import ConfigError, DimensionMismatch, GlqError, NotPositiveDefinite
 from glq.guidedquant import (
     CSV_COLUMNS,
     QuantJob,
@@ -16,8 +16,6 @@ from glq.guidedquant import (
 )
 from glq.hessian import HessianCache, plain_hessian
 from glq.oracle import full_fisher_quadratic
-
-from conftest import toy
 
 
 class TestQuantJob:
@@ -126,6 +124,21 @@ class TestRunJob:
         for a, b in zip(q1.layers, q2.layers):
             npt.assert_array_equal(a, b)
         assert r1.csv_row() == r2.csv_row()
+
+    def test_zero_gradient_group_is_a_clear_error(self, toy_problem):
+        # zero rows 4..7 of W_2: channels 4..7 of layer 1 (its group 1 at
+        # g=4) feed nothing, so their gradients are exactly zero
+        model, data = toy_problem
+        layers = [W.copy() for W in model.layers]
+        layers[2][4:8, :] = 0.0
+        dead = model.with_layers(layers)
+        assert not np.any(calibrate(dead, data)[1].gradZ[:, 4:8])
+        with pytest.raises(GlqError, match=r"layer 1 group 1 .*zero gradient") as exc:
+            run_job(dead, data, QuantJob(method="lnq_guided", bits=2, g=4))
+        assert not isinstance(exc.value, NotPositiveDefinite)
+        # methods that never build guided Hessians still run
+        for method in ("squeezellm", "lnq_plain"):
+            run_job(dead, data, QuantJob(method=method, bits=2))
 
     def test_final_trace_matches_damped_objective(self, toy_problem):
         model, data = toy_problem

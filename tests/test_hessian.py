@@ -9,6 +9,7 @@ from glq.errors import (
     ConfigError,
     CorruptFile,
     EmptyCalibration,
+    GlqError,
     InvalidSize,
     PartitionMismatch,
 )
@@ -147,6 +148,19 @@ class TestGuidedHessians:
         s = squared_grad_averages(c, part, grad_scale=3.0)
         expect0 = np.mean((3.0 * c.gradZ[:, [0, 1]]) ** 2, axis=1)
         npt.assert_allclose(s.s[:, 0], expect0, atol=1e-13)
+
+
+    def test_zero_gradient_group_named_before_solve(self):
+        # group 1 of 3 (channels 2..3) has an all-zero gradient, so its
+        # Hbar and lambda would both be 0: refused with the layer and group
+        c = _calib(8, 20, 5, 6)
+        c.gradZ[:, 2:4] = 0.0
+        part = ChannelPartition.consecutive(6, 3)
+        with pytest.raises(GlqError, match=r"layer 3 group 1 .*zero gradient"):
+            guided_hessians(c, part, layer_idx=3)
+        plain_hessian(c)
+        c.gradZ[0, 3] = 1.0  # one nonzero gradient in the group is enough
+        guided_hessians(c, part, layer_idx=3)
 
 
 class TestFisherOracle:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from glq.errors import InvalidSize, TooFewDistinctPoints
 from glq.oracle import kmeans_partition_oracle
 from glq.scalar_quant import (
-    Assignment,
     Codebook,
     WeightedPoints,
     kmeans_1d_exact,
