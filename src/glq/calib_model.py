@@ -15,11 +15,16 @@ Backprop through tanh uses G^(l) = (G^(l+1) W_{l+1}^T) * (1 - X^(l+1)^2),
 valid because X^(l+1) stores the post-tanh values.
 
 ``calibrate`` and ``train`` share that pass (``_forward_backward``, the
-only place the recursion lives). ``train`` runs it once per step on
-plain weight arrays: the pass over the weights after update s yields
-both the summed loss that update s is checked against and the gradients
-of update s + 1, and one extra pass after the last update gives the
-final loss and gradient norm for its log line.
+only place the recursion lives). ``train`` runs it once per step: the
+pass over the weights after update s yields both the summed loss that
+update s is checked against and the gradients of update s + 1, and one
+extra pass after the last update gives the final loss and gradient norm
+for its log line. Its layers are reshaped views of one flat parameter
+buffer and its gradients views of a second, so a step makes one
+finiteness check per buffer and one in-place update, however deep the
+model. Only when the weight check fails are the layers walked one by one
+to name the first non-finite layer. The loop runs with numpy's overflow
+and invalid-value warnings off, as each such value is caught by a check.
 """
 
 from __future__ import annotations
@@ -189,13 +194,13 @@ def _loss_and_grad(loss: str, Z: Matrix, Y: Matrix) -> tuple[np.ndarray, Matrix]
         raise DimensionMismatch(f"outputs {Z.shape} vs targets {Y.shape}")
     if loss == "squared_error":
         R = Z - Y
-        return np.sum(R * R, axis=1), 2.0 * R
+        return (R * R).sum(axis=1), 2.0 * R
     # softmax cross entropy, stable via the logsumexp shift
-    zmax = np.max(Z, axis=1, keepdims=True)
+    zmax = Z.max(axis=1, keepdims=True)
     soft = np.exp(Z - zmax)
-    total = np.sum(soft, axis=1, keepdims=True)
+    total = soft.sum(axis=1, keepdims=True)
     lse = zmax[:, 0] + np.log(total[:, 0])
-    per = lse - np.sum(Z * Y, axis=1)
+    per = lse - (Z * Y).sum(axis=1)
     soft /= total
     return per, soft - Y
 
@@ -251,42 +256,72 @@ def weight_gradients(model: MlpModel, data: Dataset) -> list[Matrix]:
     return [c.X.T @ c.gradZ for c in calib]
 
 
+def _flat_buffer(shapes: list[tuple[int, int]]) -> tuple[np.ndarray, list[Matrix]]:
+    """A zeroed contiguous float64 vector and, in order, one C-contiguous
+    view of it reshaped to each of `shapes`."""
+    buf = np.zeros(sum(r * c for r, c in shapes))
+    views, start = [], 0
+    for r, c in shapes:
+        views.append(buf[start:start + r * c].reshape(r, c))
+        start += r * c
+    return buf, views
+
+
 def train(model: MlpModel, data: Dataset, steps: int, lr: float) -> MlpModel:
     """Full-batch gradient descent on the summed loss, W <- W - lr * grad.
 
-    Returns a new model; the input model is never mutated. steps=0
-    returns an identical copy. Each step runs one forward/backward pass
-    (`_forward_backward`) over plain weight arrays, and one more pass
-    follows the last update, so `steps` updates cost steps + 1 passes.
-    Pass s yields the summed loss of the weights after update s - 1 and
-    the gradients for update s. Checks, in the order they are made:
+    Returns a new model holding copies of the trained layers; the input
+    model is never mutated. steps=0 returns an identical copy. Each step
+    runs one forward/backward pass (`_forward_backward`), and one more
+    pass follows the last update, so `steps` updates cost steps + 1
+    passes. Pass s yields the summed loss of the weights after update
+    s - 1 and the gradients for update s.
+
+    The layers are reshaped views of one flat parameter vector P and the
+    gradients views of a second vector G, so each check below tests one
+    whole buffer, and P is updated in place by the same two rounded
+    operations as W - lr * g. Checks, in the order they are made:
 
     * pass s > 0: a non-finite loss raises DivergedLoss "non-finite loss
       at step s - 1" (the update that produced it);
-    * pass s < steps: a non-finite gradient raises DivergedLoss
-      "non-finite gradient at step s";
-    * update s: a non-finite weight raises ValueError "layer i:
-      non-finite entries" (`ensure_matrix`).
+    * pass s < steps: a non-finite G raises DivergedLoss "non-finite
+      gradient at step s";
+    * update s: a non-finite P raises ValueError "layer i: non-finite
+      entries" for the first bad layer, found by walking the layer views
+      through `ensure_matrix` only once the check over P has failed.
 
     The final pass's loss and gradient norm go to the ``train:`` log line.
+    The loop and that norm run under ``np.errstate(over="ignore",
+    invalid="ignore")``: the checks catch every overflow and NaN, so
+    numpy's RuntimeWarning would only repeat the error.
     """
     if steps < 0:
         raise InvalidSize(f"steps must be >= 0, got {steps}")
     X = ensure_matrix(data.inputs, "X")
-    layers = [W.copy() for W in model.layers]
-    for step in range(steps + 1):
-        per, calib = _forward_backward(layers, model.loss, X, data.targets)
-        loss = float(np.sum(per))
-        if step > 0 and not np.isfinite(loss):
-            raise DivergedLoss(f"non-finite loss at step {step - 1}")
-        grads = [c.X.T @ c.gradZ for c in calib]
-        if step == steps:
-            break
-        if any(not np.all(np.isfinite(g)) for g in grads):
-            raise DivergedLoss(f"non-finite gradient at step {step}")
-        layers = [ensure_matrix(W - lr * g, f"layer {i}")
-                  for i, (W, g) in enumerate(zip(layers, grads))]
-    gnorm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    shapes = [W.shape for W in model.layers]
+    P, layers = _flat_buffer(shapes)
+    for view, W in zip(layers, model.layers):
+        view[...] = W
+    G, grads = _flat_buffer(shapes)
+    scaled = np.empty_like(G)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps + 1):
+            per, calib = _forward_backward(layers, model.loss, X, data.targets)
+            loss = float(per.sum())
+            if step > 0 and not np.isfinite(loss):
+                raise DivergedLoss(f"non-finite loss at step {step - 1}")
+            for c, g in zip(calib, grads):
+                np.matmul(c.X.T, c.gradZ, out=g)
+            if step == steps:
+                break
+            if not np.isfinite(G).all():
+                raise DivergedLoss(f"non-finite gradient at step {step}")
+            np.multiply(G, lr, out=scaled)
+            np.subtract(P, scaled, out=P)
+            if not np.isfinite(P).all():
+                for i, W in enumerate(layers):
+                    ensure_matrix(W, f"layer {i}")
+        gnorm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
     logger.info("train: steps=%d lr=%g final_loss=%.6g grad_norm=%.3g",
                 steps, lr, loss, gnorm)
-    return model.with_layers(layers)
+    return model.with_layers([W.copy() for W in layers])

@@ -219,26 +219,6 @@ def guided_hessians(
     )
 
 
-def fisher_block_oracle(calib: LayerCalibration, j: int, n: int) -> Matrix:
-    """Empirical Fisher of channel j by explicit outer products.
-
-    F_j = (1/n) sum_i g_i g_i^T with g_i = gradZ[i, j] * X[i, :]. Built
-    sample by sample on purpose so it stays an independent cross-check
-    for the Diag-identity path used everywhere else.
-    """
-    X, G = _check_calib(calib)
-    if not 0 <= j < G.shape[1]:
-        raise PartitionMismatch(f"channel {j} out of range")
-    if n < 1:
-        raise InvalidSize(f"need n >= 1, got {n}")
-    d = X.shape[1]
-    F = np.zeros((d, d))
-    for i in range(X.shape[0]):
-        gi = G[i, j] * X[i, :]
-        F += np.outer(gi, gi)
-    return F / n
-
-
 def fisher_diag(calib: LayerCalibration) -> Matrix:
     """Diagonal empirical Fisher per weight, d_in x d_out.
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calib_model import Dataset, MlpModel, calibrate, end_loss, weight_gradients
-from .errors import DimensionMismatch, InvalidSize, TooLarge, ZeroDiagonal
-from .hessian import fisher_block_oracle
+from .calib_model import Dataset, LayerCalibration, MlpModel, calibrate, end_loss, weight_gradients
+from .errors import DimensionMismatch, InvalidSize, PartitionMismatch, TooLarge, ZeroDiagonal
+from .hessian import _check_calib
 from .linalg import Matrix, ensure_matrix, ensure_vector
 from .scalar_quant import Assignment, ChannelQuantState, WeightedPoints
 
@@ -130,6 +130,27 @@ def naive_cd_cycle(
             for j in range(c):
                 objs = naive_candidate_objectives(H, W[:, j], C[j], A[:, j], i)
                 A[i, j] = int(objs.argmin())
+
+
+def fisher_block_oracle(calib: LayerCalibration, j: int, n: int) -> Matrix:
+    """Empirical Fisher of channel j by explicit outer products.
+
+    F_j = (1/n) sum_i g_i g_i^T with g_i = gradZ[i, j] * X[i, :]. Built
+    sample by sample on purpose so it stays an independent cross-check
+    for the Diag-identity path used everywhere else. The inputs are
+    validated as the Hessian builders validate theirs.
+    """
+    X, G = _check_calib(calib)
+    if not 0 <= j < G.shape[1]:
+        raise PartitionMismatch(f"channel {j} out of range")
+    if n < 1:
+        raise InvalidSize(f"need n >= 1, got {n}")
+    d = X.shape[1]
+    F = np.zeros((d, d))
+    for i in range(X.shape[0]):
+        gi = G[i, j] * X[i, :]
+        F += np.outer(gi, gi)
+    return F / n
 
 
 def full_fisher_quadratic(

@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -203,6 +204,9 @@ class TestCalibrate:
             npt.assert_allclose(c.X.T @ c.gradZ, g, atol=1e-12)
 
 
+# train runs its loop under np.errstate and catches every overflow with an
+# explicit check, so no test here may see a RuntimeWarning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestTrain:
     def test_zero_steps_identity(self):
         model = random_model([4, 3], 0)
@@ -218,8 +222,6 @@ class TestTrain:
         after = end_loss(train(model, data, steps=150, lr=2e-3), data)
         assert after < 0.5 * before
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_divergence_detected(self):
         model = random_model([4, 3], 2)
         data = gen_dataset(2, 16, 4, 3)
@@ -254,7 +256,6 @@ class TestTrain:
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_gradient_names_its_step(self):
         # x = 2^520, w0 = 2^-30, lr = 2^-1039: every update multiplies w
         # by -3 exactly, so the gradient 2^1011 * 3^s overflows first at
@@ -266,7 +267,6 @@ class TestTrain:
         assert _outcome(two_pass_train, model, data, 20, lr) == (
             DivergedLoss, "non-finite gradient at step 9")
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_loss_names_its_step(self):
         # x = 1, w0 = 2^500, lr = 2: update s leaves w = 2^500 * (-3)^(s+1),
         # whose loss 2^1000 * 9^(s+1) overflows first after update 7; the
@@ -281,12 +281,85 @@ class TestTrain:
             train(model, data, steps=8, lr=2.0)
         train(model, data, steps=7, lr=2.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_weight_raises_value_error(self):
         # gradient 2 is finite, but w - 1e308 * 2 is not
         model, data = _scalar_problem(1.0, 1.0)
         with pytest.raises(ValueError, match=r"^layer 0: non-finite entries$"):
             train(model, data, steps=3, lr=1e308)
+
+    @pytest.mark.parametrize("w0, w1, overflows, layer", [
+        (20.0, 1.0, [False, True], 1),
+        (0.5, 8.0, [True, True], 0),
+    ])
+    def test_nonfinite_weight_names_first_bad_layer(self, w0, w1, overflows, layer):
+        # x = 1, target 0, z = tanh(x w0) w1. With w0 = 20, tanh rounds to 1,
+        # so layer 0's gradient 2 z w1 (1 - h^2) is 0 and only layer 1's
+        # update overflows; with w0 = 0.5, w1 = 8 both overflow and the
+        # first layer is named
+        model = MlpModel(layers=[np.array([[w0]]), np.array([[w1]])])
+        data = Dataset(inputs=np.ones((1, 1)), targets=np.zeros((1, 1)), seed=0)
+        lr = 1e308
+        with np.errstate(over="ignore"):
+            updated = [W - lr * g for W, g in zip(model.layers, weight_gradients(model, data))]
+        assert [not np.all(np.isfinite(W)) for W in updated] == overflows
+        message = f"layer {layer}: non-finite entries"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train(model, data, steps=3, lr=lr)
+        assert _outcome(two_pass_train, model, data, 3, lr) == (ValueError, message)
+
+    def test_nonfinite_gradient_in_last_layer_only(self):
+        # tanh(20) rounds to 1, so layer 0's gradient carries the factor
+        # 1 - h^2 = 0 and stays 0, while layer 1's gradient sums two
+        # residual terms 2 (1 - 8e307) past the float64 range
+        model = MlpModel(layers=[np.array([[20.0]]), np.array([[1.0]])])
+        data = Dataset(inputs=np.ones((2, 1)), targets=np.full((2, 1), 8e307), seed=0)
+        with np.errstate(over="ignore"):
+            grads = weight_gradients(model, data)
+        assert [bool(np.all(np.isfinite(g))) for g in grads] == [True, False]
+        message = "non-finite gradient at step 0"
+        with pytest.raises(DivergedLoss, match=f"^{message}$"):
+            train(model, data, steps=3, lr=1e-3)
+        assert _outcome(two_pass_train, model, data, 3, 1e-3) == (DivergedLoss, message)
+
+    @pytest.mark.parametrize("problem, steps, lr, exc", [
+        ("random", 50, 1e6, DivergedLoss),
+        ((2.0 ** 520, 2.0 ** -30), 20, 2.0 ** -1039, DivergedLoss),
+        ((1.0, 2.0 ** 500), 20, 2.0, DivergedLoss),
+        ((1.0, 1.0), 3, 1e308, ValueError),
+    ])
+    def test_divergence_raises_without_runtime_warning(self, problem, steps, lr, exc):
+        if problem == "random":
+            model, data = random_model([4, 3], 2), gen_dataset(2, 16, 4, 3)
+        else:
+            model, data = _scalar_problem(*problem)
+        with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"):
+            warnings.simplefilter("error")
+            with pytest.raises(exc):
+                train(model, data, steps=steps, lr=lr)
+
+    @pytest.mark.parametrize("widths", [[48, 160, 160, 12], [47, 161, 159, 13]])
+    @pytest.mark.parametrize("loss, lr", [("squared_error", 1e-4),
+                                          ("softmax_cross_entropy", 1e-3)])
+    def test_wide_shapes_match_two_pass_loop_bitwise(self, widths, loss, lr):
+        # BLAS takes other kernels at these sizes than in the property test,
+        # and the odd widths put layer 1's views at an offset that is not a
+        # multiple of 16 bytes in the flat buffers
+        data = gen_dataset(5, 256, widths[0], widths[-1], task=loss)
+        model = random_model(widths, 6, loss=loss)
+        before = [W.copy() for W in model.layers]
+        got = train(model, data, steps=15, lr=lr).layers
+        want = two_pass_train(model, data, 15, lr).layers
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert not any(np.array_equal(a, b) for a, b in zip(got, before))
+        assert all(np.array_equal(a, b) for a, b in zip(model.layers, before))
+        for i, W in enumerate(got):
+            assert W.flags.c_contiguous and W.flags.owndata
+            others = [V for j, V in enumerate(got) if j != i] + model.layers
+            assert not any(np.shares_memory(W, V) for V in others)
+        for W in got:
+            W[...] = np.nan
+        again = train(model, data, steps=15, lr=lr).layers
+        assert all(np.array_equal(a, b) for a, b in zip(again, want))
 
     @pytest.mark.parametrize("steps", [0, 25])
     def test_log_line_reports_final_loss_and_gradient(self, caplog, steps):

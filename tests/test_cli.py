@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import glq
 from glq import artifacts
 from glq.cli import main
 from glq.errors import ConfigError
@@ -89,6 +93,21 @@ class TestTrainCalibrateHessian:
     def test_train_missing_data_dir(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "m")]) == 2
+
+    def test_diverging_train_prints_only_its_error(self, tmp_path):
+        # squared error summed over 512 samples diverges at the default lr;
+        # the overflow is the error, so numpy must not warn about it first
+        data = tmp_path / "data"
+        assert main(["gen-data", "--seed", "7", "--n", "512", "--d0", "64", "--dt", "16",
+                     "--task", "squared_error", "--out", str(data)]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(glq.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "glq.cli", "train", "--data", str(data),
+             "--hidden", "256,256", "--seed", "8", "--out", str(tmp_path / "model")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: non-finite loss at step 94\n"
 
     def test_calibrate_roundtrip(self, pipeline, tmp_path):
         data, model = pipeline

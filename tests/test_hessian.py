@@ -17,7 +17,6 @@ from glq.hessian import (
     ChannelPartition,
     HessianCache,
     dataset_hash,
-    fisher_block_oracle,
     fisher_diag,
     guided_hessians,
     hessian_cache_key,
@@ -26,6 +25,7 @@ from glq.hessian import (
     plain_hessian,
     squared_grad_averages,
 )
+from glq.oracle import fisher_block_oracle
 
 
 def _calib(seed: int, n: int, d_in: int, d_out: int) -> LayerCalibration:
