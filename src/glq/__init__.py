@@ -28,7 +28,6 @@ from .hessian import (
 )
 from .linalg import CholeskyFactor, cholesky, least_squares, quad_form
 from .lnq import LnqConfig, lnq_quantize
-from .runconfig import RunConfig
 from .scalar_quant import (
     Assignment,
     ChannelQuantState,

@@ -5,11 +5,11 @@ tied together by a manifest that hashes each file. Layouts:
 
 * dataset:    inputs.gqt, targets.gqt, dataset.json
 * model:      layer.<i>.weight.gqt, model.json
-* calibration calib.L<l>.X.gqt, calib.L<l>.gradZ.gqt, calib.json
 * quantized:  codebook.L<l>.gqt (d_out x m, float64),
               assign.L<l>.gqt (d_in x d_out, uint8),
               traces.json (per layer, per channel objective traces),
-              quant.json (job header), report.csv
+              quant.json (the QuantJob fields plus n_layers),
+              report.csv
 
 Loads reject directories whose manifest is missing or stale, so a
 half-copied artifact fails loudly instead of quietly feeding garbage
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calib_model import Dataset, LayerCalibration, MlpModel
+from .calib_model import Dataset, MlpModel
 from .errors import CorruptFile
 from .guidedquant import CSV_COLUMNS, QuantReport
 from .scalar_quant import Assignment, ChannelQuantState, Codebook, QuantizedLayer
@@ -88,31 +88,6 @@ def load_model(dir_path: str | Path) -> MlpModel:
         read_tensor(d / f"layer.{i}.weight.gqt") for i in range(meta["n_layers"])
     ]
     return MlpModel(layers=layers, activation=meta["activation"], loss=meta["loss"])
-
-
-def save_calibration(dir_path: str | Path, calib: list[LayerCalibration]) -> None:
-    d = Path(dir_path)
-    d.mkdir(parents=True, exist_ok=True)
-    names = []
-    for l, c in enumerate(calib):
-        for tag, arr in (("X", c.X), ("gradZ", c.gradZ)):
-            name = f"calib.L{l}.{tag}.gqt"
-            write_tensor(d / name, arr)
-            names.append(name)
-    write_json_atomic(d / "calib.json", {"n_layers": len(calib)})
-    write_manifest(d, {"kind": "calibration"}, names + ["calib.json"])
-
-
-def load_calibration(dir_path: str | Path) -> list[LayerCalibration]:
-    d = _check(dir_path)
-    meta = json.loads((d / "calib.json").read_text())
-    return [
-        LayerCalibration(
-            X=read_tensor(d / f"calib.L{l}.X.gqt"),
-            gradZ=read_tensor(d / f"calib.L{l}.gradZ.gqt"),
-        )
-        for l in range(meta["n_layers"])
-    ]
 
 
 def report_csv_text(rows: list[dict]) -> str:

@@ -207,9 +207,7 @@ def _loss_and_grad(loss: str, Z: Matrix, Y: Matrix) -> tuple[np.ndarray, Matrix]
 
 def end_loss(model: MlpModel, data: Dataset) -> float:
     """Summed loss over all samples (no 1/n)."""
-    _, Z = forward(model, data.inputs)
-    per, _ = _loss_and_grad(model.loss, Z, data.targets)
-    return float(np.sum(per))
+    return float(np.sum(per_sample_losses(model, data)))
 
 
 def per_sample_losses(model: MlpModel, data: Dataset) -> np.ndarray:

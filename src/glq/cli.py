@@ -1,36 +1,43 @@
 """Command-line pipeline driver.
 
-Subcommands: gen-data, train, calibrate, hessian, quantize, eval,
-sweep, verify. Exit code 0 on success, 1 on a usage error (bad flags,
-unknown subcommand), 2 on a computation or I/O error. All randomness
-is keyed by explicit --seed flags, and every artifact write is atomic,
-so rerunning a command with the same inputs reproduces its outputs
-byte for byte.
+Subcommands: gen-data, train, hessian, quantize, eval, sweep. Exit code
+0 on success, 1 on a usage error (bad flags, unknown subcommand), 2 on a
+configuration, computation or I/O error. All randomness is keyed by
+explicit --seed flags, and every artifact write is atomic, so rerunning
+a command with the same inputs reproduces its outputs byte for byte.
+
+``quantize`` builds its QuantJob from three layers, each overriding the
+one before: QUANTIZE_DEFAULTS, the ``--config`` JSON object, the flags.
+``hessian``, ``quantize`` and ``eval`` each calibrate the model on the
+dataset themselves; no calibration artifact is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import artifacts
 from .calib_model import calibrate as run_calibrate
 from .calib_model import end_loss, gen_dataset, random_model, train as run_train
-from .errors import GlqError
+from .errors import ConfigError, GlqError
 from .guidedquant import (
+    JOB_KEYS,
     QuantJob,
-    QuantReport,
-    damped_quadratic,
-    eval_objectives,
     format_table,
+    job_hessians,
+    job_report,
     run_job,
     sweep as run_sweep,
 )
-from .hessian import HessianCache, layer_hessians, plain_hessian
-from .runconfig import RunConfig
+from .hessian import HessianCache, layer_hessians
 from .tensorio import write_json_atomic
-from .verify import run_verify
+
+# What quantize runs when neither --config nor a flag says otherwise.
+QUANTIZE_DEFAULTS = {"method": "lnq_guided", "bits": 2, "g": 4}
 
 
 class _UsageError(Exception):
@@ -76,12 +83,6 @@ def build_parser() -> _Parser:
     t.add_argument("--out", required=True)
     t.set_defaults(func=cmd_train)
 
-    c = sub.add_parser("calibrate", help="record per-layer inputs and gradients")
-    c.add_argument("--model", required=True)
-    c.add_argument("--data", required=True)
-    c.add_argument("--out", required=True)
-    c.set_defaults(func=cmd_calibrate)
-
     h = sub.add_parser("hessian", help="build and cache layer Hessians")
     h.add_argument("--model", required=True)
     h.add_argument("--data", required=True)
@@ -95,8 +96,8 @@ def build_parser() -> _Parser:
     q = sub.add_parser("quantize", help="quantize a model end to end")
     q.add_argument("--model", required=True)
     q.add_argument("--data", required=True)
-    q.add_argument("--config", help="JSON RunConfig supplying defaults for "
-                                    "the flags below")
+    q.add_argument("--config", help="JSON object of QuantJob fields; the flags "
+                                    "below override it")
     q.add_argument("--method", choices=["rtn", "squeezellm", "lnq_plain", "lnq_guided"])
     q.add_argument("--bits", type=int)
     q.add_argument("--g", type=int)
@@ -130,10 +131,6 @@ def build_parser() -> _Parser:
     s.add_argument("--damping-rel", type=float, default=1e-7)
     s.add_argument("--out", help="CSV output path")
     s.set_defaults(func=cmd_sweep)
-
-    v = sub.add_parser("verify", help="run the self-check property suite")
-    v.add_argument("--quick", action="store_true")
-    v.set_defaults(func=cmd_verify)
     return p
 
 
@@ -156,15 +153,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_calibrate(args) -> int:
-    model = artifacts.load_model(args.model)
-    data, _ = artifacts.load_dataset(args.data)
-    calib = run_calibrate(model, data)
-    artifacts.save_calibration(args.out, calib)
-    print(f"wrote calibration for {len(calib)} layers to {args.out}")
-    return 0
-
-
 def cmd_hessian(args) -> int:
     model = artifacts.load_model(args.model)
     data, _ = artifacts.load_dataset(args.data)
@@ -179,32 +167,27 @@ def cmd_hessian(args) -> int:
     return 0
 
 
+def _read_config(path: str) -> dict:
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return raw
+
+
 def cmd_quantize(args) -> int:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-
-    def pick(flag, fallback):
-        return fallback if flag is None else flag
-
+    raw = dict(QUANTIZE_DEFAULTS)
+    if args.config:
+        raw.update(_read_config(args.config))
+    raw.update({k: getattr(args, k) for k in JOB_KEYS if getattr(args, k) is not None})
+    job = QuantJob.from_dict(raw)
     model = artifacts.load_model(args.model)
     data, _ = artifacts.load_dataset(args.data)
-    job = QuantJob(
-        method=pick(args.method, cfg.method),
-        bits=pick(args.bits, cfg.bits),
-        g=pick(args.g, cfg.g),
-        seed=pick(args.seed, cfg.seed),
-        grad_scale=pick(args.grad_scale, cfg.grad_scale),
-        damping_rel=pick(args.damping_rel, cfg.damping_rel),
-        T=pick(args.T, cfg.T),
-        K=pick(args.K, cfg.K),
-    )
     cache = HessianCache(args.hessian_cache) if args.hessian_cache else None
     _, qlayers, report = run_job(model, data, job, hessian_cache=cache)
-    meta = {
-        "method": job.method, "g": job.g, "seed": job.seed,
-        "grad_scale": job.grad_scale, "damping_rel": job.damping_rel,
-        "T": job.T, "K": job.K,
-    }
-    artifacts.save_quantized(args.out, qlayers, report, meta)
+    artifacts.save_quantized(args.out, qlayers, report, asdict(job))
     print(format_table([report.csv_row()]))
     print(f"wrote quantized layers to {args.out}")
     return 0
@@ -214,27 +197,12 @@ def cmd_eval(args) -> int:
     model = artifacts.load_model(args.model)
     data, _ = artifacts.load_dataset(args.data)
     qlayers, meta = artifacts.load_quantized(args.quant)
+    # job keys an older artifact lacks take today's QuantJob defaults
+    job = QuantJob.from_dict({k: meta[k] for k in JOB_KEYS if k in meta})
     calib = run_calibrate(model, data)
-    w_hats = [ql.W_hat for ql in qlayers]
-    rows = eval_objectives(model, w_hats, calib)
-    # reporting convention: the damped quadratic here is always taken
-    # under the plain per-layer Hessian, whatever method produced the
-    # artifact, so artifacts stay comparable
-    for l, row in enumerate(rows):
-        hset = plain_hessian(calib[l], layer_idx=l,
-                             damping_rel=meta.get("damping_rel", 1e-7))
-        row["damped_objective"] = damped_quadratic(hset, model.layers[l], w_hats[l])
-    quantized = model.with_layers(w_hats)
-    report = QuantReport(
-        method=meta.get("method", "?"),
-        bits=meta["bits"],
-        g=meta.get("g", 1),
-        seed=meta.get("seed", 0),
-        end_loss_before=end_loss(model, data),
-        end_loss_after=end_loss(quantized, data),
-        layers=rows,
-        fisher_quadratic=sum(r["fisher_quadratic"] for r in rows),
-    )
+    quantized = model.with_layers([ql.W_hat for ql in qlayers])
+    report = job_report(model, quantized, data, calib, job,
+                        job_hessians(model, data, calib, job))
     print(format_table([report.csv_row()]))
     if args.csv:
         Path(args.csv).write_text(artifacts.report_csv_text([report.csv_row()]))
@@ -261,10 +229,6 @@ def cmd_sweep(args) -> int:
         Path(args.out).write_text(artifacts.report_csv_text(rows))
         print(f"wrote {len(rows)} rows to {args.out}")
     return 0
-
-
-def cmd_verify(args) -> int:
-    return 0 if run_verify(quick=args.quick) else 2
 
 
 def main(argv: list[str] | None = None) -> int:

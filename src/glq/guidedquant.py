@@ -15,20 +15,21 @@ Layers, and the groups within a layer, are quantized one at a time in
 (layer, group) order. Reported objectives per layer: the plain
 reconstruction error ||X (W - What)||_F^2, the gradient-weighted error
 ||gradZ * (X (W - What))||_F^2 (elementwise product), and the damped
-quadratic under the Hessian set the method used (plain Hessians for the
-Hessian-free baselines, unit gradient scale). The gradient-weighted
+quadratic under the method's Hessian sets (`job_hessians`: plain ones,
+unit gradient scale, for every method but lnq_guided). `glq eval`
+rebuilds those sets from the job recorded in the artifact, so it
+reproduces every column of the quantize report. The gradient-weighted
 error equals the sum of per-channel Fisher quadratic forms
 n * delta^T F_j delta with n F_j = X^T Diag(gradZ[:, j]^2) X, so the
 `fisher_quadratic` column is filled from that identity: it is the
 guided objective. The independent channel-by-channel route is
-`oracle.full_fisher_quadratic`, which the tests and `glq verify` check
-the guided objective against.
+`oracle.full_fisher_quadratic`, which the tests check the guided
+objective against.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,11 +42,10 @@ from .hessian import (
     HessianSet,
     fisher_diag,
     layer_hessians,
-    plain_hessian,
 )
 from .linalg import Matrix, quad_form
 from .lnq import LnqConfig, lnq_quantize
-from .scalar_quant import ChannelQuantState, QuantizedLayer, rtn_quantize, squeezellm_quantize
+from .scalar_quant import QuantizedLayer, rtn_quantize, squeezellm_quantize
 
 METHODS = ("rtn", "squeezellm", "lnq_plain", "lnq_guided")
 
@@ -59,8 +59,9 @@ CSV_COLUMNS = (
 
 @dataclass
 class QuantJob:
-    """One quantization request. g is forced to 1 for every method that
-    does not use grouped Hessians."""
+    """One quantization request, range-checked on construction. g is
+    forced to 1 for every method that does not use grouped Hessians.
+    The fields are the keys of a `glq quantize --config` file."""
 
     method: str
     bits: int
@@ -72,15 +73,40 @@ class QuantJob:
     K: int = 4
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
+        checks = [
+            (self.method in METHODS, f"method must be one of {METHODS}, got {self.method!r}"),
+            (1 <= self.bits <= 8, f"bits must be in 1..8, got {self.bits}"),
+            (self.g >= 1, f"g must be >= 1, got {self.g}"),
+            (self.grad_scale > 0, f"grad_scale must be > 0, got {self.grad_scale}"),
+            (self.damping_rel >= 0, f"damping_rel must be >= 0, got {self.damping_rel}"),
+            (self.T >= 1, f"T must be >= 1, got {self.T}"),
+            (self.K >= 1, f"K must be >= 1, got {self.K}"),
+        ]
+        for ok, msg in checks:
+            if not ok:
+                raise ConfigError(msg)
         if self.method != "lnq_guided":
             self.g = 1
-        if self.g < 1:
-            raise ConfigError(f"g must be >= 1, got {self.g}")
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "QuantJob":
+        """A job from a flat dict of field values; an unknown key or a
+        value of the wrong type raises ConfigError."""
+        unknown = set(raw) - set(JOB_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        try:
+            return cls(**raw)
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def lnq_config(self) -> LnqConfig:
         return LnqConfig(bits=self.bits, T=self.T, K=self.K)
+
+
+# The QuantJob fields: the keys of a `glq quantize --config` file, the
+# names of its flags, and the job keys that quant.json records.
+JOB_KEYS = tuple(f.name for f in fields(QuantJob))
 
 
 @dataclass
@@ -95,7 +121,6 @@ class QuantReport:
     end_loss_after: float
     layers: list[dict]
     fisher_quadratic: float
-    runtime_s: dict = field(default_factory=dict)
 
     def totals(self) -> dict:
         return {
@@ -120,56 +145,24 @@ class QuantReport:
         }
 
 
-def _quantize_group(
-    W: Matrix,
-    F: Matrix | None,
-    job: QuantJob,
-    hset: HessianSet | None,
-    layer_idx: int,
-    group_idx: int,
-) -> tuple[int, int, tuple[int, ...], list[ChannelQuantState]]:
-    """Quantize the channels of one (layer, group) task. `F` is the
-    layer's diagonal Fisher (None for rtn); the task slices its group's
-    columns."""
-    if job.method == "rtn":
-        ql = rtn_quantize(W, job.bits, layer_idx=layer_idx)
-        return layer_idx, group_idx, tuple(range(W.shape[1])), ql.channels
-    if job.method == "squeezellm":
-        ql = squeezellm_quantize(W, F, job.bits, seed=job.seed, layer_idx=layer_idx)
-        return layer_idx, group_idx, tuple(range(W.shape[1])), ql.channels
-    channels = hset.partition.groups[group_idx]
-    cols = np.array(channels, dtype=np.int64)
-    init_full = squeezellm_quantize(
-        W[:, cols], F[:, cols], job.bits, seed=job.seed, layer_idx=layer_idx
-    )
-    ql = lnq_quantize(
-        hset.hessians[group_idx],
-        W[:, cols],
-        job.lnq_config(),
-        init_full.channels,
-        layer_idx=layer_idx,
-    )
-    return layer_idx, group_idx, channels, ql.channels
-
-
-def _quantize_tasks(
+def job_hessians(
     model: MlpModel,
+    data: Dataset,
     calib: list[LayerCalibration],
     job: QuantJob,
-    hsets: list[HessianSet] | None,
-) -> list[tuple[int, int, tuple[int, ...], list[ChannelQuantState]]]:
-    """Run one `_quantize_group` task per (layer, group), in (layer,
-    group) order. Each layer's diagonal Fisher is built once and shared
-    by its groups; it is freed on return, before the caller's
-    evaluation stage."""
-    results = []
-    for l, W in enumerate(model.layers):
-        hset = hsets[l] if hsets is not None else None
-        F = fisher_diag(calib[l]) if job.method != "rtn" else None
-        n_groups = hset.partition.g if (hset is not None and job.method == "lnq_guided") else 1
-        for k in range(n_groups):
-            results.append(_quantize_group(W, F, job, hset, l, k))
-    return results
+    cache: HessianCache | None = None,
+) -> list[HessianSet]:
+    """One HessianSet per layer for `job`'s method, from
+    `layer_hessians`: the grouped guided Hessians for lnq_guided, the
+    plain ones (one group, unit grad scale) for every other method. The
+    LNQ methods quantize against them and every method reports its
+    damped objective under them. `cache` is consulted only for the LNQ
+    methods."""
+    kind = "guided" if job.method == "lnq_guided" else "plain"
+    cache = cache if job.method in ("lnq_plain", "lnq_guided") else None
+    entries = layer_hessians(model, data, calib, kind, job.g, job.grad_scale,
+                             job.damping_rel, cache=cache)
+    return [hset for _key, hset in entries]
 
 
 def run_job(
@@ -180,69 +173,59 @@ def run_job(
 ) -> tuple[MlpModel, list[QuantizedLayer], QuantReport]:
     """Quantize every layer of `model` per `job`.
 
+    Layers, and for the LNQ methods the groups of each layer's Hessian
+    set, are quantized in (layer, group) order. Each LNQ group starts
+    from squeezellm on its column slice of the layer's diagonal Fisher.
     Returns the quantized model, the per-layer quantization states, and
     the report.
     """
-    t0 = time.perf_counter()
     calib = calibrate(model, data)
-    t_calib = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    hsets = None
-    if job.method in ("lnq_plain", "lnq_guided"):
-        kind = "plain" if job.method == "lnq_plain" else "guided"
-        entries = layer_hessians(model, data, calib, kind, job.g, job.grad_scale,
-                                 job.damping_rel, cache=hessian_cache)
-        hsets = [hset for _key, hset in entries]
-    t_hess = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    results = _quantize_tasks(model, calib, job, hsets)
-    t_quant = time.perf_counter() - t0
-
-    per_layer_states: list[list[ChannelQuantState | None]] = [
-        [None] * W.shape[1] for W in model.layers
-    ]
-    for l, _k, channels, states in results:
-        for j, st in zip(channels, states):
-            per_layer_states[l][j] = st
-    qlayers = [
-        QuantizedLayer(layer_idx=l, bits=job.bits, channels=list(states))
-        for l, states in enumerate(per_layer_states)
-    ]
-
+    hsets = job_hessians(model, data, calib, job, cache=hessian_cache)
+    qlayers = []
+    for l, (W, hset) in enumerate(zip(model.layers, hsets)):
+        if job.method == "rtn":
+            qlayers.append(rtn_quantize(W, job.bits, layer_idx=l))
+            continue
+        F = fisher_diag(calib[l])
+        if job.method == "squeezellm":
+            qlayers.append(squeezellm_quantize(W, F, job.bits, seed=job.seed, layer_idx=l))
+            continue
+        channels = []
+        for H, grp in zip(hset.hessians, hset.partition.groups):
+            cols = np.array(grp, dtype=np.int64)
+            init = squeezellm_quantize(W[:, cols], F[:, cols], job.bits, seed=job.seed,
+                                       layer_idx=l)
+            channels += lnq_quantize(H, W[:, cols], job.lnq_config(), init.channels,
+                                     layer_idx=l).channels
+        qlayers.append(QuantizedLayer(layer_idx=l, bits=job.bits, channels=channels))
     quantized = model.with_layers([ql.W_hat for ql in qlayers])
+    return quantized, qlayers, job_report(model, quantized, data, calib, job, hsets)
 
-    t0 = time.perf_counter()
-    layer_rows = eval_objectives(model, [ql.W_hat for ql in qlayers], calib)
-    damped_sets = hsets
-    if damped_sets is None:
-        damped_sets = [
-            plain_hessian(c, layer_idx=l, damping_rel=job.damping_rel)
-            for l, c in enumerate(calib)
-        ]
-    for l, row in enumerate(layer_rows):
-        row["damped_objective"] = damped_quadratic(
-            damped_sets[l], model.layers[l], qlayers[l].W_hat
-        )
-    fisher_q = sum(row["fisher_quadratic"] for row in layer_rows)
-    report = QuantReport(
+
+def job_report(
+    model: MlpModel,
+    quantized: MlpModel,
+    data: Dataset,
+    calib: list[LayerCalibration],
+    job: QuantJob,
+    hsets: list[HessianSet],
+) -> QuantReport:
+    """The report of `job` for `quantized`: per-layer objectives, the
+    damped one under `hsets` (see `job_hessians`), and the end loss of
+    both models. `glq eval` rebuilds it from an artifact."""
+    rows = eval_objectives(model, quantized.layers, calib)
+    for row, hset, W, W_hat in zip(rows, hsets, model.layers, quantized.layers):
+        row["damped_objective"] = damped_quadratic(hset, W, W_hat)
+    return QuantReport(
         method=job.method,
         bits=job.bits,
         g=job.g,
         seed=job.seed,
         end_loss_before=end_loss(model, data),
         end_loss_after=end_loss(quantized, data),
-        layers=layer_rows,
-        fisher_quadratic=fisher_q,
-        runtime_s={
-            "calibrate": t_calib,
-            "hessian": t_hess,
-            "quantize": t_quant,
-            "eval": time.perf_counter() - t0,
-        },
+        layers=rows,
+        fisher_quadratic=sum(row["fisher_quadratic"] for row in rows),
     )
-    return quantized, qlayers, report
 
 
 def eval_objectives(

@@ -116,12 +116,6 @@ class HessianSet:
         if len(self.hessians) != self.partition.g or len(self.lambdas) != self.partition.g:
             raise PartitionMismatch("one hessian and one lambda per group required")
 
-    def group_for_channel(self, j: int) -> int:
-        for k, grp in enumerate(self.partition.groups):
-            if j in grp:
-                return k
-        raise PartitionMismatch(f"channel {j} not covered")
-
 
 def _check_calib(calib: LayerCalibration) -> tuple[Matrix, Matrix]:
     X = ensure_matrix(calib.X, "X")

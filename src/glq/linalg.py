@@ -66,10 +66,6 @@ class CholeskyFactor:
     def dim(self) -> int:
         return self.L.shape[0]
 
-    def reconstruct(self) -> Matrix:
-        """Return L @ L.T, i.e. the damped matrix that was factored."""
-        return self.L @ self.L.T
-
 
 def cholesky(H: Matrix, damping: float = 0.0) -> CholeskyFactor:
     """Factor H + damping * I into L L^T.

@@ -17,7 +17,7 @@ from .calib_model import Dataset, LayerCalibration, MlpModel, calibrate, end_los
 from .errors import DimensionMismatch, InvalidSize, PartitionMismatch, TooLarge, ZeroDiagonal
 from .hessian import _check_calib
 from .linalg import Matrix, ensure_matrix, ensure_vector
-from .scalar_quant import Assignment, ChannelQuantState, WeightedPoints
+from .scalar_quant import Assignment, ChannelQuantState, Codebook, WeightedPoints
 
 EXHAUSTIVE_CAP = 1_000_000
 FISHER_WEIGHT_CAP = 5_000
@@ -211,6 +211,18 @@ def fd_gradient_check(
         err = abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-4)
         worst = max(worst, err)
     return worst
+
+
+def round_to_codebook(x: float, cb: Codebook) -> int:
+    """Index of the nearest codebook value, one scalar at a time; ties go
+    to the smaller value. The reference for `scalar_quant.round_rows`."""
+    return int(np.abs(cb.values - x).argmin())
+
+
+def weighted_sse(pts: WeightedPoints, cb: Codebook, assign: Assignment) -> float:
+    """Sum of wgt * (x - assigned value)^2."""
+    r = pts.x - cb.values[assign.idx]
+    return float(np.sum(pts.wgt * r * r))
 
 
 def kmeans_partition_oracle(pts: WeightedPoints, m: int) -> float:

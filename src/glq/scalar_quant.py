@@ -96,26 +96,16 @@ class WeightedPoints:
         return self.x.shape[0]
 
 
-def round_to_codebook(x: float, cb: Codebook) -> int:
-    """Index of the nearest codebook value; ties go to the smaller value."""
-    return int(np.abs(cb.values - x).argmin())
-
-
 def round_rows(u: np.ndarray, codebooks: np.ndarray) -> np.ndarray:
     """Vectorized nearest-value rounding, one codebook row per entry of u.
 
     `codebooks` is c x m with each row sorted ascending, `u` has length
     c. A 1-D sorted codebook of length m is shared by every entry: it
     broadcasts against u[:, None] with the same elementwise arithmetic.
-    First-occurrence argmin keeps the tie rule of round_to_codebook.
+    First-occurrence argmin sends a tie to the smaller value, the rule
+    of the scalar reference `oracle.round_to_codebook`.
     """
     return np.abs(codebooks - u[:, None]).argmin(axis=1)
-
-
-def weighted_sse(pts: WeightedPoints, cb: Codebook, assign: Assignment) -> float:
-    """Sum of wgt * (x - assigned value)^2."""
-    r = pts.x - cb.values[assign.idx]
-    return float(np.sum(pts.wgt * r * r))
 
 
 def nearest_assignment(pts: WeightedPoints, cb: Codebook) -> Assignment:

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from glq.calib_model import calibrate
 from glq.calib_model import toy_problem as build_toy_problem
+from glq.scalar_quant import ChannelQuantState, Codebook, WeightedPoints, nearest_assignment
 
 _toy_cache = {}
 
@@ -23,3 +25,29 @@ def toy_problem():
 def toy_calib(toy_problem):
     model, data = toy_problem
     return calibrate(model, data)
+
+
+def random_spd(rng: np.random.Generator, d: int, damp: float = 1e-6) -> np.ndarray:
+    """X^T X for a (d + 4) x d Gaussian X, plus `damp` times its mean
+    diagonal on the diagonal."""
+    X = rng.standard_normal((d + 4, d))
+    H = X.T @ X
+    H = 0.5 * (H + H.T)
+    return H + damp * float(np.mean(np.diag(H))) * np.eye(d)
+
+
+def uniform_init(w: np.ndarray, m: int) -> ChannelQuantState:
+    """Linspace codebook over [min, max] with nearest assignment."""
+    lo, hi = float(w.min()), float(w.max())
+    vals = np.linspace(lo, hi, m) if hi > lo else np.full(m, lo)
+    cb = Codebook(values=vals)
+    pts = WeightedPoints(x=w, wgt=np.ones_like(w))
+    return ChannelQuantState.from_parts(cb, nearest_assignment(pts, cb))
+
+
+def random_lnq_instance(rng: np.random.Generator, d: int, bits: int):
+    """(H, w, init): a random SPD H, a Gaussian channel w of length d and
+    its uniform init with 2**bits values."""
+    H = random_spd(rng, d)
+    w = rng.standard_normal(d)
+    return H, w, uniform_init(w, 2 ** bits)

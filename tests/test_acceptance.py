@@ -31,16 +31,17 @@ from glq.oracle import (
     full_fisher_quadratic,
     kmeans_partition_oracle,
     naive_cd_cycle,
+    weighted_sse,
 )
 from glq.scalar_quant import (
     WeightedPoints,
     kmeans_1d_exact,
     kmeans_pp_init,
     lloyd,
-    weighted_sse,
 )
 from glq.tensorio import file_sha256
-from glq.verify import random_lnq_instance, uniform_init
+
+from conftest import random_lnq_instance, uniform_init
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -246,20 +247,17 @@ def test_criterion_10_cli_pipeline_byte_identical_across_reruns(tmp_path):
         return {p.name: file_sha256(p) for p in sorted(d.iterdir()) if p.is_file()}
 
     def run(root: Path) -> dict:
-        data, mdl, cal, hes, qnt = (root / s for s in
-                                    ("data", "model", "calib", "hess", "quant"))
+        data, mdl, hes, qnt = (root / s for s in ("data", "model", "hess", "quant"))
         assert main(["gen-data", "--seed", "0", "--n", "32", "--d0", "6",
                      "--dt", "4", "--out", str(data)]) == 0
         assert main(["train", "--data", str(data), "--hidden", "8",
                      "--steps", "60", "--out", str(mdl)]) == 0
-        assert main(["calibrate", "--model", str(mdl), "--data", str(data),
-                     "--out", str(cal)]) == 0
         assert main(["hessian", "--model", str(mdl), "--data", str(data),
                      "--g", "2", "--out", str(hes)]) == 0
         assert main(["quantize", "--model", str(mdl), "--data", str(data),
                      "--method", "lnq_guided", "--bits", "2", "--g", "2",
                      "--seed", "0", "--out", str(qnt)]) == 0
-        return {d.name: digest(d) for d in (data, mdl, cal, hes, qnt)}
+        return {d.name: digest(d) for d in (data, mdl, hes, qnt)}
 
     a = run(tmp_path / "a")
     b = run(tmp_path / "b")

@@ -60,11 +60,6 @@ class TestPartition:
         with pytest.raises(PartitionMismatch):
             ChannelPartition(d_out=3, groups=((0, 1),))
 
-    def test_group_lookup(self):
-        h = guided_hessians(_calib(0, 6, 3, 4), ChannelPartition.consecutive(4, 2))
-        assert h.group_for_channel(0) == 0
-        assert h.group_for_channel(3) == 1
-
 
 class TestPlainHessian:
     def test_matches_gram_matrix(self):

@@ -1,11 +1,19 @@
-"""Every name a package module imports is referenced in that module.
+"""Static guards over the package source, standard library ``ast`` only.
 
-Uses the standard library ``ast`` only. A name counts as referenced when
-it appears as a bare name anywhere in the module (including annotations
-and the root of an attribute chain such as ``np.linalg``) or inside a
-quoted annotation (a name only mentioned in some other string does not
-count). ``__future__`` imports and ``__init__.py`` (which
-re-exports) are exempt.
+* Every name a package module imports is referenced in that module. A
+  name counts as referenced when it appears as a bare name anywhere in
+  the module (including annotations and the root of an attribute chain
+  such as ``np.linalg``) or inside a quoted annotation (a name only
+  mentioned in some other string does not count). ``__future__``
+  imports and ``__init__.py`` (which re-exports) are exempt.
+* Every top-level function and class of the package, and every public
+  method or property of a public top-level class, is referenced from
+  the package, ``bench/`` or ``scripts/``, not only from tests. A
+  reference is a bare name, an attribute name or an imported name (so a
+  re-export from ``__init__.py``, the public API, counts) outside the
+  definition itself; names are matched without regard to their module.
+  ``oracle.py`` holds the brute-force references the tests check
+  against, so its own definitions are exempt.
 """
 
 import ast
@@ -13,8 +21,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "glq"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "glq"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+NON_TEST_SOURCES = sorted([*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py"),
+                           *(ROOT / "scripts").glob("*.py")])
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -80,3 +91,78 @@ def test_scanner_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Qualified name -> node of every top-level function and class, and
+    of every public method of a public top-level class."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    out[f"{node.name}.{item.name}"] = item
+    return out
+
+
+def uses(tree: ast.Module, skip: set[int]) -> set[str]:
+    """Bare, attribute and imported names in `tree`, outside the
+    subtrees whose id() is in `skip`."""
+    out: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def unreferenced(sources: dict[str, str], exempt: set[str]) -> list[str]:
+    """module:qualname of every definition in `sources` (module -> text),
+    outside the `exempt` modules, that no source references."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = {name: uses(tree, set()) for name, tree in trees.items()}
+    out = []
+    for mod, tree in trees.items():
+        if mod in exempt:
+            continue
+        for qual, node in definitions(tree).items():
+            leaf = qual.rsplit(".", 1)[-1]
+            elsewhere = any(leaf in names for other, names in used.items() if other != mod)
+            if not elsewhere and leaf not in uses(tree, {id(node)}):
+                out.append(f"{mod}:{qual}")
+    return out
+
+
+def test_reference_scanner_flags_test_only_definitions():
+    sources = {
+        "lib": ("class A:\n"
+                "    def used(self): return self.prop\n"
+                "    @property\n"
+                "    def prop(self): return 0\n"
+                "    def test_only(self): return 1\n"
+                "    def _private(self): return 2\n"
+                "class _Hidden:\n"
+                "    def hook(self): return 3\n"
+                "def recursive(): return recursive()\n"
+                "def exported(): return 4\n"
+                "def for_oracle(): return _Hidden\n"),
+        "app": "from lib import A\nfrom lib import exported as ex\nA().used()\n",
+        "ref": "from lib import for_oracle\ndef unused_reference(): return 5\n",
+    }
+    assert unreferenced(sources, exempt={"ref"}) == ["lib:A.test_only", "lib:recursive"]
+
+
+def test_no_test_only_definitions_in_package():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in NON_TEST_SOURCES}
+    assert unreferenced(sources, exempt={"src/glq/oracle.py"}) == []

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from glq.errors import DimensionMismatch, NotPositiveDefinite
 from glq.linalg import CholeskyFactor, cholesky, least_squares, quad_form
 from glq.oracle import least_squares_normal_oracle
-from glq.verify import random_spd
+
+from conftest import random_spd
 
 
 class TestCholesky:
@@ -24,7 +25,7 @@ class TestCholesky:
     def test_damping_included(self):
         H = np.array([[1.0, 0.5], [0.5, 2.0]])
         f = cholesky(H, damping=0.25)
-        npt.assert_allclose(f.reconstruct(), H + 0.25 * np.eye(2), atol=1e-13)
+        npt.assert_allclose(f.L @ f.L.T, H + 0.25 * np.eye(2), atol=1e-13)
 
     def test_indefinite_raises(self):
         H = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -32,7 +33,7 @@ class TestCholesky:
             cholesky(H)
         # large enough damping rescues it
         f = cholesky(H, damping=2.0)
-        npt.assert_allclose(f.reconstruct(), H + 2.0 * np.eye(2), atol=1e-13)
+        npt.assert_allclose(f.L @ f.L.T, H + 2.0 * np.eye(2), atol=1e-13)
 
     def test_negative_damping_rejected(self):
         with pytest.raises(ValueError):
@@ -53,7 +54,7 @@ class TestCholesky:
         H = random_spd(np.random.default_rng(seed), d)
         f = cholesky(H)
         scale = np.max(np.abs(H))
-        assert np.max(np.abs(f.reconstruct() - H)) <= 1e-9 * scale
+        assert np.max(np.abs(f.L @ f.L.T - H)) <= 1e-9 * scale
         assert np.all(np.diag(f.L) > 0)
         npt.assert_array_equal(np.triu(f.L, 1), np.zeros((d, d)))
 

@@ -17,7 +17,8 @@ from glq.oracle import (
     naive_cd_cycle,
 )
 from glq.scalar_quant import Assignment, ChannelQuantState, Codebook, round_rows
-from glq.verify import random_lnq_instance, random_spd, uniform_init
+
+from conftest import random_lnq_instance, random_spd, uniform_init
 
 
 def _state(values, idx) -> ChannelQuantState:

@@ -15,9 +15,8 @@ from glq.oracle import (
     least_squares_normal_oracle,
 )
 from glq.scalar_quant import WeightedPoints
-from glq.verify import random_spd
 
-from conftest import toy
+from conftest import random_spd, toy
 
 
 class TestExhaustiveLnq:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glq.errors import InvalidSize, TooFewDistinctPoints
-from glq.oracle import kmeans_partition_oracle
+from glq.oracle import kmeans_partition_oracle, round_to_codebook, weighted_sse
 from glq.scalar_quant import (
     Codebook,
     WeightedPoints,
@@ -14,10 +14,8 @@ from glq.scalar_quant import (
     lloyd,
     nearest_assignment,
     round_rows,
-    round_to_codebook,
     rtn_quantize,
     squeezellm_quantize,
-    weighted_sse,
 )
 
 
