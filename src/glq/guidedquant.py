@@ -9,10 +9,13 @@ count g. Methods:
 * ``lnq_plain``: alternating minimization against the plain Hessian
   X^T X (one group), initialized from the squeezellm solution.
 * ``lnq_guided``: alternating minimization against the grouped
-  loss-guided Hessians, same initialization, one run per group.
+  loss-guided Hessians, same initialization, one run per group; g is
+  clipped to each layer's output width.
 
-Layers, and the groups within a layer, are quantized one at a time in
-(layer, group) order. Reported objectives per layer: the plain
+Layers are quantized one at a time. Within a layer, each group starts
+from squeezellm on its own column slice, and the groups of one size
+run as one stack (see ``lnq``): at most two stacks per layer, with the
+bits of one run per group. Reported objectives per layer: the plain
 reconstruction error ||X (W - What)||_F^2, the gradient-weighted error
 ||gradZ * (X (W - What))||_F^2 (elementwise product), and the damped
 quadratic under the method's Hessian sets (`job_hessians`: plain ones,
@@ -29,6 +32,7 @@ objective against.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -57,11 +61,18 @@ CSV_COLUMNS = (
 )
 
 
+# The value types a QuantJob field accepts, keyed by its annotation; a
+# bool is never accepted, although Python counts it as an int.
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}
+_TYPE_NAMES = {"str": "a string", "int": "an integer", "float": "a number"}
+
+
 @dataclass
 class QuantJob:
-    """One quantization request, range-checked on construction. g is
-    forced to 1 for every method that does not use grouped Hessians.
-    The fields are the keys of a `glq quantize --config` file."""
+    """One quantization request, type- and range-checked on
+    construction. g is forced to 1 for every method that does not use
+    grouped Hessians. The fields are the keys of a `glq quantize
+    --config` file."""
 
     method: str
     bits: int
@@ -73,10 +84,16 @@ class QuantJob:
     K: int = 4
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_TYPES[f.type]) or isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be {_TYPE_NAMES[f.type]}, "
+                                  f"got {type(value).__name__} {value!r}")
         checks = [
             (self.method in METHODS, f"method must be one of {METHODS}, got {self.method!r}"),
             (1 <= self.bits <= 8, f"bits must be in 1..8, got {self.bits}"),
             (self.g >= 1, f"g must be >= 1, got {self.g}"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
             (self.grad_scale > 0, f"grad_scale must be > 0, got {self.grad_scale}"),
             (self.damping_rel >= 0, f"damping_rel must be >= 0, got {self.damping_rel}"),
             (self.T >= 1, f"T must be >= 1, got {self.T}"),
@@ -173,14 +190,16 @@ def run_job(
 ) -> tuple[MlpModel, list[QuantizedLayer], QuantReport]:
     """Quantize every layer of `model` per `job`.
 
-    Layers, and for the LNQ methods the groups of each layer's Hessian
-    set, are quantized in (layer, group) order. Each LNQ group starts
-    from squeezellm on its column slice of the layer's diagonal Fisher.
-    Returns the quantized model, the per-layer quantization states, and
-    the report.
+    Layers are quantized in order. For the LNQ methods each group of
+    the layer's Hessian set starts from squeezellm on its column slice
+    of the layer's diagonal Fisher; its codebooks and assignments go
+    straight into the stack arrays, and each run of consecutive
+    equal-size groups is solved as one stack. Returns the quantized
+    model, the per-layer quantization states, and the report.
     """
     calib = calibrate(model, data)
     hsets = job_hessians(model, data, calib, job, cache=hessian_cache)
+    cfg = job.lnq_config()
     qlayers = []
     for l, (W, hset) in enumerate(zip(model.layers, hsets)):
         if job.method == "rtn":
@@ -190,13 +209,21 @@ def run_job(
         if job.method == "squeezellm":
             qlayers.append(squeezellm_quantize(W, F, job.bits, seed=job.seed, layer_idx=l))
             continue
+        groups = hset.partition.groups
         channels = []
-        for H, grp in zip(hset.hessians, hset.partition.groups):
-            cols = np.array(grp, dtype=np.int64)
-            init = squeezellm_quantize(W[:, cols], F[:, cols], job.bits, seed=job.seed,
-                                       layer_idx=l)
-            channels += lnq_quantize(H, W[:, cols], job.lnq_config(), init.channels,
-                                     layer_idx=l).channels
+        for _, run in itertools.groupby(range(len(groups)), key=lambda k: len(groups[k])):
+            stack = list(run)
+            cols = [np.array(groups[k], dtype=np.int64) for k in stack]
+            W_stack = np.stack([W[:, cj] for cj in cols])
+            G, d, c = W_stack.shape
+            C0 = np.empty((G, c, cfg.m))
+            A0 = np.empty((G, d, c), dtype=np.int64)
+            for i, cj in enumerate(cols):
+                init = squeezellm_quantize(W[:, cj], F[:, cj], job.bits, seed=job.seed,
+                                           layer_idx=l)
+                C0[i], A0[i] = init.codebook_matrix(), init.assign_matrix()
+            channels += lnq_quantize([hset.hessians[k] for k in stack], W_stack, cfg,
+                                     (C0, A0), layer_idx=l).channels
         qlayers.append(QuantizedLayer(layer_idx=l, bits=job.bits, channels=channels))
     quantized = model.with_layers([ql.W_hat for ql in qlayers])
     return quantized, qlayers, job_report(model, quantized, data, calib, job, hsets)

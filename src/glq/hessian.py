@@ -359,8 +359,11 @@ def layer_hessians(
     """(cache key, HessianSet) for every layer of `model`.
 
     kind "plain" builds X^T X with one group, keyed with g = 1 and unit
-    grad scale; kind "guided" builds the grouped Hessians over g
-    consecutive channel groups. With a `cache`, an existing entry is
+    grad scale; kind "guided" builds the grouped Hessians over
+    min(g, d_out) consecutive channel groups, so a layer narrower than g
+    gets one group per channel, and keys each layer with that clipped
+    count. A layer with d_out >= g keeps the key of its unclipped g.
+    With a `cache`, an existing entry is
     loaded when `reuse` is set, and every set built here is stored under
     its key. This is the only place a layer Hessian is built and keyed,
     so a quantize run finds exactly the entries a hessian run wrote.
@@ -372,13 +375,14 @@ def layer_hessians(
     digest, data_digest = model_hash(model), dataset_hash(data)
     out = []
     for l, c in enumerate(calib):
-        key = hessian_cache_key(digest, data_digest, l, g, grad_scale, damping_rel, kind)
+        g_l = min(g, c.gradZ.shape[1])
+        key = hessian_cache_key(digest, data_digest, l, g_l, grad_scale, damping_rel, kind)
         hset = cache.load(key) if cache is not None and reuse else None
         if hset is None:
             if kind == "plain":
                 hset = plain_hessian(c, layer_idx=l, damping_rel=damping_rel)
             else:
-                part = ChannelPartition.consecutive(c.gradZ.shape[1], g)
+                part = ChannelPartition.consecutive(c.gradZ.shape[1], g_l)
                 hset = guided_hessians(
                     c, part, layer_idx=l, grad_scale=grad_scale, damping_rel=damping_rel
                 )

@@ -43,6 +43,16 @@ Both phases descend the same damped objective, so the recorded
 per-channel objective trace (initial value, then one entry after every
 phase, then one after the final codebook solve: 2T + 2 values) never
 increases.
+
+``lnq_quantize`` and ``cd_cycle`` take a stack of G channel groups of
+one size, each with its own Hessian, and give the bits of G separate
+runs. A CD row step is elementwise, so it is applied to all G x c
+channels at once; every matrix product is still formed per group with
+the shapes one group alone would use. Groups of different sizes are
+never padded to one size: on OpenBLAS a product over padded columns,
+(U @ D)[:, :k], can differ in the last bit from U @ D[:, :k]. A
+consecutive partition has at most two group sizes, so a layer costs at
+most two stacks.
 """
 
 from __future__ import annotations
@@ -101,6 +111,13 @@ def codebook_closed_form(
     minimum-norm solution of the full system. The returned codebook is
     sorted ascending with the assignment remapped accordingly (stable
     sort, so equal values keep their slot order).
+
+    Column q of L^T P is the sum of the rows of L assigned to slot q.
+    One stable argsort of the assignment makes each slot's rows a
+    contiguous block of L[order], in index order, and summing that
+    block over axis 0 accumulates the rows one after another. That is
+    the same sequence of additions as summing the F-ordered L^T[:, a == q]
+    over axis 1, so the columns keep their bits.
     """
     w = np.ascontiguousarray(w, dtype=np.float64)
     a = assign.idx
@@ -108,13 +125,15 @@ def codebook_closed_form(
         raise DimensionMismatch("w, assignment and factor disagree on dimension")
     if m < 1 or (a.size and a.max() >= m):
         raise InvalidSize("assignment indices must fall inside 0..m-1")
-    Lt = chol.L.T
-    used = np.unique(a)
-    # columns of L^T P for occupied slots: sum of L^T columns per slot
-    A_ls = np.zeros((chol.dim, used.shape[0]))
-    for col, q in enumerate(used):
-        A_ls[:, col] = Lt[:, a == q].sum(axis=1)
-    c_sub = least_squares(A_ls, Lt @ w)
+    L_sorted = chol.L[np.argsort(a, kind="stable")]
+    used, cols = [], []  # occupied slots and their columns of L^T P
+    s = 0  # slot q owns rows s:e of L_sorted
+    for q, e in enumerate(np.bincount(a, minlength=m).cumsum().tolist()):
+        if e > s:
+            used.append(q)
+            cols.append(L_sorted[s:e].sum(axis=0))
+        s = e
+    c_sub = least_squares(np.stack(cols, axis=1), chol.L.T @ w)
     values = np.zeros(m)
     values[used] = c_sub
     order = np.argsort(values, kind="stable")
@@ -124,10 +143,15 @@ def codebook_closed_form(
 
 
 def cd_cycle(
-    H: Matrix, W: Matrix, C: np.ndarray, A: np.ndarray, cycles: int,
+    H, W: np.ndarray, C: np.ndarray, A: np.ndarray, cycles: int,
     b: int = CD_BATCH, stats: dict | None = None,
 ) -> None:
     """`cycles` sweeps of coordinate descent over rows 0..d-1, in place.
+
+    Runs a stack of G independent groups of c channels at once: `H` is
+    a sequence of G d x d Hessians, W and A are G x d x c and C is
+    G x c x m. A 2-D W (d x c), C (c x m) and A (d x c) with one
+    matrix H is a stack of one.
 
     Htil = Diag(H)^-1 H; B = StrictUpper(Htil) (What - W) gives each
     row's correction from rows not yet visited in the sweep. Inside a
@@ -137,83 +161,131 @@ def cd_cycle(
     The batch size is clipped to d. When `stats` is given, its
     "min_margin" entry tracks the smallest distance gap between the
     best and the runner-up codebook value over all rounding decisions.
+
+    Each group's U = StrictUpper(Htil) is formed once per cycle. Of
+    Htil only the batch's diagonal blocks are held for the whole stack
+    (G x b x b); the rows below a batch are formed one group at a time,
+    so no G x d x d copy of the Hessians is made.
     """
-    d, c = W.shape
+    if W.ndim == 2:
+        H, W, C, A = [H], W[None], C[None], A[None]
+    G, d, c = W.shape
+    if len(H) != G:
+        raise DimensionMismatch(f"{len(H)} Hessians for a stack of {G} groups")
     if b < 1:
         raise InvalidSize("b must be >= 1")
     b = min(b, d)
-    diag = np.diag(H).copy()
-    if np.any(diag <= 0.0):
+    diags = [np.diag(Hk).copy() for Hk in H]
+    if any(np.any(dk <= 0.0) for dk in diags):
         raise ZeroDiagonal("H has a non-positive diagonal entry")
-    Htil = H / diag[:, None]
-    U = np.triu(Htil, 1)
+    C_rows = C.reshape(G * c, -1)  # one codebook row per (group, channel)
+    rows = np.arange(G * c)
     for _ in range(cycles):
-        Wh = np.take_along_axis(C, A.T, axis=1).T
-        D = Wh - W
-        B = U @ D
+        B = np.empty(W.shape)
+        for k, (Hk, dk) in enumerate(zip(H, diags)):
+            D = np.take_along_axis(C[k], A[k].T, axis=1).T - W[k]
+            B[k] = np.triu(Hk / dk[:, None], 1) @ D
         for s in range(0, d, b):
             e = min(s + b, d)
+            Hblk = np.empty((G, e - s, e - s))  # Htil[s:e, s:e] per group
+            for k, (Hk, dk) in enumerate(zip(H, diags)):
+                np.divide(Hk[s:e, s:e], dk[s:e, None], out=Hblk[k])
             for i in range(s, e):
-                u = W[i, :] - B[i, :]
-                if stats is not None and C.shape[1] > 1:
-                    part = np.partition(np.abs(C - u[:, None]), 1, axis=1)
+                u = (W[:, i, :] - B[:, i, :]).reshape(-1)
+                if stats is not None and C.shape[2] > 1:
+                    part = np.partition(np.abs(C_rows - u[:, None]), 1, axis=1)
                     margin = float(np.min(part[:, 1] - part[:, 0]))
                     stats["min_margin"] = min(stats.get("min_margin", np.inf), margin)
-                A[i, :] = round_rows(u, C)
-                new_delta = C[np.arange(c), A[i, :]] - W[i, :]
+                q = round_rows(u, C_rows)
+                A[:, i, :] = q.reshape(G, c)
+                new_delta = (C_rows[rows, q] - W[:, i, :].reshape(-1)).reshape(G, c)
                 if i + 1 < e:
-                    B[i + 1 : e, :] += Htil[i + 1 : e, i : i + 1] * new_delta[None, :]
+                    B[:, i + 1 : e, :] += Hblk[:, i + 1 - s :, i - s, None] * new_delta[:, None, :]
             if e < d:
-                Wh_batch = np.take_along_axis(C, A[s:e, :].T, axis=1).T
-                B[e:, :] += Htil[e:, s:e] @ (Wh_batch - W[s:e, :])
+                Wh_batch = np.take_along_axis(
+                    C, A[:, s:e, :].transpose(0, 2, 1), axis=2).transpose(0, 2, 1)
+                delta = Wh_batch - W[:, s:e, :]
+                for k, (Hk, dk) in enumerate(zip(H, diags)):
+                    B[k, e:] += (Hk[e:, s:e] / dk[e:, None]) @ delta[k]
+
+
+def _init_arrays(init, G: int, d: int, c: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Codebooks (G, c, m) and assignments (G, d, c), C-ordered, from one
+    ChannelQuantState per channel (group-major) or from a (codebooks,
+    assignments) pair of arrays of those shapes. A pair that already has
+    the dtypes and layout is returned as is, not copied."""
+    if isinstance(init, tuple):
+        C, A = init
+    else:
+        if len(init) != G * c:
+            raise DimensionMismatch(f"{len(init)} init states for {G * c} channels")
+        if any(st.codebook.m != m for st in init):
+            raise DimensionMismatch(f"init codebooks must all have m={m}")
+        C = np.stack([st.codebook.values for st in init])
+        A = np.stack([st.assign.idx for st in init]).reshape(G, c, -1).transpose(0, 2, 1)
+    C = np.ascontiguousarray(C, dtype=np.float64).reshape(G, c, -1)
+    A = np.ascontiguousarray(A, dtype=np.int64).reshape(G, d, -1)
+    if C.shape != (G, c, m) or A.shape != (G, d, c):
+        raise DimensionMismatch(
+            f"init codebooks {C.shape} and assignments {A.shape}, expected "
+            f"{(G, c, m)} and {(G, d, c)}")
+    return C, A
 
 
 def lnq_quantize(
-    H_damped: Matrix,
-    W_block: Matrix,
+    H_damped,
+    W_block: np.ndarray,
     cfg: LnqConfig,
-    init: list[ChannelQuantState],
+    init,
     layer_idx: int = 0,
     stats: dict | None = None,
 ) -> QuantizedLayer:
-    """Alternating minimization for one Hessian group of channels.
+    """Alternating minimization for one Hessian group of channels, or a
+    stack of G groups of equal size.
 
-    `H_damped` must already include its diagonal shift; no further
-    damping is applied here. A factorization failure raises
-    NotPositiveDefinite, which propagates as a GlqError (exit 2 from the
-    CLI); nothing retries with more damping. `init`
-    supplies one starting state per column of `W_block` (all with the
-    same codebook size 2**bits). The returned states carry the
-    non-increasing damped objective trace described in the module
-    docstring.
+    `H_damped` is the group's d x d Hessian with `W_block` d x c, or a
+    sequence of G Hessians with `W_block` G x d x c. Each must already
+    include its diagonal shift; no further damping is applied here. A
+    factorization failure raises NotPositiveDefinite, which propagates
+    as a GlqError (exit 2 from the CLI); nothing retries with more
+    damping. `init` supplies one starting state per channel, group by
+    group (all with the same codebook size 2**bits), or the pair of
+    arrays (codebooks G x c x m, assignments G x d x c), which it may
+    update in place. The returned layer holds the channels group by
+    group; their states carry the non-increasing damped objective trace
+    described in the module docstring. A stack gives the bits of G
+    separate runs.
     """
-    H = ensure_matrix(H_damped, "H_damped")
-    W = ensure_matrix(W_block, "W_block")
-    d, c = W.shape
-    if H.shape != (d, d):
-        raise DimensionMismatch(f"H is {H.shape}, weights have d_in={d}")
-    if len(init) != c:
-        raise DimensionMismatch(f"{len(init)} init states for {c} channels")
+    W = np.ascontiguousarray(W_block, dtype=np.float64)
+    if W.ndim == 2:
+        H_damped, W = [H_damped], W[None]
+    if W.ndim != 3:
+        raise DimensionMismatch(f"W_block must be 2-D or 3-D, got ndim={W.ndim}")
+    if not np.all(np.isfinite(W)):
+        raise ValueError("W_block: non-finite entries")
+    H = [ensure_matrix(Hk, "H_damped") for Hk in H_damped]
+    G, d, c = W.shape
+    if len(H) != G:
+        raise DimensionMismatch(f"{len(H)} Hessians for a stack of {G} groups")
+    if any(Hk.shape != (d, d) for Hk in H):
+        raise DimensionMismatch(f"H is {H[0].shape}, weights have d_in={d}")
     m = cfg.m
-    if any(st.codebook.m != m for st in init):
-        raise DimensionMismatch(f"init codebooks must all have m={m}")
-    chol = cholesky(H, damping=0.0)
-
-    C = np.stack([st.codebook.values for st in init], axis=0).astype(np.float64)
-    A = np.stack([st.assign.idx for st in init], axis=1).astype(np.int64)
-    traces = [[] for _ in range(c)]
+    C, A = _init_arrays(init, G, d, c, m)
+    traces = []  # one G x c list of objectives per record()
 
     def record() -> None:
-        Wh = np.take_along_axis(C, A.T, axis=1).T
-        objs = block_objectives(H, W, Wh)
-        for j in range(c):
-            traces[j].append(float(objs[j]))
+        traces.append([block_objectives(H[k], W[k], np.take_along_axis(C[k], A[k].T, axis=1).T)
+                       for k in range(G)])
 
     def solve_codebooks() -> None:
-        for j in range(c):
-            cb, asg = codebook_closed_form(chol, W[:, j], Assignment(idx=A[:, j]), m)
-            C[j, :] = cb.values
-            A[:, j] = asg.idx
+        # one factor at a time, refactored per phase, so a stack never
+        # holds G factors at once
+        for k in range(G):
+            chol = cholesky(H[k], damping=0.0)
+            for j in range(c):
+                cb, asg = codebook_closed_form(chol, W[k, :, j], Assignment(idx=A[k, :, j]), m)
+                C[k, j] = cb.values
+                A[k, :, j] = asg.idx
 
     record()
     for _ in range(cfg.T):
@@ -224,13 +296,14 @@ def lnq_quantize(
     solve_codebooks()
     record()
 
-    channels = []
-    for j in range(c):
-        channels.append(
-            ChannelQuantState.from_parts(
-                Codebook(values=C[j].copy()),
-                Assignment(idx=A[:, j].copy()),
-                trace=traces[j],
-            )
+    traces = np.array(traces)
+    channels = [
+        ChannelQuantState.from_parts(
+            Codebook(values=C[k, j].copy()),
+            Assignment(idx=A[k, :, j].copy()),
+            trace=traces[:, k, j].tolist(),
         )
+        for k in range(G)
+        for j in range(c)
+    ]
     return QuantizedLayer(layer_idx=layer_idx, bits=cfg.bits, channels=channels)

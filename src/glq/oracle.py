@@ -117,19 +117,24 @@ def cd_step_naive(H: Matrix, w: np.ndarray, state: ChannelQuantState, i: int) ->
 
 
 def naive_cd_cycle(
-    H: Matrix, W: Matrix, C: np.ndarray, A: np.ndarray, cycles: int,
+    H, W: np.ndarray, C: np.ndarray, A: np.ndarray, cycles: int,
     stats: dict | None = None,
 ) -> None:
-    """Reference for lnq.cd_cycle: same arguments, same in-place update
-    of A, every coordinate decided by naive_candidate_objectives. No
-    rounding margins are recorded; `stats` is accepted so the two are
-    interchangeable inside lnq_quantize."""
-    d, c = W.shape
-    for _ in range(cycles):
-        for i in range(d):
-            for j in range(c):
-                objs = naive_candidate_objectives(H, W[:, j], C[j], A[:, j], i)
-                A[i, j] = int(objs.argmin())
+    """Reference for lnq.cd_cycle: same arguments (one group with 2-D
+    W, C, A, or a stack of G groups with 3-D ones and G Hessians), same
+    in-place update of A, every coordinate decided by
+    naive_candidate_objectives. The groups are independent, so they run
+    one after another. No rounding margins are recorded; `stats` is
+    accepted so the two are interchangeable inside lnq_quantize."""
+    if W.ndim == 2:
+        H, W, C, A = [H], W[None], C[None], A[None]
+    for Hk, Wk, Ck, Ak in zip(H, W, C, A):
+        d, c = Wk.shape
+        for _ in range(cycles):
+            for i in range(d):
+                for j in range(c):
+                    objs = naive_candidate_objectives(Hk, Wk[:, j], Ck[j], Ak[:, j], i)
+                    Ak[i, j] = int(objs.argmin())
 
 
 def fisher_block_oracle(calib: LayerCalibration, j: int, n: int) -> Matrix:

@@ -7,10 +7,13 @@ package rounds through the same helper so tie behavior is uniform.
 
 ``kmeans_pp_init`` and ``lloyd`` implement weighted k-means over
 (value, weight) points, the sensitivity-weighted baseline for
-quantizing one channel with diagonal-Fisher weights. ``kmeans_1d_exact``
-is the O(n^2 m) dynamic program over sorted points; optimal 1-D clusters
-are contiguous in sorted order, so prefix sums of (w, w x, w x^2) give
-each segment cost in O(1):
+quantizing one channel with diagonal-Fisher weights. Their per-cluster
+sums group the points with one stable sort of the assignment (or one
+``bincount``) rather than one boolean mask per cluster; both keep each
+cluster's summands in index order, so the sums keep their bits.
+``kmeans_1d_exact`` is the O(n^2 m) dynamic program over sorted points;
+optimal 1-D clusters are contiguous in sorted order, so prefix sums of
+(w, w x, w x^2) give each segment cost in O(1):
 
     cost(i..j) = sum w x^2 - (sum w x)^2 / sum w,  0 when sum w = 0.
 
@@ -113,11 +116,10 @@ def nearest_assignment(pts: WeightedPoints, cb: Codebook) -> Assignment:
 
 
 def _distinct(pts: WeightedPoints) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values with aggregated weights, ascending."""
+    """Distinct values with aggregated weights, ascending. bincount adds
+    each value's weights in index order, as np.add.at does."""
     vals, inv = np.unique(pts.x, return_inverse=True)
-    wsum = np.zeros(vals.shape[0])
-    np.add.at(wsum, inv, pts.wgt)
-    return vals, wsum
+    return vals, np.bincount(inv, weights=pts.wgt, minlength=vals.shape[0])
 
 
 def kmeans_pp_init(pts: WeightedPoints, m: int, seed) -> Codebook:
@@ -181,6 +183,16 @@ def lloyd(
     loop stops there. The trace still gets 2 * iters + 1 entries: the
     skipped half-steps are padded with the last SSE, the value they
     would have recomputed. Results equal running all `iters` bit for bit.
+
+    The center update groups the points by cluster with one stable
+    argsort of the assignment and sums each cluster's contiguous slice.
+    A stable sort keeps each cluster's points in index order, so every
+    slice holds the same summands in the same order as the mask
+    compaction x[a == q]; numpy's pairwise sum over a contiguous 1-D
+    array depends only on that sequence, so the centers keep their
+    bits. np.add.reduceat over the segments is not a substitute: it
+    does not follow that summation tree, and its sums differed from the
+    masked ones on most random cases.
     """
     if iters < 0:
         raise InvalidSize(f"iters must be >= 0, got {iters}")
@@ -191,16 +203,21 @@ def lloyd(
         r = pts.x - c[a]
         return float(np.sum(pts.wgt * r * r))
 
+    wx = pts.wgt * pts.x
     for it in range(iters):
         before = centers.tobytes()  # bit patterns, so -0.0 != 0.0
         a = round_rows(pts.x, centers)
         if trace is not None:
             trace.append(_sse(centers, a))
-        for q in range(m):
-            mask = a == q
-            tw = float(np.sum(pts.wgt[mask]))
-            if tw > 0.0:
-                centers[q] = float(np.sum(pts.wgt[mask] * pts.x[mask])) / tw
+        order = np.argsort(a, kind="stable")
+        w_sorted, wx_sorted = pts.wgt[order], wx[order]
+        s = 0  # cluster q is w_sorted[s:e]
+        for q, e in enumerate(np.bincount(a, minlength=m).cumsum().tolist()):
+            if e > s:
+                tw = float(w_sorted[s:e].sum())
+                if tw > 0.0:
+                    centers[q] = float(wx_sorted[s:e].sum()) / tw
+            s = e
         centers = np.sort(centers)
         if trace is not None:
             trace.append(_sse(centers, a))

@@ -123,21 +123,23 @@ class TestTrainCalibrateHessian:
 
 
 class TestHessianCacheFlag:
-    def _quantize(self, model, data, out, cache=None):
+    def _quantize(self, model, data, out, cache=None, g="2"):
         args = ["quantize", "--model", str(model), "--data", str(data),
-                "--method", "lnq_guided", "--bits", "2", "--g", "2", "--out", str(out)]
+                "--method", "lnq_guided", "--bits", "2", "--g", g, "--out", str(out)]
         assert main(args + (["--hessian-cache", str(cache)] if cache else [])) == 0
         return dir_digest(out)
 
     def test_hessian_command_entries_are_hits(self, pipeline, tmp_path):
+        # g = 8 is clipped to the 3-wide output layer on both sides
         data, model = pipeline
-        cache = tmp_path / "hc"
-        assert main(["hessian", "--model", str(model), "--data", str(data),
-                     "--kind", "guided", "--g", "2", "--out", str(cache)]) == 0
-        entries = sorted(p.name for p in cache.iterdir() if p.is_dir())
-        cached = self._quantize(model, data, tmp_path / "qa", cache)
-        assert sorted(p.name for p in cache.iterdir() if p.is_dir()) == entries
-        assert cached == self._quantize(model, data, tmp_path / "qb")
+        for g in ("2", "8"):
+            cache = tmp_path / f"hc{g}"
+            assert main(["hessian", "--model", str(model), "--data", str(data),
+                         "--kind", "guided", "--g", g, "--out", str(cache)]) == 0
+            entries = sorted(p.name for p in cache.iterdir() if p.is_dir())
+            cached = self._quantize(model, data, tmp_path / f"qa{g}", cache, g)
+            assert sorted(p.name for p in cache.iterdir() if p.is_dir()) == entries
+            assert cached == self._quantize(model, data, tmp_path / f"qb{g}", g=g)
 
     def test_cache_not_reused_for_other_data_with_same_seed(self, pipeline, tmp_path):
         data, model = pipeline
@@ -298,8 +300,11 @@ class TestSweepAndVerify:
 
 
 @pytest.mark.parametrize("key,value", [
-    ("bits", 0), ("bits", 9), ("bits", 99), ("g", 0), ("T", 0), ("K", 0),
+    ("bits", 0), ("bits", 9), ("bits", 99), ("g", 0), ("seed", -1), ("T", 0), ("K", 0),
     ("grad_scale", 0.0), ("grad_scale", -1.0), ("damping_rel", -1e-9),
+    # values of the wrong type: a bool is not an int, a float not an int
+    ("bits", "2"), ("bits", True), ("g", 2.5), ("seed", 1.0), ("T", None),
+    ("K", [4]), ("grad_scale", "1e3"), ("damping_rel", False), ("method", 1),
 ])
 def test_config_value_out_of_range_rejected(pipeline, tmp_path, capsys, key, value):
     with pytest.raises(ConfigError, match=key):
@@ -311,3 +316,19 @@ def test_config_value_out_of_range_rejected(pipeline, tmp_path, capsys, key, val
                  "--config", str(cfg), "--out", str(tmp_path / "q")]) == 2
     assert f"error: {key} must be" in capsys.readouterr().err
     assert not (tmp_path / "q").exists()
+
+
+def test_default_g_on_a_model_narrower_than_g(tmp_path):
+    # the default g = 4 on an 8-16-3 model: the 3-wide output layer gets
+    # one group per channel, and eval reproduces the quantize report
+    data, model, quant = tmp_path / "data", tmp_path / "model", tmp_path / "q"
+    assert main(["gen-data", "--seed", "1", "--n", "48", "--d0", "8", "--dt", "3",
+                 "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--hidden", "16", "--steps", "40",
+                 "--out", str(model)]) == 0
+    assert main(["quantize", "--model", str(model), "--data", str(data),
+                 "--out", str(quant)]) == 0
+    assert json.loads((quant / "quant.json").read_text())["g"] == 4
+    assert main(["eval", "--model", str(model), "--data", str(data), "--quant", str(quant),
+                 "--csv", str(tmp_path / "eval.csv")]) == 0
+    assert (tmp_path / "eval.csv").read_text() == (quant / "report.csv").read_text()

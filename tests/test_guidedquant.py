@@ -2,8 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from glq import guidedquant
-from glq.calib_model import LayerCalibration, calibrate, gen_dataset
+from glq import guidedquant, lnq
+from glq.calib_model import LayerCalibration, calibrate, gen_dataset, random_model, train
 from glq.errors import ConfigError, DimensionMismatch, GlqError, NotPositiveDefinite
 from glq.guidedquant import (
     CSV_COLUMNS,
@@ -11,11 +11,15 @@ from glq.guidedquant import (
     damped_quadratic,
     eval_objectives,
     format_table,
+    job_hessians,
+    job_report,
     run_job,
     sweep,
 )
-from glq.hessian import HessianCache, plain_hessian
+from glq.hessian import HessianCache, fisher_diag, plain_hessian
+from glq.lnq import lnq_quantize
 from glq.oracle import full_fisher_quadratic
+from glq.scalar_quant import QuantizedLayer, squeezellm_quantize
 
 
 class TestQuantJob:
@@ -221,6 +225,69 @@ class TestRunJob:
                             lambda c: calls.append(1) or real(c))
         run_job(model, data, QuantJob(method="lnq_guided", bits=2, g=4))
         assert len(calls) == model.n_layers
+
+
+def _run_job_one_group_at_a_time(model, data, job):
+    """run_job's LNQ branch as it was before groups were stacked: one
+    squeezellm init and one lnq_quantize call per channel group."""
+    calib = calibrate(model, data)
+    hsets = job_hessians(model, data, calib, job)
+    qlayers = []
+    for l, (W, hset) in enumerate(zip(model.layers, hsets)):
+        F = fisher_diag(calib[l])
+        channels = []
+        for H, grp in zip(hset.hessians, hset.partition.groups):
+            cols = np.array(grp, dtype=np.int64)
+            init = squeezellm_quantize(W[:, cols], F[:, cols], job.bits, seed=job.seed,
+                                       layer_idx=l)
+            channels += lnq_quantize(H, W[:, cols], job.lnq_config(), init.channels,
+                                     layer_idx=l).channels
+        qlayers.append(QuantizedLayer(layer_idx=l, bits=job.bits, channels=channels))
+    quantized = model.with_layers([ql.W_hat for ql in qlayers])
+    return quantized, qlayers, job_report(model, quantized, data, calib, job, hsets)
+
+
+@pytest.fixture(scope="module")
+def ragged_problem():
+    """An 8-10-7-3 model: g = 3 and g = 4 split its layers into groups of
+    two sizes, and g = 4 is clipped to the 3-wide output layer."""
+    data = gen_dataset(5, 48, 8, 3, task="softmax_cross_entropy")
+    model = random_model([8, 10, 7, 3], 6, loss="softmax_cross_entropy")
+    return train(model, data, steps=60, lr=2e-3), data
+
+
+class TestStackedGroups:
+    @pytest.mark.parametrize("method,g", [
+        ("lnq_plain", 1), ("lnq_guided", 1), ("lnq_guided", 3), ("lnq_guided", 4),
+    ])
+    def test_equals_one_group_at_a_time(self, ragged_problem, method, g):
+        model, data = ragged_problem
+        job = QuantJob(method=method, bits=2, g=g, seed=3)
+        q_new, l_new, r_new = run_job(model, data, job)
+        q_old, l_old, r_old = _run_job_one_group_at_a_time(model, data, job)
+        for a, b in zip(l_new, l_old):
+            assert a.codebook_matrix().tobytes() == b.codebook_matrix().tobytes()
+            npt.assert_array_equal(a.assign_matrix(), b.assign_matrix())
+            assert [c.objective_trace for c in a.channels] == \
+                [c.objective_trace for c in b.channels]
+        for a, b in zip(q_new.layers, q_old.layers):
+            assert a.tobytes() == b.tobytes()
+        assert r_new.csv_row() == r_old.csv_row()
+
+    def test_one_cd_call_per_group_size_per_phase(self, ragged_problem, monkeypatch):
+        model, data = ragged_problem
+        shapes = []
+        real = lnq.cd_cycle
+
+        def counting(H, W, C, A, cycles, **kw):
+            shapes.append(W.shape)
+            return real(H, W, C, A, cycles, **kw)
+
+        monkeypatch.setattr(lnq, "cd_cycle", counting)
+        run_job(model, data, QuantJob(method="lnq_guided", bits=2, g=4, T=2))
+        # d_out 10 -> groups 3,3,2,2; 7 -> 2,2,2,1; 3 -> clipped to 1,1,1
+        stacks = [(2, 8, 3), (2, 8, 2), (3, 10, 2), (1, 10, 1), (3, 7, 1)]
+        assert shapes == [s for s in stacks for _ in range(2)]
 
 
 class TestSweep:

@@ -14,6 +14,8 @@ from glq.errors import (
     PartitionMismatch,
 )
 from glq.hessian import (
+    DEFAULT_DAMPING_REL,
+    DEFAULT_GRAD_SCALE,
     ChannelPartition,
     HessianCache,
     dataset_hash,
@@ -277,3 +279,20 @@ class TestLayerHessians:
             assert k1 == k2
             for a, b in zip(h1.hessians, h2.hessians):
                 npt.assert_array_equal(a, b)
+
+    def test_g_clipped_per_layer_to_d_out(self, toy_problem, toy_calib):
+        # the toy's last layer has 4 outputs: g = 6 gives it one group per
+        # channel, keyed as g = 4, while the 16-wide layers keep g = 6
+        model, data = toy_problem
+        wide = layer_hessians(model, data, toy_calib, "guided", g=6)
+        assert [h.partition.g for _, h in wide] == [6, 6, 4]
+        at_four = layer_hessians(model, data, toy_calib, "guided", g=4)
+        assert wide[2][0] == at_four[2][0]
+        for a, b in zip(wide[2][1].hessians, at_four[2][1].hessians):
+            npt.assert_array_equal(a, b)
+        digest, data_digest = model_hash(model), dataset_hash(data)
+        for l, (key, _) in enumerate(wide[:2]):
+            assert key == hessian_cache_key(digest, data_digest, l, 6,
+                                            DEFAULT_GRAD_SCALE, DEFAULT_DAMPING_REL, "guided")
+        with pytest.raises(InvalidSize):
+            layer_hessians(model, data, toy_calib, "guided", g=0)

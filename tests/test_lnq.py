@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import numpy.testing as npt
@@ -355,6 +356,13 @@ class TestLnqQuantize:
             lnq_quantize(H, w.reshape(-1, 1), LnqConfig(bits=1), [init, init])
         with pytest.raises(DimensionMismatch):
             lnq_quantize(np.eye(3), w.reshape(-1, 1), LnqConfig(bits=1), [init])
+        H, W, C, A = _stack(rng, 2, 5, 2, 4)  # a stack of two groups
+        with pytest.raises(DimensionMismatch):
+            cd_cycle(H[:1], W, C, A, 1)
+        with pytest.raises(DimensionMismatch):
+            lnq_quantize(H[:1], W, LnqConfig(bits=2), (C, A))
+        with pytest.raises(DimensionMismatch):
+            lnq_quantize(H, W, LnqConfig(bits=2), (C[:, :1], A))
 
     def test_config_validation(self):
         with pytest.raises(InvalidSize):
@@ -375,3 +383,119 @@ def test_descent_property(seed, d, bits, T, K):
     tr = out.channels[0].objective_trace
     for a, b in zip(tr, tr[1:]):
         assert b <= a + 1e-12 * (1.0 + abs(a))
+
+
+# -- the pre-change constructions, kept as bit-for-bit references ---------
+
+
+def _codebook_by_masks(chol, w, a, m):
+    """codebook_closed_form with each column of L^T P summed from a
+    boolean mask of the F-ordered L^T."""
+    Lt = chol.L.T
+    used = np.unique(a)
+    A_ls = np.zeros((chol.dim, used.shape[0]))
+    for col, q in enumerate(used):
+        A_ls[:, col] = Lt[:, a == q].sum(axis=1)
+    c_sub = np.linalg.lstsq(A_ls, Lt @ w, rcond=None)[0]
+    values = np.zeros(m)
+    values[used] = c_sub
+    order = np.argsort(values, kind="stable")
+    inv = np.empty(m, dtype=np.int64)
+    inv[order] = np.arange(m)
+    return values[order], inv[a]
+
+
+def _cd_cycle_one_group(H, W, C, A, cycles, b=lnq.CD_BATCH):
+    """cd_cycle for one group, 2-D arrays, Htil and U formed up front."""
+    d, c = W.shape
+    b = min(b, d)
+    diag = np.diag(H).copy()
+    Htil = H / diag[:, None]
+    U = np.triu(Htil, 1)
+    for _ in range(cycles):
+        Wh = np.take_along_axis(C, A.T, axis=1).T
+        B = U @ (Wh - W)
+        for s in range(0, d, b):
+            e = min(s + b, d)
+            for i in range(s, e):
+                A[i, :] = round_rows(W[i, :] - B[i, :], C)
+                new_delta = C[np.arange(c), A[i, :]] - W[i, :]
+                if i + 1 < e:
+                    B[i + 1 : e, :] += Htil[i + 1 : e, i : i + 1] * new_delta[None, :]
+            if e < d:
+                Wh_batch = np.take_along_axis(C, A[s:e, :].T, axis=1).T
+                B[e:, :] += Htil[e:, s:e] @ (Wh_batch - W[s:e, :])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.integers(1, 8))
+def test_codebook_columns_match_mask_sums(seed, d, m):
+    rng = np.random.default_rng(seed)
+    chol = cholesky(random_spd(rng, d))
+    w = rng.standard_normal(d)
+    a = rng.integers(0, rng.integers(1, m + 1), size=d)  # some slots empty
+    cb, assign = codebook_closed_form(chol, w, Assignment(idx=a), m)
+    ref_values, ref_idx = _codebook_by_masks(chol, w, a, m)
+    assert cb.values.tobytes() == ref_values.tobytes()
+    npt.assert_array_equal(assign.idx, ref_idx)
+
+
+def _stack(rng, G, d, c, m):
+    H = [random_spd(rng, d) for _ in range(G)]
+    W = rng.standard_normal((G, d, c))
+    C = np.sort(rng.standard_normal((G, c, m)), axis=2)
+    A = rng.integers(0, m, size=(G, d, c))
+    return H, W, C, A
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.sampled_from([1, 2, 7, 128, 129, 300]),
+       st.integers(1, 4), st.sampled_from([2, 4, 8]), st.integers(1, 2))
+def test_stacked_cd_cycle_equals_one_call_per_group(seed, G, d, c, m, cycles):
+    # d = 129 and 300 leave rows after the first batch of 128, so the
+    # blocked correction below a batch runs too
+    rng = np.random.default_rng(seed)
+    H, W, C, A = _stack(rng, G, d, c, m)
+    stacked = A.copy()
+    cd_cycle(H, W, C, stacked, cycles)
+    for k in range(G):
+        alone = A[k].copy()
+        cd_cycle(H[k], W[k], C[k], alone, cycles)
+        npt.assert_array_equal(stacked[k], alone)
+        before = A[k].copy()
+        _cd_cycle_one_group(H[k], W[k], C[k], before, cycles)
+        npt.assert_array_equal(stacked[k], before)
+
+
+@pytest.mark.parametrize("sizes", [(3, 3, 2, 2), (1, 1, 1), (2, 1), (4,), (5, 5, 5, 4)])
+def test_stacked_lnq_equals_one_run_per_group(sizes):
+    # a ragged partition runs as one stack per group size, as run_job does
+    rng = np.random.default_rng(sum(sizes))
+    cfg = LnqConfig(bits=2, T=2, K=2)
+    for d in (6, 140):
+        H = [random_spd(rng, d) for _ in sizes]
+        W = [rng.standard_normal((d, c)) for c in sizes]
+        inits = [[uniform_init(Wk[:, j], cfg.m) for j in range(Wk.shape[1])] for Wk in W]
+        alone = [lnq_quantize(Hk, Wk, cfg, ik).channels for Hk, Wk, ik in zip(H, W, inits)]
+        stacked = []
+        for _, run in itertools.groupby(range(len(sizes)), key=lambda k: sizes[k]):
+            group = list(run)
+            stacked += lnq_quantize([H[k] for k in group], np.stack([W[k] for k in group]), cfg,
+                                    [st_ for k in group for st_ in inits[k]]).channels
+        flat = [st_ for chans in alone for st_ in chans]
+        assert len(stacked) == len(flat)
+        for got, want in zip(stacked, flat):
+            assert got.codebook.values.tobytes() == want.codebook.values.tobytes()
+            npt.assert_array_equal(got.assign.idx, want.assign.idx)
+            assert got.objective_trace == want.objective_trace
+
+
+def test_naive_cd_cycle_takes_a_stack():
+    rng = np.random.default_rng(22)
+    H, W, C, A = _stack(rng, 3, 6, 2, 4)
+    stacked = A.copy()
+    naive_cd_cycle(H, W, C, stacked, 2)
+    for k in range(3):
+        alone = A[k].copy()
+        naive_cd_cycle(H[k], W[k], C[k], alone, 2)
+        npt.assert_array_equal(stacked[k], alone)

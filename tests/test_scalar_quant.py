@@ -9,6 +9,7 @@ from glq.oracle import kmeans_partition_oracle, round_to_codebook, weighted_sse
 from glq.scalar_quant import (
     Codebook,
     WeightedPoints,
+    _distinct,
     kmeans_1d_exact,
     kmeans_pp_init,
     lloyd,
@@ -147,12 +148,21 @@ def _lloyd_every_iter(pts, cb, iters, trace):
 def lloyd_case(draw):
     """Points drawn from a small value pool (duplicates), weights with
     zeros, and a free codebook that may sit outside the data (empty
-    clusters) or repeat values."""
-    n = draw(st.integers(1, 14))
+    clusters) or repeat values. Up to 300 points, so clusters pass the
+    128 points beyond which numpy's pairwise sum splits in two; past 14
+    points the values and weights come from a drawn numpy seed, which
+    keeps generation fast."""
+    n = draw(st.integers(1, 300))
     pool = draw(st.lists(st.floats(-8, 8, allow_subnormal=False), min_size=1, max_size=6))
-    x = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
-    w = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(0, 5),
-                      min_size=n, max_size=n))
+    weights = st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(0, 5)
+    if n <= 14:
+        x = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        w = draw(st.lists(weights, min_size=n, max_size=n))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        x = [pool[k] for k in rng.integers(0, len(pool), n)]
+        w = np.where(rng.random(n) < 0.5, rng.choice([0.0, 0.0, 0.5, 1.0, 3.0], n),
+                     rng.uniform(0, 5, n)).tolist()
     if not any(v > 0 for v in w):
         w[0] = 1.0
     m = draw(st.integers(1, 6))
@@ -177,6 +187,19 @@ class TestLloyd:
         bare_cb, bare_a = lloyd(pts, cb, iters)
         assert bare_cb.values.tobytes() == ref_c.tobytes()
         assert np.array_equal(bare_a.idx, ref_a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lloyd_case())
+    def test_distinct_weights_match_scatter_add(self, case):
+        # np.add.at, the scatter-add that bincount replaced: both add the
+        # weights in index order
+        pts, _, _ = case
+        vals, wsum = _distinct(pts)
+        ref_vals, inv = np.unique(pts.x, return_inverse=True)
+        ref = np.zeros(ref_vals.shape[0])
+        np.add.at(ref, inv, pts.wgt)
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert wsum.tobytes() == ref.tobytes()
 
     def test_zero_iters_assigns_only(self):
         pts = _pts([0.0, 1.0, 10.0])
