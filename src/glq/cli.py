@@ -56,6 +56,21 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}") from exc
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's seeding takes only integers >= 0."""
+    try:
+        seed = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
+def _seed_list(text: str) -> list[int]:
+    return [_seed(tok) for tok in text.split(",") if tok != ""]
+
+
 def _str_list(text: str) -> list[str]:
     return [tok for tok in text.split(",") if tok != ""]
 
@@ -65,7 +80,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", parser_class=_Parser)
 
     g = sub.add_parser("gen-data", help="draw a synthetic teacher dataset")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--n", type=int, default=64)
     g.add_argument("--d0", type=int, default=8)
     g.add_argument("--dt", type=int, default=4)
@@ -79,7 +94,7 @@ def build_parser() -> _Parser:
     t.add_argument("--hidden", type=_int_list, default=[16, 16])
     t.add_argument("--steps", type=int, default=300)
     t.add_argument("--lr", type=float, default=2e-3)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_seed, default=0)
     t.add_argument("--out", required=True)
     t.set_defaults(func=cmd_train)
 
@@ -101,7 +116,7 @@ def build_parser() -> _Parser:
     q.add_argument("--method", choices=["rtn", "squeezellm", "lnq_plain", "lnq_guided"])
     q.add_argument("--bits", type=int)
     q.add_argument("--g", type=int)
-    q.add_argument("--seed", type=int)
+    q.add_argument("--seed", type=_seed)
     q.add_argument("--T", type=int)
     q.add_argument("--K", type=int)
     q.add_argument("--grad-scale", type=float)
@@ -124,7 +139,7 @@ def build_parser() -> _Parser:
                    default=["rtn", "squeezellm", "lnq_plain", "lnq_guided"])
     s.add_argument("--bits", type=_int_list, default=[2])
     s.add_argument("--g", type=_int_list, default=[4])
-    s.add_argument("--seeds", type=_int_list, default=[0])
+    s.add_argument("--seeds", type=_seed_list, default=[0])
     s.add_argument("--T", type=int, default=2)
     s.add_argument("--K", type=int, default=4)
     s.add_argument("--grad-scale", type=float, default=1e3)

@@ -14,6 +14,17 @@ class NotPositiveDefinite(GlqError):
     propagates like any GlqError (exit 2 from the CLI)."""
 
 
+class SingularHessian(NotPositiveDefinite):
+    """LNQ could not factor a channel group's damped Hessian. `group` is
+    the group's index in the stack ``lnq_quantize`` was given;
+    ``run_job`` re-raises with the group's index in its layer."""
+
+    def __init__(self, layer: int, group: int, cause: str) -> None:
+        super().__init__(f"layer {layer} group {group}: cannot factor the damped "
+                         f"Hessian: {cause}")
+        self.group, self.cause = group, cause
+
+
 class DivergedLoss(GlqError):
     """Training produced a non-finite loss or gradient."""
 

@@ -13,12 +13,14 @@ count g. Methods:
   clipped to each layer's output width.
 
 Layers are quantized one at a time. Within a layer, each group starts
-from squeezellm on its own column slice, and the groups of one size
-run as one stack (see ``lnq``): at most two stacks per layer, with the
-bits of one run per group. Reported objectives per layer: the plain
-reconstruction error ||X (W - What)||_F^2, the gradient-weighted error
-||gradZ * (X (W - What))||_F^2 (elementwise product), and the damped
-quadratic under the method's Hessian sets (`job_hessians`: plain ones,
+from squeezellm on its own column slice (``squeezellm_init``: arrays,
+no SSE trace), and the groups of one size run as one stack (see
+``lnq``): at most two stacks per layer, with the bits of one run per
+group. A group Hessian that does not factor raises SingularHessian
+naming the layer, the group and the cause. Reported objectives per
+layer: the plain reconstruction error ||X (W - What)||_F^2, the
+gradient-weighted error ||gradZ * (X (W - What))||_F^2 (elementwise
+product), and the damped quadratic under the method's Hessian sets (`job_hessians`: plain ones,
 unit gradient scale, for every method but lnq_guided). `glq eval`
 rebuilds those sets from the job recorded in the artifact, so it
 reproduces every column of the quantize report. The gradient-weighted
@@ -38,7 +40,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .calib_model import Dataset, LayerCalibration, MlpModel, calibrate, end_loss
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError, DimensionMismatch, SingularHessian
 from .hessian import (
     DEFAULT_DAMPING_REL,
     DEFAULT_GRAD_SCALE,
@@ -49,7 +51,7 @@ from .hessian import (
 )
 from .linalg import Matrix, quad_form
 from .lnq import LnqConfig, lnq_quantize
-from .scalar_quant import QuantizedLayer, rtn_quantize, squeezellm_quantize
+from .scalar_quant import QuantizedLayer, rtn_quantize, squeezellm_init, squeezellm_quantize
 
 METHODS = ("rtn", "squeezellm", "lnq_plain", "lnq_guided")
 
@@ -191,11 +193,11 @@ def run_job(
     """Quantize every layer of `model` per `job`.
 
     Layers are quantized in order. For the LNQ methods each group of
-    the layer's Hessian set starts from squeezellm on its column slice
-    of the layer's diagonal Fisher; its codebooks and assignments go
-    straight into the stack arrays, and each run of consecutive
-    equal-size groups is solved as one stack. Returns the quantized
-    model, the per-layer quantization states, and the report.
+    the layer's Hessian set starts from `squeezellm_init` on its column
+    slice of the layer's diagonal Fisher, whose codebook and assignment
+    arrays go straight into the stack arrays, and each run of
+    consecutive equal-size groups is solved as one stack. Returns the
+    quantized model, the per-layer quantization states, and the report.
     """
     calib = calibrate(model, data)
     hsets = job_hessians(model, data, calib, job, cache=hessian_cache)
@@ -219,11 +221,12 @@ def run_job(
             C0 = np.empty((G, c, cfg.m))
             A0 = np.empty((G, d, c), dtype=np.int64)
             for i, cj in enumerate(cols):
-                init = squeezellm_quantize(W[:, cj], F[:, cj], job.bits, seed=job.seed,
-                                           layer_idx=l)
-                C0[i], A0[i] = init.codebook_matrix(), init.assign_matrix()
-            channels += lnq_quantize([hset.hessians[k] for k in stack], W_stack, cfg,
-                                     (C0, A0), layer_idx=l).channels
+                C0[i], A0[i] = squeezellm_init(W[:, cj], F[:, cj], job.bits, job.seed)
+            try:
+                channels += lnq_quantize([hset.hessians[k] for k in stack], W_stack, cfg,
+                                         (C0, A0), layer_idx=l).channels
+            except SingularHessian as exc:  # renumber the group within the layer
+                raise SingularHessian(l, stack[exc.group], exc.cause) from exc.__cause__
         qlayers.append(QuantizedLayer(layer_idx=l, bits=job.bits, channels=channels))
     quantized = model.with_layers([ql.W_hat for ql in qlayers])
     return quantized, qlayers, job_report(model, quantized, data, calib, job, hsets)

@@ -12,7 +12,9 @@ phases alternate T times:
   ||L^T w - (L^T P) c||_2^2, so the optimal codebook is the least-squares
   solution of (L^T P) c ~ L^T w, solved per channel through an
   orthogonal factorization. Slots with no assigned weight get value 0.0
-  and stay available to later descent steps.
+  and stay available to later descent steps. The phase works on the
+  stack's codebook and assignment arrays in place and checks the whole
+  codebook stack once (finite, rows sorted) when it ends.
 
 * Coordinate-descent phase, codebook fixed: K cycles over coordinates
   i = 0..d-1 in order. The exact single-coordinate minimizer over the
@@ -61,7 +63,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSize, ZeroDiagonal
+from .errors import (
+    DimensionMismatch,
+    InvalidSize,
+    NotPositiveDefinite,
+    SingularHessian,
+    ZeroDiagonal,
+)
 from .linalg import CholeskyFactor, Matrix, cholesky, ensure_matrix, least_squares
 from .scalar_quant import (
     Assignment,
@@ -102,15 +110,16 @@ def block_objectives(H: Matrix, W: Matrix, W_hat: Matrix) -> np.ndarray:
 
 
 def codebook_closed_form(
-    chol: CholeskyFactor, w: np.ndarray, assign: Assignment, m: int
-) -> tuple[Codebook, Assignment]:
+    chol: CholeskyFactor, w: np.ndarray, assign: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Optimal codebook for fixed assignments, then sort and remap.
 
     Solves the least-squares system (L^T P) c ~ L^T w restricted to the
     occupied slots; unoccupied slots get value 0.0, matching the
-    minimum-norm solution of the full system. The returned codebook is
-    sorted ascending with the assignment remapped accordingly (stable
-    sort, so equal values keep their slot order).
+    minimum-norm solution of the full system. Returns the codebook (m
+    values, sorted ascending) and the assignment (slot per weight)
+    remapped accordingly (stable sort, so equal values keep their slot
+    order).
 
     Column q of L^T P is the sum of the rows of L assigned to slot q.
     One stable argsort of the assignment makes each slot's rows a
@@ -120,10 +129,10 @@ def codebook_closed_form(
     over axis 1, so the columns keep their bits.
     """
     w = np.ascontiguousarray(w, dtype=np.float64)
-    a = assign.idx
-    if w.shape[0] != chol.dim or a.shape[0] != w.shape[0]:
+    a = np.asarray(assign)
+    if w.shape[0] != chol.dim or a.shape != w.shape:
         raise DimensionMismatch("w, assignment and factor disagree on dimension")
-    if m < 1 or (a.size and a.max() >= m):
+    if m < 1 or (a.size and (a.min() < 0 or a.max() >= m)):
         raise InvalidSize("assignment indices must fall inside 0..m-1")
     L_sorted = chol.L[np.argsort(a, kind="stable")]
     used, cols = [], []  # occupied slots and their columns of L^T P
@@ -139,7 +148,7 @@ def codebook_closed_form(
     order = np.argsort(values, kind="stable")
     inv = np.empty(m, dtype=np.int64)
     inv[order] = np.arange(m)
-    return Codebook(values=values[order]), Assignment(idx=inv[a])
+    return values[order], inv[a]
 
 
 def cd_cycle(
@@ -232,6 +241,16 @@ def _init_arrays(init, G: int, d: int, c: int, m: int) -> tuple[np.ndarray, np.n
     return C, A
 
 
+def _singular_cause(H: Matrix, exc: NotPositiveDefinite) -> str:
+    """Why a damped Hessian did not factor: its zero-curvature input
+    features when it has any, else the factorization's own message."""
+    dead = np.flatnonzero(np.diag(H) <= 0.0)
+    if dead.size == 0:
+        return str(exc)
+    return (f"{dead.size} of {H.shape[0]} input features have zero curvature and no "
+            f"damping lifts them (first: feature {dead[0]})")
+
+
 def lnq_quantize(
     H_damped,
     W_block: np.ndarray,
@@ -246,10 +265,11 @@ def lnq_quantize(
     `H_damped` is the group's d x d Hessian with `W_block` d x c, or a
     sequence of G Hessians with `W_block` G x d x c. Each must already
     include its diagonal shift; no further damping is applied here. A
-    factorization failure raises NotPositiveDefinite, which propagates
-    as a GlqError (exit 2 from the CLI); nothing retries with more
-    damping. `init` supplies one starting state per channel, group by
-    group (all with the same codebook size 2**bits), or the pair of
+    Hessian that does not factor raises SingularHessian, a
+    NotPositiveDefinite naming `layer_idx`, the group's index in the
+    stack and the cause (exit 2 from the CLI); nothing retries with
+    more damping. `init` supplies one starting state per channel, group
+    by group (all with the same codebook size 2**bits), or the pair of
     arrays (codebooks G x c x m, assignments G x d x c), which it may
     update in place. The returned layer holds the channels group by
     group; their states carry the non-increasing damped objective trace
@@ -281,11 +301,17 @@ def lnq_quantize(
         # one factor at a time, refactored per phase, so a stack never
         # holds G factors at once
         for k in range(G):
-            chol = cholesky(H[k], damping=0.0)
+            try:
+                chol = cholesky(H[k], damping=0.0)
+            except NotPositiveDefinite as exc:
+                raise SingularHessian(layer_idx, k, _singular_cause(H[k], exc)) from exc
             for j in range(c):
-                cb, asg = codebook_closed_form(chol, W[k, :, j], Assignment(idx=A[k, :, j]), m)
-                C[k, j] = cb.values
-                A[k, :, j] = asg.idx
+                C[k, j], A[k, :, j] = codebook_closed_form(chol, W[k, :, j], A[k, :, j], m)
+        # the checks a Codebook makes, once for the whole stack
+        if not np.all(np.isfinite(C)):
+            raise ValueError("codebook values must be finite")
+        if np.any(np.diff(C, axis=-1) < 0):
+            raise ValueError("codebook values must be sorted ascending")
 
     record()
     for _ in range(cfg.T):

@@ -11,6 +11,13 @@ quantizing one channel with diagonal-Fisher weights. Their per-cluster
 sums group the points with one stable sort of the assignment (or one
 ``bincount``) rather than one boolean mask per cluster; both keep each
 cluster's summands in index order, so the sums keep their bits.
+``kmeans_pp_init`` seeds a whole column slice in one pass: channels
+with equal distinct counts form one stack, and each draw is spelled out
+as ``Generator.choice`` makes it, from the channel's own generator, so
+the centers equal one run per channel. ``squeezellm_init`` is the one
+squeezellm path: codebooks and assignments of a column slice as
+arrays, with the SSE traces only when asked for; ``squeezellm_quantize``
+wraps it into channel states for the baseline method.
 ``kmeans_1d_exact`` is the O(n^2 m) dynamic program over sorted points;
 optimal 1-D clusters are contiguous in sorted order, so prefix sums of
 (w, w x, w x^2) give each segment cost in O(1):
@@ -23,6 +30,7 @@ ever asked to approach from above.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,10 +119,6 @@ def round_rows(u: np.ndarray, codebooks: np.ndarray) -> np.ndarray:
     return np.abs(codebooks - u[:, None]).argmin(axis=1)
 
 
-def nearest_assignment(pts: WeightedPoints, cb: Codebook) -> Assignment:
-    return Assignment(idx=round_rows(pts.x, cb.values))
-
-
 def _distinct(pts: WeightedPoints) -> tuple[np.ndarray, np.ndarray]:
     """Distinct values with aggregated weights, ascending. bincount adds
     each value's weights in index order, as np.add.at does."""
@@ -122,43 +126,85 @@ def _distinct(pts: WeightedPoints) -> tuple[np.ndarray, np.ndarray]:
     return vals, np.bincount(inv, weights=pts.wgt, minlength=vals.shape[0])
 
 
-def kmeans_pp_init(pts: WeightedPoints, m: int, seed) -> Codebook:
-    """Weighted k-means++ seeding over the distinct values.
+def kmeans_pp_init(
+    pts: WeightedPoints | Sequence[WeightedPoints], m: int, seed
+) -> Codebook | np.ndarray:
+    """Weighted k-means++ seeding over the distinct values, one channel
+    or a stack of channels in one pass.
+
+    `pts` is one WeightedPoints, or a sequence of them with `seed` a
+    sequence of the same length. A seed is any SeedSequence entropy (int
+    or tuple) or a Generator, which is drawn from in place; each channel
+    draws from its own generator, so its centers depend only on its
+    points and its seed. One WeightedPoints returns a Codebook, a
+    sequence a c x m array of sorted rows.
 
     The first center is drawn proportional to aggregated weight; each
     later center proportional to weight times squared distance to the
     nearest chosen center. When every remaining candidate has zero
     sampling mass the draw falls back to uniform over the distinct
-    values not yet chosen. `seed` is any SeedSequence entropy (int or
-    tuple); the draw is deterministic given it.
+    values not yet chosen.
 
-    Raises TooFewDistinctPoints when m exceeds the distinct count.
+    Channels with the same number of distinct values run as one stack:
+    row i holds channel i's sorted distinct values and their summed
+    weights. Each draw is the one Generator.choice(n, p=mass/total)
+    makes: cdf = p.cumsum(), cdf /= cdf[-1], and the index is the count
+    of cdf <= rng.random(), with every total and cumsum taken along the
+    last axis of the stack, the order a 1-D array sums in. A row whose
+    total mass is zero or not finite takes that draw through
+    Generator.choice itself, so it falls back or raises ValueError as a
+    one-channel run does. Channels, their centers and their generators
+    end in the state of one run per channel.
+
+    Raises TooFewDistinctPoints when m exceeds a channel's distinct count.
     """
     if m < 1:
         raise InvalidSize(f"need m >= 1, got {m}")
-    vals, wsum = _distinct(pts)
-    if m > vals.shape[0]:
+    if isinstance(pts, WeightedPoints):
+        return Codebook(values=kmeans_pp_init([pts], m, [seed])[0])
+    if len(pts) != len(seed):
+        raise DimensionMismatch(f"{len(seed)} seeds for {len(pts)} channels")
+    rows = [_distinct(p) for p in pts]
+    sizes = np.array([vals.shape[0] for vals, _ in rows], dtype=np.int64)
+    if sizes.size and m > sizes.min():
         raise TooFewDistinctPoints(
-            f"asked for {m} centers but only {vals.shape[0]} distinct values"
+            f"asked for {m} centers but only {sizes.min()} distinct values"
         )
-    rng = np.random.default_rng(seed)
-    chosen: list[int] = []
-    d2 = np.full(vals.shape[0], np.inf)
-    for _ in range(m):
-        if chosen:
-            mass = wsum * d2
-        else:
-            mass = wsum.copy()
-        mass[chosen] = 0.0
-        total = float(np.sum(mass))
-        if total > 0.0:
-            pick = int(rng.choice(vals.shape[0], p=mass / total))
-        else:
-            cands = np.setdiff1d(np.arange(vals.shape[0]), np.array(chosen, dtype=int))
-            pick = int(rng.choice(cands))
-        chosen.append(pick)
-        d2 = np.minimum(d2, (vals - vals[pick]) ** 2)
-    return Codebook(values=np.sort(vals[np.array(chosen)]))
+    rngs = [np.random.default_rng(s) for s in seed]
+    out = np.empty((len(rows), m))
+    for n in np.unique(sizes):
+        stack = np.flatnonzero(sizes == n)
+        out[stack] = _kmeans_pp_stack(np.stack([rows[i][0] for i in stack]),
+                                      np.stack([rows[i][1] for i in stack]),
+                                      m, [rngs[i] for i in stack])
+    return out
+
+
+def _kmeans_pp_stack(vals: np.ndarray, wsum: np.ndarray, m: int, rngs: list) -> np.ndarray:
+    """k-means++ over r channels of n distinct values each (r x n rows of
+    sorted values and weights), one generator per row; r x m sorted
+    centers."""
+    r, n = vals.shape
+    rows = np.arange(r)
+    chosen = np.empty((r, m), dtype=np.int64)
+    d2 = np.full((r, n), np.inf)
+    for k in range(m):
+        mass = wsum * d2 if k else wsum.copy()
+        mass[rows[:, None], chosen[:, :k]] = 0.0
+        total = mass.sum(axis=-1)
+        drawn = (total > 0.0) & (total < np.inf)
+        if drawn.any():
+            cdf = (mass[drawn] / total[drawn, None]).cumsum(axis=-1)
+            cdf /= cdf[:, -1:]
+            u = np.array([rngs[i].random() for i in np.flatnonzero(drawn)])
+            chosen[drawn, k] = (cdf <= u[:, None]).sum(axis=-1)
+        for i in np.flatnonzero(~drawn):  # zero or non-finite mass: one row
+            if total[i] > 0.0:
+                chosen[i, k] = rngs[i].choice(n, p=mass[i] / total[i])
+            else:
+                chosen[i, k] = rngs[i].choice(np.setdiff1d(np.arange(n), chosen[i, :k]))
+        d2 = np.minimum(d2, (vals - vals[rows, chosen[:, k], None]) ** 2)
+    return np.sort(np.take_along_axis(vals, chosen, axis=1), axis=1)
 
 
 def lloyd(
@@ -391,6 +437,59 @@ def _codebook_size(bits: int) -> int:
     return 2 ** bits
 
 
+def squeezellm_init(
+    W: np.ndarray,
+    fisher_diag: np.ndarray,
+    bits: int,
+    seed: int,
+    lloyd_iters: int = DEFAULT_LLOYD_ITERS,
+    traces: list | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sensitivity-weighted k-means, one codebook per channel, as arrays.
+
+    Channel j clusters the weights W[:, j] with diagonal-Fisher weights
+    fisher_diag[:, j]: k-means++ seeding (per-channel substream
+    (seed, j)), all clustered channels seeded in one `kmeans_pp_init`
+    pass, then Lloyd refinement one channel at a time. A channel whose
+    Fisher column is all zero falls back to uniform weights; a channel
+    with fewer distinct values than codebook slots is represented
+    exactly. Returns the codebooks (c x m, rows sorted) and the
+    assignments (d x c). When `traces` is given, one list per channel is
+    appended to it: Lloyd's weighted SSE trace, or [0.0] for an exact
+    channel; without it no SSE is computed.
+    """
+    W = np.asarray(W, dtype=np.float64)
+    F = np.asarray(fisher_diag, dtype=np.float64)
+    if W.shape != F.shape:
+        raise DimensionMismatch(f"weights {W.shape} vs fisher diag {F.shape}")
+    m = _codebook_size(bits)
+    d, c = W.shape
+    C = np.empty((c, m))
+    A = np.empty((d, c), dtype=np.int64)
+    chan_traces = [[0.0] for _ in range(c)]
+    clustered, pts = [], []
+    for j in range(c):
+        wgt = F[:, j]
+        if not np.any(wgt > 0):
+            wgt = np.ones(d)
+        p = WeightedPoints(x=W[:, j], wgt=wgt)
+        distinct = np.unique(p.x)
+        if distinct.shape[0] <= m:
+            C[j] = _pad_codebook(distinct, m)
+            A[:, j] = round_rows(p.x, C[j])
+        else:
+            clustered.append(j)
+            pts.append(p)
+    inits = kmeans_pp_init(pts, m, [(seed, j) for j in clustered])
+    for j, p, init in zip(clustered, pts, inits):
+        tr = None if traces is None else []
+        cb, assign = lloyd(p, Codebook(values=init), lloyd_iters, trace=tr)
+        C[j], A[:, j], chan_traces[j] = cb.values, assign.idx, tr
+    if traces is not None:
+        traces.extend(chan_traces)
+    return C, A
+
+
 def squeezellm_quantize(
     W: np.ndarray,
     fisher_diag: np.ndarray,
@@ -399,35 +498,12 @@ def squeezellm_quantize(
     layer_idx: int = 0,
     lloyd_iters: int = DEFAULT_LLOYD_ITERS,
 ) -> QuantizedLayer:
-    """Sensitivity-weighted k-means baseline, one codebook per channel.
-
-    Channel j clusters the weights W[:, j] with diagonal-Fisher weights
-    fisher_diag[:, j] using k-means++ seeding (per-channel substream
-    (seed, j)) and Lloyd refinement. A channel whose Fisher column is
-    all zero falls back to uniform weights; a channel with fewer
-    distinct values than codebook slots is represented exactly.
-    """
-    W = np.asarray(W, dtype=np.float64)
-    F = np.asarray(fisher_diag, dtype=np.float64)
-    if W.shape != F.shape:
-        raise DimensionMismatch(f"weights {W.shape} vs fisher diag {F.shape}")
-    m = _codebook_size(bits)
-    channels = []
-    for j in range(W.shape[1]):
-        col = W[:, j]
-        wgt = F[:, j]
-        if not np.any(wgt > 0):
-            wgt = np.ones_like(col)
-        pts = WeightedPoints(x=col, wgt=wgt)
-        distinct = np.unique(col)
-        if distinct.shape[0] <= m:
-            cb = Codebook(values=_pad_codebook(distinct, m))
-            assign = nearest_assignment(pts, cb)
-            state = ChannelQuantState.from_parts(cb, assign, trace=[0.0])
-        else:
-            init = kmeans_pp_init(pts, m, seed=(seed, j))
-            tr: list[float] = []
-            cb, assign = lloyd(pts, init, lloyd_iters, trace=tr)
-            state = ChannelQuantState.from_parts(cb, assign, trace=tr)
-        channels.append(state)
+    """The squeezellm baseline layer: `squeezellm_init`'s codebooks and
+    assignments, one channel state each, carrying its SSE trace."""
+    traces: list[list[float]] = []
+    C, A = squeezellm_init(W, fisher_diag, bits, seed, lloyd_iters, traces)
+    channels = [
+        ChannelQuantState.from_parts(Codebook(values=C[j]), Assignment(idx=A[:, j]), tr)
+        for j, tr in enumerate(traces)
+    ]
     return QuantizedLayer(layer_idx=layer_idx, bits=bits, channels=channels)

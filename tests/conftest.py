@@ -3,7 +3,7 @@ import pytest
 
 from glq.calib_model import calibrate
 from glq.calib_model import toy_problem as build_toy_problem
-from glq.scalar_quant import ChannelQuantState, Codebook, WeightedPoints, nearest_assignment
+from glq.scalar_quant import Assignment, ChannelQuantState, Codebook, round_rows
 
 _toy_cache = {}
 
@@ -41,8 +41,7 @@ def uniform_init(w: np.ndarray, m: int) -> ChannelQuantState:
     lo, hi = float(w.min()), float(w.max())
     vals = np.linspace(lo, hi, m) if hi > lo else np.full(m, lo)
     cb = Codebook(values=vals)
-    pts = WeightedPoints(x=w, wgt=np.ones_like(w))
-    return ChannelQuantState.from_parts(cb, nearest_assignment(pts, cb))
+    return ChannelQuantState.from_parts(cb, Assignment(idx=round_rows(w, cb.values)))
 
 
 def random_lnq_instance(rng: np.random.Generator, d: int, bits: int):

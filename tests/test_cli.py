@@ -55,6 +55,19 @@ class TestUsageErrors:
     def test_bad_flag_value(self, capsys):
         assert main(["gen-data", "--seed", "zero", "--out", "x"]) == 1
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["gen-data", "--seed", "-3"], "--seed"),
+        (["train", "--data", "d", "--seed", "-3"], "--seed"),
+        (["quantize", "--model", "m", "--data", "d", "--seed", "-3"], "--seed"),
+        (["sweep", "--model", "m", "--data", "d", "--seeds", "0,-3"], "--seeds"),
+    ])
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, argv, flag):
+        # refused while parsing, before any input is read or output written
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert f"argument {flag}: must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGenData:
     def test_artifact_layout(self, tmp_path):

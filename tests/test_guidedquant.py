@@ -1,10 +1,18 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from glq import guidedquant, lnq
 from glq.calib_model import LayerCalibration, calibrate, gen_dataset, random_model, train
-from glq.errors import ConfigError, DimensionMismatch, GlqError, NotPositiveDefinite
+from glq.errors import (
+    ConfigError,
+    DimensionMismatch,
+    GlqError,
+    NotPositiveDefinite,
+    SingularHessian,
+)
 from glq.guidedquant import (
     CSV_COLUMNS,
     QuantJob,
@@ -143,6 +151,48 @@ class TestRunJob:
         # methods that never build guided Hessians still run
         for method in ("squeezellm", "lnq_plain"):
             run_job(dead, data, QuantJob(method=method, bits=2))
+
+    def test_singular_hessian_names_layer_and_group(self, toy_problem):
+        # W_1 = 0 makes every input of layer 2 zero (the model has no
+        # biases), so its plain Hessian and its relative damping are 0
+        model, data = toy_problem
+        layers = [W.copy() for W in model.layers]
+        layers[1][:] = 0.0
+        with pytest.raises(SingularHessian,
+                           match=r"^layer 2 group 0: .*16 of 16 input features have zero "
+                                 r"curvature") as exc:
+            run_job(model.with_layers(layers), data, QuantJob(method="lnq_plain", bits=2))
+        assert isinstance(exc.value, NotPositiveDefinite)
+        assert "damping=0.0" in str(exc.value.__cause__)
+
+    @pytest.mark.parametrize("method", ["lnq_plain", "lnq_guided"])
+    def test_dead_input_feature_without_damping(self, toy_problem, method):
+        model, data = toy_problem
+        inputs = data.inputs.copy()
+        inputs[:, 3] = 0.0
+        dead = dataclasses.replace(data, inputs=inputs)
+        job = QuantJob(method=method, bits=2, g=2, damping_rel=0.0)
+        with pytest.raises(SingularHessian, match=r"^layer 0 group 0: .*1 of 8 input "
+                                                  r"features .*feature 3"):
+            run_job(model, dead, job)
+        run_job(model, dead, dataclasses.replace(job, damping_rel=1e-7))  # damping lifts it
+
+    def test_singular_group_numbered_within_its_layer(self, ragged_problem, monkeypatch):
+        # layer 0 of the 8-10-7-3 model at g = 3 runs groups 0 and 1..2
+        # as two stacks; group 2 is the second group of the second stack
+        model, data = ragged_problem
+        real = guidedquant.job_hessians
+
+        def one_singular(*args, **kw):
+            hsets = real(*args, **kw)
+            H = hsets[0].hessians[2].copy()
+            H[5, :] = H[:, 5] = 0.0
+            hsets[0].hessians[2] = H
+            return hsets
+
+        monkeypatch.setattr(guidedquant, "job_hessians", one_singular)
+        with pytest.raises(SingularHessian, match=r"^layer 0 group 2: .*feature 5"):
+            run_job(model, data, QuantJob(method="lnq_guided", bits=2, g=3))
 
     def test_final_trace_matches_damped_objective(self, toy_problem):
         model, data = toy_problem

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from glq import lnq
 from glq.errors import DimensionMismatch, InvalidSize, ZeroDiagonal
-from glq.linalg import cholesky
+from glq.linalg import cholesky, least_squares
 from glq.lnq import LnqConfig, cd_cycle, codebook_closed_form, lnq_quantize
 from glq.oracle import (
     cd_step_naive,
@@ -32,29 +32,25 @@ def _state(values, idx) -> ChannelQuantState:
 class TestCodebookClosedForm:
     def test_identity_hessian_groups_average(self):
         chol = cholesky(np.eye(3))
-        cb, assign = codebook_closed_form(
-            chol, np.array([1.0, 1.0, 2.0]), Assignment(idx=np.array([0, 0, 1])), 2
-        )
-        npt.assert_allclose(cb.values, [1.0, 2.0], atol=1e-12)
-        npt.assert_array_equal(assign.idx, [0, 0, 1])
+        values, assign = codebook_closed_form(chol, np.array([1.0, 1.0, 2.0]),
+                                              np.array([0, 0, 1]), 2)
+        npt.assert_allclose(values, [1.0, 2.0], atol=1e-12)
+        npt.assert_array_equal(assign, [0, 0, 1])
 
     def test_empty_slot_gets_zero_and_sorts(self):
         chol = cholesky(np.eye(3))
-        cb, assign = codebook_closed_form(
-            chol, np.array([1.0, 2.0, 3.0]), Assignment(idx=np.array([1, 1, 1])), 2
-        )
+        values, assign = codebook_closed_form(chol, np.array([1.0, 2.0, 3.0]),
+                                              np.array([1, 1, 1]), 2)
         # slot 0 empty -> 0.0; occupied slot holds the mean 2.0
-        npt.assert_allclose(cb.values, [0.0, 2.0], atol=1e-12)
-        npt.assert_array_equal(assign.idx, [1, 1, 1])
+        npt.assert_allclose(values, [0.0, 2.0], atol=1e-12)
+        npt.assert_array_equal(assign, [1, 1, 1])
 
     def test_remap_after_sort(self):
         # negative mean lands below the empty slot's 0.0
         chol = cholesky(np.eye(2))
-        cb, assign = codebook_closed_form(
-            chol, np.array([-3.0, -1.0]), Assignment(idx=np.array([1, 1])), 2
-        )
-        npt.assert_allclose(cb.values, [-2.0, 0.0], atol=1e-12)
-        npt.assert_array_equal(assign.idx, [0, 0])
+        values, assign = codebook_closed_form(chol, np.array([-3.0, -1.0]), np.array([1, 1]), 2)
+        npt.assert_allclose(values, [-2.0, 0.0], atol=1e-12)
+        npt.assert_array_equal(assign, [0, 0])
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(1)
@@ -64,13 +60,13 @@ class TestCodebookClosedForm:
             w = rng.standard_normal(d)
             a = rng.integers(0, m, size=d)
             chol = cholesky(H)
-            cb, assign = codebook_closed_form(chol, w, Assignment(idx=a), m)
+            values, assign = codebook_closed_form(chol, w, a, m)
             used = np.unique(a)
             P = np.zeros((d, used.shape[0]))
             for col, q in enumerate(used):
                 P[a == q, col] = 1.0
             ref = np.linalg.solve(P.T @ H @ P, P.T @ H @ w)
-            got = cb.values[assign.idx]
+            got = values[assign]
             npt.assert_allclose(got, (P @ ref), atol=1e-8, rtol=1e-8)
 
     def test_codebook_is_quadratic_minimizer(self):
@@ -79,18 +75,21 @@ class TestCodebookClosedForm:
         w = rng.standard_normal(6)
         a = np.array([0, 1, 2, 0, 1, 2])
         chol = cholesky(H)
-        cb, assign = codebook_closed_form(chol, w, Assignment(idx=a), 3)
-        base = w - cb.values[assign.idx]
+        values, assign = codebook_closed_form(chol, w, a, 3)
+        base = w - values[assign]
         f0 = float(base @ H @ base)
         for _ in range(20):
-            vals = cb.values + 1e-3 * rng.standard_normal(3)
-            r = w - vals[assign.idx]
+            vals = values + 1e-3 * rng.standard_normal(3)
+            r = w - vals[assign]
             assert float(r @ H @ r) >= f0 - 1e-12
 
     def test_bad_assignment_range(self):
         chol = cholesky(np.eye(2))
-        with pytest.raises(InvalidSize):
-            codebook_closed_form(chol, np.zeros(2), Assignment(idx=np.array([0, 3])), 2)
+        for a in ([0, 3], [-1, 0]):
+            with pytest.raises(InvalidSize):
+                codebook_closed_form(chol, np.zeros(2), np.array(a), 2)
+        with pytest.raises(DimensionMismatch):
+            codebook_closed_form(chol, np.zeros(2), np.array([0, 1, 1]), 2)
 
 
 class TestCdSteps:
@@ -405,6 +404,31 @@ def _codebook_by_masks(chol, w, a, m):
     return values[order], inv[a]
 
 
+def _codebook_closed_form_objects(chol, w, assign, m):
+    """codebook_closed_form as it was on Assignment and Codebook objects."""
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    a = assign.idx
+    if w.shape[0] != chol.dim or a.shape[0] != w.shape[0]:
+        raise DimensionMismatch("w, assignment and factor disagree on dimension")
+    if m < 1 or (a.size and a.max() >= m):
+        raise InvalidSize("assignment indices must fall inside 0..m-1")
+    L_sorted = chol.L[np.argsort(a, kind="stable")]
+    used, cols = [], []
+    s = 0
+    for q, e in enumerate(np.bincount(a, minlength=m).cumsum().tolist()):
+        if e > s:
+            used.append(q)
+            cols.append(L_sorted[s:e].sum(axis=0))
+        s = e
+    c_sub = least_squares(np.stack(cols, axis=1), chol.L.T @ w)
+    values = np.zeros(m)
+    values[used] = c_sub
+    order = np.argsort(values, kind="stable")
+    inv = np.empty(m, dtype=np.int64)
+    inv[order] = np.arange(m)
+    return Codebook(values=values[order]), Assignment(idx=inv[a])
+
+
 def _cd_cycle_one_group(H, W, C, A, cycles, b=lnq.CD_BATCH):
     """cd_cycle for one group, 2-D arrays, Htil and U formed up front."""
     d, c = W.shape
@@ -434,10 +458,33 @@ def test_codebook_columns_match_mask_sums(seed, d, m):
     chol = cholesky(random_spd(rng, d))
     w = rng.standard_normal(d)
     a = rng.integers(0, rng.integers(1, m + 1), size=d)  # some slots empty
-    cb, assign = codebook_closed_form(chol, w, Assignment(idx=a), m)
+    values, assign = codebook_closed_form(chol, w, a, m)
     ref_values, ref_idx = _codebook_by_masks(chol, w, a, m)
-    assert cb.values.tobytes() == ref_values.tobytes()
-    npt.assert_array_equal(assign.idx, ref_idx)
+    assert values.tobytes() == ref_values.tobytes()
+    npt.assert_array_equal(assign, ref_idx)
+    cb, asg = _codebook_closed_form_objects(chol, w, Assignment(idx=a), m)
+    assert values.tobytes() == cb.values.tobytes()
+    assert assign.tobytes() == asg.idx.tobytes()
+
+
+@pytest.mark.parametrize("bad,message", [
+    (lambda v: np.where(v == v.max(), np.nan, v), "finite"),
+    (lambda v: v[::-1].copy(), "sorted"),
+])
+def test_codebook_phase_checks_the_stack(monkeypatch, bad, message):
+    # a codebook solve that returns a non-finite or unsorted row is
+    # refused once per phase, with the texts Codebook raises
+    real = lnq.codebook_closed_form
+
+    def corrupt(chol, w, a, m):
+        values, assign = real(chol, w, a, m)
+        return bad(values), assign
+
+    rng = np.random.default_rng(23)
+    H, W, C, A = _stack(rng, 2, 5, 2, 4)
+    monkeypatch.setattr(lnq, "codebook_closed_form", corrupt)
+    with pytest.raises(ValueError, match=f"codebook values must be {message}"):
+        lnq_quantize(H, W, LnqConfig(bits=2), (C, A))
 
 
 def _stack(rng, G, d, c, m):

@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 from glq.errors import InvalidSize, TooFewDistinctPoints
 from glq.oracle import kmeans_partition_oracle, round_to_codebook, weighted_sse
 from glq.scalar_quant import (
+    Assignment,
     Codebook,
     WeightedPoints,
     _distinct,
     kmeans_1d_exact,
     kmeans_pp_init,
     lloyd,
-    nearest_assignment,
     round_rows,
     rtn_quantize,
+    squeezellm_init,
     squeezellm_quantize,
 )
 
@@ -89,6 +90,70 @@ class TestRounding:
             assert idx[j] == round_to_codebook(float(u[j]), Codebook(values=C[j]))
 
 
+def _kmeans_pp_one_channel(pts, m, seed):
+    """kmeans_pp_init as it ran one channel at a time: one
+    Generator.choice per draw."""
+    if m < 1:
+        raise InvalidSize(f"need m >= 1, got {m}")
+    vals, wsum = _distinct(pts)
+    if m > vals.shape[0]:
+        raise TooFewDistinctPoints(
+            f"asked for {m} centers but only {vals.shape[0]} distinct values"
+        )
+    rng = np.random.default_rng(seed)
+    chosen: list[int] = []
+    d2 = np.full(vals.shape[0], np.inf)
+    for _ in range(m):
+        if chosen:
+            mass = wsum * d2
+        else:
+            mass = wsum.copy()
+        mass[chosen] = 0.0
+        total = float(np.sum(mass))
+        if total > 0.0:
+            pick = int(rng.choice(vals.shape[0], p=mass / total))
+        else:
+            cands = np.setdiff1d(np.arange(vals.shape[0]), np.array(chosen, dtype=int))
+            pick = int(rng.choice(cands))
+        chosen.append(pick)
+        d2 = np.minimum(d2, (vals - vals[pick]) ** 2)
+    return Codebook(values=np.sort(vals[np.array(chosen)]))
+
+
+@st.composite
+def kmeans_pp_stack(draw):
+    """Channels of n points each, one of six kinds per channel: distinct
+    values; values from a pool with duplicates and a -0.0/0.0 pair;
+    unit weights (a zero-Fisher channel); mostly zero weights, so draws
+    fall back to uniform; values near +-1e300, whose squared distances
+    overflow to a non-finite sampling mass; exactly m distinct values."""
+    # past 128 values numpy's pairwise sum of a row splits in two
+    n = draw(st.integers(1, 40) | st.integers(129, 300))
+    c, m = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    kinds = draw(st.lists(st.sampled_from(
+        ["distinct", "duplicates", "uniform", "sparse", "huge", "exactly_m"]),
+        min_size=c, max_size=c))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = []
+    for kind in kinds:
+        x, w = rng.standard_normal(n), rng.uniform(0, 2, n)
+        if kind == "duplicates":
+            x = rng.choice([-0.0, 0.0, 1.5, -2.0, 3.25], n)
+        elif kind == "uniform":
+            w = np.ones(n)
+        elif kind == "sparse":
+            w[rng.random(n) < 0.8] = 0.0
+        elif kind == "huge":
+            x *= 1e300
+            w[rng.random(n) < 0.5] = 0.0
+        elif kind == "exactly_m":
+            x = rng.permutation(np.resize(rng.standard_normal(m), n))
+        if not np.any(w > 0):
+            w[0] = 1.0
+        pts.append(WeightedPoints(x=x, wgt=w))
+    return pts, m, draw(st.integers(0, 2 ** 32 - 1))
+
+
 class TestKmeansPP:
     def test_deterministic(self):
         pts = _pts(np.random.default_rng(2).standard_normal(30))
@@ -113,6 +178,41 @@ class TestKmeansPP:
         assert 0.0 in cb.values
         assert set(cb.values) <= {0.0, 1.0, 2.0}
         assert len(set(cb.values)) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(kmeans_pp_stack())
+    def test_stack_equals_one_channel_at_a_time(self, case):
+        # bit for bit, and every channel's generator ends in the same state
+        pts, m, seed = case
+        ref_rngs = [np.random.default_rng((seed, j)) for j in range(len(pts))]
+        rngs = [np.random.default_rng((seed, j)) for j in range(len(pts))]
+        want, errors = [], set()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, rng in zip(pts, ref_rngs):
+                try:
+                    want.append(_kmeans_pp_one_channel(p, m, rng).values)
+                except (TooFewDistinctPoints, ValueError) as exc:
+                    errors.add(type(exc))
+            if errors:  # too few values is found before any draw
+                expect = TooFewDistinctPoints if TooFewDistinctPoints in errors else ValueError
+                with pytest.raises(expect):
+                    kmeans_pp_init(pts, m, rngs)
+                return
+            got = kmeans_pp_init(pts, m, rngs)
+            one = kmeans_pp_init(pts[0], m, (seed, 0))
+        assert got.tobytes() == np.stack(want).tobytes()
+        assert one.values.tobytes() == want[0].tobytes()
+        for rng, ref in zip(rngs, ref_rngs):
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_non_finite_mass_raises_as_choice_does(self):
+        # squared distances overflow: the second draw's mass is infinite
+        pts = _pts([-1e300, 0.0, 1e300])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="Probabilities"):
+                _kmeans_pp_one_channel(pts, 2, 0)
+            with pytest.raises(ValueError, match="Probabilities"):
+                kmeans_pp_init([pts, _pts([1.0, 2.0, 3.0])], 2, [0, 1])
 
     def test_centers_are_input_values(self):
         rng = np.random.default_rng(3)
@@ -238,7 +338,7 @@ class TestLloyd:
         for _ in range(20):
             pts = _pts(rng.standard_normal(15), rng.uniform(0.01, 1, 15))
             init = kmeans_pp_init(pts, 3, seed=2)
-            start = weighted_sse(pts, init, nearest_assignment(pts, init))
+            start = weighted_sse(pts, init, Assignment(idx=round_rows(pts.x, init.values)))
             cb, assign = lloyd(pts, init, 25)
             assert weighted_sse(pts, cb, assign) <= start + 1e-12
 
@@ -354,6 +454,25 @@ class TestBaselines:
         assert ql.channels[0].objective_trace == [0.0]
         for st_ in ql.channels[1:]:
             assert len(st_.objective_trace) == 2 * lloyd_iters + 1
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_init_arrays_equal_the_layer(self, bits):
+        # without traces (run_job's LNQ init) the arrays are those of the
+        # traced baseline layer; exact, zero-Fisher and duplicate columns
+        rng = np.random.default_rng(14)
+        W = rng.standard_normal((30, 6))
+        F = rng.uniform(0, 1, (30, 6))
+        W[:, 0] = np.repeat([1.0, -0.0, 0.0], 10)
+        F[:, 1] = 0.0
+        W[::2, 2] = W[1::2, 2]
+        ql = squeezellm_quantize(W, F, bits, seed=5)
+        C, A = squeezellm_init(W, F, bits, 5)
+        assert C.tobytes() == ql.codebook_matrix().tobytes()
+        assert A.tobytes() == ql.assign_matrix().tobytes()
+        traces: list = []
+        C2, A2 = squeezellm_init(W, F, bits, 5, traces=traces)
+        assert C2.tobytes() == C.tobytes() and A2.tobytes() == A.tobytes()
+        assert traces == [st_.objective_trace for st_ in ql.channels]
 
     def test_layer_accessors(self):
         rng = np.random.default_rng(12)
