@@ -34,7 +34,6 @@ from .scalar_quant import (
     Codebook,
     QuantizedLayer,
     WeightedPoints,
-    kmeans_1d_exact,
     kmeans_pp_init,
     lloyd,
     rtn_quantize,

@@ -15,9 +15,10 @@ class NotPositiveDefinite(GlqError):
 
 
 class SingularHessian(NotPositiveDefinite):
-    """LNQ could not factor a channel group's damped Hessian. `group` is
-    the group's index in the stack ``lnq_quantize`` was given;
-    ``run_job`` re-raises with the group's index in its layer."""
+    """A channel group's damped Hessian cannot be factored. `group` is
+    the group's index in the stack ``lnq_quantize`` was given
+    (``run_job`` re-raises with the group's index in its layer), or in
+    its layer when ``HessianCache.store`` refuses the set."""
 
     def __init__(self, layer: int, group: int, cause: str) -> None:
         super().__init__(f"layer {layer} group {group}: cannot factor the damped "

@@ -49,7 +49,7 @@ from .hessian import (
     fisher_diag,
     layer_hessians,
 )
-from .linalg import Matrix, quad_form
+from .linalg import Matrix, ensure_matrix
 from .lnq import LnqConfig, lnq_quantize
 from .scalar_quant import QuantizedLayer, rtn_quantize, squeezellm_init, squeezellm_quantize
 
@@ -291,12 +291,21 @@ def eval_objectives(
 
 
 def damped_quadratic(hset: HessianSet, W: Matrix, W_hat: Matrix) -> float:
-    """sum over groups and their channels of delta^T Hbar_k delta."""
+    """sum over groups and their channels of delta^T Hbar_k delta.
+
+    `W_hat` and each group Hessian are validated once, not once per
+    channel; every term is the float(v @ H @ v) of `linalg.quad_form`."""
+    W_hat = ensure_matrix(W_hat, "W_hat")
+    if W_hat.shape != W.shape:
+        raise DimensionMismatch(f"W_hat is {W_hat.shape}, W is {W.shape}")
     total = 0.0
-    for k, grp in enumerate(hset.partition.groups):
-        H = hset.hessians[k]
+    for H, grp in zip(hset.hessians, hset.partition.groups):
+        H = ensure_matrix(H, "H")
+        if H.shape != (W.shape[0], W.shape[0]):
+            raise DimensionMismatch(f"H is {H.shape}, weights have d_in={W.shape[0]}")
         for j in grp:
-            total += quad_form(H, W_hat[:, j] - W[:, j])
+            v = W_hat[:, j] - W[:, j]
+            total += float(v @ H @ v)
     return total
 
 

@@ -42,9 +42,10 @@ from .errors import (
     EmptyCalibration,
     InvalidSize,
     PartitionMismatch,
+    SingularHessian,
     ZeroGradientGroup,
 )
-from .linalg import Matrix, ensure_matrix
+from .linalg import Matrix, ensure_matrix, zero_curvature
 
 DEFAULT_GRAD_SCALE = 1e3
 DEFAULT_DAMPING_REL = 1e-7
@@ -286,6 +287,8 @@ class HessianCache:
     ``manifest.json`` recording the partition, grad scale, damping rule
     and per-file content hashes. A reload checks those hashes first and
     raises CorruptFile on a mismatch, so it is bit-exact or refused.
+    A set with an input feature of zero curvature, which no solver can
+    factor, is never stored: ``store`` raises SingularHessian first.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -324,6 +327,10 @@ class HessianCache:
     def store(self, key: str, hset: HessianSet) -> Path:
         from .tensorio import file_sha256, write_json_atomic, write_tensor
 
+        for k, H in enumerate(hset.hessians):
+            cause = zero_curvature(H)
+            if cause is not None:
+                raise SingularHessian(hset.layer_idx, k, cause)
         d = self._dir(key)
         d.mkdir(parents=True, exist_ok=True)
         files = {}

@@ -10,6 +10,20 @@ Everything runs in float64. Three operations cover all needs upstream:
   here; tests use them as an independent cross-check only.
 * ``quad_form``: the scalar v^T H v.
 
+``segment_sums`` gives numpy's 1-D ``ndarray.sum()`` of many
+contiguous segments of one vector at once, bit for bit. numpy sums a
+contiguous float64 array pairwise: fewer than 8 elements add in order
+from 0.0; 8 to 128 add into eight lanes over the full blocks of 8
+(lane j starts as element j), combine them as
+((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then add the
+leftover elements in order; more than 128 split at n // 2 rounded down
+to a multiple of 8 and add the two halves' sums. The total is then
+added to 0.0, so a sum of -0.0 alone is 0.0.
+
+``zero_curvature`` names the input features a damped Hessian gives no
+curvature, the cause LNQ and the Hessian cache report for a set that
+cannot be factored.
+
 Inputs are validated once at this boundary (``ensure_matrix`` /
 ``ensure_vector``) so the callers can stay free of shape boilerplate.
 """
@@ -138,3 +152,72 @@ def quad_form(H: Matrix, v: Vector) -> float:
     if v.shape[0] != H.shape[0]:
         raise DimensionMismatch(f"v has length {v.shape[0]}, expected {H.shape[0]}")
     return float(v @ H @ v)
+
+
+_PW_BLOCK = 128  # numpy's pairwise-sum block size
+
+
+def segment_sums(v: Vector, starts: np.ndarray, lens: np.ndarray) -> Vector:
+    """``v[s:s + n].sum()`` of every segment (s, n) of a 1-D float64 v,
+    bit for bit, by numpy's rule (module docstring). Each level of
+    splits runs for all segments at once, and each lane step for all
+    segments that still have a block; no segment is padded."""
+    return _pairwise(v, starts, lens) + 0.0
+
+
+def _pairwise(v: Vector, starts: np.ndarray, lens: np.ndarray) -> Vector:
+    """numpy's pairwise sum of every segment, before the final 0.0 +."""
+    big = lens > _PW_BLOCK
+    if big.any():
+        s, n = starts[big], lens[big]
+        half = n // 2
+        half -= half % 8
+        k = lens.shape[0] - s.shape[0]
+        sums = _pairwise(v, np.concatenate([starts[~big], s, s + half]),
+                         np.concatenate([lens[~big], half, n - half]))
+        out = np.empty(lens.shape[0])
+        out[~big] = sums[:k]
+        out[big] = sums[k:k + s.shape[0]] + sums[k + s.shape[0]:]
+        return out
+    out = np.zeros(lens.shape[0])
+    blocks = lens // 8
+    # segments in descending order of block (then tail) count, so each
+    # step below works on a prefix of them
+    order = np.argsort(-blocks, kind="stable")
+    nblk = blocks[order]
+    k = np.count_nonzero(nblk)
+    if k:
+        base = starts[order[:k], None] + np.arange(8)
+        r = v[base]
+        for b, j in enumerate(_still_above(nblk[:k]), start=1):
+            r[:j] += v[base[:j] + 8 * b]
+        out[order[:k]] = (((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]))
+                          + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])))
+    rest = lens - 8 * blocks
+    order = np.argsort(-rest, kind="stable")
+    tail = (starts + 8 * blocks)[order]
+    acc = out[order]
+    for i, j in enumerate(_still_above(rest[order], 0)):
+        acc[:j] += v[tail[:j] + i]
+    out[order] = acc
+    return out
+
+
+def _still_above(desc: np.ndarray, first: int = 1) -> list[int]:
+    """For b = first, first + 1, ... below the largest count in `desc`,
+    how many of its entries exceed b."""
+    if not desc.size:
+        return []
+    above = desc.size - np.cumsum(np.bincount(desc))
+    return above[first:desc.max()].tolist()
+
+
+def zero_curvature(H: Matrix) -> str | None:
+    """The input features of H with no curvature (diagonal entry <= 0),
+    which no factorization survives, as a cause for SingularHessian; None
+    when every diagonal entry is positive."""
+    dead = np.flatnonzero(np.diag(H) <= 0.0)
+    if dead.size == 0:
+        return None
+    return (f"{dead.size} of {H.shape[0]} input features have zero curvature and no "
+            f"damping lifts them (first: feature {dead[0]})")

@@ -12,9 +12,15 @@ phases alternate T times:
   ||L^T w - (L^T P) c||_2^2, so the optimal codebook is the least-squares
   solution of (L^T P) c ~ L^T w, solved per channel through an
   orthogonal factorization. Slots with no assigned weight get value 0.0
-  and stay available to later descent steps. The phase works on the
-  stack's codebook and assignment arrays in place and checks the whole
-  codebook stack once (finite, rows sorted) when it ends.
+  and stay available to later descent steps. ``codebook_closed_form``
+  solves one group per call: one pass over the rows of L adds each row
+  to its slot's column for every channel at once, so every column is
+  the sum of its rows taken one after another from 0.0, which is how
+  numpy sums the rows of an array over axis 0; the columns, and the
+  codebooks solved from them, keep the bits of one solve per channel.
+  The phase works on the stack's codebook and assignment arrays in
+  place and checks the whole codebook stack once (finite, rows sorted)
+  when it ends.
 
 * Coordinate-descent phase, codebook fixed: K cycles over coordinates
   i = 0..d-1 in order. The exact single-coordinate minimizer over the
@@ -70,7 +76,14 @@ from .errors import (
     SingularHessian,
     ZeroDiagonal,
 )
-from .linalg import CholeskyFactor, Matrix, cholesky, ensure_matrix, least_squares
+from .linalg import (
+    CholeskyFactor,
+    Matrix,
+    cholesky,
+    ensure_matrix,
+    least_squares,
+    zero_curvature,
+)
 from .scalar_quant import (
     Assignment,
     ChannelQuantState,
@@ -80,6 +93,8 @@ from .scalar_quant import (
 )
 
 CD_BATCH = 128
+# Columns of L^T P (1 MiB of float64) one codebook solve holds at a time.
+CODEBOOK_COLUMNS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -110,45 +125,60 @@ def block_objectives(H: Matrix, W: Matrix, W_hat: Matrix) -> np.ndarray:
 
 
 def codebook_closed_form(
-    chol: CholeskyFactor, w: np.ndarray, assign: np.ndarray, m: int
+    chol: CholeskyFactor, W: np.ndarray, A: np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal codebook for fixed assignments, then sort and remap.
+    """Optimal codebooks of one group for fixed assignments, then sort
+    and remap.
 
-    Solves the least-squares system (L^T P) c ~ L^T w restricted to the
-    occupied slots; unoccupied slots get value 0.0, matching the
-    minimum-norm solution of the full system. Returns the codebook (m
-    values, sorted ascending) and the assignment (slot per weight)
-    remapped accordingly (stable sort, so equal values keep their slot
-    order).
+    `W` and `A` are the group's d x c weights and slot assignments; 1-D
+    vectors are one channel. For each channel solves the least-squares
+    system (L^T P) c ~ L^T w restricted to the occupied slots;
+    unoccupied slots get value 0.0, matching the minimum-norm solution
+    of the full system. Returns the codebooks (c x m, rows sorted
+    ascending) and the assignments (d x c) remapped accordingly (stable
+    sort, so equal values keep their slot order).
 
-    Column q of L^T P is the sum of the rows of L assigned to slot q.
-    One stable argsort of the assignment makes each slot's rows a
-    contiguous block of L[order], in index order, and summing that
-    block over axis 0 accumulates the rows one after another. That is
-    the same sequence of additions as summing the F-ordered L^T[:, a == q]
-    over axis 1, so the columns keep their bits.
+    Column q of a channel's L^T P is the sum of the rows of L assigned
+    to slot q. One pass over the rows of L adds row i to slot A[i, j] of
+    every channel j at once, into an array of columns that starts at
+    0.0, so each column adds its rows one after another in index order
+    from 0.0: the sequence of additions numpy's sum over axis 0 of those
+    rows makes, so the columns keep their bits. A row's entries past its
+    last nonzero (for a Cholesky factor, the upper triangle) are
+    skipped: a sum that starts at 0.0 is never -0.0, so adding a zero
+    leaves it as it is. The columns of at most CODEBOOK_COLUMNS // (m d)
+    channels are held at a time.
     """
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    a = np.asarray(assign)
-    if w.shape[0] != chol.dim or a.shape != w.shape:
-        raise DimensionMismatch("w, assignment and factor disagree on dimension")
-    if m < 1 or (a.size and (a.min() < 0 or a.max() >= m)):
+    W = np.asarray(W, dtype=np.float64)
+    A = np.asarray(A)
+    if W.ndim == 1:
+        C, A = codebook_closed_form(chol, W[:, None], A.reshape(-1, 1), m)
+        return C[0], A[:, 0]
+    d, c = W.shape
+    if d != chol.dim or A.shape != W.shape:
+        raise DimensionMismatch("weights, assignments and factor disagree on dimension")
+    if m < 1 or (A.size and (A.min() < 0 or A.max() >= m)):
         raise InvalidSize("assignment indices must fall inside 0..m-1")
-    L_sorted = chol.L[np.argsort(a, kind="stable")]
-    used, cols = [], []  # occupied slots and their columns of L^T P
-    s = 0  # slot q owns rows s:e of L_sorted
-    for q, e in enumerate(np.bincount(a, minlength=m).cumsum().tolist()):
-        if e > s:
-            used.append(q)
-            cols.append(L_sorted[s:e].sum(axis=0))
-        s = e
-    c_sub = least_squares(np.stack(cols, axis=1), chol.L.T @ w)
-    values = np.zeros(m)
-    values[used] = c_sub
-    order = np.argsort(values, kind="stable")
-    inv = np.empty(m, dtype=np.int64)
-    inv[order] = np.arange(m)
-    return values[order], inv[a]
+    L = chol.L
+    nonzero = L != 0.0
+    ends = ((d - np.argmax(nonzero[:, ::-1], axis=1)) * nonzero.any(axis=1)).tolist()
+    values = np.zeros((c, m))
+    step = max(1, CODEBOOK_COLUMNS // (m * d))
+    for j0 in range(0, c, step):
+        k = min(step, c - j0)
+        slots = A[:, j0:j0 + k] + m * np.arange(k)  # row of `cols` per (channel, slot)
+        cols = np.zeros((k * m, d))
+        for row, idx, e in zip(L, slots, ends):
+            head = cols[:, :e]
+            head[idx] += row[:e]
+        used = np.bincount(slots.ravel(), minlength=k * m).reshape(k, m) > 0
+        for j, w in enumerate(np.ascontiguousarray(W[:, j0:j0 + k].T)):
+            q = np.flatnonzero(used[j])
+            values[j0 + j, q] = least_squares(cols[m * j + q].T, L.T @ w)
+    order = np.argsort(values, axis=1, kind="stable")
+    inv = np.empty((c, m), dtype=np.int64)
+    np.put_along_axis(inv, order, np.arange(m)[None, :], axis=1)
+    return np.take_along_axis(values, order, axis=1), np.take_along_axis(inv, A.T, axis=1).T
 
 
 def cd_cycle(
@@ -241,16 +271,6 @@ def _init_arrays(init, G: int, d: int, c: int, m: int) -> tuple[np.ndarray, np.n
     return C, A
 
 
-def _singular_cause(H: Matrix, exc: NotPositiveDefinite) -> str:
-    """Why a damped Hessian did not factor: its zero-curvature input
-    features when it has any, else the factorization's own message."""
-    dead = np.flatnonzero(np.diag(H) <= 0.0)
-    if dead.size == 0:
-        return str(exc)
-    return (f"{dead.size} of {H.shape[0]} input features have zero curvature and no "
-            f"damping lifts them (first: feature {dead[0]})")
-
-
 def lnq_quantize(
     H_damped,
     W_block: np.ndarray,
@@ -304,9 +324,9 @@ def lnq_quantize(
             try:
                 chol = cholesky(H[k], damping=0.0)
             except NotPositiveDefinite as exc:
-                raise SingularHessian(layer_idx, k, _singular_cause(H[k], exc)) from exc
-            for j in range(c):
-                C[k, j], A[k, :, j] = codebook_closed_form(chol, W[k, :, j], A[k, :, j], m)
+                cause = zero_curvature(H[k]) or str(exc)
+                raise SingularHessian(layer_idx, k, cause) from exc
+            C[k], A[k] = codebook_closed_form(chol, W[k], A[k], m)
         # the checks a Codebook makes, once for the whole stack
         if not np.all(np.isfinite(C)):
             raise ValueError("codebook values must be finite")

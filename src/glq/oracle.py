@@ -230,6 +230,86 @@ def weighted_sse(pts: WeightedPoints, cb: Codebook, assign: Assignment) -> float
     return float(np.sum(pts.wgt * r * r))
 
 
+def _prefix_sums(x: np.ndarray, w: np.ndarray):
+    return (
+        np.concatenate([[0.0], np.cumsum(w)]),
+        np.concatenate([[0.0], np.cumsum(w * x)]),
+        np.concatenate([[0.0], np.cumsum(w * x * x)]),
+    )
+
+
+def kmeans_1d_exact(pts: WeightedPoints, m: int) -> tuple[Codebook, Assignment, float]:
+    """Optimal weighted 1-D k-means by dynamic programming, the exact
+    reference Lloyd's descent only approaches from above.
+
+    Optimal 1-D clusters are contiguous in sorted order, so prefix sums
+    of (w, w x, w x^2) give each segment cost in O(1):
+
+        cost(i..j) = sum w x^2 - (sum w x)^2 / sum w,  0 when sum w = 0,
+
+    and the O(n^2 m) program runs over the sorted points with at most
+    min(m, n) segments. Segment centers are weighted means (plain
+    means for zero-weight segments, which cost nothing). Ties between
+    split positions resolve to the smallest split so the result is
+    deterministic. Returns the codebook (one entry per segment, sorted),
+    the assignment in original point order, and the optimal objective.
+    """
+    if m < 1:
+        raise InvalidSize(f"need m >= 1, got {m}")
+    order = np.argsort(pts.x, kind="stable")
+    x = pts.x[order]
+    w = pts.wgt[order]
+    n = x.shape[0]
+    k = min(m, n)
+    W, WX, WX2 = _prefix_sums(x, w)
+
+    def cost(i: int, j: int) -> float:
+        # inclusive [i, j] over sorted points
+        sw = W[j + 1] - W[i]
+        if sw <= 0.0:
+            return 0.0
+        sx = WX[j + 1] - WX[i]
+        c = (WX2[j + 1] - WX2[i]) - sx * sx / sw
+        return max(c, 0.0)
+
+    INF = np.inf
+    best = np.full((k + 1, n + 1), INF)
+    split = np.zeros((k + 1, n + 1), dtype=np.int64)
+    best[0, 0] = 0.0
+    for q in range(1, k + 1):
+        # segment q covers sorted positions i..j-1 for some i
+        for j in range(q, n + 1):
+            b, bi = INF, -1
+            for i in range(q - 1, j):
+                if best[q - 1, i] == INF:
+                    continue
+                c = best[q - 1, i] + cost(i, j - 1)
+                if c < b:
+                    b, bi = c, i
+            best[q, j] = b
+            split[q, j] = bi
+
+    seg = np.zeros(n, dtype=np.int64)
+    j = n
+    bounds = []
+    for q in range(k, 0, -1):
+        i = int(split[q, j])
+        bounds.append((i, j))
+        j = i
+    bounds.reverse()
+    centers = np.zeros(k)
+    for q, (i, j) in enumerate(bounds):
+        seg[i:j] = q
+        sw = W[j] - W[i]
+        if sw > 0.0:
+            centers[q] = (WX[j] - WX[i]) / sw
+        else:
+            centers[q] = float(np.mean(x[i:j]))
+    assign = np.zeros(n, dtype=np.int64)
+    assign[order] = seg
+    return Codebook(values=centers), Assignment(idx=assign), float(best[k, n])
+
+
 def kmeans_partition_oracle(pts: WeightedPoints, m: int) -> float:
     """Optimal weighted 1-D k-means objective by enumerating every
     contiguous partition of the sorted points into min(m, n) segments.

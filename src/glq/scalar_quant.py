@@ -1,4 +1,4 @@
-"""Per-channel scalar codebooks: rounding, weighted k-means, exact 1-D DP.
+"""Per-channel scalar codebooks: rounding, weighted k-means, baselines.
 
 A codebook is a small sorted value set (m <= 256). Rounding always
 resolves distance ties toward the smaller codebook value, implemented as
@@ -7,25 +7,24 @@ package rounds through the same helper so tie behavior is uniform.
 
 ``kmeans_pp_init`` and ``lloyd`` implement weighted k-means over
 (value, weight) points, the sensitivity-weighted baseline for
-quantizing one channel with diagonal-Fisher weights. Their per-cluster
-sums group the points with one stable sort of the assignment (or one
-``bincount``) rather than one boolean mask per cluster; both keep each
-cluster's summands in index order, so the sums keep their bits.
-``kmeans_pp_init`` seeds a whole column slice in one pass: channels
-with equal distinct counts form one stack, and each draw is spelled out
-as ``Generator.choice`` makes it, from the channel's own generator, so
-the centers equal one run per channel. ``squeezellm_init`` is the one
-squeezellm path: codebooks and assignments of a column slice as
-arrays, with the SSE traces only when asked for; ``squeezellm_quantize``
-wraps it into channel states for the baseline method.
-``kmeans_1d_exact`` is the O(n^2 m) dynamic program over sorted points;
-optimal 1-D clusters are contiguous in sorted order, so prefix sums of
-(w, w x, w x^2) give each segment cost in O(1):
-
-    cost(i..j) = sum w x^2 - (sum w x)^2 / sum w,  0 when sum w = 0.
-
-The DP is the small-instance ground truth that Lloyd's descent is only
-ever asked to approach from above.
+quantizing one channel with diagonal-Fisher weights. Each runs a column
+slice in one pass with the bits of one run per channel.
+``kmeans_pp_init`` stacks the channels with equal distinct counts and
+makes each draw as ``Generator.choice`` does, from the channel's own
+generator. ``lloyd`` stacks channels of equal length, and a channel
+leaves the stack at its fixed point. One stable sort of the assignment
+puts each cluster's points in index order, and
+``linalg.segment_sums`` adds every cluster as numpy's 1-D
+``ndarray.sum()`` does: under 8 elements in order from 0.0; up to 128
+in eight lanes over the blocks of 8, combined as
+((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
+order; past 128 split at n // 2 rounded down to a multiple of 8. A
+padded segment matrix or np.add.reduceat would change the bits.
+``squeezellm_init`` is the one squeezellm path: codebooks and
+assignments of a column slice as arrays, with the SSE traces only when
+asked for; ``squeezellm_quantize`` wraps it into channel states.
+The exact 1-D k-means DP they are checked against is
+``oracle.kmeans_1d_exact``.
 """
 
 from __future__ import annotations
@@ -36,9 +35,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSize, TooFewDistinctPoints
+from .linalg import segment_sums
 
 MAX_CODEBOOK = 256
 DEFAULT_LLOYD_ITERS = 50
+# Point-to-center distances (256 KiB of float64) one Lloyd stack holds;
+# a wider slice runs as several stacks. On the 64-256-256-16 benchmark
+# model, 32- and 64-channel stacks left the process's peak RSS about
+# 1 MiB above one channel at a time; 16-channel stacks (this bound) did
+# not.
+LLOYD_STACK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -107,16 +113,22 @@ class WeightedPoints:
         return self.x.shape[0]
 
 
-def round_rows(u: np.ndarray, codebooks: np.ndarray) -> np.ndarray:
-    """Vectorized nearest-value rounding, one codebook row per entry of u.
+def round_rows(u: np.ndarray, codebooks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized nearest-value rounding of every entry of u.
 
-    `codebooks` is c x m with each row sorted ascending, `u` has length
-    c. A 1-D sorted codebook of length m is shared by every entry: it
-    broadcasts against u[:, None] with the same elementwise arithmetic.
-    First-occurrence argmin sends a tie to the smaller value, the rule
-    of the scalar reference `oracle.round_to_codebook`.
+    `codebooks` ends in the codebook axis (sorted ascending) and
+    broadcasts against u[..., None]: a c x m matrix gives one codebook
+    row per entry of a length-c u, a 1-D codebook of length m is shared
+    by every entry, and an r x 1 x m stack gives row i of an r x n u
+    the codebook of row i. Every form does the same elementwise
+    arithmetic. First-occurrence argmin sends a tie to the smaller
+    value, the rule of the scalar reference `oracle.round_to_codebook`.
+    `out`, of the broadcast shape, holds the distances when given, so a
+    caller that rounds many times reuses one buffer.
     """
-    return np.abs(codebooks - u[:, None]).argmin(axis=1)
+    dist = np.subtract(codebooks, u[..., None], out=out)
+    np.abs(dist, out=dist)
+    return dist.argmin(axis=-1)
 
 
 def _distinct(pts: WeightedPoints) -> tuple[np.ndarray, np.ndarray]:
@@ -207,148 +219,129 @@ def _kmeans_pp_stack(vals: np.ndarray, wsum: np.ndarray, m: int, rngs: list) -> 
     return np.sort(np.take_along_axis(vals, chosen, axis=1), axis=1)
 
 
+def _weighted_sse(x: np.ndarray, w: np.ndarray, c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Weighted SSE of every row, sum(w * r * r) with r = x - c[a], as
+    that row's ``.sum()`` gives it."""
+    resid = x - np.take_along_axis(c, a, axis=1)
+    k, n = x.shape
+    return segment_sums((w * resid * resid).ravel(), n * np.arange(k), np.full(k, n))
+
+
+def _cluster_means(w: np.ndarray, wx: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Each row's weighted cluster means under assignment a (k x n); a
+    cluster with zero total weight keeps its center from c (k x m)."""
+    k, n = a.shape
+    m = c.shape[1]
+    # a stable sort keeps each cluster's points in index order; uint8 keys
+    # (m <= 256) sort by radix
+    order = np.argsort(a.astype(np.uint8), axis=1, kind="stable")
+    flat = (order + n * np.arange(k)[:, None]).ravel()
+    counts = np.bincount((a + m * np.arange(k)[:, None]).ravel(), minlength=k * m)
+    starts = np.cumsum(counts) - counts
+    # the w sums, then the w x sums, in one call over one vector
+    sums = segment_sums(np.concatenate([w.ravel()[flat], wx.ravel()[flat]]),
+                       np.concatenate([starts, starts + k * n]), np.tile(counts, 2))
+    tw, twx = sums[:k * m], sums[k * m:]
+    out = c.ravel().copy()
+    pos = tw > 0.0
+    out[pos] = twx[pos] / tw[pos]
+    return out.reshape(k, m)
+
+
 def lloyd(
-    pts: WeightedPoints,
-    cb: Codebook,
+    pts: WeightedPoints | Sequence[WeightedPoints],
+    cb: Codebook | np.ndarray,
     iters: int,
     trace: list[float] | None = None,
-) -> tuple[Codebook, Assignment]:
-    """Weighted Lloyd iterations from a starting codebook.
+    traces: list | None = None,
+) -> tuple[Codebook, Assignment] | tuple[np.ndarray, np.ndarray]:
+    """Weighted Lloyd iterations from a starting codebook, one channel or
+    a stack of channels in one pass.
+
+    `pts` is one WeightedPoints with `cb` a Codebook, which returns a
+    Codebook and an Assignment; or r WeightedPoints of n points each
+    with `cb` an r x m array of sorted rows, which returns the r x m
+    codebooks and the r x n assignments. One channel runs as a stack of
+    one; more than LLOYD_STACK // (n m) channels run as several stacks.
 
     Each iteration assigns every point to its nearest center (ties to
     the smaller value) and then moves each center to the weighted mean
     of its points; a center whose points carry zero total weight stays
     put. Centers are re-sorted after every update. The returned
     assignment is the nearest-center rule under the final codebook, so
-    iters=0 just assigns against the input codebook. When `trace` is
-    given the weighted SSE after every half-step is appended to it; the
-    sequence never increases.
+    iters=0 just assigns against the input codebook. The weighted SSE
+    after every half-step is appended to `trace` for one channel, and
+    one such list per channel to `traces` for a stack; each never
+    increases.
 
     An iteration is a pure function of the centers, so once one leaves
-    them bitwise unchanged every later iteration would repeat it; the
-    loop stops there. The trace still gets 2 * iters + 1 entries: the
-    skipped half-steps are padded with the last SSE, the value they
-    would have recomputed. Results equal running all `iters` bit for bit.
+    a channel's centers bitwise unchanged every later iteration would
+    repeat it: the channel leaves the stack there. Its trace still gets
+    2 * iters + 1 entries, the skipped half-steps padded with the last
+    SSE, the value they would have recomputed. Results equal running all
+    `iters` on each channel alone, bit for bit.
 
-    The center update groups the points by cluster with one stable
-    argsort of the assignment and sums each cluster's contiguous slice.
-    A stable sort keeps each cluster's points in index order, so every
-    slice holds the same summands in the same order as the mask
-    compaction x[a == q]; numpy's pairwise sum over a contiguous 1-D
-    array depends only on that sequence, so the centers keep their
-    bits. np.add.reduceat over the segments is not a substitute: it
-    does not follow that summation tree, and its sums differed from the
-    masked ones on most random cases.
+    Each cluster sum, and each SSE, is the ``.sum()`` of its summands
+    in index order (`linalg.segment_sums`), as in the mask compaction
+    x[a == q] of one channel.
     """
     if iters < 0:
         raise InvalidSize(f"iters must be >= 0, got {iters}")
-    centers = cb.values.copy()
-    m = centers.shape[0]
+    one = isinstance(pts, WeightedPoints)
+    if one:
+        pts, cb, traces = [pts], cb.values[None], None if trace is None else []
+    elif trace is not None:
+        raise ValueError("a stack takes `traces`, one list per channel")
+    if len({p.n for p in pts}) != 1:
+        raise DimensionMismatch("a stack needs one or more channels of equal length")
+    X = np.stack([p.x for p in pts])
+    Wt = np.stack([p.wgt for p in pts])
+    centers = np.array(cb, dtype=np.float64)
+    if centers.ndim != 2 or centers.shape[0] != X.shape[0]:
+        raise DimensionMismatch(f"{centers.shape} codebooks for {X.shape[0]} channels")
+    A = np.empty(X.shape, dtype=np.int64)
+    step = max(1, LLOYD_STACK // (X.shape[1] * centers.shape[1]))
+    for s in range(0, X.shape[0], step):
+        A[s:s + step] = _lloyd_stack(X[s:s + step], Wt[s:s + step], centers[s:s + step],
+                                     iters, traces)
+    if one:
+        if trace is not None:
+            trace.extend(traces[0])
+        return Codebook(values=centers[0]), Assignment(idx=A[0])
+    return centers, A
 
-    def _sse(c: np.ndarray, a: np.ndarray) -> float:
-        r = pts.x - c[a]
-        return float(np.sum(pts.wgt * r * r))
 
-    wx = pts.wgt * pts.x
+def _lloyd_stack(X: np.ndarray, Wt: np.ndarray, centers: np.ndarray, iters: int,
+                 traces: list | None) -> np.ndarray:
+    """Lloyd on one stack: updates the k x m `centers` in place, appends
+    one SSE trace per channel to `traces` when given, and returns the
+    k x n final assignments."""
+    sse = None if traces is None else np.empty((X.shape[0], 2 * iters + 1))
+    live = np.arange(X.shape[0])  # channels whose last iteration moved a center
+    x, w, wx, c = X, Wt, Wt * X, centers.copy()  # their rows
+    dist = np.empty(X.shape + centers.shape[1:])  # one buffer: fewer large heap blocks
     for it in range(iters):
-        before = centers.tobytes()  # bit patterns, so -0.0 != 0.0
-        a = round_rows(pts.x, centers)
-        if trace is not None:
-            trace.append(_sse(centers, a))
-        order = np.argsort(a, kind="stable")
-        w_sorted, wx_sorted = pts.wgt[order], wx[order]
-        s = 0  # cluster q is w_sorted[s:e]
-        for q, e in enumerate(np.bincount(a, minlength=m).cumsum().tolist()):
-            if e > s:
-                tw = float(w_sorted[s:e].sum())
-                if tw > 0.0:
-                    centers[q] = float(wx_sorted[s:e].sum()) / tw
-            s = e
-        centers = np.sort(centers)
-        if trace is not None:
-            trace.append(_sse(centers, a))
-        if centers.tobytes() == before:
-            if trace is not None:
-                trace.extend([trace[-1]] * (2 * (iters - it - 1)))
-            break
-    final = round_rows(pts.x, centers)
-    if trace is not None:
-        trace.append(_sse(centers, final))
-    return Codebook(values=centers), Assignment(idx=final)
-
-
-def _prefix_sums(x: np.ndarray, w: np.ndarray):
-    return (
-        np.concatenate([[0.0], np.cumsum(w)]),
-        np.concatenate([[0.0], np.cumsum(w * x)]),
-        np.concatenate([[0.0], np.cumsum(w * x * x)]),
-    )
-
-
-def kmeans_1d_exact(pts: WeightedPoints, m: int) -> tuple[Codebook, Assignment, float]:
-    """Optimal weighted 1-D k-means by dynamic programming.
-
-    Sorts the points, then solves the contiguous-segmentation DP with at
-    most min(m, n) segments. Segment centers are weighted means (plain
-    means for zero-weight segments, which cost nothing). Ties between
-    split positions resolve to the smallest split so the result is
-    deterministic. Returns the codebook (one entry per segment, sorted),
-    the assignment in original point order, and the optimal objective.
-    """
-    if m < 1:
-        raise InvalidSize(f"need m >= 1, got {m}")
-    order = np.argsort(pts.x, kind="stable")
-    x = pts.x[order]
-    w = pts.wgt[order]
-    n = x.shape[0]
-    k = min(m, n)
-    W, WX, WX2 = _prefix_sums(x, w)
-
-    def cost(i: int, j: int) -> float:
-        # inclusive [i, j] over sorted points
-        sw = W[j + 1] - W[i]
-        if sw <= 0.0:
-            return 0.0
-        sx = WX[j + 1] - WX[i]
-        c = (WX2[j + 1] - WX2[i]) - sx * sx / sw
-        return max(c, 0.0)
-
-    INF = np.inf
-    best = np.full((k + 1, n + 1), INF)
-    split = np.zeros((k + 1, n + 1), dtype=np.int64)
-    best[0, 0] = 0.0
-    for q in range(1, k + 1):
-        # segment q covers sorted positions i..j-1 for some i
-        for j in range(q, n + 1):
-            b, bi = INF, -1
-            for i in range(q - 1, j):
-                if best[q - 1, i] == INF:
-                    continue
-                c = best[q - 1, i] + cost(i, j - 1)
-                if c < b:
-                    b, bi = c, i
-            best[q, j] = b
-            split[q, j] = bi
-
-    seg = np.zeros(n, dtype=np.int64)
-    j = n
-    bounds = []
-    for q in range(k, 0, -1):
-        i = int(split[q, j])
-        bounds.append((i, j))
-        j = i
-    bounds.reverse()
-    centers = np.zeros(k)
-    for q, (i, j) in enumerate(bounds):
-        seg[i:j] = q
-        sw = W[j] - W[i]
-        if sw > 0.0:
-            centers[q] = (WX[j] - WX[i]) / sw
-        else:
-            centers[q] = float(np.mean(x[i:j]))
-    assign = np.zeros(n, dtype=np.int64)
-    assign[order] = seg
-    return Codebook(values=centers), Assignment(idx=assign), float(best[k, n])
+        a = round_rows(x, c[:, None, :], out=dist[:live.size])
+        if sse is not None:
+            sse[live, 2 * it] = _weighted_sse(x, w, c, a)
+        new = np.sort(_cluster_means(w, wx, a, c), axis=1)
+        if sse is not None:
+            sse[live, 2 * it + 1] = _weighted_sse(x, w, new, a)
+        moved = np.any(new.view(np.int64) != c.view(np.int64), axis=1)  # bits: -0.0 != 0.0
+        centers[live] = new
+        if not moved.all():
+            if sse is not None:
+                done = live[~moved]
+                sse[done, 2 * it + 2 : -1] = sse[done, 2 * it + 1, None]
+            live, x, w, wx, new = live[moved], x[moved], w[moved], wx[moved], new[moved]
+            if not live.size:
+                break
+        c = new
+    final = round_rows(X, centers[:, None, :], out=dist)
+    if sse is not None:
+        sse[:, -1] = _weighted_sse(X, Wt, centers, final)
+        traces.extend(sse.tolist())
+    return final
 
 
 @dataclass
@@ -480,11 +473,13 @@ def squeezellm_init(
         else:
             clustered.append(j)
             pts.append(p)
-    inits = kmeans_pp_init(pts, m, [(seed, j) for j in clustered])
-    for j, p, init in zip(clustered, pts, inits):
+    if clustered:
+        inits = kmeans_pp_init(pts, m, [(seed, j) for j in clustered])
         tr = None if traces is None else []
-        cb, assign = lloyd(p, Codebook(values=init), lloyd_iters, trace=tr)
-        C[j], A[:, j], chan_traces[j] = cb.values, assign.idx, tr
+        C[clustered], assign = lloyd(pts, inits, lloyd_iters, traces=tr)
+        A[:, clustered] = assign.T
+        for j, t in zip(clustered, tr or []):
+            chan_traces[j] = t
     if traces is not None:
         traces.extend(chan_traces)
     return C, A

@@ -29,13 +29,13 @@ from glq.oracle import (
     exhaustive_lnq,
     fd_gradient_check,
     full_fisher_quadratic,
+    kmeans_1d_exact,
     kmeans_partition_oracle,
     naive_cd_cycle,
     weighted_sse,
 )
 from glq.scalar_quant import (
     WeightedPoints,
-    kmeans_1d_exact,
     kmeans_pp_init,
     lloyd,
 )

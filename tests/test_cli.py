@@ -179,6 +179,20 @@ class TestHessianCacheFlag:
                      "--hessian-cache", str(cache), "--out", str(tmp_path / "q")]) == 2
         assert "manifest" in capsys.readouterr().err
 
+    def test_unfactorable_hessian_is_not_written(self, pipeline, tmp_path, capsys):
+        data, model = pipeline
+        loaded, task = artifacts.load_dataset(data)
+        loaded.inputs[:, 3] = 0.0
+        dead = tmp_path / "dead"
+        artifacts.save_dataset(dead, loaded, task)
+        cache = tmp_path / "hc"
+        assert main(["hessian", "--model", str(model), "--data", str(dead), "--kind", "guided",
+                     "--g", "2", "--damping-rel", "0", "--out", str(cache)]) == 2
+        assert capsys.readouterr().err == (
+            "error: layer 0 group 0: cannot factor the damped Hessian: 1 of 6 input features "
+            "have zero curvature and no damping lifts them (first: feature 3)\n")
+        assert not cache.exists() or not any(cache.iterdir())
+
 
 class TestQuantizeAndEval:
     def test_quantize_rerun_byte_identical(self, pipeline, tmp_path):

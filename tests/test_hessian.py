@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -12,7 +13,9 @@ from glq.errors import (
     GlqError,
     InvalidSize,
     PartitionMismatch,
+    SingularHessian,
 )
+from glq.guidedquant import QuantJob, run_job
 from glq.hessian import (
     DEFAULT_DAMPING_REL,
     DEFAULT_GRAD_SCALE,
@@ -296,3 +299,24 @@ class TestLayerHessians:
                                             DEFAULT_GRAD_SCALE, DEFAULT_DAMPING_REL, "guided")
         with pytest.raises(InvalidSize):
             layer_hessians(model, data, toy_calib, "guided", g=0)
+
+    @pytest.mark.parametrize("kind", ["plain", "guided"])
+    def test_unfactorable_set_is_never_cached(self, tmp_path, toy_problem, kind):
+        # input feature 3 zeroed and no damping: H[3, 3] = 0 in every
+        # group of layer 0, which no solver can factor
+        model, data = toy_problem
+        inputs = data.inputs.copy()
+        inputs[:, 3] = 0.0
+        dead = dataclasses.replace(data, inputs=inputs)
+        calib = calibrate(model, dead)
+        cache = HessianCache(tmp_path / "hc")
+        with pytest.raises(SingularHessian, match=r"^layer 0 group 0: .*1 of 8 input "
+                                                  r"features .*\(first: feature 3\)"):
+            layer_hessians(model, dead, calib, kind, 2, 1e3, 0.0, cache=cache)
+        assert not (tmp_path / "hc").exists() or not any((tmp_path / "hc").iterdir())
+        # without a cache the set is built as before, and the methods
+        # that never factor it still run
+        hsets = layer_hessians(model, dead, calib, kind, 2, 1e3, 0.0)
+        assert all(H[3, 3] == 0.0 for H in hsets[0][1].hessians)
+        for method in ("rtn", "squeezellm"):
+            run_job(model, dead, QuantJob(method=method, bits=2, damping_rel=0.0))

@@ -14,6 +14,12 @@
   definition itself; names are matched without regard to their module.
   ``oracle.py`` holds the brute-force references the tests check
   against, so its own definitions are exempt.
+* No package module imports a private numpy module or name, or reaches
+  one through an attribute of an imported numpy name (for example
+  ``numpy.linalg._umath_linalg``, whose ``lstsq`` gufunc would batch the
+  codebook solves). The bit-identity tests pin only numpy's public
+  behaviour; a private entry point may change from one release to the
+  next.
 """
 
 import ast
@@ -166,3 +172,68 @@ def test_reference_scanner_flags_test_only_definitions():
 def test_no_test_only_definitions_in_package():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in NON_TEST_SOURCES}
     assert unreferenced(sources, exempt={"src/glq/oracle.py"}) == []
+
+
+def _private(part: str) -> bool:
+    return part.startswith("_") and not (part.startswith("__") and part.endswith("__"))
+
+
+def private_numpy_uses(source: str) -> list[tuple[str, int]]:
+    """(dotted numpy name, line) of every private numpy module or name
+    the source imports or reaches through an attribute chain rooted at
+    a name bound to numpy, cut after its first private part; dunders
+    such as ``__version__`` are public."""
+    tree = ast.parse(source)
+    bound: dict[str, str] = {}  # local name -> dotted numpy path
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "numpy":
+                    found.append((a.name, node.lineno))
+                    bound[a.asname or "numpy"] = a.name if a.asname else "numpy"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            for a in node.names:
+                path = f"{node.module}.{a.name}"
+                found.append((path, node.lineno))
+                bound[a.asname or a.name] = path
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            parts, root = [], node
+            while isinstance(root, ast.Attribute):
+                parts.append(root.attr)
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append((".".join([bound[root.id], *reversed(parts)]), node.lineno))
+    out = set()
+    for name, line in found:
+        parts = name.split(".")
+        first = next((i for i, part in enumerate(parts) if _private(part)), None)
+        if first is not None:
+            out.add((line, ".".join(parts[:first + 1])))
+    return [(name, line) for line, name in sorted(out)]
+
+
+def test_private_numpy_scanner():
+    src = (
+        "import numpy as np\n"
+        "import numpy.linalg._umath_linalg\n"
+        "from numpy.linalg import _umath_linalg as ul, lstsq\n"
+        "from numpy._core import multiarray\n"
+        "x = np.linalg._umath_linalg.lstsq\n"
+        "y = np.__version__, np.linalg.lstsq, lstsq, ul\n"
+        "z = np.zeros(1)._private_attr\n"
+        "class A:\n"
+        "    def f(self): return self._np\n"
+    )
+    assert private_numpy_uses(src) == [
+        ("numpy.linalg._umath_linalg", 2),
+        ("numpy.linalg._umath_linalg", 3),
+        ("numpy._core", 4),
+        ("numpy.linalg._umath_linalg", 5),
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"], ids=lambda p: p.name)
+def test_no_private_numpy(path):
+    assert private_numpy_uses(path.read_text()) == []

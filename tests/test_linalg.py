@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glq.errors import DimensionMismatch, NotPositiveDefinite
-from glq.linalg import CholeskyFactor, cholesky, least_squares, quad_form
+from glq.linalg import CholeskyFactor, cholesky, least_squares, quad_form, segment_sums
 from glq.oracle import least_squares_normal_oracle
 
 from conftest import random_spd
@@ -124,3 +124,47 @@ def test_factor_dataclass_fields():
     f = cholesky(np.eye(2), damping=0.5)
     assert isinstance(f, CholeskyFactor)
     assert f.dim == 2 and f.damping == 0.5
+
+
+# lengths at and around the points where numpy's pairwise sum changes
+# form: 8 (lanes), 128 (one split), 256 and 512 (deeper splits)
+SUM_EDGES = [0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 255, 256, 257,
+             263, 264, 511, 512, 513, 600]
+
+
+@st.composite
+def summands(draw):
+    """A float64 vector of length 0..600 whose entries mix +0.0, -0.0 and
+    both signs of magnitudes from 1e-3 to 1e3."""
+    n = draw(st.sampled_from(SUM_EDGES) | st.integers(0, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    zeros = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    v = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n)
+    z = rng.random(n) < zeros
+    v[z] = np.where(rng.random(int(z.sum())) < 0.5, -0.0, 0.0)
+    return v
+
+
+class TestSegmentSums:
+    @settings(max_examples=300, deadline=None)
+    @given(summands())
+    def test_one_segment_is_ndarray_sum(self, v):
+        got = segment_sums(v, np.array([0]), np.array([v.shape[0]]))
+        assert got.tobytes() == np.array([v.sum()]).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(summands(), st.lists(st.integers(0, 600), max_size=12))
+    def test_every_segment_is_its_slice_sum(self, v, cuts):
+        # contiguous segments of one vector, empty ones included, with
+        # lengths on either side of the block and split points
+        inner = np.sort(np.minimum(np.array(cuts, dtype=np.int64), v.shape[0]))
+        bounds = np.concatenate([[0], inner, [v.shape[0]]])
+        starts, lens = bounds[:-1], np.diff(bounds)
+        want = np.array([v[s:s + n].sum() for s, n in zip(starts, lens)])
+        assert segment_sums(v, starts, lens).tobytes() == want.tobytes()
+
+    def test_signed_zeros(self):
+        for n in SUM_EDGES:
+            for v in (np.full(n, -0.0), np.full(n, 0.0)):
+                got = segment_sums(v, np.array([0]), np.array([n]))
+                assert got.tobytes() == np.array([v.sum()]).tobytes()

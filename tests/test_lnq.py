@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from glq import lnq
 from glq.errors import DimensionMismatch, InvalidSize, ZeroDiagonal
-from glq.linalg import cholesky, least_squares
+from glq.linalg import CholeskyFactor, cholesky, least_squares
 from glq.lnq import LnqConfig, cd_cycle, codebook_closed_form, lnq_quantize
 from glq.oracle import (
     cd_step_naive,
@@ -467,17 +467,45 @@ def test_codebook_columns_match_mask_sums(seed, d, m):
     assert assign.tobytes() == asg.idx.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 9, 130, 300]) | st.integers(1, 300),
+       st.integers(1, 5), st.integers(1, 8), st.booleans())
+def test_group_codebooks_match_per_channel_masks(seed, d, c, m, neg_zeros):
+    # one group of c channels against the mask reference, one channel at
+    # a time; slots are left empty at random, and the factor may hold
+    # -0.0 below its diagonal
+    rng = np.random.default_rng(seed)
+    L = cholesky(random_spd(rng, d)).L
+    if neg_zeros:
+        below = np.tril(rng.random((d, d)) < 0.3, -1)
+        L = np.where(below, -0.0, L)
+        L[np.tril(np.ones((d, d), dtype=bool), -1) & (rng.random((d, d)) < 0.1)] *= -0.0
+    chol = CholeskyFactor(L=L, damping=0.0)
+    W = rng.standard_normal((d, c))
+    A = rng.integers(0, rng.integers(1, m + 1, size=c), size=(d, c))
+    values, assign = codebook_closed_form(chol, W, A, m)
+    assert values.shape == (c, m) and assign.shape == (d, c)
+    for j in range(c):
+        w = W[:, j].copy()  # contiguous, as a channel was always solved
+        ref_values, ref_idx = _codebook_by_masks(chol, w, A[:, j], m)
+        assert values[j].tobytes() == ref_values.tobytes()
+        npt.assert_array_equal(assign[:, j], ref_idx)
+        one_values, one_assign = codebook_closed_form(chol, W[:, j], A[:, j], m)
+        assert one_values.tobytes() == ref_values.tobytes()
+        npt.assert_array_equal(one_assign, ref_idx)
+
+
 @pytest.mark.parametrize("bad,message", [
     (lambda v: np.where(v == v.max(), np.nan, v), "finite"),
-    (lambda v: v[::-1].copy(), "sorted"),
+    (lambda v: v[..., ::-1].copy(), "sorted"),
 ])
 def test_codebook_phase_checks_the_stack(monkeypatch, bad, message):
     # a codebook solve that returns a non-finite or unsorted row is
     # refused once per phase, with the texts Codebook raises
     real = lnq.codebook_closed_form
 
-    def corrupt(chol, w, a, m):
-        values, assign = real(chol, w, a, m)
+    def corrupt(chol, W, A, m):
+        values, assign = real(chol, W, A, m)
         return bad(values), assign
 
     rng = np.random.default_rng(23)

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glq.errors import InvalidSize, TooFewDistinctPoints
-from glq.oracle import kmeans_partition_oracle, round_to_codebook, weighted_sse
+from glq.errors import DimensionMismatch, InvalidSize, TooFewDistinctPoints
+from glq.oracle import kmeans_1d_exact, kmeans_partition_oracle, round_to_codebook, weighted_sse
 from glq.scalar_quant import (
     Assignment,
     Codebook,
     WeightedPoints,
     _distinct,
-    kmeans_1d_exact,
     kmeans_pp_init,
     lloyd,
     round_rows,
@@ -341,6 +340,93 @@ class TestLloyd:
             start = weighted_sse(pts, init, Assignment(idx=round_rows(pts.x, init.values)))
             cb, assign = lloyd(pts, init, 25)
             assert weighted_sse(pts, cb, assign) <= start + 1e-12
+
+
+@st.composite
+def lloyd_stack(draw):
+    """r channels of n points each, every channel from its own small value
+    pool (duplicates) with zero weights, from one drawn numpy seed; sorted
+    starting codebooks that may sit outside the data (empty and
+    zero-weight clusters) or repeat values. Pools of different sizes make
+    the channels settle at different iterations; a channel whose pool
+    fits the codebook can start at its fixed point."""
+    r = draw(st.integers(1, 6))
+    n = draw(st.sampled_from([1, 2, 9, 40, 129, 300]) | st.integers(1, 300))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts, C = [], np.empty((r, m))
+    for i in range(r):
+        pool = rng.uniform(-8, 8, rng.integers(1, 8))
+        x = pool[rng.integers(0, pool.shape[0], n)]
+        w = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0, 5, n))
+        w[rng.integers(0, n)] = 1.0
+        pts.append(WeightedPoints(x=x, wgt=w))
+        C[i] = np.sort(np.where(rng.random(m) < 0.6, rng.choice(pool, m), rng.uniform(-20, 20, m)))
+    return pts, C, draw(st.integers(0, 60))
+
+
+class TestLloydStack:
+    @settings(max_examples=150, deadline=None)
+    @given(lloyd_stack())
+    def test_stack_equals_every_iteration_per_channel(self, case):
+        pts, C0, iters = case
+        traces: list = []
+        C, A = lloyd(pts, C0, iters, traces=traces)
+        bare_C, bare_A = lloyd(pts, C0, iters)
+        assert C.tobytes() == bare_C.tobytes() and A.tobytes() == bare_A.tobytes()
+        assert len(traces) == len(pts)
+        for i, p in enumerate(pts):
+            ref_trace: list[float] = []
+            ref_c, ref_a = _lloyd_every_iter(p, Codebook(values=C0[i]), iters, ref_trace)
+            assert C[i].tobytes() == ref_c.tobytes()
+            npt.assert_array_equal(A[i], ref_a)
+            assert traces[i] == ref_trace
+
+    def test_channels_settle_at_different_iterations(self):
+        # one channel starts at its fixed point, the others move for
+        # several iterations; the settled one keeps its padded trace
+        rng = np.random.default_rng(5)
+        x = [np.repeat([0.0, 1.0, 5.0], 10), rng.standard_normal(30), rng.standard_normal(30)]
+        pts = [_pts(x[0])] + [_pts(v, rng.uniform(0.1, 1.0, 30)) for v in x[1:]]
+        C0 = np.array([[0.0, 1.0, 5.0], [-0.5, 0.0, 0.5], [-2.0, 0.1, 0.2]])
+        traces: list = []
+        C, A = lloyd(pts, C0, 40, traces=traces)
+        assert C[0].tobytes() == C0[0].tobytes()
+        assert len(set(traces[0])) == 1
+        for i, p in enumerate(pts):
+            ref_trace: list[float] = []
+            ref_c, ref_a = _lloyd_every_iter(p, Codebook(values=C0[i]), 40, ref_trace)
+            assert C[i].tobytes() == ref_c.tobytes() and traces[i] == ref_trace
+            npt.assert_array_equal(A[i], ref_a)
+        assert traces[1][2:4] != traces[1][4:6]  # still moving after the first iteration
+
+    def test_zero_iters_assigns_against_the_input(self):
+        pts = [_pts([0.0, 1.0, 10.0]), _pts([3.0, -3.0, 0.4])]
+        C0 = np.array([[0.0, 8.0], [-1.0, 1.0]])
+        traces: list = []
+        C, A = lloyd(pts, C0, 0, traces=traces)
+        assert C.tobytes() == C0.tobytes()
+        npt.assert_array_equal(A, [[0, 0, 1], [1, 0, 1]])
+        assert [len(t) for t in traces] == [1, 1]
+
+    def test_stack_of_one_is_the_channel_form(self):
+        pts = _pts([0.0, 0.2, 0.9, 1.0, 4.0], [1.0, 0.0, 2.0, 1.0, 3.0])
+        cb = Codebook(values=np.array([0.1, 0.5, 9.0]))  # 9.0 stays empty
+        trace: list[float] = []
+        one_cb, one_a = lloyd(pts, cb, 10, trace=trace)
+        traces: list = []
+        C, A = lloyd([pts], cb.values[None], 10, traces=traces)
+        assert C[0].tobytes() == one_cb.values.tobytes() and 9.0 in C[0]
+        npt.assert_array_equal(A[0], one_a.idx)
+        assert traces == [trace]
+
+    def test_stack_arguments_are_checked(self):
+        with pytest.raises(DimensionMismatch):
+            lloyd([_pts([0.0, 1.0]), _pts([0.0, 1.0, 2.0])], np.zeros((2, 1)), 3)
+        with pytest.raises(DimensionMismatch):
+            lloyd([_pts([0.0, 1.0])], np.zeros((2, 1)), 3)
+        with pytest.raises(ValueError, match="traces"):
+            lloyd([_pts([0.0, 1.0])], np.zeros((1, 1)), 3, trace=[])
 
 
 class TestExactDP:
