@@ -130,8 +130,8 @@ def codebook_closed_form(
     """Optimal codebooks of one group for fixed assignments, then sort
     and remap.
 
-    `W` and `A` are the group's d x c weights and slot assignments; 1-D
-    vectors are one channel. For each channel solves the least-squares
+    `W` and `A` are the group's d x c weights and slot assignments (c =
+    1 for one channel). For each channel solves the least-squares
     system (L^T P) c ~ L^T w restricted to the occupied slots;
     unoccupied slots get value 0.0, matching the minimum-norm solution
     of the full system. Returns the codebooks (c x m, rows sorted
@@ -151,9 +151,8 @@ def codebook_closed_form(
     """
     W = np.asarray(W, dtype=np.float64)
     A = np.asarray(A)
-    if W.ndim == 1:
-        C, A = codebook_closed_form(chol, W[:, None], A.reshape(-1, 1), m)
-        return C[0], A[:, 0]
+    if W.ndim != 2:
+        raise DimensionMismatch(f"W must be d x c, got ndim={W.ndim}")
     d, c = W.shape
     if d != chol.dim or A.shape != W.shape:
         raise DimensionMismatch("weights, assignments and factor disagree on dimension")

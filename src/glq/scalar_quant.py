@@ -19,7 +19,11 @@ puts each cluster's points in index order, and
 in eight lanes over the blocks of 8, combined as
 ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
 order; past 128 split at n // 2 rounded down to a multiple of 8. A
-padded segment matrix or np.add.reduceat would change the bits.
+padded segment matrix or np.add.reduceat would change the bits. When
+every cluster has fewer than 8 points, ``np.bincount`` adds each one
+in index order from 0.0, the same bits without the sort. The SSE
+traces sum each channel's row along the contiguous last axis, which
+numpy adds as that row's ``.sum()``.
 ``squeezellm_init`` is the one squeezellm path: codebooks and
 assignments of a column slice as arrays, with the SSE traces only when
 asked for; ``squeezellm_quantize`` wraps it into channel states.
@@ -220,11 +224,10 @@ def _kmeans_pp_stack(vals: np.ndarray, wsum: np.ndarray, m: int, rngs: list) -> 
 
 
 def _weighted_sse(x: np.ndarray, w: np.ndarray, c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Weighted SSE of every row, sum(w * r * r) with r = x - c[a], as
-    that row's ``.sum()`` gives it."""
+    """Weighted SSE of every row, sum(w * r * r) with r = x - c[a]. A sum
+    along the contiguous last axis adds each row as its ``.sum()`` does."""
     resid = x - np.take_along_axis(c, a, axis=1)
-    k, n = x.shape
-    return segment_sums((w * resid * resid).ravel(), n * np.arange(k), np.full(k, n))
+    return np.sum(w * resid * resid, axis=1)
 
 
 def _cluster_means(w: np.ndarray, wx: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -232,16 +235,23 @@ def _cluster_means(w: np.ndarray, wx: np.ndarray, a: np.ndarray, c: np.ndarray) 
     cluster with zero total weight keeps its center from c (k x m)."""
     k, n = a.shape
     m = c.shape[1]
-    # a stable sort keeps each cluster's points in index order; uint8 keys
-    # (m <= 256) sort by radix
-    order = np.argsort(a.astype(np.uint8), axis=1, kind="stable")
-    flat = (order + n * np.arange(k)[:, None]).ravel()
-    counts = np.bincount((a + m * np.arange(k)[:, None]).ravel(), minlength=k * m)
-    starts = np.cumsum(counts) - counts
-    # the w sums, then the w x sums, in one call over one vector
-    sums = segment_sums(np.concatenate([w.ravel()[flat], wx.ravel()[flat]]),
-                       np.concatenate([starts, starts + k * n]), np.tile(counts, 2))
-    tw, twx = sums[:k * m], sums[k * m:]
+    keys = (a + m * np.arange(k)[:, None]).ravel()
+    counts = np.bincount(keys, minlength=k * m)
+    if counts.max() < 8:
+        # numpy adds fewer than 8 elements in order from 0.0, as bincount
+        # adds each key's weights in index order
+        tw = np.bincount(keys, weights=w.ravel(), minlength=k * m)
+        twx = np.bincount(keys, weights=wx.ravel(), minlength=k * m)
+    else:
+        # a stable sort keeps each cluster's points in index order; uint8
+        # keys (m <= 256) sort by radix
+        order = np.argsort(a.astype(np.uint8), axis=1, kind="stable")
+        flat = (order + n * np.arange(k)[:, None]).ravel()
+        starts = np.cumsum(counts) - counts
+        # the w sums, then the w x sums, in one call over one vector
+        sums = segment_sums(np.concatenate([w.ravel()[flat], wx.ravel()[flat]]),
+                           np.concatenate([starts, starts + k * n]), np.tile(counts, 2))
+        tw, twx = sums[:k * m], sums[k * m:]
     out = c.ravel().copy()
     pos = tw > 0.0
     out[pos] = twx[pos] / tw[pos]
@@ -249,74 +259,62 @@ def _cluster_means(w: np.ndarray, wx: np.ndarray, a: np.ndarray, c: np.ndarray) 
 
 
 def lloyd(
-    pts: WeightedPoints | Sequence[WeightedPoints],
-    cb: Codebook | np.ndarray,
+    pts: Sequence[WeightedPoints],
+    centers: np.ndarray,
     iters: int,
     trace: list[float] | None = None,
-    traces: list | None = None,
-) -> tuple[Codebook, Assignment] | tuple[np.ndarray, np.ndarray]:
-    """Weighted Lloyd iterations from a starting codebook, one channel or
-    a stack of channels in one pass.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted Lloyd iterations over a stack of channels in one pass.
 
-    `pts` is one WeightedPoints with `cb` a Codebook, which returns a
-    Codebook and an Assignment; or r WeightedPoints of n points each
-    with `cb` an r x m array of sorted rows, which returns the r x m
-    codebooks and the r x n assignments. One channel runs as a stack of
-    one; more than LLOYD_STACK // (n m) channels run as several stacks.
+    `pts` holds r channels of n points each and `centers` their r x m
+    starting codebooks (rows sorted); one channel is a stack of one.
+    Returns the r x m codebooks and the r x n assignments. More than
+    LLOYD_STACK // (n m) channels run as several stacks.
 
     Each iteration assigns every point to its nearest center (ties to
     the smaller value) and then moves each center to the weighted mean
     of its points; a center whose points carry zero total weight stays
     put. Centers are re-sorted after every update. The returned
     assignment is the nearest-center rule under the final codebook, so
-    iters=0 just assigns against the input codebook. The weighted SSE
-    after every half-step is appended to `trace` for one channel, and
-    one such list per channel to `traces` for a stack; each never
-    increases.
+    iters=0 just assigns against the input codebook. When `trace` is
+    given, each channel's weighted SSE after every half-step (2 * iters
+    + 1 values, never increasing) is appended to it, channel after
+    channel.
 
     An iteration is a pure function of the centers, so once one leaves
     a channel's centers bitwise unchanged every later iteration would
     repeat it: the channel leaves the stack there. Its trace still gets
-    2 * iters + 1 entries, the skipped half-steps padded with the last
-    SSE, the value they would have recomputed. Results equal running all
-    `iters` on each channel alone, bit for bit.
+    all 2 * iters + 1 values, the skipped half-steps padded with the
+    last SSE, the value they would have recomputed. Results equal
+    running all `iters` on each channel alone, bit for bit.
 
-    Each cluster sum, and each SSE, is the ``.sum()`` of its summands
-    in index order (`linalg.segment_sums`), as in the mask compaction
-    x[a == q] of one channel.
+    Each cluster sum is the ``.sum()`` of its points in index order
+    (`linalg.segment_sums`), as in the mask compaction x[a == q] of one
+    channel, and each SSE is its row's ``.sum()``.
     """
     if iters < 0:
         raise InvalidSize(f"iters must be >= 0, got {iters}")
-    one = isinstance(pts, WeightedPoints)
-    if one:
-        pts, cb, traces = [pts], cb.values[None], None if trace is None else []
-    elif trace is not None:
-        raise ValueError("a stack takes `traces`, one list per channel")
     if len({p.n for p in pts}) != 1:
         raise DimensionMismatch("a stack needs one or more channels of equal length")
     X = np.stack([p.x for p in pts])
     Wt = np.stack([p.wgt for p in pts])
-    centers = np.array(cb, dtype=np.float64)
+    centers = np.array(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] != X.shape[0]:
         raise DimensionMismatch(f"{centers.shape} codebooks for {X.shape[0]} channels")
     A = np.empty(X.shape, dtype=np.int64)
     step = max(1, LLOYD_STACK // (X.shape[1] * centers.shape[1]))
     for s in range(0, X.shape[0], step):
         A[s:s + step] = _lloyd_stack(X[s:s + step], Wt[s:s + step], centers[s:s + step],
-                                     iters, traces)
-    if one:
-        if trace is not None:
-            trace.extend(traces[0])
-        return Codebook(values=centers[0]), Assignment(idx=A[0])
+                                     iters, trace)
     return centers, A
 
 
 def _lloyd_stack(X: np.ndarray, Wt: np.ndarray, centers: np.ndarray, iters: int,
-                 traces: list | None) -> np.ndarray:
+                 trace: list[float] | None) -> np.ndarray:
     """Lloyd on one stack: updates the k x m `centers` in place, appends
-    one SSE trace per channel to `traces` when given, and returns the
+    every channel's SSE trace to `trace` when given, and returns the
     k x n final assignments."""
-    sse = None if traces is None else np.empty((X.shape[0], 2 * iters + 1))
+    sse = None if trace is None else np.empty((X.shape[0], 2 * iters + 1))
     live = np.arange(X.shape[0])  # channels whose last iteration moved a center
     x, w, wx, c = X, Wt, Wt * X, centers.copy()  # their rows
     dist = np.empty(X.shape + centers.shape[1:])  # one buffer: fewer large heap blocks
@@ -340,7 +338,7 @@ def _lloyd_stack(X: np.ndarray, Wt: np.ndarray, centers: np.ndarray, iters: int,
     final = round_rows(X, centers[:, None, :], out=dist)
     if sse is not None:
         sse[:, -1] = _weighted_sse(X, Wt, centers, final)
-        traces.extend(sse.tolist())
+        trace.extend(sse.ravel().tolist())
     return final
 
 
@@ -443,7 +441,8 @@ def squeezellm_init(
     Channel j clusters the weights W[:, j] with diagonal-Fisher weights
     fisher_diag[:, j]: k-means++ seeding (per-channel substream
     (seed, j)), all clustered channels seeded in one `kmeans_pp_init`
-    pass, then Lloyd refinement one channel at a time. A channel whose
+    pass and refined by one `lloyd` call (with `traces`, one call per
+    channel, a stack of one; the same bits). A channel whose
     Fisher column is all zero falls back to uniform weights; a channel
     with fewer distinct values than codebook slots is represented
     exactly. Returns the codebooks (c x m, rows sorted) and the
@@ -475,11 +474,17 @@ def squeezellm_init(
             pts.append(p)
     if clustered:
         inits = kmeans_pp_init(pts, m, [(seed, j) for j in clustered])
-        tr = None if traces is None else []
-        C[clustered], assign = lloyd(pts, inits, lloyd_iters, traces=tr)
-        A[:, clustered] = assign.T
-        for j, t in zip(clustered, tr or []):
-            chan_traces[j] = t
+        if traces is None:
+            C[clustered], assign = lloyd(pts, inits, lloyd_iters)
+            A[:, clustered] = assign.T
+        else:
+            # a stack of one per channel: each call's trace is then one
+            # channel's, the form bench/spans.py counts useful Lloyd
+            # iterations from
+            for j, p, init in zip(clustered, pts, inits):
+                chan_traces[j] = []
+                cb, assign = lloyd([p], init[None], lloyd_iters, chan_traces[j])
+                C[j], A[:, j] = cb[0], assign[0]
     if traces is not None:
         traces.extend(chan_traces)
     return C, A

@@ -35,6 +35,8 @@ from glq.oracle import (
     weighted_sse,
 )
 from glq.scalar_quant import (
+    Assignment,
+    Codebook,
     WeightedPoints,
     kmeans_pp_init,
     lloyd,
@@ -149,8 +151,9 @@ def test_criterion_05_dp_kmeans_exactly_optimal():
         oracle_obj = kmeans_partition_oracle(pts, m)
         assert abs(dp_obj - oracle_obj) <= 1e-9 * max(1.0, oracle_obj)
         if m <= n and len(np.unique(pts.x)) >= m:
-            cb, asg = lloyd(pts, kmeans_pp_init(pts, m, seed=0), 30)
-            assert weighted_sse(pts, cb, asg) >= dp_obj - 1e-9 * max(1.0, dp_obj)
+            C, A = lloyd([pts], kmeans_pp_init(pts, m, seed=0).values[None], 30)
+            lloyd_obj = weighted_sse(pts, Codebook(values=C[0]), Assignment(idx=A[0]))
+            assert lloyd_obj >= dp_obj - 1e-9 * max(1.0, dp_obj)
 
 
 def test_criterion_06_grouped_hessians_reduce_to_channel_and_plain_forms():

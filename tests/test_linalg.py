@@ -168,3 +168,12 @@ class TestSegmentSums:
             for v in (np.full(n, -0.0), np.full(n, 0.0)):
                 got = segment_sums(v, np.array([0]), np.array([n]))
                 assert got.tobytes() == np.array([v.sum()]).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(summands(), st.integers(1, 6))
+    def test_last_axis_sum_is_each_rows_sum(self, v, k):
+        # the rule lloyd's SSE traces rest on: numpy sums each row of a
+        # C-contiguous k x n array along the last axis as that row's .sum()
+        rows = np.stack([np.roll(v, 7 * i) * (1.0 + i) for i in range(k)])
+        want = np.array([row.sum() for row in rows])
+        assert rows.sum(axis=1).tobytes() == want.tobytes()

@@ -29,18 +29,23 @@ def _state(values, idx) -> ChannelQuantState:
     )
 
 
+def _solve_one(chol, w, a, m):
+    """codebook_closed_form on one channel, as a group of c = 1."""
+    values, assign = codebook_closed_form(chol, np.asarray(w, dtype=np.float64)[:, None],
+                                          np.asarray(a)[:, None], m)
+    return values[0], assign[:, 0]
+
+
 class TestCodebookClosedForm:
     def test_identity_hessian_groups_average(self):
         chol = cholesky(np.eye(3))
-        values, assign = codebook_closed_form(chol, np.array([1.0, 1.0, 2.0]),
-                                              np.array([0, 0, 1]), 2)
+        values, assign = _solve_one(chol, np.array([1.0, 1.0, 2.0]), np.array([0, 0, 1]), 2)
         npt.assert_allclose(values, [1.0, 2.0], atol=1e-12)
         npt.assert_array_equal(assign, [0, 0, 1])
 
     def test_empty_slot_gets_zero_and_sorts(self):
         chol = cholesky(np.eye(3))
-        values, assign = codebook_closed_form(chol, np.array([1.0, 2.0, 3.0]),
-                                              np.array([1, 1, 1]), 2)
+        values, assign = _solve_one(chol, np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]), 2)
         # slot 0 empty -> 0.0; occupied slot holds the mean 2.0
         npt.assert_allclose(values, [0.0, 2.0], atol=1e-12)
         npt.assert_array_equal(assign, [1, 1, 1])
@@ -48,7 +53,7 @@ class TestCodebookClosedForm:
     def test_remap_after_sort(self):
         # negative mean lands below the empty slot's 0.0
         chol = cholesky(np.eye(2))
-        values, assign = codebook_closed_form(chol, np.array([-3.0, -1.0]), np.array([1, 1]), 2)
+        values, assign = _solve_one(chol, np.array([-3.0, -1.0]), np.array([1, 1]), 2)
         npt.assert_allclose(values, [-2.0, 0.0], atol=1e-12)
         npt.assert_array_equal(assign, [0, 0])
 
@@ -60,7 +65,7 @@ class TestCodebookClosedForm:
             w = rng.standard_normal(d)
             a = rng.integers(0, m, size=d)
             chol = cholesky(H)
-            values, assign = codebook_closed_form(chol, w, a, m)
+            values, assign = _solve_one(chol, w, a, m)
             used = np.unique(a)
             P = np.zeros((d, used.shape[0]))
             for col, q in enumerate(used):
@@ -75,7 +80,7 @@ class TestCodebookClosedForm:
         w = rng.standard_normal(6)
         a = np.array([0, 1, 2, 0, 1, 2])
         chol = cholesky(H)
-        values, assign = codebook_closed_form(chol, w, a, 3)
+        values, assign = _solve_one(chol, w, a, 3)
         base = w - values[assign]
         f0 = float(base @ H @ base)
         for _ in range(20):
@@ -87,9 +92,9 @@ class TestCodebookClosedForm:
         chol = cholesky(np.eye(2))
         for a in ([0, 3], [-1, 0]):
             with pytest.raises(InvalidSize):
-                codebook_closed_form(chol, np.zeros(2), np.array(a), 2)
+                _solve_one(chol, np.zeros(2), np.array(a), 2)
         with pytest.raises(DimensionMismatch):
-            codebook_closed_form(chol, np.zeros(2), np.array([0, 1, 1]), 2)
+            _solve_one(chol, np.zeros(2), np.array([0, 1, 1]), 2)
 
 
 class TestCdSteps:
@@ -458,7 +463,7 @@ def test_codebook_columns_match_mask_sums(seed, d, m):
     chol = cholesky(random_spd(rng, d))
     w = rng.standard_normal(d)
     a = rng.integers(0, rng.integers(1, m + 1), size=d)  # some slots empty
-    values, assign = codebook_closed_form(chol, w, a, m)
+    values, assign = _solve_one(chol, w, a, m)
     ref_values, ref_idx = _codebook_by_masks(chol, w, a, m)
     assert values.tobytes() == ref_values.tobytes()
     npt.assert_array_equal(assign, ref_idx)
@@ -490,7 +495,7 @@ def test_group_codebooks_match_per_channel_masks(seed, d, c, m, neg_zeros):
         ref_values, ref_idx = _codebook_by_masks(chol, w, A[:, j], m)
         assert values[j].tobytes() == ref_values.tobytes()
         npt.assert_array_equal(assign[:, j], ref_idx)
-        one_values, one_assign = codebook_closed_form(chol, W[:, j], A[:, j], m)
+        one_values, one_assign = _solve_one(chol, W[:, j], A[:, j], m)
         assert one_values.tobytes() == ref_values.tobytes()
         npt.assert_array_equal(one_assign, ref_idx)
 

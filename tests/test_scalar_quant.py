@@ -26,6 +26,12 @@ def _pts(x, w=None) -> WeightedPoints:
     return WeightedPoints(x=x, wgt=w)
 
 
+def _lloyd_one(pts, cb, iters, trace=None):
+    """lloyd on one channel, as a stack of one."""
+    C, A = lloyd([pts], cb.values[None], iters, trace)
+    return Codebook(values=C[0]), Assignment(idx=A[0])
+
+
 @st.composite
 def weighted_points(draw, max_n=12):
     n = draw(st.integers(2, max_n))
@@ -278,12 +284,12 @@ class TestLloyd:
         ref_trace: list[float] = []
         ref_c, ref_a = _lloyd_every_iter(pts, cb, iters, ref_trace)
         trace: list[float] = []
-        out_cb, assign = lloyd(pts, cb, iters, trace=trace)
+        out_cb, assign = _lloyd_one(pts, cb, iters, trace)
         assert out_cb.values.tobytes() == ref_c.tobytes()
         assert np.array_equal(assign.idx, ref_a)
         assert trace == ref_trace
         assert len(trace) == 2 * iters + 1
-        bare_cb, bare_a = lloyd(pts, cb, iters)
+        bare_cb, bare_a = _lloyd_one(pts, cb, iters)
         assert bare_cb.values.tobytes() == ref_c.tobytes()
         assert np.array_equal(bare_a.idx, ref_a)
 
@@ -303,21 +309,21 @@ class TestLloyd:
     def test_zero_iters_assigns_only(self):
         pts = _pts([0.0, 1.0, 10.0])
         cb = Codebook(values=np.array([0.0, 8.0]))
-        out_cb, assign = lloyd(pts, cb, 0)
+        out_cb, assign = _lloyd_one(pts, cb, 0)
         npt.assert_array_equal(out_cb.values, cb.values)
         npt.assert_array_equal(assign.idx, [0, 0, 1])
 
     def test_empty_cluster_keeps_center(self):
         pts = _pts([0.0, 0.1])
         cb = Codebook(values=np.array([0.05, 99.0]))
-        out_cb, assign = lloyd(pts, cb, 3)
+        out_cb, assign = _lloyd_one(pts, cb, 3)
         assert 99.0 in out_cb.values
         npt.assert_array_equal(assign.idx, [0, 0])
 
     def test_weighted_mean_update(self):
         pts = _pts([0.0, 1.0], [1.0, 3.0])
         cb = Codebook(values=np.array([0.2]))
-        out_cb, _ = lloyd(pts, cb, 1)
+        out_cb, _ = _lloyd_one(pts, cb, 1)
         assert out_cb.values[0] == pytest.approx(0.75, abs=1e-13)
 
     @settings(max_examples=30, deadline=None)
@@ -328,7 +334,7 @@ class TestLloyd:
             return
         init = kmeans_pp_init(pts, m, seed=0)
         trace: list[float] = []
-        lloyd(pts, init, iters, trace=trace)
+        _lloyd_one(pts, init, iters, trace)
         for a, b in zip(trace, trace[1:]):
             assert b <= a + 1e-9 * (1.0 + abs(a))
 
@@ -338,7 +344,7 @@ class TestLloyd:
             pts = _pts(rng.standard_normal(15), rng.uniform(0.01, 1, 15))
             init = kmeans_pp_init(pts, 3, seed=2)
             start = weighted_sse(pts, init, Assignment(idx=round_rows(pts.x, init.values)))
-            cb, assign = lloyd(pts, init, 25)
+            cb, assign = _lloyd_one(pts, init, 25)
             assert weighted_sse(pts, cb, assign) <= start + 1e-12
 
 
@@ -370,17 +376,18 @@ class TestLloydStack:
     @given(lloyd_stack())
     def test_stack_equals_every_iteration_per_channel(self, case):
         pts, C0, iters = case
-        traces: list = []
-        C, A = lloyd(pts, C0, iters, traces=traces)
+        trace: list[float] = []
+        C, A = lloyd(pts, C0, iters, trace)
         bare_C, bare_A = lloyd(pts, C0, iters)
         assert C.tobytes() == bare_C.tobytes() and A.tobytes() == bare_A.tobytes()
-        assert len(traces) == len(pts)
+        span = 2 * iters + 1
+        assert len(trace) == len(pts) * span
         for i, p in enumerate(pts):
             ref_trace: list[float] = []
             ref_c, ref_a = _lloyd_every_iter(p, Codebook(values=C0[i]), iters, ref_trace)
             assert C[i].tobytes() == ref_c.tobytes()
             npt.assert_array_equal(A[i], ref_a)
-            assert traces[i] == ref_trace
+            assert trace[i * span:(i + 1) * span] == ref_trace
 
     def test_channels_settle_at_different_iterations(self):
         # one channel starts at its fixed point, the others move for
@@ -389,8 +396,9 @@ class TestLloydStack:
         x = [np.repeat([0.0, 1.0, 5.0], 10), rng.standard_normal(30), rng.standard_normal(30)]
         pts = [_pts(x[0])] + [_pts(v, rng.uniform(0.1, 1.0, 30)) for v in x[1:]]
         C0 = np.array([[0.0, 1.0, 5.0], [-0.5, 0.0, 0.5], [-2.0, 0.1, 0.2]])
-        traces: list = []
-        C, A = lloyd(pts, C0, 40, traces=traces)
+        trace: list[float] = []
+        C, A = lloyd(pts, C0, 40, trace)
+        traces = [trace[i * 81:(i + 1) * 81] for i in range(3)]
         assert C[0].tobytes() == C0[0].tobytes()
         assert len(set(traces[0])) == 1
         for i, p in enumerate(pts):
@@ -403,30 +411,35 @@ class TestLloydStack:
     def test_zero_iters_assigns_against_the_input(self):
         pts = [_pts([0.0, 1.0, 10.0]), _pts([3.0, -3.0, 0.4])]
         C0 = np.array([[0.0, 8.0], [-1.0, 1.0]])
-        traces: list = []
-        C, A = lloyd(pts, C0, 0, traces=traces)
+        trace: list[float] = []
+        C, A = lloyd(pts, C0, 0, trace)
         assert C.tobytes() == C0.tobytes()
         npt.assert_array_equal(A, [[0, 0, 1], [1, 0, 1]])
-        assert [len(t) for t in traces] == [1, 1]
+        assert len(trace) == 2
 
-    def test_stack_of_one_is_the_channel_form(self):
+    def test_channel_ignores_its_stack_mates(self):
+        # a channel alone (a stack of one) and inside a stack give the
+        # same bits, zero-weight and empty clusters included
         pts = _pts([0.0, 0.2, 0.9, 1.0, 4.0], [1.0, 0.0, 2.0, 1.0, 3.0])
-        cb = Codebook(values=np.array([0.1, 0.5, 9.0]))  # 9.0 stays empty
+        mate = _pts([5.0, -1.0, 2.5, 2.5, 0.0], [0.5, 1.0, 1.0, 0.0, 2.0])
+        C0 = np.array([[0.1, 0.5, 9.0], [-1.0, 0.0, 1.0]])  # 9.0 stays empty
+        one_trace: list[float] = []
+        one_C, one_A = lloyd([pts], C0[:1], 10, one_trace)
         trace: list[float] = []
-        one_cb, one_a = lloyd(pts, cb, 10, trace=trace)
-        traces: list = []
-        C, A = lloyd([pts], cb.values[None], 10, traces=traces)
-        assert C[0].tobytes() == one_cb.values.tobytes() and 9.0 in C[0]
-        npt.assert_array_equal(A[0], one_a.idx)
-        assert traces == [trace]
+        C, A = lloyd([pts, mate], C0, 10, trace)
+        assert C[0].tobytes() == one_C[0].tobytes() and 9.0 in C[0]
+        npt.assert_array_equal(A[0], one_A[0])
+        assert trace[:21] == one_trace
 
     def test_stack_arguments_are_checked(self):
         with pytest.raises(DimensionMismatch):
             lloyd([_pts([0.0, 1.0]), _pts([0.0, 1.0, 2.0])], np.zeros((2, 1)), 3)
         with pytest.raises(DimensionMismatch):
             lloyd([_pts([0.0, 1.0])], np.zeros((2, 1)), 3)
-        with pytest.raises(ValueError, match="traces"):
-            lloyd([_pts([0.0, 1.0])], np.zeros((1, 1)), 3, trace=[])
+        with pytest.raises(DimensionMismatch):
+            lloyd([_pts([0.0, 1.0])], np.zeros(1), 3)
+        with pytest.raises(InvalidSize):
+            lloyd([_pts([0.0, 1.0])], np.zeros((1, 1)), -1)
 
 
 class TestExactDP:
@@ -470,7 +483,7 @@ class TestExactDP:
             m = min(3, len(np.unique(pts.x)))
             _, _, dp = kmeans_1d_exact(pts, m)
             init = kmeans_pp_init(pts, m, seed=3)
-            cb, assign = lloyd(pts, init, 30)
+            cb, assign = _lloyd_one(pts, init, 30)
             assert weighted_sse(pts, cb, assign) >= dp - 1e-9 * (1.0 + dp)
 
     def test_doubling_scales_objective_exactly(self):
