@@ -29,9 +29,6 @@ from .hessian import (
 from .linalg import CholeskyFactor, cholesky, least_squares, quad_form
 from .lnq import LnqConfig, lnq_quantize
 from .scalar_quant import (
-    Assignment,
-    ChannelQuantState,
-    Codebook,
     QuantizedLayer,
     WeightedPoints,
     kmeans_pp_init,

@@ -13,7 +13,10 @@ tied together by a manifest that hashes each file. Layouts:
 
 Loads reject directories whose manifest is missing or stale, so a
 half-copied artifact fails loudly instead of quietly feeding garbage
-downstream.
+downstream. ``load_quantized`` also validates each layer as a
+``QuantizedLayer`` (shapes, m = 2**bits, finite sorted codebooks, slots
+in range, one trace per channel) and raises CorruptFile naming the
+directory and the layer when one is inconsistent.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .calib_model import Dataset, MlpModel
-from .errors import CorruptFile
+from .errors import CorruptFile, GlqError
 from .guidedquant import CSV_COLUMNS, QuantReport
-from .scalar_quant import Assignment, ChannelQuantState, Codebook, QuantizedLayer
+from .scalar_quant import QuantizedLayer
 from .tensorio import read_tensor, verify_manifest, write_json_atomic, write_manifest, write_tensor
 
 
@@ -117,10 +120,7 @@ def save_quantized(
         write_tensor(d / cb_name, ql.codebook_matrix())
         write_tensor(d / as_name, ql.assign_matrix().astype(np.uint8))
         names += [cb_name, as_name]
-    traces = {
-        str(ql.layer_idx): [list(map(float, st.objective_trace)) for st in ql.channels]
-        for ql in qlayers
-    }
+    traces = {str(ql.layer_idx): [list(map(float, tr)) for tr in ql.traces] for ql in qlayers}
     write_json_atomic(d / "traces.json", traces)
     write_json_atomic(d / "quant.json", dict(job_meta, bits=report.bits,
                                              n_layers=len(qlayers)))
@@ -136,14 +136,9 @@ def load_quantized(dir_path: str | Path) -> tuple[list[QuantizedLayer], dict]:
     qlayers = []
     for l in range(meta["n_layers"]):
         C = read_tensor(d / f"codebook.L{l}.gqt")
-        A = read_tensor(d / f"assign.L{l}.gqt").astype(np.int64)
-        layer_traces = traces[str(l)]
-        channels = [
-            ChannelQuantState.from_parts(
-                Codebook(values=C[j]), Assignment(idx=A[:, j]),
-                trace=layer_traces[j],
-            )
-            for j in range(C.shape[0])
-        ]
-        qlayers.append(QuantizedLayer(layer_idx=l, bits=meta["bits"], channels=channels))
+        A = read_tensor(d / f"assign.L{l}.gqt")
+        try:
+            qlayers.append(QuantizedLayer(l, meta["bits"], C, A, traces[str(l)]))
+        except (GlqError, ValueError, KeyError) as exc:
+            raise CorruptFile(f"{d}: layer {l}: {exc}") from exc
     return qlayers, meta

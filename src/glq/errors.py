@@ -47,6 +47,11 @@ class TooFewDistinctPoints(GlqError):
     """Fewer distinct points than requested codebook entries."""
 
 
+class NonFiniteMass(GlqError):
+    """A k-means++ draw's sampling mass does not sum to a finite number:
+    weights times squared distances overflow."""
+
+
 class ZeroDiagonal(GlqError):
     """A Hessian diagonal entry is <= 0 where a division by it is required."""
 

@@ -196,8 +196,9 @@ def run_job(
     the layer's Hessian set starts from `squeezellm_init` on its column
     slice of the layer's diagonal Fisher, whose codebook and assignment
     arrays go straight into the stack arrays, and each run of
-    consecutive equal-size groups is solved as one stack. Returns the
-    quantized model, the per-layer quantization states, and the report.
+    consecutive equal-size groups is solved as one stack; a layer's
+    stacks are concatenated into its QuantizedLayer. Returns the
+    quantized model, one QuantizedLayer per layer, and the report.
     """
     calib = calibrate(model, data)
     hsets = job_hessians(model, data, calib, job, cache=hessian_cache)
@@ -212,7 +213,7 @@ def run_job(
             qlayers.append(squeezellm_quantize(W, F, job.bits, seed=job.seed, layer_idx=l))
             continue
         groups = hset.partition.groups
-        channels = []
+        stacks = []
         for _, run in itertools.groupby(range(len(groups)), key=lambda k: len(groups[k])):
             stack = list(run)
             cols = [np.array(groups[k], dtype=np.int64) for k in stack]
@@ -223,11 +224,13 @@ def run_job(
             for i, cj in enumerate(cols):
                 C0[i], A0[i] = squeezellm_init(W[:, cj], F[:, cj], job.bits, job.seed)
             try:
-                channels += lnq_quantize([hset.hessians[k] for k in stack], W_stack, cfg,
-                                         (C0, A0), layer_idx=l).channels
+                stacks.append(lnq_quantize([hset.hessians[k] for k in stack], W_stack, cfg,
+                                           (C0, A0), layer_idx=l))
             except SingularHessian as exc:  # renumber the group within the layer
                 raise SingularHessian(l, stack[exc.group], exc.cause) from exc.__cause__
-        qlayers.append(QuantizedLayer(layer_idx=l, bits=job.bits, channels=channels))
+        qlayers.append(QuantizedLayer(l, job.bits, np.concatenate([q.C for q in stacks]),
+                                      np.concatenate([q.A for q in stacks], axis=1),
+                                      [tr for q in stacks for tr in q.traces]))
     quantized = model.with_layers([ql.W_hat for ql in qlayers])
     return quantized, qlayers, job_report(model, quantized, data, calib, job, hsets)
 

@@ -19,8 +19,8 @@ phases alternate T times:
   numpy sums the rows of an array over axis 0; the columns, and the
   codebooks solved from them, keep the bits of one solve per channel.
   The phase works on the stack's codebook and assignment arrays in
-  place and checks the whole codebook stack once (finite, rows sorted)
-  when it ends.
+  place and checks the whole codebook stack once when it ends
+  (``scalar_quant.check_codebooks``: finite, rows sorted).
 
 * Coordinate-descent phase, codebook fixed: K cycles over coordinates
   i = 0..d-1 in order. The exact single-coordinate minimizer over the
@@ -54,9 +54,11 @@ increases.
 
 ``lnq_quantize`` and ``cd_cycle`` take a stack of G channel groups of
 one size, each with its own Hessian, and give the bits of G separate
-runs. A CD row step is elementwise, so it is applied to all G x c
-channels at once; every matrix product is still formed per group with
-the shapes one group alone would use. Groups of different sizes are
+runs. ``lnq_quantize`` starts from a (codebooks, assignments) pair of
+arrays and returns one ``QuantizedLayer`` holding the stack's channels
+group by group. A CD row step is elementwise, so it is applied to all
+G x c channels at once; every matrix product is still formed per group
+with the shapes one group alone would use. Groups of different sizes are
 never padded to one size: on OpenBLAS a product over padded columns,
 (U @ D)[:, :k], can differ in the last bit from U @ D[:, :k]. A
 consecutive partition has at most two group sizes, so a layer costs at
@@ -84,13 +86,7 @@ from .linalg import (
     least_squares,
     zero_curvature,
 )
-from .scalar_quant import (
-    Assignment,
-    ChannelQuantState,
-    Codebook,
-    QuantizedLayer,
-    round_rows,
-)
+from .scalar_quant import QuantizedLayer, check_codebooks, round_rows
 
 CD_BATCH = 128
 # Columns of L^T P (1 MiB of float64) one codebook solve holds at a time.
@@ -247,34 +243,11 @@ def cd_cycle(
                     B[k, e:] += (Hk[e:, s:e] / dk[e:, None]) @ delta[k]
 
 
-def _init_arrays(init, G: int, d: int, c: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Codebooks (G, c, m) and assignments (G, d, c), C-ordered, from one
-    ChannelQuantState per channel (group-major) or from a (codebooks,
-    assignments) pair of arrays of those shapes. A pair that already has
-    the dtypes and layout is returned as is, not copied."""
-    if isinstance(init, tuple):
-        C, A = init
-    else:
-        if len(init) != G * c:
-            raise DimensionMismatch(f"{len(init)} init states for {G * c} channels")
-        if any(st.codebook.m != m for st in init):
-            raise DimensionMismatch(f"init codebooks must all have m={m}")
-        C = np.stack([st.codebook.values for st in init])
-        A = np.stack([st.assign.idx for st in init]).reshape(G, c, -1).transpose(0, 2, 1)
-    C = np.ascontiguousarray(C, dtype=np.float64).reshape(G, c, -1)
-    A = np.ascontiguousarray(A, dtype=np.int64).reshape(G, d, -1)
-    if C.shape != (G, c, m) or A.shape != (G, d, c):
-        raise DimensionMismatch(
-            f"init codebooks {C.shape} and assignments {A.shape}, expected "
-            f"{(G, c, m)} and {(G, d, c)}")
-    return C, A
-
-
 def lnq_quantize(
     H_damped,
     W_block: np.ndarray,
     cfg: LnqConfig,
-    init,
+    init: tuple[np.ndarray, np.ndarray],
     layer_idx: int = 0,
     stats: dict | None = None,
 ) -> QuantizedLayer:
@@ -287,17 +260,19 @@ def lnq_quantize(
     Hessian that does not factor raises SingularHessian, a
     NotPositiveDefinite naming `layer_idx`, the group's index in the
     stack and the cause (exit 2 from the CLI); nothing retries with
-    more damping. `init` supplies one starting state per channel, group
-    by group (all with the same codebook size 2**bits), or the pair of
-    arrays (codebooks G x c x m, assignments G x d x c), which it may
-    update in place. The returned layer holds the channels group by
-    group; their states carry the non-increasing damped objective trace
-    described in the module docstring. A stack gives the bits of G
-    separate runs.
+    more damping. `init` is the starting (codebooks, assignments) pair:
+    c x m and d x c arrays for one group, G x c x m and G x d x c for a
+    stack, with m = 2**bits; it is copied, not updated. The returned
+    layer holds the G x c channels group by group (codebooks G c x m,
+    assignments d x G c), each with the non-increasing damped objective
+    trace described in the module docstring. A stack gives the bits of
+    G separate runs.
     """
     W = np.ascontiguousarray(W_block, dtype=np.float64)
+    C = np.array(init[0], dtype=np.float64, order="C")
+    A = np.array(init[1], dtype=np.int64, order="C")
     if W.ndim == 2:
-        H_damped, W = [H_damped], W[None]
+        H_damped, W, C, A = [H_damped], W[None], C[None], A[None]
     if W.ndim != 3:
         raise DimensionMismatch(f"W_block must be 2-D or 3-D, got ndim={W.ndim}")
     if not np.all(np.isfinite(W)):
@@ -309,7 +284,10 @@ def lnq_quantize(
     if any(Hk.shape != (d, d) for Hk in H):
         raise DimensionMismatch(f"H is {H[0].shape}, weights have d_in={d}")
     m = cfg.m
-    C, A = _init_arrays(init, G, d, c, m)
+    if C.shape != (G, c, m) or A.shape != (G, d, c):
+        raise DimensionMismatch(
+            f"init codebooks {C.shape[-2:]} and assignments {A.shape[-2:]} per group, "
+            f"expected {(c, m)} and {(d, c)}")
     traces = []  # one G x c list of objectives per record()
 
     def record() -> None:
@@ -326,11 +304,7 @@ def lnq_quantize(
                 cause = zero_curvature(H[k]) or str(exc)
                 raise SingularHessian(layer_idx, k, cause) from exc
             C[k], A[k] = codebook_closed_form(chol, W[k], A[k], m)
-        # the checks a Codebook makes, once for the whole stack
-        if not np.all(np.isfinite(C)):
-            raise ValueError("codebook values must be finite")
-        if np.any(np.diff(C, axis=-1) < 0):
-            raise ValueError("codebook values must be sorted ascending")
+        check_codebooks(C)  # once for the whole stack
 
     record()
     for _ in range(cfg.T):
@@ -341,14 +315,6 @@ def lnq_quantize(
     solve_codebooks()
     record()
 
-    traces = np.array(traces)
-    channels = [
-        ChannelQuantState.from_parts(
-            Codebook(values=C[k, j].copy()),
-            Assignment(idx=A[k, :, j].copy()),
-            trace=traces[:, k, j].tolist(),
-        )
-        for k in range(G)
-        for j in range(c)
-    ]
-    return QuantizedLayer(layer_idx=layer_idx, bits=cfg.bits, channels=channels)
+    per_channel = np.array(traces).reshape(len(traces), G * c).T.tolist()
+    return QuantizedLayer(layer_idx, cfg.bits, C.reshape(G * c, m),
+                          A.transpose(1, 0, 2).reshape(d, G * c), per_channel)

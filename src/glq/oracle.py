@@ -17,7 +17,7 @@ from .calib_model import Dataset, LayerCalibration, MlpModel, calibrate, end_los
 from .errors import DimensionMismatch, InvalidSize, PartitionMismatch, TooLarge, ZeroDiagonal
 from .hessian import _check_calib
 from .linalg import Matrix, ensure_matrix, ensure_vector
-from .scalar_quant import Assignment, ChannelQuantState, Codebook, WeightedPoints
+from .scalar_quant import WeightedPoints
 
 EXHAUSTIVE_CAP = 1_000_000
 FISHER_WEIGHT_CAP = 5_000
@@ -101,19 +101,20 @@ def naive_candidate_objectives(
     return np.einsum("qd,de,qe->q", D, H, D)
 
 
-def cd_step_naive(H: Matrix, w: np.ndarray, state: ChannelQuantState, i: int) -> ChannelQuantState:
+def cd_step_naive(H: Matrix, w: np.ndarray, values: np.ndarray, idx: np.ndarray,
+                  i: int) -> np.ndarray:
     """One exact coordinate update by exhaustive candidate evaluation.
 
-    Keeps the codebook fixed; re-evaluates the full quadratic for all m
-    candidate values at coordinate i and takes the first minimizer,
-    which is the smallest value because codebooks are sorted.
+    Keeps the codebook `values` fixed; re-evaluates the full quadratic
+    for all m candidate values at coordinate i and takes the first
+    minimizer, which is the smallest value because codebooks are
+    sorted. Returns a copy of the slot indices `idx` with entry i
+    updated.
     """
-    objs = naive_candidate_objectives(H, w, state.codebook.values, state.assign.idx, i)
-    q = int(objs.argmin())
-    idx = state.assign.idx.copy()
-    idx[i] = q
-    return ChannelQuantState.from_parts(state.codebook, Assignment(idx=idx),
-                                        trace=state.objective_trace)
+    objs = naive_candidate_objectives(H, w, values, idx, i)
+    out = np.array(idx, dtype=np.int64)
+    out[i] = int(objs.argmin())
+    return out
 
 
 def naive_cd_cycle(
@@ -218,15 +219,16 @@ def fd_gradient_check(
     return worst
 
 
-def round_to_codebook(x: float, cb: Codebook) -> int:
-    """Index of the nearest codebook value, one scalar at a time; ties go
-    to the smaller value. The reference for `scalar_quant.round_rows`."""
-    return int(np.abs(cb.values - x).argmin())
+def round_to_codebook(x: float, values: np.ndarray) -> int:
+    """Index of the nearest of the sorted codebook `values`, one scalar at
+    a time; ties go to the smaller value. The reference for
+    `scalar_quant.round_rows`."""
+    return int(np.abs(values - x).argmin())
 
 
-def weighted_sse(pts: WeightedPoints, cb: Codebook, assign: Assignment) -> float:
-    """Sum of wgt * (x - assigned value)^2."""
-    r = pts.x - cb.values[assign.idx]
+def weighted_sse(pts: WeightedPoints, values: np.ndarray, idx: np.ndarray) -> float:
+    """Sum of wgt * (x - values[idx])^2."""
+    r = pts.x - values[idx]
     return float(np.sum(pts.wgt * r * r))
 
 
@@ -238,7 +240,7 @@ def _prefix_sums(x: np.ndarray, w: np.ndarray):
     )
 
 
-def kmeans_1d_exact(pts: WeightedPoints, m: int) -> tuple[Codebook, Assignment, float]:
+def kmeans_1d_exact(pts: WeightedPoints, m: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Optimal weighted 1-D k-means by dynamic programming, the exact
     reference Lloyd's descent only approaches from above.
 
@@ -251,8 +253,8 @@ def kmeans_1d_exact(pts: WeightedPoints, m: int) -> tuple[Codebook, Assignment, 
     min(m, n) segments. Segment centers are weighted means (plain
     means for zero-weight segments, which cost nothing). Ties between
     split positions resolve to the smallest split so the result is
-    deterministic. Returns the codebook (one entry per segment, sorted),
-    the assignment in original point order, and the optimal objective.
+    deterministic. Returns the centers (one per segment, sorted), each
+    point's segment in original point order, and the optimal objective.
     """
     if m < 1:
         raise InvalidSize(f"need m >= 1, got {m}")
@@ -307,7 +309,7 @@ def kmeans_1d_exact(pts: WeightedPoints, m: int) -> tuple[Codebook, Assignment, 
             centers[q] = float(np.mean(x[i:j]))
     assign = np.zeros(n, dtype=np.int64)
     assign[order] = seg
-    return Codebook(values=centers), Assignment(idx=assign), float(best[k, n])
+    return centers, assign, float(best[k, n])
 
 
 def kmeans_partition_oracle(pts: WeightedPoints, m: int) -> float:

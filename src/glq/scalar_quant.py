@@ -1,9 +1,12 @@
 """Per-channel scalar codebooks: rounding, weighted k-means, baselines.
 
-A codebook is a small sorted value set (m <= 256). Rounding always
-resolves distance ties toward the smaller codebook value, implemented as
-first-occurrence argmin over the sorted values; every consumer in the
-package rounds through the same helper so tie behavior is uniform.
+A layer quantized to b bits is a `QuantizedLayer`: one sorted codebook
+row of m = 2**b values per output channel (C, c x m), the slot of every
+weight (A, d x c) and one objective trace per channel, checked once per
+layer. Rounding always resolves distance ties toward the smaller
+codebook value, implemented as first-occurrence argmin over the sorted
+values; every consumer in the package rounds through the same helper so
+tie behavior is uniform.
 
 ``kmeans_pp_init`` and ``lloyd`` implement weighted k-means over
 (value, weight) points, the sensitivity-weighted baseline for
@@ -26,7 +29,7 @@ traces sum each channel's row along the contiguous last axis, which
 numpy adds as that row's ``.sum()``.
 ``squeezellm_init`` is the one squeezellm path: codebooks and
 assignments of a column slice as arrays, with the SSE traces only when
-asked for; ``squeezellm_quantize`` wraps it into channel states.
+asked for; ``squeezellm_quantize`` wraps them into a layer.
 The exact 1-D k-means DP they are checked against is
 ``oracle.kmeans_1d_exact``.
 """
@@ -34,14 +37,14 @@ The exact 1-D k-means DP they are checked against is
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSize, TooFewDistinctPoints
+from .errors import DimensionMismatch, InvalidSize, NonFiniteMass, TooFewDistinctPoints
 from .linalg import segment_sums
 
-MAX_CODEBOOK = 256
 DEFAULT_LLOYD_ITERS = 50
 # Point-to-center distances (256 KiB of float64) one Lloyd stack holds;
 # a wider slice runs as several stacks. On the 64-256-256-16 benchmark
@@ -49,44 +52,6 @@ DEFAULT_LLOYD_ITERS = 50
 # 1 MiB above one channel at a time; 16-channel stacks (this bound) did
 # not.
 LLOYD_STACK = 1 << 15
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """Sorted (non-decreasing) value set, 1 <= m <= 256, finite."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise DimensionMismatch("codebook values must be 1-D")
-        if not 1 <= v.shape[0] <= MAX_CODEBOOK:
-            raise InvalidSize(f"codebook size {v.shape[0]} outside 1..{MAX_CODEBOOK}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("codebook values must be finite")
-        if np.any(np.diff(v) < 0):
-            raise ValueError("codebook values must be sorted ascending")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Codebook slot index per weight (0-based)."""
-
-    idx: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.ascontiguousarray(self.idx, dtype=np.int64)
-        if a.ndim != 1:
-            raise DimensionMismatch("assignment must be 1-D")
-        if a.size and (a.min() < 0 or a.max() >= MAX_CODEBOOK):
-            raise InvalidSize("assignment index outside 0..255")
-        object.__setattr__(self, "idx", a)
 
 
 @dataclass(frozen=True)
@@ -142,18 +107,16 @@ def _distinct(pts: WeightedPoints) -> tuple[np.ndarray, np.ndarray]:
     return vals, np.bincount(inv, weights=pts.wgt, minlength=vals.shape[0])
 
 
-def kmeans_pp_init(
-    pts: WeightedPoints | Sequence[WeightedPoints], m: int, seed
-) -> Codebook | np.ndarray:
-    """Weighted k-means++ seeding over the distinct values, one channel
-    or a stack of channels in one pass.
+def kmeans_pp_init(pts: Sequence[WeightedPoints], m: int, seed: Sequence) -> np.ndarray:
+    """Weighted k-means++ seeding over the distinct values of a stack of
+    channels in one pass.
 
-    `pts` is one WeightedPoints, or a sequence of them with `seed` a
-    sequence of the same length. A seed is any SeedSequence entropy (int
-    or tuple) or a Generator, which is drawn from in place; each channel
-    draws from its own generator, so its centers depend only on its
-    points and its seed. One WeightedPoints returns a Codebook, a
-    sequence a c x m array of sorted rows.
+    `pts` holds one WeightedPoints per channel and `seed` one seed per
+    channel: any SeedSequence entropy (int or tuple) or a Generator,
+    which is drawn from in place. Each channel draws from its own
+    generator, so its centers depend only on its points and its seed.
+    Returns the c x m centers, each row sorted; one channel is a stack
+    of one.
 
     The first center is drawn proportional to aggregated weight; each
     later center proportional to weight times squared distance to the
@@ -166,18 +129,16 @@ def kmeans_pp_init(
     weights. Each draw is the one Generator.choice(n, p=mass/total)
     makes: cdf = p.cumsum(), cdf /= cdf[-1], and the index is the count
     of cdf <= rng.random(), with every total and cumsum taken along the
-    last axis of the stack, the order a 1-D array sums in. A row whose
-    total mass is zero or not finite takes that draw through
-    Generator.choice itself, so it falls back or raises ValueError as a
-    one-channel run does. Channels, their centers and their generators
-    end in the state of one run per channel.
+    last axis of the stack, the order a 1-D array sums in. Channels,
+    their centers and their generators end in the state of one run per
+    channel.
 
-    Raises TooFewDistinctPoints when m exceeds a channel's distinct count.
+    Raises TooFewDistinctPoints when m exceeds a channel's distinct
+    count, and NonFiniteMass, naming the channel, when a draw's total
+    mass is not finite (huge weights or squared distances overflow).
     """
     if m < 1:
         raise InvalidSize(f"need m >= 1, got {m}")
-    if isinstance(pts, WeightedPoints):
-        return Codebook(values=kmeans_pp_init([pts], m, [seed])[0])
     if len(pts) != len(seed):
         raise DimensionMismatch(f"{len(seed)} seeds for {len(pts)} channels")
     rows = [_distinct(p) for p in pts]
@@ -192,34 +153,40 @@ def kmeans_pp_init(
         stack = np.flatnonzero(sizes == n)
         out[stack] = _kmeans_pp_stack(np.stack([rows[i][0] for i in stack]),
                                       np.stack([rows[i][1] for i in stack]),
-                                      m, [rngs[i] for i in stack])
+                                      m, [rngs[i] for i in stack], stack)
     return out
 
 
-def _kmeans_pp_stack(vals: np.ndarray, wsum: np.ndarray, m: int, rngs: list) -> np.ndarray:
+def _kmeans_pp_stack(vals: np.ndarray, wsum: np.ndarray, m: int, rngs: list,
+                     ids: np.ndarray) -> np.ndarray:
     """k-means++ over r channels of n distinct values each (r x n rows of
     sorted values and weights), one generator per row; r x m sorted
-    centers."""
+    centers. `ids` numbers the rows' channels for errors."""
     r, n = vals.shape
     rows = np.arange(r)
     chosen = np.empty((r, m), dtype=np.int64)
     d2 = np.full((r, n), np.inf)
-    for k in range(m):
-        mass = wsum * d2 if k else wsum.copy()
-        mass[rows[:, None], chosen[:, :k]] = 0.0
-        total = mass.sum(axis=-1)
-        drawn = (total > 0.0) & (total < np.inf)
-        if drawn.any():
-            cdf = (mass[drawn] / total[drawn, None]).cumsum(axis=-1)
-            cdf /= cdf[:, -1:]
-            u = np.array([rngs[i].random() for i in np.flatnonzero(drawn)])
-            chosen[drawn, k] = (cdf <= u[:, None]).sum(axis=-1)
-        for i in np.flatnonzero(~drawn):  # zero or non-finite mass: one row
-            if total[i] > 0.0:
-                chosen[i, k] = rngs[i].choice(n, p=mass[i] / total[i])
-            else:
+    # an overflow makes some row's total inf or NaN (0 * inf), which is
+    # refused below, so numpy's warnings would only repeat the error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(m):
+            mass = wsum * d2 if k else wsum.copy()
+            mass[rows[:, None], chosen[:, :k]] = 0.0
+            total = mass.sum(axis=-1)
+            bad = ~np.isfinite(total)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise NonFiniteMass(f"channel {ids[i]}: k-means++ draw {k} has sampling "
+                                    f"mass {float(total[i])}")
+            drawn = total > 0.0
+            if drawn.any():
+                cdf = (mass[drawn] / total[drawn, None]).cumsum(axis=-1)
+                cdf /= cdf[:, -1:]
+                u = np.array([rngs[i].random() for i in np.flatnonzero(drawn)])
+                chosen[drawn, k] = (cdf <= u[:, None]).sum(axis=-1)
+            for i in np.flatnonzero(~drawn):  # zero mass: uniform over the rest
                 chosen[i, k] = rngs[i].choice(np.setdiff1d(np.arange(n), chosen[i, :k]))
-        d2 = np.minimum(d2, (vals - vals[rows, chosen[:, k], None]) ** 2)
+            d2 = np.minimum(d2, (vals - vals[rows, chosen[:, k], None]) ** 2)
     return np.sort(np.take_along_axis(vals, chosen, axis=1), axis=1)
 
 
@@ -342,56 +309,63 @@ def _lloyd_stack(X: np.ndarray, Wt: np.ndarray, centers: np.ndarray, iters: int,
     return final
 
 
-@dataclass
-class ChannelQuantState:
-    """Quantization state for one output channel."""
-
-    codebook: Codebook
-    assign: Assignment
-    w_hat: np.ndarray
-    objective_trace: list[float] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        expect = self.codebook.values[self.assign.idx]
-        if self.w_hat.shape != expect.shape or not np.array_equal(self.w_hat, expect):
-            raise ValueError("w_hat must equal codebook.values[assign.idx]")
-
-    @staticmethod
-    def from_parts(
-        cb: Codebook, assign: Assignment, trace: list[float] | None = None
-    ) -> "ChannelQuantState":
-        return ChannelQuantState(
-            codebook=cb,
-            assign=assign,
-            w_hat=cb.values[assign.idx],
-            objective_trace=list(trace or []),
-        )
+def check_codebooks(C: np.ndarray) -> None:
+    """Refuse a codebook array (rows along the last axis) with a
+    non-finite value or a row that is not sorted ascending."""
+    if not np.all(np.isfinite(C)):
+        raise ValueError("codebook values must be finite")
+    if np.any(np.diff(C, axis=-1) < 0):
+        raise ValueError("codebook values must be sorted ascending")
 
 
 @dataclass
 class QuantizedLayer:
-    """All channel states of one layer plus bookkeeping."""
+    """One quantized layer: codebooks C (c x m, float64, rows sorted,
+    m = 2**bits), assignments A (d x c, int64 slots in 0..m-1) and one
+    objective trace (a list of floats) per channel, checked once on
+    construction."""
 
     layer_idx: int
     bits: int
-    channels: list[ChannelQuantState]
+    C: np.ndarray
+    A: np.ndarray
+    traces: list[list[float]]
 
-    @property
-    def d_out(self) -> int:
-        return len(self.channels)
+    def __post_init__(self) -> None:
+        m = _codebook_size(self.bits)
+        C = np.ascontiguousarray(self.C, dtype=np.float64)
+        A = np.ascontiguousarray(self.A, dtype=np.int64)
+        if C.ndim != 2 or A.ndim != 2 or C.shape[0] != A.shape[1]:
+            raise DimensionMismatch(f"codebooks {C.shape} and assignments {A.shape} "
+                                    "are not c x m and d x c")
+        if C.shape[1] != m:
+            raise InvalidSize(f"codebook size {C.shape[1]}, but {self.bits} bits need {m}")
+        check_codebooks(C)
+        if A.size and (A.min() < 0 or A.max() >= m):
+            raise InvalidSize(f"assignment slots outside 0..{m - 1}")
+        if len(self.traces) != C.shape[0]:
+            raise DimensionMismatch(f"{len(self.traces)} objective traces for "
+                                    f"{C.shape[0]} channels")
+        self.C, self.A = C, A
 
     @property
     def W_hat(self) -> np.ndarray:
-        return np.stack([c.w_hat for c in self.channels], axis=1)
+        """d x c quantized weights, C[j, A[i, j]]."""
+        return np.take_along_axis(self.C.T, self.A, axis=0)
+
+    @property
+    def channels(self) -> list[SimpleNamespace]:
+        """One view per channel whose `objective_trace` is that channel's
+        stored trace list itself."""
+        return [SimpleNamespace(objective_trace=tr) for tr in self.traces]
 
     def codebook_matrix(self) -> np.ndarray:
-        """d_out x m matrix of codebook rows (rows padded never; all
-        channels of a layer share one m)."""
-        return np.stack([c.codebook.values for c in self.channels], axis=0)
+        """The c x m codebooks."""
+        return self.C
 
     def assign_matrix(self) -> np.ndarray:
-        """d_in x d_out matrix of slot indices."""
-        return np.stack([c.assign.idx for c in self.channels], axis=1)
+        """The d x c slot indices."""
+        return self.A
 
 
 def _pad_codebook(vals: np.ndarray, m: int) -> np.ndarray:
@@ -405,21 +379,18 @@ def _pad_codebook(vals: np.ndarray, m: int) -> np.ndarray:
 
 def rtn_quantize(W: np.ndarray, bits: int, layer_idx: int = 0) -> QuantizedLayer:
     """Round-to-nearest baseline: per channel, a uniform grid over
-    [min, max] (or the distinct values themselves when they fit)."""
+    [min, max] (or the distinct values themselves when they fit), then
+    every weight rounded in one broadcast `round_rows`."""
     W = np.asarray(W, dtype=np.float64)
     m = _codebook_size(bits)
-    channels = []
-    for j in range(W.shape[1]):
-        col = W[:, j]
+    C = np.empty((W.shape[1], m))
+    for j, col in enumerate(W.T):
         distinct = np.unique(col)
         if distinct.shape[0] <= m:
-            vals = _pad_codebook(distinct, m)
+            C[j] = _pad_codebook(distinct, m)
         else:
-            vals = np.linspace(float(col.min()), float(col.max()), m)
-        cb = Codebook(values=vals)
-        idx = round_rows(col, cb.values)
-        channels.append(ChannelQuantState.from_parts(cb, Assignment(idx=idx)))
-    return QuantizedLayer(layer_idx=layer_idx, bits=bits, channels=channels)
+            C[j] = np.linspace(float(col.min()), float(col.max()), m)
+    return QuantizedLayer(layer_idx, bits, C, round_rows(W, C), [[] for _ in C])
 
 
 def _codebook_size(bits: int) -> int:
@@ -499,11 +470,7 @@ def squeezellm_quantize(
     lloyd_iters: int = DEFAULT_LLOYD_ITERS,
 ) -> QuantizedLayer:
     """The squeezellm baseline layer: `squeezellm_init`'s codebooks and
-    assignments, one channel state each, carrying its SSE trace."""
+    assignments, with each channel's SSE trace."""
     traces: list[list[float]] = []
     C, A = squeezellm_init(W, fisher_diag, bits, seed, lloyd_iters, traces)
-    channels = [
-        ChannelQuantState.from_parts(Codebook(values=C[j]), Assignment(idx=A[:, j]), tr)
-        for j, tr in enumerate(traces)
-    ]
-    return QuantizedLayer(layer_idx=layer_idx, bits=bits, channels=channels)
+    return QuantizedLayer(layer_idx, bits, C, A, traces)

@@ -3,7 +3,7 @@ import pytest
 
 from glq.calib_model import calibrate
 from glq.calib_model import toy_problem as build_toy_problem
-from glq.scalar_quant import Assignment, ChannelQuantState, Codebook, round_rows
+from glq.scalar_quant import round_rows
 
 _toy_cache = {}
 
@@ -36,17 +36,20 @@ def random_spd(rng: np.random.Generator, d: int, damp: float = 1e-6) -> np.ndarr
     return H + damp * float(np.mean(np.diag(H))) * np.eye(d)
 
 
-def uniform_init(w: np.ndarray, m: int) -> ChannelQuantState:
-    """Linspace codebook over [min, max] with nearest assignment."""
-    lo, hi = float(w.min()), float(w.max())
-    vals = np.linspace(lo, hi, m) if hi > lo else np.full(m, lo)
-    cb = Codebook(values=vals)
-    return ChannelQuantState.from_parts(cb, Assignment(idx=round_rows(w, cb.values)))
+def uniform_init(W: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of the d x c W, a linspace codebook over [min, max]
+    with nearest assignment: the codebooks (c x m) and assignments
+    (d x c), the init pair lnq_quantize takes."""
+    C = np.empty((W.shape[1], m))
+    for j, w in enumerate(W.T):
+        lo, hi = float(w.min()), float(w.max())
+        C[j] = np.linspace(lo, hi, m) if hi > lo else np.full(m, lo)
+    return C, round_rows(W, C)
 
 
 def random_lnq_instance(rng: np.random.Generator, d: int, bits: int):
     """(H, w, init): a random SPD H, a Gaussian channel w of length d and
-    its uniform init with 2**bits values."""
+    its uniform init pair (1 x 2**bits codebook, d x 1 assignment)."""
     H = random_spd(rng, d)
     w = rng.standard_normal(d)
-    return H, w, uniform_init(w, 2 ** bits)
+    return H, w, uniform_init(w[:, None], 2 ** bits)

@@ -34,13 +34,7 @@ from glq.oracle import (
     naive_cd_cycle,
     weighted_sse,
 )
-from glq.scalar_quant import (
-    Assignment,
-    Codebook,
-    WeightedPoints,
-    kmeans_pp_init,
-    lloyd,
-)
+from glq.scalar_quant import WeightedPoints, kmeans_pp_init, lloyd
 from glq.tensorio import file_sha256
 
 from conftest import random_lnq_instance, uniform_init
@@ -73,8 +67,8 @@ def test_criterion_02_objective_trace_never_increases():
         bits = int(rng.integers(2, 4))
         H, w, init = random_lnq_instance(rng, d, bits)
         cfg = LnqConfig(bits=bits, T=3, K=4)
-        out = lnq_quantize(H, w.reshape(-1, 1), cfg, [init])
-        tr = out.channels[0].objective_trace
+        out = lnq_quantize(H, w.reshape(-1, 1), cfg, init)
+        tr = out.traces[0]
         for a, b in zip(tr, tr[1:]):
             assert b <= a + 1e-12 * (1.0 + abs(a)), f"trace rose: {a} -> {b}"
     assert time.monotonic() - t0 < 30.0
@@ -103,12 +97,12 @@ def test_criterion_03_cd_engines_agree_on_tie_free_instances(monkeypatch):
         for name, engine in engines:
             stats: dict = {}
             monkeypatch.setattr(lnq, "cd_cycle", engine)
-            out = lnq_quantize(H, w.reshape(-1, 1), cfg, [init], stats=stats)
+            out = lnq_quantize(H, w.reshape(-1, 1), cfg, init, stats=stats)
             monkeypatch.undo()
             if stats.get("min_margin", np.inf) < 1e-6:
                 tie_free = False
                 break
-            runs.append((name, out.channels[0].assign.idx))
+            runs.append((name, out.A[:, 0]))
         if not tie_free:
             continue
         found += 1
@@ -128,10 +122,10 @@ def test_criterion_04_final_objective_bracketed_by_oracle_and_init():
         for _ in range(6):
             H, w, init = random_lnq_instance(rng, d, bits=1)
             cfg = LnqConfig(bits=1, T=2, K=4)
-            out = lnq_quantize(H, w.reshape(-1, 1), cfg, [init])
+            out = lnq_quantize(H, w.reshape(-1, 1), cfg, init)
             res = exhaustive_lnq(H, w, 2)
             assert res.n_enumerated == 2 ** d
-            tr = out.channels[0].objective_trace
+            tr = out.traces[0]
             slack = 1e-9 * (1.0 + abs(res.objective))
             assert res.objective - slack <= tr[-1] <= tr[0] + slack
     assert time.monotonic() - t0 < 60.0
@@ -151,8 +145,8 @@ def test_criterion_05_dp_kmeans_exactly_optimal():
         oracle_obj = kmeans_partition_oracle(pts, m)
         assert abs(dp_obj - oracle_obj) <= 1e-9 * max(1.0, oracle_obj)
         if m <= n and len(np.unique(pts.x)) >= m:
-            C, A = lloyd([pts], kmeans_pp_init(pts, m, seed=0).values[None], 30)
-            lloyd_obj = weighted_sse(pts, Codebook(values=C[0]), Assignment(idx=A[0]))
+            C, A = lloyd([pts], kmeans_pp_init([pts], m, [0]), 30)
+            lloyd_obj = weighted_sse(pts, C[0], A[0])
             assert lloyd_obj >= dp_obj - 1e-9 * max(1.0, dp_obj)
 
 
@@ -221,7 +215,7 @@ def test_criterion_09_gradient_scaling_leaves_decisions_unchanged():
         hsets = [guided_hessians(c, part, grad_scale=s) for s in (1.0, 1e3)]
         for k, grp in enumerate(part.groups):
             group = list(grp)
-            init = [uniform_init(W[:, j], 4) for j in group]
+            init = uniform_init(W[:, group], 4)
             cfg = LnqConfig(bits=2, T=2, K=2)
             outs = []
             tie_free = True
@@ -234,10 +228,10 @@ def test_criterion_09_gradient_scaling_leaves_decisions_unchanged():
             if not tie_free:
                 continue
             compared += 1
-            for st1, st2 in zip(outs[0].channels, outs[1].channels):
-                npt.assert_array_equal(st1.assign.idx, st2.assign.idx)
-                num = np.max(np.abs(st1.codebook.values - st2.codebook.values))
-                den = max(1.0, float(np.max(np.abs(st1.codebook.values))))
+            npt.assert_array_equal(outs[0].A, outs[1].A)
+            for cb1, cb2 in zip(outs[0].C, outs[1].C):
+                num = np.max(np.abs(cb1 - cb2))
+                den = max(1.0, float(np.max(np.abs(cb1))))
                 assert num <= 1e-9 * den
     assert compared >= 6, f"only {compared} tie-free groups"
 

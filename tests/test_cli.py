@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,14 +11,16 @@ import pytest
 import glq
 from glq import artifacts
 from glq.cli import main
-from glq.errors import ConfigError
+from glq.errors import ConfigError, CorruptFile
 from glq.guidedquant import METHODS, QuantJob
 from glq.tensorio import (
     file_sha256,
     read_manifest,
+    read_tensor,
     verify_manifest,
     write_json_atomic,
     write_manifest,
+    write_tensor,
 )
 
 
@@ -300,6 +303,40 @@ class TestQuantizeAndEval:
         data, model = pipeline
         assert main(["eval", "--model", str(model), "--data", str(data),
                      "--quant", str(tmp_path / "nope")]) == 2
+
+    @pytest.mark.parametrize("case,layer", [
+        ("slot_past_m", 1), ("nan_codebook", 1), ("traces_one_short", 1),
+        ("codebook_row_short", 1), ("bits_disagree_with_m", 0),
+    ])
+    def test_load_refuses_inconsistent_layer(self, pipeline, tmp_path, case, layer):
+        # each edit is followed by a fresh manifest, so only the per-layer
+        # checks can catch it
+        data, model = pipeline
+        out = tmp_path / "q"
+        assert main(["quantize", "--model", str(model), "--data", str(data),
+                     "--method", "rtn", "--bits", "2", "--out", str(out)]) == 0
+        C, A = read_tensor(out / "codebook.L1.gqt"), read_tensor(out / "assign.L1.gqt")
+        traces = json.loads((out / "traces.json").read_text())
+        meta = json.loads((out / "quant.json").read_text())
+        if case == "slot_past_m":
+            A[0, 0] = 4
+            write_tensor(out / "assign.L1.gqt", A)
+        elif case == "nan_codebook":
+            C[0, 1] = np.nan
+            write_tensor(out / "codebook.L1.gqt", C)
+        elif case == "traces_one_short":
+            write_json_atomic(out / "traces.json", dict(traces, **{"1": traces["1"][:-1]}))
+        elif case == "codebook_row_short":
+            write_tensor(out / "codebook.L1.gqt", C[:-1])
+        else:
+            write_json_atomic(out / "quant.json", dict(meta, bits=3))
+        manifest = read_manifest(out)
+        write_manifest(out, {"kind": manifest["kind"]}, list(manifest["files"]))
+        assert verify_manifest(out) == []
+        with pytest.raises(CorruptFile, match=f"^{re.escape(str(out))}: layer {layer}: "):
+            artifacts.load_quantized(out)
+        assert main(["eval", "--model", str(model), "--data", str(data),
+                     "--quant", str(out)]) == 2
 
     def test_eval_detects_tampering(self, pipeline, tmp_path):
         data, model = pipeline

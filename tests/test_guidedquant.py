@@ -201,7 +201,7 @@ class TestRunJob:
         for l, ql in enumerate(qlayers):
             hset = plain_hessian(calib[l], layer_idx=l)
             recomputed = damped_quadratic(hset, model.layers[l], ql.W_hat)
-            from_traces = sum(ch.objective_trace[-1] for ch in ql.channels)
+            from_traces = sum(tr[-1] for tr in ql.traces)
             assert from_traces == pytest.approx(recomputed, rel=1e-9)
             assert report.layers[l]["damped_objective"] == pytest.approx(
                 recomputed, rel=1e-9
@@ -227,17 +227,17 @@ class TestRunJob:
             )
             for ql in qlayers:
                 assert ql.bits == 2
-                for ch in ql.channels:
-                    assert np.all(np.diff(ch.codebook.values) >= 0)
-                    assert ch.codebook.m == 4
+                assert ql.C.shape[1] == 4
+                for cb in ql.C:
+                    assert np.all(np.diff(cb) >= 0)
 
     def test_quantized_model_uses_codebook_values(self, toy_problem):
         model, data = toy_problem
         quantized, qlayers, _ = run_job(model, data, QuantJob(method="rtn", bits=2))
         for W, ql in zip(quantized.layers, qlayers):
             npt.assert_array_equal(W, ql.W_hat)
-            for j, ch in enumerate(ql.channels):
-                assert np.isin(W[:, j], ch.codebook.values).all()
+            for j, cb in enumerate(ql.C):
+                assert np.isin(W[:, j], cb).all()
 
     def test_hessian_cache_round_trip(self, toy_problem, tmp_path):
         model, data = toy_problem
@@ -285,14 +285,16 @@ def _run_job_one_group_at_a_time(model, data, job):
     qlayers = []
     for l, (W, hset) in enumerate(zip(model.layers, hsets)):
         F = fisher_diag(calib[l])
-        channels = []
+        groups = []
         for H, grp in zip(hset.hessians, hset.partition.groups):
             cols = np.array(grp, dtype=np.int64)
             init = squeezellm_quantize(W[:, cols], F[:, cols], job.bits, seed=job.seed,
                                        layer_idx=l)
-            channels += lnq_quantize(H, W[:, cols], job.lnq_config(), init.channels,
-                                     layer_idx=l).channels
-        qlayers.append(QuantizedLayer(layer_idx=l, bits=job.bits, channels=channels))
+            groups.append(lnq_quantize(H, W[:, cols], job.lnq_config(), (init.C, init.A),
+                                       layer_idx=l))
+        qlayers.append(QuantizedLayer(l, job.bits, np.concatenate([q.C for q in groups]),
+                                      np.concatenate([q.A for q in groups], axis=1),
+                                      [tr for q in groups for tr in q.traces]))
     quantized = model.with_layers([ql.W_hat for ql in qlayers])
     return quantized, qlayers, job_report(model, quantized, data, calib, job, hsets)
 
@@ -318,8 +320,7 @@ class TestStackedGroups:
         for a, b in zip(l_new, l_old):
             assert a.codebook_matrix().tobytes() == b.codebook_matrix().tobytes()
             npt.assert_array_equal(a.assign_matrix(), b.assign_matrix())
-            assert [c.objective_trace for c in a.channels] == \
-                [c.objective_trace for c in b.channels]
+            assert a.traces == b.traces
         for a, b in zip(q_new.layers, q_old.layers):
             assert a.tobytes() == b.tobytes()
         assert r_new.csv_row() == r_old.csv_row()

@@ -17,16 +17,9 @@ from glq.oracle import (
     naive_candidate_objectives,
     naive_cd_cycle,
 )
-from glq.scalar_quant import Assignment, ChannelQuantState, Codebook, round_rows
+from glq.scalar_quant import round_rows
 
 from conftest import random_lnq_instance, random_spd, uniform_init
-
-
-def _state(values, idx) -> ChannelQuantState:
-    return ChannelQuantState.from_parts(
-        Codebook(values=np.asarray(values, dtype=np.float64)),
-        Assignment(idx=np.asarray(idx, dtype=np.int64)),
-    )
 
 
 def _solve_one(chol, w, a, m):
@@ -103,45 +96,48 @@ class TestCdSteps:
         d, m = 8, 4
         H = np.diag(rng.uniform(0.5, 2.0, d))
         w = rng.standard_normal(d)
-        st_ = uniform_init(w, m)
+        C, A = uniform_init(w[:, None], m)
+        values, idx = C[0], A[:, 0]
         for i in range(d):
-            out = cd_step_naive(H, w, st_, i)
+            out = cd_step_naive(H, w, values, idx, i)
             # with no cross terms the best slot is nearest to w[i]
-            want = round_rows(np.array([w[i]]), st_.codebook.values[None, :])[0]
-            assert out.assign.idx[i] == want
-            st_ = out
+            want = round_rows(np.array([w[i]]), values[None, :])[0]
+            assert out[i] == want
+            idx = out
 
     def test_naive_exhaustive_over_one_coordinate(self):
         rng = np.random.default_rng(4)
         H = random_spd(rng, 3)
         w = rng.standard_normal(3)
-        st_ = uniform_init(w, 2)
-        objs = naive_candidate_objectives(H, w, st_.codebook.values, st_.assign.idx, 1)
+        C, A = uniform_init(w[:, None], 2)
+        values, idx = C[0], A[:, 0]
+        objs = naive_candidate_objectives(H, w, values, idx, 1)
         for q in range(2):
-            delta = st_.codebook.values[st_.assign.idx] - w
-            delta[1] = st_.codebook.values[q] - w[1]
+            delta = values[idx] - w
+            delta[1] = values[q] - w[1]
             assert objs[q] == pytest.approx(float(delta @ H @ delta), rel=1e-12)
 
     def test_step_never_increases_objective(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             d = int(rng.integers(3, 10))
-            H, w, st_ = random_lnq_instance(rng, d, bits=2)
-            delta = st_.w_hat - w
+            H, w, (C, A) = random_lnq_instance(rng, d, bits=2)
+            values, idx = C[0], A[:, 0]
+            delta = values[idx] - w
             before = float(delta @ H @ delta)
             for i in range(d):
-                st_ = cd_step_naive(H, w, st_, i)
-                delta = st_.w_hat - w
+                idx = cd_step_naive(H, w, values, idx, i)
+                delta = values[idx] - w
                 after = float(delta @ H @ delta)
                 assert after <= before + 1e-12 * (1.0 + before)
                 before = after
 
     def test_idempotent_when_converged(self):
         rng = np.random.default_rng(6)
-        H, w, st_ = random_lnq_instance(rng, 6, bits=2)
-        once = cd_step_naive(H, w, st_, 2)
-        twice = cd_step_naive(H, w, once, 2)
-        npt.assert_array_equal(once.assign.idx, twice.assign.idx)
+        H, w, (C, A) = random_lnq_instance(rng, 6, bits=2)
+        once = cd_step_naive(H, w, C[0], A[:, 0], 2)
+        twice = cd_step_naive(H, w, C[0], once, 2)
+        npt.assert_array_equal(once, twice)
 
     def test_closed_form_matches_naive(self):
         # one cycle of the u_i rounding rule against the naive reference
@@ -149,15 +145,14 @@ class TestCdSteps:
         checked = 0
         while checked < 300:
             d = int(rng.integers(3, 10))
-            H, w, st_ = random_lnq_instance(rng, d, bits=int(rng.integers(1, 3)))
+            H, w, (C, A0) = random_lnq_instance(rng, d, bits=int(rng.integers(1, 3)))
             W = w.reshape(-1, 1)
-            C = st_.codebook.values[None, :].copy()
-            A = st_.assign.idx[:, None].copy()
+            A = A0.copy()
             stats: dict = {}
             cd_cycle(H, W, C, A, 1, stats=stats)
             if stats.get("min_margin", np.inf) < 1e-9:
                 continue
-            ref = st_.assign.idx[:, None].copy()
+            ref = A0.copy()
             naive_cd_cycle(H, W, C, ref, 1)
             checked += 1
             npt.assert_array_equal(A, ref)
@@ -166,21 +161,18 @@ class TestCdSteps:
         H = np.eye(3)
         H[1, 1] = 0.0
         w = np.ones(3)
-        st_ = uniform_init(w, 2)
+        C, A = uniform_init(w[:, None], 2)
         with pytest.raises(ZeroDiagonal):
-            cd_step_naive(H, w, st_, 1)
+            cd_step_naive(H, w, C[0], A[:, 0], 1)
         with pytest.raises(ZeroDiagonal):
-            cd_cycle(H, w.reshape(-1, 1), st_.codebook.values[None, :],
-                     st_.assign.idx[:, None].copy(), 1)
+            cd_cycle(H, w.reshape(-1, 1), C, A, 1)
 
 
 class TestCycleEngines:
     def _block(self, rng, d, c, bits):
         H = random_spd(rng, d)
         W = rng.standard_normal((d, c))
-        inits = [uniform_init(W[:, j], 2 ** bits) for j in range(c)]
-        C = np.stack([s.codebook.values for s in inits], axis=0)
-        A = np.stack([s.assign.idx for s in inits], axis=1)
+        C, A = uniform_init(W, 2 ** bits)
         return H, W, C, A
 
     def test_cd_cycle_equals_naive_cycles(self):
@@ -242,9 +234,7 @@ class TestCycleEngines:
         d = 10
         H = np.diag(rng.uniform(0.5, 3.0, d))
         W = rng.standard_normal((d, 1))
-        init = uniform_init(W[:, 0], 4)
-        C = init.codebook.values[None, :].copy()
-        A = init.assign.idx[:, None].copy()
+        C, A = uniform_init(W, 4)
         cd_cycle(H, W, C, A, 1)
         npt.assert_array_equal(A[:, 0], round_rows(W[:, 0], np.repeat(C, d, axis=0)))
 
@@ -257,8 +247,8 @@ class TestLnqQuantize:
             bits = int(rng.integers(1, 4))
             H, w, init = random_lnq_instance(rng, d, bits)
             cfg = LnqConfig(bits=bits, T=int(rng.integers(1, 4)), K=int(rng.integers(1, 5)))
-            out = lnq_quantize(H, w.reshape(-1, 1), cfg, [init])
-            tr = out.channels[0].objective_trace
+            out = lnq_quantize(H, w.reshape(-1, 1), cfg, init)
+            tr = out.traces[0]
             assert len(tr) == 2 * cfg.T + 2
             for a, b in zip(tr, tr[1:]):
                 assert b <= a + 1e-12 * (1.0 + abs(a))
@@ -266,25 +256,22 @@ class TestLnqQuantize:
     def test_final_state_consistent(self):
         rng = np.random.default_rng(13)
         H, w, init = random_lnq_instance(rng, 8, bits=2)
-        out = lnq_quantize(H, w.reshape(-1, 1), LnqConfig(bits=2), [init])
-        st_ = out.channels[0]
-        npt.assert_array_equal(st_.w_hat, st_.codebook.values[st_.assign.idx])
-        assert np.all(np.diff(st_.codebook.values) >= 0)
-        delta = st_.w_hat - w
-        assert st_.objective_trace[-1] == pytest.approx(float(delta @ H @ delta), rel=1e-9)
+        out = lnq_quantize(H, w.reshape(-1, 1), LnqConfig(bits=2), init)
+        values, idx, w_hat = out.C[0], out.A[:, 0], out.W_hat[:, 0]
+        npt.assert_array_equal(w_hat, values[idx])
+        assert np.all(np.diff(values) >= 0)
+        delta = w_hat - w
+        assert out.traces[0][-1] == pytest.approx(float(delta @ H @ delta), rel=1e-9)
 
     def test_representable_weights_reach_zero(self):
         rng = np.random.default_rng(14)
         values = np.array([-1.0, 1.0])
         w = values[rng.integers(0, 2, size=6)]
         H = random_spd(rng, 6)
-        init = ChannelQuantState.from_parts(
-            Codebook(values=values),
-            Assignment(idx=(w > 0).astype(np.int64)),
-        )
-        out = lnq_quantize(H, w.reshape(-1, 1), LnqConfig(bits=1, T=1, K=1), [init])
-        assert out.channels[0].objective_trace[-1] == pytest.approx(0.0, abs=1e-18)
-        npt.assert_allclose(out.channels[0].w_hat, w, atol=1e-12)
+        init = (values[None, :], (w > 0).astype(np.int64)[:, None])
+        out = lnq_quantize(H, w.reshape(-1, 1), LnqConfig(bits=1, T=1, K=1), init)
+        assert out.traces[0][-1] == pytest.approx(0.0, abs=1e-18)
+        npt.assert_allclose(out.W_hat[:, 0], w, atol=1e-12)
 
     def test_engines_identical_on_tie_free(self, monkeypatch):
         rng = np.random.default_rng(15)
@@ -295,25 +282,24 @@ class TestLnqQuantize:
             cfg = LnqConfig(bits=bits, T=2, K=3)
             H, w, init = random_lnq_instance(rng, d, bits)
             stats: dict = {}
-            base = lnq_quantize(H, w.reshape(-1, 1), cfg, [init], stats=stats)
+            base = lnq_quantize(H, w.reshape(-1, 1), cfg, init, stats=stats)
             if stats.get("min_margin", np.inf) < 1e-6:
                 continue
             found += 1
-            ref = base.channels[0]
             for engine in (naive_cd_cycle, *(functools.partial(cd_cycle, b=b)
                                              for b in (1, 4, 64))):
                 monkeypatch.setattr(lnq, "cd_cycle", engine)
-                out = lnq_quantize(H, w.reshape(-1, 1), cfg, [init])
+                out = lnq_quantize(H, w.reshape(-1, 1), cfg, init)
                 monkeypatch.undo()
-                npt.assert_array_equal(out.channels[0].assign.idx, ref.assign.idx)
-                npt.assert_array_equal(out.channels[0].codebook.values, ref.codebook.values)
+                npt.assert_array_equal(out.A, base.A)
+                npt.assert_array_equal(out.C, base.C)
 
     def test_never_worse_than_exhaustive_floor(self):
         rng = np.random.default_rng(16)
         for d in (4, 5, 6):
             H, w, init = random_lnq_instance(rng, d, bits=2)
-            out = lnq_quantize(H, w.reshape(-1, 1), LnqConfig(bits=2, T=2, K=4), [init])
-            tr = out.channels[0].objective_trace
+            out = lnq_quantize(H, w.reshape(-1, 1), LnqConfig(bits=2, T=2, K=4), init)
+            tr = out.traces[0]
             best = exhaustive_lnq(H, w, 4).objective
             slack = 1e-9 * (1.0 + best)
             assert tr[-1] >= best - slack
@@ -324,10 +310,10 @@ class TestLnqQuantize:
         for scale in (4.0, 0.25):
             H, w, init = random_lnq_instance(rng, 10, bits=2)
             cfg = LnqConfig(bits=2, T=2, K=2)
-            a = lnq_quantize(H, w.reshape(-1, 1), cfg, [init]).channels[0]
-            b = lnq_quantize(scale * H, w.reshape(-1, 1), cfg, [init]).channels[0]
-            npt.assert_array_equal(a.assign.idx, b.assign.idx)
-            npt.assert_array_equal(a.codebook.values, b.codebook.values)
+            a = lnq_quantize(H, w.reshape(-1, 1), cfg, init)
+            b = lnq_quantize(scale * H, w.reshape(-1, 1), cfg, init)
+            npt.assert_array_equal(a.A, b.A)
+            npt.assert_array_equal(a.C, b.C)
 
     def test_multichannel_matches_per_channel_runs(self):
         # blocked BLAS products may differ from single-column ones in the
@@ -338,28 +324,26 @@ class TestLnqQuantize:
             d, c = int(rng.integers(4, 12)), 3
             H = random_spd(rng, d)
             W = rng.standard_normal((d, c))
-            inits = [uniform_init(W[:, j], 4) for j in range(c)]
+            C, A = uniform_init(W, 4)
             stats: dict = {}
-            block = lnq_quantize(H, W, LnqConfig(bits=2, T=2, K=2), inits, stats=stats)
+            block = lnq_quantize(H, W, LnqConfig(bits=2, T=2, K=2), (C, A), stats=stats)
             if stats.get("min_margin", np.inf) < 1e-6:
                 continue
             matched += 1
             for j in range(c):
                 solo = lnq_quantize(H, W[:, j].reshape(-1, 1),
-                                    LnqConfig(bits=2, T=2, K=2), [inits[j]])
-                npt.assert_array_equal(block.channels[j].assign.idx,
-                                       solo.channels[0].assign.idx)
-                npt.assert_allclose(block.channels[j].codebook.values,
-                                    solo.channels[0].codebook.values,
-                                    rtol=1e-9, atol=1e-12)
+                                    LnqConfig(bits=2, T=2, K=2), (C[j:j + 1], A[:, j:j + 1]))
+                npt.assert_array_equal(block.A[:, j], solo.A[:, 0])
+                npt.assert_allclose(block.C[j], solo.C[0], rtol=1e-9, atol=1e-12)
 
     def test_shape_validation(self):
         rng = np.random.default_rng(19)
-        H, w, init = random_lnq_instance(rng, 4, bits=1)
+        H, w, (C, A) = random_lnq_instance(rng, 4, bits=1)
+        with pytest.raises(DimensionMismatch):  # an init for two channels
+            lnq_quantize(H, w.reshape(-1, 1), LnqConfig(bits=1), (np.vstack([C, C]),
+                                                                  np.hstack([A, A])))
         with pytest.raises(DimensionMismatch):
-            lnq_quantize(H, w.reshape(-1, 1), LnqConfig(bits=1), [init, init])
-        with pytest.raises(DimensionMismatch):
-            lnq_quantize(np.eye(3), w.reshape(-1, 1), LnqConfig(bits=1), [init])
+            lnq_quantize(np.eye(3), w.reshape(-1, 1), LnqConfig(bits=1), (C, A))
         H, W, C, A = _stack(rng, 2, 5, 2, 4)  # a stack of two groups
         with pytest.raises(DimensionMismatch):
             cd_cycle(H[:1], W, C, A, 1)
@@ -383,8 +367,8 @@ class TestLnqQuantize:
 def test_descent_property(seed, d, bits, T, K):
     rng = np.random.default_rng(seed)
     H, w, init = random_lnq_instance(rng, d, bits)
-    out = lnq_quantize(H, w.reshape(-1, 1), LnqConfig(bits=bits, T=T, K=K), [init])
-    tr = out.channels[0].objective_trace
+    out = lnq_quantize(H, w.reshape(-1, 1), LnqConfig(bits=bits, T=T, K=K), init)
+    tr = out.traces[0]
     for a, b in zip(tr, tr[1:]):
         assert b <= a + 1e-12 * (1.0 + abs(a))
 
@@ -409,10 +393,10 @@ def _codebook_by_masks(chol, w, a, m):
     return values[order], inv[a]
 
 
-def _codebook_closed_form_objects(chol, w, assign, m):
-    """codebook_closed_form as it was on Assignment and Codebook objects."""
+def _codebook_closed_form_objects(chol, w, a, m):
+    """codebook_closed_form as it was when it took one channel's
+    assignment object and returned a codebook object, on their arrays."""
     w = np.ascontiguousarray(w, dtype=np.float64)
-    a = assign.idx
     if w.shape[0] != chol.dim or a.shape[0] != w.shape[0]:
         raise DimensionMismatch("w, assignment and factor disagree on dimension")
     if m < 1 or (a.size and a.max() >= m):
@@ -431,7 +415,7 @@ def _codebook_closed_form_objects(chol, w, assign, m):
     order = np.argsort(values, kind="stable")
     inv = np.empty(m, dtype=np.int64)
     inv[order] = np.arange(m)
-    return Codebook(values=values[order]), Assignment(idx=inv[a])
+    return values[order], inv[a]
 
 
 def _cd_cycle_one_group(H, W, C, A, cycles, b=lnq.CD_BATCH):
@@ -467,9 +451,9 @@ def test_codebook_columns_match_mask_sums(seed, d, m):
     ref_values, ref_idx = _codebook_by_masks(chol, w, a, m)
     assert values.tobytes() == ref_values.tobytes()
     npt.assert_array_equal(assign, ref_idx)
-    cb, asg = _codebook_closed_form_objects(chol, w, Assignment(idx=a), m)
-    assert values.tobytes() == cb.values.tobytes()
-    assert assign.tobytes() == asg.idx.tobytes()
+    cb, asg = _codebook_closed_form_objects(chol, w, a, m)
+    assert values.tobytes() == cb.tobytes()
+    assert assign.tobytes() == asg.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -506,7 +490,7 @@ def test_group_codebooks_match_per_channel_masks(seed, d, c, m, neg_zeros):
 ])
 def test_codebook_phase_checks_the_stack(monkeypatch, bad, message):
     # a codebook solve that returns a non-finite or unsorted row is
-    # refused once per phase, with the texts Codebook raises
+    # refused once per phase, with the texts check_codebooks raises
     real = lnq.codebook_closed_form
 
     def corrupt(chol, W, A, m):
@@ -555,19 +539,20 @@ def test_stacked_lnq_equals_one_run_per_group(sizes):
     for d in (6, 140):
         H = [random_spd(rng, d) for _ in sizes]
         W = [rng.standard_normal((d, c)) for c in sizes]
-        inits = [[uniform_init(Wk[:, j], cfg.m) for j in range(Wk.shape[1])] for Wk in W]
-        alone = [lnq_quantize(Hk, Wk, cfg, ik).channels for Hk, Wk, ik in zip(H, W, inits)]
+        inits = [uniform_init(Wk, cfg.m) for Wk in W]
+        alone = [lnq_quantize(Hk, Wk, cfg, ik) for Hk, Wk, ik in zip(H, W, inits)]
         stacked = []
         for _, run in itertools.groupby(range(len(sizes)), key=lambda k: sizes[k]):
             group = list(run)
-            stacked += lnq_quantize([H[k] for k in group], np.stack([W[k] for k in group]), cfg,
-                                    [st_ for k in group for st_ in inits[k]]).channels
-        flat = [st_ for chans in alone for st_ in chans]
-        assert len(stacked) == len(flat)
-        for got, want in zip(stacked, flat):
-            assert got.codebook.values.tobytes() == want.codebook.values.tobytes()
-            npt.assert_array_equal(got.assign.idx, want.assign.idx)
-            assert got.objective_trace == want.objective_trace
+            stacked.append(lnq_quantize(
+                [H[k] for k in group], np.stack([W[k] for k in group]), cfg,
+                tuple(np.stack([inits[k][i] for k in group]) for i in (0, 1))))
+        got = np.concatenate([q.C for q in stacked])
+        want = np.concatenate([q.C for q in alone])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        npt.assert_array_equal(np.concatenate([q.A for q in stacked], axis=1),
+                               np.concatenate([q.A for q in alone], axis=1))
+        assert [tr for q in stacked for tr in q.traces] == [tr for q in alone for tr in q.traces]
 
 
 def test_naive_cd_cycle_takes_a_stack():

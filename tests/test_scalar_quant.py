@@ -1,16 +1,18 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glq.errors import DimensionMismatch, InvalidSize, TooFewDistinctPoints
+from glq.errors import DimensionMismatch, InvalidSize, NonFiniteMass, TooFewDistinctPoints
 from glq.oracle import kmeans_1d_exact, kmeans_partition_oracle, round_to_codebook, weighted_sse
 from glq.scalar_quant import (
-    Assignment,
-    Codebook,
+    QuantizedLayer,
     WeightedPoints,
     _distinct,
+    check_codebooks,
     kmeans_pp_init,
     lloyd,
     round_rows,
@@ -27,9 +29,14 @@ def _pts(x, w=None) -> WeightedPoints:
 
 
 def _lloyd_one(pts, cb, iters, trace=None):
-    """lloyd on one channel, as a stack of one."""
-    C, A = lloyd([pts], cb.values[None], iters, trace)
-    return Codebook(values=C[0]), Assignment(idx=A[0])
+    """lloyd on one channel (codebook `cb`), as a stack of one."""
+    C, A = lloyd([pts], cb[None], iters, trace)
+    return C[0], A[0]
+
+
+def _kmeans_pp_one(pts, m, seed):
+    """kmeans_pp_init on one channel, as a stack of one."""
+    return kmeans_pp_init([pts], m, [seed])[0]
 
 
 @st.composite
@@ -42,20 +49,53 @@ def weighted_points(draw, max_n=12):
     return WeightedPoints(x=np.array(x), wgt=np.array(w))
 
 
+def _layer(C, A=None, bits=1, traces=None):
+    """A QuantizedLayer over the c x m codebooks C, all slots 0 by default."""
+    C = np.asarray(C, dtype=np.float64)
+    A = np.zeros((3, C.shape[0]), dtype=np.int64) if A is None else A
+    return QuantizedLayer(0, bits, C, A, [[] for _ in C] if traces is None else traces)
+
+
 class TestTypes:
     def test_codebook_sorted_required(self):
-        with pytest.raises(ValueError):
-            Codebook(values=np.array([2.0, 1.0]))
+        with pytest.raises(ValueError, match="sorted"):
+            _layer([[2.0, 1.0]])
+        with pytest.raises(ValueError, match="sorted"):
+            check_codebooks(np.array([[[0.0, 1.0]], [[2.0, 1.0]]]))
 
     def test_codebook_size_bounds(self):
+        # an empty codebook, 257 values, and any m other than 2**bits
         with pytest.raises(InvalidSize):
-            Codebook(values=np.zeros(0))
+            _layer(np.zeros((1, 0)))
+        for bits in (8, 9):
+            with pytest.raises(InvalidSize):
+                _layer(np.zeros((1, 257)), bits=bits)
         with pytest.raises(InvalidSize):
-            Codebook(values=np.zeros(257))
+            _layer(np.zeros((1, 4)), bits=1)
 
     def test_codebook_finite_required(self):
-        with pytest.raises(ValueError):
-            Codebook(values=np.array([0.0, np.inf]))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                _layer([[0.0, bad]])
+            with pytest.raises(ValueError, match="finite"):
+                check_codebooks(np.array([[0.0, 1.0], [0.0, bad]]))
+
+    def test_layer_slots_shapes_and_traces_checked(self):
+        C = np.array([[0.0, 1.0], [-1.0, 2.0]])
+        with pytest.raises(InvalidSize):
+            _layer(C, np.array([[0, 2]]))
+        with pytest.raises(InvalidSize):
+            _layer(C, np.array([[-1, 0]]))
+        with pytest.raises(DimensionMismatch):  # one codebook row per column of A
+            _layer(C, np.zeros((3, 3), dtype=np.int64))
+        with pytest.raises(DimensionMismatch):
+            _layer(C[0])
+        with pytest.raises(DimensionMismatch):
+            _layer(C, traces=[[]])
+        ql = _layer(C, np.array([[0, 1], [1, 0]]), traces=[[3.0], [2.0, 1.0]])
+        npt.assert_array_equal(ql.W_hat, [[0.0, 2.0], [1.0, -1.0]])
+        assert ql.W_hat.flags["C_CONTIGUOUS"]
+        assert ql.channels[1].objective_trace is ql.traces[1]
 
     def test_weighted_points_validation(self):
         with pytest.raises(ValueError):
@@ -66,23 +106,22 @@ class TestTypes:
 
 class TestRounding:
     def test_nearest(self):
-        cb = Codebook(values=np.array([0.0, 1.0, 4.0]))
+        cb = np.array([0.0, 1.0, 4.0])
         assert round_to_codebook(0.9, cb) == 1
         assert round_to_codebook(3.0, cb) == 2
         assert round_to_codebook(-5.0, cb) == 0
 
     def test_midpoint_tie_takes_smaller_value(self):
-        cb = Codebook(values=np.array([1.0, 3.0]))
+        cb = np.array([1.0, 3.0])
         assert round_to_codebook(2.0, cb) == 0
-        cb2 = Codebook(values=np.array([-1.0, 1.0]))
+        cb2 = np.array([-1.0, 1.0])
         assert round_to_codebook(0.0, cb2) == 0
 
     def test_against_linear_scan_oracle(self):
         rng = np.random.default_rng(0)
         vals = np.sort(rng.standard_normal(7))
-        cb = Codebook(values=vals)
         for x in rng.uniform(-3, 3, size=1000):
-            got = round_to_codebook(float(x), cb)
+            got = round_to_codebook(float(x), vals)
             want = min(range(7), key=lambda q: (abs(vals[q] - x), q))
             assert got == want
 
@@ -92,12 +131,13 @@ class TestRounding:
         u = rng.standard_normal(5)
         idx = round_rows(u, C)
         for j in range(5):
-            assert idx[j] == round_to_codebook(float(u[j]), Codebook(values=C[j]))
+            assert idx[j] == round_to_codebook(float(u[j]), C[j])
 
 
 def _kmeans_pp_one_channel(pts, m, seed):
     """kmeans_pp_init as it ran one channel at a time: one
-    Generator.choice per draw."""
+    Generator.choice per draw. A draw whose total mass is not finite
+    raises NonFiniteMass, as the stack does."""
     if m < 1:
         raise InvalidSize(f"need m >= 1, got {m}")
     vals, wsum = _distinct(pts)
@@ -115,6 +155,8 @@ def _kmeans_pp_one_channel(pts, m, seed):
             mass = wsum.copy()
         mass[chosen] = 0.0
         total = float(np.sum(mass))
+        if not np.isfinite(total):
+            raise NonFiniteMass(f"total mass {total}")
         if total > 0.0:
             pick = int(rng.choice(vals.shape[0], p=mass / total))
         else:
@@ -122,7 +164,7 @@ def _kmeans_pp_one_channel(pts, m, seed):
             pick = int(rng.choice(cands))
         chosen.append(pick)
         d2 = np.minimum(d2, (vals - vals[pick]) ** 2)
-    return Codebook(values=np.sort(vals[np.array(chosen)]))
+    return np.sort(vals[np.array(chosen)])
 
 
 @st.composite
@@ -131,7 +173,8 @@ def kmeans_pp_stack(draw):
     values; values from a pool with duplicates and a -0.0/0.0 pair;
     unit weights (a zero-Fisher channel); mostly zero weights, so draws
     fall back to uniform; values near +-1e300, whose squared distances
-    overflow to a non-finite sampling mass; exactly m distinct values."""
+    overflow to a non-finite sampling mass (inf, or NaN where a zero
+    weight meets an infinite distance); exactly m distinct values."""
     # past 128 values numpy's pairwise sum of a row splits in two
     n = draw(st.integers(1, 40) | st.integers(129, 300))
     c, m = draw(st.integers(1, 6)), draw(st.integers(1, 8))
@@ -162,27 +205,27 @@ def kmeans_pp_stack(draw):
 class TestKmeansPP:
     def test_deterministic(self):
         pts = _pts(np.random.default_rng(2).standard_normal(30))
-        a = kmeans_pp_init(pts, 4, seed=9)
-        b = kmeans_pp_init(pts, 4, seed=9)
-        npt.assert_array_equal(a.values, b.values)
+        a = _kmeans_pp_one(pts, 4, 9)
+        b = _kmeans_pp_one(pts, 4, 9)
+        npt.assert_array_equal(a, b)
 
     def test_m_equals_distinct_returns_them(self):
         pts = _pts([3.0, 1.0, 2.0, 1.0], [1.0, 1.0, 1.0, 1.0])
-        cb = kmeans_pp_init(pts, 3, seed=0)
-        npt.assert_array_equal(cb.values, [1.0, 2.0, 3.0])
+        cb = _kmeans_pp_one(pts, 3, 0)
+        npt.assert_array_equal(cb, [1.0, 2.0, 3.0])
 
     def test_too_few_distinct(self):
         with pytest.raises(TooFewDistinctPoints):
-            kmeans_pp_init(_pts([1.0, 1.0, 2.0]), 3, seed=0)
+            _kmeans_pp_one(_pts([1.0, 1.0, 2.0]), 3, 0)
 
     def test_zero_mass_fallback(self):
         # only x=0 carries weight; remaining centers come from the
         # uniform fallback over unchosen distinct points
         pts = _pts([0.0, 1.0, 2.0], [1.0, 0.0, 0.0])
-        cb = kmeans_pp_init(pts, 2, seed=5)
-        assert 0.0 in cb.values
-        assert set(cb.values) <= {0.0, 1.0, 2.0}
-        assert len(set(cb.values)) == 2
+        cb = _kmeans_pp_one(pts, 2, 5)
+        assert 0.0 in cb
+        assert set(cb) <= {0.0, 1.0, 2.0}
+        assert len(set(cb)) == 2
 
     @settings(max_examples=300, deadline=None)
     @given(kmeans_pp_stack())
@@ -195,40 +238,55 @@ class TestKmeansPP:
         with np.errstate(over="ignore", invalid="ignore"):
             for p, rng in zip(pts, ref_rngs):
                 try:
-                    want.append(_kmeans_pp_one_channel(p, m, rng).values)
-                except (TooFewDistinctPoints, ValueError) as exc:
+                    want.append(_kmeans_pp_one_channel(p, m, rng))
+                except (TooFewDistinctPoints, NonFiniteMass) as exc:
                     errors.add(type(exc))
             if errors:  # too few values is found before any draw
-                expect = TooFewDistinctPoints if TooFewDistinctPoints in errors else ValueError
+                expect = TooFewDistinctPoints if TooFewDistinctPoints in errors else NonFiniteMass
                 with pytest.raises(expect):
                     kmeans_pp_init(pts, m, rngs)
                 return
             got = kmeans_pp_init(pts, m, rngs)
-            one = kmeans_pp_init(pts[0], m, (seed, 0))
+            one = _kmeans_pp_one(pts[0], m, (seed, 0))
         assert got.tobytes() == np.stack(want).tobytes()
-        assert one.values.tobytes() == want[0].tobytes()
+        assert one.tobytes() == want[0].tobytes()
         for rng, ref in zip(rngs, ref_rngs):
             assert rng.bit_generator.state == ref.bit_generator.state
 
-    def test_non_finite_mass_raises_as_choice_does(self):
+    def test_non_finite_mass_raises_a_named_error(self):
         # squared distances overflow: the second draw's mass is infinite
         pts = _pts([-1e300, 0.0, 1e300])
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="Probabilities"):
+            with pytest.raises(NonFiniteMass):
                 _kmeans_pp_one_channel(pts, 2, 0)
-            with pytest.raises(ValueError, match="Probabilities"):
-                kmeans_pp_init([pts, _pts([1.0, 2.0, 3.0])], 2, [0, 1])
+            with pytest.raises(NonFiniteMass, match="channel 1: k-means.. draw 1 "):
+                kmeans_pp_init([_pts([1.0, 2.0, 3.0]), pts], 2, [0, 1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_overflowing_mass_is_refused_not_sampled(self, seed):
+        # huge weights: weight times squared distance is inf (numpy's
+        # choice raised a bare "Probabilities contain NaN"); zero weights
+        # at an infinite distance: 0 * inf is NaN, and the draw fell back
+        # to uniform, picking a zero-weight point for seeds 2 and 3; no
+        # overflow warning comes ahead of the error
+        x = np.arange(5) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w, total in ((np.full(5, 1e160), "inf"), (np.array([1.0, 0, 0, 0, 1]), "nan")):
+                with pytest.raises(NonFiniteMass,
+                                   match=f"^channel 0: k-means.. draw 1 has sampling mass {total}$"):
+                    kmeans_pp_init([WeightedPoints(x=x, wgt=w)], 2, [seed])
 
     def test_centers_are_input_values(self):
         rng = np.random.default_rng(3)
         pts = _pts(rng.standard_normal(20), rng.uniform(0, 1, 20))
-        cb = kmeans_pp_init(pts, 5, seed=1)
-        assert set(cb.values) <= set(pts.x)
+        cb = _kmeans_pp_one(pts, 5, 1)
+        assert set(cb) <= set(pts.x)
 
 
 def _lloyd_every_iter(pts, cb, iters, trace):
     """Lloyd that runs all `iters` iterations, with no fixed-point exit."""
-    centers = cb.values.copy()
+    centers = cb.copy()
 
     def _sse(c, a):
         r = pts.x - c[a]
@@ -273,7 +331,7 @@ def lloyd_case(draw):
     m = draw(st.integers(1, 6))
     vals = draw(st.lists(st.sampled_from(pool) | st.floats(-20, 20), min_size=m, max_size=m))
     return (WeightedPoints(x=np.array(x), wgt=np.array(w)),
-            Codebook(values=np.sort(np.array(vals))), draw(st.integers(0, 60)))
+            np.sort(np.array(vals, dtype=np.float64)), draw(st.integers(0, 60)))
 
 
 class TestLloyd:
@@ -285,13 +343,13 @@ class TestLloyd:
         ref_c, ref_a = _lloyd_every_iter(pts, cb, iters, ref_trace)
         trace: list[float] = []
         out_cb, assign = _lloyd_one(pts, cb, iters, trace)
-        assert out_cb.values.tobytes() == ref_c.tobytes()
-        assert np.array_equal(assign.idx, ref_a)
+        assert out_cb.tobytes() == ref_c.tobytes()
+        assert np.array_equal(assign, ref_a)
         assert trace == ref_trace
         assert len(trace) == 2 * iters + 1
         bare_cb, bare_a = _lloyd_one(pts, cb, iters)
-        assert bare_cb.values.tobytes() == ref_c.tobytes()
-        assert np.array_equal(bare_a.idx, ref_a)
+        assert bare_cb.tobytes() == ref_c.tobytes()
+        assert np.array_equal(bare_a, ref_a)
 
     @settings(max_examples=100, deadline=None)
     @given(lloyd_case())
@@ -308,23 +366,23 @@ class TestLloyd:
 
     def test_zero_iters_assigns_only(self):
         pts = _pts([0.0, 1.0, 10.0])
-        cb = Codebook(values=np.array([0.0, 8.0]))
+        cb = np.array([0.0, 8.0])
         out_cb, assign = _lloyd_one(pts, cb, 0)
-        npt.assert_array_equal(out_cb.values, cb.values)
-        npt.assert_array_equal(assign.idx, [0, 0, 1])
+        npt.assert_array_equal(out_cb, cb)
+        npt.assert_array_equal(assign, [0, 0, 1])
 
     def test_empty_cluster_keeps_center(self):
         pts = _pts([0.0, 0.1])
-        cb = Codebook(values=np.array([0.05, 99.0]))
+        cb = np.array([0.05, 99.0])
         out_cb, assign = _lloyd_one(pts, cb, 3)
-        assert 99.0 in out_cb.values
-        npt.assert_array_equal(assign.idx, [0, 0])
+        assert 99.0 in out_cb
+        npt.assert_array_equal(assign, [0, 0])
 
     def test_weighted_mean_update(self):
         pts = _pts([0.0, 1.0], [1.0, 3.0])
-        cb = Codebook(values=np.array([0.2]))
+        cb = np.array([0.2])
         out_cb, _ = _lloyd_one(pts, cb, 1)
-        assert out_cb.values[0] == pytest.approx(0.75, abs=1e-13)
+        assert out_cb[0] == pytest.approx(0.75, abs=1e-13)
 
     @settings(max_examples=30, deadline=None)
     @given(weighted_points(), st.integers(1, 5), st.integers(0, 6))
@@ -332,7 +390,7 @@ class TestLloyd:
         m = min(m, len(np.unique(pts.x)))
         if m < 1:
             return
-        init = kmeans_pp_init(pts, m, seed=0)
+        init = _kmeans_pp_one(pts, m, 0)
         trace: list[float] = []
         _lloyd_one(pts, init, iters, trace)
         for a, b in zip(trace, trace[1:]):
@@ -342,8 +400,8 @@ class TestLloyd:
         rng = np.random.default_rng(4)
         for _ in range(20):
             pts = _pts(rng.standard_normal(15), rng.uniform(0.01, 1, 15))
-            init = kmeans_pp_init(pts, 3, seed=2)
-            start = weighted_sse(pts, init, Assignment(idx=round_rows(pts.x, init.values)))
+            init = _kmeans_pp_one(pts, 3, 2)
+            start = weighted_sse(pts, init, round_rows(pts.x, init))
             cb, assign = _lloyd_one(pts, init, 25)
             assert weighted_sse(pts, cb, assign) <= start + 1e-12
 
@@ -384,7 +442,7 @@ class TestLloydStack:
         assert len(trace) == len(pts) * span
         for i, p in enumerate(pts):
             ref_trace: list[float] = []
-            ref_c, ref_a = _lloyd_every_iter(p, Codebook(values=C0[i]), iters, ref_trace)
+            ref_c, ref_a = _lloyd_every_iter(p, C0[i], iters, ref_trace)
             assert C[i].tobytes() == ref_c.tobytes()
             npt.assert_array_equal(A[i], ref_a)
             assert trace[i * span:(i + 1) * span] == ref_trace
@@ -403,7 +461,7 @@ class TestLloydStack:
         assert len(set(traces[0])) == 1
         for i, p in enumerate(pts):
             ref_trace: list[float] = []
-            ref_c, ref_a = _lloyd_every_iter(p, Codebook(values=C0[i]), 40, ref_trace)
+            ref_c, ref_a = _lloyd_every_iter(p, C0[i], 40, ref_trace)
             assert C[i].tobytes() == ref_c.tobytes() and traces[i] == ref_trace
             npt.assert_array_equal(A[i], ref_a)
         assert traces[1][2:4] != traces[1][4:6]  # still moving after the first iteration
@@ -451,8 +509,8 @@ class TestExactDP:
     def test_even_grid(self):
         cb, assign, obj = kmeans_1d_exact(_pts([0.0, 2.0, 4.0, 6.0]), 2)
         assert obj == pytest.approx(4.0, abs=1e-12)
-        npt.assert_array_equal(cb.values, [1.0, 5.0])
-        npt.assert_array_equal(assign.idx, [0, 0, 1, 1])
+        npt.assert_array_equal(cb, [1.0, 5.0])
+        npt.assert_array_equal(assign, [0, 0, 1, 1])
 
     def test_zero_weight_point_free(self):
         # the zero-weight outlier joins whichever side costs nothing extra
@@ -463,7 +521,7 @@ class TestExactDP:
     def test_m_at_least_n_is_exact(self):
         cb, assign, obj = kmeans_1d_exact(_pts([3.0, 1.0, 2.0]), 5)
         assert obj == 0.0
-        npt.assert_array_equal(np.sort(cb.values[assign.idx]), [1.0, 2.0, 3.0])
+        npt.assert_array_equal(np.sort(cb[assign]), [1.0, 2.0, 3.0])
 
     def test_matches_partition_enumeration(self):
         rng = np.random.default_rng(5)
@@ -482,7 +540,7 @@ class TestExactDP:
             pts = _pts(rng.standard_normal(n), rng.uniform(0.01, 1, n))
             m = min(3, len(np.unique(pts.x)))
             _, _, dp = kmeans_1d_exact(pts, m)
-            init = kmeans_pp_init(pts, m, seed=3)
+            init = _kmeans_pp_one(pts, m, 3)
             cb, assign = _lloyd_one(pts, init, 30)
             assert weighted_sse(pts, cb, assign) >= dp - 1e-9 * (1.0 + dp)
 
@@ -493,7 +551,7 @@ class TestExactDP:
         _, a1, obj1 = kmeans_1d_exact(_pts(x, w), 3)
         _, a2, obj2 = kmeans_1d_exact(_pts(2.0 * x, w), 3)
         assert obj2 == 4.0 * obj1
-        npt.assert_array_equal(a1.idx, a2.idx)
+        npt.assert_array_equal(a1, a2)
 
 
 class TestBaselines:
@@ -506,8 +564,22 @@ class TestBaselines:
     def test_rtn_uses_uniform_grid(self):
         W = np.linspace(0.0, 7.0, 8).reshape(8, 1)
         ql = rtn_quantize(W, bits=2)
-        npt.assert_allclose(ql.channels[0].codebook.values,
-                            np.linspace(0.0, 7.0, 4), atol=1e-13)
+        npt.assert_allclose(ql.C[0], np.linspace(0.0, 7.0, 4), atol=1e-13)
+
+    def test_rtn_rounds_like_the_scalar_oracle(self):
+        # one broadcast round_rows(W, C) against one scalar rounding per
+        # entry; the grid of column 0 over [0, 6] is 0, 2, 4, 6, so 1, 3
+        # and 5 are ties, which go to the smaller value
+        rng = np.random.default_rng(15)
+        W = rng.standard_normal((40, 6))
+        W[:, 0] = np.resize(np.arange(7.0), 40)
+        W[:, 1] = np.resize([-1.0, 0.0, 0.5, 1.0], 40)  # fits the codebook
+        W[::2, 2] = W[1::2, 2]  # duplicate values
+        for bits in (1, 2, 3):
+            ql = rtn_quantize(W, bits)
+            for i, j in np.ndindex(W.shape):
+                assert ql.A[i, j] == round_to_codebook(float(W[i, j]), ql.C[j]), (bits, i, j)
+        assert rtn_quantize(W, 2).A[1, 0] == 0 and rtn_quantize(W, 2).A[3, 0] == 1
 
     def test_squeezellm_deterministic(self):
         rng = np.random.default_rng(9)
@@ -522,7 +594,7 @@ class TestBaselines:
         F = np.ones_like(W)
         ql = squeezellm_quantize(W, F, bits=2, seed=0)
         npt.assert_array_equal(ql.W_hat, W)
-        assert all(st.objective_trace == [0.0] for st in ql.channels)
+        assert ql.traces == [[0.0], [0.0]]
 
     def test_squeezellm_zero_fisher_column(self):
         rng = np.random.default_rng(10)
@@ -537,8 +609,8 @@ class TestBaselines:
         W = rng.standard_normal((30, 2))
         F = rng.uniform(0, 1, (30, 2))
         ql = squeezellm_quantize(W, F, bits=2, seed=1)
-        for st_ in ql.channels:
-            for a, b in zip(st_.objective_trace, st_.objective_trace[1:]):
+        for tr in ql.traces:
+            for a, b in zip(tr, tr[1:]):
                 assert b <= a + 1e-9 * (1.0 + abs(a))
 
     @pytest.mark.parametrize("lloyd_iters", [0, 7, 50])
@@ -550,9 +622,9 @@ class TestBaselines:
         W[:, 0] = np.repeat([1.0, 2.0], 20)  # fits the codebook, not clustered
         F = rng.uniform(0, 1, (40, 5))
         ql = squeezellm_quantize(W, F, bits=2, seed=3, lloyd_iters=lloyd_iters)
-        assert ql.channels[0].objective_trace == [0.0]
-        for st_ in ql.channels[1:]:
-            assert len(st_.objective_trace) == 2 * lloyd_iters + 1
+        assert ql.traces[0] == [0.0]
+        for tr in ql.traces[1:]:
+            assert len(tr) == 2 * lloyd_iters + 1
 
     @pytest.mark.parametrize("bits", [1, 2, 3])
     def test_init_arrays_equal_the_layer(self, bits):
@@ -571,7 +643,7 @@ class TestBaselines:
         traces: list = []
         C2, A2 = squeezellm_init(W, F, bits, 5, traces=traces)
         assert C2.tobytes() == C.tobytes() and A2.tobytes() == A.tobytes()
-        assert traces == [st_.objective_trace for st_ in ql.channels]
+        assert traces == ql.traces
 
     def test_layer_accessors(self):
         rng = np.random.default_rng(12)
