@@ -26,11 +26,10 @@ from .hessian import (
     guided_hessians,
     plain_hessian,
 )
-from .linalg import CholeskyFactor, cholesky, least_squares, quad_form
-from .lnq import LnqConfig, lnq_quantize
+from .linalg import cholesky, least_squares
+from .lnq import lnq_quantize
 from .scalar_quant import (
     QuantizedLayer,
-    WeightedPoints,
     kmeans_pp_init,
     lloyd,
     rtn_quantize,

@@ -13,10 +13,12 @@ tied together by a manifest that hashes each file. Layouts:
 
 Loads reject directories whose manifest is missing or stale, so a
 half-copied artifact fails loudly instead of quietly feeding garbage
-downstream. ``load_quantized`` also validates each layer as a
-``QuantizedLayer`` (shapes, m = 2**bits, finite sorted codebooks, slots
-in range, one trace per channel) and raises CorruptFile naming the
-directory and the layer when one is inconsistent.
+downstream. ``load_quantized`` raises CorruptFile naming the directory
+when ``quant.json``'s bits or n_layers is not an integer or n_layers
+disagrees with the codebook files in the manifest, and naming the layer
+too when a layer fails its ``QuantizedLayer`` checks (shapes,
+m = 2**bits, finite sorted codebooks, slots in range, one trace per
+channel).
 """
 
 from __future__ import annotations
@@ -32,7 +34,14 @@ from .calib_model import Dataset, MlpModel
 from .errors import CorruptFile, GlqError
 from .guidedquant import CSV_COLUMNS, QuantReport
 from .scalar_quant import QuantizedLayer
-from .tensorio import read_tensor, verify_manifest, write_json_atomic, write_manifest, write_tensor
+from .tensorio import (
+    read_manifest,
+    read_tensor,
+    verify_manifest,
+    write_json_atomic,
+    write_manifest,
+    write_tensor,
+)
 
 
 def _check(dir_path: str | Path) -> Path:
@@ -132,6 +141,13 @@ def save_quantized(
 def load_quantized(dir_path: str | Path) -> tuple[list[QuantizedLayer], dict]:
     d = _check(dir_path)
     meta = json.loads((d / "quant.json").read_text())
+    for key in ("bits", "n_layers"):
+        if type(meta.get(key)) is not int:
+            raise CorruptFile(f"{d}: quant.json: {key} must be an integer, got {meta.get(key)!r}")
+    codebooks = sorted(n for n in read_manifest(d).get("files", {}) if n.startswith("codebook.L"))
+    if codebooks != sorted(f"codebook.L{l}.gqt" for l in range(meta["n_layers"])):
+        raise CorruptFile(f"{d}: quant.json: n_layers is {meta['n_layers']}, but the manifest "
+                          f"holds {codebooks}")
     traces = json.loads((d / "traces.json").read_text())
     qlayers = []
     for l in range(meta["n_layers"]):

@@ -26,6 +26,7 @@ from .calib_model import end_loss, gen_dataset, random_model, train as run_train
 from .errors import ConfigError, GlqError
 from .guidedquant import (
     JOB_KEYS,
+    METHODS,
     QuantJob,
     format_table,
     job_hessians,
@@ -33,10 +34,11 @@ from .guidedquant import (
     run_job,
     sweep as run_sweep,
 )
-from .hessian import HessianCache, layer_hessians
+from .hessian import DEFAULT_DAMPING_REL, DEFAULT_GRAD_SCALE, HessianCache, layer_hessians
 from .tensorio import write_json_atomic
 
-# What quantize runs when neither --config nor a flag says otherwise.
+# What quantize runs when neither --config nor a flag says otherwise; every
+# other default a flag shows is QuantJob's own.
 QUANTIZE_DEFAULTS = {"method": "lnq_guided", "bits": 2, "g": 4}
 
 
@@ -102,9 +104,9 @@ def build_parser() -> _Parser:
     h.add_argument("--model", required=True)
     h.add_argument("--data", required=True)
     h.add_argument("--kind", default="guided", choices=["plain", "guided"])
-    h.add_argument("--g", type=int, default=4)
-    h.add_argument("--grad-scale", type=float, default=1e3)
-    h.add_argument("--damping-rel", type=float, default=1e-7)
+    h.add_argument("--g", type=int, default=QUANTIZE_DEFAULTS["g"])
+    h.add_argument("--grad-scale", type=float, default=DEFAULT_GRAD_SCALE)
+    h.add_argument("--damping-rel", type=float, default=DEFAULT_DAMPING_REL)
     h.add_argument("--out", required=True)
     h.set_defaults(func=cmd_hessian)
 
@@ -113,7 +115,7 @@ def build_parser() -> _Parser:
     q.add_argument("--data", required=True)
     q.add_argument("--config", help="JSON object of QuantJob fields; the flags "
                                     "below override it")
-    q.add_argument("--method", choices=["rtn", "squeezellm", "lnq_plain", "lnq_guided"])
+    q.add_argument("--method", choices=METHODS)
     q.add_argument("--bits", type=int)
     q.add_argument("--g", type=int)
     q.add_argument("--seed", type=_seed)
@@ -135,15 +137,14 @@ def build_parser() -> _Parser:
     s = sub.add_parser("sweep", help="grid of quantization jobs -> CSV table")
     s.add_argument("--model", required=True)
     s.add_argument("--data", required=True)
-    s.add_argument("--methods", type=_str_list,
-                   default=["rtn", "squeezellm", "lnq_plain", "lnq_guided"])
-    s.add_argument("--bits", type=_int_list, default=[2])
-    s.add_argument("--g", type=_int_list, default=[4])
-    s.add_argument("--seeds", type=_seed_list, default=[0])
-    s.add_argument("--T", type=int, default=2)
-    s.add_argument("--K", type=int, default=4)
-    s.add_argument("--grad-scale", type=float, default=1e3)
-    s.add_argument("--damping-rel", type=float, default=1e-7)
+    s.add_argument("--methods", type=_str_list, default=list(METHODS))
+    s.add_argument("--bits", type=_int_list, default=[QUANTIZE_DEFAULTS["bits"]])
+    s.add_argument("--g", type=_int_list, default=[QUANTIZE_DEFAULTS["g"]])
+    s.add_argument("--seeds", type=_seed_list, default=[QuantJob.seed])
+    s.add_argument("--T", type=int, default=QuantJob.T)
+    s.add_argument("--K", type=int, default=QuantJob.K)
+    s.add_argument("--grad-scale", type=float, default=QuantJob.grad_scale)
+    s.add_argument("--damping-rel", type=float, default=QuantJob.damping_rel)
     s.add_argument("--out", help="CSV output path")
     s.set_defaults(func=cmd_sweep)
     return p

@@ -50,7 +50,7 @@ from .hessian import (
     layer_hessians,
 )
 from .linalg import Matrix, ensure_matrix
-from .lnq import LnqConfig, lnq_quantize
+from .lnq import lnq_quantize
 from .scalar_quant import QuantizedLayer, rtn_quantize, squeezellm_init, squeezellm_quantize
 
 METHODS = ("rtn", "squeezellm", "lnq_plain", "lnq_guided")
@@ -118,9 +118,6 @@ class QuantJob:
             return cls(**raw)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def lnq_config(self) -> LnqConfig:
-        return LnqConfig(bits=self.bits, T=self.T, K=self.K)
 
 
 # The QuantJob fields: the keys of a `glq quantize --config` file, the
@@ -202,7 +199,6 @@ def run_job(
     """
     calib = calibrate(model, data)
     hsets = job_hessians(model, data, calib, job, cache=hessian_cache)
-    cfg = job.lnq_config()
     qlayers = []
     for l, (W, hset) in enumerate(zip(model.layers, hsets)):
         if job.method == "rtn":
@@ -217,15 +213,12 @@ def run_job(
         for _, run in itertools.groupby(range(len(groups)), key=lambda k: len(groups[k])):
             stack = list(run)
             cols = [np.array(groups[k], dtype=np.int64) for k in stack]
-            W_stack = np.stack([W[:, cj] for cj in cols])
-            G, d, c = W_stack.shape
-            C0 = np.empty((G, c, cfg.m))
-            A0 = np.empty((G, d, c), dtype=np.int64)
-            for i, cj in enumerate(cols):
-                C0[i], A0[i] = squeezellm_init(W[:, cj], F[:, cj], job.bits, job.seed)
+            C0, A0 = map(np.stack, zip(*(squeezellm_init(W[:, cj], F[:, cj], job.bits, job.seed)
+                                         for cj in cols)))
             try:
-                stacks.append(lnq_quantize([hset.hessians[k] for k in stack], W_stack, cfg,
-                                           (C0, A0), layer_idx=l))
+                stacks.append(lnq_quantize([hset.hessians[k] for k in stack],
+                                           np.stack([W[:, cj] for cj in cols]), job.bits,
+                                           job.T, job.K, (C0, A0), layer_idx=l))
             except SingularHessian as exc:  # renumber the group within the layer
                 raise SingularHessian(l, stack[exc.group], exc.cause) from exc.__cause__
         qlayers.append(QuantizedLayer(l, job.bits, np.concatenate([q.C for q in stacks]),
@@ -297,7 +290,7 @@ def damped_quadratic(hset: HessianSet, W: Matrix, W_hat: Matrix) -> float:
     """sum over groups and their channels of delta^T Hbar_k delta.
 
     `W_hat` and each group Hessian are validated once, not once per
-    channel; every term is the float(v @ H @ v) of `linalg.quad_form`."""
+    channel; every term is float(v @ H @ v) with v = What_j - W_j."""
     W_hat = ensure_matrix(W_hat, "W_hat")
     if W_hat.shape != W.shape:
         raise DimensionMismatch(f"W_hat is {W_hat.shape}, W is {W.shape}")

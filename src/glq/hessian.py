@@ -7,7 +7,7 @@ G (n x d_out), the empirical Fisher block of output channel j satisfies
 
 The guided proxy groups output channels into g consecutive blocks
 J_1..J_g and shares one Hessian per block, built from the within-block
-average of squared gradients:
+average of squared gradients (the n x g ``squared_grad_averages``):
 
     s_k[i] = mean_{j in J_k} (grad_scale * G[i, j])^2
     Hbar_k = X^T Diag(s_k) X + lambda_k I,
@@ -88,14 +88,6 @@ class ChannelPartition:
 
 
 @dataclass
-class SquaredGradAverages:
-    """Per-sample, per-group mean squared (scaled) gradients, n x g."""
-
-    s: Matrix
-    grad_scale: float
-
-
-@dataclass
 class HessianSet:
     """Damped proxy Hessians for one layer, one matrix per channel group.
 
@@ -159,9 +151,10 @@ def squared_grad_averages(
     calib: LayerCalibration,
     partition: ChannelPartition,
     grad_scale: float = DEFAULT_GRAD_SCALE,
-) -> SquaredGradAverages:
-    """s[i, k] = mean over j in J_k of (grad_scale * gradZ[i, j])^2."""
-    X, G = _check_calib(calib)
+) -> Matrix:
+    """The n x g array s[i, k] = mean over j in J_k of
+    (grad_scale * gradZ[i, j])^2."""
+    _, G = _check_calib(calib)
     if partition.d_out != G.shape[1]:
         raise PartitionMismatch(
             f"partition covers {partition.d_out} channels, layer has {G.shape[1]}"
@@ -170,7 +163,7 @@ def squared_grad_averages(
         raise ValueError(f"grad_scale must be > 0, got {grad_scale}")
     sq = (grad_scale * G) ** 2
     cols = [np.mean(sq[:, list(grp)], axis=1) for grp in partition.groups]
-    return SquaredGradAverages(s=np.stack(cols, axis=1), grad_scale=grad_scale)
+    return np.stack(cols, axis=1)
 
 
 def guided_hessians(
@@ -187,17 +180,17 @@ def guided_hessians(
     no solver downstream can factor.
     """
     X, _ = _check_calib(calib)
-    avgs = squared_grad_averages(calib, partition, grad_scale)
+    s = squared_grad_averages(calib, partition, grad_scale)
     hessians, lambdas = [], []
     for k in range(partition.g):
-        if not np.any(avgs.s[:, k]):
+        if not np.any(s[:, k]):
             grp = partition.groups[k]
             raise ZeroGradientGroup(
                 f"layer {layer_idx} group {k} (channels {grp[0]}..{grp[-1]}): "
                 f"zero gradient on every sample, so its guided Hessian and "
                 f"damping would both be 0"
             )
-        B = X * np.sqrt(avgs.s[:, k])[:, None]
+        B = X * np.sqrt(s[:, k])[:, None]
         M = B.T @ B
         M = 0.5 * (M + M.T)
         H, lam = _damped(M, damping_rel)

@@ -1,14 +1,14 @@
 """Dense linear-algebra kernel shared by every numerical module.
 
-Everything runs in float64. Three operations cover all needs upstream:
+Everything runs in float64 on plain arrays. Two operations cover all
+needs upstream:
 
-* ``cholesky``: factor a symmetric positive-definite matrix, optionally
-  after adding ``damping`` to the diagonal. The factor is the single
-  entry point for solving SPD systems.
+* ``cholesky``: the lower-triangular factor L of a symmetric
+  positive-definite matrix, L L^T = H. Callers pass a Hessian that
+  already carries its damping; nothing is added here.
 * ``least_squares``: minimum-norm least-squares solve via an orthogonal
   factorization (LAPACK SVD driver). Normal equations are never formed
   here; tests use them as an independent cross-check only.
-* ``quad_form``: the scalar v^T H v.
 
 ``segment_sums`` gives numpy's 1-D ``ndarray.sum()`` of many
 contiguous segments of one vector at once, bit for bit. numpy sums a
@@ -29,8 +29,6 @@ Inputs are validated once at this boundary (``ensure_matrix`` /
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,56 +62,28 @@ def ensure_vector(v: np.ndarray, name: str = "vector") -> Vector:
     return arr
 
 
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor of a damped SPD matrix.
-
-    Satisfies L @ L.T == H + damping * I (up to roundoff) for the H it
-    was computed from. `L` is lower triangular with strictly positive
-    diagonal; `damping` records the diagonal shift that was applied.
-    """
-
-    L: Matrix
-    damping: float
-
-    @property
-    def dim(self) -> int:
-        return self.L.shape[0]
-
-
-def cholesky(H: Matrix, damping: float = 0.0) -> CholeskyFactor:
-    """Factor H + damping * I into L L^T.
+def cholesky(H: Matrix) -> Matrix:
+    """The lower-triangular L with L L^T = H, its diagonal positive.
 
     Args:
         H: symmetric matrix, d x d. Symmetry is checked to within 1e-10
             relative to the largest entry magnitude.
-        damping: non-negative diagonal shift added before factoring.
-
-    Returns:
-        CholeskyFactor holding the lower-triangular L.
 
     Raises:
-        NotPositiveDefinite: if the damped matrix has a pivot <= 0. The
-            intended recovery is for the caller to raise the damping.
-        ValueError: if damping < 0 or H is materially asymmetric.
+        NotPositiveDefinite: if H has a pivot <= 0.
+        ValueError: if H is materially asymmetric.
     """
     H = ensure_matrix(H, "H")
     d = H.shape[0]
     if H.shape[1] != d:
         raise DimensionMismatch(f"H must be square, got {H.shape}")
-    if damping < 0.0:
-        raise ValueError(f"damping must be >= 0, got {damping}")
     scale = float(np.max(np.abs(H))) if d else 0.0
     if d and float(np.max(np.abs(H - H.T))) > _SYM_RTOL * max(scale, 1.0):
         raise ValueError("H is not symmetric to working tolerance")
-    A = H if damping == 0.0 else H + damping * np.eye(d)
     try:
-        L = np.linalg.cholesky(A)
+        return np.linalg.cholesky(H)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            f"matrix of size {d} is not positive definite at damping={damping}"
-        ) from exc
-    return CholeskyFactor(L=L, damping=float(damping))
+        raise NotPositiveDefinite(f"matrix of size {d} is not positive definite") from exc
 
 
 def least_squares(A: Matrix, b: Vector) -> Vector:
@@ -141,17 +111,6 @@ def least_squares(A: Matrix, b: Vector) -> Vector:
         raise DimensionMismatch(f"underdetermined system: n={n} < k={k}")
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
     return x
-
-
-def quad_form(H: Matrix, v: Vector) -> float:
-    """Return v^T H v as a float."""
-    H = ensure_matrix(H, "H")
-    v = ensure_vector(v, "v")
-    if H.shape[0] != H.shape[1]:
-        raise DimensionMismatch(f"H must be square, got {H.shape}")
-    if v.shape[0] != H.shape[0]:
-        raise DimensionMismatch(f"v has length {v.shape[0]}, expected {H.shape[0]}")
-    return float(v @ H @ v)
 
 
 _PW_BLOCK = 128  # numpy's pairwise-sum block size

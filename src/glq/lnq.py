@@ -8,10 +8,11 @@ weight columns W (d x c), each channel j minimizes the quadratic
 over a codebook c (m values) and a one-hot assignment matrix P. The two
 phases alternate T times:
 
-* Codebook phase, assignments fixed. With H = L L^T the objective is
-  ||L^T w - (L^T P) c||_2^2, so the optimal codebook is the least-squares
-  solution of (L^T P) c ~ L^T w, solved per channel through an
-  orthogonal factorization. Slots with no assigned weight get value 0.0
+* Codebook phase, assignments fixed. With H = L L^T (L from
+  ``linalg.cholesky``) the objective is ||L^T w - (L^T P) c||_2^2, so
+  the optimal codebook is the least-squares solution of
+  (L^T P) c ~ L^T w, solved per channel through an orthogonal
+  factorization. Slots with no assigned weight get value 0.0
   and stay available to later descent steps. ``codebook_closed_form``
   solves one group per call: one pass over the rows of L adds each row
   to its slot's column for every channel at once, so every column is
@@ -54,20 +55,18 @@ increases.
 
 ``lnq_quantize`` and ``cd_cycle`` take a stack of G channel groups of
 one size, each with its own Hessian, and give the bits of G separate
-runs. ``lnq_quantize`` starts from a (codebooks, assignments) pair of
-arrays and returns one ``QuantizedLayer`` holding the stack's channels
-group by group. A CD row step is elementwise, so it is applied to all
-G x c channels at once; every matrix product is still formed per group
-with the shapes one group alone would use. Groups of different sizes are
-never padded to one size: on OpenBLAS a product over padded columns,
-(U @ D)[:, :k], can differ in the last bit from U @ D[:, :k]. A
-consecutive partition has at most two group sizes, so a layer costs at
-most two stacks.
+runs. ``lnq_quantize`` takes the bit width, T and K as ints, starts
+from a (codebooks, assignments) pair of arrays and returns one
+``QuantizedLayer`` holding the stack's channels group by group. A CD
+row step is elementwise, so it is applied to all G x c channels at
+once; every matrix product is still formed per group with the shapes
+one group alone would use. Groups of different sizes are never padded
+to one size: on OpenBLAS a product over padded columns, (U @ D)[:, :k],
+can differ in the last bit from U @ D[:, :k]. A consecutive partition
+has at most two group sizes, so a layer costs at most two stacks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,40 +77,12 @@ from .errors import (
     SingularHessian,
     ZeroDiagonal,
 )
-from .linalg import (
-    CholeskyFactor,
-    Matrix,
-    cholesky,
-    ensure_matrix,
-    least_squares,
-    zero_curvature,
-)
-from .scalar_quant import QuantizedLayer, check_codebooks, round_rows
+from .linalg import Matrix, cholesky, ensure_matrix, least_squares, zero_curvature
+from .scalar_quant import QuantizedLayer, _codebook_size, check_codebooks, round_rows
 
 CD_BATCH = 128
 # Columns of L^T P (1 MiB of float64) one codebook solve holds at a time.
 CODEBOOK_COLUMNS = 1 << 17
-
-
-@dataclass(frozen=True)
-class LnqConfig:
-    """Knobs for one alternating-minimization run."""
-
-    bits: int
-    T: int = 2
-    K: int = 4
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.bits <= 8:
-            raise InvalidSize(f"bits must be in 1..8, got {self.bits}")
-        if self.T < 1:
-            raise InvalidSize(f"T must be >= 1, got {self.T}")
-        if self.K < 1:
-            raise InvalidSize(f"K must be >= 1, got {self.K}")
-
-    @property
-    def m(self) -> int:
-        return 2 ** self.bits
 
 
 def block_objectives(H: Matrix, W: Matrix, W_hat: Matrix) -> np.ndarray:
@@ -121,18 +92,20 @@ def block_objectives(H: Matrix, W: Matrix, W_hat: Matrix) -> np.ndarray:
 
 
 def codebook_closed_form(
-    chol: CholeskyFactor, W: np.ndarray, A: np.ndarray, m: int
+    L: Matrix, W: np.ndarray, A: np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Optimal codebooks of one group for fixed assignments, then sort
     and remap.
 
-    `W` and `A` are the group's d x c weights and slot assignments (c =
-    1 for one channel). For each channel solves the least-squares
-    system (L^T P) c ~ L^T w restricted to the occupied slots;
-    unoccupied slots get value 0.0, matching the minimum-norm solution
-    of the full system. Returns the codebooks (c x m, rows sorted
-    ascending) and the assignments (d x c) remapped accordingly (stable
-    sort, so equal values keep their slot order).
+    `L` is the lower-triangular Cholesky factor of the group's damped
+    Hessian (`linalg.cholesky`); `W` and `A` are the group's d x c
+    weights and slot assignments (c = 1 for one channel). For each
+    channel solves the least-squares system (L^T P) c ~ L^T w
+    restricted to the occupied slots; unoccupied slots get value 0.0,
+    matching the minimum-norm solution of the full system. Returns the
+    codebooks (c x m, rows sorted ascending) and the assignments (d x c)
+    remapped accordingly (stable sort, so equal values keep their slot
+    order).
 
     Column q of a channel's L^T P is the sum of the rows of L assigned
     to slot q. One pass over the rows of L adds row i to slot A[i, j] of
@@ -150,11 +123,10 @@ def codebook_closed_form(
     if W.ndim != 2:
         raise DimensionMismatch(f"W must be d x c, got ndim={W.ndim}")
     d, c = W.shape
-    if d != chol.dim or A.shape != W.shape:
+    if L.shape != (d, d) or A.shape != W.shape:
         raise DimensionMismatch("weights, assignments and factor disagree on dimension")
     if m < 1 or (A.size and (A.min() < 0 or A.max() >= m)):
         raise InvalidSize("assignment indices must fall inside 0..m-1")
-    L = chol.L
     nonzero = L != 0.0
     ends = ((d - np.argmax(nonzero[:, ::-1], axis=1)) * nonzero.any(axis=1)).tolist()
     values = np.zeros((c, m))
@@ -246,7 +218,9 @@ def cd_cycle(
 def lnq_quantize(
     H_damped,
     W_block: np.ndarray,
-    cfg: LnqConfig,
+    bits: int,
+    T: int,
+    K: int,
     init: tuple[np.ndarray, np.ndarray],
     layer_idx: int = 0,
     stats: dict | None = None,
@@ -260,7 +234,8 @@ def lnq_quantize(
     Hessian that does not factor raises SingularHessian, a
     NotPositiveDefinite naming `layer_idx`, the group's index in the
     stack and the cause (exit 2 from the CLI); nothing retries with
-    more damping. `init` is the starting (codebooks, assignments) pair:
+    more damping. `bits` (1..8), `T` and `K` (>= 1) are checked first
+    (InvalidSize). `init` is the starting (codebooks, assignments) pair:
     c x m and d x c arrays for one group, G x c x m and G x d x c for a
     stack, with m = 2**bits; it is copied, not updated. The returned
     layer holds the G x c channels group by group (codebooks G c x m,
@@ -268,6 +243,11 @@ def lnq_quantize(
     trace described in the module docstring. A stack gives the bits of
     G separate runs.
     """
+    m = _codebook_size(bits)
+    if T < 1:
+        raise InvalidSize(f"T must be >= 1, got {T}")
+    if K < 1:
+        raise InvalidSize(f"K must be >= 1, got {K}")
     W = np.ascontiguousarray(W_block, dtype=np.float64)
     C = np.array(init[0], dtype=np.float64, order="C")
     A = np.array(init[1], dtype=np.int64, order="C")
@@ -283,7 +263,6 @@ def lnq_quantize(
         raise DimensionMismatch(f"{len(H)} Hessians for a stack of {G} groups")
     if any(Hk.shape != (d, d) for Hk in H):
         raise DimensionMismatch(f"H is {H[0].shape}, weights have d_in={d}")
-    m = cfg.m
     if C.shape != (G, c, m) or A.shape != (G, d, c):
         raise DimensionMismatch(
             f"init codebooks {C.shape[-2:]} and assignments {A.shape[-2:]} per group, "
@@ -299,22 +278,22 @@ def lnq_quantize(
         # holds G factors at once
         for k in range(G):
             try:
-                chol = cholesky(H[k], damping=0.0)
+                L = cholesky(H[k])
             except NotPositiveDefinite as exc:
                 cause = zero_curvature(H[k]) or str(exc)
                 raise SingularHessian(layer_idx, k, cause) from exc
-            C[k], A[k] = codebook_closed_form(chol, W[k], A[k], m)
+            C[k], A[k] = codebook_closed_form(L, W[k], A[k], m)
         check_codebooks(C)  # once for the whole stack
 
     record()
-    for _ in range(cfg.T):
+    for _ in range(T):
         solve_codebooks()
         record()
-        cd_cycle(H, W, C, A, cfg.K, stats=stats)
+        cd_cycle(H, W, C, A, K, stats=stats)
         record()
     solve_codebooks()
     record()
 
     per_channel = np.array(traces).reshape(len(traces), G * c).T.tolist()
-    return QuantizedLayer(layer_idx, cfg.bits, C.reshape(G * c, m),
+    return QuantizedLayer(layer_idx, bits, C.reshape(G * c, m),
                           A.transpose(1, 0, 2).reshape(d, G * c), per_channel)

@@ -17,7 +17,6 @@ from .calib_model import Dataset, LayerCalibration, MlpModel, calibrate, end_los
 from .errors import DimensionMismatch, InvalidSize, PartitionMismatch, TooLarge, ZeroDiagonal
 from .hessian import _check_calib
 from .linalg import Matrix, ensure_matrix, ensure_vector
-from .scalar_quant import WeightedPoints
 
 EXHAUSTIVE_CAP = 1_000_000
 FISHER_WEIGHT_CAP = 5_000
@@ -226,10 +225,10 @@ def round_to_codebook(x: float, values: np.ndarray) -> int:
     return int(np.abs(values - x).argmin())
 
 
-def weighted_sse(pts: WeightedPoints, values: np.ndarray, idx: np.ndarray) -> float:
-    """Sum of wgt * (x - values[idx])^2."""
-    r = pts.x - values[idx]
-    return float(np.sum(pts.wgt * r * r))
+def weighted_sse(x: np.ndarray, w: np.ndarray, values: np.ndarray, idx: np.ndarray) -> float:
+    """Sum of w * (x - values[idx])^2 over one channel's points."""
+    r = x - values[idx]
+    return float(np.sum(w * r * r))
 
 
 def _prefix_sums(x: np.ndarray, w: np.ndarray):
@@ -240,9 +239,10 @@ def _prefix_sums(x: np.ndarray, w: np.ndarray):
     )
 
 
-def kmeans_1d_exact(pts: WeightedPoints, m: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Optimal weighted 1-D k-means by dynamic programming, the exact
-    reference Lloyd's descent only approaches from above.
+def kmeans_1d_exact(x: np.ndarray, w: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Optimal weighted 1-D k-means of the points x with weights w (1-D,
+    equal length) by dynamic programming, the exact reference Lloyd's
+    descent only approaches from above.
 
     Optimal 1-D clusters are contiguous in sorted order, so prefix sums
     of (w, w x, w x^2) give each segment cost in O(1):
@@ -258,9 +258,9 @@ def kmeans_1d_exact(pts: WeightedPoints, m: int) -> tuple[np.ndarray, np.ndarray
     """
     if m < 1:
         raise InvalidSize(f"need m >= 1, got {m}")
-    order = np.argsort(pts.x, kind="stable")
-    x = pts.x[order]
-    w = pts.wgt[order]
+    order = np.argsort(x, kind="stable")
+    x = np.asarray(x, dtype=np.float64)[order]
+    w = np.asarray(w, dtype=np.float64)[order]
     n = x.shape[0]
     k = min(m, n)
     W, WX, WX2 = _prefix_sums(x, w)
@@ -312,9 +312,10 @@ def kmeans_1d_exact(pts: WeightedPoints, m: int) -> tuple[np.ndarray, np.ndarray
     return centers, assign, float(best[k, n])
 
 
-def kmeans_partition_oracle(pts: WeightedPoints, m: int) -> float:
-    """Optimal weighted 1-D k-means objective by enumerating every
-    contiguous partition of the sorted points into min(m, n) segments.
+def kmeans_partition_oracle(x: np.ndarray, w: np.ndarray, m: int) -> float:
+    """Optimal weighted 1-D k-means objective of the points x with
+    weights w by enumerating every contiguous partition of the sorted
+    points into min(m, n) segments.
 
     Costs are computed per segment from scratch (no prefix sums), so
     this shares nothing with the dynamic program it checks. Intended
@@ -322,9 +323,9 @@ def kmeans_partition_oracle(pts: WeightedPoints, m: int) -> float:
     """
     if m < 1:
         raise InvalidSize(f"need m >= 1, got {m}")
-    x = np.sort(pts.x)
-    order = np.argsort(pts.x, kind="stable")
-    w = pts.wgt[order]
+    order = np.argsort(x, kind="stable")
+    x = np.asarray(x, dtype=np.float64)[order]
+    w = np.asarray(w, dtype=np.float64)[order]
     n = x.shape[0]
     k = min(m, n)
 

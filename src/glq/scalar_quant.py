@@ -8,16 +8,16 @@ codebook value, implemented as first-occurrence argmin over the sorted
 values; every consumer in the package rounds through the same helper so
 tie behavior is uniform.
 
-``kmeans_pp_init`` and ``lloyd`` implement weighted k-means over
-(value, weight) points, the sensitivity-weighted baseline for
-quantizing one channel with diagonal-Fisher weights. Each runs a column
-slice in one pass with the bits of one run per channel.
+``kmeans_pp_init`` and ``lloyd`` implement weighted k-means over r x n
+stacks of values X and weights Wt, one channel per row, the
+sensitivity-weighted baseline for quantizing a channel with
+diagonal-Fisher weights. Each checks its stacks once at entry and runs
+a column slice in one pass with the bits of one run per channel.
 ``kmeans_pp_init`` stacks the channels with equal distinct counts and
 makes each draw as ``Generator.choice`` does, from the channel's own
-generator. ``lloyd`` stacks channels of equal length, and a channel
-leaves the stack at its fixed point. One stable sort of the assignment
-puts each cluster's points in index order, and
-``linalg.segment_sums`` adds every cluster as numpy's 1-D
+generator. In ``lloyd`` a channel leaves the stack at its fixed point;
+one stable sort of the assignment puts each cluster's points in index
+order, and ``linalg.segment_sums`` adds every cluster as numpy's 1-D
 ``ndarray.sum()`` does: under 8 elements in order from 0.0; up to 128
 in eight lanes over the blocks of 8, combined as
 ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
@@ -28,7 +28,7 @@ in index order from 0.0, the same bits without the sort. The SSE
 traces sum each channel's row along the contiguous last axis, which
 numpy adds as that row's ``.sum()``.
 ``squeezellm_init`` is the one squeezellm path: codebooks and
-assignments of a column slice as arrays, with the SSE traces only when
+assignments of a d x c slice as arrays, with the SSE traces only when
 asked for; ``squeezellm_quantize`` wraps them into a layer.
 The exact 1-D k-means DP they are checked against is
 ``oracle.kmeans_1d_exact``.
@@ -54,34 +54,6 @@ DEFAULT_LLOYD_ITERS = 50
 LLOYD_STACK = 1 << 15
 
 
-@dataclass(frozen=True)
-class WeightedPoints:
-    """Values with non-negative weights, not all zero."""
-
-    x: np.ndarray
-    wgt: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = np.ascontiguousarray(self.x, dtype=np.float64)
-        w = np.ascontiguousarray(self.wgt, dtype=np.float64)
-        if x.ndim != 1 or w.ndim != 1 or x.shape != w.shape:
-            raise DimensionMismatch("points and weights must be 1-D of equal length")
-        if x.shape[0] == 0:
-            raise InvalidSize("need at least one point")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
-            raise ValueError("points and weights must be finite")
-        if np.any(w < 0):
-            raise ValueError("weights must be >= 0")
-        if not np.any(w > 0):
-            raise ValueError("weights must not all be zero")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "wgt", w)
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-
 def round_rows(u: np.ndarray, codebooks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized nearest-value rounding of every entry of u.
 
@@ -100,20 +72,41 @@ def round_rows(u: np.ndarray, codebooks: np.ndarray, out: np.ndarray | None = No
     return dist.argmin(axis=-1)
 
 
-def _distinct(pts: WeightedPoints) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values with aggregated weights, ascending. bincount adds
-    each value's weights in index order, as np.add.at does."""
-    vals, inv = np.unique(pts.x, return_inverse=True)
-    return vals, np.bincount(inv, weights=pts.wgt, minlength=vals.shape[0])
+def _check_points(X: np.ndarray, Wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X and Wt (one channel's values and weights per row) as C-contiguous
+    float64 r x n stacks; refuses unequal shapes, rows of no points,
+    non-finite entries, negative weights and a row of zero weights."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    Wt = np.ascontiguousarray(Wt, dtype=np.float64)
+    if X.ndim != 2 or X.shape != Wt.shape:
+        raise DimensionMismatch("points and weights must be r x n stacks of equal shape")
+    if X.shape[1] == 0:
+        raise InvalidSize("need at least one point")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Wt))):
+        raise ValueError("points and weights must be finite")
+    if np.any(Wt < 0):
+        raise ValueError("weights must be >= 0")
+    if not np.all(np.any(Wt > 0, axis=1)):
+        raise ValueError("weights must not all be zero")
+    return X, Wt
 
 
-def kmeans_pp_init(pts: Sequence[WeightedPoints], m: int, seed: Sequence) -> np.ndarray:
+def _distinct(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of one channel with aggregated weights, ascending.
+    bincount adds each value's weights in index order, as np.add.at
+    does."""
+    vals, inv = np.unique(x, return_inverse=True)
+    return vals, np.bincount(inv, weights=w, minlength=vals.shape[0])
+
+
+def kmeans_pp_init(X: np.ndarray, Wt: np.ndarray, m: int, seed: Sequence) -> np.ndarray:
     """Weighted k-means++ seeding over the distinct values of a stack of
     channels in one pass.
 
-    `pts` holds one WeightedPoints per channel and `seed` one seed per
-    channel: any SeedSequence entropy (int or tuple) or a Generator,
-    which is drawn from in place. Each channel draws from its own
+    `X` and `Wt` are r x n stacks of one channel's values and weights
+    per row, checked once here, and `seed` holds one seed per channel:
+    any SeedSequence entropy (int or tuple) or a Generator, which is
+    drawn from in place. Each channel draws from its own
     generator, so its centers depend only on its points and its seed.
     Returns the c x m centers, each row sorted; one channel is a stack
     of one.
@@ -137,11 +130,12 @@ def kmeans_pp_init(pts: Sequence[WeightedPoints], m: int, seed: Sequence) -> np.
     count, and NonFiniteMass, naming the channel, when a draw's total
     mass is not finite (huge weights or squared distances overflow).
     """
+    X, Wt = _check_points(X, Wt)
     if m < 1:
         raise InvalidSize(f"need m >= 1, got {m}")
-    if len(pts) != len(seed):
-        raise DimensionMismatch(f"{len(seed)} seeds for {len(pts)} channels")
-    rows = [_distinct(p) for p in pts]
+    if len(seed) != X.shape[0]:
+        raise DimensionMismatch(f"{len(seed)} seeds for {X.shape[0]} channels")
+    rows = [_distinct(x, w) for x, w in zip(X, Wt)]
     sizes = np.array([vals.shape[0] for vals, _ in rows], dtype=np.int64)
     if sizes.size and m > sizes.min():
         raise TooFewDistinctPoints(
@@ -226,15 +220,17 @@ def _cluster_means(w: np.ndarray, wx: np.ndarray, a: np.ndarray, c: np.ndarray) 
 
 
 def lloyd(
-    pts: Sequence[WeightedPoints],
+    X: np.ndarray,
+    Wt: np.ndarray,
     centers: np.ndarray,
     iters: int,
     trace: list[float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted Lloyd iterations over a stack of channels in one pass.
 
-    `pts` holds r channels of n points each and `centers` their r x m
-    starting codebooks (rows sorted); one channel is a stack of one.
+    `X` and `Wt` are r x n stacks of one channel's values and weights
+    per row, checked once here, and `centers` their r x m starting
+    codebooks (rows sorted); one channel is a stack of one.
     Returns the r x m codebooks and the r x n assignments. More than
     LLOYD_STACK // (n m) channels run as several stacks.
 
@@ -261,10 +257,7 @@ def lloyd(
     """
     if iters < 0:
         raise InvalidSize(f"iters must be >= 0, got {iters}")
-    if len({p.n for p in pts}) != 1:
-        raise DimensionMismatch("a stack needs one or more channels of equal length")
-    X = np.stack([p.x for p in pts])
-    Wt = np.stack([p.wgt for p in pts])
+    X, Wt = _check_points(X, Wt)
     centers = np.array(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] != X.shape[0]:
         raise DimensionMismatch(f"{centers.shape} codebooks for {X.shape[0]} channels")
@@ -410,51 +403,47 @@ def squeezellm_init(
     """Sensitivity-weighted k-means, one codebook per channel, as arrays.
 
     Channel j clusters the weights W[:, j] with diagonal-Fisher weights
-    fisher_diag[:, j]: k-means++ seeding (per-channel substream
-    (seed, j)), all clustered channels seeded in one `kmeans_pp_init`
-    pass and refined by one `lloyd` call (with `traces`, one call per
-    channel, a stack of one; the same bits). A channel whose
-    Fisher column is all zero falls back to uniform weights; a channel
-    with fewer distinct values than codebook slots is represented
-    exactly. Returns the codebooks (c x m, rows sorted) and the
-    assignments (d x c). When `traces` is given, one list per channel is
-    appended to it: Lloyd's weighted SSE trace, or [0.0] for an exact
-    channel; without it no SSE is computed.
+    fisher_diag[:, j] (uniform weights if none is positive). The d x c
+    slices are checked once, as `lloyd` checks its points, and one sort
+    counts each channel's distinct values: a channel with no more of
+    them than codebook slots is represented exactly. The others are
+    seeded by k-means++ (per-channel substream (seed, j)) in one
+    `kmeans_pp_init` pass and refined by one `lloyd` call (with
+    `traces`, one call per channel, a stack of one; the same bits).
+    Returns the codebooks (c x m, rows sorted) and the assignments
+    (d x c). When `traces` is given, one list per channel is appended to
+    it: Lloyd's weighted SSE trace, or [0.0] for an exact channel;
+    without it no SSE is computed.
     """
-    W = np.asarray(W, dtype=np.float64)
-    F = np.asarray(fisher_diag, dtype=np.float64)
-    if W.shape != F.shape:
-        raise DimensionMismatch(f"weights {W.shape} vs fisher diag {F.shape}")
     m = _codebook_size(bits)
-    d, c = W.shape
+    Wt = np.array(np.transpose(fisher_diag), dtype=np.float64, order="C")  # the fallback writes
+    Wt[~np.any(Wt > 0, axis=-1)] = 1.0
+    X, Wt = _check_points(np.transpose(W), Wt)
+    c, d = X.shape
+    # distinct values per channel, counted as np.unique counts them (-0.0 == 0.0)
+    exact = np.count_nonzero(np.diff(np.sort(X, axis=1), axis=1), axis=1) < m
     C = np.empty((c, m))
     A = np.empty((d, c), dtype=np.int64)
+    for j in np.flatnonzero(exact):
+        C[j] = _pad_codebook(np.unique(X[j]), m)
+        A[:, j] = round_rows(X[j], C[j])
     chan_traces = [[0.0] for _ in range(c)]
-    clustered, pts = [], []
-    for j in range(c):
-        wgt = F[:, j]
-        if not np.any(wgt > 0):
-            wgt = np.ones(d)
-        p = WeightedPoints(x=W[:, j], wgt=wgt)
-        distinct = np.unique(p.x)
-        if distinct.shape[0] <= m:
-            C[j] = _pad_codebook(distinct, m)
-            A[:, j] = round_rows(p.x, C[j])
-        else:
-            clustered.append(j)
-            pts.append(p)
-    if clustered:
-        inits = kmeans_pp_init(pts, m, [(seed, j) for j in clustered])
+    clustered = np.flatnonzero(~exact)
+    if clustered.size:
+        if clustered.size < c:
+            X, Wt = X[clustered], Wt[clustered]
+        inits = kmeans_pp_init(X, Wt, m, [(seed, j) for j in clustered.tolist()])
         if traces is None:
-            C[clustered], assign = lloyd(pts, inits, lloyd_iters)
+            C[clustered], assign = lloyd(X, Wt, inits, lloyd_iters)
             A[:, clustered] = assign.T
         else:
             # a stack of one per channel: each call's trace is then one
             # channel's, the form bench/spans.py counts useful Lloyd
             # iterations from
-            for j, p, init in zip(clustered, pts, inits):
+            for i, j in enumerate(clustered.tolist()):
                 chan_traces[j] = []
-                cb, assign = lloyd([p], init[None], lloyd_iters, chan_traces[j])
+                cb, assign = lloyd(X[i:i + 1], Wt[i:i + 1], inits[i:i + 1], lloyd_iters,
+                                   chan_traces[j])
                 C[j], A[:, j] = cb[0], assign[0]
     if traces is not None:
         traces.extend(chan_traces)

@@ -24,7 +24,7 @@ from glq.experiments import (
 )
 from glq.guidedquant import eval_objectives
 from glq.hessian import ChannelPartition, guided_hessians, plain_hessian
-from glq.lnq import LnqConfig, cd_cycle, lnq_quantize
+from glq.lnq import cd_cycle, lnq_quantize
 from glq.oracle import (
     exhaustive_lnq,
     fd_gradient_check,
@@ -34,7 +34,7 @@ from glq.oracle import (
     naive_cd_cycle,
     weighted_sse,
 )
-from glq.scalar_quant import WeightedPoints, kmeans_pp_init, lloyd
+from glq.scalar_quant import kmeans_pp_init, lloyd
 from glq.tensorio import file_sha256
 
 from conftest import random_lnq_instance, uniform_init
@@ -66,8 +66,7 @@ def test_criterion_02_objective_trace_never_increases():
         d = int(rng.integers(2, 33))
         bits = int(rng.integers(2, 4))
         H, w, init = random_lnq_instance(rng, d, bits)
-        cfg = LnqConfig(bits=bits, T=3, K=4)
-        out = lnq_quantize(H, w.reshape(-1, 1), cfg, init)
+        out = lnq_quantize(H, w.reshape(-1, 1), bits, 3, 4, init)
         tr = out.traces[0]
         for a, b in zip(tr, tr[1:]):
             assert b <= a + 1e-12 * (1.0 + abs(a)), f"trace rose: {a} -> {b}"
@@ -88,7 +87,6 @@ def test_criterion_03_cd_engines_agree_on_tie_free_instances(monkeypatch):
         d = int(rng.integers(2, 17))
         bits = int(rng.integers(1, 3))
         H, w, init = random_lnq_instance(rng, d, bits)
-        cfg = LnqConfig(bits=bits, T=2, K=2)
         engines = [("naive", naive_cd_cycle)] + [
             (f"cd_cycle b={b}", functools.partial(cd_cycle, b=b)) for b in (1, 4, d)
         ]
@@ -97,7 +95,7 @@ def test_criterion_03_cd_engines_agree_on_tie_free_instances(monkeypatch):
         for name, engine in engines:
             stats: dict = {}
             monkeypatch.setattr(lnq, "cd_cycle", engine)
-            out = lnq_quantize(H, w.reshape(-1, 1), cfg, init, stats=stats)
+            out = lnq_quantize(H, w.reshape(-1, 1), bits, 2, 2, init, stats=stats)
             monkeypatch.undo()
             if stats.get("min_margin", np.inf) < 1e-6:
                 tie_free = False
@@ -121,8 +119,7 @@ def test_criterion_04_final_objective_bracketed_by_oracle_and_init():
     for d in range(4, 9):
         for _ in range(6):
             H, w, init = random_lnq_instance(rng, d, bits=1)
-            cfg = LnqConfig(bits=1, T=2, K=4)
-            out = lnq_quantize(H, w.reshape(-1, 1), cfg, init)
+            out = lnq_quantize(H, w.reshape(-1, 1), 1, 2, 4, init)
             res = exhaustive_lnq(H, w, 2)
             assert res.n_enumerated == 2 ** d
             tr = out.traces[0]
@@ -139,14 +136,13 @@ def test_criterion_05_dp_kmeans_exactly_optimal():
     for _ in range(200):
         n = int(rng.integers(1, 11))
         m = int(rng.integers(1, 4))
-        pts = WeightedPoints(x=rng.standard_normal(n),
-                             wgt=rng.uniform(0.0, 2.0, n) + 0.01)
-        _, _, dp_obj = kmeans_1d_exact(pts, m)
-        oracle_obj = kmeans_partition_oracle(pts, m)
+        x, w = rng.standard_normal(n), rng.uniform(0.0, 2.0, n) + 0.01
+        _, _, dp_obj = kmeans_1d_exact(x, w, m)
+        oracle_obj = kmeans_partition_oracle(x, w, m)
         assert abs(dp_obj - oracle_obj) <= 1e-9 * max(1.0, oracle_obj)
-        if m <= n and len(np.unique(pts.x)) >= m:
-            C, A = lloyd([pts], kmeans_pp_init([pts], m, [0]), 30)
-            lloyd_obj = weighted_sse(pts, C[0], A[0])
+        if m <= n and len(np.unique(x)) >= m:
+            C, A = lloyd(x[None], w[None], kmeans_pp_init(x[None], w[None], m, [0]), 30)
+            lloyd_obj = weighted_sse(x, w, C[0], A[0])
             assert lloyd_obj >= dp_obj - 1e-9 * max(1.0, dp_obj)
 
 
@@ -216,13 +212,12 @@ def test_criterion_09_gradient_scaling_leaves_decisions_unchanged():
         for k, grp in enumerate(part.groups):
             group = list(grp)
             init = uniform_init(W[:, group], 4)
-            cfg = LnqConfig(bits=2, T=2, K=2)
             outs = []
             tie_free = True
             for hset in hsets:
                 stats: dict = {}
                 outs.append(lnq_quantize(hset.hessians[k], W[:, group],
-                                         cfg, init, stats=stats))
+                                         2, 2, 2, init, stats=stats))
                 if stats.get("min_margin", np.inf) < 1e-6:
                     tie_free = False
             if not tie_free:

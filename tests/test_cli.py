@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import glq
-from glq import artifacts
-from glq.cli import main
+from glq import artifacts, hessian
+from glq.cli import QUANTIZE_DEFAULTS, build_parser, main
 from glq.errors import ConfigError, CorruptFile
 from glq.guidedquant import METHODS, QuantJob
 from glq.tensorio import (
@@ -307,10 +308,13 @@ class TestQuantizeAndEval:
     @pytest.mark.parametrize("case,layer", [
         ("slot_past_m", 1), ("nan_codebook", 1), ("traces_one_short", 1),
         ("codebook_row_short", 1), ("bits_disagree_with_m", 0),
+        # quant.json fields checked before any layer (layer None)
+        ("bits_a_string", None), ("n_layers_missing", None), ("n_layers_a_string", None),
+        ("n_layers_past_files", None), ("n_layers_below_files", None),
     ])
     def test_load_refuses_inconsistent_layer(self, pipeline, tmp_path, case, layer):
         # each edit is followed by a fresh manifest, so only the per-layer
-        # checks can catch it
+        # and quant.json checks can catch it
         data, model = pipeline
         out = tmp_path / "q"
         assert main(["quantize", "--model", str(model), "--data", str(data),
@@ -328,12 +332,20 @@ class TestQuantizeAndEval:
             write_json_atomic(out / "traces.json", dict(traces, **{"1": traces["1"][:-1]}))
         elif case == "codebook_row_short":
             write_tensor(out / "codebook.L1.gqt", C[:-1])
-        else:
+        elif case == "bits_disagree_with_m":
             write_json_atomic(out / "quant.json", dict(meta, bits=3))
+        else:
+            assert meta["n_layers"] == 2
+            edit = {"bits_a_string": {"bits": "2"}, "n_layers_a_string": {"n_layers": "2"},
+                    "n_layers_past_files": {"n_layers": 3},
+                    "n_layers_below_files": {"n_layers": 1}}.get(case, {})
+            write_json_atomic(out / "quant.json", {k: v for k, v in dict(meta, **edit).items()
+                                                   if case != "n_layers_missing" or k != "n_layers"})
         manifest = read_manifest(out)
         write_manifest(out, {"kind": manifest["kind"]}, list(manifest["files"]))
         assert verify_manifest(out) == []
-        with pytest.raises(CorruptFile, match=f"^{re.escape(str(out))}: layer {layer}: "):
+        where = "quant.json" if layer is None else f"layer {layer}"
+        with pytest.raises(CorruptFile, match=f"^{re.escape(str(out))}: {where}: "):
             artifacts.load_quantized(out)
         assert main(["eval", "--model", str(model), "--data", str(data),
                      "--quant", str(out)]) == 2
@@ -348,6 +360,29 @@ class TestQuantizeAndEval:
         (out / "codebook.L0.gqt").write_bytes(bytes(blob))
         assert main(["eval", "--model", str(model), "--data", str(data),
                      "--quant", str(out)]) == 2
+
+
+def test_parser_defaults_come_from_their_sources():
+    # every default a flag shows is the value of the constant or field it
+    # stands for
+    parser = build_parser()
+    need = ["--model", "m", "--data", "d"]
+    h = parser.parse_args(["hessian", *need, "--out", "o"])
+    assert (h.g, h.grad_scale, h.damping_rel) == (
+        QUANTIZE_DEFAULTS["g"], hessian.DEFAULT_GRAD_SCALE, hessian.DEFAULT_DAMPING_REL)
+    s = parser.parse_args(["sweep", *need])
+    job = {f.name: f.default for f in dataclasses.fields(QuantJob)}
+    assert s.methods == list(METHODS)
+    assert (s.bits, s.g, s.seeds) == ([QUANTIZE_DEFAULTS["bits"]], [QUANTIZE_DEFAULTS["g"]],
+                                      [job["seed"]])
+    assert (s.T, s.K, s.grad_scale, s.damping_rel) == (
+        job["T"], job["K"], hessian.DEFAULT_GRAD_SCALE, hessian.DEFAULT_DAMPING_REL)
+    assert (job["grad_scale"], job["damping_rel"]) == (
+        hessian.DEFAULT_GRAD_SCALE, hessian.DEFAULT_DAMPING_REL)
+    quantize = [*need, "--out", "o", "--method"]
+    for method in METHODS:
+        assert parser.parse_args(["quantize", *quantize, method]).method == method
+    assert main(["quantize", *quantize, "not_a_method"]) == 1
 
 
 class TestSweepAndVerify:

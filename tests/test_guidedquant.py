@@ -44,10 +44,18 @@ class TestQuantJob:
         with pytest.raises(ConfigError):
             QuantJob(method="lnq_guided", bits=2, g=0)
 
-    def test_lnq_config_carries_knobs(self):
-        job = QuantJob(method="lnq_guided", bits=3, g=2, T=5, K=7, seed=9)
-        cfg = job.lnq_config()
-        assert (cfg.bits, cfg.T, cfg.K) == (3, 5, 7)
+    def test_run_job_carries_T_and_K(self, toy_problem, monkeypatch):
+        # every LNQ channel trace holds 2T + 2 objectives, and each CD
+        # phase runs K cycles
+        model, data = toy_problem
+        cycles = []
+        real = lnq.cd_cycle
+        monkeypatch.setattr(lnq, "cd_cycle", lambda H, W, C, A, k, **kw:
+                            cycles.append(k) or real(H, W, C, A, k, **kw))
+        for method in ("lnq_plain", "lnq_guided"):
+            _, qlayers, _ = run_job(model, data, QuantJob(method=method, bits=3, g=2, T=5, K=7))
+            assert {len(tr) for ql in qlayers for tr in ql.traces} == {2 * 5 + 2}
+        assert cycles and set(cycles) == {7}
 
 
 class TestEvalObjectives:
@@ -163,7 +171,7 @@ class TestRunJob:
                                  r"curvature") as exc:
             run_job(model.with_layers(layers), data, QuantJob(method="lnq_plain", bits=2))
         assert isinstance(exc.value, NotPositiveDefinite)
-        assert "damping=0.0" in str(exc.value.__cause__)
+        assert str(exc.value.__cause__) == "matrix of size 16 is not positive definite"
 
     @pytest.mark.parametrize("method", ["lnq_plain", "lnq_guided"])
     def test_dead_input_feature_without_damping(self, toy_problem, method):
@@ -290,7 +298,7 @@ def _run_job_one_group_at_a_time(model, data, job):
             cols = np.array(grp, dtype=np.int64)
             init = squeezellm_quantize(W[:, cols], F[:, cols], job.bits, seed=job.seed,
                                        layer_idx=l)
-            groups.append(lnq_quantize(H, W[:, cols], job.lnq_config(), (init.C, init.A),
+            groups.append(lnq_quantize(H, W[:, cols], job.bits, job.T, job.K, (init.C, init.A),
                                        layer_idx=l))
         qlayers.append(QuantizedLayer(l, job.bits, np.concatenate([q.C for q in groups]),
                                       np.concatenate([q.A for q in groups], axis=1),

@@ -147,7 +147,8 @@ class TestGuidedHessians:
         part = ChannelPartition.consecutive(4, 2)
         s = squared_grad_averages(c, part, grad_scale=3.0)
         expect0 = np.mean((3.0 * c.gradZ[:, [0, 1]]) ** 2, axis=1)
-        npt.assert_allclose(s.s[:, 0], expect0, atol=1e-13)
+        assert s.shape == (c.gradZ.shape[0], 2)
+        npt.assert_allclose(s[:, 0], expect0, atol=1e-13)
 
 
     def test_zero_gradient_group_named_before_solve(self):

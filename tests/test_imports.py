@@ -9,9 +9,10 @@
 * Every top-level function and class of the package, and every public
   method or property of a public top-level class, is referenced from
   the package, ``bench/`` or ``scripts/``, not only from tests. A
-  reference is a bare name, an attribute name or an imported name (so a
-  re-export from ``__init__.py``, the public API, counts) outside the
-  definition itself; names are matched without regard to their module.
+  reference is a bare name or an attribute name outside the definition
+  itself, or an imported name whose binding the importing module uses;
+  an import alone, such as a re-export from ``__init__.py``, is not a
+  reference. Names are matched without regard to their module.
   ``oracle.py`` holds the brute-force references the tests check
   against, so its own definitions are exempt.
 * No package module imports a private numpy module or name, or reaches
@@ -115,9 +116,11 @@ def definitions(tree: ast.Module) -> dict[str, ast.AST]:
 
 
 def uses(tree: ast.Module, skip: set[int]) -> set[str]:
-    """Bare, attribute and imported names in `tree`, outside the
-    subtrees whose id() is in `skip`."""
+    """Bare and attribute names in `tree`, outside the subtrees whose
+    id() is in `skip`, and the imported name of every import whose bound
+    name is among them (an import nothing uses is a re-export)."""
     out: set[str] = set()
+    aliases = []
     stack = [tree]
     while stack:
         node = stack.pop()
@@ -128,8 +131,10 @@ def uses(tree: ast.Module, skip: set[int]) -> set[str]:
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
-            out.add(node.name.rsplit(".", 1)[-1])
+            aliases.append(node)
         stack.extend(ast.iter_child_nodes(node))
+    out |= {a.name.rsplit(".", 1)[-1] for a in aliases
+            if (a.asname or a.name.split(".")[0]) in out}
     return out
 
 
@@ -162,11 +167,14 @@ def test_reference_scanner_flags_test_only_definitions():
                 "    def hook(self): return 3\n"
                 "def recursive(): return recursive()\n"
                 "def exported(): return 4\n"
+                "def reexported(): return 6\n"
                 "def for_oracle(): return _Hidden\n"),
-        "app": "from lib import A\nfrom lib import exported as ex\nA().used()\n",
-        "ref": "from lib import for_oracle\ndef unused_reference(): return 5\n",
+        "app": "from lib import A\nfrom lib import exported as ex\nA().used()\nex()\n",
+        "ref": "from lib import for_oracle\ndef unused_reference(): return for_oracle()\n",
+        "init": "from lib import reexported\n",
     }
-    assert unreferenced(sources, exempt={"ref"}) == ["lib:A.test_only", "lib:recursive"]
+    assert unreferenced(sources, exempt={"ref"}) == ["lib:A.test_only", "lib:recursive",
+                                                     "lib:reexported"]
 
 
 def test_no_test_only_definitions_in_package():

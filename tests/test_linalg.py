@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glq.errors import DimensionMismatch, NotPositiveDefinite
-from glq.linalg import CholeskyFactor, cholesky, least_squares, quad_form, segment_sums
+from glq.linalg import cholesky, least_squares, segment_sums
 from glq.oracle import least_squares_normal_oracle
 
 from conftest import random_spd
@@ -13,31 +13,22 @@ from conftest import random_spd
 
 class TestCholesky:
     def test_identity(self):
-        f = cholesky(np.eye(3))
-        npt.assert_array_equal(f.L, np.eye(3))
-        assert f.damping == 0.0
+        L = cholesky(np.eye(3))
+        assert isinstance(L, np.ndarray)
+        npt.assert_array_equal(L, np.eye(3))
 
     def test_hand_2x2(self):
         # H = [[4,2],[2,3]] factors as L = [[2,0],[1,sqrt(2)]]
-        f = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
-        npt.assert_allclose(f.L, [[2.0, 0.0], [1.0, np.sqrt(2.0)]], atol=1e-14)
-
-    def test_damping_included(self):
-        H = np.array([[1.0, 0.5], [0.5, 2.0]])
-        f = cholesky(H, damping=0.25)
-        npt.assert_allclose(f.L @ f.L.T, H + 0.25 * np.eye(2), atol=1e-13)
+        L = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        npt.assert_allclose(L, [[2.0, 0.0], [1.0, np.sqrt(2.0)]], atol=1e-14)
 
     def test_indefinite_raises(self):
         H = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite, match="^matrix of size 2 is not positive definite$"):
             cholesky(H)
-        # large enough damping rescues it
-        f = cholesky(H, damping=2.0)
-        npt.assert_allclose(f.L @ f.L.T, H + 2.0 * np.eye(2), atol=1e-13)
-
-    def test_negative_damping_rejected(self):
-        with pytest.raises(ValueError):
-            cholesky(np.eye(2), damping=-1e-9)
+        # a caller's large enough diagonal shift rescues it
+        L = cholesky(H + 2.0 * np.eye(2))
+        npt.assert_allclose(L @ L.T, H + 2.0 * np.eye(2), atol=1e-13)
 
     def test_asymmetric_rejected(self):
         H = np.array([[1.0, 0.3], [0.0, 1.0]])
@@ -52,11 +43,11 @@ class TestCholesky:
     @given(st.integers(2, 24), st.integers(0, 10_000))
     def test_reconstruction_property(self, d, seed):
         H = random_spd(np.random.default_rng(seed), d)
-        f = cholesky(H)
+        L = cholesky(H)
         scale = np.max(np.abs(H))
-        assert np.max(np.abs(f.L @ f.L.T - H)) <= 1e-9 * scale
-        assert np.all(np.diag(f.L) > 0)
-        npt.assert_array_equal(np.triu(f.L, 1), np.zeros((d, d)))
+        assert np.max(np.abs(L @ L.T - H)) <= 1e-9 * scale
+        assert np.all(np.diag(L) > 0)
+        npt.assert_array_equal(np.triu(L, 1), np.zeros((d, d)))
 
 
 class TestLeastSquares:
@@ -98,32 +89,6 @@ class TestLeastSquares:
             for _ in range(8):
                 delta = 1e-3 * rng.standard_normal(4)
                 assert np.linalg.norm(A @ (x + delta) - b) >= base - 1e-12
-
-
-class TestQuadForm:
-    def test_hand_value(self):
-        H = np.array([[2.0, 1.0], [1.0, 3.0]])
-        v = np.array([1.0, -1.0])
-        # 2 - 2*1 + 3 = 3
-        assert quad_form(H, v) == pytest.approx(3.0, abs=1e-14)
-
-    def test_psd_nonnegative(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            d = int(rng.integers(1, 10))
-            H = random_spd(rng, d, damp=0.0)
-            v = rng.standard_normal(d)
-            assert quad_form(H, v) >= -1e-10 * max(1.0, np.max(np.abs(H)))
-
-    def test_dimension_checks(self):
-        with pytest.raises(DimensionMismatch):
-            quad_form(np.eye(3), np.ones(2))
-
-
-def test_factor_dataclass_fields():
-    f = cholesky(np.eye(2), damping=0.5)
-    assert isinstance(f, CholeskyFactor)
-    assert f.dim == 2 and f.damping == 0.5
 
 
 # lengths at and around the points where numpy's pairwise sum changes

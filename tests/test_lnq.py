@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from glq import lnq
 from glq.errors import DimensionMismatch, InvalidSize, ZeroDiagonal
-from glq.linalg import CholeskyFactor, cholesky, least_squares
-from glq.lnq import LnqConfig, cd_cycle, codebook_closed_form, lnq_quantize
+from glq.linalg import cholesky, least_squares
+from glq.lnq import cd_cycle, codebook_closed_form, lnq_quantize
 from glq.oracle import (
     cd_step_naive,
     exhaustive_lnq,
@@ -22,31 +23,31 @@ from glq.scalar_quant import round_rows
 from conftest import random_lnq_instance, random_spd, uniform_init
 
 
-def _solve_one(chol, w, a, m):
+def _solve_one(L, w, a, m):
     """codebook_closed_form on one channel, as a group of c = 1."""
-    values, assign = codebook_closed_form(chol, np.asarray(w, dtype=np.float64)[:, None],
+    values, assign = codebook_closed_form(L, np.asarray(w, dtype=np.float64)[:, None],
                                           np.asarray(a)[:, None], m)
     return values[0], assign[:, 0]
 
 
 class TestCodebookClosedForm:
     def test_identity_hessian_groups_average(self):
-        chol = cholesky(np.eye(3))
-        values, assign = _solve_one(chol, np.array([1.0, 1.0, 2.0]), np.array([0, 0, 1]), 2)
+        L = cholesky(np.eye(3))
+        values, assign = _solve_one(L, np.array([1.0, 1.0, 2.0]), np.array([0, 0, 1]), 2)
         npt.assert_allclose(values, [1.0, 2.0], atol=1e-12)
         npt.assert_array_equal(assign, [0, 0, 1])
 
     def test_empty_slot_gets_zero_and_sorts(self):
-        chol = cholesky(np.eye(3))
-        values, assign = _solve_one(chol, np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]), 2)
+        L = cholesky(np.eye(3))
+        values, assign = _solve_one(L, np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]), 2)
         # slot 0 empty -> 0.0; occupied slot holds the mean 2.0
         npt.assert_allclose(values, [0.0, 2.0], atol=1e-12)
         npt.assert_array_equal(assign, [1, 1, 1])
 
     def test_remap_after_sort(self):
         # negative mean lands below the empty slot's 0.0
-        chol = cholesky(np.eye(2))
-        values, assign = _solve_one(chol, np.array([-3.0, -1.0]), np.array([1, 1]), 2)
+        L = cholesky(np.eye(2))
+        values, assign = _solve_one(L, np.array([-3.0, -1.0]), np.array([1, 1]), 2)
         npt.assert_allclose(values, [-2.0, 0.0], atol=1e-12)
         npt.assert_array_equal(assign, [0, 0])
 
@@ -57,8 +58,8 @@ class TestCodebookClosedForm:
             H = random_spd(rng, d)
             w = rng.standard_normal(d)
             a = rng.integers(0, m, size=d)
-            chol = cholesky(H)
-            values, assign = _solve_one(chol, w, a, m)
+            L = cholesky(H)
+            values, assign = _solve_one(L, w, a, m)
             used = np.unique(a)
             P = np.zeros((d, used.shape[0]))
             for col, q in enumerate(used):
@@ -72,8 +73,8 @@ class TestCodebookClosedForm:
         H = random_spd(rng, 6)
         w = rng.standard_normal(6)
         a = np.array([0, 1, 2, 0, 1, 2])
-        chol = cholesky(H)
-        values, assign = _solve_one(chol, w, a, 3)
+        L = cholesky(H)
+        values, assign = _solve_one(L, w, a, 3)
         base = w - values[assign]
         f0 = float(base @ H @ base)
         for _ in range(20):
@@ -82,12 +83,12 @@ class TestCodebookClosedForm:
             assert float(r @ H @ r) >= f0 - 1e-12
 
     def test_bad_assignment_range(self):
-        chol = cholesky(np.eye(2))
+        L = cholesky(np.eye(2))
         for a in ([0, 3], [-1, 0]):
             with pytest.raises(InvalidSize):
-                _solve_one(chol, np.zeros(2), np.array(a), 2)
+                _solve_one(L, np.zeros(2), np.array(a), 2)
         with pytest.raises(DimensionMismatch):
-            _solve_one(chol, np.zeros(2), np.array([0, 1, 1]), 2)
+            _solve_one(L, np.zeros(2), np.array([0, 1, 1]), 2)
 
 
 class TestCdSteps:
@@ -246,17 +247,17 @@ class TestLnqQuantize:
             d = int(rng.integers(3, 20))
             bits = int(rng.integers(1, 4))
             H, w, init = random_lnq_instance(rng, d, bits)
-            cfg = LnqConfig(bits=bits, T=int(rng.integers(1, 4)), K=int(rng.integers(1, 5)))
-            out = lnq_quantize(H, w.reshape(-1, 1), cfg, init)
+            T, K = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            out = lnq_quantize(H, w.reshape(-1, 1), bits, T, K, init)
             tr = out.traces[0]
-            assert len(tr) == 2 * cfg.T + 2
+            assert len(tr) == 2 * T + 2
             for a, b in zip(tr, tr[1:]):
                 assert b <= a + 1e-12 * (1.0 + abs(a))
 
     def test_final_state_consistent(self):
         rng = np.random.default_rng(13)
         H, w, init = random_lnq_instance(rng, 8, bits=2)
-        out = lnq_quantize(H, w.reshape(-1, 1), LnqConfig(bits=2), init)
+        out = lnq_quantize(H, w.reshape(-1, 1), 2, 2, 4, init)
         values, idx, w_hat = out.C[0], out.A[:, 0], out.W_hat[:, 0]
         npt.assert_array_equal(w_hat, values[idx])
         assert np.all(np.diff(values) >= 0)
@@ -269,7 +270,7 @@ class TestLnqQuantize:
         w = values[rng.integers(0, 2, size=6)]
         H = random_spd(rng, 6)
         init = (values[None, :], (w > 0).astype(np.int64)[:, None])
-        out = lnq_quantize(H, w.reshape(-1, 1), LnqConfig(bits=1, T=1, K=1), init)
+        out = lnq_quantize(H, w.reshape(-1, 1), 1, 1, 1, init)
         assert out.traces[0][-1] == pytest.approx(0.0, abs=1e-18)
         npt.assert_allclose(out.W_hat[:, 0], w, atol=1e-12)
 
@@ -279,17 +280,17 @@ class TestLnqQuantize:
         while found < 30:
             d = int(rng.integers(3, 15))
             bits = int(rng.integers(1, 3))
-            cfg = LnqConfig(bits=bits, T=2, K=3)
+            cfg = (bits, 2, 3)
             H, w, init = random_lnq_instance(rng, d, bits)
             stats: dict = {}
-            base = lnq_quantize(H, w.reshape(-1, 1), cfg, init, stats=stats)
+            base = lnq_quantize(H, w.reshape(-1, 1), *cfg, init, stats=stats)
             if stats.get("min_margin", np.inf) < 1e-6:
                 continue
             found += 1
             for engine in (naive_cd_cycle, *(functools.partial(cd_cycle, b=b)
                                              for b in (1, 4, 64))):
                 monkeypatch.setattr(lnq, "cd_cycle", engine)
-                out = lnq_quantize(H, w.reshape(-1, 1), cfg, init)
+                out = lnq_quantize(H, w.reshape(-1, 1), *cfg, init)
                 monkeypatch.undo()
                 npt.assert_array_equal(out.A, base.A)
                 npt.assert_array_equal(out.C, base.C)
@@ -298,7 +299,7 @@ class TestLnqQuantize:
         rng = np.random.default_rng(16)
         for d in (4, 5, 6):
             H, w, init = random_lnq_instance(rng, d, bits=2)
-            out = lnq_quantize(H, w.reshape(-1, 1), LnqConfig(bits=2, T=2, K=4), init)
+            out = lnq_quantize(H, w.reshape(-1, 1), 2, 2, 4, init)
             tr = out.traces[0]
             best = exhaustive_lnq(H, w, 4).objective
             slack = 1e-9 * (1.0 + best)
@@ -309,9 +310,8 @@ class TestLnqQuantize:
         rng = np.random.default_rng(17)
         for scale in (4.0, 0.25):
             H, w, init = random_lnq_instance(rng, 10, bits=2)
-            cfg = LnqConfig(bits=2, T=2, K=2)
-            a = lnq_quantize(H, w.reshape(-1, 1), cfg, init)
-            b = lnq_quantize(scale * H, w.reshape(-1, 1), cfg, init)
+            a = lnq_quantize(H, w.reshape(-1, 1), 2, 2, 2, init)
+            b = lnq_quantize(scale * H, w.reshape(-1, 1), 2, 2, 2, init)
             npt.assert_array_equal(a.A, b.A)
             npt.assert_array_equal(a.C, b.C)
 
@@ -326,13 +326,13 @@ class TestLnqQuantize:
             W = rng.standard_normal((d, c))
             C, A = uniform_init(W, 4)
             stats: dict = {}
-            block = lnq_quantize(H, W, LnqConfig(bits=2, T=2, K=2), (C, A), stats=stats)
+            block = lnq_quantize(H, W, 2, 2, 2, (C, A), stats=stats)
             if stats.get("min_margin", np.inf) < 1e-6:
                 continue
             matched += 1
             for j in range(c):
-                solo = lnq_quantize(H, W[:, j].reshape(-1, 1),
-                                    LnqConfig(bits=2, T=2, K=2), (C[j:j + 1], A[:, j:j + 1]))
+                solo = lnq_quantize(H, W[:, j].reshape(-1, 1), 2, 2, 2,
+                                    (C[j:j + 1], A[:, j:j + 1]))
                 npt.assert_array_equal(block.A[:, j], solo.A[:, 0])
                 npt.assert_allclose(block.C[j], solo.C[0], rtol=1e-9, atol=1e-12)
 
@@ -340,25 +340,28 @@ class TestLnqQuantize:
         rng = np.random.default_rng(19)
         H, w, (C, A) = random_lnq_instance(rng, 4, bits=1)
         with pytest.raises(DimensionMismatch):  # an init for two channels
-            lnq_quantize(H, w.reshape(-1, 1), LnqConfig(bits=1), (np.vstack([C, C]),
-                                                                  np.hstack([A, A])))
+            lnq_quantize(H, w.reshape(-1, 1), 1, 2, 4, (np.vstack([C, C]), np.hstack([A, A])))
         with pytest.raises(DimensionMismatch):
-            lnq_quantize(np.eye(3), w.reshape(-1, 1), LnqConfig(bits=1), (C, A))
+            lnq_quantize(np.eye(3), w.reshape(-1, 1), 1, 2, 4, (C, A))
         H, W, C, A = _stack(rng, 2, 5, 2, 4)  # a stack of two groups
         with pytest.raises(DimensionMismatch):
             cd_cycle(H[:1], W, C, A, 1)
         with pytest.raises(DimensionMismatch):
-            lnq_quantize(H[:1], W, LnqConfig(bits=2), (C, A))
+            lnq_quantize(H[:1], W, 2, 2, 4, (C, A))
         with pytest.raises(DimensionMismatch):
-            lnq_quantize(H, W, LnqConfig(bits=2), (C[:, :1], A))
+            lnq_quantize(H, W, 2, 2, 4, (C[:, :1], A))
 
     def test_config_validation(self):
-        with pytest.raises(InvalidSize):
-            LnqConfig(bits=0)
-        with pytest.raises(InvalidSize):
-            LnqConfig(bits=2, T=0)
-        with pytest.raises(InvalidSize):
-            LnqConfig(bits=2, K=0)
+        # bits, T and K are refused before any work, with the texts of
+        # the knobs' former config object
+        rng = np.random.default_rng(21)
+        H, w, init = random_lnq_instance(rng, 4, bits=2)
+        for bits, T, K, text in ((0, 2, 4, "bits must be in 1..8, got 0"),
+                                 (9, 2, 4, "bits must be in 1..8, got 9"),
+                                 (2, 0, 4, "T must be >= 1, got 0"),
+                                 (2, 2, 0, "K must be >= 1, got 0")):
+            with pytest.raises(InvalidSize, match=f"^{re.escape(text)}$"):
+                lnq_quantize(H, w.reshape(-1, 1), bits, T, K, init)
 
 
 @settings(max_examples=25, deadline=None)
@@ -367,7 +370,7 @@ class TestLnqQuantize:
 def test_descent_property(seed, d, bits, T, K):
     rng = np.random.default_rng(seed)
     H, w, init = random_lnq_instance(rng, d, bits)
-    out = lnq_quantize(H, w.reshape(-1, 1), LnqConfig(bits=bits, T=T, K=K), init)
+    out = lnq_quantize(H, w.reshape(-1, 1), bits, T, K, init)
     tr = out.traces[0]
     for a, b in zip(tr, tr[1:]):
         assert b <= a + 1e-12 * (1.0 + abs(a))
@@ -376,12 +379,12 @@ def test_descent_property(seed, d, bits, T, K):
 # -- the pre-change constructions, kept as bit-for-bit references ---------
 
 
-def _codebook_by_masks(chol, w, a, m):
+def _codebook_by_masks(L, w, a, m):
     """codebook_closed_form with each column of L^T P summed from a
     boolean mask of the F-ordered L^T."""
-    Lt = chol.L.T
+    Lt = L.T
     used = np.unique(a)
-    A_ls = np.zeros((chol.dim, used.shape[0]))
+    A_ls = np.zeros((L.shape[0], used.shape[0]))
     for col, q in enumerate(used):
         A_ls[:, col] = Lt[:, a == q].sum(axis=1)
     c_sub = np.linalg.lstsq(A_ls, Lt @ w, rcond=None)[0]
@@ -393,15 +396,15 @@ def _codebook_by_masks(chol, w, a, m):
     return values[order], inv[a]
 
 
-def _codebook_closed_form_objects(chol, w, a, m):
+def _codebook_closed_form_objects(L, w, a, m):
     """codebook_closed_form as it was when it took one channel's
     assignment object and returned a codebook object, on their arrays."""
     w = np.ascontiguousarray(w, dtype=np.float64)
-    if w.shape[0] != chol.dim or a.shape[0] != w.shape[0]:
+    if w.shape[0] != L.shape[0] or a.shape[0] != w.shape[0]:
         raise DimensionMismatch("w, assignment and factor disagree on dimension")
     if m < 1 or (a.size and a.max() >= m):
         raise InvalidSize("assignment indices must fall inside 0..m-1")
-    L_sorted = chol.L[np.argsort(a, kind="stable")]
+    L_sorted = L[np.argsort(a, kind="stable")]
     used, cols = [], []
     s = 0
     for q, e in enumerate(np.bincount(a, minlength=m).cumsum().tolist()):
@@ -409,7 +412,7 @@ def _codebook_closed_form_objects(chol, w, a, m):
             used.append(q)
             cols.append(L_sorted[s:e].sum(axis=0))
         s = e
-    c_sub = least_squares(np.stack(cols, axis=1), chol.L.T @ w)
+    c_sub = least_squares(np.stack(cols, axis=1), L.T @ w)
     values = np.zeros(m)
     values[used] = c_sub
     order = np.argsort(values, kind="stable")
@@ -444,14 +447,14 @@ def _cd_cycle_one_group(H, W, C, A, cycles, b=lnq.CD_BATCH):
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.integers(1, 8))
 def test_codebook_columns_match_mask_sums(seed, d, m):
     rng = np.random.default_rng(seed)
-    chol = cholesky(random_spd(rng, d))
+    L = cholesky(random_spd(rng, d))
     w = rng.standard_normal(d)
     a = rng.integers(0, rng.integers(1, m + 1), size=d)  # some slots empty
-    values, assign = _solve_one(chol, w, a, m)
-    ref_values, ref_idx = _codebook_by_masks(chol, w, a, m)
+    values, assign = _solve_one(L, w, a, m)
+    ref_values, ref_idx = _codebook_by_masks(L, w, a, m)
     assert values.tobytes() == ref_values.tobytes()
     npt.assert_array_equal(assign, ref_idx)
-    cb, asg = _codebook_closed_form_objects(chol, w, a, m)
+    cb, asg = _codebook_closed_form_objects(L, w, a, m)
     assert values.tobytes() == cb.tobytes()
     assert assign.tobytes() == asg.tobytes()
 
@@ -464,22 +467,21 @@ def test_group_codebooks_match_per_channel_masks(seed, d, c, m, neg_zeros):
     # a time; slots are left empty at random, and the factor may hold
     # -0.0 below its diagonal
     rng = np.random.default_rng(seed)
-    L = cholesky(random_spd(rng, d)).L
+    L = cholesky(random_spd(rng, d))
     if neg_zeros:
         below = np.tril(rng.random((d, d)) < 0.3, -1)
         L = np.where(below, -0.0, L)
         L[np.tril(np.ones((d, d), dtype=bool), -1) & (rng.random((d, d)) < 0.1)] *= -0.0
-    chol = CholeskyFactor(L=L, damping=0.0)
     W = rng.standard_normal((d, c))
     A = rng.integers(0, rng.integers(1, m + 1, size=c), size=(d, c))
-    values, assign = codebook_closed_form(chol, W, A, m)
+    values, assign = codebook_closed_form(L, W, A, m)
     assert values.shape == (c, m) and assign.shape == (d, c)
     for j in range(c):
         w = W[:, j].copy()  # contiguous, as a channel was always solved
-        ref_values, ref_idx = _codebook_by_masks(chol, w, A[:, j], m)
+        ref_values, ref_idx = _codebook_by_masks(L, w, A[:, j], m)
         assert values[j].tobytes() == ref_values.tobytes()
         npt.assert_array_equal(assign[:, j], ref_idx)
-        one_values, one_assign = _solve_one(chol, W[:, j], A[:, j], m)
+        one_values, one_assign = _solve_one(L, W[:, j], A[:, j], m)
         assert one_values.tobytes() == ref_values.tobytes()
         npt.assert_array_equal(one_assign, ref_idx)
 
@@ -493,15 +495,15 @@ def test_codebook_phase_checks_the_stack(monkeypatch, bad, message):
     # refused once per phase, with the texts check_codebooks raises
     real = lnq.codebook_closed_form
 
-    def corrupt(chol, W, A, m):
-        values, assign = real(chol, W, A, m)
+    def corrupt(L, W, A, m):
+        values, assign = real(L, W, A, m)
         return bad(values), assign
 
     rng = np.random.default_rng(23)
     H, W, C, A = _stack(rng, 2, 5, 2, 4)
     monkeypatch.setattr(lnq, "codebook_closed_form", corrupt)
     with pytest.raises(ValueError, match=f"codebook values must be {message}"):
-        lnq_quantize(H, W, LnqConfig(bits=2), (C, A))
+        lnq_quantize(H, W, 2, 2, 4, (C, A))
 
 
 def _stack(rng, G, d, c, m):
@@ -535,17 +537,16 @@ def test_stacked_cd_cycle_equals_one_call_per_group(seed, G, d, c, m, cycles):
 def test_stacked_lnq_equals_one_run_per_group(sizes):
     # a ragged partition runs as one stack per group size, as run_job does
     rng = np.random.default_rng(sum(sizes))
-    cfg = LnqConfig(bits=2, T=2, K=2)
     for d in (6, 140):
         H = [random_spd(rng, d) for _ in sizes]
         W = [rng.standard_normal((d, c)) for c in sizes]
-        inits = [uniform_init(Wk, cfg.m) for Wk in W]
-        alone = [lnq_quantize(Hk, Wk, cfg, ik) for Hk, Wk, ik in zip(H, W, inits)]
+        inits = [uniform_init(Wk, 4) for Wk in W]
+        alone = [lnq_quantize(Hk, Wk, 2, 2, 2, ik) for Hk, Wk, ik in zip(H, W, inits)]
         stacked = []
         for _, run in itertools.groupby(range(len(sizes)), key=lambda k: sizes[k]):
             group = list(run)
             stacked.append(lnq_quantize(
-                [H[k] for k in group], np.stack([W[k] for k in group]), cfg,
+                [H[k] for k in group], np.stack([W[k] for k in group]), 2, 2, 2,
                 tuple(np.stack([inits[k][i] for k in group]) for i in (0, 1))))
         got = np.concatenate([q.C for q in stacked])
         want = np.concatenate([q.C for q in alone])

@@ -14,7 +14,6 @@ from glq.oracle import (
     kmeans_partition_oracle,
     least_squares_normal_oracle,
 )
-from glq.scalar_quant import WeightedPoints
 
 from conftest import random_spd, toy
 
@@ -130,30 +129,29 @@ class TestFdGradientCheck:
 
 class TestKmeansPartitionOracle:
     def test_hand_example(self):
-        pts = WeightedPoints(x=np.array([0.0, 1.0, 4.0]), wgt=np.ones(3))
-        assert kmeans_partition_oracle(pts, 2) == pytest.approx(0.5, rel=1e-12)
+        assert kmeans_partition_oracle(np.array([0.0, 1.0, 4.0]), np.ones(3), 2) == \
+            pytest.approx(0.5, rel=1e-12)
 
     def test_weighted_single_cluster(self):
-        pts = WeightedPoints(x=np.array([0.0, 2.0]), wgt=np.array([3.0, 1.0]))
         # weighted mean 0.5 -> cost 3*0.25 + 1*2.25
-        assert kmeans_partition_oracle(pts, 1) == pytest.approx(3.0, rel=1e-12)
+        assert kmeans_partition_oracle(np.array([0.0, 2.0]), np.array([3.0, 1.0]), 1) == \
+            pytest.approx(3.0, rel=1e-12)
 
     def test_enough_clusters_reach_zero(self):
-        pts = WeightedPoints(x=np.array([1.0, 2.0, 3.0]), wgt=np.ones(3))
-        assert kmeans_partition_oracle(pts, 3) == 0.0
-        assert kmeans_partition_oracle(pts, 7) == 0.0
+        x = np.array([1.0, 2.0, 3.0])
+        assert kmeans_partition_oracle(x, np.ones(3), 3) == 0.0
+        assert kmeans_partition_oracle(x, np.ones(3), 7) == 0.0
 
     def test_unsorted_input_handled(self):
-        a = WeightedPoints(x=np.array([4.0, 0.0, 1.0]), wgt=np.array([1.0, 2.0, 1.0]))
-        b = WeightedPoints(x=np.array([0.0, 1.0, 4.0]), wgt=np.array([2.0, 1.0, 1.0]))
-        assert kmeans_partition_oracle(a, 2) == pytest.approx(
-            kmeans_partition_oracle(b, 2), rel=1e-12
+        a = (np.array([4.0, 0.0, 1.0]), np.array([1.0, 2.0, 1.0]))
+        b = (np.array([0.0, 1.0, 4.0]), np.array([2.0, 1.0, 1.0]))
+        assert kmeans_partition_oracle(*a, 2) == pytest.approx(
+            kmeans_partition_oracle(*b, 2), rel=1e-12
         )
 
     def test_m_validated(self):
-        pts = WeightedPoints(x=np.array([1.0]), wgt=np.array([1.0]))
         with pytest.raises(InvalidSize):
-            kmeans_partition_oracle(pts, 0)
+            kmeans_partition_oracle(np.array([1.0]), np.array([1.0]), 0)
 
 
 class TestLeastSquaresNormalOracle:

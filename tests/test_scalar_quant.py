@@ -10,7 +10,6 @@ from glq.errors import DimensionMismatch, InvalidSize, NonFiniteMass, TooFewDist
 from glq.oracle import kmeans_1d_exact, kmeans_partition_oracle, round_to_codebook, weighted_sse
 from glq.scalar_quant import (
     QuantizedLayer,
-    WeightedPoints,
     _distinct,
     check_codebooks,
     kmeans_pp_init,
@@ -22,21 +21,25 @@ from glq.scalar_quant import (
 )
 
 
-def _pts(x, w=None) -> WeightedPoints:
+def _pts(x, w=None) -> tuple[np.ndarray, np.ndarray]:
+    """One channel's (values, weights), unit weights by default."""
     x = np.asarray(x, dtype=np.float64)
     w = np.ones_like(x) if w is None else np.asarray(w, dtype=np.float64)
-    return WeightedPoints(x=x, wgt=w)
+    return x, w
 
 
 def _lloyd_one(pts, cb, iters, trace=None):
-    """lloyd on one channel (codebook `cb`), as a stack of one."""
-    C, A = lloyd([pts], cb[None], iters, trace)
+    """lloyd on one channel (values and weights `pts`, codebook `cb`), as
+    a stack of one."""
+    x, w = pts
+    C, A = lloyd(x[None], w[None], cb[None], iters, trace)
     return C[0], A[0]
 
 
 def _kmeans_pp_one(pts, m, seed):
     """kmeans_pp_init on one channel, as a stack of one."""
-    return kmeans_pp_init([pts], m, [seed])[0]
+    x, w = pts
+    return kmeans_pp_init(x[None], w[None], m, [seed])[0]
 
 
 @st.composite
@@ -46,7 +49,7 @@ def weighted_points(draw, max_n=12):
     w = draw(st.lists(st.floats(0, 10), min_size=n, max_size=n))
     if not any(v > 0 for v in w):
         w[0] = 1.0
-    return WeightedPoints(x=np.array(x), wgt=np.array(w))
+    return np.array(x), np.array(w)
 
 
 def _layer(C, A=None, bits=1, traces=None):
@@ -97,11 +100,37 @@ class TestTypes:
         assert ql.W_hat.flags["C_CONTIGUOUS"]
         assert ql.channels[1].objective_trace is ql.traces[1]
 
-    def test_weighted_points_validation(self):
-        with pytest.raises(ValueError):
-            WeightedPoints(x=np.array([1.0]), wgt=np.array([-1.0]))
-        with pytest.raises(ValueError):
-            WeightedPoints(x=np.array([1.0, 2.0]), wgt=np.zeros(2))
+    def test_point_stacks_validated(self):
+        # kmeans_pp_init and lloyd check their r x n stacks once at entry,
+        # squeezellm_init its d x c slice (a zero Fisher column is not an
+        # error there: it falls back to unit weights)
+        X = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 6.0]])
+        Wt = np.ones_like(X)
+
+        def entries(X, Wt):
+            yield lambda: kmeans_pp_init(X, Wt, 2, [0] * len(X))
+            yield lambda: lloyd(X, Wt, np.zeros((len(X), 2)), 3)
+            yield lambda: squeezellm_init(np.asarray(X).T, np.asarray(Wt).T, 1, 0)
+
+        cases = [
+            (np.where(X == 4.0, np.nan, X), Wt, ValueError, "points and weights must be finite"),
+            (X, np.where(X == 4.0, np.inf, Wt), ValueError, "points and weights must be finite"),
+            (X, np.where(X == 4.0, -1.0, Wt), ValueError, "weights must be >= 0"),
+            (X[:, :2], Wt, DimensionMismatch, "equal shape|vs fisher diag"),
+            (X[:, :0], Wt[:, :0], InvalidSize, "need at least one point"),
+        ]
+        for Xc, Wc, err, text in cases:
+            for call in entries(Xc, Wc):
+                with pytest.raises(err, match=text):
+                    call()
+        zero_row = np.where(X > 2.0, 0.0, Wt)  # channel 1 has no weight
+        for call in list(entries(X, zero_row))[:2]:
+            with pytest.raises(ValueError, match="^weights must not all be zero$"):
+                call()
+        with pytest.raises(DimensionMismatch):  # one row, not an r x n stack
+            kmeans_pp_init(X[0], Wt[0], 2, [0])
+        with pytest.raises(DimensionMismatch):
+            lloyd(X[0], Wt[0], np.zeros((1, 2)), 3)
 
 
 class TestRounding:
@@ -135,12 +164,12 @@ class TestRounding:
 
 
 def _kmeans_pp_one_channel(pts, m, seed):
-    """kmeans_pp_init as it ran one channel at a time: one
-    Generator.choice per draw. A draw whose total mass is not finite
+    """kmeans_pp_init as it ran one channel (values, weights) at a time:
+    one Generator.choice per draw. A draw whose total mass is not finite
     raises NonFiniteMass, as the stack does."""
     if m < 1:
         raise InvalidSize(f"need m >= 1, got {m}")
-    vals, wsum = _distinct(pts)
+    vals, wsum = _distinct(*pts)
     if m > vals.shape[0]:
         raise TooFewDistinctPoints(
             f"asked for {m} centers but only {vals.shape[0]} distinct values"
@@ -169,7 +198,7 @@ def _kmeans_pp_one_channel(pts, m, seed):
 
 @st.composite
 def kmeans_pp_stack(draw):
-    """Channels of n points each, one of six kinds per channel: distinct
+    """r x n stacks of values and weights, one of six kinds per channel: distinct
     values; values from a pool with duplicates and a -0.0/0.0 pair;
     unit weights (a zero-Fisher channel); mostly zero weights, so draws
     fall back to uniform; values near +-1e300, whose squared distances
@@ -182,8 +211,8 @@ def kmeans_pp_stack(draw):
         ["distinct", "duplicates", "uniform", "sparse", "huge", "exactly_m"]),
         min_size=c, max_size=c))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    pts = []
-    for kind in kinds:
+    X, Wt = np.empty((c, n)), np.empty((c, n))
+    for i, kind in enumerate(kinds):
         x, w = rng.standard_normal(n), rng.uniform(0, 2, n)
         if kind == "duplicates":
             x = rng.choice([-0.0, 0.0, 1.5, -2.0, 3.25], n)
@@ -198,8 +227,8 @@ def kmeans_pp_stack(draw):
             x = rng.permutation(np.resize(rng.standard_normal(m), n))
         if not np.any(w > 0):
             w[0] = 1.0
-        pts.append(WeightedPoints(x=x, wgt=w))
-    return pts, m, draw(st.integers(0, 2 ** 32 - 1))
+        X[i], Wt[i] = x, w
+    return X, Wt, m, draw(st.integers(0, 2 ** 32 - 1))
 
 
 class TestKmeansPP:
@@ -231,23 +260,23 @@ class TestKmeansPP:
     @given(kmeans_pp_stack())
     def test_stack_equals_one_channel_at_a_time(self, case):
         # bit for bit, and every channel's generator ends in the same state
-        pts, m, seed = case
-        ref_rngs = [np.random.default_rng((seed, j)) for j in range(len(pts))]
-        rngs = [np.random.default_rng((seed, j)) for j in range(len(pts))]
+        X, Wt, m, seed = case
+        ref_rngs = [np.random.default_rng((seed, j)) for j in range(len(X))]
+        rngs = [np.random.default_rng((seed, j)) for j in range(len(X))]
         want, errors = [], set()
         with np.errstate(over="ignore", invalid="ignore"):
-            for p, rng in zip(pts, ref_rngs):
+            for x, w, rng in zip(X, Wt, ref_rngs):
                 try:
-                    want.append(_kmeans_pp_one_channel(p, m, rng))
+                    want.append(_kmeans_pp_one_channel((x.copy(), w.copy()), m, rng))
                 except (TooFewDistinctPoints, NonFiniteMass) as exc:
                     errors.add(type(exc))
             if errors:  # too few values is found before any draw
                 expect = TooFewDistinctPoints if TooFewDistinctPoints in errors else NonFiniteMass
                 with pytest.raises(expect):
-                    kmeans_pp_init(pts, m, rngs)
+                    kmeans_pp_init(X, Wt, m, rngs)
                 return
-            got = kmeans_pp_init(pts, m, rngs)
-            one = _kmeans_pp_one(pts[0], m, (seed, 0))
+            got = kmeans_pp_init(X, Wt, m, rngs)
+            one = _kmeans_pp_one((X[0], Wt[0]), m, (seed, 0))
         assert got.tobytes() == np.stack(want).tobytes()
         assert one.tobytes() == want[0].tobytes()
         for rng, ref in zip(rngs, ref_rngs):
@@ -260,7 +289,7 @@ class TestKmeansPP:
             with pytest.raises(NonFiniteMass):
                 _kmeans_pp_one_channel(pts, 2, 0)
             with pytest.raises(NonFiniteMass, match="channel 1: k-means.. draw 1 "):
-                kmeans_pp_init([_pts([1.0, 2.0, 3.0]), pts], 2, [0, 1])
+                kmeans_pp_init(np.array([[1.0, 2.0, 3.0], pts[0]]), np.ones((2, 3)), 2, [0, 1])
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_overflowing_mass_is_refused_not_sampled(self, seed):
@@ -275,34 +304,36 @@ class TestKmeansPP:
             for w, total in ((np.full(5, 1e160), "inf"), (np.array([1.0, 0, 0, 0, 1]), "nan")):
                 with pytest.raises(NonFiniteMass,
                                    match=f"^channel 0: k-means.. draw 1 has sampling mass {total}$"):
-                    kmeans_pp_init([WeightedPoints(x=x, wgt=w)], 2, [seed])
+                    kmeans_pp_init(x[None], w[None], 2, [seed])
 
     def test_centers_are_input_values(self):
         rng = np.random.default_rng(3)
         pts = _pts(rng.standard_normal(20), rng.uniform(0, 1, 20))
         cb = _kmeans_pp_one(pts, 5, 1)
-        assert set(cb) <= set(pts.x)
+        assert set(cb) <= set(pts[0])
 
 
 def _lloyd_every_iter(pts, cb, iters, trace):
-    """Lloyd that runs all `iters` iterations, with no fixed-point exit."""
+    """Lloyd on one channel (values, weights) that runs all `iters`
+    iterations, with no fixed-point exit."""
+    x, wgt = (np.ascontiguousarray(v) for v in pts)
     centers = cb.copy()
 
     def _sse(c, a):
-        r = pts.x - c[a]
-        return float(np.sum(pts.wgt * r * r))
+        r = x - c[a]
+        return float(np.sum(wgt * r * r))
 
     for _ in range(iters):
-        a = np.abs(centers[None, :] - pts.x[:, None]).argmin(axis=1)
+        a = np.abs(centers[None, :] - x[:, None]).argmin(axis=1)
         trace.append(_sse(centers, a))
         for q in range(centers.shape[0]):
             mask = a == q
-            tw = float(np.sum(pts.wgt[mask]))
+            tw = float(np.sum(wgt[mask]))
             if tw > 0.0:
-                centers[q] = float(np.sum(pts.wgt[mask] * pts.x[mask])) / tw
+                centers[q] = float(np.sum(wgt[mask] * x[mask])) / tw
         centers = np.sort(centers)
         trace.append(_sse(centers, a))
-    final = np.abs(centers[None, :] - pts.x[:, None]).argmin(axis=1)
+    final = np.abs(centers[None, :] - x[:, None]).argmin(axis=1)
     trace.append(_sse(centers, final))
     return centers, final
 
@@ -330,7 +361,7 @@ def lloyd_case(draw):
         w[0] = 1.0
     m = draw(st.integers(1, 6))
     vals = draw(st.lists(st.sampled_from(pool) | st.floats(-20, 20), min_size=m, max_size=m))
-    return (WeightedPoints(x=np.array(x), wgt=np.array(w)),
+    return ((np.array(x, dtype=np.float64), np.array(w, dtype=np.float64)),
             np.sort(np.array(vals, dtype=np.float64)), draw(st.integers(0, 60)))
 
 
@@ -356,11 +387,11 @@ class TestLloyd:
     def test_distinct_weights_match_scatter_add(self, case):
         # np.add.at, the scatter-add that bincount replaced: both add the
         # weights in index order
-        pts, _, _ = case
-        vals, wsum = _distinct(pts)
-        ref_vals, inv = np.unique(pts.x, return_inverse=True)
+        (x, w), _, _ = case
+        vals, wsum = _distinct(x, w)
+        ref_vals, inv = np.unique(x, return_inverse=True)
         ref = np.zeros(ref_vals.shape[0])
-        np.add.at(ref, inv, pts.wgt)
+        np.add.at(ref, inv, w)
         assert vals.tobytes() == ref_vals.tobytes()
         assert wsum.tobytes() == ref.tobytes()
 
@@ -387,7 +418,7 @@ class TestLloyd:
     @settings(max_examples=30, deadline=None)
     @given(weighted_points(), st.integers(1, 5), st.integers(0, 6))
     def test_sse_trace_never_increases(self, pts, m, iters):
-        m = min(m, len(np.unique(pts.x)))
+        m = min(m, len(np.unique(pts[0])))
         if m < 1:
             return
         init = _kmeans_pp_one(pts, m, 0)
@@ -401,9 +432,9 @@ class TestLloyd:
         for _ in range(20):
             pts = _pts(rng.standard_normal(15), rng.uniform(0.01, 1, 15))
             init = _kmeans_pp_one(pts, 3, 2)
-            start = weighted_sse(pts, init, round_rows(pts.x, init))
+            start = weighted_sse(*pts, init, round_rows(pts[0], init))
             cb, assign = _lloyd_one(pts, init, 25)
-            assert weighted_sse(pts, cb, assign) <= start + 1e-12
+            assert weighted_sse(*pts, cb, assign) <= start + 1e-12
 
 
 @st.composite
@@ -418,29 +449,29 @@ def lloyd_stack(draw):
     n = draw(st.sampled_from([1, 2, 9, 40, 129, 300]) | st.integers(1, 300))
     m = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    pts, C = [], np.empty((r, m))
+    X, Wt, C = np.empty((r, n)), np.empty((r, n)), np.empty((r, m))
     for i in range(r):
         pool = rng.uniform(-8, 8, rng.integers(1, 8))
         x = pool[rng.integers(0, pool.shape[0], n)]
         w = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0, 5, n))
         w[rng.integers(0, n)] = 1.0
-        pts.append(WeightedPoints(x=x, wgt=w))
+        X[i], Wt[i] = x, w
         C[i] = np.sort(np.where(rng.random(m) < 0.6, rng.choice(pool, m), rng.uniform(-20, 20, m)))
-    return pts, C, draw(st.integers(0, 60))
+    return X, Wt, C, draw(st.integers(0, 60))
 
 
 class TestLloydStack:
     @settings(max_examples=150, deadline=None)
     @given(lloyd_stack())
     def test_stack_equals_every_iteration_per_channel(self, case):
-        pts, C0, iters = case
+        X, Wt, C0, iters = case
         trace: list[float] = []
-        C, A = lloyd(pts, C0, iters, trace)
-        bare_C, bare_A = lloyd(pts, C0, iters)
+        C, A = lloyd(X, Wt, C0, iters, trace)
+        bare_C, bare_A = lloyd(X, Wt, C0, iters)
         assert C.tobytes() == bare_C.tobytes() and A.tobytes() == bare_A.tobytes()
         span = 2 * iters + 1
-        assert len(trace) == len(pts) * span
-        for i, p in enumerate(pts):
+        assert len(trace) == len(X) * span
+        for i, p in enumerate(zip(X, Wt)):
             ref_trace: list[float] = []
             ref_c, ref_a = _lloyd_every_iter(p, C0[i], iters, ref_trace)
             assert C[i].tobytes() == ref_c.tobytes()
@@ -451,15 +482,17 @@ class TestLloydStack:
         # one channel starts at its fixed point, the others move for
         # several iterations; the settled one keeps its padded trace
         rng = np.random.default_rng(5)
-        x = [np.repeat([0.0, 1.0, 5.0], 10), rng.standard_normal(30), rng.standard_normal(30)]
-        pts = [_pts(x[0])] + [_pts(v, rng.uniform(0.1, 1.0, 30)) for v in x[1:]]
+        X = np.stack([np.repeat([0.0, 1.0, 5.0], 10), rng.standard_normal(30),
+                      rng.standard_normal(30)])
+        Wt = np.ones_like(X)
+        Wt[1:] = [rng.uniform(0.1, 1.0, 30) for _ in range(2)]
         C0 = np.array([[0.0, 1.0, 5.0], [-0.5, 0.0, 0.5], [-2.0, 0.1, 0.2]])
         trace: list[float] = []
-        C, A = lloyd(pts, C0, 40, trace)
+        C, A = lloyd(X, Wt, C0, 40, trace)
         traces = [trace[i * 81:(i + 1) * 81] for i in range(3)]
         assert C[0].tobytes() == C0[0].tobytes()
         assert len(set(traces[0])) == 1
-        for i, p in enumerate(pts):
+        for i, p in enumerate(zip(X, Wt)):
             ref_trace: list[float] = []
             ref_c, ref_a = _lloyd_every_iter(p, C0[i], 40, ref_trace)
             assert C[i].tobytes() == ref_c.tobytes() and traces[i] == ref_trace
@@ -467,10 +500,10 @@ class TestLloydStack:
         assert traces[1][2:4] != traces[1][4:6]  # still moving after the first iteration
 
     def test_zero_iters_assigns_against_the_input(self):
-        pts = [_pts([0.0, 1.0, 10.0]), _pts([3.0, -3.0, 0.4])]
+        X = np.array([[0.0, 1.0, 10.0], [3.0, -3.0, 0.4]])
         C0 = np.array([[0.0, 8.0], [-1.0, 1.0]])
         trace: list[float] = []
-        C, A = lloyd(pts, C0, 0, trace)
+        C, A = lloyd(X, np.ones_like(X), C0, 0, trace)
         assert C.tobytes() == C0.tobytes()
         npt.assert_array_equal(A, [[0, 0, 1], [1, 0, 1]])
         assert len(trace) == 2
@@ -478,48 +511,48 @@ class TestLloydStack:
     def test_channel_ignores_its_stack_mates(self):
         # a channel alone (a stack of one) and inside a stack give the
         # same bits, zero-weight and empty clusters included
-        pts = _pts([0.0, 0.2, 0.9, 1.0, 4.0], [1.0, 0.0, 2.0, 1.0, 3.0])
-        mate = _pts([5.0, -1.0, 2.5, 2.5, 0.0], [0.5, 1.0, 1.0, 0.0, 2.0])
+        X = np.array([[0.0, 0.2, 0.9, 1.0, 4.0], [5.0, -1.0, 2.5, 2.5, 0.0]])
+        Wt = np.array([[1.0, 0.0, 2.0, 1.0, 3.0], [0.5, 1.0, 1.0, 0.0, 2.0]])
         C0 = np.array([[0.1, 0.5, 9.0], [-1.0, 0.0, 1.0]])  # 9.0 stays empty
         one_trace: list[float] = []
-        one_C, one_A = lloyd([pts], C0[:1], 10, one_trace)
+        one_C, one_A = lloyd(X[:1], Wt[:1], C0[:1], 10, one_trace)
         trace: list[float] = []
-        C, A = lloyd([pts, mate], C0, 10, trace)
+        C, A = lloyd(X, Wt, C0, 10, trace)
         assert C[0].tobytes() == one_C[0].tobytes() and 9.0 in C[0]
         npt.assert_array_equal(A[0], one_A[0])
         assert trace[:21] == one_trace
 
     def test_stack_arguments_are_checked(self):
+        X = np.array([[0.0, 1.0]])
         with pytest.raises(DimensionMismatch):
-            lloyd([_pts([0.0, 1.0]), _pts([0.0, 1.0, 2.0])], np.zeros((2, 1)), 3)
+            lloyd(X, np.ones((1, 3)), np.zeros((1, 1)), 3)
         with pytest.raises(DimensionMismatch):
-            lloyd([_pts([0.0, 1.0])], np.zeros((2, 1)), 3)
+            lloyd(X, np.ones_like(X), np.zeros((2, 1)), 3)
         with pytest.raises(DimensionMismatch):
-            lloyd([_pts([0.0, 1.0])], np.zeros(1), 3)
+            lloyd(X, np.ones_like(X), np.zeros(1), 3)
         with pytest.raises(InvalidSize):
-            lloyd([_pts([0.0, 1.0])], np.zeros((1, 1)), -1)
+            lloyd(X, np.ones_like(X), np.zeros((1, 1)), -1)
 
 
 class TestExactDP:
     def test_hand_example(self):
         # {0,1} vs {10}: cost 0.5 + 0
-        _, _, obj = kmeans_1d_exact(_pts([0.0, 1.0, 10.0]), 2)
+        _, _, obj = kmeans_1d_exact(*_pts([0.0, 1.0, 10.0]), 2)
         assert obj == pytest.approx(0.5, abs=1e-12)
 
     def test_even_grid(self):
-        cb, assign, obj = kmeans_1d_exact(_pts([0.0, 2.0, 4.0, 6.0]), 2)
+        cb, assign, obj = kmeans_1d_exact(*_pts([0.0, 2.0, 4.0, 6.0]), 2)
         assert obj == pytest.approx(4.0, abs=1e-12)
         npt.assert_array_equal(cb, [1.0, 5.0])
         npt.assert_array_equal(assign, [0, 0, 1, 1])
 
     def test_zero_weight_point_free(self):
         # the zero-weight outlier joins whichever side costs nothing extra
-        pts = _pts([0.0, 1.0, 50.0], [1.0, 1.0, 0.0])
-        _, _, obj = kmeans_1d_exact(pts, 2)
+        _, _, obj = kmeans_1d_exact(*_pts([0.0, 1.0, 50.0], [1.0, 1.0, 0.0]), 2)
         assert obj == pytest.approx(0.0, abs=1e-12)
 
     def test_m_at_least_n_is_exact(self):
-        cb, assign, obj = kmeans_1d_exact(_pts([3.0, 1.0, 2.0]), 5)
+        cb, assign, obj = kmeans_1d_exact(*_pts([3.0, 1.0, 2.0]), 5)
         assert obj == 0.0
         npt.assert_array_equal(np.sort(cb[assign]), [1.0, 2.0, 3.0])
 
@@ -529,8 +562,8 @@ class TestExactDP:
             n = int(rng.integers(2, 11))
             m = int(rng.integers(1, 4))
             pts = _pts(rng.standard_normal(n), rng.uniform(0, 2, n) + 1e-3)
-            _, _, dp = kmeans_1d_exact(pts, m)
-            ref = kmeans_partition_oracle(pts, m)
+            _, _, dp = kmeans_1d_exact(*pts, m)
+            ref = kmeans_partition_oracle(*pts, m)
             assert dp == pytest.approx(ref, abs=1e-9 * (1.0 + ref))
 
     def test_lloyd_never_beats_dp(self):
@@ -538,18 +571,18 @@ class TestExactDP:
         for _ in range(30):
             n = int(rng.integers(4, 12))
             pts = _pts(rng.standard_normal(n), rng.uniform(0.01, 1, n))
-            m = min(3, len(np.unique(pts.x)))
-            _, _, dp = kmeans_1d_exact(pts, m)
+            m = min(3, len(np.unique(pts[0])))
+            _, _, dp = kmeans_1d_exact(*pts, m)
             init = _kmeans_pp_one(pts, m, 3)
             cb, assign = _lloyd_one(pts, init, 30)
-            assert weighted_sse(pts, cb, assign) >= dp - 1e-9 * (1.0 + dp)
+            assert weighted_sse(*pts, cb, assign) >= dp - 1e-9 * (1.0 + dp)
 
     def test_doubling_scales_objective_exactly(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(9)
         w = rng.uniform(0.1, 1, 9)
-        _, a1, obj1 = kmeans_1d_exact(_pts(x, w), 3)
-        _, a2, obj2 = kmeans_1d_exact(_pts(2.0 * x, w), 3)
+        _, a1, obj1 = kmeans_1d_exact(*_pts(x, w), 3)
+        _, a2, obj2 = kmeans_1d_exact(*_pts(2.0 * x, w), 3)
         assert obj2 == 4.0 * obj1
         npt.assert_array_equal(a1, a2)
 
@@ -645,6 +678,29 @@ class TestBaselines:
         assert C2.tobytes() == C.tobytes() and A2.tobytes() == A.tobytes()
         assert traces == ql.traces
 
+    @pytest.mark.parametrize("bits,d,seed", [(1, 30, 0), (2, 30, 1), (3, 30, 2), (2, 200, 3)])
+    def test_init_equals_one_channel_at_a_time(self, bits, d, seed):
+        # bit for bit against the one-channel references above, with and
+        # without traces, on exact-fit, +-0.0, zero-Fisher and duplicate
+        # columns; trained weights rarely repeat a value, so the bench
+        # digests never reach the exact-fit branch
+        rng = np.random.default_rng(seed)
+        W = rng.standard_normal((d, 8))
+        F = rng.uniform(0, 1, (d, 8))
+        m = 2 ** bits
+        W[:, 0] = np.resize(rng.standard_normal(m), d)  # exactly m values
+        W[:, 1] = np.resize([1.5, -0.0, 0.0, -2.0][:m], d)  # fits, with a signed zero pair
+        W[::3, 2] = rng.choice([-0.0, 0.0], W[::3, 2].shape)  # clustered, with signed zeros
+        F[:, 3] = 0.0  # zero Fisher: unit weights
+        W[::2, 4] = W[1::2, 4]  # duplicate values
+        W[:, 5], F[:, 5] = W[:, 6], F[:, 6]  # duplicate column
+        F[::2, 7] = 0.0  # half the weights zero
+        C, A, traces = _squeezellm_one_channel_at_a_time(W, F, bits, seed)
+        for got_traces in (None, []):
+            got_C, got_A = squeezellm_init(W, F, bits, seed, traces=got_traces)
+            assert got_C.tobytes() == C.tobytes() and got_A.tobytes() == A.tobytes()
+        assert got_traces == traces
+
     def test_layer_accessors(self):
         rng = np.random.default_rng(12)
         W = rng.standard_normal((10, 4))
@@ -653,3 +709,27 @@ class TestBaselines:
         assert ql.assign_matrix().shape == (10, 4)
         C, A = ql.codebook_matrix(), ql.assign_matrix()
         npt.assert_array_equal(np.take_along_axis(C, A.T, axis=1).T, ql.W_hat)
+
+
+def _squeezellm_one_channel_at_a_time(W, F, bits, seed, lloyd_iters=50):
+    """squeezellm_init as it ran one channel at a time: np.unique of the
+    column decides between an exact codebook and k-means++ seeding
+    (substream (seed, j)) followed by Lloyd, each on that channel alone.
+    Returns the codebooks, the assignments and the SSE traces."""
+    m = 2 ** bits
+    d, c = W.shape
+    C, A, traces = np.empty((c, m)), np.empty((d, c), dtype=np.int64), []
+    for j in range(c):
+        x, w = W[:, j].copy(), F[:, j].copy()
+        if not np.any(w > 0):
+            w = np.ones(d)
+        distinct = np.unique(x)
+        if distinct.shape[0] <= m:
+            C[j] = np.concatenate([distinct, np.full(m - distinct.shape[0], distinct[-1])])
+            A[:, j] = [round_to_codebook(v, C[j]) for v in x]
+            traces.append([0.0])
+        else:
+            init = _kmeans_pp_one_channel((x, w), m, (seed, j))
+            traces.append([])
+            C[j], A[:, j] = _lloyd_every_iter((x, w), init, lloyd_iters, traces[-1])
+    return C, A, traces
