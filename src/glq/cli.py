@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from operator import itemgetter
 from pathlib import Path
 
 from . import artifacts
@@ -28,6 +29,7 @@ from .guidedquant import (
     JOB_KEYS,
     METHODS,
     QuantJob,
+    damped_quadratic,
     format_table,
     job_hessians,
     job_report,
@@ -173,10 +175,13 @@ def cmd_hessian(args) -> int:
     model = artifacts.load_model(args.model)
     data, _ = artifacts.load_dataset(args.data)
     calib = run_calibrate(model, data)
-    # always rebuilt and rewritten, so a rerun replaces a damaged entry
-    entries = layer_hessians(model, data, calib, args.kind, args.g, args.grad_scale,
-                             args.damping_rel, cache=HessianCache(args.out), reuse=False)
-    index = {str(l): key for l, (key, _hset) in enumerate(entries)}
+    # always rebuilt and rewritten, so a rerun replaces a damaged entry;
+    # each set is stored as it is built and only its key kept, so one
+    # set is held at a time
+    keys = map(itemgetter(0), layer_hessians(model, data, calib, args.kind, args.g,
+                                             args.grad_scale, args.damping_rel,
+                                             cache=HessianCache(args.out), reuse=False))
+    index = {str(l): key for l, key in enumerate(keys)}
     write_json_atomic(Path(args.out) / "index.json",
                       {"kind": args.kind, "layers": index})
     print(f"wrote {len(index)} hessian sets ({args.kind}) to {args.out}")
@@ -217,8 +222,11 @@ def cmd_eval(args) -> int:
     job = QuantJob.from_dict({k: meta[k] for k in JOB_KEYS if k in meta})
     calib = run_calibrate(model, data)
     quantized = model.with_layers([ql.W_hat for ql in qlayers])
-    report = job_report(model, quantized, data, calib, job,
-                        job_hessians(model, data, calib, job))
+    # each layer's set is dropped once its objective is taken
+    hsets = job_hessians(model, data, calib, job)
+    damped = [damped_quadratic(next(hsets), W, W_hat)
+              for W, W_hat in zip(model.layers, quantized.layers)]
+    report = job_report(model, quantized, data, calib, job, damped)
     print(format_table([report.csv_row()]))
     if args.csv:
         Path(args.csv).write_text(artifacts.report_csv_text([report.csv_row()]))

@@ -52,6 +52,11 @@ class NonFiniteMass(GlqError):
     weights times squared distances overflow."""
 
 
+class NonFiniteFisher(GlqError):
+    """A channel's diagonal Fisher (its k-means weights) has a NaN or
+    infinite entry, for example from overflowing activations."""
+
+
 class ZeroDiagonal(GlqError):
     """A Hessian diagonal entry is <= 0 where a division by it is required."""
 

@@ -12,12 +12,16 @@ count g. Methods:
   loss-guided Hessians, same initialization, one run per group; g is
   clipped to each layer's output width.
 
-Layers are quantized one at a time. Within a layer, each group starts
-from squeezellm on its own column slice (``squeezellm_init``: arrays,
-no SSE trace), and the groups of one size run as one stack (see
-``lnq``): at most two stacks per layer, with the bits of one run per
-group. A group Hessian that does not factor raises SingularHessian
-naming the layer, the group and the cause. Reported objectives per
+Layers are quantized one at a time, each against its own Hessian set
+(`job_hessians` hands them out one layer at a time), and a layer's set
+is dropped once the layer is solved and its damped objective taken, so
+one set is live at a time. For the LNQ methods one ``squeezellm_init``
+call (arrays, no SSE trace) covers the layer, channel j of a group
+seeded by (seed, j's index within its group): the seeds, and so the
+bits, of one init per group. One ``lnq_quantize`` call then solves the
+layer's groups on its row-major arrays (see ``lnq``). A group Hessian
+that does not factor raises SingularHessian naming the layer, the
+group and the cause. Reported objectives per
 layer: the plain reconstruction error ||X (W - What)||_F^2, the
 gradient-weighted error ||gradZ * (X (W - What))||_F^2 (elementwise
 product), and the damped quadratic under the method's Hessian sets (`job_hessians`: plain ones,
@@ -34,13 +38,13 @@ objective against.
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .calib_model import Dataset, LayerCalibration, MlpModel, calibrate, end_loss
-from .errors import ConfigError, DimensionMismatch, SingularHessian
+from .errors import ConfigError, DimensionMismatch, PartitionMismatch
 from .hessian import (
     DEFAULT_DAMPING_REL,
     DEFAULT_GRAD_SCALE,
@@ -167,18 +171,19 @@ def job_hessians(
     calib: list[LayerCalibration],
     job: QuantJob,
     cache: HessianCache | None = None,
-) -> list[HessianSet]:
-    """One HessianSet per layer for `job`'s method, from
+) -> Iterator[HessianSet]:
+    """Each layer's HessianSet for `job`'s method in turn, from
     `layer_hessians`: the grouped guided Hessians for lnq_guided, the
     plain ones (one group, unit grad scale) for every other method. The
     LNQ methods quantize against them and every method reports its
     damped objective under them. `cache` is consulted only for the LNQ
-    methods."""
+    methods. No set is held here once the next is asked for."""
     kind = "guided" if job.method == "lnq_guided" else "plain"
     cache = cache if job.method in ("lnq_plain", "lnq_guided") else None
-    entries = layer_hessians(model, data, calib, kind, job.g, job.grad_scale,
-                             job.damping_rel, cache=cache)
-    return [hset for _key, hset in entries]
+    for _key, hset in layer_hessians(model, data, calib, kind, job.g, job.grad_scale,
+                                     job.damping_rel, cache=cache):
+        yield hset
+        del hset
 
 
 def run_job(
@@ -189,43 +194,37 @@ def run_job(
 ) -> tuple[MlpModel, list[QuantizedLayer], QuantReport]:
     """Quantize every layer of `model` per `job`.
 
-    Layers are quantized in order. For the LNQ methods each group of
-    the layer's Hessian set starts from `squeezellm_init` on its column
-    slice of the layer's diagonal Fisher, whose codebook and assignment
-    arrays go straight into the stack arrays, and each run of
-    consecutive equal-size groups is solved as one stack; a layer's
-    stacks are concatenated into its QuantizedLayer. Returns the
-    quantized model, one QuantizedLayer per layer, and the report.
+    Layers are quantized in order, each against its own Hessian set,
+    which is dropped once the layer is solved and its damped objective
+    taken. For the LNQ methods `squeezellm_init` on the layer's weights
+    and diagonal Fisher, channel j of a group seeded by (seed, j's index
+    within the group), gives the init of one `lnq_quantize` call over
+    the layer's consecutive groups. Returns the quantized model, one
+    QuantizedLayer per layer, and the report.
     """
     calib = calibrate(model, data)
     hsets = job_hessians(model, data, calib, job, cache=hessian_cache)
-    qlayers = []
-    for l, (W, hset) in enumerate(zip(model.layers, hsets)):
+    qlayers, damped = [], []
+    for l, W in enumerate(model.layers):
+        hset = next(hsets)
         if job.method == "rtn":
-            qlayers.append(rtn_quantize(W, job.bits, layer_idx=l))
-            continue
-        F = fisher_diag(calib[l])
-        if job.method == "squeezellm":
-            qlayers.append(squeezellm_quantize(W, F, job.bits, seed=job.seed, layer_idx=l))
-            continue
-        groups = hset.partition.groups
-        stacks = []
-        for _, run in itertools.groupby(range(len(groups)), key=lambda k: len(groups[k])):
-            stack = list(run)
-            cols = [np.array(groups[k], dtype=np.int64) for k in stack]
-            C0, A0 = map(np.stack, zip(*(squeezellm_init(W[:, cj], F[:, cj], job.bits, job.seed)
-                                         for cj in cols)))
-            try:
-                stacks.append(lnq_quantize([hset.hessians[k] for k in stack],
-                                           np.stack([W[:, cj] for cj in cols]), job.bits,
-                                           job.T, job.K, (C0, A0), layer_idx=l))
-            except SingularHessian as exc:  # renumber the group within the layer
-                raise SingularHessian(l, stack[exc.group], exc.cause) from exc.__cause__
-        qlayers.append(QuantizedLayer(l, job.bits, np.concatenate([q.C for q in stacks]),
-                                      np.concatenate([q.A for q in stacks], axis=1),
-                                      [tr for q in stacks for tr in q.traces]))
+            ql = rtn_quantize(W, job.bits, layer_idx=l)
+        elif job.method == "squeezellm":
+            ql = squeezellm_quantize(W, fisher_diag(calib[l]), job.bits, seed=job.seed,
+                                     layer_idx=l)
+        else:
+            groups = hset.partition.groups
+            if [j for grp in groups for j in grp] != list(range(W.shape[1])):
+                raise PartitionMismatch(f"layer {l}: channel groups are not consecutive")
+            seeds = [(job.seed, j - grp[0]) for grp in groups for j in grp]
+            init = squeezellm_init(W, fisher_diag(calib[l]), job.bits, seeds)
+            ql = lnq_quantize(hset.hessians, W, job.bits, job.T, job.K, init, layer_idx=l,
+                              sizes=[len(grp) for grp in groups])
+        qlayers.append(ql)
+        damped.append(damped_quadratic(hset, W, ql.W_hat))
+        del hset  # one layer's set at a time
     quantized = model.with_layers([ql.W_hat for ql in qlayers])
-    return quantized, qlayers, job_report(model, quantized, data, calib, job, hsets)
+    return quantized, qlayers, job_report(model, quantized, data, calib, job, damped)
 
 
 def job_report(
@@ -234,14 +233,15 @@ def job_report(
     data: Dataset,
     calib: list[LayerCalibration],
     job: QuantJob,
-    hsets: list[HessianSet],
+    damped: list[float],
 ) -> QuantReport:
     """The report of `job` for `quantized`: per-layer objectives, the
-    damped one under `hsets` (see `job_hessians`), and the end loss of
-    both models. `glq eval` rebuilds it from an artifact."""
+    damped ones given per layer (`damped_quadratic` under the layer's
+    `job_hessians` set), and the end loss of both models. `glq eval`
+    rebuilds it from an artifact."""
     rows = eval_objectives(model, quantized.layers, calib)
-    for row, hset, W, W_hat in zip(rows, hsets, model.layers, quantized.layers):
-        row["damped_objective"] = damped_quadratic(hset, W, W_hat)
+    for row, value in zip(rows, damped):
+        row["damped_objective"] = value
     return QuantReport(
         method=job.method,
         bits=job.bits,

@@ -24,12 +24,18 @@ positive semidefinite by construction; the relative damping makes it
 positive definite whenever B has a nonzero row. A group whose s_k is
 zero on every sample (a zero-gradient group) would get Hbar_k = 0 and
 lambda_k = 0; ``guided_hessians`` refuses it with ZeroGradientGroup.
+
+``layer_hessians`` hands out one layer's set at a time and keeps none
+once it is handed out, so a caller that drops each set before asking
+for the next (``run_job``, ``glq eval``, ``glq hessian``) holds one
+layer's set at a time: at g = d_out a set holds d_out d x d matrices.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -355,8 +361,8 @@ def layer_hessians(
     damping_rel: float = DEFAULT_DAMPING_REL,
     cache: HessianCache | None = None,
     reuse: bool = True,
-) -> list[tuple[str, HessianSet]]:
-    """(cache key, HessianSet) for every layer of `model`.
+) -> Iterator[tuple[str, HessianSet]]:
+    """(cache key, HessianSet) of each layer of `model` in turn.
 
     kind "plain" builds X^T X with one group, keyed with g = 1 and unit
     grad scale; kind "guided" builds the grouped Hessians over
@@ -367,13 +373,21 @@ def layer_hessians(
     loaded when `reuse` is set, and every set built here is stored under
     its key. This is the only place a layer Hessian is built and keyed,
     so a quantize run finds exactly the entries a hessian run wrote.
+
+    The sets come one layer at a time and nothing here keeps one once it
+    is handed out, so a caller that drops each set before asking for the
+    next holds one layer's set at a time. An unknown kind is refused
+    before the first set (ConfigError).
     """
     if kind not in ("plain", "guided"):
         raise ConfigError(f"unknown hessian kind {kind!r}")
     if kind == "plain":
         g, grad_scale = 1, 1.0
+    return _layer_sets(model, data, calib, kind, g, grad_scale, damping_rel, cache, reuse)
+
+
+def _layer_sets(model, data, calib, kind, g, grad_scale, damping_rel, cache, reuse):
     digest, data_digest = model_hash(model), dataset_hash(data)
-    out = []
     for l, c in enumerate(calib):
         g_l = min(g, c.gradZ.shape[1])
         key = hessian_cache_key(digest, data_digest, l, g_l, grad_scale, damping_rel, kind)
@@ -388,5 +402,5 @@ def layer_hessians(
                 )
             if cache is not None:
                 cache.store(key, hset)
-        out.append((key, hset))
-    return out
+        yield key, hset
+        del hset  # not held while the next layer's set is built

@@ -19,9 +19,10 @@ phases alternate T times:
   the sum of its rows taken one after another from 0.0, which is how
   numpy sums the rows of an array over axis 0; the columns, and the
   codebooks solved from them, keep the bits of one solve per channel.
-  The phase works on the stack's codebook and assignment arrays in
-  place and checks the whole codebook stack once when it ends
-  (``scalar_quant.check_codebooks``: finite, rows sorted).
+  The phase works on the layer's codebook and assignment arrays in
+  place, one group's columns at a time, and checks the layer's
+  codebooks once when it ends (``scalar_quant.check_codebooks``:
+  finite, rows sorted).
 
 * Coordinate-descent phase, codebook fixed: K cycles over coordinates
   i = 0..d-1 in order. The exact single-coordinate minimizer over the
@@ -46,27 +47,36 @@ phases alternate T times:
   (layers with d = 256, seeds 7-16) b = 128 gave the same assignments
   and codebooks as b = d. ``oracle.naive_cd_cycle`` evaluates
   the full quadratic for every candidate and is the independent
-  reference.
+  reference. The in-batch blocks of Htil (b x b per group) of a layer
+  with many groups are held CD_BLOCK_BYTES at a time: its groups run in
+  consecutive chunks, which changes no bit since groups are
+  independent.
 
 Both phases descend the same damped objective, so the recorded
 per-channel objective trace (initial value, then one entry after every
 phase, then one after the final codebook solve: 2T + 2 values) never
 increases.
 
-``lnq_quantize`` and ``cd_cycle`` take a stack of G channel groups of
-one size, each with its own Hessian, and give the bits of G separate
-runs. ``lnq_quantize`` takes the bit width, T and K as ints, starts
-from a (codebooks, assignments) pair of arrays and returns one
-``QuantizedLayer`` holding the stack's channels group by group. A CD
-row step is elementwise, so it is applied to all G x c channels at
-once; every matrix product is still formed per group with the shapes
-one group alone would use. Groups of different sizes are never padded
-to one size: on OpenBLAS a product over padded columns, (U @ D)[:, :k],
-can differ in the last bit from U @ D[:, :k]. A consecutive partition
-has at most two group sizes, so a layer costs at most two stacks.
+``lnq_quantize`` and ``cd_cycle`` take one layer's own row-major
+arrays, W and A d x c and C c x m (``scalar_quant.QuantizedLayer``'s
+layout), with the consecutive group sizes and one Hessian per group,
+and give the bits of one run per group. ``lnq_quantize`` takes the bit
+width, T and K as ints, starts from a (codebooks, assignments) pair of
+arrays and returns the layer's ``QuantizedLayer``. A CD row step is
+elementwise, so it reads row i of W and B and writes row i of A for
+every channel of the layer at once, and each run of equal-size groups
+gets its rank-1 update through one (rows, groups, size) view. Every
+matrix product and column sum is still formed per group, on a
+C-contiguous copy of the group's columns with the shapes one group
+alone would use: on OpenBLAS the bits of a product follow the layout of
+its operands, and a product over padded columns, (U @ D)[:, :k], can
+differ in the last bit from U @ D[:, :k], so groups are never padded or
+multiplied through strided views.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -81,14 +91,30 @@ from .linalg import Matrix, cholesky, ensure_matrix, least_squares, zero_curvatu
 from .scalar_quant import QuantizedLayer, _codebook_size, check_codebooks, round_rows
 
 CD_BATCH = 128
+# Bytes of the in-batch Htil blocks (b x b per group) one CD pass holds;
+# a layer whose groups need more runs them in consecutive chunks.
+CD_BLOCK_BYTES = 1 << 20
 # Columns of L^T P (1 MiB of float64) one codebook solve holds at a time.
 CODEBOOK_COLUMNS = 1 << 17
 
 
-def block_objectives(H: Matrix, W: Matrix, W_hat: Matrix) -> np.ndarray:
-    """Per-channel damped objectives diag((What-W)^T H (What-W))."""
-    D = W_hat - W
-    return np.sum(D * (H @ D), axis=0)
+def _group_bounds(c: int, sizes) -> list[tuple[int, int]]:
+    """(first, end) columns of each group of consecutive sizes `sizes`
+    over c channels; None is one group of all c."""
+    sizes = [c] if sizes is None else [int(k) for k in sizes]
+    if any(k < 1 for k in sizes) or sum(sizes) != c:
+        raise DimensionMismatch(f"group sizes {sizes} do not split {c} channels")
+    ends = np.cumsum(sizes).tolist()
+    return list(zip([0] + ends[:-1], ends))
+
+
+def _group_deltas(W: np.ndarray, C: np.ndarray, A: np.ndarray,
+                  bounds: list[tuple[int, int]]) -> list[np.ndarray]:
+    """What - W of each group as its own C-contiguous array: the layout
+    the group's rows would have alone, which its products (OpenBLAS bits
+    follow the operand layout) and column sums keep their bits in."""
+    D = np.take_along_axis(C, A.T, axis=1).T - W
+    return [np.ascontiguousarray(D[:, o:e]) for o, e in bounds]
 
 
 def codebook_closed_form(
@@ -150,14 +176,14 @@ def codebook_closed_form(
 
 def cd_cycle(
     H, W: np.ndarray, C: np.ndarray, A: np.ndarray, cycles: int,
-    b: int = CD_BATCH, stats: dict | None = None,
+    sizes=None, b: int = CD_BATCH, stats: dict | None = None,
 ) -> None:
     """`cycles` sweeps of coordinate descent over rows 0..d-1, in place.
 
-    Runs a stack of G independent groups of c channels at once: `H` is
-    a sequence of G d x d Hessians, W and A are G x d x c and C is
-    G x c x m. A 2-D W (d x c), C (c x m) and A (d x c) with one
-    matrix H is a stack of one.
+    Runs one layer's groups at once: W and A are the layer's d x c
+    weights and slots, C its c x m codebooks, `sizes` the consecutive
+    group sizes (None: one group of all c) and `H` one d x d Hessian per
+    group (a single 2-D H is one group).
 
     Htil = Diag(H)^-1 H; B = StrictUpper(Htil) (What - W) gives each
     row's correction from rows not yet visited in the sweep. Inside a
@@ -168,51 +194,79 @@ def cd_cycle(
     "min_margin" entry tracks the smallest distance gap between the
     best and the runner-up codebook value over all rounding decisions.
 
-    Each group's U = StrictUpper(Htil) is formed once per cycle. Of
-    Htil only the batch's diagonal blocks are held for the whole stack
-    (G x b x b); the rows below a batch are formed one group at a time,
-    so no G x d x d copy of the Hessians is made.
+    A row step reads row i of W and B and writes row i of A, for every
+    channel of the layer at once; the rank-1 correction reaches each run
+    of equal-size groups through one (rows, groups, size) view. Each
+    group's products are formed with the shapes and contiguous operands
+    the group alone would use, so a layer gives the bits of one call per
+    group. Each group's U = StrictUpper(Htil) is formed once per cycle;
+    of Htil only the batch's diagonal blocks are held for several groups
+    (b x b each), the groups running in consecutive chunks whose blocks
+    fit CD_BLOCK_BYTES, and the rows below a batch are formed one group
+    at a time, so no copy of the whole Hessian set is made.
     """
-    if W.ndim == 2:
-        H, W, C, A = [H], W[None], C[None], A[None]
-    G, d, c = W.shape
-    if len(H) != G:
-        raise DimensionMismatch(f"{len(H)} Hessians for a stack of {G} groups")
+    if isinstance(H, np.ndarray) and H.ndim == 2:
+        H = [H]
+    d, c = W.shape
+    bounds = _group_bounds(c, sizes)
+    if len(H) != len(bounds):
+        raise DimensionMismatch(f"{len(H)} Hessians for {len(bounds)} groups")
+    if A.shape != (d, c) or C.shape[0] != c:
+        raise DimensionMismatch(f"weights {W.shape}, codebooks {C.shape} and slots {A.shape} "
+                                "are not d x c, c x m and d x c")
     if b < 1:
         raise InvalidSize("b must be >= 1")
     b = min(b, d)
     diags = [np.diag(Hk).copy() for Hk in H]
     if any(np.any(dk <= 0.0) for dk in diags):
         raise ZeroDiagonal("H has a non-positive diagonal entry")
-    C_rows = C.reshape(G * c, -1)  # one codebook row per (group, channel)
-    rows = np.arange(G * c)
+    per = max(1, CD_BLOCK_BYTES // (8 * b * b))  # groups per chunk
+    for k0 in range(0, len(H), per):
+        k1 = min(k0 + per, len(H))
+        o, e = bounds[k0][0], bounds[k1 - 1][1]
+        _cd_chunk(H[k0:k1], diags[k0:k1], [(s - o, t - o) for s, t in bounds[k0:k1]],
+                  W[:, o:e], C[o:e], A[:, o:e], cycles, b, stats)
+
+
+def _cd_chunk(H, diags, bounds, W, C, A, cycles, b, stats) -> None:
+    """`cd_cycle` over a chunk of consecutive groups: W, C and A are the
+    chunk's columns and `bounds` its groups' columns within them."""
+    d, c = W.shape
+    rows = np.arange(c)
+    B = np.empty((d, c))
+    # (first group, groups, first column, size, view of B) per run of equal sizes
+    runs = []
+    sizes = [t - o for o, t in bounds]
+    for size, run in itertools.groupby(range(len(bounds)), key=sizes.__getitem__):
+        ks = list(run)
+        o = bounds[ks[0]][0]
+        runs.append((ks[0], len(ks), o, size, B[:, o:o + len(ks) * size].reshape(d, len(ks), size)))
+    Hblk = np.empty((b, b, len(H)))  # Htil[s:e, s:e] of group k in [:, :, k]
     for _ in range(cycles):
-        B = np.empty(W.shape)
-        for k, (Hk, dk) in enumerate(zip(H, diags)):
-            D = np.take_along_axis(C[k], A[k].T, axis=1).T - W[k]
-            B[k] = np.triu(Hk / dk[:, None], 1) @ D
+        for (o, e), Hk, dk, Dk in zip(bounds, H, diags, _group_deltas(W, C, A, bounds)):
+            B[:, o:e] = np.triu(Hk / dk[:, None], 1) @ Dk
         for s in range(0, d, b):
             e = min(s + b, d)
-            Hblk = np.empty((G, e - s, e - s))  # Htil[s:e, s:e] per group
             for k, (Hk, dk) in enumerate(zip(H, diags)):
-                np.divide(Hk[s:e, s:e], dk[s:e, None], out=Hblk[k])
+                np.divide(Hk[s:e, s:e], dk[s:e, None], out=Hblk[:e - s, :e - s, k])
             for i in range(s, e):
-                u = (W[:, i, :] - B[:, i, :]).reshape(-1)
-                if stats is not None and C.shape[2] > 1:
-                    part = np.partition(np.abs(C_rows - u[:, None]), 1, axis=1)
+                u = W[i] - B[i]
+                if stats is not None and C.shape[1] > 1:
+                    part = np.partition(np.abs(C - u[:, None]), 1, axis=1)
                     margin = float(np.min(part[:, 1] - part[:, 0]))
                     stats["min_margin"] = min(stats.get("min_margin", np.inf), margin)
-                q = round_rows(u, C_rows)
-                A[:, i, :] = q.reshape(G, c)
-                new_delta = (C_rows[rows, q] - W[:, i, :].reshape(-1)).reshape(G, c)
+                q = round_rows(u, C)
+                A[i] = q
                 if i + 1 < e:
-                    B[:, i + 1 : e, :] += Hblk[:, i + 1 - s :, i - s, None] * new_delta[:, None, :]
+                    new_delta = C[rows, q] - W[i]
+                    col = Hblk[i + 1 - s:e - s, i - s]  # rows x groups
+                    for k0, G, o, size, B3 in runs:
+                        B3[i + 1:e] += (col[:, k0:k0 + G, None]
+                                        * new_delta[o:o + G * size].reshape(G, size))
             if e < d:
-                Wh_batch = np.take_along_axis(
-                    C, A[:, s:e, :].transpose(0, 2, 1), axis=2).transpose(0, 2, 1)
-                delta = Wh_batch - W[:, s:e, :]
-                for k, (Hk, dk) in enumerate(zip(H, diags)):
-                    B[k, e:] += (Hk[e:, s:e] / dk[e:, None]) @ delta[k]
+                for (o, t), Hk, dk, Dk in zip(bounds, H, diags,
+                                              _group_deltas(W[s:e], C, A[s:e], bounds)):
+                    B[e:, o:t] += (Hk[e:, s:e] / dk[e:, None]) @ Dk
 
 
 def lnq_quantize(
@@ -224,24 +278,23 @@ def lnq_quantize(
     init: tuple[np.ndarray, np.ndarray],
     layer_idx: int = 0,
     stats: dict | None = None,
+    sizes=None,
 ) -> QuantizedLayer:
-    """Alternating minimization for one Hessian group of channels, or a
-    stack of G groups of equal size.
+    """Alternating minimization for one layer's channel groups.
 
-    `H_damped` is the group's d x d Hessian with `W_block` d x c, or a
-    sequence of G Hessians with `W_block` G x d x c. Each must already
-    include its diagonal shift; no further damping is applied here. A
-    Hessian that does not factor raises SingularHessian, a
+    `W_block` holds the layer's d x c weights, `sizes` its consecutive
+    group sizes (None: one group of all c) and `H_damped` one d x d
+    Hessian per group (a single 2-D matrix is one group). Each must
+    already include its diagonal shift; no further damping is applied
+    here. A Hessian that does not factor raises SingularHessian, a
     NotPositiveDefinite naming `layer_idx`, the group's index in the
-    stack and the cause (exit 2 from the CLI); nothing retries with
+    layer and the cause (exit 2 from the CLI); nothing retries with
     more damping. `bits` (1..8), `T` and `K` (>= 1) are checked first
-    (InvalidSize). `init` is the starting (codebooks, assignments) pair:
-    c x m and d x c arrays for one group, G x c x m and G x d x c for a
-    stack, with m = 2**bits; it is copied, not updated. The returned
-    layer holds the G x c channels group by group (codebooks G c x m,
-    assignments d x G c), each with the non-increasing damped objective
-    trace described in the module docstring. A stack gives the bits of
-    G separate runs.
+    (InvalidSize). `init` is the starting (codebooks, assignments) pair,
+    c x m and d x c arrays with m = 2**bits; it is copied, not updated.
+    The returned layer holds the c channels in order, each with the
+    non-increasing damped objective trace described in the module
+    docstring, and gives the bits of one run per group.
     """
     m = _codebook_size(bits)
     if T < 1:
@@ -251,49 +304,47 @@ def lnq_quantize(
     W = np.ascontiguousarray(W_block, dtype=np.float64)
     C = np.array(init[0], dtype=np.float64, order="C")
     A = np.array(init[1], dtype=np.int64, order="C")
-    if W.ndim == 2:
-        H_damped, W, C, A = [H_damped], W[None], C[None], A[None]
-    if W.ndim != 3:
-        raise DimensionMismatch(f"W_block must be 2-D or 3-D, got ndim={W.ndim}")
+    if W.ndim != 2:
+        raise DimensionMismatch(f"W_block must be d x c, got ndim={W.ndim}")
     if not np.all(np.isfinite(W)):
         raise ValueError("W_block: non-finite entries")
+    if isinstance(H_damped, np.ndarray) and H_damped.ndim == 2:
+        H_damped = [H_damped]
     H = [ensure_matrix(Hk, "H_damped") for Hk in H_damped]
-    G, d, c = W.shape
-    if len(H) != G:
-        raise DimensionMismatch(f"{len(H)} Hessians for a stack of {G} groups")
+    d, c = W.shape
+    bounds = _group_bounds(c, sizes)
+    if len(H) != len(bounds):
+        raise DimensionMismatch(f"{len(H)} Hessians for {len(bounds)} groups")
     if any(Hk.shape != (d, d) for Hk in H):
         raise DimensionMismatch(f"H is {H[0].shape}, weights have d_in={d}")
-    if C.shape != (G, c, m) or A.shape != (G, d, c):
-        raise DimensionMismatch(
-            f"init codebooks {C.shape[-2:]} and assignments {A.shape[-2:]} per group, "
-            f"expected {(c, m)} and {(d, c)}")
-    traces = []  # one G x c list of objectives per record()
+    if C.shape != (c, m) or A.shape != (d, c):
+        raise DimensionMismatch(f"init codebooks {C.shape} and assignments {A.shape}, "
+                                f"expected {(c, m)} and {(d, c)}")
+    traces = []  # one length-c array of objectives per record()
 
     def record() -> None:
-        traces.append([block_objectives(H[k], W[k], np.take_along_axis(C[k], A[k].T, axis=1).T)
-                       for k in range(G)])
+        traces.append(np.concatenate([np.sum(D * (Hk @ D), axis=0)
+                                      for Hk, D in zip(H, _group_deltas(W, C, A, bounds))]))
 
     def solve_codebooks() -> None:
-        # one factor at a time, refactored per phase, so a stack never
-        # holds G factors at once
-        for k in range(G):
+        # one factor at a time, refactored per phase, so a layer never
+        # holds its groups' factors at once
+        for k, (Hk, (o, e)) in enumerate(zip(H, bounds)):
             try:
-                L = cholesky(H[k])
+                L = cholesky(Hk)
             except NotPositiveDefinite as exc:
-                cause = zero_curvature(H[k]) or str(exc)
+                cause = zero_curvature(Hk) or str(exc)
                 raise SingularHessian(layer_idx, k, cause) from exc
-            C[k], A[k] = codebook_closed_form(L, W[k], A[k], m)
-        check_codebooks(C)  # once for the whole stack
+            C[o:e], A[:, o:e] = codebook_closed_form(L, W[:, o:e], A[:, o:e], m)
+        check_codebooks(C)  # once for the whole layer
 
     record()
     for _ in range(T):
         solve_codebooks()
         record()
-        cd_cycle(H, W, C, A, K, stats=stats)
+        cd_cycle(H, W, C, A, K, sizes=sizes, stats=stats)
         record()
     solve_codebooks()
     record()
 
-    per_channel = np.array(traces).reshape(len(traces), G * c).T.tolist()
-    return QuantizedLayer(layer_idx, bits, C.reshape(G * c, m),
-                          A.transpose(1, 0, 2).reshape(d, G * c), per_channel)
+    return QuantizedLayer(layer_idx, bits, C, A, np.array(traces).T.tolist())

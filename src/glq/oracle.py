@@ -118,23 +118,29 @@ def cd_step_naive(H: Matrix, w: np.ndarray, values: np.ndarray, idx: np.ndarray,
 
 def naive_cd_cycle(
     H, W: np.ndarray, C: np.ndarray, A: np.ndarray, cycles: int,
-    stats: dict | None = None,
+    sizes=None, stats: dict | None = None,
 ) -> None:
-    """Reference for lnq.cd_cycle: same arguments (one group with 2-D
-    W, C, A, or a stack of G groups with 3-D ones and G Hessians), same
-    in-place update of A, every coordinate decided by
-    naive_candidate_objectives. The groups are independent, so they run
-    one after another. No rounding margins are recorded; `stats` is
-    accepted so the two are interchangeable inside lnq_quantize."""
-    if W.ndim == 2:
-        H, W, C, A = [H], W[None], C[None], A[None]
-    for Hk, Wk, Ck, Ak in zip(H, W, C, A):
-        d, c = Wk.shape
+    """Reference for lnq.cd_cycle: same arguments (a layer's d x c W and
+    A, c x m C, consecutive group `sizes` with one Hessian per group, or
+    one 2-D H for one group), same in-place update of A, every
+    coordinate decided by naive_candidate_objectives. The groups are
+    independent, so they run one after another. No rounding margins are
+    recorded; `stats` is accepted so the two are interchangeable inside
+    lnq_quantize."""
+    if isinstance(H, np.ndarray) and H.ndim == 2:
+        H = [H]
+    c = W.shape[1]
+    sizes = [c] if sizes is None else list(sizes)
+    if len(H) != len(sizes) or sum(sizes) != c:
+        raise DimensionMismatch(f"{len(H)} Hessians and group sizes {sizes} for {c} channels")
+    first = 0
+    for Hk, size in zip(H, sizes):
         for _ in range(cycles):
-            for i in range(d):
-                for j in range(c):
-                    objs = naive_candidate_objectives(Hk, Wk[:, j], Ck[j], Ak[:, j], i)
-                    Ak[i, j] = int(objs.argmin())
+            for i in range(W.shape[0]):
+                for j in range(first, first + size):
+                    objs = naive_candidate_objectives(Hk, W[:, j], C[j], A[:, j], i)
+                    A[i, j] = int(objs.argmin())
+        first += size
 
 
 def fisher_block_oracle(calib: LayerCalibration, j: int, n: int) -> Matrix:

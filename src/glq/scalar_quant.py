@@ -12,12 +12,16 @@ tie behavior is uniform.
 stacks of values X and weights Wt, one channel per row, the
 sensitivity-weighted baseline for quantizing a channel with
 diagonal-Fisher weights. Each checks its stacks once at entry and runs
-a column slice in one pass with the bits of one run per channel.
+a layer's channels in one call with the bits of one run per channel.
 ``kmeans_pp_init`` stacks the channels with equal distinct counts and
 makes each draw as ``Generator.choice`` does, from the channel's own
-generator. In ``lloyd`` a channel leaves the stack at its fixed point;
-one stable sort of the assignment puts each cluster's points in index
-order, and ``linalg.segment_sums`` adds every cluster as numpy's 1-D
+generator. ``lloyd`` runs a pool of at most LLOYD_STACK // (n m)
+channels, each at its own iteration: a channel leaves the pool at its
+fixed point and the next channel not yet started takes its row, so the
+pool stays full until the queue runs dry; kmeans_pp_init's stacks hold
+at most that many channels too. In each iteration one stable sort of
+the assignment puts each cluster's points in index order, and
+``linalg.segment_sums`` adds every cluster as numpy's 1-D
 ``ndarray.sum()`` does: under 8 elements in order from 0.0; up to 128
 in eight lanes over the blocks of 8, combined as
 ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
@@ -28,8 +32,11 @@ in index order from 0.0, the same bits without the sort. The SSE
 traces sum each channel's row along the contiguous last axis, which
 numpy adds as that row's ``.sum()``.
 ``squeezellm_init`` is the one squeezellm path: codebooks and
-assignments of a d x c slice as arrays, with the SSE traces only when
-asked for; ``squeezellm_quantize`` wraps them into a layer.
+assignments of a d x c layer as arrays, one seed per channel, with the
+SSE traces only when asked for (then one ``lloyd`` call per channel,
+the form ``bench/spans.py`` reads); ``squeezellm_quantize`` wraps them
+into a layer, and ``run_job`` calls it once per layer for the LNQ
+init.
 The exact 1-D k-means DP they are checked against is
 ``oracle.kmeans_1d_exact``.
 """
@@ -42,16 +49,23 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSize, NonFiniteMass, TooFewDistinctPoints
+from .errors import (
+    DimensionMismatch,
+    InvalidSize,
+    NonFiniteFisher,
+    NonFiniteMass,
+    TooFewDistinctPoints,
+)
 from .linalg import segment_sums
 
 DEFAULT_LLOYD_ITERS = 50
-# Point-to-center distances (256 KiB of float64) one Lloyd stack holds;
-# a wider slice runs as several stacks. On the 64-256-256-16 benchmark
-# model, 32- and 64-channel stacks left the process's peak RSS about
-# 1 MiB above one channel at a time; 16-channel stacks (this bound) did
-# not.
-LLOYD_STACK = 1 << 15
+# Point-to-center distances (1 MiB of float64) Lloyd's pool of live
+# channels holds; kmeans_pp_init's stacks take as many channels. On the
+# 64-256-256-16 benchmark model (64 channels of 256 points and 8
+# centers) this pool ran the init 18 % faster than a 16-channel one, for
+# about 0.5 MiB of peak RSS, which holding one layer's Hessian set at a
+# time instead of all of them more than pays for.
+LLOYD_STACK = 1 << 17
 
 
 def round_rows(u: np.ndarray, codebooks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -117,9 +131,10 @@ def kmeans_pp_init(X: np.ndarray, Wt: np.ndarray, m: int, seed: Sequence) -> np.
     sampling mass the draw falls back to uniform over the distinct
     values not yet chosen.
 
-    Channels with the same number of distinct values run as one stack:
-    row i holds channel i's sorted distinct values and their summed
-    weights. Each draw is the one Generator.choice(n, p=mass/total)
+    Channels with the same number of distinct values run as stacks of
+    at most LLOYD_STACK // (n m) (n points per channel), Lloyd's pool
+    width: row i holds channel i's sorted distinct values and their
+    summed weights. Each draw is the one Generator.choice(n, p=mass/total)
     makes: cdf = p.cumsum(), cdf /= cdf[-1], and the index is the count
     of cdf <= rng.random(), with every total and cumsum taken along the
     last axis of the stack, the order a 1-D array sums in. Channels,
@@ -143,11 +158,14 @@ def kmeans_pp_init(X: np.ndarray, Wt: np.ndarray, m: int, seed: Sequence) -> np.
         )
     rngs = [np.random.default_rng(s) for s in seed]
     out = np.empty((len(rows), m))
+    width = _pool_width(X.shape[1], m)
     for n in np.unique(sizes):
-        stack = np.flatnonzero(sizes == n)
-        out[stack] = _kmeans_pp_stack(np.stack([rows[i][0] for i in stack]),
-                                      np.stack([rows[i][1] for i in stack]),
-                                      m, [rngs[i] for i in stack], stack)
+        same = np.flatnonzero(sizes == n)
+        for s in range(0, same.size, width):
+            stack = same[s:s + width]
+            out[stack] = _kmeans_pp_stack(np.stack([rows[i][0] for i in stack]),
+                                          np.stack([rows[i][1] for i in stack]),
+                                          m, [rngs[i] for i in stack], stack)
     return out
 
 
@@ -219,6 +237,12 @@ def _cluster_means(w: np.ndarray, wx: np.ndarray, a: np.ndarray, c: np.ndarray) 
     return out.reshape(k, m)
 
 
+def _pool_width(n: int, m: int) -> int:
+    """Channels of n points and m centers one stack holds: LLOYD_STACK
+    point-to-center distances, and at least one channel."""
+    return max(1, LLOYD_STACK // (n * m))
+
+
 def lloyd(
     X: np.ndarray,
     Wt: np.ndarray,
@@ -231,8 +255,7 @@ def lloyd(
     `X` and `Wt` are r x n stacks of one channel's values and weights
     per row, checked once here, and `centers` their r x m starting
     codebooks (rows sorted); one channel is a stack of one.
-    Returns the r x m codebooks and the r x n assignments. More than
-    LLOYD_STACK // (n m) channels run as several stacks.
+    Returns the r x m codebooks and the r x n assignments.
 
     Each iteration assigns every point to its nearest center (ties to
     the smaller value) and then moves each center to the weighted mean
@@ -246,10 +269,14 @@ def lloyd(
 
     An iteration is a pure function of the centers, so once one leaves
     a channel's centers bitwise unchanged every later iteration would
-    repeat it: the channel leaves the stack there. Its trace still gets
-    all 2 * iters + 1 values, the skipped half-steps padded with the
-    last SSE, the value they would have recomputed. Results equal
-    running all `iters` on each channel alone, bit for bit.
+    repeat it: the channel stops there, and its last assignment is its
+    final one. Its trace still gets all 2 * iters + 1 values, the
+    skipped half-steps padded with the last SSE, the value they would
+    have recomputed. The channels run in a pool of at most
+    LLOYD_STACK // (n m) at a time, each at its own iteration; a channel
+    that stops is replaced by the next one not yet started. Every step
+    is a function of each row alone, so results equal running all
+    `iters` on each channel alone, bit for bit.
 
     Each cluster sum is the ``.sum()`` of its points in index order
     (`linalg.segment_sums`), as in the mask compaction x[a == q] of one
@@ -261,24 +288,38 @@ def lloyd(
     centers = np.array(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] != X.shape[0]:
         raise DimensionMismatch(f"{centers.shape} codebooks for {X.shape[0]} channels")
+    r, n = X.shape
+    width = _pool_width(n, centers.shape[1])
     A = np.empty(X.shape, dtype=np.int64)
-    step = max(1, LLOYD_STACK // (X.shape[1] * centers.shape[1]))
-    for s in range(0, X.shape[0], step):
-        A[s:s + step] = _lloyd_stack(X[s:s + step], Wt[s:s + step], centers[s:s + step],
-                                     iters, trace)
+    sse = None if trace is None else np.empty((r, 2 * iters + 1))
+    dist = np.empty((min(width, r), n, centers.shape[1]))  # one buffer: fewer large heap blocks
+    if iters:
+        _lloyd_pool(X, Wt, centers, A, iters, dist, sse)
+    else:
+        for s in range(0, r, width):
+            A[s:s + width] = round_rows(X[s:s + width], centers[s:s + width, None, :],
+                                        out=dist[:min(width, r - s)])
+            if sse is not None:
+                sse[s:s + width, 0] = _weighted_sse(X[s:s + width], Wt[s:s + width],
+                                                    centers[s:s + width], A[s:s + width])
+    if trace is not None:
+        trace.extend(sse.ravel().tolist())
     return centers, A
 
 
-def _lloyd_stack(X: np.ndarray, Wt: np.ndarray, centers: np.ndarray, iters: int,
-                 trace: list[float] | None) -> np.ndarray:
-    """Lloyd on one stack: updates the k x m `centers` in place, appends
-    every channel's SSE trace to `trace` when given, and returns the
-    k x n final assignments."""
-    sse = None if trace is None else np.empty((X.shape[0], 2 * iters + 1))
-    live = np.arange(X.shape[0])  # channels whose last iteration moved a center
-    x, w, wx, c = X, Wt, Wt * X, centers.copy()  # their rows
-    dist = np.empty(X.shape + centers.shape[1:])  # one buffer: fewer large heap blocks
-    for it in range(iters):
+def _lloyd_pool(X: np.ndarray, Wt: np.ndarray, centers: np.ndarray, A: np.ndarray,
+                iters: int, dist: np.ndarray, sse: np.ndarray | None) -> None:
+    """Lloyd (iters >= 1) over a refilled pool of dist.shape[0] channels:
+    updates the r x m `centers` in place, writes the final assignments
+    into `A` and, when `sse` is given, every channel's SSE trace into
+    its row."""
+    r = X.shape[0]
+    nxt = dist.shape[0]  # the next channel to start
+    live = np.arange(nxt)  # the pool's channels, at iteration `it` each
+    it = np.zeros(nxt, dtype=np.int64)
+    x, w, c = X[:nxt], Wt[:nxt], centers[:nxt].copy()  # their rows
+    wx = w * x
+    while live.size:
         a = round_rows(x, c[:, None, :], out=dist[:live.size])
         if sse is not None:
             sse[live, 2 * it] = _weighted_sse(x, w, c, a)
@@ -287,19 +328,31 @@ def _lloyd_stack(X: np.ndarray, Wt: np.ndarray, centers: np.ndarray, iters: int,
             sse[live, 2 * it + 1] = _weighted_sse(x, w, new, a)
         moved = np.any(new.view(np.int64) != c.view(np.int64), axis=1)  # bits: -0.0 != 0.0
         centers[live] = new
-        if not moved.all():
+        it += 1
+        stop = ~moved | (it == iters)
+        if not stop.any():
+            c = new
+            continue
+        settled = ~moved
+        A[live[settled]] = a[settled]  # the centers did not move: a is final
+        if sse is not None:
+            for i, k in zip(live[settled].tolist(), it[settled].tolist()):
+                sse[i, 2 * k:] = sse[i, 2 * k - 1]
+        last = moved & stop  # ran all iterations, still moving
+        if last.any():
+            ids = live[last]
+            A[ids] = round_rows(x[last], new[last][:, None, :], out=dist[:ids.size])
             if sse is not None:
-                done = live[~moved]
-                sse[done, 2 * it + 2 : -1] = sse[done, 2 * it + 1, None]
-            live, x, w, wx, new = live[moved], x[moved], w[moved], wx[moved], new[moved]
-            if not live.size:
-                break
-        c = new
-    final = round_rows(X, centers[:, None, :], out=dist)
-    if sse is not None:
-        sse[:, -1] = _weighted_sse(X, Wt, centers, final)
-        trace.extend(sse.ravel().tolist())
-    return final
+                sse[ids, -1] = _weighted_sse(x[last], w[last], new[last], A[ids])
+        keep = ~stop
+        enter = np.arange(nxt, min(nxt + int(stop.sum()), r))
+        nxt += enter.size
+        live = np.concatenate([live[keep], enter])
+        it = np.concatenate([it[keep], np.zeros(enter.size, dtype=np.int64)])
+        x = np.concatenate([x[keep], X[enter]])
+        w = np.concatenate([w[keep], Wt[enter]])
+        wx = np.concatenate([wx[keep], Wt[enter] * X[enter]])
+        c = np.concatenate([new[keep], centers[enter]])
 
 
 def check_codebooks(C: np.ndarray) -> None:
@@ -396,30 +449,40 @@ def squeezellm_init(
     W: np.ndarray,
     fisher_diag: np.ndarray,
     bits: int,
-    seed: int,
+    seeds: Sequence,
     lloyd_iters: int = DEFAULT_LLOYD_ITERS,
     traces: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sensitivity-weighted k-means, one codebook per channel, as arrays.
 
     Channel j clusters the weights W[:, j] with diagonal-Fisher weights
-    fisher_diag[:, j] (uniform weights if none is positive). The d x c
-    slices are checked once, as `lloyd` checks its points, and one sort
-    counts each channel's distinct values: a channel with no more of
-    them than codebook slots is represented exactly. The others are
-    seeded by k-means++ (per-channel substream (seed, j)) in one
-    `kmeans_pp_init` pass and refined by one `lloyd` call (with
-    `traces`, one call per channel, a stack of one; the same bits).
-    Returns the codebooks (c x m, rows sorted) and the assignments
-    (d x c). When `traces` is given, one list per channel is appended to
-    it: Lloyd's weighted SSE trace, or [0.0] for an exact channel;
-    without it no SSE is computed.
+    fisher_diag[:, j] (uniform weights if none is positive); a Fisher
+    column with a NaN or infinite entry is refused first, with
+    NonFiniteFisher naming the channel. The d x c arrays are checked
+    once, as `lloyd` checks its points, and one sort counts each
+    channel's distinct values: a channel with no more of them than
+    codebook slots is represented exactly. The others are seeded by
+    k-means++ in one `kmeans_pp_init` pass, channel j from `seeds[j]`
+    (one SeedSequence entropy per channel), and refined by one `lloyd`
+    call (with `traces`, one call per channel, a stack of one; the same
+    bits). `run_job` calls it once per layer. Returns the codebooks
+    (c x m, rows sorted) and the assignments (d x c). When `traces` is
+    given, one list per channel is appended to it: Lloyd's weighted SSE
+    trace, or [0.0] for an exact channel; without it no SSE is
+    computed.
     """
     m = _codebook_size(bits)
     Wt = np.array(np.transpose(fisher_diag), dtype=np.float64, order="C")  # the fallback writes
+    if Wt.ndim == 2:
+        bad = np.argwhere(~np.isfinite(Wt))
+        if bad.size:
+            j, i = bad[0].tolist()
+            raise NonFiniteFisher(f"channel {j}: Fisher diagonal entry {i} is {Wt[j, i]}")
     Wt[~np.any(Wt > 0, axis=-1)] = 1.0
     X, Wt = _check_points(np.transpose(W), Wt)
     c, d = X.shape
+    if len(seeds) != c:
+        raise DimensionMismatch(f"{len(seeds)} seeds for {c} channels")
     # distinct values per channel, counted as np.unique counts them (-0.0 == 0.0)
     exact = np.count_nonzero(np.diff(np.sort(X, axis=1), axis=1), axis=1) < m
     C = np.empty((c, m))
@@ -432,7 +495,7 @@ def squeezellm_init(
     if clustered.size:
         if clustered.size < c:
             X, Wt = X[clustered], Wt[clustered]
-        inits = kmeans_pp_init(X, Wt, m, [(seed, j) for j in clustered.tolist()])
+        inits = kmeans_pp_init(X, Wt, m, [seeds[j] for j in clustered.tolist()])
         if traces is None:
             C[clustered], assign = lloyd(X, Wt, inits, lloyd_iters)
             A[:, clustered] = assign.T
@@ -459,7 +522,9 @@ def squeezellm_quantize(
     lloyd_iters: int = DEFAULT_LLOYD_ITERS,
 ) -> QuantizedLayer:
     """The squeezellm baseline layer: `squeezellm_init`'s codebooks and
-    assignments, with each channel's SSE trace."""
+    assignments, channel j seeded by (seed, j), with each channel's SSE
+    trace."""
     traces: list[list[float]] = []
-    C, A = squeezellm_init(W, fisher_diag, bits, seed, lloyd_iters, traces)
+    seeds = [(seed, j) for j in range(np.shape(W)[1])]
+    C, A = squeezellm_init(W, fisher_diag, bits, seeds, lloyd_iters, traces)
     return QuantizedLayer(layer_idx, bits, C, A, traces)

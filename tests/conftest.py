@@ -1,5 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
+
+from glq import hessian
 
 from glq.calib_model import calibrate
 from glq.calib_model import toy_problem as build_toy_problem
@@ -53,3 +57,25 @@ def random_lnq_instance(rng: np.random.Generator, d: int, bits: int):
     H = random_spd(rng, d)
     w = rng.standard_normal(d)
     return H, w, uniform_init(w[:, None], 2 ** bits)
+
+
+def live_sets_at_each_build(monkeypatch) -> list[int]:
+    """Wrap every source of a HessianSet (the plain and guided builders
+    and the cache's load) and return a list that gets, for each set made,
+    the number of earlier sets still alive at that moment; weak
+    references see each set without keeping it."""
+    refs, seen = [], []
+
+    def wrap(fn):
+        def made(*args, **kw):
+            seen.append(sum(r() is not None for r in refs))
+            out = fn(*args, **kw)
+            if out is not None:
+                refs.append(weakref.ref(out))
+            return out
+        return made
+
+    for name in ("plain_hessian", "guided_hessians"):
+        monkeypatch.setattr(hessian, name, wrap(getattr(hessian, name)))
+    monkeypatch.setattr(hessian.HessianCache, "load", wrap(hessian.HessianCache.load))
+    return seen

@@ -24,6 +24,8 @@ from glq.tensorio import (
     write_tensor,
 )
 
+from conftest import live_sets_at_each_build
+
 
 def dir_digest(d: Path) -> dict:
     return {p.name: file_sha256(p) for p in sorted(d.iterdir()) if p.is_file()}
@@ -137,6 +139,22 @@ class TestTrainCalibrateHessian:
         index = json.loads((out / "index.json").read_text())
         assert index["kind"] == "guided"
         assert sorted(index["layers"]) == ["0", "1"]
+
+
+def test_hessian_and_eval_hold_one_layer_set_at_a_time(pipeline, tmp_path, monkeypatch):
+    # glq hessian stores each set and drops it before building the next;
+    # glq eval drops each layer's set once its objective is taken
+    data, model = pipeline
+    quant = tmp_path / "q"
+    assert main(["quantize", "--model", str(model), "--data", str(data), "--method",
+                 "lnq_guided", "--g", "2", "--out", str(quant)]) == 0
+    seen = live_sets_at_each_build(monkeypatch)
+    assert main(["hessian", "--model", str(model), "--data", str(data), "--g", "2",
+                 "--out", str(tmp_path / "h")]) == 0
+    assert seen == [0, 0]  # one build per layer of the 6-10-3 model
+    assert main(["eval", "--model", str(model), "--data", str(data),
+                 "--quant", str(quant)]) == 0
+    assert seen == [0] * 4
 
 
 class TestHessianCacheFlag:

@@ -15,6 +15,7 @@ from glq.errors import (
 )
 from glq.guidedquant import (
     CSV_COLUMNS,
+    METHODS,
     QuantJob,
     damped_quadratic,
     eval_objectives,
@@ -28,6 +29,8 @@ from glq.hessian import HessianCache, fisher_diag, plain_hessian
 from glq.lnq import lnq_quantize
 from glq.oracle import full_fisher_quadratic
 from glq.scalar_quant import QuantizedLayer, squeezellm_quantize
+
+from conftest import live_sets_at_each_build
 
 
 class TestQuantJob:
@@ -186,17 +189,18 @@ class TestRunJob:
         run_job(model, dead, dataclasses.replace(job, damping_rel=1e-7))  # damping lifts it
 
     def test_singular_group_numbered_within_its_layer(self, ragged_problem, monkeypatch):
-        # layer 0 of the 8-10-7-3 model at g = 3 runs groups 0 and 1..2
-        # as two stacks; group 2 is the second group of the second stack
+        # layer 0 of the 8-10-7-3 model at g = 3 has groups of 4, 3 and 3
+        # channels; group 2 is the second of the two 3-wide ones
         model, data = ragged_problem
         real = guidedquant.job_hessians
 
         def one_singular(*args, **kw):
-            hsets = real(*args, **kw)
-            H = hsets[0].hessians[2].copy()
-            H[5, :] = H[:, 5] = 0.0
-            hsets[0].hessians[2] = H
-            return hsets
+            for l, hset in enumerate(real(*args, **kw)):
+                if l == 0:
+                    H = hset.hessians[2].copy()
+                    H[5, :] = H[:, 5] = 0.0
+                    hset.hessians[2] = H
+                yield hset
 
         monkeypatch.setattr(guidedquant, "job_hessians", one_singular)
         with pytest.raises(SingularHessian, match=r"^layer 0 group 2: .*feature 5"):
@@ -285,11 +289,25 @@ class TestRunJob:
         assert len(calls) == model.n_layers
 
 
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("cached", [False, True])
+def test_run_job_holds_one_layer_set_at_a_time(toy_problem, tmp_path, monkeypatch,
+                                               method, cached):
+    # a layer's Hessian set is dropped before the next one is built or
+    # loaded, with and without the cache (the second run loads)
+    model, data = toy_problem
+    cache = HessianCache(tmp_path / "hc") if cached else None
+    seen = live_sets_at_each_build(monkeypatch)
+    for _ in range(1 + cached):
+        run_job(model, data, QuantJob(method=method, bits=2, g=3), hessian_cache=cache)
+    assert len(seen) >= model.n_layers and set(seen) == {0}
+
+
 def _run_job_one_group_at_a_time(model, data, job):
     """run_job's LNQ branch as it was before groups were stacked: one
     squeezellm init and one lnq_quantize call per channel group."""
     calib = calibrate(model, data)
-    hsets = job_hessians(model, data, calib, job)
+    hsets = list(job_hessians(model, data, calib, job))
     qlayers = []
     for l, (W, hset) in enumerate(zip(model.layers, hsets)):
         F = fisher_diag(calib[l])
@@ -304,7 +322,9 @@ def _run_job_one_group_at_a_time(model, data, job):
                                       np.concatenate([q.A for q in groups], axis=1),
                                       [tr for q in groups for tr in q.traces]))
     quantized = model.with_layers([ql.W_hat for ql in qlayers])
-    return quantized, qlayers, job_report(model, quantized, data, calib, job, hsets)
+    damped = [damped_quadratic(hset, W, W_hat)
+              for hset, W, W_hat in zip(hsets, model.layers, quantized.layers)]
+    return quantized, qlayers, job_report(model, quantized, data, calib, job, damped)
 
 
 @pytest.fixture(scope="module")
@@ -333,20 +353,24 @@ class TestStackedGroups:
             assert a.tobytes() == b.tobytes()
         assert r_new.csv_row() == r_old.csv_row()
 
-    def test_one_cd_call_per_group_size_per_phase(self, ragged_problem, monkeypatch):
+    def test_one_cd_call_per_layer_per_phase(self, ragged_problem, monkeypatch):
+        # every layer, ragged ones included, runs one cd_cycle call per CD
+        # phase over its d x c arrays and its group sizes
         model, data = ragged_problem
-        shapes = []
+        calls = []
         real = lnq.cd_cycle
 
-        def counting(H, W, C, A, cycles, **kw):
-            shapes.append(W.shape)
-            return real(H, W, C, A, cycles, **kw)
+        def counting(H, W, C, A, cycles, sizes=None, **kw):
+            calls.append((W.shape, A.shape, C.shape, tuple(sizes), len(H)))
+            return real(H, W, C, A, cycles, sizes=sizes, **kw)
 
         monkeypatch.setattr(lnq, "cd_cycle", counting)
         run_job(model, data, QuantJob(method="lnq_guided", bits=2, g=4, T=2))
         # d_out 10 -> groups 3,3,2,2; 7 -> 2,2,2,1; 3 -> clipped to 1,1,1
-        stacks = [(2, 8, 3), (2, 8, 2), (3, 10, 2), (1, 10, 1), (3, 7, 1)]
-        assert shapes == [s for s in stacks for _ in range(2)]
+        layers = [((8, 10), (8, 10), (10, 4), (3, 3, 2, 2), 4),
+                  ((10, 7), (10, 7), (7, 4), (2, 2, 2, 1), 4),
+                  ((7, 3), (7, 3), (3, 4), (1, 1, 1), 3)]
+        assert calls == [c for c in layers for _ in range(2)]
 
 
 class TestSweep:

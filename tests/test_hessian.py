@@ -257,28 +257,28 @@ class TestCacheAndHash:
 class TestLayerHessians:
     def test_plain_keys_ignore_group_knobs(self, toy_problem, toy_calib):
         model, data = toy_problem
-        a = layer_hessians(model, data, toy_calib, "plain")
-        b = layer_hessians(model, data, toy_calib, "plain", g=4, grad_scale=5.0)
+        a = list(layer_hessians(model, data, toy_calib, "plain"))
+        b = list(layer_hessians(model, data, toy_calib, "plain", g=4, grad_scale=5.0))
         assert [k for k, _ in a] == [k for k, _ in b]
         assert all(h.partition.g == 1 and h.kind == "plain" for _, h in b)
-        guided = layer_hessians(model, data, toy_calib, "guided", g=4)
+        guided = list(layer_hessians(model, data, toy_calib, "guided", g=4))
         assert all(h.partition.g == 4 for _, h in guided)
         assert {k for k, _ in guided}.isdisjoint(k for k, _ in a)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError):  # refused at the call, before any set
             layer_hessians(model, data, toy_calib, "fisher")
 
     def test_reuse_loads_and_rebuild_overwrites(self, tmp_path, toy_problem, toy_calib):
         model, data = toy_problem
         cache = HessianCache(tmp_path)
-        built = layer_hessians(model, data, toy_calib, "guided", g=2, cache=cache)
+        built = list(layer_hessians(model, data, toy_calib, "guided", g=2, cache=cache))
         victim = tmp_path / built[0][0] / "hess.L0.G0.gqt"
         blob = bytearray(victim.read_bytes())
         blob[-8] ^= 0x01
         victim.write_bytes(bytes(blob))
         with pytest.raises(CorruptFile):
-            layer_hessians(model, data, toy_calib, "guided", g=2, cache=cache)
-        layer_hessians(model, data, toy_calib, "guided", g=2, cache=cache, reuse=False)
-        again = layer_hessians(model, data, toy_calib, "guided", g=2, cache=cache)
+            list(layer_hessians(model, data, toy_calib, "guided", g=2, cache=cache))
+        list(layer_hessians(model, data, toy_calib, "guided", g=2, cache=cache, reuse=False))
+        again = list(layer_hessians(model, data, toy_calib, "guided", g=2, cache=cache))
         for (k1, h1), (k2, h2) in zip(built, again):
             assert k1 == k2
             for a, b in zip(h1.hessians, h2.hessians):
@@ -288,9 +288,9 @@ class TestLayerHessians:
         # the toy's last layer has 4 outputs: g = 6 gives it one group per
         # channel, keyed as g = 4, while the 16-wide layers keep g = 6
         model, data = toy_problem
-        wide = layer_hessians(model, data, toy_calib, "guided", g=6)
+        wide = list(layer_hessians(model, data, toy_calib, "guided", g=6))
         assert [h.partition.g for _, h in wide] == [6, 6, 4]
-        at_four = layer_hessians(model, data, toy_calib, "guided", g=4)
+        at_four = list(layer_hessians(model, data, toy_calib, "guided", g=4))
         assert wide[2][0] == at_four[2][0]
         for a, b in zip(wide[2][1].hessians, at_four[2][1].hessians):
             npt.assert_array_equal(a, b)
@@ -299,7 +299,7 @@ class TestLayerHessians:
             assert key == hessian_cache_key(digest, data_digest, l, 6,
                                             DEFAULT_GRAD_SCALE, DEFAULT_DAMPING_REL, "guided")
         with pytest.raises(InvalidSize):
-            layer_hessians(model, data, toy_calib, "guided", g=0)
+            list(layer_hessians(model, data, toy_calib, "guided", g=0))
 
     @pytest.mark.parametrize("kind", ["plain", "guided"])
     def test_unfactorable_set_is_never_cached(self, tmp_path, toy_problem, kind):
@@ -313,11 +313,11 @@ class TestLayerHessians:
         cache = HessianCache(tmp_path / "hc")
         with pytest.raises(SingularHessian, match=r"^layer 0 group 0: .*1 of 8 input "
                                                   r"features .*\(first: feature 3\)"):
-            layer_hessians(model, dead, calib, kind, 2, 1e3, 0.0, cache=cache)
+            list(layer_hessians(model, dead, calib, kind, 2, 1e3, 0.0, cache=cache))
         assert not (tmp_path / "hc").exists() or not any((tmp_path / "hc").iterdir())
         # without a cache the set is built as before, and the methods
         # that never factor it still run
-        hsets = layer_hessians(model, dead, calib, kind, 2, 1e3, 0.0)
+        hsets = list(layer_hessians(model, dead, calib, kind, 2, 1e3, 0.0))
         assert all(H[3, 3] == 0.0 for H in hsets[0][1].hessians)
         for method in ("rtn", "squeezellm"):
             run_job(model, dead, QuantJob(method=method, bits=2, damping_rel=0.0))

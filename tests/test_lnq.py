@@ -1,5 +1,4 @@
 import functools
-import itertools
 import re
 
 import numpy as np
@@ -343,13 +342,18 @@ class TestLnqQuantize:
             lnq_quantize(H, w.reshape(-1, 1), 1, 2, 4, (np.vstack([C, C]), np.hstack([A, A])))
         with pytest.raises(DimensionMismatch):
             lnq_quantize(np.eye(3), w.reshape(-1, 1), 1, 2, 4, (C, A))
-        H, W, C, A = _stack(rng, 2, 5, 2, 4)  # a stack of two groups
+        H, W, C, A = _groups(rng, (2, 2), 5, 4)  # a layer of two groups
         with pytest.raises(DimensionMismatch):
-            cd_cycle(H[:1], W, C, A, 1)
+            cd_cycle(H[:1], W, C, A, 1, sizes=(2, 2))
         with pytest.raises(DimensionMismatch):
-            lnq_quantize(H[:1], W, 2, 2, 4, (C, A))
+            lnq_quantize(H[:1], W, 2, 2, 4, (C, A), sizes=(2, 2))
         with pytest.raises(DimensionMismatch):
-            lnq_quantize(H, W, 2, 2, 4, (C[:, :1], A))
+            lnq_quantize(H, W, 2, 2, 4, (C[:, :1], A), sizes=(2, 2))
+        for sizes in ((2, 1), (2, 3), (4, 0)):  # sizes that do not split the 4 channels
+            with pytest.raises(DimensionMismatch, match="do not split 4 channels"):
+                lnq_quantize(H, W, 2, 2, 4, (C, A), sizes=sizes)
+            with pytest.raises(DimensionMismatch, match="do not split 4 channels"):
+                cd_cycle(H, W, C, A, 1, sizes=sizes)
 
     def test_config_validation(self):
         # bits, T and K are refused before any work, with the texts of
@@ -492,7 +496,8 @@ def test_group_codebooks_match_per_channel_masks(seed, d, c, m, neg_zeros):
 ])
 def test_codebook_phase_checks_the_stack(monkeypatch, bad, message):
     # a codebook solve that returns a non-finite or unsorted row is
-    # refused once per phase, with the texts check_codebooks raises
+    # refused once per phase for the whole layer, with the texts
+    # check_codebooks raises
     real = lnq.codebook_closed_form
 
     def corrupt(L, W, A, m):
@@ -500,68 +505,104 @@ def test_codebook_phase_checks_the_stack(monkeypatch, bad, message):
         return bad(values), assign
 
     rng = np.random.default_rng(23)
-    H, W, C, A = _stack(rng, 2, 5, 2, 4)
+    H, W, C, A = _groups(rng, (2, 2), 5, 4)
     monkeypatch.setattr(lnq, "codebook_closed_form", corrupt)
     with pytest.raises(ValueError, match=f"codebook values must be {message}"):
-        lnq_quantize(H, W, 2, 2, 4, (C, A))
+        lnq_quantize(H, W, 2, 2, 4, (C, A), sizes=(2, 2))
 
 
-def _stack(rng, G, d, c, m):
-    H = [random_spd(rng, d) for _ in range(G)]
-    W = rng.standard_normal((G, d, c))
-    C = np.sort(rng.standard_normal((G, c, m)), axis=2)
-    A = rng.integers(0, m, size=(G, d, c))
+def _groups(rng, sizes, d, m):
+    """One layer of consecutive groups of `sizes` channels: a Hessian per
+    group, the d x c weights and random slots, and sorted c x m
+    codebooks."""
+    c = sum(sizes)
+    H = [random_spd(rng, d) for _ in sizes]
+    W = rng.standard_normal((d, c))
+    C = np.sort(rng.standard_normal((c, m)), axis=1)
+    A = rng.integers(0, m, size=(d, c))
     return H, W, C, A
 
 
+def _columns(sizes):
+    """The column slice of each group of consecutive `sizes`."""
+    ends = np.cumsum(sizes).tolist()
+    return [slice(o, e) for o, e in zip([0] + ends[:-1], ends)]
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.sampled_from([1, 2, 7, 128, 129, 300]),
-       st.integers(1, 4), st.sampled_from([2, 4, 8]), st.integers(1, 2))
-def test_stacked_cd_cycle_equals_one_call_per_group(seed, G, d, c, m, cycles):
-    # d = 129 and 300 leave rows after the first batch of 128, so the
-    # blocked correction below a batch runs too
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       st.sampled_from([1, 2, 7, 128, 129, 300]), st.sampled_from([2, 4, 8]), st.integers(1, 2))
+def test_stacked_cd_cycle_equals_one_call_per_group(seed, sizes, d, m, cycles):
+    # one call over a layer of groups (ragged sizes included) against one
+    # call per group; d = 129 and 300 leave rows after the first batch of
+    # 128, so the blocked correction below a batch runs too
     rng = np.random.default_rng(seed)
-    H, W, C, A = _stack(rng, G, d, c, m)
-    stacked = A.copy()
-    cd_cycle(H, W, C, stacked, cycles)
-    for k in range(G):
-        alone = A[k].copy()
-        cd_cycle(H[k], W[k], C[k], alone, cycles)
-        npt.assert_array_equal(stacked[k], alone)
-        before = A[k].copy()
-        _cd_cycle_one_group(H[k], W[k], C[k], before, cycles)
-        npt.assert_array_equal(stacked[k], before)
+    H, W, C, A = _groups(rng, sizes, d, m)
+    layer = A.copy()
+    cd_cycle(H, W, C, layer, cycles, sizes=sizes)
+    for k, cols in enumerate(_columns(sizes)):
+        alone = A[:, cols].copy()
+        cd_cycle(H[k], W[:, cols].copy(), C[cols], alone, cycles)
+        npt.assert_array_equal(layer[:, cols], alone)
+        before = A[:, cols].copy()
+        _cd_cycle_one_group(H[k], W[:, cols].copy(), C[cols], before, cycles)
+        npt.assert_array_equal(layer[:, cols], before)
+
+
+@pytest.mark.parametrize("sizes,d,groups_per_chunk", [
+    ((3, 3, 2, 2), 140, 1), ((3, 3, 2, 2), 140, 3), ((1, 1, 1, 1, 1), 9, 2),
+    ((2, 1), 130, 1), ((4,), 20, 1),
+])
+def test_chunked_cd_equals_one_pass(monkeypatch, sizes, d, groups_per_chunk):
+    # groups are independent, so a layer whose in-batch Htil blocks
+    # exceed CD_BLOCK_BYTES runs in consecutive chunks with the bits of
+    # one pass
+    rng = np.random.default_rng(d + len(sizes))
+    H, W, C, A = _groups(rng, sizes, d, 4)
+    one_pass = A.copy()
+    stats_one: dict = {}
+    cd_cycle(H, W, C, one_pass, 2, sizes=sizes, stats=stats_one)
+    b = min(lnq.CD_BATCH, d)
+    monkeypatch.setattr(lnq, "CD_BLOCK_BYTES", groups_per_chunk * 8 * b * b)
+    chunks = []
+    real = lnq._cd_chunk
+    monkeypatch.setattr(lnq, "_cd_chunk", lambda H, *a: chunks.append(len(H)) or real(H, *a))
+    chunked = A.copy()
+    stats_chunked: dict = {}
+    cd_cycle(H, W, C, chunked, 2, sizes=sizes, stats=stats_chunked)
+    assert chunks == [min(groups_per_chunk, len(sizes) - k)
+                      for k in range(0, len(sizes), groups_per_chunk)]
+    npt.assert_array_equal(chunked, one_pass)
+    assert stats_chunked == stats_one
 
 
 @pytest.mark.parametrize("sizes", [(3, 3, 2, 2), (1, 1, 1), (2, 1), (4,), (5, 5, 5, 4)])
 def test_stacked_lnq_equals_one_run_per_group(sizes):
-    # a ragged partition runs as one stack per group size, as run_job does
+    # a ragged partition runs as one lnq_quantize call over the layer,
+    # as run_job does, with the bits of one run per group
     rng = np.random.default_rng(sum(sizes))
     for d in (6, 140):
         H = [random_spd(rng, d) for _ in sizes]
         W = [rng.standard_normal((d, c)) for c in sizes]
         inits = [uniform_init(Wk, 4) for Wk in W]
         alone = [lnq_quantize(Hk, Wk, 2, 2, 2, ik) for Hk, Wk, ik in zip(H, W, inits)]
-        stacked = []
-        for _, run in itertools.groupby(range(len(sizes)), key=lambda k: sizes[k]):
-            group = list(run)
-            stacked.append(lnq_quantize(
-                [H[k] for k in group], np.stack([W[k] for k in group]), 2, 2, 2,
-                tuple(np.stack([inits[k][i] for k in group]) for i in (0, 1))))
-        got = np.concatenate([q.C for q in stacked])
+        layer = lnq_quantize(H, np.hstack(W), 2, 2, 2,
+                             (np.vstack([C for C, _ in inits]), np.hstack([A for _, A in inits])),
+                             sizes=sizes)
         want = np.concatenate([q.C for q in alone])
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        npt.assert_array_equal(np.concatenate([q.A for q in stacked], axis=1),
-                               np.concatenate([q.A for q in alone], axis=1))
-        assert [tr for q in stacked for tr in q.traces] == [tr for q in alone for tr in q.traces]
+        assert layer.C.shape == want.shape and layer.C.tobytes() == want.tobytes()
+        npt.assert_array_equal(layer.A, np.concatenate([q.A for q in alone], axis=1))
+        assert layer.traces == [tr for q in alone for tr in q.traces]
 
 
 def test_naive_cd_cycle_takes_a_stack():
+    # the reference takes a layer of groups too, one group after another
     rng = np.random.default_rng(22)
-    H, W, C, A = _stack(rng, 3, 6, 2, 4)
-    stacked = A.copy()
-    naive_cd_cycle(H, W, C, stacked, 2)
-    for k in range(3):
-        alone = A[k].copy()
-        naive_cd_cycle(H[k], W[k], C[k], alone, 2)
-        npt.assert_array_equal(stacked[k], alone)
+    sizes = (2, 2, 1)
+    H, W, C, A = _groups(rng, sizes, 6, 4)
+    layer = A.copy()
+    naive_cd_cycle(H, W, C, layer, 2, sizes=sizes)
+    for k, cols in enumerate(_columns(sizes)):
+        alone = A[:, cols].copy()
+        naive_cd_cycle(H[k], W[:, cols], C[cols], alone, 2)
+        npt.assert_array_equal(layer[:, cols], alone)

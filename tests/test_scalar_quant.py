@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -6,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glq.errors import DimensionMismatch, InvalidSize, NonFiniteMass, TooFewDistinctPoints
+from glq.errors import (
+    DimensionMismatch,
+    InvalidSize,
+    NonFiniteFisher,
+    NonFiniteMass,
+    TooFewDistinctPoints,
+)
+from glq import scalar_quant
 from glq.oracle import kmeans_1d_exact, kmeans_partition_oracle, round_to_codebook, weighted_sse
 from glq.scalar_quant import (
     QuantizedLayer,
@@ -108,9 +116,10 @@ class TestTypes:
         Wt = np.ones_like(X)
 
         def entries(X, Wt):
-            yield lambda: kmeans_pp_init(X, Wt, 2, [0] * len(X))
-            yield lambda: lloyd(X, Wt, np.zeros((len(X), 2)), 3)
-            yield lambda: squeezellm_init(np.asarray(X).T, np.asarray(Wt).T, 1, 0)
+            yield "kmeans_pp_init", lambda: kmeans_pp_init(X, Wt, 2, [0] * len(X))
+            yield "lloyd", lambda: lloyd(X, Wt, np.zeros((len(X), 2)), 3)
+            yield "squeezellm_init", lambda: squeezellm_init(np.asarray(X).T, np.asarray(Wt).T,
+                                                             1, [0] * len(X))
 
         cases = [
             (np.where(X == 4.0, np.nan, X), Wt, ValueError, "points and weights must be finite"),
@@ -120,11 +129,15 @@ class TestTypes:
             (X[:, :0], Wt[:, :0], InvalidSize, "need at least one point"),
         ]
         for Xc, Wc, err, text in cases:
-            for call in entries(Xc, Wc):
+            for name, call in entries(Xc, Wc):
+                if name == "squeezellm_init" and np.isinf(Wc).any():
+                    # there the weights are a Fisher diagonal, refused by
+                    # its own error (TestNonFiniteFisher)
+                    err, text = NonFiniteFisher, "^channel 1: "
                 with pytest.raises(err, match=text):
                     call()
         zero_row = np.where(X > 2.0, 0.0, Wt)  # channel 1 has no weight
-        for call in list(entries(X, zero_row))[:2]:
+        for _, call in list(entries(X, zero_row))[:2]:
             with pytest.raises(ValueError, match="^weights must not all be zero$"):
                 call()
         with pytest.raises(DimensionMismatch):  # one row, not an r x n stack
@@ -534,6 +547,50 @@ class TestLloydStack:
             lloyd(X, np.ones_like(X), np.zeros((1, 1)), -1)
 
 
+class TestLloydPool:
+    """Untraced and traced `lloyd` over stacks wider than its pool: the
+    pool refills as channels settle, each channel at its own iteration,
+    and every channel keeps the bits of one run of all iterations."""
+
+    @staticmethod
+    def _check(X, Wt, C0, iters, width):
+        n, m = X.shape[1], C0.shape[1]
+        with mock.patch.object(scalar_quant, "LLOYD_STACK", width * n * m):
+            assert scalar_quant._pool_width(n, m) == width
+            C, A = lloyd(X, Wt, C0, iters)
+            trace: list[float] = []
+            traced_C, traced_A = lloyd(X, Wt, C0, iters, trace)
+        assert C.tobytes() == traced_C.tobytes() and A.tobytes() == traced_A.tobytes()
+        span = 2 * iters + 1
+        assert len(trace) == len(X) * span
+        for i, p in enumerate(zip(X, Wt)):
+            ref_trace: list[float] = []
+            ref_c, ref_a = _lloyd_every_iter(p, C0[i], iters, ref_trace)
+            assert C[i].tobytes() == ref_c.tobytes()
+            npt.assert_array_equal(A[i], ref_a)
+            assert trace[i * span:(i + 1) * span] == ref_trace
+
+    @settings(max_examples=150, deadline=None)
+    @given(lloyd_stack(), st.sampled_from([1, 2, 3]))
+    def test_pool_equals_every_iteration_per_channel(self, case, width):
+        self._check(*case, width)
+
+    @pytest.mark.parametrize("iters", [0, 1, 40])
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_settling_at_different_iterations(self, iters, width):
+        # channel 0 starts at its fixed point, channel 3 has a zero-weight
+        # cluster and an empty one (99.0), the others move for a while
+        rng = np.random.default_rng(8)
+        X = np.stack([np.repeat([0.0, 1.0, 5.0], 10)] + [rng.standard_normal(30)
+                                                         for _ in range(4)])
+        Wt = np.ones_like(X)
+        Wt[1:] = rng.uniform(0.1, 1.0, (4, 30))
+        Wt[3, X[3] > 1.0] = 0.0
+        C0 = np.array([[0.0, 1.0, 5.0], [-0.5, 0.0, 0.5], [-2.0, 0.1, 0.2],
+                       [-1.0, 1.5, 99.0], [0.0, 0.3, 0.6]])
+        self._check(X, Wt, C0, iters, width)
+
+
 class TestExactDP:
     def test_hand_example(self):
         # {0,1} vs {10}: cost 0.5 + 0
@@ -670,11 +727,12 @@ class TestBaselines:
         F[:, 1] = 0.0
         W[::2, 2] = W[1::2, 2]
         ql = squeezellm_quantize(W, F, bits, seed=5)
-        C, A = squeezellm_init(W, F, bits, 5)
+        seeds = [(5, j) for j in range(W.shape[1])]
+        C, A = squeezellm_init(W, F, bits, seeds)
         assert C.tobytes() == ql.codebook_matrix().tobytes()
         assert A.tobytes() == ql.assign_matrix().tobytes()
         traces: list = []
-        C2, A2 = squeezellm_init(W, F, bits, 5, traces=traces)
+        C2, A2 = squeezellm_init(W, F, bits, seeds, traces=traces)
         assert C2.tobytes() == C.tobytes() and A2.tobytes() == A.tobytes()
         assert traces == ql.traces
 
@@ -697,7 +755,8 @@ class TestBaselines:
         F[::2, 7] = 0.0  # half the weights zero
         C, A, traces = _squeezellm_one_channel_at_a_time(W, F, bits, seed)
         for got_traces in (None, []):
-            got_C, got_A = squeezellm_init(W, F, bits, seed, traces=got_traces)
+            got_C, got_A = squeezellm_init(W, F, bits, [(seed, j) for j in range(8)],
+                                           traces=got_traces)
             assert got_C.tobytes() == C.tobytes() and got_A.tobytes() == A.tobytes()
         assert got_traces == traces
 
@@ -709,6 +768,26 @@ class TestBaselines:
         assert ql.assign_matrix().shape == (10, 4)
         C, A = ql.codebook_matrix(), ql.assign_matrix()
         npt.assert_array_equal(np.take_along_axis(C, A.T, axis=1).T, ql.W_hat)
+
+
+class TestNonFiniteFisher:
+    # a non-finite Fisher diagonal is refused before the zero-weight
+    # fallback could give its channel unit weights
+    @pytest.mark.parametrize("where", ["all", "one"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_refused_naming_the_channel(self, where, value):
+        rng = np.random.default_rng(16)
+        W = rng.standard_normal((20, 3))
+        F = rng.uniform(0, 1, (20, 3))
+        if where == "all":
+            F[:, 1] = value
+        else:
+            F[7, 1] = value
+        text = f"^channel 1: Fisher diagonal entry {0 if where == 'all' else 7} is {value}$"
+        with pytest.raises(NonFiniteFisher, match=text):
+            squeezellm_init(W, F, 2, [0, 1, 2])
+        with pytest.raises(NonFiniteFisher, match=text):
+            squeezellm_quantize(W, F, 2, seed=0)
 
 
 def _squeezellm_one_channel_at_a_time(W, F, bits, seed, lloyd_iters=50):
