@@ -16,9 +16,8 @@ class NotPositiveDefinite(GlqError):
 
 class SingularHessian(NotPositiveDefinite):
     """A channel group's damped Hessian cannot be factored. `group` is
-    the group's index in the stack ``lnq_quantize`` was given
-    (``run_job`` re-raises with the group's index in its layer), or in
-    its layer when ``HessianCache.store`` refuses the set."""
+    the group's index in its layer: ``lnq_quantize`` is given a layer's
+    groups, and ``HessianCache.store`` refuses a layer's set."""
 
     def __init__(self, layer: int, group: int, cause: str) -> None:
         super().__init__(f"layer {layer} group {group}: cannot factor the damped "

@@ -30,8 +30,8 @@ rebuilds those sets from the job recorded in the artifact, so it
 reproduces every column of the quantize report. The gradient-weighted
 error equals the sum of per-channel Fisher quadratic forms
 n * delta^T F_j delta with n F_j = X^T Diag(gradZ[:, j]^2) X, so the
-`fisher_quadratic` column is filled from that identity: it is the
-guided objective. The independent channel-by-channel route is
+`fisher_quadratic` CSV column is filled from that identity: it is the
+guided total. The independent channel-by-channel route is
 `oracle.full_fisher_quadratic`, which the tests check the guided
 objective against.
 """
@@ -44,7 +44,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .calib_model import Dataset, LayerCalibration, MlpModel, calibrate, end_loss
-from .errors import ConfigError, DimensionMismatch, PartitionMismatch
+from .errors import ConfigError, DimensionMismatch
 from .hessian import (
     DEFAULT_DAMPING_REL,
     DEFAULT_GRAD_SCALE,
@@ -140,7 +140,6 @@ class QuantReport:
     end_loss_before: float
     end_loss_after: float
     layers: list[dict]
-    fisher_quadratic: float
 
     def totals(self) -> dict:
         return {
@@ -150,6 +149,8 @@ class QuantReport:
         }
 
     def csv_row(self) -> dict:
+        """The report's CSV_COLUMNS; `fisher_quadratic` is the guided
+        total (see `eval_objectives`)."""
         t = self.totals()
         return {
             "method": self.method,
@@ -161,7 +162,7 @@ class QuantReport:
             "plain_objective": t["plain_objective"],
             "guided_objective": t["guided_objective"],
             "damped_objective": t["damped_objective"],
-            "fisher_quadratic": self.fisher_quadratic,
+            "fisher_quadratic": t["guided_objective"],
         }
 
 
@@ -213,13 +214,11 @@ def run_job(
             ql = squeezellm_quantize(W, fisher_diag(calib[l]), job.bits, seed=job.seed,
                                      layer_idx=l)
         else:
-            groups = hset.partition.groups
-            if [j for grp in groups for j in grp] != list(range(W.shape[1])):
-                raise PartitionMismatch(f"layer {l}: channel groups are not consecutive")
-            seeds = [(job.seed, j - grp[0]) for grp in groups for j in grp]
+            sizes = hset.partition.sizes
+            seeds = [(job.seed, j) for size in sizes for j in range(size)]
             init = squeezellm_init(W, fisher_diag(calib[l]), job.bits, seeds)
             ql = lnq_quantize(hset.hessians, W, job.bits, job.T, job.K, init, layer_idx=l,
-                              sizes=[len(grp) for grp in groups])
+                              sizes=sizes)
         qlayers.append(ql)
         damped.append(damped_quadratic(hset, W, ql.W_hat))
         del hset  # one layer's set at a time
@@ -250,7 +249,6 @@ def job_report(
         end_loss_before=end_loss(model, data),
         end_loss_after=end_loss(quantized, data),
         layers=rows,
-        fisher_quadratic=sum(row["fisher_quadratic"] for row in rows),
     )
 
 
@@ -259,9 +257,8 @@ def eval_objectives(
 ) -> list[dict]:
     """Per-layer reconstruction objectives (see module docstring).
 
-    Each row's `fisher_quadratic` is its `guided_objective`: by the
-    identity sum_j n delta_j^T F_j delta_j = ||gradZ * (X delta)||_F^2
-    the channel-by-channel Fisher sum is the elementwise error, so it
+    By the identity sum_j n delta_j^T F_j delta_j = ||gradZ * (X delta)||_F^2
+    the channel-by-channel Fisher sum is the `guided_objective`, so it
     is not rebuilt here. `oracle.full_fisher_quadratic` computes it the
     independent way.
     """
@@ -280,7 +277,6 @@ def eval_objectives(
                 "layer": l,
                 "plain_objective": plain,
                 "guided_objective": guided,
-                "fisher_quadratic": guided,
             }
         )
     return rows
@@ -295,11 +291,11 @@ def damped_quadratic(hset: HessianSet, W: Matrix, W_hat: Matrix) -> float:
     if W_hat.shape != W.shape:
         raise DimensionMismatch(f"W_hat is {W_hat.shape}, W is {W.shape}")
     total = 0.0
-    for H, grp in zip(hset.hessians, hset.partition.groups):
+    for H, (o, e) in zip(hset.hessians, hset.partition.bounds):
         H = ensure_matrix(H, "H")
         if H.shape != (W.shape[0], W.shape[0]):
             raise DimensionMismatch(f"H is {H.shape}, weights have d_in={W.shape[0]}")
-        for j in grp:
+        for j in range(o, e):
             v = W_hat[:, j] - W[:, j]
             total += float(v @ H @ v)
     return total

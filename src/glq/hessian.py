@@ -6,8 +6,9 @@ G (n x d_out), the empirical Fisher block of output channel j satisfies
     n * F_j = X^T Diag(G[:, j]^2) X.
 
 The guided proxy groups output channels into g consecutive blocks
-J_1..J_g and shares one Hessian per block, built from the within-block
-average of squared gradients (the n x g ``squared_grad_averages``):
+J_1..J_g (a ``ChannelPartition``: the block sizes, in channel order) and
+shares one Hessian per block, built from the within-block average of
+squared gradients (the n x g ``squared_grad_averages``):
 
     s_k[i] = mean_{j in J_k} (grad_scale * G[i, j])^2
     Hbar_k = X^T Diag(s_k) X + lambda_k I,
@@ -17,13 +18,18 @@ average of squared gradients (the n x g ``squared_grad_averages``):
 gradients of a well-trained model; scaling all gradients by s multiplies
 Hbar_k and lambda_k by s^2 and therefore changes no quantization
 decision downstream. The plain (loss-agnostic) Hessian is X^T X + l I
-with a single group covering every channel.
+with a single group covering every channel: the same build with unit
+weights, since B = X * 1.0 is X bit for bit.
 
 Each Hbar_k is assembled as B^T B with B = Diag(sqrt(s_k)) X, so it is
 positive semidefinite by construction; the relative damping makes it
 positive definite whenever B has a nonzero row. A group whose s_k is
 zero on every sample (a zero-gradient group) would get Hbar_k = 0 and
 lambda_k = 0; ``guided_hessians`` refuses it with ZeroGradientGroup.
+
+A cache entry records its groups as lists of channel indices (the
+manifest's ``groups``); ``HessianCache.load`` is the one place such a
+list becomes sizes, and it refuses one that is not consecutive.
 
 ``layer_hessians`` hands out one layer's set at a time and keeps none
 once it is handed out, so a caller that drops each set before asking
@@ -34,6 +40,7 @@ layer's set at a time: at g = d_out a set holds d_out d x d matrices.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -59,23 +66,29 @@ DEFAULT_DAMPING_REL = 1e-7
 
 @dataclass(frozen=True)
 class ChannelPartition:
-    """Disjoint cover of output channels 0..d_out-1 by consecutive groups."""
+    """Output channels 0..d_out-1 split into consecutive groups: group k
+    holds the ``sizes[k]`` channels after those of groups 0..k-1, so the
+    groups cover the layer by construction and d_out is their sum."""
 
-    d_out: int
-    groups: tuple[tuple[int, ...], ...]
+    sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        seen = [j for grp in self.groups for j in grp]
-        if sorted(seen) != list(range(self.d_out)):
-            raise PartitionMismatch(
-                f"groups must cover 0..{self.d_out - 1} exactly once"
-            )
-        if any(len(grp) == 0 for grp in self.groups):
-            raise PartitionMismatch("empty group")
+        if not self.sizes or any(type(k) is not int or k < 1 for k in self.sizes):
+            raise PartitionMismatch(f"group sizes must be positive integers, got {self.sizes}")
 
     @property
     def g(self) -> int:
-        return len(self.groups)
+        return len(self.sizes)
+
+    @property
+    def d_out(self) -> int:
+        return sum(self.sizes)
+
+    @property
+    def bounds(self) -> list[tuple[int, int]]:
+        """(first, end) channel of each group."""
+        ends = list(itertools.accumulate(self.sizes))
+        return list(zip([0] + ends[:-1], ends))
 
     @staticmethod
     def consecutive(d_out: int, g: int) -> "ChannelPartition":
@@ -84,13 +97,7 @@ class ChannelPartition:
         if not 1 <= g <= d_out:
             raise InvalidSize(f"need 1 <= g <= d_out, got g={g}, d_out={d_out}")
         base, extra = divmod(d_out, g)
-        groups = []
-        start = 0
-        for k in range(g):
-            size = base + (1 if k < extra else 0)
-            groups.append(tuple(range(start, start + size)))
-            start += size
-        return ChannelPartition(d_out=d_out, groups=tuple(groups))
+        return ChannelPartition(tuple(base + (1 if k < extra else 0) for k in range(g)))
 
 
 @dataclass
@@ -131,26 +138,39 @@ def _damped(M: Matrix, damping_rel: float) -> tuple[Matrix, float]:
     return M + lam * np.eye(M.shape[0]), lam
 
 
+def _gram_set(X: Matrix, s: Matrix, partition: ChannelPartition, layer_idx: int,
+              grad_scale: float, damping_rel: float, kind: str) -> HessianSet:
+    """The set of damped B^T B, B = X * sqrt(s[:, k]) row by row, one per
+    group k of `partition`: the one build of every layer Hessian."""
+    hessians, lambdas = [], []
+    for k in range(partition.g):
+        B = X * np.sqrt(s[:, k])[:, None]
+        M = B.T @ B
+        M = 0.5 * (M + M.T)
+        H, lam = _damped(M, damping_rel)
+        hessians.append(H)
+        lambdas.append(lam)
+    return HessianSet(
+        layer_idx=layer_idx,
+        partition=partition,
+        hessians=hessians,
+        lambdas=lambdas,
+        grad_scale=grad_scale,
+        damping_rel=damping_rel,
+        kind=kind,
+    )
+
+
 def plain_hessian(
     calib: LayerCalibration,
     layer_idx: int = 0,
     damping_rel: float = DEFAULT_DAMPING_REL,
 ) -> HessianSet:
-    """X^T X + damping_rel * mean(diag) * I, one group over all channels."""
+    """X^T X + damping_rel * mean(diag) * I, one group over all channels:
+    the guided build with one group and unit weights."""
     X, G = _check_calib(calib)
-    M = X.T @ X
-    M = 0.5 * (M + M.T)
-    H, lam = _damped(M, damping_rel)
-    part = ChannelPartition.consecutive(G.shape[1], 1)
-    return HessianSet(
-        layer_idx=layer_idx,
-        partition=part,
-        hessians=[H],
-        lambdas=[lam],
-        grad_scale=1.0,
-        damping_rel=damping_rel,
-        kind="plain",
-    )
+    return _gram_set(X, np.ones((X.shape[0], 1)), ChannelPartition.consecutive(G.shape[1], 1),
+                     layer_idx, 1.0, damping_rel, "plain")
 
 
 def squared_grad_averages(
@@ -159,7 +179,11 @@ def squared_grad_averages(
     grad_scale: float = DEFAULT_GRAD_SCALE,
 ) -> Matrix:
     """The n x g array s[i, k] = mean over j in J_k of
-    (grad_scale * gradZ[i, j])^2."""
+    (grad_scale * gradZ[i, j])^2.
+
+    Each group's mean runs over a column-major copy of its columns, so
+    it adds the channels one after another; a row-major slice would sum
+    them pairwise and move the last bits."""
     _, G = _check_calib(calib)
     if partition.d_out != G.shape[1]:
         raise PartitionMismatch(
@@ -168,7 +192,7 @@ def squared_grad_averages(
     if grad_scale <= 0.0:
         raise ValueError(f"grad_scale must be > 0, got {grad_scale}")
     sq = (grad_scale * G) ** 2
-    cols = [np.mean(sq[:, list(grp)], axis=1) for grp in partition.groups]
+    cols = [np.mean(np.asfortranarray(sq[:, o:e]), axis=1) for o, e in partition.bounds]
     return np.stack(cols, axis=1)
 
 
@@ -187,30 +211,14 @@ def guided_hessians(
     """
     X, _ = _check_calib(calib)
     s = squared_grad_averages(calib, partition, grad_scale)
-    hessians, lambdas = [], []
-    for k in range(partition.g):
+    for k, (o, e) in enumerate(partition.bounds):
         if not np.any(s[:, k]):
-            grp = partition.groups[k]
             raise ZeroGradientGroup(
-                f"layer {layer_idx} group {k} (channels {grp[0]}..{grp[-1]}): "
+                f"layer {layer_idx} group {k} (channels {o}..{e - 1}): "
                 f"zero gradient on every sample, so its guided Hessian and "
                 f"damping would both be 0"
             )
-        B = X * np.sqrt(s[:, k])[:, None]
-        M = B.T @ B
-        M = 0.5 * (M + M.T)
-        H, lam = _damped(M, damping_rel)
-        hessians.append(H)
-        lambdas.append(lam)
-    return HessianSet(
-        layer_idx=layer_idx,
-        partition=partition,
-        hessians=hessians,
-        lambdas=lambdas,
-        grad_scale=grad_scale,
-        damping_rel=damping_rel,
-        kind="guided",
-    )
+    return _gram_set(X, s, partition, layer_idx, grad_scale, damping_rel, "guided")
 
 
 def fisher_diag(calib: LayerCalibration) -> Matrix:
@@ -283,11 +291,13 @@ class HessianCache:
     """Disk cache of HessianSets under ``root/<key>/``.
 
     Each entry holds ``hess.L<layer>.G<k>.gqt`` tensor files plus a
-    ``manifest.json`` recording the partition, grad scale, damping rule
-    and per-file content hashes. A reload checks those hashes first and
-    raises CorruptFile on a mismatch, so it is bit-exact or refused.
-    A set with an input feature of zero curvature, which no solver can
-    factor, is never stored: ``store`` raises SingularHessian first.
+    ``manifest.json`` recording the layer, kind, d_out, the groups as
+    lists of channel indices, lambdas, grad scale, damping rule and
+    per-file content hashes. A reload refuses with CorruptFile a
+    manifest it cannot read (``_entry_manifest``) and a file whose hash
+    does not match, so it is bit-exact or refused. A set with an input
+    feature of zero curvature, which no solver can factor, is never
+    stored: ``store`` raises SingularHessian first.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -300,16 +310,11 @@ class HessianCache:
         from .tensorio import read_tensor, verify_manifest
 
         d = self._dir(key)
-        man = d / "manifest.json"
-        if not man.exists():
+        if not (d / "manifest.json").exists():
             return None
-        meta = json.loads(man.read_text())
-        part = ChannelPartition(
-            d_out=meta["d_out"],
-            groups=tuple(tuple(grp) for grp in meta["groups"]),
-        )
+        meta, part = _entry_manifest(d)
         names = [f"hess.L{meta['layer_idx']}.G{k}.gqt" for k in range(part.g)]
-        bad = verify_manifest(d) + [n for n in names if n not in meta.get("files", {})]
+        bad = verify_manifest(d) + [n for n in names if n not in meta["files"]]
         if bad:
             raise CorruptFile(f"{d}: hessian cache entry fails its manifest: {bad}")
         hessians = [read_tensor(d / name) for name in names]
@@ -324,7 +329,7 @@ class HessianCache:
         )
 
     def store(self, key: str, hset: HessianSet) -> Path:
-        from .tensorio import file_sha256, write_json_atomic, write_tensor
+        from .tensorio import write_manifest, write_tensor
 
         for k, H in enumerate(hset.hessians):
             cause = zero_curvature(H)
@@ -332,23 +337,52 @@ class HessianCache:
                 raise SingularHessian(hset.layer_idx, k, cause)
         d = self._dir(key)
         d.mkdir(parents=True, exist_ok=True)
-        files = {}
-        for k, H in enumerate(hset.hessians):
-            name = f"hess.L{hset.layer_idx}.G{k}.gqt"
+        names = [f"hess.L{hset.layer_idx}.G{k}.gqt" for k in range(hset.partition.g)]
+        for name, H in zip(names, hset.hessians):
             write_tensor(d / name, H)
-            files[name] = file_sha256(d / name)
-        meta = {
+        write_manifest(d, {
             "layer_idx": hset.layer_idx,
             "d_out": hset.partition.d_out,
-            "groups": [list(grp) for grp in hset.partition.groups],
+            "groups": [list(range(o, e)) for o, e in hset.partition.bounds],
             "lambdas": [float(x) for x in hset.lambdas],
             "grad_scale": hset.grad_scale,
             "damping_rel": hset.damping_rel,
             "kind": hset.kind,
-            "files": files,
-        }
-        write_json_atomic(d / "manifest.json", meta)
+        }, names)
         return d
+
+
+def _entry_manifest(d: Path) -> tuple[dict, ChannelPartition]:
+    """The manifest of cache entry `d` and the partition its groups
+    describe: the one place an on-disk group list becomes sizes. A field
+    that is missing or ill-typed, groups that are not consecutive or do
+    not cover d_out, and lambdas that are not one number per group are
+    refused with CorruptFile naming the entry."""
+    try:
+        meta = json.loads((d / "manifest.json").read_text())
+    except json.JSONDecodeError as exc:
+        raise CorruptFile(f"{d}: hessian cache manifest is not JSON: {exc}") from exc
+    meta = meta if isinstance(meta, dict) else {}
+    number = (int, float)
+    for field, types in (("layer_idx", int), ("d_out", int), ("groups", list),
+                         ("lambdas", list), ("grad_scale", number), ("damping_rel", number),
+                         ("kind", str), ("files", dict)):
+        value = meta.get(field)
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise CorruptFile(f"{d}: hessian cache manifest field {field!r} is missing or "
+                              f"ill-typed: {value!r}")
+    groups = meta["groups"]
+    lists = groups and all(isinstance(grp, list) and grp for grp in groups)
+    if not lists or [j for grp in groups for j in grp] != list(range(meta["d_out"])):
+        raise CorruptFile(f"{d}: hessian cache groups are not consecutive groups covering "
+                          f"d_out = {meta['d_out']}: {groups}")
+    part = ChannelPartition(tuple(len(grp) for grp in groups))
+    lambdas = meta["lambdas"]
+    if meta["kind"] not in ("plain", "guided") or len(lambdas) != part.g or not all(
+            isinstance(x, number) and not isinstance(x, bool) for x in lambdas):
+        raise CorruptFile(f"{d}: hessian cache manifest has kind {meta['kind']!r} and "
+                          f"lambdas {lambdas} for {part.g} groups")
+    return meta, part
 
 
 def layer_hessians(
@@ -369,10 +403,12 @@ def layer_hessians(
     min(g, d_out) consecutive channel groups, so a layer narrower than g
     gets one group per channel, and keys each layer with that clipped
     count. A layer with d_out >= g keeps the key of its unclipped g.
-    With a `cache`, an existing entry is
-    loaded when `reuse` is set, and every set built here is stored under
-    its key. This is the only place a layer Hessian is built and keyed,
-    so a quantize run finds exactly the entries a hessian run wrote.
+    With a `cache`, an existing entry is loaded when `reuse` is set, and
+    refused (CorruptFile) unless its layer, kind, grad scale, damping
+    and partition are the request's; every set built here is stored
+    under its key. This is the only place a layer Hessian is built and
+    keyed, so a quantize run finds exactly the entries a hessian run
+    wrote.
 
     The sets come one layer at a time and nothing here keeps one once it
     is handed out, so a caller that drops each set before asking for the
@@ -389,14 +425,20 @@ def layer_hessians(
 def _layer_sets(model, data, calib, kind, g, grad_scale, damping_rel, cache, reuse):
     digest, data_digest = model_hash(model), dataset_hash(data)
     for l, c in enumerate(calib):
-        g_l = min(g, c.gradZ.shape[1])
-        key = hessian_cache_key(digest, data_digest, l, g_l, grad_scale, damping_rel, kind)
+        part = ChannelPartition.consecutive(c.gradZ.shape[1], min(g, c.gradZ.shape[1]))
+        key = hessian_cache_key(digest, data_digest, l, part.g, grad_scale, damping_rel, kind)
         hset = cache.load(key) if cache is not None and reuse else None
-        if hset is None:
+        if hset is not None:  # refuse an entry built for another request
+            got = (hset.layer_idx, hset.kind, float(hset.grad_scale),
+                   float(hset.damping_rel), hset.partition)
+            want = (l, kind, float(grad_scale), float(damping_rel), part)
+            if got != want:
+                raise CorruptFile(f"{cache.root / key}: hessian cache entry holds (layer, kind, "
+                                  f"grad_scale, damping_rel, partition) {got}, requested {want}")
+        else:
             if kind == "plain":
                 hset = plain_hessian(c, layer_idx=l, damping_rel=damping_rel)
             else:
-                part = ChannelPartition.consecutive(c.gradZ.shape[1], g_l)
                 hset = guided_hessians(
                     c, part, layer_idx=l, grad_scale=grad_scale, damping_rel=damping_rel
                 )
@@ -404,3 +446,4 @@ def _layer_sets(model, data, calib, kind, g, grad_scale, damping_rel, cache, reu
                 cache.store(key, hset)
         yield key, hset
         del hset  # not held while the next layer's set is built
+

@@ -156,8 +156,8 @@ def test_criterion_06_grouped_hessians_reduce_to_channel_and_plain_forms():
         d_out = c.gradZ.shape[1]
         singles = ChannelPartition.consecutive(d_out, d_out)
         hset = guided_hessians(c, singles, grad_scale=1.0, damping_rel=0.0)
-        for k, grp in enumerate(singles.groups):
-            (j,) = grp
+        for k, (j, end) in enumerate(singles.bounds):
+            assert end == j + 1
             ref = (c.X * (c.gradZ[:, j] ** 2)[:, None]).T @ c.X
             diff = np.max(np.abs(hset.hessians[k] - ref))
             assert diff <= 1e-10 * max(1.0, float(np.max(np.abs(ref))))
@@ -209,8 +209,8 @@ def test_criterion_09_gradient_scaling_leaves_decisions_unchanged():
         d_out = c.gradZ.shape[1]
         part = ChannelPartition.consecutive(d_out, 4)
         hsets = [guided_hessians(c, part, grad_scale=s) for s in (1.0, 1e3)]
-        for k, grp in enumerate(part.groups):
-            group = list(grp)
+        for k, (o, e) in enumerate(part.bounds):
+            group = list(range(o, e))
             init = uniform_init(W[:, group], 4)
             outs = []
             tie_free = True

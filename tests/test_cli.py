@@ -201,6 +201,31 @@ class TestHessianCacheFlag:
                      "--hessian-cache", str(cache), "--out", str(tmp_path / "q")]) == 2
         assert "manifest" in capsys.readouterr().err
 
+    def test_entry_moved_to_another_layers_key_refused(self, tmp_path, capsys):
+        # layers 1 and 2 of an 8-16-16-16-4 model have the same shapes, so
+        # their swapped entries pass every hash and shape check: only the
+        # layer each manifest records tells them apart
+        data, model, cache = tmp_path / "data", tmp_path / "model", tmp_path / "hc"
+        assert main(["gen-data", "--seed", "0", "--n", "64", "--d0", "8", "--dt", "4",
+                     "--out", str(data)]) == 0
+        assert main(["train", "--data", str(data), "--hidden", "16,16,16", "--steps", "100",
+                     "--out", str(model)]) == 0
+        assert main(["hessian", "--model", str(model), "--data", str(data), "--g", "4",
+                     "--out", str(cache)]) == 0
+        keys = json.loads((cache / "index.json").read_text())["layers"]
+        (cache / keys["1"]).rename(cache / "swap")
+        (cache / keys["2"]).rename(cache / keys["1"])
+        (cache / "swap").rename(cache / keys["2"])
+        capsys.readouterr()
+        assert main(["quantize", "--model", str(model), "--data", str(data),
+                     "--method", "lnq_guided", "--bits", "2", "--g", "4",
+                     "--hessian-cache", str(cache), "--out", str(tmp_path / "q")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cache / keys['1']}: hessian cache entry holds "
+                              f"(layer, kind, grad_scale, damping_rel, partition) (2, ")
+        assert "requested (1, " in err
+        assert not (tmp_path / "q").exists()
+
     def test_unfactorable_hessian_is_not_written(self, pipeline, tmp_path, capsys):
         data, model = pipeline
         loaded, task = artifacts.load_dataset(data)

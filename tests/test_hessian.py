@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -44,14 +45,15 @@ def _calib(seed: int, n: int, d_in: int, d_out: int) -> LayerCalibration:
 class TestPartition:
     def test_even_split(self):
         p = ChannelPartition.consecutive(8, 4)
-        assert p.groups == ((0, 1), (2, 3), (4, 5), (6, 7))
+        assert p.sizes == (2, 2, 2, 2) and p.d_out == 8 and p.g == 4
+        assert p.bounds == [(0, 2), (2, 4), (4, 6), (6, 8)]
 
     def test_ragged_split(self):
         p = ChannelPartition.consecutive(7, 3)
-        assert p.groups == ((0, 1, 2), (3, 4), (5, 6))
+        assert p.sizes == (3, 2, 2) and p.bounds == [(0, 3), (3, 5), (5, 7)]
 
     def test_single_group(self):
-        assert ChannelPartition.consecutive(5, 1).groups == ((0, 1, 2, 3, 4),)
+        assert ChannelPartition.consecutive(5, 1).bounds == [(0, 5)]
 
     def test_bad_g(self):
         with pytest.raises(InvalidSize):
@@ -59,11 +61,12 @@ class TestPartition:
         with pytest.raises(InvalidSize):
             ChannelPartition.consecutive(4, 0)
 
-    def test_cover_validated(self):
-        with pytest.raises(PartitionMismatch):
-            ChannelPartition(d_out=3, groups=((0, 1), (1, 2)))
-        with pytest.raises(PartitionMismatch):
-            ChannelPartition(d_out=3, groups=((0, 1),))
+    def test_sizes_validated(self):
+        # consecutive sizes cover d_out by construction; only empty or
+        # non-integer groups are left to refuse
+        for sizes in ((2, 0), (), (2, -1), (1.0, 2)):
+            with pytest.raises(PartitionMismatch):
+                ChannelPartition(sizes)
 
 
 class TestPlainHessian:
@@ -104,12 +107,12 @@ class TestGuidedHessians:
         c = _calib(3, 12, 5, 6)
         part = ChannelPartition.consecutive(6, 3)
         h = guided_hessians(c, part, grad_scale=7.0, damping_rel=0.0)
-        for k, grp in enumerate(part.groups):
+        for k, (o, e) in enumerate(part.bounds):
             acc = np.zeros((5, 5))
-            for j in grp:
+            for j in range(o, e):
                 g2 = (7.0 * c.gradZ[:, j]) ** 2
                 acc += (c.X * g2[:, None]).T @ c.X
-            acc /= len(grp)
+            acc /= e - o
             scale = max(1.0, float(np.max(np.abs(acc))))
             assert np.max(np.abs(acc - h.hessians[k])) <= 1e-10 * scale
 
@@ -211,7 +214,7 @@ class TestCacheAndHash:
         cache.store(key, hset)
         back = cache.load(key)
         assert back is not None
-        assert back.partition.groups == hset.partition.groups
+        assert back.partition == hset.partition
         assert back.lambdas == hset.lambdas
         for a, b in zip(hset.hessians, back.hessians):
             npt.assert_array_equal(a, b)
@@ -250,9 +253,58 @@ class TestCacheAndHash:
         with pytest.raises(CorruptFile):
             cache.load("k")
 
+    @pytest.mark.parametrize("field", ["layer_idx", "d_out", "groups", "lambdas",
+                                       "grad_scale", "damping_rel", "kind", "files"])
+    @pytest.mark.parametrize("value", [None, True])
+    def test_load_refuses_missing_or_ill_typed_field(self, tmp_path, field, value):
+        # None stands for a deleted field; a bool is no field's type
+        def edit(meta):
+            if value is None:
+                del meta[field]
+            else:
+                meta[field] = value
+        cache = _cache_with_edited_manifest(tmp_path, edit)
+        entry = re.escape(str(tmp_path / "k"))
+        with pytest.raises(CorruptFile, match=rf"^{entry}: .*'{field}' is missing"):
+            cache.load("k")
+
+    @pytest.mark.parametrize("groups,d_out", [
+        ([[0, 1, 2], [4, 3]], 5),     # not in channel order
+        ([[0, 1], [3, 4]], 5),        # a channel left out
+        ([[0, 1, 2], [2, 3, 4]], 5),  # a channel twice
+        ([[0, 1, 2], [3, 4]], 6),     # short of d_out
+        ([[0, 1, 2], [], [3, 4]], 5),  # an empty group
+        ([[0, 1, 2], 3], 4),          # not a list
+        ([], 0),
+    ])
+    def test_load_refuses_groups_that_are_not_consecutive(self, tmp_path, groups, d_out):
+        cache = _cache_with_edited_manifest(
+            tmp_path, lambda meta: meta.update(groups=groups, d_out=d_out))
+        with pytest.raises(CorruptFile, match="not consecutive groups covering"):
+            cache.load("k")
+
+    @pytest.mark.parametrize("field,value", [("kind", "fisher"), ("lambdas", [1.0]),
+                                             ("lambdas", [1.0, "2"])])
+    def test_load_refuses_kind_and_lambdas_it_cannot_use(self, tmp_path, field, value):
+        cache = _cache_with_edited_manifest(tmp_path, lambda meta: meta.update({field: value}))
+        with pytest.raises(CorruptFile, match="lambdas .* for 2 groups"):
+            cache.load("k")
+
     def test_missing_key_returns_none(self, tmp_path):
         assert HessianCache(tmp_path).load("nope") is None
 
+
+
+def _cache_with_edited_manifest(root, edit) -> HessianCache:
+    """A cache under `root` holding entry "k" (5 channels in 2 groups)
+    whose manifest `edit` has changed in place."""
+    cache = HessianCache(root)
+    cache.store("k", guided_hessians(_calib(11, 12, 3, 5), ChannelPartition.consecutive(5, 2)))
+    man = root / "k" / "manifest.json"
+    meta = json.loads(man.read_text())
+    edit(meta)
+    man.write_text(json.dumps(meta))
+    return cache
 
 class TestLayerHessians:
     def test_plain_keys_ignore_group_knobs(self, toy_problem, toy_calib):

@@ -576,6 +576,26 @@ def test_chunked_cd_equals_one_pass(monkeypatch, sizes, d, groups_per_chunk):
     assert stats_chunked == stats_one
 
 
+@pytest.mark.parametrize("per_chunk,c", [(1, 5), (2, 5), (3, 5), (2, 7), (3, 9)])
+def test_chunked_codebook_equals_one_pass(monkeypatch, per_chunk, c):
+    # no tier-1 group is wide enough to fill CODEBOOK_COLUMNS, so the
+    # constant is cut until a chunk holds per_chunk channels; the values
+    # and the remapped slots keep the bits of one pass
+    d, m = 11, 4
+    rng = np.random.default_rng(10 * per_chunk + c)
+    L = cholesky(random_spd(rng, d))
+    W = rng.standard_normal((d, c))
+    A = rng.integers(0, m, size=(d, c))
+    A[:, 1] %= 2  # slots 2 and 3 of channel 1 stay empty
+    assert c <= lnq.CODEBOOK_COLUMNS // (m * d)
+    values, assign = codebook_closed_form(L, W, A, m)
+    monkeypatch.setattr(lnq, "CODEBOOK_COLUMNS", per_chunk * m * d + m * d - 1)
+    chunked_values, chunked_assign = codebook_closed_form(L, W, A, m)
+    npt.assert_array_equal(chunked_values, values)
+    npt.assert_array_equal(chunked_assign, assign)
+    assert np.count_nonzero(values[1] == 0.0) >= 2  # its empty slots are 0.0
+
+
 @pytest.mark.parametrize("sizes", [(3, 3, 2, 2), (1, 1, 1), (2, 1), (4,), (5, 5, 5, 4)])
 def test_stacked_lnq_equals_one_run_per_group(sizes):
     # a ragged partition runs as one lnq_quantize call over the layer,

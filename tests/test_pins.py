@@ -162,3 +162,43 @@ def test_criterion_10_quantize_files_are_pinned(criterion_10_inputs, method):
                  "--out", str(out)]) == 0
     got = {p.name: file_sha256(p)[:12] for p in sorted(out.iterdir()) if p.is_file()}
     assert got == QUANTIZE_FILE_PINS[method]
+
+
+# sha256 prefixes of every file `glq hessian` writes on criterion 10's
+# pipeline (entry manifests, group Hessians and index.json), keyed by
+# path within the cache, per kind.
+HESSIAN_CACHE_PINS = {
+    "guided": {
+        "bc7a3950d1952089f272de0a/hess.L1.G0.gqt": "3ec5f69b46fe",
+        "bc7a3950d1952089f272de0a/hess.L1.G1.gqt": "dee82235362e",
+        "bc7a3950d1952089f272de0a/manifest.json": "47594ea31e50",
+        "c37a9777e14ea8377aacf543/hess.L0.G0.gqt": "fe4f57bc7798",
+        "c37a9777e14ea8377aacf543/hess.L0.G1.gqt": "f079a25b593e",
+        "c37a9777e14ea8377aacf543/manifest.json": "bbf671c1b8a3",
+        "index.json": "e1fad32147c6",
+    },
+    "plain": {
+        "c399a13feb6c0cde48fa7c19/hess.L1.G0.gqt": "b4d6d73bdd44",
+        "c399a13feb6c0cde48fa7c19/manifest.json": "d94651494f0d",
+        "d9e2a9da9cbe28c3c0a45f49/hess.L0.G0.gqt": "902dca019941",
+        "d9e2a9da9cbe28c3c0a45f49/manifest.json": "5ff8a469b3cb",
+        "index.json": "889b7b98c7c8",
+    },
+}
+
+
+def _cache_digests(root) -> dict:
+    """sha256 prefix of every file under a Hessian cache directory, keyed
+    by its path relative to the directory."""
+    return {p.relative_to(root).as_posix(): file_sha256(p)[:12]
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("kind,flags", [("guided", ["--g", "2"]), ("plain", ["--kind", "plain"])])
+def test_criterion_10_hessian_cache_files_are_pinned(criterion_10_inputs, kind, flags):
+    # a fresh cache: the fixture's is also written to by lnq_plain's quantize
+    root, data, mdl, _ = criterion_10_inputs
+    out = root / f"hess_{kind}"
+    assert main(["hessian", "--model", str(mdl), "--data", str(data), *flags,
+                 "--out", str(out)]) == 0
+    assert _cache_digests(out) == HESSIAN_CACHE_PINS[kind]

@@ -42,3 +42,32 @@ def test_target_resolves(name, module, attr):
 def test_recorder_finds_every_target():
     with spans.Recorder() as rec:
         assert rec.absent == []
+
+
+def test_hooks_count_a_toy_cli_pipeline(tmp_path):
+    # each hook reads arguments by name (lloyd's `trace`, cd_cycle's `A`
+    # and `cycles`, eval_objectives' `calib`, guided_hessians' `calib` and
+    # `partition`) or a loaded set's `layer_idx`; a rename there would
+    # zero its metric without an error, so every counter must be positive
+    from glq.cli import main
+
+    data, model, cache = tmp_path / "data", tmp_path / "model", tmp_path / "hc"
+    assert main(["gen-data", "--seed", "0", "--n", "32", "--d0", "6", "--dt", "4",
+                 "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--hidden", "8", "--steps", "60",
+                 "--out", str(model)]) == 0
+    assert main(["hessian", "--model", str(model), "--data", str(data), "--g", "2",
+                 "--out", str(cache)]) == 0
+    with spans.Recorder() as rec:
+        for method in ("squeezellm", "lnq_guided"):
+            assert main(["quantize", "--model", str(model), "--data", str(data),
+                         "--method", method, "--bits", "2", "--g", "2",
+                         "--hessian-cache", str(cache), "--out", str(tmp_path / method)]) == 0
+        assert main(["eval", "--model", str(model), "--data", str(data),
+                     "--quant", str(tmp_path / "lnq_guided")]) == 0
+    counters = rec.counters[rec.phase]
+    for name in ("lloyd.iters", "cd.visits", "eval.flops", "guided.flops", "cache.loads"):
+        assert counters[name] > 0, name
+    assert counters["cache.hits"] == counters["cache.loads"]
+    loads = [s for s in rec.spans if s.name == "hessian.HessianCache.load"]
+    assert loads and all(s.layer is not None for s in loads)
