@@ -408,7 +408,9 @@ def layer_hessians(
     and partition are the request's; every set built here is stored
     under its key. This is the only place a layer Hessian is built and
     keyed, so a quantize run finds exactly the entries a hessian run
-    wrote.
+    wrote, and stores each set it has to build itself (`glq quantize
+    --hessian-cache` adds, say, plain entries to a cache of guided
+    ones); the cache's `index.json` lists only what `glq hessian` wrote.
 
     The sets come one layer at a time and nothing here keeps one once it
     is handed out, so a caller that drops each set before asking for the

@@ -6,9 +6,10 @@ needs upstream:
 * ``cholesky``: the lower-triangular factor L of a symmetric
   positive-definite matrix, L L^T = H. Callers pass a Hessian that
   already carries its damping; nothing is added here.
-* ``least_squares``: minimum-norm least-squares solve via an orthogonal
-  factorization (LAPACK SVD driver). Normal equations are never formed
-  here; tests use them as an independent cross-check only.
+* ``least_squares``: minimum-norm least-squares solves of a stack of
+  systems via an orthogonal factorization (LAPACK SVD driver), one
+  driver call per system. Normal equations are never formed here;
+  tests use them as an independent cross-check only.
 
 ``segment_sums`` gives numpy's 1-D ``ndarray.sum()`` of many
 contiguous segments of one vector at once, bit for bit. numpy sums a
@@ -86,30 +87,49 @@ def cholesky(H: Matrix) -> Matrix:
         raise NotPositiveDefinite(f"matrix of size {d} is not positive definite") from exc
 
 
-def least_squares(A: Matrix, b: Vector) -> Vector:
-    """Minimum-norm least-squares solution of A x ~ b.
+def least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions of a stack of systems
+    A_i x_i ~ b_i.
 
-    Solved by the LAPACK SVD driver, which is deterministic and returns
-    the minimum-norm solution when A is column-rank-deficient.
+    Each system is solved by its own call of the LAPACK SVD driver
+    (``np.linalg.lstsq``, rcond=None), which is deterministic and
+    returns the minimum-norm solution when A_i is column-rank-deficient.
+    The driver works on its own copy of A_i, so a system gives the same
+    bits in any stack and in any memory layout; shape and finiteness
+    are checked once for the whole stack.
 
     Args:
-        A: n x k matrix with n >= k.
-        b: right-hand side of length n.
+        A: r x n x k stack with n >= k, in any layout (a transposed
+            view is not copied here).
+        b: r x n right-hand sides.
 
     Returns:
-        x of length k minimizing ||A x - b||_2.
+        x, r x k: row i minimizes ||A_i x - b_i||_2.
 
     Raises:
         DimensionMismatch: if shapes are inconsistent or n < k.
+        ValueError: if A or b has a non-finite entry.
     """
-    A = ensure_matrix(A, "A")
-    b = ensure_vector(b, "b")
-    n, k = A.shape
-    if b.shape[0] != n:
-        raise DimensionMismatch(f"b has length {b.shape[0]}, expected {n}")
+    A = np.asarray(A, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if A.ndim != 3:
+        raise DimensionMismatch(f"A: expected an r x n x k stack, got ndim={A.ndim}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("A: non-finite entries")
+    if b.ndim != 2:
+        raise DimensionMismatch(f"b: expected r x n right-hand sides, got ndim={b.ndim}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b: non-finite entries")
+    r, n, k = A.shape
+    if b.shape[0] != r:
+        raise DimensionMismatch(f"{b.shape[0]} right-hand sides for {r} systems")
+    if b.shape[1] != n:
+        raise DimensionMismatch(f"b has length {b.shape[1]}, expected {n}")
     if n < k:
         raise DimensionMismatch(f"underdetermined system: n={n} < k={k}")
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
+    x = np.empty((r, k))
+    for i in range(r):
+        x[i] = np.linalg.lstsq(A[i], b[i], rcond=None)[0]
     return x
 
 

@@ -13,16 +13,28 @@ phases alternate T times:
   the optimal codebook is the least-squares solution of
   (L^T P) c ~ L^T w, solved per channel through an orthogonal
   factorization. Slots with no assigned weight get value 0.0
-  and stay available to later descent steps. ``codebook_closed_form``
-  solves one group per call: one pass over the rows of L adds each row
-  to its slot's column for every channel at once, so every column is
-  the sum of its rows taken one after another from 0.0, which is how
-  numpy sums the rows of an array over axis 0; the columns, and the
-  codebooks solved from them, keep the bits of one solve per channel.
-  The phase works on the layer's codebook and assignment arrays in
-  place, one group's columns at a time, and checks the layer's
-  codebooks once when it ends (``scalar_quant.check_codebooks``:
-  finite, rows sorted).
+  and stay available to later descent steps. The phase works on the
+  whole layer, in chunks of consecutive groups whose factors (d x d
+  each) and L^T P columns (m x d per channel) fit CODEBOOK_BYTES. Each
+  group is factored once per phase, while its chunk is solved; a
+  group too wide for the budget is a chunk of its own, walked a piece
+  of its channels at a time. ``codebook_closed_form`` solves one chunk:
+  one pass over the rows of its factors adds row i of each channel's
+  factor to that channel's slot column, so every column is the sum of
+  its rows taken one after another from 0.0, which is how numpy sums
+  the rows of an array over axis 0, and each system gets one LAPACK
+  call on the values a lone solve would pass (``linalg.least_squares``);
+  the codebooks keep the bits of one solve per channel. L^T w depends
+  on neither slots nor codebooks, so it is formed once per
+  ``lnq_quantize``, in the first phase, by one gemv per channel (a
+  stacked matmul over contiguous channels has the bits of L.T @ w;
+  the gemm L.T @ W does not). A channel whose slots equal the ones its
+  previous solve started from has the same factor (a deterministic
+  factorization of the same H), the same w and the same slots, so the
+  same system: it keeps that solve's codebook and slots and stays out
+  of the walk, and a group left with no channel to solve is not
+  factored. The phase checks the layer's codebooks once when it ends
+  (``scalar_quant.check_codebooks``: finite, rows sorted).
 
 * Coordinate-descent phase, codebook fixed: K cycles over coordinates
   i = 0..d-1 in order. The exact single-coordinate minimizer over the
@@ -87,15 +99,17 @@ from .errors import (
     SingularHessian,
     ZeroDiagonal,
 )
-from .linalg import Matrix, cholesky, ensure_matrix, least_squares, zero_curvature
+from .linalg import cholesky, ensure_matrix, least_squares, zero_curvature
 from .scalar_quant import QuantizedLayer, _codebook_size, check_codebooks, round_rows
 
 CD_BATCH = 128
 # Bytes of the in-batch Htil blocks (b x b per group) one CD pass holds;
 # a layer whose groups need more runs them in consecutive chunks.
 CD_BLOCK_BYTES = 1 << 20
-# Columns of L^T P (1 MiB of float64) one codebook solve holds at a time.
-CODEBOOK_COLUMNS = 1 << 17
+# Bytes of group factors (d x d each) and L^T P columns (m x d per
+# channel) one codebook chunk holds; a walk holds the columns of at most
+# half of it, so a group too wide for a chunk keeps its factor beside them.
+CODEBOOK_BYTES = 1 << 21
 
 
 def _group_bounds(c: int, sizes) -> list[tuple[int, int]]:
@@ -117,15 +131,36 @@ def _group_deltas(W: np.ndarray, C: np.ndarray, A: np.ndarray,
     return [np.ascontiguousarray(D[:, o:e]) for o, e in bounds]
 
 
-def codebook_closed_form(
-    L: Matrix, W: np.ndarray, A: np.ndarray, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal codebooks of one group for fixed assignments, then sort
-    and remap.
+def _codebook_chunks(bounds: list[tuple[int, int]], pending: np.ndarray, d: int, m: int):
+    """The pending channels (sorted indices) of consecutive groups, as
+    lists of (group, channels) whose factors and L^T P columns fit
+    CODEBOOK_BYTES; a group that does not fit alone is a chunk of its
+    own, and a group with no pending channel is in none."""
+    budget = CODEBOOK_BYTES // 8  # float64 entries
+    chunk, size = [], 0
+    for k, js in enumerate(np.split(pending, np.searchsorted(pending, [e for _, e in bounds[:-1]]))):
+        if not js.size:
+            continue
+        need = d * d + js.size * m * d
+        if chunk and size + need > budget:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append((k, js))
+        size += need
+    if chunk:
+        yield chunk
 
-    `L` is the lower-triangular Cholesky factor of the group's damped
-    Hessian (`linalg.cholesky`); `W` and `A` are the group's d x c
-    weights and slot assignments (c = 1 for one channel). For each
+
+def codebook_closed_form(
+    L: np.ndarray, LtW: np.ndarray, A: np.ndarray, m: int, group: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal codebooks of a chunk of channels for fixed assignments,
+    then sort and remap.
+
+    `L` holds the lower-triangular Cholesky factors (`linalg.cholesky`,
+    positive diagonal) of the chunk's groups' damped Hessians, G x d x
+    d; channel j uses factor `group[j]`. `LtW` holds L^T w of each
+    channel (c x d) and `A` their d x c slot assignments. For each
     channel solves the least-squares system (L^T P) c ~ L^T w
     restricted to the occupied slots; unoccupied slots get value 0.0,
     matching the minimum-norm solution of the full system. Returns the
@@ -133,41 +168,63 @@ def codebook_closed_form(
     remapped accordingly (stable sort, so equal values keep their slot
     order).
 
-    Column q of a channel's L^T P is the sum of the rows of L assigned
-    to slot q. One pass over the rows of L adds row i to slot A[i, j] of
-    every channel j at once, into an array of columns that starts at
-    0.0, so each column adds its rows one after another in index order
-    from 0.0: the sequence of additions numpy's sum over axis 0 of those
-    rows makes, so the columns keep their bits. A row's entries past its
-    last nonzero (for a Cholesky factor, the upper triangle) are
-    skipped: a sum that starts at 0.0 is never -0.0, so adding a zero
-    leaves it as it is. The columns of at most CODEBOOK_COLUMNS // (m d)
-    channels are held at a time.
+    Column q of a channel's L^T P is the sum of the rows of its factor
+    assigned to slot q. One pass over the rows adds row i of each
+    channel's factor to slot A[i, j] of channel j, for every channel at
+    once, into an array of columns that starts at 0.0, so each column
+    adds its rows one after another in index order from 0.0: the
+    sequence of additions numpy's sum over axis 0 of those rows makes,
+    so the columns keep their bits. Row i adds only its first i + 1
+    entries, since a Cholesky row ends at its positive diagonal: a sum
+    that starts at 0.0 is never -0.0, so adding the zeros past it would
+    leave it as it is. Only used slots get a column, laid out with the
+    channels in order of their used count, so the systems of each count
+    are one strided view of the columns, handed to
+    `linalg.least_squares` as one stack without a copy. The columns of
+    at most CODEBOOK_BYTES // (16 m d) channels are held at a time.
     """
-    W = np.asarray(W, dtype=np.float64)
+    L = np.asarray(L, dtype=np.float64)
+    LtW = np.asarray(LtW, dtype=np.float64)
     A = np.asarray(A)
-    if W.ndim != 2:
-        raise DimensionMismatch(f"W must be d x c, got ndim={W.ndim}")
-    d, c = W.shape
-    if L.shape != (d, d) or A.shape != W.shape:
-        raise DimensionMismatch("weights, assignments and factor disagree on dimension")
+    group = np.asarray(group)
+    if L.ndim != 3 or LtW.ndim != 2:
+        raise DimensionMismatch(f"factors must be G x d x d and L^T W c x d, "
+                                f"got ndim={L.ndim} and {LtW.ndim}")
+    c, d = LtW.shape
+    if L.shape[1:] != (d, d) or A.shape != (d, c) or group.shape != (c,):
+        raise DimensionMismatch("L^T W, assignments, groups and factors disagree on dimension")
+    if c and (group.min() < 0 or group.max() >= L.shape[0]):
+        raise DimensionMismatch(f"group indices must fall inside 0..{L.shape[0] - 1}")
     if m < 1 or (A.size and (A.min() < 0 or A.max() >= m)):
         raise InvalidSize("assignment indices must fall inside 0..m-1")
-    nonzero = L != 0.0
-    ends = ((d - np.argmax(nonzero[:, ::-1], axis=1)) * nonzero.any(axis=1)).tolist()
     values = np.zeros((c, m))
-    step = max(1, CODEBOOK_COLUMNS // (m * d))
+    step = max(1, CODEBOOK_BYTES // (16 * m * d))  # half the budget, beside a factor
     for j0 in range(0, c, step):
-        k = min(step, c - j0)
-        slots = A[:, j0:j0 + k] + m * np.arange(k)  # row of `cols` per (channel, slot)
-        cols = np.zeros((k * m, d))
-        for row, idx, e in zip(L, slots, ends):
-            head = cols[:, :e]
-            head[idx] += row[:e]
-        used = np.bincount(slots.ravel(), minlength=k * m).reshape(k, m) > 0
-        for j, w in enumerate(np.ascontiguousarray(W[:, j0:j0 + k].T)):
-            q = np.flatnonzero(used[j])
-            values[j0 + j, q] = least_squares(cols[m * j + q].T, L.T @ w)
+        a = A[:, j0:j0 + step]
+        k = a.shape[1]
+        used = np.zeros((k, m), dtype=bool)
+        used[np.arange(k), a] = True
+        count = used.sum(axis=1)
+        # one column per used slot, channels in order of their used count,
+        # so the systems of each count are one view of `cols`
+        by_count = np.argsort(count, kind="stable")
+        row = np.empty((k, m), dtype=np.int64)
+        row[by_count] = (np.cumsum(used[by_count]) - 1).reshape(k, m)
+        slots = np.ascontiguousarray(np.take_along_axis(row, a.T, axis=1).T)
+        gk = group[j0:j0 + k]
+        if np.all(gk == gk[0]):
+            gk = gk[0]  # one factor: its row is broadcast, not gathered per channel
+        cols = np.zeros((int(count.sum()), d))
+        for i, idx in enumerate(slots):
+            head = cols[:, :i + 1]
+            head[idx] += L[gk, i, :i + 1]
+        r0 = 0
+        for u in np.unique(count).tolist():
+            js = by_count[count[by_count] == u]
+            q = np.nonzero(used[js])[1].reshape(js.size, u)  # each channel's used slots
+            stack = cols[r0:r0 + js.size * u].reshape(js.size, u, d).transpose(0, 2, 1)
+            values[j0 + js[:, None], q] = least_squares(stack, LtW[j0 + js])
+            r0 += js.size * u
     order = np.argsort(values, axis=1, kind="stable")
     inv = np.empty((c, m), dtype=np.int64)
     np.put_along_axis(inv, order, np.arange(m)[None, :], axis=1)
@@ -326,16 +383,37 @@ def lnq_quantize(
         traces.append(np.concatenate([np.sum(D * (Hk @ D), axis=0)
                                       for Hk, D in zip(H, _group_deltas(W, C, A, bounds))]))
 
+    LtW = np.empty((c, d))  # L^T w of every channel, formed in the first phase
+    # the slots each channel's last solve started from and returned
+    # (m <= 256, so one byte each)
+    solved_from, solved_to = np.empty((2, d, c), dtype=np.uint8)
+    first = True
+
+    def factor(k: int) -> np.ndarray:
+        try:
+            L = cholesky(H[k])
+        except NotPositiveDefinite as exc:
+            raise SingularHessian(layer_idx, k, zero_curvature(H[k]) or str(exc)) from exc
+        if first:  # one gemv per channel, the bits of L.T @ w
+            o, e = bounds[k]
+            LtW[o:e] = np.matmul(L.T, np.ascontiguousarray(W[:, o:e].T)[:, :, None])[:, :, 0]
+        return L
+
     def solve_codebooks() -> None:
-        # one factor at a time, refactored per phase, so a layer never
-        # holds its groups' factors at once
-        for k, (Hk, (o, e)) in enumerate(zip(H, bounds)):
-            try:
-                L = cholesky(Hk)
-            except NotPositiveDefinite as exc:
-                cause = zero_curvature(Hk) or str(exc)
-                raise SingularHessian(layer_idx, k, cause) from exc
-            C[o:e], A[:, o:e] = codebook_closed_form(L, W[:, o:e], A[:, o:e], m)
+        nonlocal first
+        # same factor, w and slots: the same system, so its solve is reused
+        pending = np.ones(c, dtype=bool) if first else np.any(A != solved_from, axis=0)
+        solved_from[:] = A
+        A[:, ~pending] = solved_to[:, ~pending]
+        for chunk in _codebook_chunks(bounds, np.flatnonzero(pending), d, m):
+            F = np.empty((len(chunk), d, d))
+            for g, (k, _) in enumerate(chunk):
+                F[g] = factor(k)
+            chans = np.concatenate([js for _, js in chunk])
+            group = np.repeat(np.arange(len(chunk)), [js.size for _, js in chunk])
+            C[chans], A[:, chans] = codebook_closed_form(F, LtW[chans], A[:, chans], m, group)
+        solved_to[:] = A
+        first = False
         check_codebooks(C)  # once for the whole layer
 
     record()

@@ -176,6 +176,38 @@ class TestHessianCacheFlag:
             assert sorted(p.name for p in cache.iterdir() if p.is_dir()) == entries
             assert cached == self._quantize(model, data, tmp_path / f"qb{g}", g=g)
 
+    def test_quantize_stores_the_sets_it_builds(self, pipeline, tmp_path, monkeypatch):
+        # lnq_plain finds no plain entry in a guided cache, so it builds
+        # and stores one per layer; index.json, written by glq hessian
+        # alone, keeps its bytes; a second quantize loads every entry
+        data, model = pipeline
+        cache = tmp_path / "hc"
+        assert main(["hessian", "--model", str(model), "--data", str(data),
+                     "--kind", "guided", "--g", "2", "--out", str(cache)]) == 0
+        index = (cache / "index.json").read_bytes()
+        guided = {p.name for p in cache.iterdir() if p.is_dir()}
+        args = ["quantize", "--model", str(model), "--data", str(data), "--method", "lnq_plain",
+                "--bits", "2", "--hessian-cache", str(cache), "--out"]
+        assert main(args + [str(tmp_path / "qa")]) == 0
+        m, (d, _) = artifacts.load_model(model), artifacts.load_dataset(data)
+        plain = {hessian.hessian_cache_key(hessian.model_hash(m), hessian.dataset_hash(d), l, 1,
+                                           1.0, hessian.DEFAULT_DAMPING_REL, "plain")
+                 for l in range(m.n_layers)}
+        assert not plain & guided
+        assert {p.name for p in cache.iterdir() if p.is_dir()} == guided | plain
+        assert (cache / "index.json").read_bytes() == index
+        loads, builds = [], []
+        real_load, real_build = hessian.HessianCache.load, hessian.plain_hessian
+        monkeypatch.setattr(hessian.HessianCache, "load",
+                            lambda cache, key: loads.append(real_load(cache, key)) or loads[-1])
+        monkeypatch.setattr(hessian, "plain_hessian",
+                            lambda *a, **kw: builds.append(1) or real_build(*a, **kw))
+        assert main(args + [str(tmp_path / "qb")]) == 0
+        assert len(loads) == m.n_layers and all(h is not None for h in loads)
+        assert builds == []
+        assert dir_digest(tmp_path / "qb") == dir_digest(tmp_path / "qa")
+        assert {p.name for p in cache.iterdir() if p.is_dir()} == guided | plain
+
     def test_cache_not_reused_for_other_data_with_same_seed(self, pipeline, tmp_path):
         data, model = pipeline
         big = tmp_path / "big"

@@ -50,45 +50,97 @@ class TestCholesky:
         npt.assert_array_equal(np.triu(L, 1), np.zeros((d, d)))
 
 
+def _solve(A, b):
+    """least_squares on one system, as a stack of one."""
+    return least_squares(np.asarray(A, dtype=np.float64)[None],
+                         np.asarray(b, dtype=np.float64)[None])[0]
+
+
 class TestLeastSquares:
     def test_square_invertible(self):
         A = np.array([[2.0, 0.0], [0.0, 4.0]])
-        npt.assert_allclose(least_squares(A, np.array([2.0, 8.0])), [1.0, 2.0],
-                            atol=1e-14)
+        npt.assert_allclose(_solve(A, np.array([2.0, 8.0])), [1.0, 2.0], atol=1e-14)
 
     def test_overdetermined_matches_normal_equations(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             A = rng.standard_normal((12, 5))
             b = rng.standard_normal(12)
-            x = least_squares(A, b)
+            x = _solve(A, b)
             x_ref = least_squares_normal_oracle(A, b)
             npt.assert_allclose(x, x_ref, atol=1e-8, rtol=1e-8)
 
     def test_rank_deficient_min_norm(self):
         # duplicate columns: min-norm splits the coefficient evenly
         A = np.ones((3, 2))
-        x = least_squares(A, np.array([3.0, 3.0, 3.0]))
+        x = _solve(A, np.array([3.0, 3.0, 3.0]))
         npt.assert_allclose(x, [1.5, 1.5], atol=1e-12)
 
+    def test_rank_deficient_system_inside_a_stack(self):
+        # the minimum-norm solution of a duplicate-column system does not
+        # depend on the full-rank systems stacked beside it
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((3, 5, 2))
+        A[1] = 1.0
+        b = rng.standard_normal((3, 5))
+        b[1] = 3.0
+        x = least_squares(A, b)
+        npt.assert_allclose(x[1], [1.5, 1.5], atol=1e-12)
+        assert x[1].tobytes() == np.linalg.lstsq(A[1], b[1], rcond=None)[0].tobytes()
+
     def test_underdetermined_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            least_squares(np.ones((2, 3)), np.ones(2))
+        with pytest.raises(DimensionMismatch, match="^underdetermined system: n=2 < k=3$"):
+            _solve(np.ones((2, 3)), np.ones(2))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            least_squares(np.ones((3, 2)), np.ones(4))
+        with pytest.raises(DimensionMismatch, match="^b has length 4, expected 3$"):
+            _solve(np.ones((3, 2)), np.ones(4))
+        with pytest.raises(DimensionMismatch, match="^1 right-hand sides for 2 systems$"):
+            least_squares(np.ones((2, 3, 2)), np.ones((1, 3)))
+        with pytest.raises(DimensionMismatch, match="^A: expected an r x n x k stack"):
+            least_squares(np.ones((3, 2)), np.ones((1, 3)))
+        with pytest.raises(DimensionMismatch, match="^b: expected r x n right-hand sides"):
+            least_squares(np.ones((1, 3, 2)), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        A, b = np.ones((2, 3, 2)), np.ones((2, 3))
+        A[1, 2, 1] = bad
+        with pytest.raises(ValueError, match="^A: non-finite entries$"):
+            least_squares(A, np.ones((2, 3)))
+        b[0, 1] = bad
+        with pytest.raises(ValueError, match="^b: non-finite entries$"):
+            least_squares(np.ones((2, 3, 2)), b)
 
     def test_perturbation_never_improves(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             A = rng.standard_normal((10, 4))
             b = rng.standard_normal(10)
-            x = least_squares(A, b)
+            x = _solve(A, b)
             base = np.linalg.norm(A @ x - b)
             for _ in range(8):
                 delta = 1e-3 * rng.standard_normal(4)
                 assert np.linalg.norm(A @ (x + delta) - b) >= base - 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 300),
+           st.integers(1, 8), st.booleans())
+    def test_each_system_is_one_lstsq_call(self, seed, r, n, k, transposed):
+        # a stack, C-ordered or a transposed view (the layout the codebook
+        # solve passes), gives each system the bytes of its own call
+        k = min(k, n)
+        rng = np.random.default_rng(seed)
+        if transposed:
+            A = rng.standard_normal((r, k, n)).transpose(0, 2, 1)
+        else:
+            A = rng.standard_normal((r, n, k))
+        b = rng.standard_normal((r, n))
+        x = least_squares(A, b)
+        assert x.shape == (r, k)
+        for i in range(r):
+            want = np.linalg.lstsq(np.ascontiguousarray(A[i]), b[i].copy(), rcond=None)[0]
+            assert x[i].tobytes() == want.tobytes()
 
 
 # lengths at and around the points where numpy's pairwise sum changes

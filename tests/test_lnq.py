@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glq import lnq
-from glq.errors import DimensionMismatch, InvalidSize, ZeroDiagonal
+from glq.errors import DimensionMismatch, InvalidSize, SingularHessian, ZeroDiagonal
 from glq.linalg import cholesky, least_squares
 from glq.lnq import cd_cycle, codebook_closed_form, lnq_quantize
 from glq.oracle import (
@@ -22,10 +22,22 @@ from glq.scalar_quant import round_rows
 from conftest import random_lnq_instance, random_spd, uniform_init
 
 
+def _lt_w(L, W):
+    """L^T w of each column of the d x c W (c x d), one gemv per
+    contiguous channel, as each channel was always solved."""
+    return np.stack([L.T @ np.ascontiguousarray(w) for w in np.asarray(W, dtype=np.float64).T])
+
+
+def _solve_group(L, W, A, m):
+    """codebook_closed_form on the d x c channels of one group: a chunk
+    of one factor."""
+    return codebook_closed_form(L[None], _lt_w(L, W), A, m, np.zeros(W.shape[1], dtype=np.int64))
+
+
 def _solve_one(L, w, a, m):
     """codebook_closed_form on one channel, as a group of c = 1."""
-    values, assign = codebook_closed_form(L, np.asarray(w, dtype=np.float64)[:, None],
-                                          np.asarray(a)[:, None], m)
+    values, assign = _solve_group(L, np.asarray(w, dtype=np.float64)[:, None],
+                                  np.asarray(a)[:, None], m)
     return values[0], assign[:, 0]
 
 
@@ -88,6 +100,14 @@ class TestCodebookClosedForm:
                 _solve_one(L, np.zeros(2), np.array(a), 2)
         with pytest.raises(DimensionMismatch):
             _solve_one(L, np.zeros(2), np.array([0, 1, 1]), 2)
+
+    def test_bad_group_index(self):
+        # a negative index would otherwise pick the chunk's last factor
+        L = cholesky(np.eye(2))[None]
+        for group in ([1], [-1]):
+            with pytest.raises(DimensionMismatch, match="group indices must fall inside 0..0"):
+                codebook_closed_form(L, np.zeros((1, 2)), np.zeros((2, 1), dtype=np.int64), 2,
+                                     np.array(group))
 
 
 class TestCdSteps:
@@ -416,7 +436,7 @@ def _codebook_closed_form_objects(L, w, a, m):
             used.append(q)
             cols.append(L_sorted[s:e].sum(axis=0))
         s = e
-    c_sub = least_squares(np.stack(cols, axis=1), L.T @ w)
+    c_sub = least_squares(np.stack(cols, axis=1)[None], (L.T @ w)[None])[0]
     values = np.zeros(m)
     values[used] = c_sub
     order = np.argsort(values, kind="stable")
@@ -478,7 +498,7 @@ def test_group_codebooks_match_per_channel_masks(seed, d, c, m, neg_zeros):
         L[np.tril(np.ones((d, d), dtype=bool), -1) & (rng.random((d, d)) < 0.1)] *= -0.0
     W = rng.standard_normal((d, c))
     A = rng.integers(0, rng.integers(1, m + 1, size=c), size=(d, c))
-    values, assign = codebook_closed_form(L, W, A, m)
+    values, assign = _solve_group(L, W, A, m)
     assert values.shape == (c, m) and assign.shape == (d, c)
     for j in range(c):
         w = W[:, j].copy()  # contiguous, as a channel was always solved
@@ -500,8 +520,8 @@ def test_codebook_phase_checks_the_stack(monkeypatch, bad, message):
     # check_codebooks raises
     real = lnq.codebook_closed_form
 
-    def corrupt(L, W, A, m):
-        values, assign = real(L, W, A, m)
+    def corrupt(*args):
+        values, assign = real(*args)
         return bad(values), assign
 
     rng = np.random.default_rng(23)
@@ -578,19 +598,20 @@ def test_chunked_cd_equals_one_pass(monkeypatch, sizes, d, groups_per_chunk):
 
 @pytest.mark.parametrize("per_chunk,c", [(1, 5), (2, 5), (3, 5), (2, 7), (3, 9)])
 def test_chunked_codebook_equals_one_pass(monkeypatch, per_chunk, c):
-    # no tier-1 group is wide enough to fill CODEBOOK_COLUMNS, so the
-    # constant is cut until a chunk holds per_chunk channels; the values
-    # and the remapped slots keep the bits of one pass
+    # no tier-1 group is wide enough to fill half of CODEBOOK_BYTES with
+    # its columns, so the budget is cut until a walk holds per_chunk
+    # channels; the values and the remapped slots keep the bits of one
+    # pass
     d, m = 11, 4
     rng = np.random.default_rng(10 * per_chunk + c)
     L = cholesky(random_spd(rng, d))
     W = rng.standard_normal((d, c))
     A = rng.integers(0, m, size=(d, c))
     A[:, 1] %= 2  # slots 2 and 3 of channel 1 stay empty
-    assert c <= lnq.CODEBOOK_COLUMNS // (m * d)
-    values, assign = codebook_closed_form(L, W, A, m)
-    monkeypatch.setattr(lnq, "CODEBOOK_COLUMNS", per_chunk * m * d + m * d - 1)
-    chunked_values, chunked_assign = codebook_closed_form(L, W, A, m)
+    assert c <= lnq.CODEBOOK_BYTES // (16 * m * d)
+    values, assign = _solve_group(L, W, A, m)
+    monkeypatch.setattr(lnq, "CODEBOOK_BYTES", 16 * (per_chunk * m * d + m * d - 1))
+    chunked_values, chunked_assign = _solve_group(L, W, A, m)
     npt.assert_array_equal(chunked_values, values)
     npt.assert_array_equal(chunked_assign, assign)
     assert np.count_nonzero(values[1] == 0.0) >= 2  # its empty slots are 0.0
@@ -626,3 +647,142 @@ def test_naive_cd_cycle_takes_a_stack():
         alone = A[:, cols].copy()
         naive_cd_cycle(H[k], W[:, cols], C[cols], alone, 2)
         npt.assert_array_equal(layer[:, cols], alone)
+
+
+# -- the layer-wide codebook phase against one solve per channel ----------
+
+
+def _lnq_by_groups(H, W, sizes, bits, T, K, init, cd=cd_cycle):
+    """lnq_quantize as a plain loop: each codebook phase factors every
+    group and solves every channel alone (`_codebook_closed_form_objects`),
+    each CD phase runs `cd` once per group on the group's own columns.
+    Returns C, A, the traces and the number of solves whose channel's
+    slots differ from the ones its previous solve started from."""
+    m = 2 ** bits
+    C, A = init[0].copy(), init[1].copy()
+    groups = _columns(sizes)
+    traces, last, changed = [], None, 0
+
+    def record():
+        row = []
+        for Hk, s in zip(H, groups):
+            D = np.ascontiguousarray(np.take_along_axis(C[s], A[:, s].T, axis=1).T - W[:, s])
+            row.append(np.sum(D * (Hk @ D), axis=0))
+        traces.append(np.concatenate(row))
+
+    def solve():
+        nonlocal last, changed
+        changed += W.shape[1] if last is None else int(np.any(A != last, axis=0).sum())
+        last = A.copy()
+        for Hk, s in zip(H, groups):
+            L = cholesky(Hk)
+            for j in range(s.start, s.stop):
+                C[j], A[:, j] = _codebook_closed_form_objects(L, W[:, j], A[:, j].copy(), m)
+
+    record()
+    for _ in range(T):
+        solve()
+        record()
+        for Hk, s in zip(H, groups):
+            a = A[:, s].copy()
+            cd(Hk, W[:, s].copy(), C[s].copy(), a, K)
+            A[:, s] = a
+        record()
+    solve()
+    record()
+    return C, A, np.array(traces).T.tolist(), changed
+
+
+def _counted_lstsq(monkeypatch) -> list:
+    """Count the systems glq.linalg hands to numpy's lstsq."""
+    calls = []
+    real = np.linalg.lstsq
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+@pytest.mark.parametrize("budget", ["default", "tight"])
+@pytest.mark.parametrize("d,bits,sizes", [(130, 2, (2, 1, 40, 3)), (200, 3, (1, 2, 30, 2))])
+def test_codebook_phase_equals_one_solve_per_channel(monkeypatch, d, bits, sizes, budget):
+    # layers wider than any bit pin, ragged groups and empty slots; the
+    # tight budget makes the first chunk span groups 0 and 1, and splits
+    # the walk over group 2's channels
+    m = 2 ** bits
+    rng = np.random.default_rng(d + bits)
+    H = [random_spd(rng, d) for _ in sizes]
+    W = rng.standard_normal((d, sum(sizes)))
+    C0, A0 = uniform_init(W, m)
+    A0[:, ::3] %= 2  # every third channel starts with slots 2.. empty
+    if budget == "tight":
+        monkeypatch.setattr(lnq, "CODEBOOK_BYTES", 8 * (2 * d * d + (sizes[0] + sizes[1]) * m * d))
+        assert sizes[2] > lnq.CODEBOOK_BYTES // (16 * m * d)  # group 2 is walked in pieces
+    chunks, zeros = [], []
+    real = lnq.codebook_closed_form
+
+    def spy(L, LtW, A, m, group):
+        chunks.append((L.shape[0], LtW.shape[0]))
+        values, assign = real(L, LtW, A, m, group)
+        zeros.append(np.count_nonzero(values == 0.0))
+        return values, assign
+
+    monkeypatch.setattr(lnq, "codebook_closed_form", spy)
+    solves = _counted_lstsq(monkeypatch)
+    got = lnq_quantize(H, W, bits, 2, 4, (C0, A0), sizes=sizes)
+    n_solves = len(solves)
+    monkeypatch.undo()
+    C, A, traces, changed = _lnq_by_groups(H, W, sizes, bits, 2, 4, (C0, A0))
+    assert got.C.tobytes() == C.tobytes()
+    assert got.A.tobytes() == A.tobytes()
+    assert got.traces == traces
+    assert sum(zeros) > 0  # empty slots were solved
+    # a channel whose slots did not change is not solved again
+    assert n_solves == changed < 3 * sum(sizes)
+    if budget == "tight":  # the first phase: groups 0 and 1 together, then 2, then 3
+        assert chunks[:3] == [(2, sizes[0] + sizes[1]), (1, sizes[2]), (1, sizes[3])]
+    else:
+        assert chunks[0] == (len(sizes), sum(sizes))
+
+
+def test_unchanged_channels_are_not_solved_again(monkeypatch):
+    # well-separated values on every slot (or on slots 0 and 1 alone, the
+    # empty ones landing at 0.0 above them) keep each codebook in slot
+    # order, so after a CD phase that changes nothing every channel's
+    # slots are the ones its last solve started from: only the first
+    # phase solves
+    d, m, sizes = 130, 4, (3, 2)
+    rng = np.random.default_rng(5)
+    H = [random_spd(rng, d) for _ in sizes]
+    A0 = rng.integers(0, m, size=(d, sum(sizes)))
+    A0[:, 1] %= 2
+    W = np.array([-3.0, -1.0, 1.0, 3.0])[A0] + 1e-3 * rng.standard_normal(A0.shape)
+    C0 = np.tile(np.array([-3.0, -1.0, 1.0, 3.0]), (sum(sizes), 1))
+
+    def no_change(*args, **kw):
+        return None
+
+    monkeypatch.setattr(lnq, "cd_cycle", no_change)
+    solves = _counted_lstsq(monkeypatch)
+    got = lnq_quantize(H, W, 2, 2, 1, (C0, A0), sizes=sizes)
+    assert len(solves) == sum(sizes)
+    monkeypatch.undo()
+    C, A, traces, changed = _lnq_by_groups(H, W, sizes, 2, 2, 1, (C0, A0), cd=no_change)
+    assert changed == sum(sizes)
+    assert got.C.tobytes() == C.tobytes() and got.A.tobytes() == A.tobytes()
+    assert got.traces == traces
+
+
+def test_singular_group_inside_a_chunk_is_named():
+    # the default budget holds all three groups in one chunk; the middle
+    # one cannot be factored
+    rng = np.random.default_rng(6)
+    H, W, C, A = _groups(rng, (2, 2, 2), 20, 4)
+    H[1] = H[1].copy()
+    H[1][5, :] = H[1][:, 5] = 0.0
+    with pytest.raises(SingularHessian, match=r"^layer 3 group 1: .*1 of 20 input features "
+                                              r".*feature 5\)$"):
+        lnq_quantize(H, W, 2, 1, 1, (C, A), layer_idx=3, sizes=(2, 2, 2))

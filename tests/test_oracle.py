@@ -166,6 +166,6 @@ class TestLeastSquaresNormalOracle:
             A = rng.standard_normal((n, k))
             b = rng.standard_normal(n)
             npt.assert_allclose(
-                least_squares_normal_oracle(A, b), least_squares(A, b),
+                least_squares_normal_oracle(A, b), least_squares(A[None], b[None])[0],
                 rtol=1e-8, atol=1e-10,
             )
