@@ -13,12 +13,13 @@ tied together by a manifest that hashes each file. Layouts:
 
 Loads reject directories whose manifest is missing or stale, so a
 half-copied artifact fails loudly instead of quietly feeding garbage
-downstream. ``load_quantized`` raises CorruptFile naming the directory
-when ``quant.json``'s bits or n_layers is not an integer or n_layers
-disagrees with the codebook files in the manifest, and naming the layer
-too when a layer fails its ``QuantizedLayer`` checks (shapes,
-m = 2**bits, finite sorted codebooks, slots in range, one trace per
-channel).
+downstream. Each load reads its JSON header through one check: a
+field it reads that is missing or of the wrong type, or an n_layers
+that disagrees with the layer files in the manifest, raises CorruptFile
+naming the directory. So do an unknown task and a dataset or model
+that fails its own checks, and ``load_quantized`` names the layer too
+when a layer fails its ``QuantizedLayer`` checks (shapes, m = 2**bits,
+finite sorted codebooks, slots in range, one trace per channel).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calib_model import Dataset, MlpModel
+from .calib_model import LOSSES, Dataset, MlpModel
 from .errors import CorruptFile, GlqError
 from .guidedquant import CSV_COLUMNS, QuantReport
 from .scalar_quant import QuantizedLayer
@@ -52,6 +53,29 @@ def _check(dir_path: str | Path) -> Path:
     return d
 
 
+_KINDS = {int: "an integer", str: "a string"}
+
+
+def _header(d: Path, name: str, fields: dict[str, type]) -> dict:
+    """The JSON header `name` of artifact directory d; refuses a field of
+    `fields` that is missing or not of its type (bool is no integer)."""
+    meta = json.loads((d / name).read_text())
+    for key, kind in fields.items():
+        if type(meta.get(key)) is not kind:
+            raise CorruptFile(f"{d}: {name}: {key} must be {_KINDS[kind]}, "
+                              f"got {meta.get(key)!r}")
+    return meta
+
+
+def _layer_files(d: Path, name: str, n_layers: int, pattern: str) -> None:
+    """Refuse an n_layers in header `name` that disagrees with the files
+    `pattern`.format(l) the manifest of d holds."""
+    prefix = pattern[:pattern.index("{")]
+    held = sorted(f for f in read_manifest(d).get("files", {}) if f.startswith(prefix))
+    if held != sorted(pattern.format(l) for l in range(n_layers)):
+        raise CorruptFile(f"{d}: {name}: n_layers is {n_layers}, but the manifest holds {held}")
+
+
 def save_dataset(dir_path: str | Path, data: Dataset, task: str) -> None:
     d = Path(dir_path)
     d.mkdir(parents=True, exist_ok=True)
@@ -68,12 +92,14 @@ def save_dataset(dir_path: str | Path, data: Dataset, task: str) -> None:
 
 def load_dataset(dir_path: str | Path) -> tuple[Dataset, str]:
     d = _check(dir_path)
-    meta = json.loads((d / "dataset.json").read_text())
-    data = Dataset(
-        inputs=read_tensor(d / "inputs.gqt"),
-        targets=read_tensor(d / "targets.gqt"),
-        seed=meta["seed"],
-    )
+    meta = _header(d, "dataset.json", {"seed": int, "task": str})
+    if meta["task"] not in LOSSES:
+        raise CorruptFile(f"{d}: dataset.json: unknown task {meta['task']!r}")
+    try:
+        data = Dataset(inputs=read_tensor(d / "inputs.gqt"),
+                       targets=read_tensor(d / "targets.gqt"), seed=meta["seed"])
+    except (GlqError, ValueError) as exc:
+        raise CorruptFile(f"{d}: {exc}") from exc
     return data, meta["task"]
 
 
@@ -95,11 +121,13 @@ def save_model(dir_path: str | Path, model: MlpModel) -> None:
 
 def load_model(dir_path: str | Path) -> MlpModel:
     d = _check(dir_path)
-    meta = json.loads((d / "model.json").read_text())
-    layers = [
-        read_tensor(d / f"layer.{i}.weight.gqt") for i in range(meta["n_layers"])
-    ]
-    return MlpModel(layers=layers, activation=meta["activation"], loss=meta["loss"])
+    meta = _header(d, "model.json", {"activation": str, "loss": str, "n_layers": int})
+    _layer_files(d, "model.json", meta["n_layers"], "layer.{}.weight.gqt")
+    layers = [read_tensor(d / f"layer.{i}.weight.gqt") for i in range(meta["n_layers"])]
+    try:
+        return MlpModel(layers=layers, activation=meta["activation"], loss=meta["loss"])
+    except (GlqError, ValueError) as exc:
+        raise CorruptFile(f"{d}: {exc}") from exc
 
 
 def report_csv_text(rows: list[dict]) -> str:
@@ -140,14 +168,8 @@ def save_quantized(
 
 def load_quantized(dir_path: str | Path) -> tuple[list[QuantizedLayer], dict]:
     d = _check(dir_path)
-    meta = json.loads((d / "quant.json").read_text())
-    for key in ("bits", "n_layers"):
-        if type(meta.get(key)) is not int:
-            raise CorruptFile(f"{d}: quant.json: {key} must be an integer, got {meta.get(key)!r}")
-    codebooks = sorted(n for n in read_manifest(d).get("files", {}) if n.startswith("codebook.L"))
-    if codebooks != sorted(f"codebook.L{l}.gqt" for l in range(meta["n_layers"])):
-        raise CorruptFile(f"{d}: quant.json: n_layers is {meta['n_layers']}, but the manifest "
-                          f"holds {codebooks}")
+    meta = _header(d, "quant.json", {"bits": int, "n_layers": int})
+    _layer_files(d, "quant.json", meta["n_layers"], "codebook.L{}.gqt")
     traces = json.loads((d / "traces.json").read_text())
     qlayers = []
     for l in range(meta["n_layers"]):

@@ -12,14 +12,9 @@ needs upstream:
   tests use them as an independent cross-check only.
 
 ``segment_sums`` gives numpy's 1-D ``ndarray.sum()`` of many
-contiguous segments of one vector at once, bit for bit. numpy sums a
-contiguous float64 array pairwise: fewer than 8 elements add in order
-from 0.0; 8 to 128 add into eight lanes over the full blocks of 8
-(lane j starts as element j), combine them as
-((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then add the
-leftover elements in order; more than 128 split at n // 2 rounded down
-to a multiple of 8 and add the two halves' sums. The total is then
-added to 0.0, so a sum of -0.0 alone is 0.0.
+contiguous segments of one vector at once, bit for bit. It rests on one
+rule of numpy's: a sum along the last axis of a C-contiguous array adds
+each row as that row's own ``.sum()``.
 
 ``zero_curvature`` names the input features a damped Hessian gives no
 curvature, the cause LNQ and the Hessian cache report for a set that
@@ -78,8 +73,9 @@ def cholesky(H: Matrix) -> Matrix:
     d = H.shape[0]
     if H.shape[1] != d:
         raise DimensionMismatch(f"H must be square, got {H.shape}")
-    scale = float(np.max(np.abs(H))) if d else 0.0
-    if d and float(np.max(np.abs(H - H.T))) > _SYM_RTOL * max(scale, 1.0):
+    # max|H| is max(max H, -min H); H - H^T is exactly antisymmetric (IEEE
+    # subtraction is), so its largest entry is its largest magnitude
+    if d and float(np.max(H - H.T)) > _SYM_RTOL * max(float(H.max()), -float(H.min()), 1.0):
         raise ValueError("H is not symmetric to working tolerance")
     try:
         return np.linalg.cholesky(H)
@@ -133,62 +129,24 @@ def least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-_PW_BLOCK = 128  # numpy's pairwise-sum block size
-
-
 def segment_sums(v: Vector, starts: np.ndarray, lens: np.ndarray) -> Vector:
     """``v[s:s + n].sum()`` of every segment (s, n) of a 1-D float64 v,
-    bit for bit, by numpy's rule (module docstring). Each level of
-    splits runs for all segments at once, and each lane step for all
-    segments that still have a block; no segment is padded."""
-    return _pairwise(v, starts, lens) + 0.0
-
-
-def _pairwise(v: Vector, starts: np.ndarray, lens: np.ndarray) -> Vector:
-    """numpy's pairwise sum of every segment, before the final 0.0 +."""
-    big = lens > _PW_BLOCK
-    if big.any():
-        s, n = starts[big], lens[big]
-        half = n // 2
-        half -= half % 8
-        k = lens.shape[0] - s.shape[0]
-        sums = _pairwise(v, np.concatenate([starts[~big], s, s + half]),
-                         np.concatenate([lens[~big], half, n - half]))
-        out = np.empty(lens.shape[0])
-        out[~big] = sums[:k]
-        out[big] = sums[k:k + s.shape[0]] + sums[k + s.shape[0]:]
-        return out
-    out = np.zeros(lens.shape[0])
-    blocks = lens // 8
-    # segments in descending order of block (then tail) count, so each
-    # step below works on a prefix of them
-    order = np.argsort(-blocks, kind="stable")
-    nblk = blocks[order]
-    k = np.count_nonzero(nblk)
-    if k:
-        base = starts[order[:k], None] + np.arange(8)
-        r = v[base]
-        for b, j in enumerate(_still_above(nblk[:k]), start=1):
-            r[:j] += v[base[:j] + 8 * b]
-        out[order[:k]] = (((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]))
-                          + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])))
-    rest = lens - 8 * blocks
-    order = np.argsort(-rest, kind="stable")
-    tail = (starts + 8 * blocks)[order]
-    acc = out[order]
-    for i, j in enumerate(_still_above(rest[order], 0)):
-        acc[:j] += v[tail[:j] + i]
-    out[order] = acc
+    bit for bit (module docstring). One gather orders the segments by
+    length, so the segments of each length n form one C-contiguous
+    count x n block, summed along its last axis; an empty segment's sum
+    is 0.0."""
+    order = np.argsort(lens, kind="stable")
+    n = lens[order]
+    first = np.cumsum(n) - n  # where each ordered segment lands in the gather
+    gathered = v[np.repeat(starts[order] - first, n) + np.arange(n.sum())]
+    sums = np.zeros(n.shape[0])
+    at = np.flatnonzero(np.diff(n, prepend=0))  # where each nonzero length begins
+    ends = at.tolist()[1:] + [n.shape[0]]
+    for i, j, size, f in zip(at.tolist(), ends, n[at].tolist(), first[at].tolist()):
+        gathered[f:f + (j - i) * size].reshape(j - i, size).sum(axis=-1, out=sums[i:j])
+    out = np.empty_like(sums)
+    out[order] = sums
     return out
-
-
-def _still_above(desc: np.ndarray, first: int = 1) -> list[int]:
-    """For b = first, first + 1, ... below the largest count in `desc`,
-    how many of its entries exceed b."""
-    if not desc.size:
-        return []
-    above = desc.size - np.cumsum(np.bincount(desc))
-    return above[first:desc.max()].tolist()
 
 
 def zero_curvature(H: Matrix) -> str | None:

@@ -21,16 +21,9 @@ fixed point and the next channel not yet started takes its row, so the
 pool stays full until the queue runs dry; kmeans_pp_init's stacks hold
 at most that many channels too. In each iteration one stable sort of
 the assignment puts each cluster's points in index order, and
-``linalg.segment_sums`` adds every cluster as numpy's 1-D
-``ndarray.sum()`` does: under 8 elements in order from 0.0; up to 128
-in eight lanes over the blocks of 8, combined as
-((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
-order; past 128 split at n // 2 rounded down to a multiple of 8. A
-padded segment matrix or np.add.reduceat would change the bits. When
-every cluster has fewer than 8 points, ``np.bincount`` adds each one
-in index order from 0.0, the same bits without the sort. The SSE
-traces sum each channel's row along the contiguous last axis, which
-numpy adds as that row's ``.sum()``.
+``linalg.segment_sums`` gives every cluster's sum as that slice's 1-D
+``.sum()``. It and the SSE traces rest on one rule of numpy's: a sum
+along the contiguous last axis adds each row as that row's ``.sum()``.
 ``squeezellm_init`` is the one squeezellm path: codebooks and
 assignments of a d x c layer as arrays, one seed per channel, with the
 SSE traces only when asked for (then one ``lloyd`` call per channel,
@@ -450,7 +443,6 @@ def squeezellm_init(
     fisher_diag: np.ndarray,
     bits: int,
     seeds: Sequence,
-    lloyd_iters: int = DEFAULT_LLOYD_ITERS,
     traces: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sensitivity-weighted k-means, one codebook per channel, as arrays.
@@ -464,8 +456,9 @@ def squeezellm_init(
     codebook slots is represented exactly. The others are seeded by
     k-means++ in one `kmeans_pp_init` pass, channel j from `seeds[j]`
     (one SeedSequence entropy per channel), and refined by one `lloyd`
-    call (with `traces`, one call per channel, a stack of one; the same
-    bits). `run_job` calls it once per layer. Returns the codebooks
+    call of DEFAULT_LLOYD_ITERS iterations (with `traces`, one call per
+    channel, a stack of one; the same bits). `run_job` calls it once per
+    layer. Returns the codebooks
     (c x m, rows sorted) and the assignments (d x c). When `traces` is
     given, one list per channel is appended to it: Lloyd's weighted SSE
     trace, or [0.0] for an exact channel; without it no SSE is
@@ -497,7 +490,7 @@ def squeezellm_init(
             X, Wt = X[clustered], Wt[clustered]
         inits = kmeans_pp_init(X, Wt, m, [seeds[j] for j in clustered.tolist()])
         if traces is None:
-            C[clustered], assign = lloyd(X, Wt, inits, lloyd_iters)
+            C[clustered], assign = lloyd(X, Wt, inits, DEFAULT_LLOYD_ITERS)
             A[:, clustered] = assign.T
         else:
             # a stack of one per channel: each call's trace is then one
@@ -505,8 +498,8 @@ def squeezellm_init(
             # iterations from
             for i, j in enumerate(clustered.tolist()):
                 chan_traces[j] = []
-                cb, assign = lloyd(X[i:i + 1], Wt[i:i + 1], inits[i:i + 1], lloyd_iters,
-                                   chan_traces[j])
+                cb, assign = lloyd(X[i:i + 1], Wt[i:i + 1], inits[i:i + 1],
+                                   DEFAULT_LLOYD_ITERS, chan_traces[j])
                 C[j], A[:, j] = cb[0], assign[0]
     if traces is not None:
         traces.extend(chan_traces)
@@ -519,12 +512,11 @@ def squeezellm_quantize(
     bits: int,
     seed: int,
     layer_idx: int = 0,
-    lloyd_iters: int = DEFAULT_LLOYD_ITERS,
 ) -> QuantizedLayer:
     """The squeezellm baseline layer: `squeezellm_init`'s codebooks and
     assignments, channel j seeded by (seed, j), with each channel's SSE
     trace."""
     traces: list[list[float]] = []
     seeds = [(seed, j) for j in range(np.shape(W)[1])]
-    C, A = squeezellm_init(W, fisher_diag, bits, seeds, lloyd_iters, traces)
+    C, A = squeezellm_init(W, fisher_diag, bits, seeds, traces)
     return QuantizedLayer(layer_idx, bits, C, A, traces)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,14 @@ from conftest import live_sets_at_each_build
 
 def dir_digest(d: Path) -> dict:
     return {p.name: file_sha256(p) for p in sorted(d.iterdir()) if p.is_file()}
+
+
+def _resign(d: Path) -> None:
+    """A fresh manifest over the files of artifact d, so only the checks
+    past the manifest can catch an edit."""
+    manifest = read_manifest(d)
+    write_manifest(d, {"kind": manifest["kind"]}, list(manifest["files"]))
+    assert verify_manifest(d) == []
 
 
 @pytest.fixture(scope="module")
@@ -424,6 +433,53 @@ class TestQuantizeAndEval:
             artifacts.load_quantized(out)
         assert main(["eval", "--model", str(model), "--data", str(data),
                      "--quant", str(out)]) == 2
+
+    @pytest.mark.parametrize("kind,edit,text", [
+        pytest.param("model", {"n_layers": 1}, "model.json: n_layers is 1, but",
+                     id="n_layers_below_files"),
+        pytest.param("model", {"n_layers": 3}, "model.json: n_layers is 3, but",
+                     id="n_layers_past_files"),
+        pytest.param("model", {"n_layers": "2"}, "model.json: n_layers must be an integer",
+                     id="n_layers_a_string"),
+        pytest.param("model", {"loss": None}, "model.json: loss must be a string",
+                     id="loss_missing"),
+        pytest.param("model", {"activation": 1}, "model.json: activation must be a string",
+                     id="activation_an_int"),
+        pytest.param("model", {"loss": "hinge"}, "unknown loss 'hinge'", id="loss_unknown"),
+        pytest.param("dataset", {"task": None}, "dataset.json: task must be a string",
+                     id="task_missing"),
+        pytest.param("dataset", {"seed": "0"}, "dataset.json: seed must be an integer",
+                     id="seed_a_string"),
+        pytest.param("dataset", {"task": "hinge"}, "dataset.json: unknown task 'hinge'",
+                     id="task_unknown"),
+    ])
+    def test_load_refuses_bad_header(self, pipeline, tmp_path, capsys, kind, edit, text):
+        # a missing (None), ill-typed or unknown header field, or an
+        # n_layers that disagrees with the layer files, under a fresh
+        # manifest: refused naming the directory, before anything is
+        # computed from it
+        data, model = pipeline
+        d = tmp_path / kind
+        shutil.copytree({"model": model, "dataset": data}[kind], d)
+        meta = dict(json.loads((d / f"{kind}.json").read_text()), **edit)
+        write_json_atomic(d / f"{kind}.json", {k: v for k, v in meta.items() if v is not None})
+        _resign(d)
+        with pytest.raises(CorruptFile, match=f"^{re.escape(f'{d}: {text}')}"):
+            getattr(artifacts, f"load_{kind}")(d)
+        inputs = {"model": model, "data": data, kind.replace("dataset", "data"): d}
+        capsys.readouterr()
+        assert main(["quantize", "--model", str(inputs["model"]), "--data", str(inputs["data"]),
+                     "--method", "rtn", "--bits", "2", "--out", str(tmp_path / "q")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {d}: {text}")
+
+    def test_load_dataset_refuses_unequal_sample_counts(self, pipeline, tmp_path):
+        d = tmp_path / "data"
+        shutil.copytree(pipeline[0], d)
+        write_tensor(d / "targets.gqt", read_tensor(d / "targets.gqt")[:-1])
+        _resign(d)
+        with pytest.raises(CorruptFile, match=f"^{re.escape(str(d))}: inputs and targets "
+                                              "disagree on sample count$"):
+            artifacts.load_dataset(d)
 
     def test_eval_detects_tampering(self, pipeline, tmp_path):
         data, model = pipeline

@@ -35,6 +35,26 @@ class TestCholesky:
         with pytest.raises(ValueError):
             cholesky(H)
 
+    @pytest.mark.parametrize("i,j", [(0, 2), (2, 0)])
+    def test_asymmetry_accepted_up_to_the_tolerance(self, i, j):
+        # tolerance 1e-10 times the largest magnitude, here -min H = 4 of
+        # an indefinite H: the check passes at the tolerance, so the
+        # factorization refuses H, and fails just above it
+        H = np.array([[1.0, -4.0, 0.0], [-4.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        H[i, j] = 4e-10
+        with pytest.raises(NotPositiveDefinite):
+            cholesky(H)
+        H[i, j] = np.nextafter(4e-10, 1.0)
+        with pytest.raises(ValueError, match="^H is not symmetric to working tolerance$"):
+            cholesky(H)
+        # an SPD H: accepted at 1e-10 times max H = 1, refused above
+        H = np.eye(3)
+        H[i, j] = 1e-10
+        npt.assert_allclose(cholesky(H) @ cholesky(H).T, np.eye(3), atol=1e-9)
+        H[i, j] = np.nextafter(1e-10, 1.0)
+        with pytest.raises(ValueError, match="^H is not symmetric"):
+            cholesky(H)
+
     def test_nonsquare_rejected(self):
         with pytest.raises(DimensionMismatch):
             cholesky(np.ones((2, 3)))
@@ -177,6 +197,22 @@ class TestSegmentSums:
         inner = np.sort(np.minimum(np.array(cuts, dtype=np.int64), v.shape[0]))
         bounds = np.concatenate([[0], inner, [v.shape[0]]])
         starts, lens = bounds[:-1], np.diff(bounds)
+        want = np.array([v[s:s + n].sum() for s, n in zip(starts, lens)])
+        assert segment_sums(v, starts, lens).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("zeros", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_segments_sharing_lengths_in_any_order(self, seed, zeros):
+        # many segments of each length, shuffled, with starts that do not
+        # increase and may overlap, so each length's segments are summed
+        # as one block of rows
+        rng = np.random.default_rng(seed)
+        lens = rng.permutation(np.repeat(SUM_EDGES, rng.integers(1, 9, len(SUM_EDGES))))
+        v = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-3, 3, 2000)
+        z = rng.random(v.shape[0]) < zeros
+        v[z] = np.where(rng.random(int(z.sum())) < 0.5, -0.0, 0.0)
+        starts = rng.integers(0, v.shape[0] - lens + 1)
+        assert np.any(np.diff(starts) < 0)
         want = np.array([v[s:s + n].sum() for s, n in zip(starts, lens)])
         assert segment_sums(v, starts, lens).tobytes() == want.tobytes()
 

@@ -17,6 +17,7 @@ from glq.errors import (
 from glq import scalar_quant
 from glq.oracle import kmeans_1d_exact, kmeans_partition_oracle, round_to_codebook, weighted_sse
 from glq.scalar_quant import (
+    DEFAULT_LLOYD_ITERS,
     QuantizedLayer,
     _distinct,
     check_codebooks,
@@ -706,15 +707,20 @@ class TestBaselines:
     @pytest.mark.parametrize("lloyd_iters", [0, 7, 50])
     def test_clustered_trace_length(self, lloyd_iters):
         # traces.json stores these traces: one entry per half-step plus
-        # the final SSE, whatever iteration Lloyd settles at
+        # the final SSE, whatever iteration Lloyd settles at; squeezellm
+        # runs DEFAULT_LLOYD_ITERS, lloyd any number
         rng = np.random.default_rng(13)
         W = rng.standard_normal((40, 5))
         W[:, 0] = np.repeat([1.0, 2.0], 20)  # fits the codebook, not clustered
         F = rng.uniform(0, 1, (40, 5))
-        ql = squeezellm_quantize(W, F, bits=2, seed=3, lloyd_iters=lloyd_iters)
+        ql = squeezellm_quantize(W, F, bits=2, seed=3)
         assert ql.traces[0] == [0.0]
         for tr in ql.traces[1:]:
-            assert len(tr) == 2 * lloyd_iters + 1
+            assert len(tr) == 2 * DEFAULT_LLOYD_ITERS + 1
+        X, Wt = W.T[1:], F.T[1:]
+        trace: list = []
+        lloyd(X, Wt, kmeans_pp_init(X, Wt, 4, [(3, j) for j in range(1, 5)]), lloyd_iters, trace)
+        assert len(trace) == 4 * (2 * lloyd_iters + 1)
 
     @pytest.mark.parametrize("bits", [1, 2, 3])
     def test_init_arrays_equal_the_layer(self, bits):
