@@ -3,7 +3,9 @@
 
 Runs the locked comparison protocol once and records the measured
 margins plus derived thresholds (half the margin, floored at zero) in
-a JSON file the acceptance test reads back.  Exit status is 0 only if
+a JSON file the acceptance test reads back, together with every seed's
+end losses and each margin's paired mean, standard error and wins,
+which the acceptance test does not read.  Exit status is 0 only if
 both orderings held (every margin positive).
 """
 
@@ -14,14 +16,30 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from glq.experiments import (
     MARGIN_KEYS,
+    MARGIN_PAIRS,
     PROTOCOL,
     end_loss_comparison,
     thresholds_from_margins,
 )
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "results" / "pilot_thresholds.json"
+
+
+def paired_margins(per_seed: dict) -> dict:
+    """Each margin over the seeds as paired differences: their mean, its
+    standard error (sample standard deviation over sqrt(n)) and the
+    number of seeds on which the better method won."""
+    out = {}
+    for k, (worse, better) in MARGIN_PAIRS.items():
+        diff = np.asarray(per_seed[worse]) - np.asarray(per_seed[better])
+        se = float(diff.std(ddof=1) / np.sqrt(diff.size)) if diff.size > 1 else float("nan")
+        out[k] = {"mean": float(diff.mean()), "se": se, "wins": int((diff > 0).sum()),
+                  "n": int(diff.size)}
+    return out
 
 
 def main(argv=None) -> int:
@@ -44,6 +62,8 @@ def main(argv=None) -> int:
         "means": result["means"],
         "margins": result["margins"],
         "thresholds": thresholds_from_margins(result["margins"]),
+        "per_seed": result["per_seed"],
+        "paired": paired_margins(result["per_seed"]),
         "runtime_s": round(result["runtime_s"], 2),
     }
     args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -58,8 +78,10 @@ def main(argv=None) -> int:
         held = margin > 0.0
         ok = ok and held
         status = "holds" if held else "VIOLATED"
+        p = record["paired"][k]
         print(f"  ordering {k:22s} margin {margin:+9.4f}  threshold "
-              f"{record['thresholds'][k]:.4f}  ({status})")
+              f"{record['thresholds'][k]:.4f}  ({status}; paired {p['mean']:+.3f} "
+              f"+- {p['se']:.3f} SE, {p['wins']}/{p['n']} wins)")
     print(f"  runtime {record['runtime_s']:.1f} s")
     print(f"wrote {args.out}")
     return 0 if ok else 1

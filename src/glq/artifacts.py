@@ -13,20 +13,21 @@ tied together by a manifest that hashes each file. Layouts:
 
 Loads reject directories whose manifest is missing or stale, so a
 half-copied artifact fails loudly instead of quietly feeding garbage
-downstream. Each load reads its JSON header through one check: a
-field it reads that is missing or of the wrong type, or an n_layers
-that disagrees with the layer files in the manifest, raises CorruptFile
-naming the directory. So do an unknown task and a dataset or model
-that fails its own checks, and ``load_quantized`` names the layer too
-when a layer fails its ``QuantizedLayer`` checks (shapes, m = 2**bits,
-finite sorted codebooks, slots in range, one trace per channel).
+downstream. Each load reads its JSON files through one check: a file
+that is not a JSON object, a field it reads that is missing or of the
+wrong type, an n_layers that disagrees with the layer files in the
+manifest, or a dataset's n, d0 and dt that disagree with its tensors,
+raises CorruptFile naming the directory or the file. So do an unknown
+task and a dataset or model that fails its own checks, and
+``load_quantized`` names the layer too when a layer fails its
+``QuantizedLayer`` checks (shapes, m = 2**bits, finite sorted
+codebooks, slots in range, one trace per channel).
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from .errors import CorruptFile, GlqError
 from .guidedquant import CSV_COLUMNS, QuantReport
 from .scalar_quant import QuantizedLayer
 from .tensorio import (
+    read_json_object,
     read_manifest,
     read_tensor,
     verify_manifest,
@@ -59,7 +61,7 @@ _KINDS = {int: "an integer", str: "a string"}
 def _header(d: Path, name: str, fields: dict[str, type]) -> dict:
     """The JSON header `name` of artifact directory d; refuses a field of
     `fields` that is missing or not of its type (bool is no integer)."""
-    meta = json.loads((d / name).read_text())
+    meta = read_json_object(d / name)
     for key, kind in fields.items():
         if type(meta.get(key)) is not kind:
             raise CorruptFile(f"{d}: {name}: {key} must be {_KINDS[kind]}, "
@@ -92,7 +94,8 @@ def save_dataset(dir_path: str | Path, data: Dataset, task: str) -> None:
 
 def load_dataset(dir_path: str | Path) -> tuple[Dataset, str]:
     d = _check(dir_path)
-    meta = _header(d, "dataset.json", {"seed": int, "task": str})
+    meta = _header(d, "dataset.json",
+                   {"seed": int, "task": str, "n": int, "d0": int, "dt": int})
     if meta["task"] not in LOSSES:
         raise CorruptFile(f"{d}: dataset.json: unknown task {meta['task']!r}")
     try:
@@ -100,6 +103,11 @@ def load_dataset(dir_path: str | Path) -> tuple[Dataset, str]:
                        targets=read_tensor(d / "targets.gqt"), seed=meta["seed"])
     except (GlqError, ValueError) as exc:
         raise CorruptFile(f"{d}: {exc}") from exc
+    header = (meta["n"], meta["d0"], meta["dt"])
+    held = (data.n, data.inputs.shape[1], data.targets.shape[1])
+    if header != held:
+        raise CorruptFile(f"{d}: dataset.json: (n, d0, dt) is {header}, "
+                          f"but the tensors hold {held}")
     return data, meta["task"]
 
 
@@ -170,13 +178,13 @@ def load_quantized(dir_path: str | Path) -> tuple[list[QuantizedLayer], dict]:
     d = _check(dir_path)
     meta = _header(d, "quant.json", {"bits": int, "n_layers": int})
     _layer_files(d, "quant.json", meta["n_layers"], "codebook.L{}.gqt")
-    traces = json.loads((d / "traces.json").read_text())
+    traces = read_json_object(d / "traces.json")
     qlayers = []
     for l in range(meta["n_layers"]):
         C = read_tensor(d / f"codebook.L{l}.gqt")
         A = read_tensor(d / f"assign.L{l}.gqt")
         try:
             qlayers.append(QuantizedLayer(l, meta["bits"], C, A, traces[str(l)]))
-        except (GlqError, ValueError, KeyError) as exc:
+        except (GlqError, ValueError, KeyError, TypeError) as exc:
             raise CorruptFile(f"{d}: layer {l}: {exc}") from exc
     return qlayers, meta

@@ -45,7 +45,13 @@ from .guidedquant import QuantJob, run_job
 
 COMPARED_METHODS = ("squeezellm", "lnq_plain", "lnq_guided")
 
-MARGIN_KEYS = ("plain_vs_squeezellm", "guided_vs_plain")
+#: Each margin as (worse, better): the margin is the worse method's
+#: end loss minus the better one's.
+MARGIN_PAIRS = {
+    "plain_vs_squeezellm": ("squeezellm", "lnq_plain"),
+    "guided_vs_plain": ("lnq_plain", "lnq_guided"),
+}
+MARGIN_KEYS = tuple(MARGIN_PAIRS)
 
 #: Locked protocol for the ranking experiment.  ``seeds`` jointly vary
 #: dataset, model initialization, and quantizer seed.
@@ -86,10 +92,7 @@ def end_loss_comparison(
             _, _, report = run_job(model, data, job)
             per_seed[m].append(report.end_loss_after)
     means = {m: float(np.mean(per_seed[m])) for m in COMPARED_METHODS}
-    margins = {
-        "plain_vs_squeezellm": means["squeezellm"] - means["lnq_plain"],
-        "guided_vs_plain": means["lnq_plain"] - means["lnq_guided"],
-    }
+    margins = {k: means[worse] - means[better] for k, (worse, better) in MARGIN_PAIRS.items()}
     return {
         "protocol": {
             "seeds": seeds, "bits": bits, "g": g, "T": T, "K": K,

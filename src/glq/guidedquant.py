@@ -16,12 +16,12 @@ Layers are quantized one at a time, each against its own Hessian set
 (`job_hessians` hands them out one layer at a time), and a layer's set
 is dropped once the layer is solved and its damped objective taken, so
 one set is live at a time. For the LNQ methods one ``squeezellm_init``
-call (arrays, no SSE trace) covers the layer, channel j of a group
-seeded by (seed, j's index within its group): the seeds, and so the
-bits, of one init per group. One ``lnq_quantize`` call then solves the
-layer's groups on its row-major arrays (see ``lnq``). A group Hessian
-that does not factor raises SingularHessian naming the layer, the
-group and the cause. Reported objectives per
+call (arrays, no SSE trace) covers the layer, channel j seeded by
+(seed, j) as in the squeezellm baseline, so every method and every g
+starts a layer from the same init. One ``lnq_quantize`` call then
+solves the layer's groups on its row-major arrays (see ``lnq``). A
+group Hessian that does not factor raises SingularHessian naming the
+layer, the group and the cause. Reported objectives per
 layer: the plain reconstruction error ||X (W - What)||_F^2, the
 gradient-weighted error ||gradZ * (X (W - What))||_F^2 (elementwise
 product), and the damped quadratic under the method's Hessian sets (`job_hessians`: plain ones,
@@ -198,10 +198,10 @@ def run_job(
     Layers are quantized in order, each against its own Hessian set,
     which is dropped once the layer is solved and its damped objective
     taken. For the LNQ methods `squeezellm_init` on the layer's weights
-    and diagonal Fisher, channel j of a group seeded by (seed, j's index
-    within the group), gives the init of one `lnq_quantize` call over
-    the layer's consecutive groups. Returns the quantized model, one
-    QuantizedLayer per layer, and the report.
+    and diagonal Fisher, channel j seeded by (seed, j), gives the init
+    of one `lnq_quantize` call over the layer's consecutive groups.
+    Returns the quantized model, one QuantizedLayer per layer, and the
+    report.
     """
     calib = calibrate(model, data)
     hsets = job_hessians(model, data, calib, job, cache=hessian_cache)
@@ -214,11 +214,10 @@ def run_job(
             ql = squeezellm_quantize(W, fisher_diag(calib[l]), job.bits, seed=job.seed,
                                      layer_idx=l)
         else:
-            sizes = hset.partition.sizes
-            seeds = [(job.seed, j) for size in sizes for j in range(size)]
+            seeds = [(job.seed, j) for j in range(W.shape[1])]
             init = squeezellm_init(W, fisher_diag(calib[l]), job.bits, seeds)
             ql = lnq_quantize(hset.hessians, W, job.bits, job.T, job.K, init, layer_idx=l,
-                              sizes=sizes)
+                              sizes=hset.partition.sizes)
         qlayers.append(ql)
         damped.append(damped_quadratic(hset, W, ql.W_hat))
         del hset  # one layer's set at a time

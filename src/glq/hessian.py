@@ -358,11 +358,9 @@ def _entry_manifest(d: Path) -> tuple[dict, ChannelPartition]:
     that is missing or ill-typed, groups that are not consecutive or do
     not cover d_out, and lambdas that are not one number per group are
     refused with CorruptFile naming the entry."""
-    try:
-        meta = json.loads((d / "manifest.json").read_text())
-    except json.JSONDecodeError as exc:
-        raise CorruptFile(f"{d}: hessian cache manifest is not JSON: {exc}") from exc
-    meta = meta if isinstance(meta, dict) else {}
+    from .tensorio import read_json_object
+
+    meta = read_json_object(d / "manifest.json")
     number = (int, float)
     for field, types in (("layer_idx", int), ("d_out", int), ("groups", list),
                          ("lambdas", list), ("grad_scale", number), ("damping_rel", number),

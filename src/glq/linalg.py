@@ -11,11 +11,6 @@ needs upstream:
   driver call per system. Normal equations are never formed here;
   tests use them as an independent cross-check only.
 
-``segment_sums`` gives numpy's 1-D ``ndarray.sum()`` of many
-contiguous segments of one vector at once, bit for bit. It rests on one
-rule of numpy's: a sum along the last axis of a C-contiguous array adds
-each row as that row's own ``.sum()``.
-
 ``zero_curvature`` names the input features a damped Hessian gives no
 curvature, the cause LNQ and the Hessian cache report for a set that
 cannot be factored.
@@ -127,26 +122,6 @@ def least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(r):
         x[i] = np.linalg.lstsq(A[i], b[i], rcond=None)[0]
     return x
-
-
-def segment_sums(v: Vector, starts: np.ndarray, lens: np.ndarray) -> Vector:
-    """``v[s:s + n].sum()`` of every segment (s, n) of a 1-D float64 v,
-    bit for bit (module docstring). One gather orders the segments by
-    length, so the segments of each length n form one C-contiguous
-    count x n block, summed along its last axis; an empty segment's sum
-    is 0.0."""
-    order = np.argsort(lens, kind="stable")
-    n = lens[order]
-    first = np.cumsum(n) - n  # where each ordered segment lands in the gather
-    gathered = v[np.repeat(starts[order] - first, n) + np.arange(n.sum())]
-    sums = np.zeros(n.shape[0])
-    at = np.flatnonzero(np.diff(n, prepend=0))  # where each nonzero length begins
-    ends = at.tolist()[1:] + [n.shape[0]]
-    for i, j, size, f in zip(at.tolist(), ends, n[at].tolist(), first[at].tolist()):
-        gathered[f:f + (j - i) * size].reshape(j - i, size).sum(axis=-1, out=sums[i:j])
-    out = np.empty_like(sums)
-    out[order] = sums
-    return out
 
 
 def zero_curvature(H: Matrix) -> str | None:

@@ -19,10 +19,9 @@ generator. ``lloyd`` runs a pool of at most LLOYD_STACK // (n m)
 channels, each at its own iteration: a channel leaves the pool at its
 fixed point and the next channel not yet started takes its row, so the
 pool stays full until the queue runs dry; kmeans_pp_init's stacks hold
-at most that many channels too. In each iteration one stable sort of
-the assignment puts each cluster's points in index order, and
-``linalg.segment_sums`` gives every cluster's sum as that slice's 1-D
-``.sum()``. It and the SSE traces rest on one rule of numpy's: a sum
+at most that many channels too. Each cluster sum adds the cluster's
+points in index order from 0.0, one ``np.bincount`` over every
+cluster of the pool. The SSE traces rest on one rule of numpy's: a sum
 along the contiguous last axis adds each row as that row's ``.sum()``.
 ``squeezellm_init`` is the one squeezellm path: codebooks and
 assignments of a d x c layer as arrays, one seed per channel, with the
@@ -49,7 +48,6 @@ from .errors import (
     NonFiniteMass,
     TooFewDistinctPoints,
 )
-from .linalg import segment_sums
 
 DEFAULT_LLOYD_ITERS = 50
 # Point-to-center distances (1 MiB of float64) Lloyd's pool of live
@@ -205,25 +203,11 @@ def _weighted_sse(x: np.ndarray, w: np.ndarray, c: np.ndarray, a: np.ndarray) ->
 def _cluster_means(w: np.ndarray, wx: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Each row's weighted cluster means under assignment a (k x n); a
     cluster with zero total weight keeps its center from c (k x m)."""
-    k, n = a.shape
-    m = c.shape[1]
+    k, m = c.shape
     keys = (a + m * np.arange(k)[:, None]).ravel()
-    counts = np.bincount(keys, minlength=k * m)
-    if counts.max() < 8:
-        # numpy adds fewer than 8 elements in order from 0.0, as bincount
-        # adds each key's weights in index order
-        tw = np.bincount(keys, weights=w.ravel(), minlength=k * m)
-        twx = np.bincount(keys, weights=wx.ravel(), minlength=k * m)
-    else:
-        # a stable sort keeps each cluster's points in index order; uint8
-        # keys (m <= 256) sort by radix
-        order = np.argsort(a.astype(np.uint8), axis=1, kind="stable")
-        flat = (order + n * np.arange(k)[:, None]).ravel()
-        starts = np.cumsum(counts) - counts
-        # the w sums, then the w x sums, in one call over one vector
-        sums = segment_sums(np.concatenate([w.ravel()[flat], wx.ravel()[flat]]),
-                           np.concatenate([starts, starts + k * n]), np.tile(counts, 2))
-        tw, twx = sums[:k * m], sums[k * m:]
+    # bincount adds each cluster's points in index order, from 0.0
+    tw = np.bincount(keys, weights=w.ravel(), minlength=k * m)
+    twx = np.bincount(keys, weights=wx.ravel(), minlength=k * m)
     out = c.ravel().copy()
     pos = tw > 0.0
     out[pos] = twx[pos] / tw[pos]
@@ -271,9 +255,8 @@ def lloyd(
     is a function of each row alone, so results equal running all
     `iters` on each channel alone, bit for bit.
 
-    Each cluster sum is the ``.sum()`` of its points in index order
-    (`linalg.segment_sums`), as in the mask compaction x[a == q] of one
-    channel, and each SSE is its row's ``.sum()``.
+    Each cluster sum adds its points in index order starting from 0.0
+    (``np.bincount``), and each SSE is its row's ``.sum()``.
     """
     if iters < 0:
         raise InvalidSize(f"iters must be >= 0, got {iters}")

@@ -115,11 +115,32 @@ def write_manifest(dir_path: str | Path, meta: dict, files: list[str]) -> None:
     write_json_atomic(dir_path / "manifest.json", entry)
 
 
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object stored at `path`. A file that is not UTF-8 JSON,
+    or holds a value other than an object, raises CorruptFile naming
+    the file."""
+    path = Path(path)
+    try:
+        obj = json.loads(path.read_text())
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors; deep nesting
+    # exhausts the decoder's recursion
+    except (ValueError, RecursionError) as exc:
+        raise CorruptFile(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise CorruptFile(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def read_manifest(dir_path: str | Path) -> dict:
+    """The manifest of an artifact directory; CorruptFile when it is
+    missing, not a JSON object, or its `files` is not an object."""
     man = Path(dir_path) / "manifest.json"
     if not man.exists():
         raise CorruptFile(f"{man}: missing manifest")
-    return json.loads(man.read_text())
+    entry = read_json_object(man)
+    if not isinstance(entry.get("files", {}), dict):
+        raise CorruptFile(f"{man}: files must be an object, got {entry['files']!r}")
+    return entry
 
 
 def verify_manifest(dir_path: str | Path) -> list[str]:

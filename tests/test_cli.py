@@ -390,7 +390,7 @@ class TestQuantizeAndEval:
                      "--quant", str(tmp_path / "nope")]) == 2
 
     @pytest.mark.parametrize("case,layer", [
-        ("slot_past_m", 1), ("nan_codebook", 1), ("traces_one_short", 1),
+        ("slot_past_m", 1), ("nan_codebook", 1), ("traces_one_short", 1), ("trace_no_list", 1),
         ("codebook_row_short", 1), ("bits_disagree_with_m", 0),
         # quant.json fields checked before any layer (layer None)
         ("bits_a_string", None), ("n_layers_missing", None), ("n_layers_a_string", None),
@@ -414,6 +414,8 @@ class TestQuantizeAndEval:
             write_tensor(out / "codebook.L1.gqt", C)
         elif case == "traces_one_short":
             write_json_atomic(out / "traces.json", dict(traces, **{"1": traces["1"][:-1]}))
+        elif case == "trace_no_list":
+            write_json_atomic(out / "traces.json", dict(traces, **{"1": 5}))
         elif case == "codebook_row_short":
             write_tensor(out / "codebook.L1.gqt", C[:-1])
         elif case == "bits_disagree_with_m":
@@ -452,10 +454,16 @@ class TestQuantizeAndEval:
                      id="seed_a_string"),
         pytest.param("dataset", {"task": "hinge"}, "dataset.json: unknown task 'hinge'",
                      id="task_unknown"),
+        pytest.param("dataset", {"dt": None}, "dataset.json: dt must be an integer",
+                     id="dt_missing"),
+        pytest.param("dataset", {"n": 7, "d0": 3, "dt": 99},
+                     "dataset.json: (n, d0, dt) is (7, 3, 99), but the tensors hold (48, 6, 3)",
+                     id="shape_disagrees"),
     ])
     def test_load_refuses_bad_header(self, pipeline, tmp_path, capsys, kind, edit, text):
-        # a missing (None), ill-typed or unknown header field, or an
-        # n_layers that disagrees with the layer files, under a fresh
+        # a missing (None), ill-typed or unknown header field, an
+        # n_layers that disagrees with the layer files or a dataset shape
+        # that disagrees with its tensors, under a fresh
         # manifest: refused naming the directory, before anything is
         # computed from it
         data, model = pipeline
@@ -471,6 +479,36 @@ class TestQuantizeAndEval:
         assert main(["quantize", "--model", str(inputs["model"]), "--data", str(inputs["data"]),
                      "--method", "rtn", "--bits", "2", "--out", str(tmp_path / "q")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {d}: {text}")
+
+    @pytest.mark.parametrize("kind,name", [
+        ("quantized", "manifest.json"), ("quantized", "quant.json"),
+        ("quantized", "traces.json"), ("model", "model.json"), ("dataset", "dataset.json"),
+    ])
+    @pytest.mark.parametrize("blob,text", [
+        pytest.param(b'{"kind": "quan', "not valid JSON: ", id="truncated"),
+        pytest.param(b"[1, 2]\n", "expected a JSON object, got list", id="list"),
+    ])
+    def test_json_file_that_is_no_object_is_refused(self, pipeline, tmp_path, capsys,
+                                                    kind, name, blob, text):
+        # a JSON file of an artifact that does not parse, or holds no
+        # object, under a fresh manifest (unless it is the manifest):
+        # CorruptFile naming the file, and glq eval exits 2 with it
+        data, model = pipeline
+        inputs = {"model": model, "dataset": data, "quantized": tmp_path / "q"}
+        assert main(["quantize", "--model", str(model), "--data", str(data),
+                     "--method", "rtn", "--bits", "2", "--out", str(inputs["quantized"])]) == 0
+        d = tmp_path / kind
+        shutil.copytree(inputs[kind], d)
+        inputs[kind] = d
+        (d / name).write_bytes(blob)
+        if name != "manifest.json":
+            _resign(d)
+        with pytest.raises(CorruptFile, match=f"^{re.escape(f'{d / name}: {text}')}"):
+            getattr(artifacts, f"load_{kind}")(d)
+        capsys.readouterr()
+        assert main(["eval", "--model", str(inputs["model"]), "--data", str(inputs["dataset"]),
+                     "--quant", str(inputs["quantized"])]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {d / name}: {text}")
 
     def test_load_dataset_refuses_unequal_sample_counts(self, pipeline, tmp_path):
         d = tmp_path / "data"

@@ -298,19 +298,18 @@ def test_run_job_holds_one_layer_set_at_a_time(toy_problem, tmp_path, monkeypatc
 
 def _run_job_one_group_at_a_time(model, data, job):
     """run_job's LNQ branch as it was before groups were stacked: one
-    squeezellm init and one lnq_quantize call per channel group."""
+    layer-wide squeezellm init, cut into the channel groups, and one
+    lnq_quantize call per group."""
     calib = calibrate(model, data)
     hsets = list(job_hessians(model, data, calib, job))
     qlayers = []
     for l, (W, hset) in enumerate(zip(model.layers, hsets)):
-        F = fisher_diag(calib[l])
+        init = squeezellm_quantize(W, fisher_diag(calib[l]), job.bits, seed=job.seed,
+                                   layer_idx=l)
         groups = []
         for H, (o, e) in zip(hset.hessians, hset.partition.bounds):
-            cols = np.arange(o, e)
-            init = squeezellm_quantize(W[:, cols], F[:, cols], job.bits, seed=job.seed,
-                                       layer_idx=l)
-            groups.append(lnq_quantize(H, W[:, cols], job.bits, job.T, job.K, (init.C, init.A),
-                                       layer_idx=l))
+            groups.append(lnq_quantize(H, W[:, o:e], job.bits, job.T, job.K,
+                                       (init.C[o:e], init.A[:, o:e]), layer_idx=l))
         qlayers.append(QuantizedLayer(l, job.bits, np.concatenate([q.C for q in groups]),
                                       np.concatenate([q.A for q in groups], axis=1),
                                       [tr for q in groups for tr in q.traces]))

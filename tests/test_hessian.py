@@ -290,6 +290,17 @@ class TestCacheAndHash:
         with pytest.raises(CorruptFile, match="lambdas .* for 2 groups"):
             cache.load("k")
 
+    @pytest.mark.parametrize("blob,text", [
+        pytest.param(b'{"layer_idx": 0, "d_o', "not valid JSON: ", id="truncated"),
+        pytest.param(b'"groups"', "expected a JSON object, got str", id="string"),
+    ])
+    def test_load_refuses_manifest_that_is_no_object(self, tmp_path, blob, text):
+        cache = _cache_with_edited_manifest(tmp_path, lambda meta: None)
+        man = tmp_path / "k" / "manifest.json"
+        man.write_bytes(blob)
+        with pytest.raises(CorruptFile, match=f"^{re.escape(f'{man}: {text}')}"):
+            cache.load("k")
+
     def test_missing_key_returns_none(self, tmp_path):
         assert HessianCache(tmp_path).load("nope") is None
 

@@ -39,48 +39,48 @@ RUN_JOB_PINS = {
     ("squared_error", "rtn", 3, 5): "dcd9eb4f740a33e4",
     ("squared_error", "rtn", 4, 0): "62ec8d87177fe354",
     ("squared_error", "rtn", 4, 5): "dcd9eb4f740a33e4",
-    ("squared_error", "squeezellm", 1, 0): "02423be08e5e26dc",
-    ("squared_error", "squeezellm", 1, 5): "72502a045e2ffdb5",
-    ("squared_error", "squeezellm", 3, 0): "02423be08e5e26dc",
-    ("squared_error", "squeezellm", 3, 5): "72502a045e2ffdb5",
-    ("squared_error", "squeezellm", 4, 0): "02423be08e5e26dc",
-    ("squared_error", "squeezellm", 4, 5): "72502a045e2ffdb5",
-    ("squared_error", "lnq_plain", 1, 0): "34717caccf61992f",
-    ("squared_error", "lnq_plain", 1, 5): "a02383d82ec00355",
-    ("squared_error", "lnq_plain", 3, 0): "34717caccf61992f",
-    ("squared_error", "lnq_plain", 3, 5): "a02383d82ec00355",
-    ("squared_error", "lnq_plain", 4, 0): "34717caccf61992f",
-    ("squared_error", "lnq_plain", 4, 5): "a02383d82ec00355",
+    ("squared_error", "squeezellm", 1, 0): "9674272db7e4e205",
+    ("squared_error", "squeezellm", 1, 5): "315bfb684ea91c3d",
+    ("squared_error", "squeezellm", 3, 0): "9674272db7e4e205",
+    ("squared_error", "squeezellm", 3, 5): "315bfb684ea91c3d",
+    ("squared_error", "squeezellm", 4, 0): "9674272db7e4e205",
+    ("squared_error", "squeezellm", 4, 5): "315bfb684ea91c3d",
+    ("squared_error", "lnq_plain", 1, 0): "74e0f5c36f615333",
+    ("squared_error", "lnq_plain", 1, 5): "1b1c45e13c1b2acd",
+    ("squared_error", "lnq_plain", 3, 0): "74e0f5c36f615333",
+    ("squared_error", "lnq_plain", 3, 5): "1b1c45e13c1b2acd",
+    ("squared_error", "lnq_plain", 4, 0): "74e0f5c36f615333",
+    ("squared_error", "lnq_plain", 4, 5): "1b1c45e13c1b2acd",
     ("squared_error", "lnq_guided", 1, 0): "17bcc03e273cdd9a",
-    ("squared_error", "lnq_guided", 1, 5): "d39755d983bd4cd2",
-    ("squared_error", "lnq_guided", 3, 0): "d4e023350b19e5b0",
-    ("squared_error", "lnq_guided", 3, 5): "b42ae2c269fbf5ec",
-    ("squared_error", "lnq_guided", 4, 0): "6ce787c2caaac3b4",
-    ("squared_error", "lnq_guided", 4, 5): "87198339a788ca45",
+    ("squared_error", "lnq_guided", 1, 5): "8cf846aadca2606d",
+    ("squared_error", "lnq_guided", 3, 0): "ebfac408dfced948",
+    ("squared_error", "lnq_guided", 3, 5): "686fca0ccee2387c",
+    ("squared_error", "lnq_guided", 4, 0): "e4fffd1dd0ae0c28",
+    ("squared_error", "lnq_guided", 4, 5): "ee0fd61b1d19a46c",
     ("softmax_cross_entropy", "rtn", 1, 0): "af3b42f495b41d1c",
     ("softmax_cross_entropy", "rtn", 1, 5): "589dad15ec2aeca5",
     ("softmax_cross_entropy", "rtn", 3, 0): "af3b42f495b41d1c",
     ("softmax_cross_entropy", "rtn", 3, 5): "589dad15ec2aeca5",
     ("softmax_cross_entropy", "rtn", 4, 0): "af3b42f495b41d1c",
     ("softmax_cross_entropy", "rtn", 4, 5): "589dad15ec2aeca5",
-    ("softmax_cross_entropy", "squeezellm", 1, 0): "c8584199e68727d7",
-    ("softmax_cross_entropy", "squeezellm", 1, 5): "3f9217773d927d60",
-    ("softmax_cross_entropy", "squeezellm", 3, 0): "c8584199e68727d7",
-    ("softmax_cross_entropy", "squeezellm", 3, 5): "3f9217773d927d60",
-    ("softmax_cross_entropy", "squeezellm", 4, 0): "c8584199e68727d7",
-    ("softmax_cross_entropy", "squeezellm", 4, 5): "3f9217773d927d60",
-    ("softmax_cross_entropy", "lnq_plain", 1, 0): "17891b01b52275ff",
-    ("softmax_cross_entropy", "lnq_plain", 1, 5): "26dadb6283714860",
-    ("softmax_cross_entropy", "lnq_plain", 3, 0): "17891b01b52275ff",
-    ("softmax_cross_entropy", "lnq_plain", 3, 5): "26dadb6283714860",
-    ("softmax_cross_entropy", "lnq_plain", 4, 0): "17891b01b52275ff",
-    ("softmax_cross_entropy", "lnq_plain", 4, 5): "26dadb6283714860",
-    ("softmax_cross_entropy", "lnq_guided", 1, 0): "1d86e3de0423d0e8",
-    ("softmax_cross_entropy", "lnq_guided", 1, 5): "a07d3be2475e492f",
-    ("softmax_cross_entropy", "lnq_guided", 3, 0): "3a055cbf22e45a33",
-    ("softmax_cross_entropy", "lnq_guided", 3, 5): "1470fee9a8578075",
-    ("softmax_cross_entropy", "lnq_guided", 4, 0): "ccf3571354ecf469",
-    ("softmax_cross_entropy", "lnq_guided", 4, 5): "fd9a36b81bbfc81b",
+    ("softmax_cross_entropy", "squeezellm", 1, 0): "f8fabfe4a3f27240",
+    ("softmax_cross_entropy", "squeezellm", 1, 5): "55473eb07f3ad1e6",
+    ("softmax_cross_entropy", "squeezellm", 3, 0): "f8fabfe4a3f27240",
+    ("softmax_cross_entropy", "squeezellm", 3, 5): "55473eb07f3ad1e6",
+    ("softmax_cross_entropy", "squeezellm", 4, 0): "f8fabfe4a3f27240",
+    ("softmax_cross_entropy", "squeezellm", 4, 5): "55473eb07f3ad1e6",
+    ("softmax_cross_entropy", "lnq_plain", 1, 0): "7269e7431f1f225f",
+    ("softmax_cross_entropy", "lnq_plain", 1, 5): "01c5cef1fb853de1",
+    ("softmax_cross_entropy", "lnq_plain", 3, 0): "7269e7431f1f225f",
+    ("softmax_cross_entropy", "lnq_plain", 3, 5): "01c5cef1fb853de1",
+    ("softmax_cross_entropy", "lnq_plain", 4, 0): "7269e7431f1f225f",
+    ("softmax_cross_entropy", "lnq_plain", 4, 5): "01c5cef1fb853de1",
+    ("softmax_cross_entropy", "lnq_guided", 1, 0): "1581722a10842211",
+    ("softmax_cross_entropy", "lnq_guided", 1, 5): "5e25380410735093",
+    ("softmax_cross_entropy", "lnq_guided", 3, 0): "28207175f0aab422",
+    ("softmax_cross_entropy", "lnq_guided", 3, 5): "5a42961b5f6b309d",
+    ("softmax_cross_entropy", "lnq_guided", 4, 0): "5582624bdecc5f46",
+    ("softmax_cross_entropy", "lnq_guided", 4, 5): "38bdf6ab0b8f7a08",
 }
 
 
@@ -129,13 +129,13 @@ QUANTIZE_FILE_PINS = {
     },
     "lnq_guided": {
         "assign.L0.gqt": "e7f45225c4dd",
-        "assign.L1.gqt": "dce6d53bb8a7",
+        "assign.L1.gqt": "817979bca84e",
         "codebook.L0.gqt": "defe336eb3ad",
-        "codebook.L1.gqt": "ddf50e85d170",
-        "manifest.json": "a528ea5d8431",
+        "codebook.L1.gqt": "a9449f0a6e4d",
+        "manifest.json": "69769dd50fa0",
         "quant.json": "0c97fa669e2e",
-        "report.csv": "9c19da3fc1c5",
-        "traces.json": "e92291d684e5",
+        "report.csv": "98749d286844",
+        "traces.json": "31d49ac98861",
     },
 }
 

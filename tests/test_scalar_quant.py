@@ -327,6 +327,15 @@ class TestKmeansPP:
         assert set(cb) <= set(pts[0])
 
 
+def _index_order_sum(v):
+    """The entries of v added one at a time in index order, starting
+    from 0.0 (Python's sum() compensates; a cumsum starts from v[0])."""
+    total = 0.0
+    for t in v.tolist():
+        total += t
+    return total
+
+
 def _lloyd_every_iter(pts, cb, iters, trace):
     """Lloyd on one channel (values, weights) that runs all `iters`
     iterations, with no fixed-point exit."""
@@ -342,9 +351,9 @@ def _lloyd_every_iter(pts, cb, iters, trace):
         trace.append(_sse(centers, a))
         for q in range(centers.shape[0]):
             mask = a == q
-            tw = float(np.sum(wgt[mask]))
+            tw = _index_order_sum(wgt[mask])
             if tw > 0.0:
-                centers[q] = float(np.sum(wgt[mask] * x[mask])) / tw
+                centers[q] = _index_order_sum(wgt[mask] * x[mask]) / tw
         centers = np.sort(centers)
         trace.append(_sse(centers, a))
     final = np.abs(centers[None, :] - x[:, None]).argmin(axis=1)
@@ -356,10 +365,9 @@ def _lloyd_every_iter(pts, cb, iters, trace):
 def lloyd_case(draw):
     """Points drawn from a small value pool (duplicates), weights with
     zeros, and a free codebook that may sit outside the data (empty
-    clusters) or repeat values. Up to 300 points, so clusters pass the
-    128 points beyond which numpy's pairwise sum splits in two; past 14
-    points the values and weights come from a drawn numpy seed, which
-    keeps generation fast."""
+    clusters) or repeat values. Up to 300 points, so a cluster can hold
+    hundreds; past 14 points the values and weights come from a drawn
+    numpy seed, which keeps generation fast."""
     n = draw(st.integers(1, 300))
     pool = draw(st.lists(st.floats(-8, 8, allow_subnormal=False), min_size=1, max_size=6))
     weights = st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(0, 5)
@@ -449,6 +457,76 @@ class TestLloyd:
             start = weighted_sse(*pts, init, round_rows(pts[0], init))
             cb, assign = _lloyd_one(pts, init, 25)
             assert weighted_sse(*pts, cb, assign) <= start + 1e-12
+
+
+def _cluster_means_by_loop(w, wx, a, c):
+    """_cluster_means with every cluster's sums of w and w x taken by
+    `_index_order_sum`; a cluster of no positive weight keeps its
+    center."""
+    out = c.copy()
+    for i, q in np.ndindex(*c.shape):
+        mask = a[i] == q
+        tw = _index_order_sum(w[i][mask])
+        if tw > 0.0:
+            out[i, q] = _index_order_sum(wx[i][mask]) / tw
+    return out
+
+
+def _mixed_values(rng, n, zeros):
+    """n values of both signs and magnitudes 1e-3..1e3, a fraction
+    `zeros` of them replaced by +0.0 or -0.0."""
+    v = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n)
+    z = rng.random(n) < zeros
+    v[z] = np.where(rng.random(int(z.sum())) < 0.5, -0.0, 0.0)
+    return v
+
+
+# cluster sizes on either side of the 8 lanes and the 128-element
+# blocks of numpy's pairwise .sum(), which the sums no longer follow
+CLUSTER_SIZES = [1, 7, 8, 9, 128, 129, 300]
+
+
+class TestClusterSums:
+    """Every cluster's sums of w and w x add its points in index order
+    from 0.0, the means compared byte for byte."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 400), st.integers(1, 8),
+           st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.integers(0, 2 ** 32 - 1))
+    def test_every_cluster_is_its_index_order_loop(self, k, n, m, zeros, seed):
+        rng = np.random.default_rng(seed)
+        x = _mixed_values(rng, k * n, zeros).reshape(k, n)
+        w = np.where(rng.random((k, n)) < zeros, 0.0, rng.uniform(0, 2, (k, n)))
+        a = rng.integers(0, m, (k, n))
+        c = np.sort(rng.standard_normal((k, m)), axis=1)
+        got = scalar_quant._cluster_means(w, w * x, a, c)
+        assert got.tobytes() == _cluster_means_by_loop(w, w * x, a, c).tobytes()
+
+    @pytest.mark.parametrize("zeros", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_clusters_in_any_order(self, seed, zeros):
+        # clusters of every size in CLUSTER_SIZES with their points
+        # interleaved, a zero-weight cluster (slot 7) and an empty one
+        # (slot 8), which both keep their centers
+        rng = np.random.default_rng(seed)
+        labels = np.repeat(np.arange(8), CLUSTER_SIZES + [5])
+        a = np.stack([rng.permutation(labels) for _ in range(3)])
+        x = _mixed_values(rng, a.size, zeros).reshape(a.shape)
+        w = rng.uniform(0.01, 2, a.shape)
+        w[a == 7] = 0.0
+        c = np.sort(rng.standard_normal((3, 9)), axis=1)
+        got = scalar_quant._cluster_means(w, w * x, a, c)
+        assert got.tobytes() == _cluster_means_by_loop(w, w * x, a, c).tobytes()
+        assert got[:, 7:].tobytes() == c[:, 7:].tobytes()
+
+    def test_signed_zeros(self):
+        # a cluster of only -0.0 sums to +0.0, the loop's start value
+        for n in CLUSTER_SIZES:
+            for v in (-0.0, 0.0):
+                x, w = np.full((1, n), v), np.full((1, n), 0.5)
+                got = scalar_quant._cluster_means(w, w * x, np.zeros((1, n), dtype=np.int64),
+                                                  np.array([[1.0]]))
+                assert got.tobytes() == np.array([[0.0]]).tobytes()
 
 
 @st.composite

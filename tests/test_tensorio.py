@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -162,6 +163,21 @@ class TestJsonAndManifest:
         assert verify_manifest(tmp_path) == ["note.txt"]
         (tmp_path / "w.gqt").unlink()
         assert sorted(verify_manifest(tmp_path)) == ["note.txt", "w.gqt"]
+
+    @pytest.mark.parametrize("blob,text", [
+        pytest.param(b"\xff{}", "not valid JSON: ", id="not_utf8"),
+        pytest.param(b"{", "not valid JSON: ", id="truncated"),
+        pytest.param(b"[" * 100000, "not valid JSON: ", id="nested_too_deep"),
+        pytest.param(b"7", "expected a JSON object, got int", id="number"),
+        pytest.param(b'{"files": ["w.gqt"]}', "files must be an object, got ['w.gqt']",
+                     id="files_a_list"),
+    ])
+    def test_unreadable_manifest_is_refused(self, tmp_path, blob, text):
+        man = tmp_path / "manifest.json"
+        man.write_bytes(blob)
+        for read in (read_manifest, verify_manifest):
+            with pytest.raises(CorruptFile, match=f"^{re.escape(f'{man}: {text}')}"):
+                read(tmp_path)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CorruptFile):
