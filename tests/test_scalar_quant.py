@@ -490,6 +490,19 @@ class TestClusterSums:
     """Every cluster's sums of w and w x add its points in index order
     from 0.0, the means compared byte for byte."""
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 400), st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_one_cluster_is_its_index_order_loop(self, n, zeros, seed):
+        # every point of the channel in the one cluster
+        rng = np.random.default_rng(seed)
+        x = _mixed_values(rng, n, zeros).reshape(1, n)
+        w = np.where(rng.random((1, n)) < zeros, 0.0, rng.uniform(0, 2, (1, n)))
+        a = np.zeros((1, n), dtype=np.int64)
+        c = rng.standard_normal((1, 1))
+        got = scalar_quant._cluster_means(w, w * x, a, c)
+        assert got.tobytes() == _cluster_means_by_loop(w, w * x, a, c).tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 400), st.integers(1, 8),
            st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.integers(0, 2 ** 32 - 1))
