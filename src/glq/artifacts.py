@@ -40,19 +40,22 @@ from .tensorio import (
     read_json_object,
     read_manifest,
     read_tensor,
-    verify_manifest,
+    stale_files,
     write_json_atomic,
     write_manifest,
     write_tensor,
 )
 
 
-def _check(dir_path: str | Path) -> Path:
+def _check(dir_path: str | Path) -> tuple[Path, dict]:
+    """Artifact directory `dir_path` and its manifest, read once; refuses
+    a directory whose files fail their hashes."""
     d = Path(dir_path)
-    bad = verify_manifest(d)
+    entry = read_manifest(d)
+    bad = stale_files(d, entry)
     if bad:
         raise CorruptFile(f"{d}: manifest mismatch for {bad}")
-    return d
+    return d, entry
 
 
 _KINDS = {int: "an integer", str: "a string"}
@@ -69,11 +72,11 @@ def _header(d: Path, name: str, fields: dict[str, type]) -> dict:
     return meta
 
 
-def _layer_files(d: Path, name: str, n_layers: int, pattern: str) -> None:
+def _layer_files(d: Path, entry: dict, name: str, n_layers: int, pattern: str) -> None:
     """Refuse an n_layers in header `name` that disagrees with the files
-    `pattern`.format(l) the manifest of d holds."""
+    `pattern`.format(l) that `entry`, the manifest of d, holds."""
     prefix = pattern[:pattern.index("{")]
-    held = sorted(f for f in read_manifest(d).get("files", {}) if f.startswith(prefix))
+    held = sorted(f for f in entry.get("files", {}) if f.startswith(prefix))
     if held != sorted(pattern.format(l) for l in range(n_layers)):
         raise CorruptFile(f"{d}: {name}: n_layers is {n_layers}, but the manifest holds {held}")
 
@@ -93,7 +96,7 @@ def save_dataset(dir_path: str | Path, data: Dataset, task: str) -> None:
 
 
 def load_dataset(dir_path: str | Path) -> tuple[Dataset, str]:
-    d = _check(dir_path)
+    d, _ = _check(dir_path)
     meta = _header(d, "dataset.json",
                    {"seed": int, "task": str, "n": int, "d0": int, "dt": int})
     if meta["task"] not in LOSSES:
@@ -128,9 +131,9 @@ def save_model(dir_path: str | Path, model: MlpModel) -> None:
 
 
 def load_model(dir_path: str | Path) -> MlpModel:
-    d = _check(dir_path)
+    d, entry = _check(dir_path)
     meta = _header(d, "model.json", {"activation": str, "loss": str, "n_layers": int})
-    _layer_files(d, "model.json", meta["n_layers"], "layer.{}.weight.gqt")
+    _layer_files(d, entry, "model.json", meta["n_layers"], "layer.{}.weight.gqt")
     layers = [read_tensor(d / f"layer.{i}.weight.gqt") for i in range(meta["n_layers"])]
     try:
         return MlpModel(layers=layers, activation=meta["activation"], loss=meta["loss"])
@@ -175,9 +178,9 @@ def save_quantized(
 
 
 def load_quantized(dir_path: str | Path) -> tuple[list[QuantizedLayer], dict]:
-    d = _check(dir_path)
+    d, entry = _check(dir_path)
     meta = _header(d, "quant.json", {"bits": int, "n_layers": int})
-    _layer_files(d, "quant.json", meta["n_layers"], "codebook.L{}.gqt")
+    _layer_files(d, entry, "quant.json", meta["n_layers"], "codebook.L{}.gqt")
     traces = read_json_object(d / "traces.json")
     qlayers = []
     for l in range(meta["n_layers"]):

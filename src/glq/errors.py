@@ -65,7 +65,9 @@ class TooLarge(GlqError):
 
 
 class CorruptFile(GlqError):
-    """A tensor file failed validation (magic, shape, or payload size)."""
+    """A file on disk failed validation: a tensor file (magic, shape or
+    payload size), a JSON manifest or header, an artifact layer, or a
+    Hessian cache entry."""
 
 
 class UnsupportedDtype(GlqError):

@@ -29,17 +29,16 @@ unit gradient scale, for every method but lnq_guided). `glq eval`
 rebuilds those sets from the job recorded in the artifact, so it
 reproduces every column of the quantize report. The gradient-weighted
 error equals the sum of per-channel Fisher quadratic forms
-n * delta^T F_j delta with n F_j = X^T Diag(gradZ[:, j]^2) X, so the
-`fisher_quadratic` CSV column is filled from that identity: it is the
-guided total. The independent channel-by-channel route is
-`oracle.full_fisher_quadratic`, which the tests check the guided
-objective against.
+n * delta^T F_j delta with n F_j = X^T Diag(gradZ[:, j]^2) X; the
+independent channel-by-channel route is `oracle.full_fisher_quadratic`,
+which the tests check the guided objective against.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from operator import itemgetter
 
 import numpy as np
 
@@ -50,6 +49,7 @@ from .hessian import (
     DEFAULT_GRAD_SCALE,
     HessianCache,
     HessianSet,
+    check_settings,
     fisher_diag,
     layer_hessians,
 )
@@ -63,7 +63,6 @@ CSV_COLUMNS = (
     "method", "bits", "g", "seed",
     "end_loss_before", "end_loss_after",
     "plain_objective", "guided_objective", "damped_objective",
-    "fisher_quadratic",
 )
 
 
@@ -100,14 +99,13 @@ class QuantJob:
             (1 <= self.bits <= 8, f"bits must be in 1..8, got {self.bits}"),
             (self.g >= 1, f"g must be >= 1, got {self.g}"),
             (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
-            (self.grad_scale > 0, f"grad_scale must be > 0, got {self.grad_scale}"),
-            (self.damping_rel >= 0, f"damping_rel must be >= 0, got {self.damping_rel}"),
             (self.T >= 1, f"T must be >= 1, got {self.T}"),
             (self.K >= 1, f"K must be >= 1, got {self.K}"),
         ]
         for ok, msg in checks:
             if not ok:
                 raise ConfigError(msg)
+        check_settings(self.grad_scale, self.damping_rel)
         if self.method != "lnq_guided":
             self.g = 1
 
@@ -149,9 +147,7 @@ class QuantReport:
         }
 
     def csv_row(self) -> dict:
-        """The report's CSV_COLUMNS; `fisher_quadratic` is the guided
-        total (see `eval_objectives`)."""
-        t = self.totals()
+        """The report's CSV_COLUMNS."""
         return {
             "method": self.method,
             "bits": self.bits,
@@ -159,10 +155,7 @@ class QuantReport:
             "seed": self.seed,
             "end_loss_before": self.end_loss_before,
             "end_loss_after": self.end_loss_after,
-            "plain_objective": t["plain_objective"],
-            "guided_objective": t["guided_objective"],
-            "damped_objective": t["damped_objective"],
-            "fisher_quadratic": t["guided_objective"],
+            **self.totals(),
         }
 
 
@@ -181,10 +174,8 @@ def job_hessians(
     methods. No set is held here once the next is asked for."""
     kind = "guided" if job.method == "lnq_guided" else "plain"
     cache = cache if job.method in ("lnq_plain", "lnq_guided") else None
-    for _key, hset in layer_hessians(model, data, calib, kind, job.g, job.grad_scale,
-                                     job.damping_rel, cache=cache):
-        yield hset
-        del hset
+    return map(itemgetter(1), layer_hessians(model, data, calib, kind, job.g, job.grad_scale,
+                                             job.damping_rel, cache=cache))
 
 
 def run_job(

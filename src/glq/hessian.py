@@ -27,9 +27,11 @@ positive definite whenever B has a nonzero row. A group whose s_k is
 zero on every sample (a zero-gradient group) would get Hbar_k = 0 and
 lambda_k = 0; ``guided_hessians`` refuses it with ZeroGradientGroup.
 
-A cache entry records its groups as lists of channel indices (the
-manifest's ``groups``); ``HessianCache.load`` is the one place such a
-list becomes sizes, and it refuses one that is not consecutive.
+A cache entry records the request it was built for
+(``hessian_request``: model and dataset digests, layer, clipped g, grad
+scale, damping rule, kind), which its key hashes; ``HessianCache.load``
+refuses an entry whose recorded request is not the one asked for, and
+builds the set on the partition the caller already holds.
 
 ``layer_hessians`` hands out one layer's set at a time and keeps none
 once it is handed out, so a caller that drops each set before asking
@@ -104,23 +106,27 @@ class ChannelPartition:
 class HessianSet:
     """Damped proxy Hessians for one layer, one matrix per channel group.
 
-    ``hessians[k]`` already includes its diagonal shift ``lambdas[k]``;
-    ``damping_rel`` records the relative rule that produced the shifts.
+    ``hessians[k]`` already includes its diagonal shift ``lambdas[k]``.
     """
 
     layer_idx: int
     partition: ChannelPartition
     hessians: list[Matrix]
     lambdas: list[float]
-    grad_scale: float
-    damping_rel: float
-    kind: str  # "plain" or "guided"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("plain", "guided"):
-            raise ValueError(f"unknown hessian kind {self.kind!r}")
         if len(self.hessians) != self.partition.g or len(self.lambdas) != self.partition.g:
             raise PartitionMismatch("one hessian and one lambda per group required")
+
+
+def check_settings(grad_scale: float, damping_rel: float) -> None:
+    """Refuse (ConfigError) a grad scale that is not > 0 and a negative
+    relative damping, NaN included: the one check of both, which
+    `QuantJob` and `layer_hessians` make."""
+    if not grad_scale > 0:
+        raise ConfigError(f"grad_scale must be > 0, got {grad_scale}")
+    if not damping_rel >= 0:
+        raise ConfigError(f"damping_rel must be >= 0, got {damping_rel}")
 
 
 def _check_calib(calib: LayerCalibration) -> tuple[Matrix, Matrix]:
@@ -139,7 +145,7 @@ def _damped(M: Matrix, damping_rel: float) -> tuple[Matrix, float]:
 
 
 def _gram_set(X: Matrix, s: Matrix, partition: ChannelPartition, layer_idx: int,
-              grad_scale: float, damping_rel: float, kind: str) -> HessianSet:
+              damping_rel: float) -> HessianSet:
     """The set of damped B^T B, B = X * sqrt(s[:, k]) row by row, one per
     group k of `partition`: the one build of every layer Hessian."""
     hessians, lambdas = [], []
@@ -150,15 +156,7 @@ def _gram_set(X: Matrix, s: Matrix, partition: ChannelPartition, layer_idx: int,
         H, lam = _damped(M, damping_rel)
         hessians.append(H)
         lambdas.append(lam)
-    return HessianSet(
-        layer_idx=layer_idx,
-        partition=partition,
-        hessians=hessians,
-        lambdas=lambdas,
-        grad_scale=grad_scale,
-        damping_rel=damping_rel,
-        kind=kind,
-    )
+    return HessianSet(layer_idx, partition, hessians, lambdas)
 
 
 def plain_hessian(
@@ -170,7 +168,7 @@ def plain_hessian(
     the guided build with one group and unit weights."""
     X, G = _check_calib(calib)
     return _gram_set(X, np.ones((X.shape[0], 1)), ChannelPartition.consecutive(G.shape[1], 1),
-                     layer_idx, 1.0, damping_rel, "plain")
+                     layer_idx, damping_rel)
 
 
 def squared_grad_averages(
@@ -218,7 +216,7 @@ def guided_hessians(
                 f"zero gradient on every sample, so its guided Hessian and "
                 f"damping would both be 0"
             )
-    return _gram_set(X, s, partition, layer_idx, grad_scale, damping_rel, "guided")
+    return _gram_set(X, s, partition, layer_idx, damping_rel)
 
 
 def fisher_diag(calib: LayerCalibration) -> Matrix:
@@ -261,7 +259,7 @@ def dataset_hash(data: Dataset) -> str:
     return h.hexdigest()
 
 
-def hessian_cache_key(
+def hessian_request(
     model_digest: str,
     dataset_digest: str,
     layer_idx: int,
@@ -269,118 +267,88 @@ def hessian_cache_key(
     grad_scale: float,
     damping_rel: float,
     kind: str,
-) -> str:
-    """Deterministic cache key for one layer's HessianSet, from the
-    content hashes of the model and the calibration dataset."""
-    payload = json.dumps(
-        {
-            "model": model_digest,
-            "dataset": dataset_digest,
-            "layer": layer_idx,
-            "g": g,
-            "grad_scale": repr(float(grad_scale)),
-            "damping_rel": repr(float(damping_rel)),
-            "kind": kind,
-        },
-        sort_keys=True,
-    ).encode()
-    return hashlib.sha256(payload).hexdigest()[:24]
+) -> dict:
+    """What one layer's HessianSet is built from, as plain JSON values:
+    the content hashes of the model and the calibration dataset, the
+    layer, its clipped group count and the Hessian settings. A cache
+    entry is keyed by its hash and records it."""
+    return {
+        "model": model_digest,
+        "dataset": dataset_digest,
+        "layer": layer_idx,
+        "g": g,
+        "grad_scale": repr(float(grad_scale)),
+        "damping_rel": repr(float(damping_rel)),
+        "kind": kind,
+    }
+
+
+def hessian_cache_key(request: dict) -> str:
+    """Deterministic cache key of a `hessian_request`."""
+    return hashlib.sha256(json.dumps(request, sort_keys=True).encode()).hexdigest()[:24]
 
 
 class HessianCache:
     """Disk cache of HessianSets under ``root/<key>/``.
 
     Each entry holds ``hess.L<layer>.G<k>.gqt`` tensor files plus a
-    ``manifest.json`` recording the layer, kind, d_out, the groups as
-    lists of channel indices, lambdas, grad scale, damping rule and
-    per-file content hashes. A reload refuses with CorruptFile a
-    manifest it cannot read (``_entry_manifest``) and a file whose hash
-    does not match, so it is bit-exact or refused. A set with an input
-    feature of zero curvature, which no solver can factor, is never
-    stored: ``store`` raises SingularHessian first.
+    ``manifest.json`` of the ``request`` the entry was built for (whose
+    hash is its key), the ``lambdas`` and per-file content hashes. A
+    load reads the manifest once and refuses with CorruptFile an entry
+    whose request is not the one asked for (copied in from another
+    model's or dataset's cache, or moved to another layer's key), whose
+    lambdas are not one number per group, or whose files fail their
+    hashes, so it is bit-exact or refused. A set with an input feature
+    of zero curvature, which no solver can factor, is never stored:
+    ``store`` raises SingularHessian first.
     """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
 
-    def _dir(self, key: str) -> Path:
-        return self.root / key
+    def load(self, request: dict, partition: ChannelPartition) -> HessianSet | None:
+        """The set stored for `request`, on `partition` (the request's
+        layer split into its g groups), or None when there is none."""
+        from .tensorio import read_manifest, read_tensor, stale_files
 
-    def load(self, key: str) -> HessianSet | None:
-        from .tensorio import read_tensor, verify_manifest
-
-        d = self._dir(key)
+        d = self.root / hessian_cache_key(request)
         if not (d / "manifest.json").exists():
             return None
-        meta, part = _entry_manifest(d)
-        names = [f"hess.L{meta['layer_idx']}.G{k}.gqt" for k in range(part.g)]
-        bad = verify_manifest(d) + [n for n in names if n not in meta["files"]]
+        meta = read_manifest(d)
+        if "request" not in meta:
+            raise CorruptFile(f"{d}: hessian cache entry records no request (written before "
+                              f"entries recorded one); rerun `glq hessian` to rebuild it")
+        if meta["request"] != request:
+            built, asked = (json.dumps(r, sort_keys=True) for r in (meta["request"], request))
+            raise CorruptFile(f"{d}: hessian cache entry was built for {built}, "
+                              f"requested {asked}")
+        lambdas = meta.get("lambdas")
+        if not isinstance(lambdas, list) or len(lambdas) != partition.g or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in lambdas):
+            raise CorruptFile(f"{d}: hessian cache entry has lambdas {lambdas!r} for "
+                              f"{partition.g} groups")
+        names = [f"hess.L{request['layer']}.G{k}.gqt" for k in range(partition.g)]
+        bad = stale_files(d, meta) + [n for n in names if n not in meta.get("files", {})]
         if bad:
             raise CorruptFile(f"{d}: hessian cache entry fails its manifest: {bad}")
-        hessians = [read_tensor(d / name) for name in names]
-        return HessianSet(
-            layer_idx=meta["layer_idx"],
-            partition=part,
-            hessians=hessians,
-            lambdas=[float(x) for x in meta["lambdas"]],
-            grad_scale=meta["grad_scale"],
-            damping_rel=meta["damping_rel"],
-            kind=meta["kind"],
-        )
+        return HessianSet(request["layer"], partition, [read_tensor(d / n) for n in names],
+                          [float(x) for x in lambdas])
 
-    def store(self, key: str, hset: HessianSet) -> Path:
+    def store(self, request: dict, hset: HessianSet) -> Path:
         from .tensorio import write_manifest, write_tensor
 
         for k, H in enumerate(hset.hessians):
             cause = zero_curvature(H)
             if cause is not None:
                 raise SingularHessian(hset.layer_idx, k, cause)
-        d = self._dir(key)
+        d = self.root / hessian_cache_key(request)
         d.mkdir(parents=True, exist_ok=True)
         names = [f"hess.L{hset.layer_idx}.G{k}.gqt" for k in range(hset.partition.g)]
         for name, H in zip(names, hset.hessians):
             write_tensor(d / name, H)
-        write_manifest(d, {
-            "layer_idx": hset.layer_idx,
-            "d_out": hset.partition.d_out,
-            "groups": [list(range(o, e)) for o, e in hset.partition.bounds],
-            "lambdas": [float(x) for x in hset.lambdas],
-            "grad_scale": hset.grad_scale,
-            "damping_rel": hset.damping_rel,
-            "kind": hset.kind,
-        }, names)
+        write_manifest(d, {"request": request, "lambdas": [float(x) for x in hset.lambdas]},
+                       names)
         return d
-
-
-def _entry_manifest(d: Path) -> tuple[dict, ChannelPartition]:
-    """The manifest of cache entry `d` and the partition its groups
-    describe: the one place an on-disk group list becomes sizes. A field
-    that is missing or ill-typed, groups that are not consecutive or do
-    not cover d_out, and lambdas that are not one number per group are
-    refused with CorruptFile naming the entry."""
-    from .tensorio import read_json_object
-
-    meta = read_json_object(d / "manifest.json")
-    number = (int, float)
-    for field, types in (("layer_idx", int), ("d_out", int), ("groups", list),
-                         ("lambdas", list), ("grad_scale", number), ("damping_rel", number),
-                         ("kind", str), ("files", dict)):
-        value = meta.get(field)
-        if not isinstance(value, types) or isinstance(value, bool):
-            raise CorruptFile(f"{d}: hessian cache manifest field {field!r} is missing or "
-                              f"ill-typed: {value!r}")
-    groups = meta["groups"]
-    lists = groups and all(isinstance(grp, list) and grp for grp in groups)
-    if not lists or [j for grp in groups for j in grp] != list(range(meta["d_out"])):
-        raise CorruptFile(f"{d}: hessian cache groups are not consecutive groups covering "
-                          f"d_out = {meta['d_out']}: {groups}")
-    part = ChannelPartition(tuple(len(grp) for grp in groups))
-    lambdas = meta["lambdas"]
-    if meta["kind"] not in ("plain", "guided") or len(lambdas) != part.g or not all(
-            isinstance(x, number) and not isinstance(x, bool) for x in lambdas):
-        raise CorruptFile(f"{d}: hessian cache manifest has kind {meta['kind']!r} and "
-                          f"lambdas {lambdas} for {part.g} groups")
-    return meta, part
 
 
 def layer_hessians(
@@ -402,21 +370,23 @@ def layer_hessians(
     gets one group per channel, and keys each layer with that clipped
     count. A layer with d_out >= g keeps the key of its unclipped g.
     With a `cache`, an existing entry is loaded when `reuse` is set, and
-    refused (CorruptFile) unless its layer, kind, grad scale, damping
-    and partition are the request's; every set built here is stored
-    under its key. This is the only place a layer Hessian is built and
-    keyed, so a quantize run finds exactly the entries a hessian run
-    wrote, and stores each set it has to build itself (`glq quantize
+    refused (CorruptFile) unless it records this layer's request
+    (`hessian_request`); every set built here is stored under its key.
+    This is the only place a layer Hessian is built and keyed, so a
+    quantize run finds exactly the entries a hessian run wrote, and
+    stores each set it has to build itself (`glq quantize
     --hessian-cache` adds, say, plain entries to a cache of guided
     ones); the cache's `index.json` lists only what `glq hessian` wrote.
 
     The sets come one layer at a time and nothing here keeps one once it
     is handed out, so a caller that drops each set before asking for the
-    next holds one layer's set at a time. An unknown kind is refused
-    before the first set (ConfigError).
+    next holds one layer's set at a time. An unknown kind, a grad scale
+    that is not > 0 and a negative damping are refused before the first
+    set (ConfigError), with `QuantJob`'s text (`check_settings`).
     """
     if kind not in ("plain", "guided"):
         raise ConfigError(f"unknown hessian kind {kind!r}")
+    check_settings(grad_scale, damping_rel)
     if kind == "plain":
         g, grad_scale = 1, 1.0
     return _layer_sets(model, data, calib, kind, g, grad_scale, damping_rel, cache, reuse)
@@ -426,16 +396,9 @@ def _layer_sets(model, data, calib, kind, g, grad_scale, damping_rel, cache, reu
     digest, data_digest = model_hash(model), dataset_hash(data)
     for l, c in enumerate(calib):
         part = ChannelPartition.consecutive(c.gradZ.shape[1], min(g, c.gradZ.shape[1]))
-        key = hessian_cache_key(digest, data_digest, l, part.g, grad_scale, damping_rel, kind)
-        hset = cache.load(key) if cache is not None and reuse else None
-        if hset is not None:  # refuse an entry built for another request
-            got = (hset.layer_idx, hset.kind, float(hset.grad_scale),
-                   float(hset.damping_rel), hset.partition)
-            want = (l, kind, float(grad_scale), float(damping_rel), part)
-            if got != want:
-                raise CorruptFile(f"{cache.root / key}: hessian cache entry holds (layer, kind, "
-                                  f"grad_scale, damping_rel, partition) {got}, requested {want}")
-        else:
+        request = hessian_request(digest, data_digest, l, part.g, grad_scale, damping_rel, kind)
+        hset = cache.load(request, part) if cache is not None and reuse else None
+        if hset is None:
             if kind == "plain":
                 hset = plain_hessian(c, layer_idx=l, damping_rel=damping_rel)
             else:
@@ -443,7 +406,6 @@ def _layer_sets(model, data, calib, kind, g, grad_scale, damping_rel, cache, reu
                     c, part, layer_idx=l, grad_scale=grad_scale, damping_rel=damping_rel
                 )
             if cache is not None:
-                cache.store(key, hset)
-        yield key, hset
+                cache.store(request, hset)
+        yield hessian_cache_key(request), hset
         del hset  # not held while the next layer's set is built
-

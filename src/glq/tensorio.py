@@ -143,13 +143,14 @@ def read_manifest(dir_path: str | Path) -> dict:
     return entry
 
 
+def stale_files(dir_path: str | Path, entry: dict) -> list[str]:
+    """The names in `entry`, the already-read manifest of `dir_path`,
+    whose file is missing or whose hash no longer matches."""
+    dir_path = Path(dir_path)
+    return [name for name, digest in entry.get("files", {}).items()
+            if not (dir_path / name).exists() or file_sha256(dir_path / name) != digest]
+
+
 def verify_manifest(dir_path: str | Path) -> list[str]:
     """Return the names whose on-disk hash no longer matches the manifest."""
-    dir_path = Path(dir_path)
-    entry = read_manifest(dir_path)
-    bad = []
-    for name, digest in entry.get("files", {}).items():
-        p = dir_path / name
-        if not p.exists() or file_sha256(p) != digest:
-            bad.append(name)
-    return bad
+    return stale_files(dir_path, read_manifest(dir_path))

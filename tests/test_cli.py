@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import glq
-from glq import artifacts, hessian
+from glq import artifacts, hessian, tensorio
+from glq.calib_model import calibrate
 from glq.cli import QUANTIZE_DEFAULTS, build_parser, main
 from glq.errors import ConfigError, CorruptFile
 from glq.guidedquant import METHODS, QuantJob
@@ -38,6 +39,14 @@ def _resign(d: Path) -> None:
     manifest = read_manifest(d)
     write_manifest(d, {"kind": manifest["kind"]}, list(manifest["files"]))
     assert verify_manifest(d) == []
+
+
+def _refused_request(err: str) -> tuple[Path, dict, dict]:
+    """The entry, the recorded request and the requested one of the
+    error a cache load gives for an entry built for another request."""
+    head, rest = err.removeprefix("error: ").split(": hessian cache entry was built for ")
+    built, asked = rest.rstrip("\n").split(", requested ")
+    return Path(head), json.loads(built), json.loads(asked)
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +175,34 @@ def test_hessian_and_eval_hold_one_layer_set_at_a_time(pipeline, tmp_path, monke
     assert seen == [0] * 4
 
 
+def test_each_load_reads_each_json_file_once(pipeline, tmp_path, monkeypatch):
+    # the manifest a load reads for its hash check also gives the layer
+    # files it checks n_layers against (artifacts) and the request and
+    # lambdas it checks (Hessian cache entries)
+    data, model = pipeline
+    quant, cache = tmp_path / "q", tmp_path / "hc"
+    assert main(["quantize", "--model", str(model), "--data", str(data), "--method",
+                 "lnq_guided", "--g", "2", "--hessian-cache", str(cache),
+                 "--out", str(quant)]) == 0
+    m, (d, _) = artifacts.load_model(model), artifacts.load_dataset(data)
+    reads = []
+    real = tensorio.read_json_object
+    for mod in (tensorio, artifacts):
+        monkeypatch.setattr(mod, "read_json_object",
+                            lambda path: reads.append(Path(path).name) or real(path))
+    for load, path, names in (
+            (artifacts.load_model, model, ["manifest.json", "model.json"]),
+            (artifacts.load_dataset, data, ["dataset.json", "manifest.json"]),
+            (artifacts.load_quantized, quant, ["manifest.json", "quant.json", "traces.json"])):
+        reads.clear()
+        load(path)
+        assert sorted(reads) == names, load.__name__
+    reads.clear()
+    hsets = list(hessian.layer_hessians(m, d, calibrate(m, d), "guided", 2,
+                                        cache=hessian.HessianCache(cache)))
+    assert len(hsets) == m.n_layers and reads == ["manifest.json"] * m.n_layers
+
+
 class TestHessianCacheFlag:
     def _quantize(self, model, data, out, cache=None, g="2"):
         args = ["quantize", "--model", str(model), "--data", str(data),
@@ -199,16 +236,16 @@ class TestHessianCacheFlag:
                 "--bits", "2", "--hessian-cache", str(cache), "--out"]
         assert main(args + [str(tmp_path / "qa")]) == 0
         m, (d, _) = artifacts.load_model(model), artifacts.load_dataset(data)
-        plain = {hessian.hessian_cache_key(hessian.model_hash(m), hessian.dataset_hash(d), l, 1,
-                                           1.0, hessian.DEFAULT_DAMPING_REL, "plain")
-                 for l in range(m.n_layers)}
+        plain = {hessian.hessian_cache_key(hessian.hessian_request(
+                     hessian.model_hash(m), hessian.dataset_hash(d), l, 1, 1.0,
+                     hessian.DEFAULT_DAMPING_REL, "plain")) for l in range(m.n_layers)}
         assert not plain & guided
         assert {p.name for p in cache.iterdir() if p.is_dir()} == guided | plain
         assert (cache / "index.json").read_bytes() == index
         loads, builds = [], []
         real_load, real_build = hessian.HessianCache.load, hessian.plain_hessian
         monkeypatch.setattr(hessian.HessianCache, "load",
-                            lambda cache, key: loads.append(real_load(cache, key)) or loads[-1])
+                            lambda cache, *a: loads.append(real_load(cache, *a)) or loads[-1])
         monkeypatch.setattr(hessian, "plain_hessian",
                             lambda *a, **kw: builds.append(1) or real_build(*a, **kw))
         assert main(args + [str(tmp_path / "qb")]) == 0
@@ -261,11 +298,101 @@ class TestHessianCacheFlag:
         assert main(["quantize", "--model", str(model), "--data", str(data),
                      "--method", "lnq_guided", "--bits", "2", "--g", "4",
                      "--hessian-cache", str(cache), "--out", str(tmp_path / "q")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {cache / keys['1']}: hessian cache entry holds "
-                              f"(layer, kind, grad_scale, damping_rel, partition) (2, ")
-        assert "requested (1, " in err
+        entry, built, asked = _refused_request(capsys.readouterr().err)
+        assert entry == cache / keys["1"]
+        assert {k for k in built if built[k] != asked[k]} == {"layer"}
+        assert (built["layer"], asked["layer"]) == (2, 1)
         assert not (tmp_path / "q").exists()
+
+    @pytest.mark.parametrize("other", ["model", "dataset"])
+    def test_entry_copied_from_another_cache_refused(self, pipeline, tmp_path, capsys, other):
+        # another model (or dataset) of the same dims gives entries of the
+        # same shapes; renamed to this request's keys, they pass every hash
+        # and shape check, and only the digests the request records tell
+        # them apart
+        data, model = pipeline
+        inputs = {"model": model, "data": data}
+        if other == "model":
+            inputs["model"] = tmp_path / "model2"
+            assert main(["train", "--data", str(data), "--hidden", "10", "--steps", "80",
+                         "--seed", "1", "--out", str(inputs["model"])]) == 0
+        else:
+            inputs["data"] = tmp_path / "data2"
+            assert main(["gen-data", "--seed", "1", "--n", "48", "--d0", "6", "--dt", "3",
+                         "--out", str(inputs["data"])]) == 0
+        caches = {}
+        for name, (m, d) in {"mine": (model, data),
+                             "other": (inputs["model"], inputs["data"])}.items():
+            caches[name] = tmp_path / name
+            assert main(["hessian", "--model", str(m), "--data", str(d), "--g", "2",
+                         "--out", str(caches[name])]) == 0
+        mine, theirs = (json.loads((caches[n] / "index.json").read_text())["layers"]
+                        for n in ("mine", "other"))
+        for l, key in mine.items():
+            shutil.rmtree(caches["mine"] / key)
+            shutil.copytree(caches["other"] / theirs[l], caches["mine"] / key)
+        capsys.readouterr()
+        assert main(["quantize", "--model", str(model), "--data", str(data),
+                     "--method", "lnq_guided", "--bits", "2", "--g", "2",
+                     "--hessian-cache", str(caches["mine"]), "--out", str(tmp_path / "q")]) == 2
+        entry, built, asked = _refused_request(capsys.readouterr().err)
+        assert entry == caches["mine"] / mine["0"]
+        assert {k for k in built if built[k] != asked[k]} == {other}
+        assert not (tmp_path / "q").exists()
+
+    def test_entry_that_records_no_request_refused_until_rebuilt(self, pipeline, tmp_path,
+                                                                  capsys, monkeypatch):
+        # an entry written before entries recorded their request is refused
+        # with the way out; `glq hessian` rewrites it, and then it is a hit
+        data, model = pipeline
+        cache = tmp_path / "hc"
+        hessian_args = ["hessian", "--model", str(model), "--data", str(data), "--g", "2",
+                        "--out", str(cache)]
+        assert main(hessian_args) == 0
+        entries = json.loads((cache / "index.json").read_text())["layers"]
+        for key in entries.values():
+            meta = read_manifest(cache / key)
+            request = meta["request"]
+            write_manifest(cache / key, {
+                "layer_idx": request["layer"], "kind": request["kind"],
+                "grad_scale": float(request["grad_scale"]),
+                "damping_rel": float(request["damping_rel"]),
+                "lambdas": meta["lambdas"]}, list(meta["files"]))
+        quantize_args = ["quantize", "--model", str(model), "--data", str(data), "--method",
+                         "lnq_guided", "--bits", "2", "--g", "2", "--hessian-cache", str(cache),
+                         "--out"]
+        capsys.readouterr()
+        assert main(quantize_args + [str(tmp_path / "qa")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cache / entries['0']}: hessian cache entry records no request (written "
+            f"before entries recorded one); rerun `glq hessian` to rebuild it\n")
+        assert not (tmp_path / "qa").exists()
+        assert main(hessian_args) == 0
+        loads = []
+        real_load = hessian.HessianCache.load
+        monkeypatch.setattr(hessian.HessianCache, "load",
+                            lambda cache, *a: loads.append(real_load(cache, *a)) or loads[-1])
+        assert main(quantize_args + [str(tmp_path / "qb")]) == 0
+        assert len(loads) == 2 and all(h is not None for h in loads)
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--damping-rel", "-1e-3", "damping_rel must be >= 0, got -0.001"),
+        ("--damping-rel", "-1", "damping_rel must be >= 0, got -1.0"),
+        ("--grad-scale", "0", "grad_scale must be > 0, got 0.0"),
+    ])
+    def test_hessian_refuses_settings_quantize_refuses(self, pipeline, tmp_path, capsys,
+                                                       flag, value, message):
+        # refused before the first set is built, with QuantJob's text
+        data, model = pipeline
+        cache = tmp_path / "hc"
+        capsys.readouterr()
+        assert main(["hessian", "--model", str(model), "--data", str(data), f"{flag}={value}",
+                     "--out", str(cache)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not cache.exists()
+        assert main(["quantize", "--model", str(model), "--data", str(data),
+                     f"{flag}={value}", "--out", str(tmp_path / "q")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unfactorable_hessian_is_not_written(self, pipeline, tmp_path, capsys):
         data, model = pipeline

@@ -26,6 +26,7 @@ from glq.hessian import (
     fisher_diag,
     guided_hessians,
     hessian_cache_key,
+    hessian_request,
     layer_hessians,
     model_hash,
     plain_hessian,
@@ -74,7 +75,7 @@ class TestPlainHessian:
         c = _calib(1, 10, 4, 3)
         h = plain_hessian(c, damping_rel=0.0)
         npt.assert_allclose(h.hessians[0], c.X.T @ c.X, atol=1e-12)
-        assert h.kind == "plain" and h.partition.g == 1
+        assert h.partition.g == 1
 
     def test_relative_damping_value(self):
         c = _calib(2, 10, 4, 3)
@@ -189,6 +190,14 @@ class TestFisherOracle:
             fisher_block_oracle(_calib(0, 4, 3, 2), 2, 4)
 
 
+# the request the cache tests store their entries under: layer 0 of a
+# stand-in model and dataset in 2 groups; _PART splits the 5-channel layer
+# of `_cache_with_edited_manifest` into them
+_REQUEST = hessian_request("a" * 64, "b" * 64, 0, 2, DEFAULT_GRAD_SCALE, DEFAULT_DAMPING_REL,
+                           "guided")
+_PART = ChannelPartition.consecutive(5, 2)
+
+
 class TestCacheAndHash:
     def test_model_hash_sensitivity(self, toy_problem):
         model, _ = toy_problem
@@ -199,9 +208,9 @@ class TestCacheAndHash:
         assert model_hash(bumped) != h1
 
     def test_key_stability(self):
-        k1 = hessian_cache_key("abc", 0, 1, 4, 1e3, 1e-7, "guided")
-        k2 = hessian_cache_key("abc", 0, 1, 4, 1e3, 1e-7, "guided")
-        k3 = hessian_cache_key("abc", 0, 1, 2, 1e3, 1e-7, "guided")
+        k1 = hessian_cache_key(hessian_request("abc", "def", 1, 4, 1e3, 1e-7, "guided"))
+        k2 = hessian_cache_key(hessian_request("abc", "def", 1, 4, 1e3, 1e-7, "guided"))
+        k3 = hessian_cache_key(hessian_request("abc", "def", 1, 2, 1e3, 1e-7, "guided"))
         assert k1 == k2 and k1 != k3
 
     def test_store_load_roundtrip(self, tmp_path, toy_problem):
@@ -210,10 +219,12 @@ class TestCacheAndHash:
         part = ChannelPartition.consecutive(calib[1].gradZ.shape[1], 4)
         hset = guided_hessians(calib[1], part, layer_idx=1)
         cache = HessianCache(tmp_path)
-        key = hessian_cache_key(model_hash(model), data.seed, 1, 4, 1e3, 1e-7, "guided")
-        cache.store(key, hset)
-        back = cache.load(key)
+        request = hessian_request(model_hash(model), dataset_hash(data), 1, 4, 1e3, 1e-7,
+                                  "guided")
+        cache.store(request, hset)
+        back = cache.load(request, part)
         assert back is not None
+        assert back.layer_idx == 1
         assert back.partition == hset.partition
         assert back.lambdas == hset.lambdas
         for a, b in zip(hset.hessians, back.hessians):
@@ -233,89 +244,97 @@ class TestCacheAndHash:
         assert dataset_hash(other) != dataset_hash(a)
 
     def test_load_rejects_tampered_file(self, tmp_path, toy_calib):
-        hset = guided_hessians(toy_calib[0], ChannelPartition.consecutive(16, 2))
+        part = ChannelPartition.consecutive(16, 2)
         cache = HessianCache(tmp_path)
-        cache.store("k", hset)
-        path = tmp_path / "k" / "hess.L0.G1.gqt"
+        entry = cache.store(_REQUEST, guided_hessians(toy_calib[0], part))
+        path = entry / "hess.L0.G1.gqt"
         blob = bytearray(path.read_bytes())
         blob[-8] ^= 0x01  # lowest mantissa bit of the last entry
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptFile):
-            cache.load("k")
+            cache.load(_REQUEST, part)
 
     def test_load_rejects_unlisted_file(self, tmp_path, toy_calib):
+        part = ChannelPartition.consecutive(16, 2)
         cache = HessianCache(tmp_path)
-        cache.store("k", guided_hessians(toy_calib[0], ChannelPartition.consecutive(16, 2)))
-        man = tmp_path / "k" / "manifest.json"
+        man = cache.store(_REQUEST, guided_hessians(toy_calib[0], part)) / "manifest.json"
         meta = json.loads(man.read_text())
         del meta["files"]["hess.L0.G0.gqt"]
         man.write_text(json.dumps(meta))
-        with pytest.raises(CorruptFile):
-            cache.load("k")
+        with pytest.raises(CorruptFile, match=r"fails its manifest: \['hess.L0.G0.gqt'\]"):
+            cache.load(_REQUEST, part)
 
-    @pytest.mark.parametrize("field", ["layer_idx", "d_out", "groups", "lambdas",
-                                       "grad_scale", "damping_rel", "kind", "files"])
+    @pytest.mark.parametrize("key,value", [pytest.param(key, value, id=key) for key, value in (
+        ("model", "0" * 64), ("dataset", "0" * 64), ("layer", 1), ("g", 3),
+        ("grad_scale", "1.0"), ("damping_rel", "0.0"), ("kind", "plain"),
+    )])
+    def test_load_refuses_entry_built_for_another_request(self, tmp_path, key, value):
+        # an entry whose recorded request differs from the one asked for
+        # in any one key, e.g. copied in from another model's cache
+        cache = _cache_with_edited_manifest(tmp_path, lambda meta: meta["request"].update(
+            {key: value}))
+        built, asked = (json.dumps(r, sort_keys=True)
+                        for r in (dict(_REQUEST, **{key: value}), _REQUEST))
+        text = f"{_entry(tmp_path)}: hessian cache entry was built for {built}, requested {asked}"
+        with pytest.raises(CorruptFile, match=f"^{re.escape(text)}$"):
+            cache.load(_REQUEST, _PART)
+
+    @pytest.mark.parametrize("field", ["request", "lambdas", "files", *_REQUEST])
     @pytest.mark.parametrize("value", [None, True])
     def test_load_refuses_missing_or_ill_typed_field(self, tmp_path, field, value):
-        # None stands for a deleted field; a bool is no field's type
+        # a manifest field or a key of its request; None stands for a
+        # deleted field, and a bool is no field's type
         def edit(meta):
+            target = meta if field in ("request", "lambdas", "files") else meta["request"]
             if value is None:
-                del meta[field]
+                del target[field]
             else:
-                meta[field] = value
+                target[field] = value
         cache = _cache_with_edited_manifest(tmp_path, edit)
-        entry = re.escape(str(tmp_path / "k"))
-        with pytest.raises(CorruptFile, match=rf"^{entry}: .*'{field}' is missing"):
-            cache.load("k")
-
-    @pytest.mark.parametrize("groups,d_out", [
-        ([[0, 1, 2], [4, 3]], 5),     # not in channel order
-        ([[0, 1], [3, 4]], 5),        # a channel left out
-        ([[0, 1, 2], [2, 3, 4]], 5),  # a channel twice
-        ([[0, 1, 2], [3, 4]], 6),     # short of d_out
-        ([[0, 1, 2], [], [3, 4]], 5),  # an empty group
-        ([[0, 1, 2], 3], 4),          # not a list
-        ([], 0),
-    ])
-    def test_load_refuses_groups_that_are_not_consecutive(self, tmp_path, groups, d_out):
-        cache = _cache_with_edited_manifest(
-            tmp_path, lambda meta: meta.update(groups=groups, d_out=d_out))
-        with pytest.raises(CorruptFile, match="not consecutive groups covering"):
-            cache.load("k")
+        with pytest.raises(CorruptFile, match=f"^{re.escape(str(_entry(tmp_path)))}"):
+            cache.load(_REQUEST, _PART)
 
     @pytest.mark.parametrize("field,value", [("kind", "fisher"), ("lambdas", [1.0]),
                                              ("lambdas", [1.0, "2"])])
     def test_load_refuses_kind_and_lambdas_it_cannot_use(self, tmp_path, field, value):
-        cache = _cache_with_edited_manifest(tmp_path, lambda meta: meta.update({field: value}))
-        with pytest.raises(CorruptFile, match="lambdas .* for 2 groups"):
-            cache.load("k")
+        # the kind is a key of the request; lambdas must be one number per group
+        def edit(meta):
+            (meta["request"] if field == "kind" else meta)[field] = value
+        cache = _cache_with_edited_manifest(tmp_path, edit)
+        text = "was built for" if field == "kind" else "lambdas .* for 2 groups"
+        with pytest.raises(CorruptFile, match=text):
+            cache.load(_REQUEST, _PART)
 
     @pytest.mark.parametrize("blob,text", [
-        pytest.param(b'{"layer_idx": 0, "d_o', "not valid JSON: ", id="truncated"),
-        pytest.param(b'"groups"', "expected a JSON object, got str", id="string"),
+        pytest.param(b'{"request": {"layer": 0, "g', "not valid JSON: ", id="truncated"),
+        pytest.param(b'"request"', "expected a JSON object, got str", id="string"),
     ])
     def test_load_refuses_manifest_that_is_no_object(self, tmp_path, blob, text):
         cache = _cache_with_edited_manifest(tmp_path, lambda meta: None)
-        man = tmp_path / "k" / "manifest.json"
+        man = _entry(tmp_path) / "manifest.json"
         man.write_bytes(blob)
         with pytest.raises(CorruptFile, match=f"^{re.escape(f'{man}: {text}')}"):
-            cache.load("k")
+            cache.load(_REQUEST, _PART)
 
     def test_missing_key_returns_none(self, tmp_path):
-        assert HessianCache(tmp_path).load("nope") is None
+        assert HessianCache(tmp_path).load(_REQUEST, _PART) is None
 
+
+def _entry(root):
+    """The directory of _REQUEST's entry in a cache under `root`."""
+    return root / hessian_cache_key(_REQUEST)
 
 
 def _cache_with_edited_manifest(root, edit) -> HessianCache:
-    """A cache under `root` holding entry "k" (5 channels in 2 groups)
-    whose manifest `edit` has changed in place."""
+    """A cache under `root` holding the entry of _REQUEST (5 channels in
+    2 groups) whose manifest `edit` has changed in place."""
     cache = HessianCache(root)
-    cache.store("k", guided_hessians(_calib(11, 12, 3, 5), ChannelPartition.consecutive(5, 2)))
-    man = root / "k" / "manifest.json"
+    man = cache.store(_REQUEST, guided_hessians(_calib(11, 12, 3, 5), _PART)) / "manifest.json"
     meta = json.loads(man.read_text())
     edit(meta)
     man.write_text(json.dumps(meta))
     return cache
+
 
 class TestLayerHessians:
     def test_plain_keys_ignore_group_knobs(self, toy_problem, toy_calib):
@@ -323,7 +342,7 @@ class TestLayerHessians:
         a = list(layer_hessians(model, data, toy_calib, "plain"))
         b = list(layer_hessians(model, data, toy_calib, "plain", g=4, grad_scale=5.0))
         assert [k for k, _ in a] == [k for k, _ in b]
-        assert all(h.partition.g == 1 and h.kind == "plain" for _, h in b)
+        assert all(h.partition.g == 1 for _, h in b)
         guided = list(layer_hessians(model, data, toy_calib, "guided", g=4))
         assert all(h.partition.g == 4 for _, h in guided)
         assert {k for k, _ in guided}.isdisjoint(k for k, _ in a)
@@ -359,8 +378,8 @@ class TestLayerHessians:
             npt.assert_array_equal(a, b)
         digest, data_digest = model_hash(model), dataset_hash(data)
         for l, (key, _) in enumerate(wide[:2]):
-            assert key == hessian_cache_key(digest, data_digest, l, 6,
-                                            DEFAULT_GRAD_SCALE, DEFAULT_DAMPING_REL, "guided")
+            assert key == hessian_cache_key(hessian_request(
+                digest, data_digest, l, 6, DEFAULT_GRAD_SCALE, DEFAULT_DAMPING_REL, "guided"))
         with pytest.raises(InvalidSize):
             list(layer_hessians(model, data, toy_calib, "guided", g=0))
 

@@ -33,54 +33,54 @@ def _run_job_digest(qlayers, report) -> str:
 # (loss, method, g, seed) -> digest; g is forced to 1 for every method
 # but lnq_guided, so those rows repeat one job three times.
 RUN_JOB_PINS = {
-    ("squared_error", "rtn", 1, 0): "62ec8d87177fe354",
-    ("squared_error", "rtn", 1, 5): "dcd9eb4f740a33e4",
-    ("squared_error", "rtn", 3, 0): "62ec8d87177fe354",
-    ("squared_error", "rtn", 3, 5): "dcd9eb4f740a33e4",
-    ("squared_error", "rtn", 4, 0): "62ec8d87177fe354",
-    ("squared_error", "rtn", 4, 5): "dcd9eb4f740a33e4",
-    ("squared_error", "squeezellm", 1, 0): "9674272db7e4e205",
-    ("squared_error", "squeezellm", 1, 5): "315bfb684ea91c3d",
-    ("squared_error", "squeezellm", 3, 0): "9674272db7e4e205",
-    ("squared_error", "squeezellm", 3, 5): "315bfb684ea91c3d",
-    ("squared_error", "squeezellm", 4, 0): "9674272db7e4e205",
-    ("squared_error", "squeezellm", 4, 5): "315bfb684ea91c3d",
-    ("squared_error", "lnq_plain", 1, 0): "74e0f5c36f615333",
-    ("squared_error", "lnq_plain", 1, 5): "1b1c45e13c1b2acd",
-    ("squared_error", "lnq_plain", 3, 0): "74e0f5c36f615333",
-    ("squared_error", "lnq_plain", 3, 5): "1b1c45e13c1b2acd",
-    ("squared_error", "lnq_plain", 4, 0): "74e0f5c36f615333",
-    ("squared_error", "lnq_plain", 4, 5): "1b1c45e13c1b2acd",
-    ("squared_error", "lnq_guided", 1, 0): "17bcc03e273cdd9a",
-    ("squared_error", "lnq_guided", 1, 5): "8cf846aadca2606d",
-    ("squared_error", "lnq_guided", 3, 0): "ebfac408dfced948",
-    ("squared_error", "lnq_guided", 3, 5): "686fca0ccee2387c",
-    ("squared_error", "lnq_guided", 4, 0): "e4fffd1dd0ae0c28",
-    ("squared_error", "lnq_guided", 4, 5): "ee0fd61b1d19a46c",
-    ("softmax_cross_entropy", "rtn", 1, 0): "af3b42f495b41d1c",
-    ("softmax_cross_entropy", "rtn", 1, 5): "589dad15ec2aeca5",
-    ("softmax_cross_entropy", "rtn", 3, 0): "af3b42f495b41d1c",
-    ("softmax_cross_entropy", "rtn", 3, 5): "589dad15ec2aeca5",
-    ("softmax_cross_entropy", "rtn", 4, 0): "af3b42f495b41d1c",
-    ("softmax_cross_entropy", "rtn", 4, 5): "589dad15ec2aeca5",
-    ("softmax_cross_entropy", "squeezellm", 1, 0): "f8fabfe4a3f27240",
-    ("softmax_cross_entropy", "squeezellm", 1, 5): "55473eb07f3ad1e6",
-    ("softmax_cross_entropy", "squeezellm", 3, 0): "f8fabfe4a3f27240",
-    ("softmax_cross_entropy", "squeezellm", 3, 5): "55473eb07f3ad1e6",
-    ("softmax_cross_entropy", "squeezellm", 4, 0): "f8fabfe4a3f27240",
-    ("softmax_cross_entropy", "squeezellm", 4, 5): "55473eb07f3ad1e6",
-    ("softmax_cross_entropy", "lnq_plain", 1, 0): "7269e7431f1f225f",
-    ("softmax_cross_entropy", "lnq_plain", 1, 5): "01c5cef1fb853de1",
-    ("softmax_cross_entropy", "lnq_plain", 3, 0): "7269e7431f1f225f",
-    ("softmax_cross_entropy", "lnq_plain", 3, 5): "01c5cef1fb853de1",
-    ("softmax_cross_entropy", "lnq_plain", 4, 0): "7269e7431f1f225f",
-    ("softmax_cross_entropy", "lnq_plain", 4, 5): "01c5cef1fb853de1",
-    ("softmax_cross_entropy", "lnq_guided", 1, 0): "1581722a10842211",
-    ("softmax_cross_entropy", "lnq_guided", 1, 5): "5e25380410735093",
-    ("softmax_cross_entropy", "lnq_guided", 3, 0): "28207175f0aab422",
-    ("softmax_cross_entropy", "lnq_guided", 3, 5): "5a42961b5f6b309d",
-    ("softmax_cross_entropy", "lnq_guided", 4, 0): "5582624bdecc5f46",
-    ("softmax_cross_entropy", "lnq_guided", 4, 5): "38bdf6ab0b8f7a08",
+    ("squared_error", "rtn", 1, 0): "17a3154831f4fff6",
+    ("squared_error", "rtn", 1, 5): "96e1f6d84c063991",
+    ("squared_error", "rtn", 3, 0): "17a3154831f4fff6",
+    ("squared_error", "rtn", 3, 5): "96e1f6d84c063991",
+    ("squared_error", "rtn", 4, 0): "17a3154831f4fff6",
+    ("squared_error", "rtn", 4, 5): "96e1f6d84c063991",
+    ("squared_error", "squeezellm", 1, 0): "e456eb09abf91397",
+    ("squared_error", "squeezellm", 1, 5): "5b2ce01069facd7f",
+    ("squared_error", "squeezellm", 3, 0): "e456eb09abf91397",
+    ("squared_error", "squeezellm", 3, 5): "5b2ce01069facd7f",
+    ("squared_error", "squeezellm", 4, 0): "e456eb09abf91397",
+    ("squared_error", "squeezellm", 4, 5): "5b2ce01069facd7f",
+    ("squared_error", "lnq_plain", 1, 0): "f38cafcc46ffbf3c",
+    ("squared_error", "lnq_plain", 1, 5): "77e0787866b8a80a",
+    ("squared_error", "lnq_plain", 3, 0): "f38cafcc46ffbf3c",
+    ("squared_error", "lnq_plain", 3, 5): "77e0787866b8a80a",
+    ("squared_error", "lnq_plain", 4, 0): "f38cafcc46ffbf3c",
+    ("squared_error", "lnq_plain", 4, 5): "77e0787866b8a80a",
+    ("squared_error", "lnq_guided", 1, 0): "c9302bea4a09be69",
+    ("squared_error", "lnq_guided", 1, 5): "19c4d575f24bfab1",
+    ("squared_error", "lnq_guided", 3, 0): "f4f133afe5c137e7",
+    ("squared_error", "lnq_guided", 3, 5): "adda2260e4dc9136",
+    ("squared_error", "lnq_guided", 4, 0): "e76609c12d5d7120",
+    ("squared_error", "lnq_guided", 4, 5): "3890d655bc09bd91",
+    ("softmax_cross_entropy", "rtn", 1, 0): "a86994632587c7f9",
+    ("softmax_cross_entropy", "rtn", 1, 5): "1dc46fdeaf372ff5",
+    ("softmax_cross_entropy", "rtn", 3, 0): "a86994632587c7f9",
+    ("softmax_cross_entropy", "rtn", 3, 5): "1dc46fdeaf372ff5",
+    ("softmax_cross_entropy", "rtn", 4, 0): "a86994632587c7f9",
+    ("softmax_cross_entropy", "rtn", 4, 5): "1dc46fdeaf372ff5",
+    ("softmax_cross_entropy", "squeezellm", 1, 0): "b591f89b3345e137",
+    ("softmax_cross_entropy", "squeezellm", 1, 5): "394d55f28ba2aebe",
+    ("softmax_cross_entropy", "squeezellm", 3, 0): "b591f89b3345e137",
+    ("softmax_cross_entropy", "squeezellm", 3, 5): "394d55f28ba2aebe",
+    ("softmax_cross_entropy", "squeezellm", 4, 0): "b591f89b3345e137",
+    ("softmax_cross_entropy", "squeezellm", 4, 5): "394d55f28ba2aebe",
+    ("softmax_cross_entropy", "lnq_plain", 1, 0): "27837be32da06ea0",
+    ("softmax_cross_entropy", "lnq_plain", 1, 5): "81f850d1cc8f19d9",
+    ("softmax_cross_entropy", "lnq_plain", 3, 0): "27837be32da06ea0",
+    ("softmax_cross_entropy", "lnq_plain", 3, 5): "81f850d1cc8f19d9",
+    ("softmax_cross_entropy", "lnq_plain", 4, 0): "27837be32da06ea0",
+    ("softmax_cross_entropy", "lnq_plain", 4, 5): "81f850d1cc8f19d9",
+    ("softmax_cross_entropy", "lnq_guided", 1, 0): "e653852f772643a1",
+    ("softmax_cross_entropy", "lnq_guided", 1, 5): "053bddf97813809f",
+    ("softmax_cross_entropy", "lnq_guided", 3, 0): "aaffc42ec59b5690",
+    ("softmax_cross_entropy", "lnq_guided", 3, 5): "547913549f901ddf",
+    ("softmax_cross_entropy", "lnq_guided", 4, 0): "a78567699436add5",
+    ("softmax_cross_entropy", "lnq_guided", 4, 5): "5e3c079a92b37533",
 }
 
 
@@ -102,9 +102,9 @@ QUANTIZE_FILE_PINS = {
         "assign.L1.gqt": "2cbeb4b621f8",
         "codebook.L0.gqt": "daa3433602e4",
         "codebook.L1.gqt": "04fa5e082a54",
-        "manifest.json": "40117032bf19",
+        "manifest.json": "a31fc3eba1c5",
         "quant.json": "29cd3e4d5946",
-        "report.csv": "414719bf2c20",
+        "report.csv": "ca66a2f6048c",
         "traces.json": "7d33b31700e2",
     },
     "squeezellm": {
@@ -112,9 +112,9 @@ QUANTIZE_FILE_PINS = {
         "assign.L1.gqt": "817979bca84e",
         "codebook.L0.gqt": "4b3d97d7c84a",
         "codebook.L1.gqt": "1c694283a25f",
-        "manifest.json": "6dbb05682f2a",
+        "manifest.json": "4589bba19470",
         "quant.json": "e20b2bbe606e",
-        "report.csv": "0f2ed422f202",
+        "report.csv": "0d55d4910ecf",
         "traces.json": "16c3a6a2577c",
     },
     "lnq_plain": {
@@ -122,9 +122,9 @@ QUANTIZE_FILE_PINS = {
         "assign.L1.gqt": "781d03763f1a",
         "codebook.L0.gqt": "68231dbc3190",
         "codebook.L1.gqt": "780095c2814b",
-        "manifest.json": "9b35b86fb44b",
+        "manifest.json": "ed6101e3aea6",
         "quant.json": "79292a788109",
-        "report.csv": "2d84ff4feb21",
+        "report.csv": "a580b3473e3a",
         "traces.json": "a6366b09de10",
     },
     "lnq_guided": {
@@ -132,9 +132,9 @@ QUANTIZE_FILE_PINS = {
         "assign.L1.gqt": "817979bca84e",
         "codebook.L0.gqt": "defe336eb3ad",
         "codebook.L1.gqt": "a9449f0a6e4d",
-        "manifest.json": "69769dd50fa0",
+        "manifest.json": "beebccfbc0fa",
         "quant.json": "0c97fa669e2e",
-        "report.csv": "98749d286844",
+        "report.csv": "90d1384889a5",
         "traces.json": "31d49ac98861",
     },
 }
@@ -171,17 +171,17 @@ HESSIAN_CACHE_PINS = {
     "guided": {
         "bc7a3950d1952089f272de0a/hess.L1.G0.gqt": "3ec5f69b46fe",
         "bc7a3950d1952089f272de0a/hess.L1.G1.gqt": "dee82235362e",
-        "bc7a3950d1952089f272de0a/manifest.json": "47594ea31e50",
+        "bc7a3950d1952089f272de0a/manifest.json": "f45dcf39ac1e",
         "c37a9777e14ea8377aacf543/hess.L0.G0.gqt": "fe4f57bc7798",
         "c37a9777e14ea8377aacf543/hess.L0.G1.gqt": "f079a25b593e",
-        "c37a9777e14ea8377aacf543/manifest.json": "bbf671c1b8a3",
+        "c37a9777e14ea8377aacf543/manifest.json": "7942546575ea",
         "index.json": "e1fad32147c6",
     },
     "plain": {
         "c399a13feb6c0cde48fa7c19/hess.L1.G0.gqt": "b4d6d73bdd44",
-        "c399a13feb6c0cde48fa7c19/manifest.json": "d94651494f0d",
+        "c399a13feb6c0cde48fa7c19/manifest.json": "16c0362d90f8",
         "d9e2a9da9cbe28c3c0a45f49/hess.L0.G0.gqt": "902dca019941",
-        "d9e2a9da9cbe28c3c0a45f49/manifest.json": "5ff8a469b3cb",
+        "d9e2a9da9cbe28c3c0a45f49/manifest.json": "b33e61c7cc44",
         "index.json": "889b7b98c7c8",
     },
 }
