@@ -20,7 +20,14 @@ from glq.calib_model import (
     train,
     weight_gradients,
 )
-from glq.errors import DimensionMismatch, DivergedLoss, EmptyCalibration, InvalidSize
+from glq import calib_model
+from glq.errors import (
+    ConfigError,
+    DimensionMismatch,
+    DivergedLoss,
+    EmptyCalibration,
+    InvalidSize,
+)
 from glq.oracle import fd_gradient_check
 
 # frozen golden checksums for gen_dataset(0, 64, 8, 4)
@@ -232,6 +239,34 @@ class TestTrain:
         model = random_model([4, 3], 2)
         with pytest.raises(InvalidSize):
             train(model, gen_dataset(2, 4, 4, 3), steps=-1, lr=0.1)
+
+    @pytest.mark.parametrize("lr, shown", [(-1.0, "-1.0"), (0.0, "0.0"), (float("nan"), "nan")])
+    @pytest.mark.parametrize("steps", [0, 10])
+    def test_bad_lr_refused_before_first_pass(self, monkeypatch, lr, shown, steps):
+        # -1 would train uphill to a huge finite loss, and NaN used to
+        # surface only as "layer 0: non-finite entries" after one pass
+        def no_pass(*args):
+            raise AssertionError("a pass ran")
+
+        monkeypatch.setattr(calib_model, "_forward_backward", no_pass)
+        model, data = random_model([4, 3], 2), gen_dataset(2, 16, 4, 3)
+        with pytest.raises(ConfigError, match=rf"^lr must be > 0, got {shown}$"):
+            train(model, data, steps=steps, lr=lr)
+
+    def test_workspace_is_reused_by_every_pass(self, monkeypatch):
+        # one workspace per call: every pass writes into the same buffers
+        real = calib_model._forward_backward
+        seen = []
+
+        def spy(layers, loss, X, Y, ws):
+            seen.append([id(a) for part in ws for a in part])
+            return real(layers, loss, X, Y, ws)
+
+        monkeypatch.setattr(calib_model, "_forward_backward", spy)
+        model, data = random_model([4, 5, 6, 3], 2), gen_dataset(2, 16, 4, 3)
+        train(model, data, steps=5, lr=1e-3)
+        assert len(seen) == 6 and len(seen[0]) == 3 * 2
+        assert all(ids == seen[0] for ids in seen)
 
     @settings(max_examples=150, deadline=None)
     @given(

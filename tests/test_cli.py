@@ -149,6 +149,15 @@ class TestTrainCalibrateHessian:
         assert proc.returncode == 2
         assert proc.stderr == "error: non-finite loss at step 94\n"
 
+    @pytest.mark.parametrize("lr, shown", [("-1", "-1.0"), ("nan", "nan")])
+    def test_train_refuses_bad_lr(self, pipeline, tmp_path, capsys, lr, shown):
+        data, _ = pipeline
+        out = tmp_path / "model"
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--lr", lr, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: lr must be > 0, got {shown}\n"
+        assert not out.exists()
+
     def test_hessian_cache_command(self, pipeline, tmp_path):
         data, model = pipeline
         out = tmp_path / "hc"

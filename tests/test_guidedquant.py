@@ -229,6 +229,31 @@ class TestRunJob:
                 for cb in ql.C:
                     assert np.all(np.diff(cb) >= 0)
 
+    @pytest.mark.parametrize("case", ["constant", "duplicate"])
+    def test_degenerate_channels_stay_finite_and_descend(self, toy_problem, case):
+        # a layer-1 channel with one distinct value, or two equal channels
+        model, data = toy_problem
+        model = model.copy()
+        W = model.layers[1]
+        if case == "constant":
+            W[:, 5] = 0.37
+        else:
+            W[:, 5] = W[:, 6]
+        for method in METHODS:
+            _, qlayers, report = run_job(model, data, QuantJob(method=method, bits=2, g=4))
+            values = [report.end_loss_before, report.end_loss_after,
+                      *[v for e in report.layers for v in e.values()
+                        if isinstance(v, float)]]
+            assert np.all(np.isfinite(values)), method
+            if method.startswith("lnq"):
+                # non-increasing with criterion 2's slack: the constant
+                # channel's trace starts at exactly 0.0 and its codebook
+                # solve lands within rounding of 0.37 (about 1e-30)
+                for ql in qlayers:
+                    for tr in ql.traces:
+                        assert all(b <= a + 1e-12 * (1.0 + abs(a))
+                                   for a, b in zip(tr, tr[1:])), method
+
     def test_quantized_model_uses_codebook_values(self, toy_problem):
         model, data = toy_problem
         quantized, qlayers, _ = run_job(model, data, QuantJob(method="rtn", bits=2))

@@ -5,6 +5,8 @@ import re
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glq.calib_model import Dataset, LayerCalibration, calibrate, gen_dataset
 from glq.errors import (
@@ -198,6 +200,20 @@ _REQUEST = hessian_request("a" * 64, "b" * 64, 0, 2, DEFAULT_GRAD_SCALE, DEFAULT
 _PART = ChannelPartition.consecutive(5, 2)
 
 
+# one strategy per `hessian_request` argument, in its order: the model and
+# dataset digests, the layer, g, the grad scale, the damping and the kind
+_REQUEST_FIELDS = (
+    st.text("0123456789abcdef", min_size=1, max_size=64),
+    st.text("0123456789abcdef", min_size=1, max_size=64),
+    st.integers(0, 64),
+    st.integers(1, 4096),
+    st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+    st.floats(min_value=0, allow_infinity=False),
+    st.sampled_from(["guided", "plain"]),
+)
+_REQUESTS = st.tuples(*_REQUEST_FIELDS)
+
+
 class TestCacheAndHash:
     def test_model_hash_sensitivity(self, toy_problem):
         model, _ = toy_problem
@@ -212,6 +228,24 @@ class TestCacheAndHash:
         k2 = hessian_cache_key(hessian_request("abc", "def", 1, 4, 1e3, 1e-7, "guided"))
         k3 = hessian_cache_key(hessian_request("abc", "def", 1, 2, 1e3, 1e-7, "guided"))
         assert k1 == k2 and k1 != k3
+
+    @settings(max_examples=300, deadline=None)
+    @given(base=_REQUESTS, field=st.integers(0, len(_REQUEST_FIELDS) - 1), data=st.data())
+    def test_key_is_unique_per_request(self, base, field, data):
+        # equal requests share a key, and a change to any one field moves it
+        other = list(base)
+        other[field] = data.draw(_REQUEST_FIELDS[field].filter(lambda v: v != base[field]))
+        key = hessian_cache_key(hessian_request(*base))
+        assert hessian_cache_key(hessian_request(*list(base))) == key
+        assert hessian_cache_key(hessian_request(*other)) != key
+
+    @pytest.mark.parametrize("field, value", [(4, 1e3), (5, 1e-7)])
+    def test_key_tells_adjacent_floats_apart(self, field, value):
+        base = ["abc", "def", 1, 4, 1e3, 1e-7, "guided"]
+        other = list(base)
+        other[field] = float(np.nextafter(value, 1))
+        assert hessian_cache_key(hessian_request(*other)) != hessian_cache_key(
+            hessian_request(*base))
 
     def test_store_load_roundtrip(self, tmp_path, toy_problem):
         model, data = toy_problem
