@@ -17,9 +17,9 @@ valid because X^(l+1) stores the post-tanh values.
 ``calibrate`` and ``train`` share that pass (``_forward_backward``, the
 only place the recursion lives). It writes into a workspace made by
 ``_workspace``: per hidden layer one buffer each for the post-tanh
-activations, the output gradients and the (1 - X^2) scratch, filled
-with ``out=``. Only the small n x d_out loss arrays are allocated per
-pass. ``calibrate`` runs the pass on a fresh workspace, whose arrays its
+activations and the output gradients, and one (1 - X^2) scratch block
+that every hidden layer shares, filled with ``out=``. Only the small
+n x d_out loss arrays are allocated per pass. ``calibrate`` runs the pass on a fresh workspace, whose arrays its
 records then own. ``train`` makes one workspace per call and reuses it
 on every step, so a step allocates no activation-sized array: on the
 64-256-256-16 mid model a 300-step train takes about 2 K minor page
@@ -242,13 +242,18 @@ def _workspace(n: int, dims: list[int]) -> _Workspace:
     """Uninitialised buffers for passes over n samples through a model of
     widths `dims`: per hidden layer l = 1..L-1, its post-tanh output
     X^(l), the output gradient G^(l-1) of the layer before it, and a
-    (1 - X^(l)^2) scratch, each n x d_l.
+    (1 - X^(l)^2) scratch, each n x d_l. The backward pass uses one
+    scratch at a time, so the scratches are views of one block sized
+    for the widest hidden layer.
 
     Raises EmptyCalibration when n is zero.
     """
     if n == 0:
         raise EmptyCalibration("calibration requires at least one sample")
-    return tuple([np.empty((n, d)) for d in dims[1:-1]] for _ in range(3))
+    hidden = dims[1:-1]
+    block = np.empty(n * max(hidden, default=0))
+    scratch = [block[:n * d].reshape(n, d) for d in hidden]
+    return [np.empty((n, d)) for d in hidden], [np.empty((n, d)) for d in hidden], scratch
 
 
 def _forward_backward(

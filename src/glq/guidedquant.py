@@ -13,18 +13,26 @@ count g. Methods:
   clipped to each layer's output width.
 
 Layers are quantized one at a time, each against its own Hessian set
-(`job_hessians` hands them out one layer at a time), and a layer's set
-is dropped once the layer is solved and its damped objective taken, so
-one set is live at a time. For the LNQ methods one ``squeezellm_init``
-call (arrays, no SSE trace) covers the layer, channel j seeded by
-(seed, j) as in the squeezellm baseline, so every method and every g
-starts a layer from the same init. One ``lnq_quantize`` call then
-solves the layer's groups on its row-major arrays (see ``lnq``). A
-group Hessian that does not factor raises SingularHessian naming the
-layer, the group and the cause. Reported objectives per
-layer: the plain reconstruction error ||X (W - What)||_F^2, the
-gradient-weighted error ||gradZ * (X (W - What))||_F^2 (elementwise
-product), and the damped quadratic under the method's Hessian sets (`job_hessians`: plain ones,
+(`job_hessians` hands them out one layer at a time, and keeps none once
+it is handed out). A layer's set is taken after anything that does not
+read it and dropped once the layer is solved and its damped objective
+taken, so at most one set is live, and none while the report is made.
+For the LNQ methods one ``squeezellm_init`` call (arrays, no SSE trace)
+covers the layer, channel j seeded by (seed, j) as in the squeezellm
+baseline, so every method and every g starts a layer from the same
+init; it runs before the set is taken, and ``lnq_quantize`` frees it
+once copied. One ``lnq_quantize`` call then solves the layer's groups
+on its row-major arrays (see ``lnq``). Arrays are freed at their last
+use, so on the 64-256-256-16 mid model (n 512, g 4, 3 bits, from the
+second run in a process on) ``glq quantize`` peaks at 10.6-11.1 MiB
+of tracemalloc above its start, in layer 1's codebook phase, and
+``glq eval`` at 9.1 MiB, in layer 2's guided build (12.1 and 12.1
+MiB, both in the report, before). A group Hessian that does not factor
+raises SingularHessian naming the layer, the group and the cause.
+Reported objectives per layer: the plain reconstruction error
+||X (W - What)||_F^2, the gradient-weighted error
+||gradZ * (X (W - What))||_F^2 (elementwise product), and the damped
+quadratic under the method's Hessian sets (`job_hessians`: plain ones,
 unit gradient scale, for every method but lnq_guided). `glq eval`
 rebuilds those sets from the job recorded in the artifact, so it
 reproduces every column of the quantize report. The gradient-weighted
@@ -187,28 +195,38 @@ def run_job(
     """Quantize every layer of `model` per `job`.
 
     Layers are quantized in order, each against its own Hessian set,
-    which is dropped once the layer is solved and its damped objective
-    taken. For the LNQ methods `squeezellm_init` on the layer's weights
+    which is taken once the layer's init is made (LNQ) or its weights
+    quantized (rtn, squeezellm) and dropped once the layer is solved and
+    its damped objective taken, so no set is alive while `job_report`
+    runs. For the LNQ methods `squeezellm_init` on the layer's weights
     and diagonal Fisher, channel j seeded by (seed, j), gives the init
-    of one `lnq_quantize` call over the layer's consecutive groups.
-    Returns the quantized model, one QuantizedLayer per layer, and the
-    report.
+    of one `lnq_quantize` call over the layer's consecutive groups; no
+    name here holds the init, so it is freed once `lnq_quantize` has
+    copied it. On the mid model `glq quantize` peaks at 10.6-11.1 MiB
+    of tracemalloc (see the module docstring). Returns the quantized
+    model, one QuantizedLayer per layer, and the report.
     """
     calib = calibrate(model, data)
     hsets = job_hessians(model, data, calib, job, cache=hessian_cache)
     qlayers, damped = [], []
     for l, W in enumerate(model.layers):
-        hset = next(hsets)
-        if job.method == "rtn":
-            ql = rtn_quantize(W, job.bits, layer_idx=l)
-        elif job.method == "squeezellm":
-            ql = squeezellm_quantize(W, fisher_diag(calib[l]), job.bits, seed=job.seed,
-                                     layer_idx=l)
-        else:
+        if job.method in ("lnq_plain", "lnq_guided"):
             seeds = [(job.seed, j) for j in range(W.shape[1])]
-            init = squeezellm_init(W, fisher_diag(calib[l]), job.bits, seeds)
-            ql = lnq_quantize(hset.hessians, W, job.bits, job.T, job.K, init, layer_idx=l,
-                              sizes=hset.partition.sizes)
+            # keywords are evaluated in order: the init is made before the
+            # set is taken, and no name here holds it, so lnq_quantize
+            # frees it once it has copied it (CPython >= 3.11 moves a
+            # call's arguments into the callee's frame)
+            ql = lnq_quantize(init=squeezellm_init(W, fisher_diag(calib[l]), job.bits, seeds),
+                              H_damped=(hset := next(hsets)).hessians,
+                              sizes=hset.partition.sizes, W_block=W, bits=job.bits, T=job.T,
+                              K=job.K, layer_idx=l)
+        else:
+            if job.method == "rtn":
+                ql = rtn_quantize(W, job.bits, layer_idx=l)
+            else:
+                ql = squeezellm_quantize(W, fisher_diag(calib[l]), job.bits, seed=job.seed,
+                                         layer_idx=l)
+            hset = next(hsets)
         qlayers.append(ql)
         damped.append(damped_quadratic(hset, W, ql.W_hat))
         del hset  # one layer's set at a time
@@ -258,10 +276,7 @@ def eval_objectives(
     for l, (W, Wh, c) in enumerate(zip(model.layers, w_hat_layers, calib)):
         if Wh.shape != W.shape:
             raise DimensionMismatch(f"layer {l}: {Wh.shape} vs {W.shape}")
-        E = c.X @ (W - Wh)
-        plain = float(np.sum(E * E))
-        GE = c.gradZ * E
-        guided = float(np.sum(GE * GE))
+        plain, guided = _errors(c, W, Wh)
         rows.append(
             {
                 "layer": l,
@@ -270,6 +285,18 @@ def eval_objectives(
             }
         )
     return rows
+
+
+def _errors(c: LayerCalibration, W: Matrix, Wh: Matrix) -> tuple[float, float]:
+    """||E||_F^2 and ||gradZ * E||_F^2 for E = X (W - Wh), with the bits
+    of sum(E * E) and sum(GE * GE): E^2 and then (gradZ * E)^2 go to one
+    scratch and gradZ * E into E, so one layer's two n x d_out arrays are
+    alive at a time, and none once it returns."""
+    E = c.X @ (W - Wh)
+    sq = np.multiply(E, E)
+    plain = float(np.sum(sq))
+    GE = np.multiply(c.gradZ, E, out=E)
+    return plain, float(np.sum(np.multiply(GE, GE, out=sq)))
 
 
 def damped_quadratic(hset: HessianSet, W: Matrix, W_hat: Matrix) -> float:

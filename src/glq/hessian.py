@@ -34,9 +34,11 @@ refuses an entry whose recorded request is not the one asked for, and
 builds the set on the partition the caller already holds.
 
 ``layer_hessians`` hands out one layer's set at a time and keeps none
-once it is handed out, so a caller that drops each set before asking
-for the next (``run_job``, ``glq eval``, ``glq hessian``) holds one
-layer's set at a time: at g = d_out a set holds d_out d x d matrices.
+once it is handed out, not even the last while the caller goes on, so
+a caller that drops each set before asking for the next (``run_job``,
+``glq eval``, ``glq hessian``) holds one layer's set at a time and none
+once it is done with the last: at g = d_out a set holds d_out d x d
+matrices. A set's build holds one n x d buffer beside the set.
 """
 
 from __future__ import annotations
@@ -119,10 +121,11 @@ class HessianSet:
             raise PartitionMismatch("one hessian and one lambda per group required")
 
 
-def check_settings(grad_scale: float, damping_rel: float) -> None:
+def check_settings(grad_scale: float = 1.0, damping_rel: float = 0.0) -> None:
     """Refuse (ConfigError) a grad scale that is not > 0 and a negative
     relative damping, NaN included: the one check of both, which
-    `QuantJob` and `layer_hessians` make."""
+    `QuantJob`, `layer_hessians`, both builders and
+    `squared_grad_averages` make (the last two pass the one they take)."""
     if not grad_scale > 0:
         raise ConfigError(f"grad_scale must be > 0, got {grad_scale}")
     if not damping_rel >= 0:
@@ -139,21 +142,47 @@ def _check_calib(calib: LayerCalibration) -> tuple[Matrix, Matrix]:
     return X, G
 
 
+# Rows per band of `_symmetrise`.
+_BAND = 64
+
+
+def _symmetrise(M: Matrix) -> Matrix:
+    """M <- 0.5 * (M + M^T) in place, with that formula's bits, one band
+    of rows and its mirrored columns at a time: entries (i, j) and
+    (j, i) both get 0.5 * (M[i, j] + M[j, i]), as addition commutes."""
+    d = M.shape[0]
+    for s in range(0, d, _BAND):
+        e = min(s + _BAND, d)
+        v = M[s:e, s:] + M[s:, s:e].T
+        v *= 0.5
+        M[s:e, s:] = v
+        M[s:, s:e] = v.T
+    return M
+
+
 def _damped(M: Matrix, damping_rel: float) -> tuple[Matrix, float]:
-    lam = damping_rel * float(np.mean(np.diag(M)))
-    return M + lam * np.eye(M.shape[0]), lam
+    """M + lam * I in place, with the bits of that formula, and lam =
+    damping_rel * mean(diag(M)): the off-diagonal entries add lam * 0.0
+    (which turns -0.0 into 0.0) and the diagonal adds lam."""
+    lam = damping_rel * float(np.mean(M.diagonal()))
+    shifted = M.diagonal() + lam
+    M += lam * 0.0
+    M.flat[::M.shape[0] + 1] = shifted
+    return M, lam
 
 
 def _gram_set(X: Matrix, s: Matrix, partition: ChannelPartition, layer_idx: int,
               damping_rel: float) -> HessianSet:
     """The set of damped B^T B, B = X * sqrt(s[:, k]) row by row, one per
-    group k of `partition`: the one build of every layer Hessian."""
+    group k of `partition`: the one build of every layer Hessian. B is
+    one n x d buffer rewritten for each group, and each Hessian is
+    symmetrised and damped where B^T B put it, so a group adds one d x d
+    matrix to the set and a band of rows of scratch."""
     hessians, lambdas = [], []
+    B = np.empty_like(X)
     for k in range(partition.g):
-        B = X * np.sqrt(s[:, k])[:, None]
-        M = B.T @ B
-        M = 0.5 * (M + M.T)
-        H, lam = _damped(M, damping_rel)
+        np.multiply(X, np.sqrt(s[:, k])[:, None], out=B)
+        H, lam = _damped(_symmetrise(B.T @ B), damping_rel)
         hessians.append(H)
         lambdas.append(lam)
     return HessianSet(layer_idx, partition, hessians, lambdas)
@@ -165,7 +194,9 @@ def plain_hessian(
     damping_rel: float = DEFAULT_DAMPING_REL,
 ) -> HessianSet:
     """X^T X + damping_rel * mean(diag) * I, one group over all channels:
-    the guided build with one group and unit weights."""
+    the guided build with one group and unit weights. A negative (or
+    NaN) damping raises ConfigError (`check_settings`)."""
+    check_settings(damping_rel=damping_rel)
     X, G = _check_calib(calib)
     return _gram_set(X, np.ones((X.shape[0], 1)), ChannelPartition.consecutive(G.shape[1], 1),
                      layer_idx, damping_rel)
@@ -181,14 +212,14 @@ def squared_grad_averages(
 
     Each group's mean runs over a column-major copy of its columns, so
     it adds the channels one after another; a row-major slice would sum
-    them pairwise and move the last bits."""
+    them pairwise and move the last bits. A grad scale that is not > 0
+    (NaN included) raises ConfigError (`check_settings`)."""
+    check_settings(grad_scale=grad_scale)
     _, G = _check_calib(calib)
     if partition.d_out != G.shape[1]:
         raise PartitionMismatch(
             f"partition covers {partition.d_out} channels, layer has {G.shape[1]}"
         )
-    if grad_scale <= 0.0:
-        raise ValueError(f"grad_scale must be > 0, got {grad_scale}")
     sq = (grad_scale * G) ** 2
     cols = [np.mean(np.asfortranarray(sq[:, o:e]), axis=1) for o, e in partition.bounds]
     return np.stack(cols, axis=1)
@@ -205,8 +236,11 @@ def guided_hessians(
 
     Raises ZeroGradientGroup when a group's scaled squared gradients are
     zero on every sample: its Hbar_k and lambda_k would both be 0, which
-    no solver downstream can factor.
+    no solver downstream can factor. A grad scale that is not > 0 and a
+    negative damping, NaN included, raise ConfigError (`check_settings`)
+    before anything is built.
     """
+    check_settings(grad_scale, damping_rel)
     X, _ = _check_calib(calib)
     s = squared_grad_averages(calib, partition, grad_scale)
     for k, (o, e) in enumerate(partition.bounds):
@@ -379,10 +413,14 @@ def layer_hessians(
     ones); the cache's `index.json` lists only what `glq hessian` wrote.
 
     The sets come one layer at a time and nothing here keeps one once it
-    is handed out, so a caller that drops each set before asking for the
-    next holds one layer's set at a time. An unknown kind, a grad scale
-    that is not > 0 and a negative damping are refused before the first
-    set (ConfigError), with `QuantJob`'s text (`check_settings`).
+    is handed out (each pair is made by a helper and yielded at once, so
+    the suspended generator holds none, even after the last layer), so a
+    caller that drops each set before asking for the next holds one
+    layer's set at a time, and none once it has dropped the last: no set
+    is alive while `run_job` or `glq eval` makes its report. An unknown
+    kind, a grad scale that is not > 0 and a negative damping are
+    refused before the first set (ConfigError), with `QuantJob`'s text
+    (`check_settings`).
     """
     if kind not in ("plain", "guided"):
         raise ConfigError(f"unknown hessian kind {kind!r}")
@@ -393,19 +431,25 @@ def layer_hessians(
 
 
 def _layer_sets(model, data, calib, kind, g, grad_scale, damping_rel, cache, reuse):
-    digest, data_digest = model_hash(model), dataset_hash(data)
+    digests = model_hash(model), dataset_hash(data)
     for l, c in enumerate(calib):
-        part = ChannelPartition.consecutive(c.gradZ.shape[1], min(g, c.gradZ.shape[1]))
-        request = hessian_request(digest, data_digest, l, part.g, grad_scale, damping_rel, kind)
-        hset = cache.load(request, part) if cache is not None and reuse else None
-        if hset is None:
-            if kind == "plain":
-                hset = plain_hessian(c, layer_idx=l, damping_rel=damping_rel)
-            else:
-                hset = guided_hessians(
-                    c, part, layer_idx=l, grad_scale=grad_scale, damping_rel=damping_rel
-                )
-            if cache is not None:
-                cache.store(request, hset)
-        yield hessian_cache_key(request), hset
-        del hset  # not held while the next layer's set is built
+        # the pair is made by a call and yielded at once, so this frame
+        # holds no set while it is suspended, not even after the last
+        yield _layer_set(digests, l, c, kind, g, grad_scale, damping_rel, cache, reuse)
+
+
+def _layer_set(digests, l, c, kind, g, grad_scale, damping_rel, cache, reuse):
+    """(cache key, HessianSet) of layer `l`, calibrated by `c`."""
+    part = ChannelPartition.consecutive(c.gradZ.shape[1], min(g, c.gradZ.shape[1]))
+    request = hessian_request(*digests, l, part.g, grad_scale, damping_rel, kind)
+    hset = cache.load(request, part) if cache is not None and reuse else None
+    if hset is None:
+        if kind == "plain":
+            hset = plain_hessian(c, layer_idx=l, damping_rel=damping_rel)
+        else:
+            hset = guided_hessians(
+                c, part, layer_idx=l, grad_scale=grad_scale, damping_rel=damping_rel
+            )
+        if cache is not None:
+            cache.store(request, hset)
+    return hessian_cache_key(request), hset

@@ -123,12 +123,14 @@ def _group_bounds(c: int, sizes) -> list[tuple[int, int]]:
 
 
 def _group_deltas(W: np.ndarray, C: np.ndarray, A: np.ndarray,
-                  bounds: list[tuple[int, int]]) -> list[np.ndarray]:
-    """What - W of each group as its own C-contiguous array: the layout
-    the group's rows would have alone, which its products (OpenBLAS bits
-    follow the operand layout) and column sums keep their bits in."""
-    D = np.take_along_axis(C, A.T, axis=1).T - W
-    return [np.ascontiguousarray(D[:, o:e]) for o, e in bounds]
+                  bounds: list[tuple[int, int]]):
+    """What - W of each group in turn, formed as its own C-contiguous
+    array: the layout the group's rows would have alone, which its
+    products (OpenBLAS bits follow the operand layout) and column sums
+    keep their bits in. No layer-wide copy is made."""
+    for o, e in bounds:
+        yield np.subtract(np.take_along_axis(C[o:e], A[:, o:e].T, axis=1).T, W[:, o:e],
+                          out=np.empty((W.shape[0], e - o)))
 
 
 def _codebook_chunks(bounds: list[tuple[int, int]], pending: np.ndarray, d: int, m: int):
@@ -256,11 +258,13 @@ def cd_cycle(
     of equal-size groups through one (rows, groups, size) view. Each
     group's products are formed with the shapes and contiguous operands
     the group alone would use, so a layer gives the bits of one call per
-    group. Each group's U = StrictUpper(Htil) is formed once per cycle;
-    of Htil only the batch's diagonal blocks are held for several groups
-    (b x b each), the groups running in consecutive chunks whose blocks
-    fit CD_BLOCK_BYTES, and the rows below a batch are formed one group
-    at a time, so no copy of the whole Hessian set is made.
+    group. Each group's U = StrictUpper(Htil) is formed once per cycle,
+    in place in one d x d buffer (the bits of np.triu(Htil, 1)), and
+    What - W one group at a time; of Htil only the batch's diagonal
+    blocks are held for several groups (b x b each), the groups running
+    in consecutive chunks whose blocks fit CD_BLOCK_BYTES, and the rows
+    below a batch are formed one group at a time, so no copy of the
+    whole Hessian set is made.
     """
     if isinstance(H, np.ndarray) and H.ndim == 2:
         H = [H]
@@ -299,9 +303,13 @@ def _cd_chunk(H, diags, bounds, W, C, A, cycles, b, stats) -> None:
         o = bounds[ks[0]][0]
         runs.append((ks[0], len(ks), o, size, B[:, o:o + len(ks) * size].reshape(d, len(ks), size)))
     Hblk = np.empty((b, b, len(H)))  # Htil[s:e, s:e] of group k in [:, :, k]
+    U = np.empty((d, d))  # StrictUpper(Htil) of one group, rewritten in place
+    lower = np.tri(d, dtype=bool)  # the entries np.triu(., 1) zeroes
     for _ in range(cycles):
         for (o, e), Hk, dk, Dk in zip(bounds, H, diags, _group_deltas(W, C, A, bounds)):
-            B[:, o:e] = np.triu(Hk / dk[:, None], 1) @ Dk
+            np.divide(Hk, dk[:, None], out=U)
+            np.copyto(U, 0.0, where=lower)
+            B[:, o:e] = U @ Dk
         for s in range(0, d, b):
             e = min(s + b, d)
             for k, (Hk, dk) in enumerate(zip(H, diags)):
@@ -348,7 +356,8 @@ def lnq_quantize(
     layer and the cause (exit 2 from the CLI); nothing retries with
     more damping. `bits` (1..8), `T` and `K` (>= 1) are checked first
     (InvalidSize). `init` is the starting (codebooks, assignments) pair,
-    c x m and d x c arrays with m = 2**bits; it is copied, not updated.
+    c x m and d x c arrays with m = 2**bits; it is copied, not updated,
+    and not referenced once copied.
     The returned layer holds the c channels in order, each with the
     non-increasing damped objective trace described in the module
     docstring, and gives the bits of one run per group.
@@ -361,6 +370,7 @@ def lnq_quantize(
     W = np.ascontiguousarray(W_block, dtype=np.float64)
     C = np.array(init[0], dtype=np.float64, order="C")
     A = np.array(init[1], dtype=np.int64, order="C")
+    del init  # the caller's arrays are not held while the layer is solved
     if W.ndim != 2:
         raise DimensionMismatch(f"W_block must be d x c, got ndim={W.ndim}")
     if not np.all(np.isfinite(W)):

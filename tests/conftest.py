@@ -59,16 +59,17 @@ def random_lnq_instance(rng: np.random.Generator, d: int, bits: int):
     return H, w, uniform_init(w[:, None], 2 ** bits)
 
 
-def live_sets_at_each_build(monkeypatch) -> list[int]:
+def _track_sets(monkeypatch, at_build=None) -> list:
     """Wrap every source of a HessianSet (the plain and guided builders
-    and the cache's load) and return a list that gets, for each set made,
-    the number of earlier sets still alive at that moment; weak
-    references see each set without keeping it."""
-    refs, seen = [], []
+    and the cache's load), which `layer_hessians` hands out, and return
+    the list of weak references to the sets made, which see each set
+    without keeping it; `at_build(refs)` runs before each set is made."""
+    refs = []
 
     def wrap(fn):
         def made(*args, **kw):
-            seen.append(sum(r() is not None for r in refs))
+            if at_build is not None:
+                at_build(refs)
             out = fn(*args, **kw)
             if out is not None:
                 refs.append(weakref.ref(out))
@@ -78,4 +79,30 @@ def live_sets_at_each_build(monkeypatch) -> list[int]:
     for name in ("plain_hessian", "guided_hessians"):
         monkeypatch.setattr(hessian, name, wrap(getattr(hessian, name)))
     monkeypatch.setattr(hessian.HessianCache, "load", wrap(hessian.HessianCache.load))
+    return refs
+
+
+def _alive(refs) -> int:
+    return sum(r() is not None for r in refs)
+
+
+def live_sets_at_each_build(monkeypatch) -> list[int]:
+    """A list that gets, for each HessianSet made, the number of earlier
+    sets still alive at that moment."""
+    seen = []
+    _track_sets(monkeypatch, lambda refs: seen.append(_alive(refs)))
+    return seen
+
+
+def live_sets_at_report(monkeypatch, module) -> list[int]:
+    """A list that gets, at each call of `module`'s `job_report`, the
+    number of HessianSets made so far that are still alive."""
+    refs, seen = _track_sets(monkeypatch), []
+    real = module.job_report
+
+    def spy(*args, **kw):
+        seen.append(_alive(refs))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(module, "job_report", spy)
     return seen

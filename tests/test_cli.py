@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import glq
-from glq import artifacts, hessian, tensorio
+from glq import artifacts, cli, hessian, tensorio
 from glq.calib_model import calibrate
 from glq.cli import QUANTIZE_DEFAULTS, build_parser, main
 from glq.errors import ConfigError, CorruptFile
@@ -26,7 +26,7 @@ from glq.tensorio import (
     write_tensor,
 )
 
-from conftest import live_sets_at_each_build
+from conftest import live_sets_at_each_build, live_sets_at_report
 
 
 def dir_digest(d: Path) -> dict:
@@ -182,6 +182,19 @@ def test_hessian_and_eval_hold_one_layer_set_at_a_time(pipeline, tmp_path, monke
     assert main(["eval", "--model", str(model), "--data", str(data),
                  "--quant", str(quant)]) == 0
     assert seen == [0] * 4
+
+
+def test_eval_holds_no_set_while_reporting(pipeline, tmp_path, monkeypatch):
+    # the last layer's set was held by the suspended set generator while
+    # job_report ran
+    data, model = pipeline
+    quant = tmp_path / "q"
+    assert main(["quantize", "--model", str(model), "--data", str(data), "--method",
+                 "lnq_guided", "--g", "2", "--out", str(quant)]) == 0
+    seen = live_sets_at_report(monkeypatch, cli)
+    assert main(["eval", "--model", str(model), "--data", str(data),
+                 "--quant", str(quant)]) == 0
+    assert seen == [0]
 
 
 def test_each_load_reads_each_json_file_once(pipeline, tmp_path, monkeypatch):

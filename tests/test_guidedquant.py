@@ -1,11 +1,22 @@
 import dataclasses
+import sys
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glq import guidedquant, lnq
-from glq.calib_model import LayerCalibration, calibrate, gen_dataset, random_model, train
+from glq.calib_model import (
+    LayerCalibration,
+    MlpModel,
+    calibrate,
+    gen_dataset,
+    random_model,
+    train,
+)
 from glq.errors import (
     ConfigError,
     DimensionMismatch,
@@ -30,7 +41,7 @@ from glq.lnq import lnq_quantize
 from glq.oracle import full_fisher_quadratic
 from glq.scalar_quant import QuantizedLayer, squeezellm_quantize
 
-from conftest import live_sets_at_each_build
+from conftest import live_sets_at_each_build, live_sets_at_report
 
 
 class TestQuantJob:
@@ -312,6 +323,73 @@ def test_run_job_holds_one_layer_set_at_a_time(toy_problem, tmp_path, monkeypatc
     for _ in range(1 + cached):
         run_job(model, data, QuantJob(method=method, bits=2, g=3), hessian_cache=cache)
     assert len(seen) >= model.n_layers and set(seen) == {0}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("cached", [False, True])
+def test_run_job_holds_no_set_while_reporting(toy_problem, tmp_path, monkeypatch,
+                                              method, cached):
+    # the last layer's set was held by the suspended set generator while
+    # job_report ran
+    model, data = toy_problem
+    cache = HessianCache(tmp_path / "hc") if cached else None
+    seen = live_sets_at_report(monkeypatch, guidedquant)
+    for _ in range(1 + cached):
+        run_job(model, data, QuantJob(method=method, bits=2, g=3), hessian_cache=cache)
+    assert seen == [0] * (1 + cached)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 the caller's stack holds a call's arguments")
+def test_lnq_init_is_freed_once_lnq_quantize_has_copied_it(toy_problem, monkeypatch):
+    # run_job names no init, and lnq_quantize drops its own reference, so
+    # no init array is alive while a layer's CD phase runs
+    model, data = toy_problem
+    refs, alive = [], []
+    real_init, real_cd = guidedquant.squeezellm_init, lnq.cd_cycle
+
+    def init(*args, **kw):
+        C, A = real_init(*args, **kw)
+        refs.extend([weakref.ref(C), weakref.ref(A)])
+        return C, A
+
+    def cd(*args, **kw):
+        alive.append(sum(r() is not None for r in refs))
+        return real_cd(*args, **kw)
+
+    monkeypatch.setattr(guidedquant, "squeezellm_init", init)
+    monkeypatch.setattr(lnq, "cd_cycle", cd)
+    run_job(model, data, QuantJob(method="lnq_guided", bits=2, g=2))
+    assert len(refs) == 2 * model.n_layers and alive == [0] * (2 * model.n_layers)
+
+
+def _errors_by_the_formulas(X, G, W, Wh) -> tuple[float, float]:
+    """The plain and guided objectives by their formulas, one fresh array
+    per product: the reference for eval_objectives' in-place form."""
+    E = X @ (W - Wh)
+    GE = G * E
+    return float(np.sum(E * E)), float(np.sum(GE * GE))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), d=st.integers(1, 24), c=st.integers(1, 20),
+       seed=st.integers(0, 2**32 - 1))
+def test_in_place_objectives_keep_the_formula_bits(data, n, d, c, seed):
+    # -0.0 entries, zero rows and exact reconstructions included
+    rng = np.random.default_rng(seed)
+    X, G, W = rng.standard_normal((n, d)), rng.standard_normal((n, c)), rng.standard_normal((d, c))
+    Wh = np.round(W * data.draw(st.sampled_from([1.0, 2.0, 8.0]))) / 2.0
+    for M in (X, G, Wh):
+        M[rng.random(M.shape) < data.draw(st.sampled_from([0.0, 0.3]))] = -0.0
+        if data.draw(st.booleans()):
+            M[rng.integers(M.shape[0])] = 0.0
+    if data.draw(st.booleans()):
+        Wh = W.copy()
+    model = MlpModel(layers=[W])
+    (row,) = eval_objectives(model, [Wh], [LayerCalibration(X=X, gradZ=G)])
+    plain, guided = _errors_by_the_formulas(X, G, W, Wh)
+    assert np.float64(row["plain_objective"]).tobytes() == np.float64(plain).tobytes()
+    assert np.float64(row["guided_objective"]).tobytes() == np.float64(guided).tobytes()
 
 
 def _run_job_one_group_at_a_time(model, data, job):

@@ -170,6 +170,92 @@ class TestGuidedHessians:
         guided_hessians(c, part, layer_idx=3)
 
 
+class TestBuildersCheckSettings:
+    # called directly, the builders used to skip check_settings: on the
+    # seed-0 toy's layer 1, grad_scale=nan gave all-NaN Hessians with
+    # lambda nan, damping_rel=nan NaN Hessians, and damping_rel=-2.0 an
+    # indefinite set (min eigenvalue -2.2e6 guided, -45.9 plain)
+    @pytest.mark.parametrize("grad_scale, damping_rel, message", [
+        (float("nan"), 1e-7, "grad_scale must be > 0, got nan"),
+        (0.0, 1e-7, "grad_scale must be > 0, got 0.0"),
+        (1e3, float("nan"), "damping_rel must be >= 0, got nan"),
+        (1e3, -2.0, "damping_rel must be >= 0, got -2.0"),
+    ])
+    def test_guided_hessians_refuses(self, toy_calib, grad_scale, damping_rel, message):
+        part = ChannelPartition.consecutive(toy_calib[1].gradZ.shape[1], 4)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+            guided_hessians(toy_calib[1], part, layer_idx=1, grad_scale=grad_scale,
+                            damping_rel=damping_rel)
+
+    @pytest.mark.parametrize("damping_rel, shown", [(float("nan"), "nan"), (-2.0, "-2.0")])
+    def test_plain_hessian_refuses(self, toy_calib, damping_rel, shown):
+        with pytest.raises(ConfigError, match=rf"^damping_rel must be >= 0, got {shown}$"):
+            plain_hessian(toy_calib[1], layer_idx=1, damping_rel=damping_rel)
+
+    @pytest.mark.parametrize("grad_scale, shown", [
+        (float("nan"), "nan"), (0.0, "0.0"), (-1.0, "-1.0"),
+    ])
+    def test_squared_grad_averages_refuses(self, toy_calib, grad_scale, shown):
+        # the old guard was grad_scale <= 0.0 (a ValueError), which NaN passes
+        part = ChannelPartition.consecutive(toy_calib[1].gradZ.shape[1], 4)
+        with pytest.raises(ConfigError, match=rf"^grad_scale must be > 0, got {shown}$"):
+            squared_grad_averages(toy_calib[1], part, grad_scale=grad_scale)
+
+
+def _with_zeros(draw, M):
+    """M with a drawn share of entries set to -0.0 or 0.0 and, maybe, one
+    row all zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M[rng.random(M.shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = -0.0
+    M[rng.random(M.shape) < 0.1] = 0.0
+    if draw(st.booleans()):
+        M[rng.integers(M.shape[0])] = 0.0
+    return M
+
+
+class TestInPlaceBuild:
+    # the Hessian build symmetrises and damps B^T B where it lies; its
+    # bytes must be those of the formulas it replaced
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 150),
+           damping_rel=st.sampled_from([0.0, 1e-7, 0.25, 3.0]))
+    def test_symmetrise_and_damp_match_the_formulas(self, data, d, damping_rel):
+        from glq.hessian import _damped, _symmetrise
+
+        M = _with_zeros(data.draw, np.random.default_rng(d).standard_normal((d, d)))
+        sym = 0.5 * (M + M.T)
+        lam = damping_rel * float(np.mean(np.diag(sym)))
+        want = sym + lam * np.eye(d)
+        got = _symmetrise(M.copy())
+        assert got.tobytes() == sym.tobytes()
+        H, got_lam = _damped(got, damping_rel)
+        assert H.tobytes() == want.tobytes() and got_lam == lam
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), d=st.integers(1, 70), c=st.integers(1, 9),
+           damping_rel=st.sampled_from([0.0, 1e-7, 0.5]))
+    def test_gram_set_matches_the_formulas(self, data, n, d, c, damping_rel):
+        rng = np.random.default_rng(n * 1000 + d)
+        calib = LayerCalibration(X=_with_zeros(data.draw, rng.standard_normal((n, d))),
+                                 gradZ=rng.standard_normal((n, c)))
+        part = ChannelPartition.consecutive(c, data.draw(st.integers(1, c)))
+        s = squared_grad_averages(calib, part, grad_scale=1.0)
+        hset = guided_hessians(calib, part, grad_scale=1.0, damping_rel=damping_rel)
+        for k in range(part.g):
+            B = calib.X * np.sqrt(s[:, k])[:, None]
+            M = B.T @ B
+            M = 0.5 * (M + M.T)
+            lam = damping_rel * float(np.mean(np.diag(M)))
+            assert hset.hessians[k].tobytes() == (M + lam * np.eye(d)).tobytes()
+            assert hset.lambdas[k] == lam
+        H = plain_hessian(calib, damping_rel=damping_rel).hessians[0]
+        M = calib.X * 1.0
+        M = M.T @ M
+        M = 0.5 * (M + M.T)
+        lam = damping_rel * float(np.mean(np.diag(M)))
+        assert H.tobytes() == (M + lam * np.eye(d)).tobytes()
+
+
 class TestFisherOracle:
     def test_diag_identity(self):
         # n * F_j == X^T Diag(gradZ_j^2) X
