@@ -19,9 +19,14 @@ only place the recursion lives). It writes into a workspace made by
 ``_workspace``: per hidden layer one buffer each for the post-tanh
 activations and the output gradients, and one (1 - X^2) scratch block
 that every hidden layer shares, filled with ``out=``. Only the small
-n x d_out loss arrays are allocated per pass. ``calibrate`` runs the pass on a fresh workspace, whose arrays its
-records then own. ``train`` makes one workspace per call and reuses it
-on every step, so a step allocates no activation-sized array: on the
+n x d_out output arrays are allocated per pass. The pass computes no
+loss: it returns the output gradient and the loss inputs that gradient
+forms on its way (``_output_grad``), and ``_losses`` turns the inputs of
+one pass, or of a stack of passes, into per-sample losses with the same
+operations for each pass; ``end_loss`` and ``per_sample_losses`` use it
+on one. ``calibrate`` runs the pass on a fresh workspace, whose arrays
+its records then own. ``train`` makes one workspace per call and reuses
+it on every step, so a step allocates no activation-sized array: on the
 64-256-256-16 mid model a 300-step train takes about 2 K minor page
 faults, not 370 K.
 
@@ -30,12 +35,18 @@ update s yields both the summed loss that update s is checked against
 and the gradients of update s + 1, and one extra pass after the last
 update gives the final loss and gradient norm for its log line. Its
 layers are reshaped views of one flat parameter buffer and its gradients
-views of a second, so a step makes one in-place update and one
-finiteness check of the weights, however deep the model. The gradients
-are checked only once the weights fail theirs, and only then are the
-layers walked one by one to name the first non-finite layer. The loop
-runs with numpy's overflow and invalid-value warnings off, as each such
-value is caught by a check.
+views of a second, so a step makes one in-place update, however deep
+the model. The checks run once per block of passes, as many as
+LOSS_BLOCK_BYTES of loss inputs hold: one ``_losses`` call over the
+block's stacked inputs checks every pass's summed loss, and one
+finiteness check of the weights covers every update, as a non-finite
+weight stays non-finite under W - lr * g. A block that fails is
+replayed from its saved weights one pass at a time, checking each pass
+as the ``train`` docstring lists, so the same error is raised at the
+same step. Only then are the gradients checked and the layers walked
+one by one to name the first non-finite layer. The loop runs with
+numpy's overflow and invalid-value warnings off, as each such value is
+caught by a check.
 """
 
 from __future__ import annotations
@@ -62,6 +73,8 @@ LOSSES = ("squared_error", "softmax_cross_entropy")
 
 TOY_DIMS = [8, 16, 16, 4]
 TOY_N = 64
+# bytes of saved loss inputs per block of training passes (see `train`)
+LOSS_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -206,21 +219,40 @@ def _forward(layers: list[Matrix], X: Matrix, acts: list[Matrix]) -> Matrix:
     return cur @ layers[-1]
 
 
-def _loss_and_grad(loss: str, Z: Matrix, Y: Matrix) -> tuple[np.ndarray, Matrix]:
-    """Per-sample losses (length n) and per-sample output gradient dZ."""
+def _output_grad(loss: str, Z: Matrix, Y: Matrix) -> tuple[tuple[Matrix, ...], Matrix]:
+    """The per-sample output gradient dZ of one pass, and the inputs
+    `_losses` needs for its per-sample losses, which the gradient forms
+    on its way: the residual R = Z - Y for squared error (dZ = 2R); for
+    cross entropy, Z with its row maxima and the row totals of the
+    shifted exponentials (dZ = softmax(Z) - Y)."""
     if Z.shape != Y.shape:
         raise DimensionMismatch(f"outputs {Z.shape} vs targets {Y.shape}")
     if loss == "squared_error":
         R = Z - Y
-        return (R * R).sum(axis=1), 2.0 * R
-    # softmax cross entropy, stable via the logsumexp shift
-    zmax = Z.max(axis=1, keepdims=True)
-    soft = np.exp(Z - zmax)
-    total = soft.sum(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(total[:, 0])
-    per = lse - (Z * Y).sum(axis=1)
-    soft /= total
-    return per, soft - Y
+        return (R,), 2.0 * R
+    # softmax cross entropy, stable via the logsumexp shift. The row
+    # maxima come from an elementwise reduce over a transposed copy, which
+    # costs less than numpy's row-by-row reduce over a few columns. A
+    # maximum is exact whatever the order, and the sign of a zero maximum
+    # reaches neither Z - zmax nor zmax + log(total).
+    zmax = np.maximum.reduce(np.ascontiguousarray(Z.T))
+    soft = np.subtract(Z, zmax[:, None])
+    np.exp(soft, out=soft)
+    total = soft.sum(axis=1)
+    soft /= total[:, None]
+    return (Z, zmax, total), np.subtract(soft, Y, out=soft)
+
+
+def _losses(loss: str, inputs: tuple[np.ndarray, ...], Y: Matrix) -> np.ndarray:
+    """Per-sample losses from the `_output_grad` inputs of one pass
+    (shape n) or of N passes stacked on a leading axis (shape N x n).
+    Every pass gets the same elementwise operations and row sums, so
+    each row holds the bits that pass alone would give."""
+    if loss == "squared_error":
+        (R,) = inputs
+        return (R * R).sum(axis=-1)
+    Z, zmax, total = inputs
+    return zmax + np.log(total) - (Z * Y).sum(axis=-1)
 
 
 def end_loss(model: MlpModel, data: Dataset) -> float:
@@ -231,8 +263,8 @@ def end_loss(model: MlpModel, data: Dataset) -> float:
 def per_sample_losses(model: MlpModel, data: Dataset) -> np.ndarray:
     """Vector of l_i; end_loss is its exact sum."""
     _, Z = forward(model, data.inputs)
-    per, _ = _loss_and_grad(model.loss, Z, data.targets)
-    return per
+    inputs, _ = _output_grad(model.loss, Z, data.targets)
+    return _losses(model.loss, inputs, data.targets)
 
 
 _Workspace = tuple[list[Matrix], list[Matrix], list[Matrix]]
@@ -258,21 +290,21 @@ def _workspace(n: int, dims: list[int]) -> _Workspace:
 
 def _forward_backward(
     layers: list[Matrix], loss: str, X: Matrix, Y: Matrix, ws: _Workspace
-) -> tuple[np.ndarray, Matrix]:
+) -> tuple[tuple[Matrix, ...], Matrix]:
     """One forward/backward pass over plain weight arrays, written into
     the workspace `ws` = (acts, grads, scratch) of `_workspace`: the
-    per-sample losses and the last layer's output gradient are returned,
-    the hidden inputs X^(1..L-1) are left in acts and the gradients
-    G^(0..L-2) in grads."""
+    `_output_grad` loss inputs and the last layer's output gradient are
+    returned, the hidden inputs X^(1..L-1) are left in acts and the
+    gradients G^(0..L-2) in grads."""
     acts, grads, scratch = ws
-    per, G_last = _loss_and_grad(loss, _forward(layers, X, acts), Y)
+    inputs, G_last = _output_grad(loss, _forward(layers, X, acts), Y)
     # Walk backwards: gradient w.r.t. the input of layer i+1 is
     # (G W^T) * (1 - X^2) because acts[i] holds the post-tanh values.
     G = G_last
     for i in range(len(layers) - 2, -1, -1):
         S = np.subtract(1.0, np.square(acts[i], out=scratch[i]), out=scratch[i])
         G = np.multiply(np.matmul(G, layers[i + 1].T, out=grads[i]), S, out=grads[i])
-    return per, G_last
+    return inputs, G_last
 
 
 def calibrate(model: MlpModel, data: Dataset) -> list[LayerCalibration]:
@@ -291,6 +323,15 @@ def weight_gradients(model: MlpModel, data: Dataset) -> list[Matrix]:
     """Gradient of the summed loss w.r.t. each weight matrix."""
     calib = calibrate(model, data)
     return [c.X.T @ c.gradZ for c in calib]
+
+
+def _loss_store(loss: str, n: int, d: int) -> tuple[np.ndarray, ...]:
+    """Uninitialised stacks for the `_output_grad` loss inputs of one
+    block of passes over n samples with d outputs: as many passes as
+    LOSS_BLOCK_BYTES holds, and at least one."""
+    shapes = [(n, d)] if loss == "squared_error" else [(n, d), (n,), (n,)]
+    passes = max(1, LOSS_BLOCK_BYTES // (8 * sum(math.prod(s) for s in shapes)))
+    return tuple(np.empty((passes, *s)) for s in shapes)
 
 
 def _flat_buffer(shapes: list[tuple[int, int]]) -> tuple[np.ndarray, list[Matrix]]:
@@ -318,11 +359,11 @@ def train(model: MlpModel, data: Dataset, steps: int, lr: float) -> MlpModel:
     first pass. The layers are reshaped views of one flat parameter
     vector P and the gradients views of a second vector G, and every
     pass writes into one workspace made for this call. P is updated in
-    place by the same two rounded operations as W - lr * g. Checks, in
-    the order they are made:
+    place by the same two rounded operations as W - lr * g. The checks,
+    one pass at a time, in the order they are made:
 
-    * pass s > 0: a non-finite loss raises DivergedLoss "non-finite loss
-      at step s - 1" (the update that produced it);
+    * pass s > 0: a non-finite summed loss raises DivergedLoss
+      "non-finite loss at step s - 1" (the update that produced it);
     * update s, when the updated P is not all finite: a non-finite G
       raises DivergedLoss "non-finite gradient at step s"; otherwise
       ValueError "layer i: non-finite entries" names the first bad
@@ -332,6 +373,20 @@ def train(model: MlpModel, data: Dataset, steps: int, lr: float) -> MlpModel:
     as checking it before the update: as lr > 0, a NaN or infinite entry
     of G makes the same entry of P - lr * G NaN or infinite, whatever P
     held, and P is discarded when the step raises.
+
+    The passes run in blocks, as many as `_loss_store` holds the loss
+    inputs of (LOSS_BLOCK_BYTES; 85 passes on the cross-entropy toy, 3 on
+    the 64-256-256-16 mid model), and the checks run once per block: P
+    is saved, the block's passes and updates run unchecked, each pass's
+    loss inputs are kept, and then one `_losses` call sums every pass's
+    loss and one test sees whether P is finite. A non-finite entry of P
+    stays non-finite under P - lr * G (inf - finite = inf, inf - inf =
+    NaN, NaN - x = NaN), so a finite P at the end of a block means that
+    no update in it failed; every loss is checked, not just the last.
+    When the block fails, P is restored and the block is replayed one
+    pass at a time with the checks above, which raises the same error at
+    the same step as checking every pass; the replay costs at most one
+    block of extra passes.
 
     The final pass's loss and gradient norm go to the ``train:`` log line.
     The loop and that norm run under ``np.errstate(over="ignore",
@@ -349,27 +404,42 @@ def train(model: MlpModel, data: Dataset, steps: int, lr: float) -> MlpModel:
         view[...] = W
     G, grads = _flat_buffer(shapes)
     scaled = np.empty_like(G)
+    saved = np.empty_like(P)
     ws = _workspace(X.shape[0], model.dims)
+    store = _loss_store(model.loss, X.shape[0], model.dims[-1])
     # every pass rewrites the same buffers, so the transposed layer
     # inputs X^(l)^T are taken once
     inputs_T = [A.T for A in [X, *ws[0]]]
+    step, replay_end = 0, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps + 1):
-            per, Gz = _forward_backward(layers, model.loss, X, data.targets, ws)
-            loss = float(per.sum())
-            if step > 0 and not math.isfinite(loss):
+        while step <= steps:
+            k = 1 if step < replay_end else min(len(store[0]), steps + 1 - step)
+            if k > 1:
+                np.copyto(saved, P)
+            for j in range(k):
+                inputs, Gz = _forward_backward(layers, model.loss, X, data.targets, ws)
+                for stack, a in zip(store, inputs):
+                    stack[j] = a
+                for A_T, Gl, g in zip(inputs_T, [*ws[1], Gz], grads):
+                    np.matmul(A_T, Gl, out=g)
+                if step + j < steps:
+                    np.multiply(G, lr, out=scaled)
+                    np.subtract(P, scaled, out=P)
+            losses = _losses(model.loss, tuple(a[:k] for a in store), data.targets).sum(axis=1)
+            loss_ok = np.isfinite(losses[1:] if step == 0 else losses).all()
+            if loss_ok and np.isfinite(P).all():
+                step += k
+            elif k > 1:
+                np.copyto(P, saved)
+                replay_end = step + k
+            elif not loss_ok:
                 raise DivergedLoss(f"non-finite loss at step {step - 1}")
-            for A_T, Gl, g in zip(inputs_T, [*ws[1], Gz], grads):
-                np.matmul(A_T, Gl, out=g)
-            if step == steps:
-                break
-            np.multiply(G, lr, out=scaled)
-            np.subtract(P, scaled, out=P)
-            if not np.isfinite(P).all():
-                if not np.isfinite(G).all():
-                    raise DivergedLoss(f"non-finite gradient at step {step}")
+            elif not np.isfinite(G).all():
+                raise DivergedLoss(f"non-finite gradient at step {step}")
+            else:
                 for i, W in enumerate(layers):
                     ensure_matrix(W, f"layer {i}")
+        loss = float(losses[-1])
         gnorm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
     logger.info("train: steps=%d lr=%g final_loss=%.6g grad_norm=%.3g",
                 steps, lr, loss, gnorm)

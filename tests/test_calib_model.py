@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from glq.calib_model import (
     Dataset,
@@ -439,3 +440,203 @@ class TestTrain:
         b = train(model, data, steps=40, lr=1e-3)
         for wa, wb in zip(a.layers, b.layers):
             npt.assert_array_equal(wa, wb)
+
+
+def _one_pass_loss_and_grad(loss: str, Z: np.ndarray, Y: np.ndarray):
+    """Per-sample losses and output gradient of one pass, by the formula
+    each pass computed for itself before losses were checked per block."""
+    if loss == "squared_error":
+        R = Z - Y
+        return (R * R).sum(axis=1), 2.0 * R
+    zmax = Z.max(axis=1, keepdims=True)
+    soft = np.exp(Z - zmax)
+    total = soft.sum(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(total[:, 0])
+    per = lse - (Z * Y).sum(axis=1)
+    soft /= total
+    return per, soft - Y
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _block_budget(loss: str, n: int, d: int, passes: int) -> int:
+    """The LOSS_BLOCK_BYTES that makes blocks of `passes` passes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calib_model, "LOSS_BLOCK_BYTES", 0)
+        one = sum(a.nbytes for a in calib_model._loss_store(loss, n, d))
+    return passes * one
+
+
+def _failing_problem(kind: str, fail: int):
+    """A scalar problem (target 0) whose training fails at pass `fail`,
+    with the error it must raise. In all three, x^2 lr = 2, so every
+    update multiplies w by -3 exactly and subtracts lr g = 4w.
+
+    * loss: x = 1, lr = 2; the loss 2^1000 9^k of w = 2^500 3^k first
+      overflows at k = 8, and pass `fail` raises for the update before it;
+    * gradient: x = 2^520, lr = 2^-1039; the gradient 2^1011 3^k of
+      w = 2^-30 3^k first overflows at k = 9;
+    * value: x = 2^-511, lr = 2^1023; with w = 2^1008 3^k, lr g = 4w
+      first overflows at k = 9, where the loss 2^994 9^k and the
+      gradient 2^-13 3^k are finite, so P alone turns infinite.
+    """
+    if kind == "loss":
+        model, data = _scalar_problem(1.0, 2.0 ** 500 * 3.0 ** (8 - fail))
+        return model, data, 2.0, (DivergedLoss, f"non-finite loss at step {fail - 1}")
+    if kind == "gradient":
+        model, data = _scalar_problem(2.0 ** 520, 2.0 ** -30 * 3.0 ** (9 - fail))
+        return model, data, 2.0 ** -1039, (DivergedLoss, f"non-finite gradient at step {fail}")
+    model, data = _scalar_problem(2.0 ** -511, 2.0 ** 1008 * 3.0 ** (9 - fail))
+    return model, data, 2.0 ** 1023, (ValueError, "layer 0: non-finite entries")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBlockedChecks:
+    """`train` checks its losses and weights once per block of passes and
+    replays a failed block one pass at a time."""
+
+    @pytest.mark.parametrize("kind", ["loss", "gradient", "value"])
+    @pytest.mark.parametrize("passes, fail, final", [
+        # the first pass of a block: pass 2k opens the third block of k
+        (1, 2, False), (2, 4, False), (3, 6, False),
+        # the last pass of a block
+        (1, 1, False), (2, 3, False), (3, 5, False),
+        # the final pass (for the gradient and weight errors, which need
+        # an update, the last update)
+        (1, 5, True), (2, 5, True), (3, 5, True), (2, 6, True),
+        # a run shorter than one block
+        (4, 1, True), (40, 5, False),
+    ])
+    def test_failing_step_matches_two_pass_loop(self, monkeypatch, kind, passes, fail, final):
+        model, data, lr, want = _failing_problem(kind, fail)
+        steps = fail + (kind != "loss") if final else 20
+        assert _outcome(two_pass_train, model, data, steps, lr) == want
+        monkeypatch.setattr(calib_model, "LOSS_BLOCK_BYTES",
+                            _block_budget("squared_error", 1, 1, passes))
+        assert len(calib_model._loss_store("squared_error", 1, 1)[0]) == passes
+        real = calib_model._forward_backward
+        ran = []
+
+        def count(*args):
+            ran.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(calib_model, "_forward_backward", count)
+        assert _outcome(train, model, data, steps, lr) == want
+        # at most one block of passes more than checking every pass
+        assert fail + 1 <= len(ran) <= fail + 1 + passes
+        if passes == 1:
+            assert len(ran) == fail + 1
+
+    @pytest.mark.parametrize("passes", [2, 3, 50])
+    def test_loss_that_recovers_inside_a_block_is_caught(self, monkeypatch, passes):
+        # x = 1, lr = (1 - 2^-10) / 2: every update multiplies w by 2^-10
+        # exactly, so from w0 = 2^525 only pass 1's loss 2^1030 overflows
+        # (pass 0 is not checked) and every later pass's loss is finite
+        model, data = _scalar_problem(1.0, 2.0 ** 525)
+        lr = (1.0 - 2.0 ** -10) / 2.0
+        monkeypatch.setattr(calib_model, "LOSS_BLOCK_BYTES",
+                            _block_budget("squared_error", 1, 1, passes))
+        want = (DivergedLoss, "non-finite loss at step 0")
+        assert _outcome(train, model, data, 5, lr) == want
+        assert _outcome(two_pass_train, model, data, 5, lr) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        loss=st.sampled_from(["squared_error", "softmax_cross_entropy"]),
+        widths=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+        steps=st.integers(0, 30),
+        lr=st.sampled_from([1e-3, 2e-2, 0.3, 1e3, 1e100, 1e300]),
+        passes=st.integers(1, 7),
+    )
+    def test_any_block_size_matches_two_pass_loop_bitwise(
+            self, loss, widths, n, seed, steps, lr, passes):
+        data = gen_dataset(seed, n, widths[0], widths[-1], task=loss)
+        model = random_model(widths, seed + 1, loss=loss)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(calib_model, "LOSS_BLOCK_BYTES",
+                       _block_budget(loss, n, widths[-1], passes))
+            got = _outcome(train, model, data, steps, lr)
+        want = _outcome(two_pass_train, model, data, steps, lr)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("loss", ["squared_error", "softmax_cross_entropy"])
+    @pytest.mark.parametrize("dims, n", [(calib_model.TOY_DIMS, 64), ([64, 256, 256, 16], 512)])
+    def test_loss_store_fits_its_budget_and_is_made_once(self, monkeypatch, loss, dims, n):
+        real = calib_model._loss_store
+        made = []
+
+        def spy(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        monkeypatch.setattr(calib_model, "_loss_store", spy)
+        data = gen_dataset(3, n, dims[0], dims[-1], task=loss)
+        train(random_model(dims, 4, loss=loss), data, steps=9, lr=1e-6)
+        (store,) = made
+        d = dims[-1]
+        want = [(n, d)] if loss == "squared_error" else [(n, d), (n,), (n,)]
+        assert [a.shape[1:] for a in store] == want
+        passes = len(store[0])
+        assert passes >= 3 and all(len(a) == passes for a in store)
+        assert sum(a.nbytes for a in store) <= calib_model.LOSS_BLOCK_BYTES
+
+
+class TestStackedLosses:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        loss=st.sampled_from(["squared_error", "softmax_cross_entropy"]),
+        n=st.integers(1, 6),
+        d=st.integers(1, 5),
+        stack=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_stack_matches_one_pass_formula_bitwise(self, loss, n, d, stack, data):
+        # -0.0 and magnitudes whose loss overflows while the gradient stays
+        # finite are drawn along with ordinary values
+        values = st.one_of(
+            st.floats(-50.0, 50.0),
+            st.sampled_from([0.0, -0.0, 1e154, -1e154, 1e200, -1e200, 1e308, -1e308]),
+        )
+        Zs = data.draw(arrays(np.float64, (stack, n, d), elements=values))
+        if loss == "squared_error":
+            Y = data.draw(arrays(np.float64, (n, d), elements=values))
+        else:
+            labels = data.draw(arrays(np.int64, n, elements=st.integers(0, d - 1)))
+            Y = np.zeros((n, d))
+            Y[np.arange(n), labels] = 1.0
+        with np.errstate(over="ignore"):
+            passes = [calib_model._output_grad(loss, Z.copy(), Y) for Z in Zs]
+            stacked = tuple(np.stack(parts) for parts in zip(*(p[0] for p in passes)))
+            per = calib_model._losses(loss, stacked, Y)
+            sums = per.sum(axis=1)
+            for i, Z in enumerate(Zs):
+                want_per, want_grad = _one_pass_loss_and_grad(loss, Z, Y)
+                assert np.array_equal(_bits(per[i]), _bits(want_per))
+                assert np.array_equal(_bits(passes[i][1]), _bits(want_grad))
+                assert _bits(sums[i]) == _bits(want_per.sum())
+                one = calib_model._losses(loss, passes[i][0], Y)
+                assert np.array_equal(_bits(one), _bits(want_per))
+
+    @pytest.mark.parametrize("loss, Z, Y", [
+        ("squared_error", [[1e200, 0.0]], [[0.0, -0.0]]),
+        ("softmax_cross_entropy", [[1e308, -1e308]], [[0.0, 1.0]]),
+    ])
+    def test_overflowing_loss_with_finite_gradient(self, loss, Z, Y):
+        Z, Y = np.array(Z), np.array(Y)
+        with np.errstate(over="ignore"):
+            inputs, grad = calib_model._output_grad(loss, Z.copy(), Y)
+            per = calib_model._losses(loss, tuple(a[None] for a in inputs), Y)
+            want_per, want_grad = _one_pass_loss_and_grad(loss, Z, Y)
+        assert np.isposinf(per).all() and np.isfinite(grad).all()
+        assert np.array_equal(_bits(per[0]), _bits(want_per))
+        assert np.array_equal(_bits(grad), _bits(want_grad))
