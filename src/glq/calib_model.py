@@ -14,6 +14,13 @@ loss is then X^(l)^T G^(l), which ``train`` uses for full-batch descent.
 Backprop through tanh uses G^(l) = (G^(l+1) W_{l+1}^T) * (1 - X^(l+1)^2),
 valid because X^(l+1) stores the post-tanh values.
 
+``walk_calibration`` hands out the same records one layer at a time,
+from the output gradients of a ``calibrate`` pass: each hidden input is
+formed from the one before when the walk reaches its layer, so a caller
+(``run_job``, ``glq eval``) holds one layer's input at a time, and
+``end_loss_from_input`` takes the end loss from the last one, with
+``end_loss``'s bits.
+
 ``calibrate`` and ``train`` share that pass (``_forward_backward``, the
 only place the recursion lives). It writes into a workspace made by
 ``_workspace``: per hidden layer one buffer each for the post-tanh
@@ -53,6 +60,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,8 +223,13 @@ def _forward(layers: list[Matrix], X: Matrix, acts: list[Matrix]) -> Matrix:
     `acts` (n x d_l, l = 1..L-1) and return the final output Z."""
     cur = X
     for W, A in zip(layers, acts):
-        cur = np.tanh(np.matmul(cur, W, out=A), out=A)
+        cur = _hidden(cur, W, A)
     return cur @ layers[-1]
+
+
+def _hidden(X: Matrix, W: Matrix, out: Matrix) -> Matrix:
+    """tanh(X W), the input of the layer after W, written into `out`."""
+    return np.tanh(np.matmul(X, W, out=out), out=out)
 
 
 def _output_grad(loss: str, Z: Matrix, Y: Matrix) -> tuple[tuple[Matrix, ...], Matrix]:
@@ -260,11 +273,22 @@ def end_loss(model: MlpModel, data: Dataset) -> float:
     return float(np.sum(per_sample_losses(model, data)))
 
 
+def end_loss_from_input(model: MlpModel, X: Matrix, data: Dataset) -> float:
+    """`end_loss(model, data)` from X, the last layer's input on `data`
+    (the last `walk_calibration` record's), with its bits: the forward
+    pass's last product and the same losses and sum."""
+    return float(np.sum(_sample_losses(model.loss, X @ model.layers[-1], data.targets)))
+
+
 def per_sample_losses(model: MlpModel, data: Dataset) -> np.ndarray:
     """Vector of l_i; end_loss is its exact sum."""
     _, Z = forward(model, data.inputs)
-    inputs, _ = _output_grad(model.loss, Z, data.targets)
-    return _losses(model.loss, inputs, data.targets)
+    return _sample_losses(model.loss, Z, data.targets)
+
+
+def _sample_losses(loss: str, Z: Matrix, Y: Matrix) -> np.ndarray:
+    inputs, _ = _output_grad(loss, Z, Y)
+    return _losses(loss, inputs, Y)
 
 
 _Workspace = tuple[list[Matrix], list[Matrix], list[Matrix]]
@@ -317,6 +341,25 @@ def calibrate(model: MlpModel, data: Dataset) -> list[LayerCalibration]:
     _, G = _forward_backward(model.layers, model.loss, X, data.targets, ws)
     acts, grads, _ = ws
     return [LayerCalibration(X=A, gradZ=Gz) for A, Gz in zip([X, *acts], [*grads, G])]
+
+
+def walk_calibration(model: MlpModel, X: Matrix,
+                     grads: list[Matrix]) -> Iterator[LayerCalibration]:
+    """Each layer's LayerCalibration in turn, from the model's input X
+    and the output gradients `grads` of `calibrate`'s records, with the
+    bits of `calibrate`'s records: a hidden layer's input is formed from
+    the one before when the walk reaches it, by `_forward`'s own step.
+
+    The walk takes `grads` over and drops each entry as it moves past its
+    record; it holds no record, and between records only the input of
+    the layer it last handed out. So a caller that drops each record
+    before asking for the next holds one layer's input, and no input of
+    a layer it has not reached."""
+    for l, W in enumerate(model.layers):
+        yield LayerCalibration(X=X, gradZ=grads[l])
+        grads[l] = None
+        if l + 1 < model.n_layers:
+            X = _hidden(X, W, np.empty((X.shape[0], W.shape[1])))
 
 
 def weight_gradients(model: MlpModel, data: Dataset) -> list[Matrix]:

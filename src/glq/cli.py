@@ -29,9 +29,7 @@ from .guidedquant import (
     JOB_KEYS,
     METHODS,
     QuantJob,
-    damped_quadratic,
     format_table,
-    job_hessians,
     job_report,
     run_job,
     sweep as run_sweep,
@@ -222,14 +220,9 @@ def cmd_eval(args) -> int:
     job = QuantJob.from_dict({k: meta[k] for k in JOB_KEYS if k in meta})
     quantized = model.with_layers([ql.W_hat for ql in qlayers])
     del qlayers  # only the quantized weights are read from here on
-    calib = run_calibrate(model, data)
-    # each layer's set is dropped once its damped objective is taken, so
-    # none is alive while job_report runs (mid model: 9.1 MiB tracemalloc
-    # peak above the command's start, in layer 2's guided build)
-    hsets = job_hessians(model, data, calib, job)
-    damped = [damped_quadratic(next(hsets), W, W_hat)
-              for W, W_hat in zip(model.layers, quantized.layers)]
-    report = job_report(model, quantized, data, calib, job, damped)
+    # one layer's calibration and set at a time (mid model: 7.1 MiB
+    # tracemalloc peak above the command's start, in layer 1's guided build)
+    report = job_report(model, quantized, data, job)
     print(format_table([report.csv_row()]))
     if args.csv:
         Path(args.csv).write_text(artifacts.report_csv_text([report.csv_row()]))

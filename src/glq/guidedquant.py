@@ -12,23 +12,29 @@ count g. Methods:
   loss-guided Hessians, same initialization, one run per group; g is
   clipped to each layer's output width.
 
-Layers are quantized one at a time, each against its own Hessian set
-(`job_hessians` hands them out one layer at a time, and keeps none once
-it is handed out). A layer's set is taken after anything that does not
-read it and dropped once the layer is solved and its damped objective
-taken, so at most one set is live, and none while the report is made.
+Layers are quantized one at a time on one walk (`_walk`, shared by
+`run_job` and `job_report`), which holds one layer's calibration: one
+``calibrate`` pass, of which only the output gradients are kept, and
+each layer's input formed from the one before when the walk reaches it
+(``calib_model.walk_calibration``). Each layer is solved against its
+own Hessian set (`job_hessians` reads the record in hand and keeps no
+set once it is handed out). A layer's set is taken after anything that
+does not read it and dropped once the layer is solved and its damped
+objective taken; the layer's report row follows at once, so at most one
+set is live, and none while a row is made. The end loss before
+quantization comes from the last layer's input, with `end_loss`'s bits.
 For the LNQ methods one ``squeezellm_init`` call (arrays, no SSE trace)
 covers the layer, channel j seeded by (seed, j) as in the squeezellm
 baseline, so every method and every g starts a layer from the same
-init; it runs before the set is taken, and ``lnq_quantize`` frees it
-once copied. One ``lnq_quantize`` call then solves the layer's groups
-on its row-major arrays (see ``lnq``). Arrays are freed at their last
-use, so on the 64-256-256-16 mid model (n 512, g 4, 3 bits, from the
-second run in a process on) ``glq quantize`` peaks at 10.6-11.1 MiB
-of tracemalloc above its start, in layer 1's codebook phase, and
-``glq eval`` at 9.1 MiB, in layer 2's guided build (12.1 and 12.1
-MiB, both in the report, before). A group Hessian that does not factor
-raises SingularHessian naming the layer, the group and the cause.
+init; it runs before the set is taken, and ``lnq_quantize`` solves the
+layer's groups in place on the init's row-major arrays (see ``lnq``).
+Arrays are freed at their last use, so on the 64-256-256-16 mid model
+(n 512, g 4, 3 bits, seeds 8-10, from the second run in a process on)
+``glq quantize`` peaks at 8.5-8.9 MiB of tracemalloc above its start,
+in layer 1's codebook and CD phases, and ``glq eval`` at 7.1 MiB, in
+layer 1's guided build (10.6-10.9 and 9.1 MiB, with every layer's
+calibration held to the end, before). A group Hessian that does not
+factor raises SingularHessian naming the layer, the group and the cause.
 Reported objectives per layer: the plain reconstruction error
 ||X (W - What)||_F^2, the gradient-weighted error
 ||gradZ * (X (W - What))||_F^2 (elementwise product), and the damped
@@ -44,13 +50,21 @@ which the tests check the guided objective against.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from operator import itemgetter
 
 import numpy as np
 
-from .calib_model import Dataset, LayerCalibration, MlpModel, calibrate, end_loss
+from .calib_model import (
+    Dataset,
+    LayerCalibration,
+    MlpModel,
+    calibrate,
+    end_loss,
+    end_loss_from_input,
+    walk_calibration,
+)
 from .errors import ConfigError, DimensionMismatch
 from .hessian import (
     DEFAULT_DAMPING_REL,
@@ -170,20 +184,77 @@ class QuantReport:
 def job_hessians(
     model: MlpModel,
     data: Dataset,
-    calib: list[LayerCalibration],
+    calib: Iterable[LayerCalibration],
     job: QuantJob,
     cache: HessianCache | None = None,
 ) -> Iterator[HessianSet]:
     """Each layer's HessianSet for `job`'s method in turn, from
-    `layer_hessians`: the grouped guided Hessians for lnq_guided, the
-    plain ones (one group, unit grad scale) for every other method. The
-    LNQ methods quantize against them and every method reports its
-    damped objective under them. `cache` is consulted only for the LNQ
-    methods. No set is held here once the next is asked for."""
+    `layer_hessians`, which reads one record of `calib` per set: the
+    grouped guided Hessians for lnq_guided, the plain ones (one group,
+    unit grad scale) for every other method. The LNQ methods quantize
+    against them and every method reports its damped objective under
+    them. `cache` is consulted only for the LNQ methods. No set is held
+    here once the next is asked for."""
     kind = "guided" if job.method == "lnq_guided" else "plain"
     cache = cache if job.method in ("lnq_plain", "lnq_guided") else None
     return map(itemgetter(1), layer_hessians(model, data, calib, kind, job.g, job.grad_scale,
                                              job.damping_rel, cache=cache))
+
+
+def _walk(
+    model: MlpModel,
+    data: Dataset,
+    job: QuantJob,
+    step: Callable[[int, Matrix, LayerCalibration, Iterator[HessianSet]],
+                   tuple[Matrix, HessianSet]],
+    cache: HessianCache | None = None,
+) -> tuple[list[dict], float]:
+    """The layer walk of `run_job` and `job_report`: the report rows of
+    `job` and the end loss before quantization, holding one layer's
+    calibration at a time.
+
+    `calibrate` runs once, and only its output gradients are kept: each
+    layer's input is formed from the one before when the walk reaches it
+    (`walk_calibration`). For each layer in order, `step(l, W, c,
+    hsets)` gets the layer's index, weights and record and takes the
+    layer's set from `hsets`, the `job_hessians` iterator, which reads
+    the record in hand; it returns the quantized weights and the set. The
+    layer's damped objective is taken under the set, the set is dropped,
+    and then its `eval_objectives` row is made, so no set is alive while
+    a row is made; the record goes when the walk moves on. The end loss
+    comes from the last layer's input (`end_loss_from_input`), with
+    `end_loss`'s bits."""
+    calib = calibrate(model, data)
+    records = walk_calibration(model, calib[0].X, [r.gradZ for r in calib])
+    del calib  # the hidden inputs: the walk forms each when it reaches its layer
+    c = None
+    # the set iterator reads the record in hand whenever `step` asks it
+    # for a set
+    hsets = job_hessians(model, data, iter(lambda: c, None), job, cache)
+    rows = []
+    for l, W in enumerate(model.layers):
+        c = next(records)
+        W_hat, hset = step(l, W, c, hsets)
+        damped = damped_quadratic(hset, W, W_hat)
+        del hset  # no set is alive while the row is made
+        (row,) = eval_objectives(model, [W_hat], [c], layers=[l])
+        del W_hat  # not held into the next layer
+        row["damped_objective"] = damped
+        rows.append(row)
+    return rows, end_loss_from_input(model, c.X, data)
+
+
+def _report(job: QuantJob, quantized: MlpModel, data: Dataset, rows: list[dict],
+            end_loss_before: float) -> QuantReport:
+    return QuantReport(
+        method=job.method,
+        bits=job.bits,
+        g=job.g,
+        seed=job.seed,
+        end_loss_before=end_loss_before,
+        end_loss_after=end_loss(quantized, data),
+        layers=rows,
+    )
 
 
 def run_job(
@@ -194,86 +265,73 @@ def run_job(
 ) -> tuple[MlpModel, list[QuantizedLayer], QuantReport]:
     """Quantize every layer of `model` per `job`.
 
-    Layers are quantized in order, each against its own Hessian set,
-    which is taken once the layer's init is made (LNQ) or its weights
-    quantized (rtn, squeezellm) and dropped once the layer is solved and
-    its damped objective taken, so no set is alive while `job_report`
-    runs. For the LNQ methods `squeezellm_init` on the layer's weights
-    and diagonal Fisher, channel j seeded by (seed, j), gives the init
-    of one `lnq_quantize` call over the layer's consecutive groups; no
-    name here holds the init, so it is freed once `lnq_quantize` has
-    copied it. On the mid model `glq quantize` peaks at 10.6-11.1 MiB
-    of tracemalloc (see the module docstring). Returns the quantized
-    model, one QuantizedLayer per layer, and the report.
+    Layers are quantized in order on one walk (`_walk`), each against
+    its own Hessian set, which is taken once the layer's init is made
+    (LNQ) or its weights quantized (rtn, squeezellm) and dropped once
+    the layer is solved and its damped objective taken; the layer's
+    report row follows. For the LNQ methods `squeezellm_init` on the
+    layer's weights and diagonal Fisher, channel j seeded by (seed, j),
+    gives the init of one `lnq_quantize` call over the layer's
+    consecutive groups, which solves the layer in place on the init's
+    arrays. On the mid model `glq quantize` peaks at 8.5-8.9 MiB of
+    tracemalloc (see the module docstring). Returns the quantized model,
+    one QuantizedLayer per layer, and the report.
     """
-    calib = calibrate(model, data)
-    hsets = job_hessians(model, data, calib, job, cache=hessian_cache)
-    qlayers, damped = [], []
-    for l, W in enumerate(model.layers):
+    qlayers = []
+
+    def step(l, W, c, hsets):
         if job.method in ("lnq_plain", "lnq_guided"):
-            seeds = [(job.seed, j) for j in range(W.shape[1])]
-            # keywords are evaluated in order: the init is made before the
-            # set is taken, and no name here holds it, so lnq_quantize
-            # frees it once it has copied it (CPython >= 3.11 moves a
-            # call's arguments into the callee's frame)
-            ql = lnq_quantize(init=squeezellm_init(W, fisher_diag(calib[l]), job.bits, seeds),
-                              H_damped=(hset := next(hsets)).hessians,
-                              sizes=hset.partition.sizes, W_block=W, bits=job.bits, T=job.T,
-                              K=job.K, layer_idx=l)
+            init = squeezellm_init(W, fisher_diag(c), job.bits,
+                                   [(job.seed, j) for j in range(W.shape[1])])
+            hset = next(hsets)
+            ql = lnq_quantize(hset.hessians, W, job.bits, job.T, job.K, init, layer_idx=l,
+                              sizes=hset.partition.sizes)
         else:
             if job.method == "rtn":
                 ql = rtn_quantize(W, job.bits, layer_idx=l)
             else:
-                ql = squeezellm_quantize(W, fisher_diag(calib[l]), job.bits, seed=job.seed,
-                                         layer_idx=l)
+                ql = squeezellm_quantize(W, fisher_diag(c), job.bits, seed=job.seed, layer_idx=l)
             hset = next(hsets)
         qlayers.append(ql)
-        damped.append(damped_quadratic(hset, W, ql.W_hat))
-        del hset  # one layer's set at a time
+        return ql.W_hat, hset
+
+    rows, before = _walk(model, data, job, step, hessian_cache)
     quantized = model.with_layers([ql.W_hat for ql in qlayers])
-    return quantized, qlayers, job_report(model, quantized, data, calib, job, damped)
+    return quantized, qlayers, _report(job, quantized, data, rows, before)
 
 
-def job_report(
-    model: MlpModel,
-    quantized: MlpModel,
-    data: Dataset,
-    calib: list[LayerCalibration],
-    job: QuantJob,
-    damped: list[float],
-) -> QuantReport:
-    """The report of `job` for `quantized`: per-layer objectives, the
-    damped ones given per layer (`damped_quadratic` under the layer's
-    `job_hessians` set), and the end loss of both models. `glq eval`
-    rebuilds it from an artifact."""
-    rows = eval_objectives(model, quantized.layers, calib)
-    for row, value in zip(rows, damped):
-        row["damped_objective"] = value
-    return QuantReport(
-        method=job.method,
-        bits=job.bits,
-        g=job.g,
-        seed=job.seed,
-        end_loss_before=end_loss(model, data),
-        end_loss_after=end_loss(quantized, data),
-        layers=rows,
-    )
+def job_report(model: MlpModel, quantized: MlpModel, data: Dataset, job: QuantJob) -> QuantReport:
+    """The report of `job` for `quantized`, as `run_job` makes it, on one
+    walk over the layers (`_walk`): per-layer objectives, the damped
+    ones under the layer's `job_hessians` set, and the end loss of both
+    models. `glq eval` rebuilds it from an artifact."""
+    rows, before = _walk(model, data, job,
+                         lambda l, W, c, hsets: (quantized.layers[l], next(hsets)))
+    return _report(job, quantized, data, rows, before)
 
 
 def eval_objectives(
-    model: MlpModel, w_hat_layers: list[Matrix], calib: list[LayerCalibration]
+    model: MlpModel,
+    w_hat_layers: list[Matrix],
+    calib: list[LayerCalibration],
+    layers: Sequence[int] | None = None,
 ) -> list[dict]:
-    """Per-layer reconstruction objectives (see module docstring).
+    """Per-layer reconstruction objectives (see module docstring) of the
+    layers of `model` indexed by `layers`, every layer by default: one
+    row per index, from its quantized matrix in `w_hat_layers` and its
+    record in `calib`.
 
     By the identity sum_j n delta_j^T F_j delta_j = ||gradZ * (X delta)||_F^2
     the channel-by-channel Fisher sum is the `guided_objective`, so it
     is not rebuilt here. `oracle.full_fisher_quadratic` computes it the
     independent way.
     """
-    if len(w_hat_layers) != model.n_layers:
-        raise DimensionMismatch("one quantized matrix per layer required")
+    layers = range(model.n_layers) if layers is None else layers
+    if len(w_hat_layers) != len(layers) or len(calib) != len(layers):
+        raise DimensionMismatch("one quantized matrix and one record per layer required")
     rows = []
-    for l, (W, Wh, c) in enumerate(zip(model.layers, w_hat_layers, calib)):
+    for l, Wh, c in zip(layers, w_hat_layers, calib):
+        W = model.layers[l]
         if Wh.shape != W.shape:
             raise DimensionMismatch(f"layer {l}: {Wh.shape} vs {W.shape}")
         plain, guided = _errors(c, W, Wh)

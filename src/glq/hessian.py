@@ -38,15 +38,20 @@ once it is handed out, not even the last while the caller goes on, so
 a caller that drops each set before asking for the next (``run_job``,
 ``glq eval``, ``glq hessian``) holds one layer's set at a time and none
 once it is done with the last: at g = d_out a set holds d_out d x d
-matrices. A set's build holds one n x d buffer beside the set.
+matrices. A set's build holds one n x d buffer beside the set. It reads
+the layers' calibration records from an iterable, one per set, so
+``run_job`` and ``glq eval`` hand it the record of the layer in hand
+(``calib_model.walk_calibration``) and ``glq hessian`` ``calibrate``'s
+list.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,19 +111,16 @@ class ChannelPartition:
 
 @dataclass
 class HessianSet:
-    """Damped proxy Hessians for one layer, one matrix per channel group.
-
-    ``hessians[k]`` already includes its diagonal shift ``lambdas[k]``.
-    """
+    """Damped proxy Hessians for one layer, one matrix per channel group;
+    ``hessians[k]`` already includes its diagonal shift lambda_k."""
 
     layer_idx: int
     partition: ChannelPartition
     hessians: list[Matrix]
-    lambdas: list[float]
 
     def __post_init__(self) -> None:
-        if len(self.hessians) != self.partition.g or len(self.lambdas) != self.partition.g:
-            raise PartitionMismatch("one hessian and one lambda per group required")
+        if len(self.hessians) != self.partition.g:
+            raise PartitionMismatch("one hessian per group required")
 
 
 def check_settings(grad_scale: float = 1.0, damping_rel: float = 0.0) -> None:
@@ -160,15 +162,15 @@ def _symmetrise(M: Matrix) -> Matrix:
     return M
 
 
-def _damped(M: Matrix, damping_rel: float) -> tuple[Matrix, float]:
-    """M + lam * I in place, with the bits of that formula, and lam =
+def _damped(M: Matrix, damping_rel: float) -> Matrix:
+    """M + lam * I in place, with the bits of that formula, for lam =
     damping_rel * mean(diag(M)): the off-diagonal entries add lam * 0.0
     (which turns -0.0 into 0.0) and the diagonal adds lam."""
     lam = damping_rel * float(np.mean(M.diagonal()))
     shifted = M.diagonal() + lam
     M += lam * 0.0
     M.flat[::M.shape[0] + 1] = shifted
-    return M, lam
+    return M
 
 
 def _gram_set(X: Matrix, s: Matrix, partition: ChannelPartition, layer_idx: int,
@@ -178,14 +180,12 @@ def _gram_set(X: Matrix, s: Matrix, partition: ChannelPartition, layer_idx: int,
     one n x d buffer rewritten for each group, and each Hessian is
     symmetrised and damped where B^T B put it, so a group adds one d x d
     matrix to the set and a band of rows of scratch."""
-    hessians, lambdas = [], []
+    hessians = []
     B = np.empty_like(X)
     for k in range(partition.g):
         np.multiply(X, np.sqrt(s[:, k])[:, None], out=B)
-        H, lam = _damped(_symmetrise(B.T @ B), damping_rel)
-        hessians.append(H)
-        lambdas.append(lam)
-    return HessianSet(layer_idx, partition, hessians, lambdas)
+        hessians.append(_damped(_symmetrise(B.T @ B), damping_rel))
+    return HessianSet(layer_idx, partition, hessians)
 
 
 def plain_hessian(
@@ -327,12 +327,12 @@ class HessianCache:
 
     Each entry holds ``hess.L<layer>.G<k>.gqt`` tensor files plus a
     ``manifest.json`` of the ``request`` the entry was built for (whose
-    hash is its key), the ``lambdas`` and per-file content hashes. A
-    load reads the manifest once and refuses with CorruptFile an entry
-    whose request is not the one asked for (copied in from another
-    model's or dataset's cache, or moved to another layer's key), whose
-    lambdas are not one number per group, or whose files fail their
-    hashes, so it is bit-exact or refused. A set with an input feature
+    hash is its key) and per-file content hashes. A load reads the
+    manifest once and refuses with CorruptFile an entry whose request is
+    not the one asked for (copied in from another model's or dataset's
+    cache, or moved to another layer's key), or whose files fail their
+    hashes, so it is bit-exact or refused. The ``lambdas`` key that older
+    entries carry is not read. A set with an input feature
     of zero curvature, which no solver can factor, is never stored:
     ``store`` raises SingularHessian first.
     """
@@ -356,17 +356,11 @@ class HessianCache:
             built, asked = (json.dumps(r, sort_keys=True) for r in (meta["request"], request))
             raise CorruptFile(f"{d}: hessian cache entry was built for {built}, "
                               f"requested {asked}")
-        lambdas = meta.get("lambdas")
-        if not isinstance(lambdas, list) or len(lambdas) != partition.g or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in lambdas):
-            raise CorruptFile(f"{d}: hessian cache entry has lambdas {lambdas!r} for "
-                              f"{partition.g} groups")
         names = [f"hess.L{request['layer']}.G{k}.gqt" for k in range(partition.g)]
         bad = stale_files(d, meta) + [n for n in names if n not in meta.get("files", {})]
         if bad:
             raise CorruptFile(f"{d}: hessian cache entry fails its manifest: {bad}")
-        return HessianSet(request["layer"], partition, [read_tensor(d / n) for n in names],
-                          [float(x) for x in lambdas])
+        return HessianSet(request["layer"], partition, [read_tensor(d / n) for n in names])
 
     def store(self, request: dict, hset: HessianSet) -> Path:
         from .tensorio import write_manifest, write_tensor
@@ -380,23 +374,23 @@ class HessianCache:
         names = [f"hess.L{hset.layer_idx}.G{k}.gqt" for k in range(hset.partition.g)]
         for name, H in zip(names, hset.hessians):
             write_tensor(d / name, H)
-        write_manifest(d, {"request": request, "lambdas": [float(x) for x in hset.lambdas]},
-                       names)
+        write_manifest(d, {"request": request}, names)
         return d
 
 
 def layer_hessians(
     model: MlpModel,
     data: Dataset,
-    calib: list[LayerCalibration],
+    calib: Iterable[LayerCalibration],
     kind: str,
     g: int = 1,
     grad_scale: float = DEFAULT_GRAD_SCALE,
     damping_rel: float = DEFAULT_DAMPING_REL,
     cache: HessianCache | None = None,
     reuse: bool = True,
-) -> Iterator[tuple[str, HessianSet]]:
-    """(cache key, HessianSet) of each layer of `model` in turn.
+) -> Iterator[tuple[str | None, HessianSet]]:
+    """(cache key, HessianSet) of each layer of `model` in turn, one per
+    record of `calib`, which is consumed one record per set.
 
     kind "plain" builds X^T X with one group, keyed with g = 1 and unit
     grad scale; kind "guided" builds the grouped Hessians over
@@ -406,42 +400,39 @@ def layer_hessians(
     With a `cache`, an existing entry is loaded when `reuse` is set, and
     refused (CorruptFile) unless it records this layer's request
     (`hessian_request`); every set built here is stored under its key.
-    This is the only place a layer Hessian is built and keyed, so a
-    quantize run finds exactly the entries a hessian run wrote, and
-    stores each set it has to build itself (`glq quantize
-    --hessian-cache` adds, say, plain entries to a cache of guided
-    ones); the cache's `index.json` lists only what `glq hessian` wrote.
+    Without one, no request is made and the key is None, so the model
+    and dataset are not hashed. This is the only place a layer Hessian
+    is built and keyed, so a quantize run finds exactly the entries a
+    hessian run wrote, and stores each set it has to build itself
+    (`glq quantize --hessian-cache` adds, say, plain entries to a cache
+    of guided ones); the cache's `index.json` lists only what `glq
+    hessian` wrote.
 
-    The sets come one layer at a time and nothing here keeps one once it
-    is handed out (each pair is made by a helper and yielded at once, so
-    the suspended generator holds none, even after the last layer), so a
-    caller that drops each set before asking for the next holds one
-    layer's set at a time, and none once it has dropped the last: no set
-    is alive while `run_job` or `glq eval` makes its report. An unknown
-    kind, a grad scale that is not > 0 and a negative damping are
-    refused before the first set (ConfigError), with `QuantJob`'s text
-    (`check_settings`).
+    The sets come one layer at a time and nothing here keeps a set or a
+    record once it is handed out (each pair is made by one call on the
+    next record, and `map` keeps neither), so a caller that drops each
+    set before asking for the next holds one layer's set at a time, and
+    none once it has dropped the last: no set is alive while `run_job`
+    or `glq eval` makes a report row. An unknown kind, a grad scale that
+    is not > 0 and a negative damping are refused before the first set
+    (ConfigError), with `QuantJob`'s text (`check_settings`).
     """
     if kind not in ("plain", "guided"):
         raise ConfigError(f"unknown hessian kind {kind!r}")
     check_settings(grad_scale, damping_rel)
     if kind == "plain":
         g, grad_scale = 1, 1.0
-    return _layer_sets(model, data, calib, kind, g, grad_scale, damping_rel, cache, reuse)
+    digests = (model_hash(model), dataset_hash(data)) if cache is not None else None
+    return map(functools.partial(_layer_set, digests, kind, g, grad_scale, damping_rel, cache,
+                                 reuse), itertools.count(), calib)
 
 
-def _layer_sets(model, data, calib, kind, g, grad_scale, damping_rel, cache, reuse):
-    digests = model_hash(model), dataset_hash(data)
-    for l, c in enumerate(calib):
-        # the pair is made by a call and yielded at once, so this frame
-        # holds no set while it is suspended, not even after the last
-        yield _layer_set(digests, l, c, kind, g, grad_scale, damping_rel, cache, reuse)
-
-
-def _layer_set(digests, l, c, kind, g, grad_scale, damping_rel, cache, reuse):
-    """(cache key, HessianSet) of layer `l`, calibrated by `c`."""
+def _layer_set(digests, kind, g, grad_scale, damping_rel, cache, reuse, l, c):
+    """(cache key, HessianSet) of layer `l`, calibrated by `c`; the key
+    and request are made only with a cache, whose `digests` they hash."""
     part = ChannelPartition.consecutive(c.gradZ.shape[1], min(g, c.gradZ.shape[1]))
-    request = hessian_request(*digests, l, part.g, grad_scale, damping_rel, kind)
+    request = None if cache is None else hessian_request(*digests, l, part.g, grad_scale,
+                                                         damping_rel, kind)
     hset = cache.load(request, part) if cache is not None and reuse else None
     if hset is None:
         if kind == "plain":
@@ -452,4 +443,4 @@ def _layer_set(digests, l, c, kind, g, grad_scale, damping_rel, cache, reuse):
             )
         if cache is not None:
             cache.store(request, hset)
-    return hessian_cache_key(request), hset
+    return (None if request is None else hessian_cache_key(request)), hset

@@ -73,8 +73,9 @@ increases.
 arrays, W and A d x c and C c x m (``scalar_quant.QuantizedLayer``'s
 layout), with the consecutive group sizes and one Hessian per group,
 and give the bits of one run per group. ``lnq_quantize`` takes the bit
-width, T and K as ints, starts from a (codebooks, assignments) pair of
-arrays and returns the layer's ``QuantizedLayer``. A CD row step is
+width, T and K as ints, takes over a (codebooks, assignments) pair of
+arrays as its start, solves the layer in place on them and returns the
+layer's ``QuantizedLayer``, which holds them. A CD row step is
 elementwise, so it reads row i of W and B and writes row i of A for
 every channel of the layer at once, and each run of equal-size groups
 gets its rank-1 update through one (rows, groups, size) view. Every
@@ -356,8 +357,11 @@ def lnq_quantize(
     layer and the cause (exit 2 from the CLI); nothing retries with
     more damping. `bits` (1..8), `T` and `K` (>= 1) are checked first
     (InvalidSize). `init` is the starting (codebooks, assignments) pair,
-    c x m and d x c arrays with m = 2**bits; it is copied, not updated,
-    and not referenced once copied.
+    c x m and d x c arrays with m = 2**bits, which this call takes over:
+    the layer is solved in place on them, and the returned layer holds
+    them (a pair that is not writeable float64 and int64 C-contiguous,
+    as `squeezellm_init` gives it, is converted once first). A caller
+    that needs its init afterwards passes a copy.
     The returned layer holds the c channels in order, each with the
     non-increasing damped objective trace described in the module
     docstring, and gives the bits of one run per group.
@@ -368,9 +372,8 @@ def lnq_quantize(
     if K < 1:
         raise InvalidSize(f"K must be >= 1, got {K}")
     W = np.ascontiguousarray(W_block, dtype=np.float64)
-    C = np.array(init[0], dtype=np.float64, order="C")
-    A = np.array(init[1], dtype=np.int64, order="C")
-    del init  # the caller's arrays are not held while the layer is solved
+    C = np.require(init[0], np.float64, ["C", "W"])
+    A = np.require(init[1], np.int64, ["C", "W"])
     if W.ndim != 2:
         raise DimensionMismatch(f"W_block must be d x c, got ndim={W.ndim}")
     if not np.all(np.isfinite(W)):
@@ -420,6 +423,8 @@ def lnq_quantize(
             for g, (k, _) in enumerate(chunk):
                 F[g] = factor(k)
             chans = np.concatenate([js for _, js in chunk])
+            if chans[-1] - chans[0] + 1 == chans.size:  # a range: views, not copies
+                chans = slice(chans[0], chans[-1] + 1)
             group = np.repeat(np.arange(len(chunk)), [js.size for _, js in chunk])
             C[chans], A[:, chans] = codebook_closed_form(F, LtW[chans], A[:, chans], m, group)
         solved_to[:] = A

@@ -94,15 +94,18 @@ def live_sets_at_each_build(monkeypatch) -> list[int]:
     return seen
 
 
-def live_sets_at_report(monkeypatch, module) -> list[int]:
-    """A list that gets, at each call of `module`'s `job_report`, the
-    number of HessianSets made so far that are still alive."""
+def live_sets_at_rows(monkeypatch) -> list[int]:
+    """A list that gets, at each report row `run_job` or `glq eval` makes
+    (one `eval_objectives` call per layer), the number of HessianSets
+    made so far that are still alive."""
+    from glq import guidedquant
+
     refs, seen = _track_sets(monkeypatch), []
-    real = module.job_report
+    real = guidedquant.eval_objectives
 
     def spy(*args, **kw):
         seen.append(_alive(refs))
         return real(*args, **kw)
 
-    monkeypatch.setattr(module, "job_report", spy)
+    monkeypatch.setattr(guidedquant, "eval_objectives", spy)
     return seen

@@ -196,6 +196,54 @@ class TestCalibrate:
         with pytest.raises(EmptyCalibration):
             calibrate(model, empty)
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        loss=st.sampled_from(["squared_error", "softmax_cross_entropy"]),
+        widths=st.lists(st.integers(1, 70), min_size=2, max_size=5),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_walk_has_calibrates_bits(self, loss, widths, n, seed):
+        # each hidden input re-formed from the one before, and the end loss
+        # from the last input, as calibrate and end_loss make them; depth
+        # 1-4, widths past a BLAS kernel's blocking
+        data = gen_dataset(seed, n, widths[0], widths[-1], task=loss)
+        model = random_model(widths, seed + 1, loss=loss)
+        want = calibrate(model, data)
+        calib = calibrate(model, data)
+        grads = [c.gradZ for c in calib]
+        walked = list(calib_model.walk_calibration(model, calib[0].X, grads))
+        assert grads == [None] * model.n_layers  # taken over, entry by entry
+        assert len(walked) == model.n_layers
+        for got, rec in zip(walked, want):
+            assert got.X.shape == rec.X.shape and got.X.tobytes() == rec.X.tobytes()
+            assert got.gradZ.tobytes() == rec.gradZ.tobytes()
+        before = calib_model.end_loss_from_input(model, walked[-1].X, data)
+        assert np.float64(before).tobytes() == np.float64(end_loss(model, data)).tobytes()
+
+    def test_walk_forms_each_input_when_it_reaches_its_layer(self):
+        # a hidden input is made only once the record before it is asked
+        # past, and the walk keeps no record it has handed out
+        import weakref
+
+        model = random_model([5, 7, 6, 3], 0)
+        data = gen_dataset(0, 9, 5, 3)
+        calib = calibrate(model, data)
+        walk = calib_model.walk_calibration(model, calib[0].X, [c.gradZ for c in calib])
+        del calib
+        first = next(walk)
+        assert first.X is data.inputs
+        ref = weakref.ref(first)
+        del first
+        assert ref() is None
+        second = next(walk)
+        X1 = weakref.ref(second.X)
+        del second
+        assert X1() is not None  # the walk forms the next input from it
+        third = next(walk)
+        assert X1() is None and third.X.shape == (9, 6)
+        assert next(walk, None) is None
+
     def test_backprop_matches_finite_differences(self):
         for loss in ("squared_error", "softmax_cross_entropy"):
             model = random_model([6, 8, 5, 3], 7, loss=loss)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import glq
-from glq import artifacts, cli, hessian, tensorio
+from glq import artifacts, hessian, tensorio
 from glq.calib_model import calibrate
 from glq.cli import QUANTIZE_DEFAULTS, build_parser, main
 from glq.errors import ConfigError, CorruptFile
@@ -26,7 +26,7 @@ from glq.tensorio import (
     write_tensor,
 )
 
-from conftest import live_sets_at_each_build, live_sets_at_report
+from conftest import live_sets_at_each_build, live_sets_at_rows
 
 
 def dir_digest(d: Path) -> dict:
@@ -185,22 +185,21 @@ def test_hessian_and_eval_hold_one_layer_set_at_a_time(pipeline, tmp_path, monke
 
 
 def test_eval_holds_no_set_while_reporting(pipeline, tmp_path, monkeypatch):
-    # the last layer's set was held by the suspended set generator while
-    # job_report ran
+    # each layer's row is made once its set is dropped, one row per layer
     data, model = pipeline
     quant = tmp_path / "q"
     assert main(["quantize", "--model", str(model), "--data", str(data), "--method",
                  "lnq_guided", "--g", "2", "--out", str(quant)]) == 0
-    seen = live_sets_at_report(monkeypatch, cli)
+    seen = live_sets_at_rows(monkeypatch)
     assert main(["eval", "--model", str(model), "--data", str(data),
                  "--quant", str(quant)]) == 0
-    assert seen == [0]
+    assert seen == [0, 0]  # the 6-10-3 model's two layers
 
 
 def test_each_load_reads_each_json_file_once(pipeline, tmp_path, monkeypatch):
     # the manifest a load reads for its hash check also gives the layer
-    # files it checks n_layers against (artifacts) and the request and
-    # lambdas it checks (Hessian cache entries)
+    # files it checks n_layers against (artifacts) and the request it
+    # checks (Hessian cache entries)
     data, model = pipeline
     quant, cache = tmp_path / "q", tmp_path / "hc"
     assert main(["quantize", "--model", str(model), "--data", str(data), "--method",
@@ -378,8 +377,7 @@ class TestHessianCacheFlag:
             write_manifest(cache / key, {
                 "layer_idx": request["layer"], "kind": request["kind"],
                 "grad_scale": float(request["grad_scale"]),
-                "damping_rel": float(request["damping_rel"]),
-                "lambdas": meta["lambdas"]}, list(meta["files"]))
+                "damping_rel": float(request["damping_rel"])}, list(meta["files"]))
         quantize_args = ["quantize", "--model", str(model), "--data", str(data), "--method",
                          "lnq_guided", "--bits", "2", "--g", "2", "--hessian-cache", str(cache),
                          "--out"]

@@ -1,5 +1,4 @@
 import dataclasses
-import sys
 import weakref
 
 import numpy as np
@@ -13,6 +12,7 @@ from glq.calib_model import (
     LayerCalibration,
     MlpModel,
     calibrate,
+    end_loss,
     gen_dataset,
     random_model,
     train,
@@ -41,7 +41,7 @@ from glq.lnq import lnq_quantize
 from glq.oracle import full_fisher_quadratic
 from glq.scalar_quant import QuantizedLayer, squeezellm_quantize
 
-from conftest import live_sets_at_each_build, live_sets_at_report
+from conftest import live_sets_at_each_build, live_sets_at_rows, toy
 
 
 class TestQuantJob:
@@ -329,38 +329,131 @@ def test_run_job_holds_one_layer_set_at_a_time(toy_problem, tmp_path, monkeypatc
 @pytest.mark.parametrize("cached", [False, True])
 def test_run_job_holds_no_set_while_reporting(toy_problem, tmp_path, monkeypatch,
                                               method, cached):
-    # the last layer's set was held by the suspended set generator while
-    # job_report ran
+    # each layer's row is made once its set is dropped, one row per layer
     model, data = toy_problem
     cache = HessianCache(tmp_path / "hc") if cached else None
-    seen = live_sets_at_report(monkeypatch, guidedquant)
+    seen = live_sets_at_rows(monkeypatch)
     for _ in range(1 + cached):
         run_job(model, data, QuantJob(method=method, bits=2, g=3), hessian_cache=cache)
-    assert seen == [0] * (1 + cached)
+    assert seen == [0] * model.n_layers * (1 + cached)
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="before 3.11 the caller's stack holds a call's arguments")
-def test_lnq_init_is_freed_once_lnq_quantize_has_copied_it(toy_problem, monkeypatch):
-    # run_job names no init, and lnq_quantize drops its own reference, so
-    # no init array is alive while a layer's CD phase runs
+def test_lnq_init_is_solved_in_place(toy_problem, monkeypatch):
+    # lnq_quantize takes the init over: every CD phase runs on the init's
+    # own arrays, which the layer then holds, so no copy of it is made
     model, data = toy_problem
-    refs, alive = [], []
+    inits, cd_arrays = [], []
     real_init, real_cd = guidedquant.squeezellm_init, lnq.cd_cycle
 
     def init(*args, **kw):
-        C, A = real_init(*args, **kw)
-        refs.extend([weakref.ref(C), weakref.ref(A)])
-        return C, A
+        inits.append(real_init(*args, **kw))
+        return inits[-1]
 
-    def cd(*args, **kw):
-        alive.append(sum(r() is not None for r in refs))
-        return real_cd(*args, **kw)
+    def cd(H, W, C, A, *args, **kw):
+        cd_arrays.append((C, A))
+        return real_cd(H, W, C, A, *args, **kw)
 
     monkeypatch.setattr(guidedquant, "squeezellm_init", init)
     monkeypatch.setattr(lnq, "cd_cycle", cd)
-    run_job(model, data, QuantJob(method="lnq_guided", bits=2, g=2))
-    assert len(refs) == 2 * model.n_layers and alive == [0] * (2 * model.n_layers)
+    _, qlayers, _ = run_job(model, data, QuantJob(method="lnq_guided", bits=2, g=2, T=2))
+    assert len(inits) == model.n_layers and len(cd_arrays) == 2 * model.n_layers
+    for l, ((C, A), ql) in enumerate(zip(inits, qlayers)):
+        assert ql.C is C and ql.A is A
+        assert all(c is C and a is A for c, a in cd_arrays[2 * l:2 * l + 2])
+
+
+def _walk_refs(monkeypatch) -> tuple[list, list]:
+    """Weak references to the hidden inputs of `calibrate`'s records
+    (which `run_job` and `job_report` drop) and to each record the walk
+    hands out with its input and gradient, in layer order."""
+    hidden, walked = [], []
+    real_calibrate, real_walk = guidedquant.calibrate, guidedquant.walk_calibration
+
+    def calibrate_(*args):
+        calib = real_calibrate(*args)
+        hidden.extend(weakref.ref(c.X) for c in calib[1:])
+        return calib
+
+    def track(c):
+        walked.append((weakref.ref(c), weakref.ref(c.X), weakref.ref(c.gradZ)))
+        return c
+
+    monkeypatch.setattr(guidedquant, "calibrate", calibrate_)
+    monkeypatch.setattr(guidedquant, "walk_calibration", lambda *a: map(track, real_walk(*a)))
+    return hidden, walked
+
+
+def _walk_state(hidden, walked) -> tuple:
+    """(records handed out, whether the last is alive, how many of
+    calibrate's hidden inputs and of the earlier layers' records, inputs
+    and gradients are alive); layer 0's input is the dataset's own."""
+    earlier = ([c for c, _, _ in walked[:-1]] + [X for _, X, _ in walked[1:-1]]
+               + [G for _, _, G in walked[:-1]])
+    return len(walked), walked[-1][0]() is not None, sum(r() is not None
+                                                         for r in hidden + earlier)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_job_holds_one_layer_record_while_solving(toy_problem, monkeypatch, method):
+    # while layer l is quantized its record is alive, but no record or
+    # input of an earlier layer, no input of a later one, none of
+    # calibrate's hidden inputs and no quantized weights a row was made of
+    model, data = toy_problem
+    hidden, walked = _walk_refs(monkeypatch)
+    w_hats, seen = [], []
+    real_damped = guidedquant.damped_quadratic
+
+    def damped(hset, W, W_hat):
+        w_hats.append(weakref.ref(W_hat))
+        return real_damped(hset, W, W_hat)
+
+    def watch(fn):
+        def solving(*args, **kw):
+            seen.append((*_walk_state(hidden, walked), sum(r() is not None for r in w_hats)))
+            return fn(*args, **kw)
+        return solving
+
+    monkeypatch.setattr(guidedquant, "damped_quadratic", damped)
+    for name in ("rtn_quantize", "squeezellm_quantize", "lnq_quantize"):
+        monkeypatch.setattr(guidedquant, name, watch(getattr(guidedquant, name)))
+    run_job(model, data, QuantJob(method=method, bits=2, g=2))
+    assert len(hidden) == model.n_layers - 1 and len(w_hats) == model.n_layers
+    assert seen == [(l + 1, True, 0, 0) for l in range(model.n_layers)]
+
+
+def test_job_report_holds_one_layer_record_per_row(toy_problem, monkeypatch):
+    # glq eval's walk: the same while each row is made
+    model, data = toy_problem
+    job = QuantJob(method="lnq_guided", bits=2, g=2)
+    quantized, _, want = run_job(model, data, job)
+    hidden, walked = _walk_refs(monkeypatch)
+    seen = []
+    real = guidedquant.eval_objectives
+
+    def rows(*args, **kw):
+        seen.append(_walk_state(hidden, walked))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(guidedquant, "eval_objectives", rows)
+    assert job_report(model, quantized, data, job).csv_row() == want.csv_row()
+    assert len(hidden) == model.n_layers - 1
+    assert seen == [(l + 1, True, 0) for l in range(model.n_layers)]
+
+
+@pytest.mark.parametrize("loss", ["squared_error", "softmax_cross_entropy"])
+@pytest.mark.parametrize("method", METHODS)
+def test_end_loss_before_has_end_loss_bits(loss, method, monkeypatch):
+    # run_job and job_report take it from the walk's last input: the one
+    # end_loss pass they make is the quantized model's
+    model, data = toy(loss)
+    job = QuantJob(method=method, bits=2, g=2)
+    want = np.float64(end_loss(model, data)).tobytes()
+    passes = []
+    monkeypatch.setattr(guidedquant, "end_loss", lambda m, d: passes.append(m) or end_loss(m, d))
+    quantized, _, report = run_job(model, data, job)
+    assert np.float64(report.end_loss_before).tobytes() == want
+    assert np.float64(job_report(model, quantized, data, job).end_loss_before).tobytes() == want
+    assert len(passes) == 2 and all(m is quantized for m in passes)
 
 
 def _errors_by_the_formulas(X, G, W, Wh) -> tuple[float, float]:
@@ -410,9 +503,7 @@ def _run_job_one_group_at_a_time(model, data, job):
                                       np.concatenate([q.A for q in groups], axis=1),
                                       [tr for q in groups for tr in q.traces]))
     quantized = model.with_layers([ql.W_hat for ql in qlayers])
-    damped = [damped_quadratic(hset, W, W_hat)
-              for hset, W, W_hat in zip(hsets, model.layers, quantized.layers)]
-    return quantized, qlayers, job_report(model, quantized, data, calib, job, damped)
+    return quantized, qlayers, job_report(model, quantized, data, job)
 
 
 @pytest.fixture(scope="module")

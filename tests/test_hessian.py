@@ -18,7 +18,8 @@ from glq.errors import (
     PartitionMismatch,
     SingularHessian,
 )
-from glq.guidedquant import QuantJob, run_job
+from glq import hessian
+from glq.guidedquant import METHODS, QuantJob, job_report, run_job
 from glq.hessian import (
     DEFAULT_DAMPING_REL,
     DEFAULT_GRAD_SCALE,
@@ -84,7 +85,6 @@ class TestPlainHessian:
         M = c.X.T @ c.X
         h = plain_hessian(c, damping_rel=1e-3)
         lam = 1e-3 * float(np.mean(np.diag(M)))
-        assert h.lambdas[0] == pytest.approx(lam, rel=1e-12)
         npt.assert_allclose(h.hessians[0], M + lam * np.eye(4), atol=1e-10)
 
     def test_empty_rejected(self):
@@ -228,8 +228,7 @@ class TestInPlaceBuild:
         want = sym + lam * np.eye(d)
         got = _symmetrise(M.copy())
         assert got.tobytes() == sym.tobytes()
-        H, got_lam = _damped(got, damping_rel)
-        assert H.tobytes() == want.tobytes() and got_lam == lam
+        assert _damped(got, damping_rel).tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 40), d=st.integers(1, 70), c=st.integers(1, 9),
@@ -247,7 +246,6 @@ class TestInPlaceBuild:
             M = 0.5 * (M + M.T)
             lam = damping_rel * float(np.mean(np.diag(M)))
             assert hset.hessians[k].tobytes() == (M + lam * np.eye(d)).tobytes()
-            assert hset.lambdas[k] == lam
         H = plain_hessian(calib, damping_rel=damping_rel).hessians[0]
         M = calib.X * 1.0
         M = M.T @ M
@@ -346,7 +344,6 @@ class TestCacheAndHash:
         assert back is not None
         assert back.layer_idx == 1
         assert back.partition == hset.partition
-        assert back.lambdas == hset.lambdas
         for a, b in zip(hset.hessians, back.hessians):
             npt.assert_array_equal(a, b)
 
@@ -399,13 +396,13 @@ class TestCacheAndHash:
         with pytest.raises(CorruptFile, match=f"^{re.escape(text)}$"):
             cache.load(_REQUEST, _PART)
 
-    @pytest.mark.parametrize("field", ["request", "lambdas", "files", *_REQUEST])
+    @pytest.mark.parametrize("field", ["request", "files", *_REQUEST])
     @pytest.mark.parametrize("value", [None, True])
     def test_load_refuses_missing_or_ill_typed_field(self, tmp_path, field, value):
         # a manifest field or a key of its request; None stands for a
         # deleted field, and a bool is no field's type
         def edit(meta):
-            target = meta if field in ("request", "lambdas", "files") else meta["request"]
+            target = meta if field in ("request", "files") else meta["request"]
             if value is None:
                 del target[field]
             else:
@@ -414,16 +411,23 @@ class TestCacheAndHash:
         with pytest.raises(CorruptFile, match=f"^{re.escape(str(_entry(tmp_path)))}"):
             cache.load(_REQUEST, _PART)
 
-    @pytest.mark.parametrize("field,value", [("kind", "fisher"), ("lambdas", [1.0]),
-                                             ("lambdas", [1.0, "2"])])
+    @pytest.mark.parametrize("field,value", [("kind", "fisher")])
     def test_load_refuses_kind_and_lambdas_it_cannot_use(self, tmp_path, field, value):
-        # the kind is a key of the request; lambdas must be one number per group
-        def edit(meta):
-            (meta["request"] if field == "kind" else meta)[field] = value
-        cache = _cache_with_edited_manifest(tmp_path, edit)
-        text = "was built for" if field == "kind" else "lambdas .* for 2 groups"
-        with pytest.raises(CorruptFile, match=text):
+        # the kind is a key of the request; the lambdas key is no longer
+        # read (test_load_ignores_the_lambdas_key_of_an_older_entry)
+        cache = _cache_with_edited_manifest(tmp_path, lambda meta: meta["request"].update(
+            {field: value}))
+        with pytest.raises(CorruptFile, match="was built for"):
             cache.load(_REQUEST, _PART)
+
+    @pytest.mark.parametrize("lambdas", [[0.25, 0.5], [1.0], "junk"])
+    def test_load_ignores_the_lambdas_key_of_an_older_entry(self, tmp_path, lambdas):
+        # entries stored before the key was dropped carry one; it is not
+        # read, whatever it holds, and the set loads bit for bit
+        cache = _cache_with_edited_manifest(tmp_path, lambda meta: meta.update(lambdas=lambdas))
+        back = cache.load(_REQUEST, _PART)
+        want = guided_hessians(_calib(11, 12, 3, 5), _PART).hessians
+        assert [H.tobytes() for H in back.hessians] == [H.tobytes() for H in want]
 
     @pytest.mark.parametrize("blob,text", [
         pytest.param(b'{"request": {"layer": 0, "g', "not valid JSON: ", id="truncated"),
@@ -457,13 +461,15 @@ def _cache_with_edited_manifest(root, edit) -> HessianCache:
 
 
 class TestLayerHessians:
-    def test_plain_keys_ignore_group_knobs(self, toy_problem, toy_calib):
+    def test_plain_keys_ignore_group_knobs(self, tmp_path, toy_problem, toy_calib):
         model, data = toy_problem
-        a = list(layer_hessians(model, data, toy_calib, "plain"))
-        b = list(layer_hessians(model, data, toy_calib, "plain", g=4, grad_scale=5.0))
+        cache = HessianCache(tmp_path)
+        a = list(layer_hessians(model, data, toy_calib, "plain", cache=cache))
+        b = list(layer_hessians(model, data, toy_calib, "plain", g=4, grad_scale=5.0,
+                                cache=cache, reuse=False))
         assert [k for k, _ in a] == [k for k, _ in b]
         assert all(h.partition.g == 1 for _, h in b)
-        guided = list(layer_hessians(model, data, toy_calib, "guided", g=4))
+        guided = list(layer_hessians(model, data, toy_calib, "guided", g=4, cache=cache))
         assert all(h.partition.g == 4 for _, h in guided)
         assert {k for k, _ in guided}.isdisjoint(k for k, _ in a)
         with pytest.raises(ConfigError):  # refused at the call, before any set
@@ -486,13 +492,15 @@ class TestLayerHessians:
             for a, b in zip(h1.hessians, h2.hessians):
                 npt.assert_array_equal(a, b)
 
-    def test_g_clipped_per_layer_to_d_out(self, toy_problem, toy_calib):
+    def test_g_clipped_per_layer_to_d_out(self, tmp_path, toy_problem, toy_calib):
         # the toy's last layer has 4 outputs: g = 6 gives it one group per
         # channel, keyed as g = 4, while the 16-wide layers keep g = 6
         model, data = toy_problem
-        wide = list(layer_hessians(model, data, toy_calib, "guided", g=6))
+        cache = HessianCache(tmp_path)
+        wide = list(layer_hessians(model, data, toy_calib, "guided", g=6, cache=cache))
         assert [h.partition.g for _, h in wide] == [6, 6, 4]
-        at_four = list(layer_hessians(model, data, toy_calib, "guided", g=4))
+        at_four = list(layer_hessians(model, data, toy_calib, "guided", g=4, cache=cache,
+                                      reuse=False))
         assert wide[2][0] == at_four[2][0]
         for a, b in zip(wide[2][1].hessians, at_four[2][1].hessians):
             npt.assert_array_equal(a, b)
@@ -502,6 +510,25 @@ class TestLayerHessians:
                 digest, data_digest, l, 6, DEFAULT_GRAD_SCALE, DEFAULT_DAMPING_REL, "guided"))
         with pytest.raises(InvalidSize):
             list(layer_hessians(model, data, toy_calib, "guided", g=0))
+
+    def test_no_cache_hashes_nothing(self, toy_problem, toy_calib, monkeypatch):
+        # without a cache no request is made, so neither the model nor the
+        # dataset is hashed: not by layer_hessians, run_job or glq eval's
+        # job_report
+        model, data = toy_problem
+
+        def refuse(_):
+            raise AssertionError("hashed without a cache")
+
+        monkeypatch.setattr(hessian, "model_hash", refuse)
+        monkeypatch.setattr(hessian, "dataset_hash", refuse)
+        for kind in ("plain", "guided"):
+            keys = [k for k, _ in layer_hessians(model, data, toy_calib, kind, g=2)]
+            assert keys == [None] * model.n_layers
+        for method in METHODS:
+            job = QuantJob(method=method, bits=2, g=2)
+            quantized, _, _ = run_job(model, data, job)
+            job_report(model, quantized, data, job)
 
     @pytest.mark.parametrize("kind", ["plain", "guided"])
     def test_unfactorable_set_is_never_cached(self, tmp_path, toy_problem, kind):

@@ -22,6 +22,12 @@ from glq.scalar_quant import round_rows
 from conftest import random_lnq_instance, random_spd, uniform_init
 
 
+def _copy(init):
+    """A copy of an init pair, for a caller that uses it again:
+    lnq_quantize solves the layer in place on the pair it is given."""
+    return init[0].copy(), init[1].copy()
+
+
 def _lt_w(L, W):
     """L^T w of each column of the d x c W (c x d), one gemv per
     contiguous channel, as each channel was always solved."""
@@ -302,14 +308,14 @@ class TestLnqQuantize:
             cfg = (bits, 2, 3)
             H, w, init = random_lnq_instance(rng, d, bits)
             stats: dict = {}
-            base = lnq_quantize(H, w.reshape(-1, 1), *cfg, init, stats=stats)
+            base = lnq_quantize(H, w.reshape(-1, 1), *cfg, _copy(init), stats=stats)
             if stats.get("min_margin", np.inf) < 1e-6:
                 continue
             found += 1
             for engine in (naive_cd_cycle, *(functools.partial(cd_cycle, b=b)
                                              for b in (1, 4, 64))):
                 monkeypatch.setattr(lnq, "cd_cycle", engine)
-                out = lnq_quantize(H, w.reshape(-1, 1), *cfg, init)
+                out = lnq_quantize(H, w.reshape(-1, 1), *cfg, _copy(init))
                 monkeypatch.undo()
                 npt.assert_array_equal(out.A, base.A)
                 npt.assert_array_equal(out.C, base.C)
@@ -329,7 +335,7 @@ class TestLnqQuantize:
         rng = np.random.default_rng(17)
         for scale in (4.0, 0.25):
             H, w, init = random_lnq_instance(rng, 10, bits=2)
-            a = lnq_quantize(H, w.reshape(-1, 1), 2, 2, 2, init)
+            a = lnq_quantize(H, w.reshape(-1, 1), 2, 2, 2, _copy(init))
             b = lnq_quantize(scale * H, w.reshape(-1, 1), 2, 2, 2, init)
             npt.assert_array_equal(a.A, b.A)
             npt.assert_array_equal(a.C, b.C)
@@ -345,13 +351,13 @@ class TestLnqQuantize:
             W = rng.standard_normal((d, c))
             C, A = uniform_init(W, 4)
             stats: dict = {}
-            block = lnq_quantize(H, W, 2, 2, 2, (C, A), stats=stats)
+            block = lnq_quantize(H, W, 2, 2, 2, (C.copy(), A.copy()), stats=stats)
             if stats.get("min_margin", np.inf) < 1e-6:
                 continue
             matched += 1
             for j in range(c):
                 solo = lnq_quantize(H, W[:, j].reshape(-1, 1), 2, 2, 2,
-                                    (C[j:j + 1], A[:, j:j + 1]))
+                                    (C[j:j + 1].copy(), A[:, j:j + 1].copy()))
                 npt.assert_array_equal(block.A[:, j], solo.A[:, 0])
                 npt.assert_allclose(block.C[j], solo.C[0], rtol=1e-9, atol=1e-12)
 
@@ -374,6 +380,51 @@ class TestLnqQuantize:
                 lnq_quantize(H, W, 2, 2, 4, (C, A), sizes=sizes)
             with pytest.raises(DimensionMismatch, match="do not split 4 channels"):
                 cd_cycle(H, W, C, A, 1, sizes=sizes)
+
+    def test_init_is_taken_over_and_solved_in_place(self):
+        # a writeable float64 / int64 C-contiguous pair (squeezellm_init's)
+        # is solved in place and held by the result, with the bits of a
+        # solve on a copy; any other pair (another dtype or layout, or
+        # read-only) is converted once, and the caller's is left as it was
+        rng = np.random.default_rng(23)
+        H = [random_spd(rng, 9) for _ in range(2)]
+        W = rng.standard_normal((9, 5))
+        C, A = uniform_init(W, 4)
+        want = lnq_quantize(H, W, 2, 2, 2, _copy((C, A)), sizes=(3, 2))
+        got = lnq_quantize(H, W, 2, 2, 2, (C, A), sizes=(3, 2))
+        assert got.C is C and got.A is A
+        assert C.tobytes() == want.C.tobytes() and A.tobytes() == want.A.tobytes()
+        C, A = uniform_init(W, 4)
+        A32, Cf = A.astype(np.int32), np.asfortranarray(C)
+        read_only = C.copy(), A.copy()
+        for M in read_only:
+            M.flags.writeable = False
+        for init in ((Cf, A32), read_only):
+            got = lnq_quantize(H, W, 2, 2, 2, init, sizes=(3, 2))
+            assert got.C is not init[0] and got.A is not init[1]
+            npt.assert_array_equal(init[0], C)
+            npt.assert_array_equal(init[1], A)
+            assert got.C.tobytes() == want.C.tobytes() and got.A.tobytes() == want.A.tobytes()
+
+    def test_first_phase_chunks_are_views(self, monkeypatch):
+        # every channel is pending in the first codebook phase, so each
+        # chunk is one range of channels, passed as views of the layer's
+        # L^T W and slots, not copies
+        rng = np.random.default_rng(24)
+        H = [random_spd(rng, 9) for _ in range(3)]
+        W = rng.standard_normal((9, 6))
+        C, A = uniform_init(W, 4)
+        seen = []
+        real = lnq.codebook_closed_form
+
+        def spy(L, LtW, a, m, group):
+            seen.append((LtW.base is not None, np.shares_memory(a, A)))
+            return real(L, LtW, a, m, group)
+
+        monkeypatch.setattr(lnq, "codebook_closed_form", spy)
+        monkeypatch.setattr(lnq, "CODEBOOK_BYTES", 8 * (9 * 9 + 2 * 4 * 9))  # one group a chunk
+        lnq_quantize(H, W, 2, 1, 1, (C, A), sizes=(2, 2, 2))
+        assert seen[:3] == [(True, True)] * 3
 
     def test_config_validation(self):
         # bits, T and K are refused before any work, with the texts of
@@ -626,7 +677,7 @@ def test_stacked_lnq_equals_one_run_per_group(sizes):
         H = [random_spd(rng, d) for _ in sizes]
         W = [rng.standard_normal((d, c)) for c in sizes]
         inits = [uniform_init(Wk, 4) for Wk in W]
-        alone = [lnq_quantize(Hk, Wk, 2, 2, 2, ik) for Hk, Wk, ik in zip(H, W, inits)]
+        alone = [lnq_quantize(Hk, Wk, 2, 2, 2, _copy(ik)) for Hk, Wk, ik in zip(H, W, inits)]
         layer = lnq_quantize(H, np.hstack(W), 2, 2, 2,
                              (np.vstack([C for C, _ in inits]), np.hstack([A for _, A in inits])),
                              sizes=sizes)
@@ -732,7 +783,7 @@ def test_codebook_phase_equals_one_solve_per_channel(monkeypatch, d, bits, sizes
 
     monkeypatch.setattr(lnq, "codebook_closed_form", spy)
     solves = _counted_lstsq(monkeypatch)
-    got = lnq_quantize(H, W, bits, 2, 4, (C0, A0), sizes=sizes)
+    got = lnq_quantize(H, W, bits, 2, 4, _copy((C0, A0)), sizes=sizes)
     n_solves = len(solves)
     monkeypatch.undo()
     C, A, traces, changed = _lnq_by_groups(H, W, sizes, bits, 2, 4, (C0, A0))
@@ -767,7 +818,7 @@ def test_unchanged_channels_are_not_solved_again(monkeypatch):
 
     monkeypatch.setattr(lnq, "cd_cycle", no_change)
     solves = _counted_lstsq(monkeypatch)
-    got = lnq_quantize(H, W, 2, 2, 1, (C0, A0), sizes=sizes)
+    got = lnq_quantize(H, W, 2, 2, 1, _copy((C0, A0)), sizes=sizes)
     assert len(solves) == sum(sizes)
     monkeypatch.undo()
     C, A, traces, changed = _lnq_by_groups(H, W, sizes, 2, 2, 1, (C0, A0), cd=no_change)

@@ -171,17 +171,17 @@ HESSIAN_CACHE_PINS = {
     "guided": {
         "bc7a3950d1952089f272de0a/hess.L1.G0.gqt": "3ec5f69b46fe",
         "bc7a3950d1952089f272de0a/hess.L1.G1.gqt": "dee82235362e",
-        "bc7a3950d1952089f272de0a/manifest.json": "f45dcf39ac1e",
+        "bc7a3950d1952089f272de0a/manifest.json": "2e02bd58c154",
         "c37a9777e14ea8377aacf543/hess.L0.G0.gqt": "fe4f57bc7798",
         "c37a9777e14ea8377aacf543/hess.L0.G1.gqt": "f079a25b593e",
-        "c37a9777e14ea8377aacf543/manifest.json": "7942546575ea",
+        "c37a9777e14ea8377aacf543/manifest.json": "e1959d04c729",
         "index.json": "e1fad32147c6",
     },
     "plain": {
         "c399a13feb6c0cde48fa7c19/hess.L1.G0.gqt": "b4d6d73bdd44",
-        "c399a13feb6c0cde48fa7c19/manifest.json": "16c0362d90f8",
+        "c399a13feb6c0cde48fa7c19/manifest.json": "29d321639d42",
         "d9e2a9da9cbe28c3c0a45f49/hess.L0.G0.gqt": "902dca019941",
-        "d9e2a9da9cbe28c3c0a45f49/manifest.json": "b33e61c7cc44",
+        "d9e2a9da9cbe28c3c0a45f49/manifest.json": "15db1acbe2be",
         "index.json": "889b7b98c7c8",
     },
 }
