@@ -41,6 +41,7 @@ from .tensorio import (
     read_manifest,
     read_tensor,
     stale_files,
+    write_bytes_atomic,
     write_json_atomic,
     write_manifest,
     write_tensor,
@@ -141,16 +142,17 @@ def load_model(dir_path: str | Path) -> MlpModel:
         raise CorruptFile(f"{d}: {exc}") from exc
 
 
-def report_csv_text(rows: list[dict]) -> str:
-    """CSV text over CSV_COLUMNS with float values in shortest
-    round-trip form; identical inputs give identical bytes."""
+def write_report_csv(path: str | Path, rows: list[dict]) -> None:
+    """Atomically write the CSV over CSV_COLUMNS of `rows` to `path`, with
+    float values in shortest round-trip form; identical inputs give
+    identical bytes."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
         writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c]
                          for c in CSV_COLUMNS])
-    return buf.getvalue()
+    write_bytes_atomic(path, buf.getvalue().encode())
 
 
 def save_quantized(
@@ -172,7 +174,7 @@ def save_quantized(
     write_json_atomic(d / "traces.json", traces)
     write_json_atomic(d / "quant.json", dict(job_meta, bits=report.bits,
                                              n_layers=len(qlayers)))
-    (d / "report.csv").write_text(report_csv_text([report.csv_row()]))
+    write_report_csv(d / "report.csv", [report.csv_row()])
     write_manifest(d, {"kind": "quantized"},
                    names + ["traces.json", "quant.json", "report.csv"])
 

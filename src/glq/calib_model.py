@@ -15,11 +15,11 @@ Backprop through tanh uses G^(l) = (G^(l+1) W_{l+1}^T) * (1 - X^(l+1)^2),
 valid because X^(l+1) stores the post-tanh values.
 
 ``walk_calibration`` hands out the same records one layer at a time,
-from the output gradients of a ``calibrate`` pass: each hidden input is
-formed from the one before when the walk reaches its layer, so a caller
-(``run_job``, ``glq eval``) holds one layer's input at a time, and
-``end_loss_from_input`` takes the end loss from the last one, with
-``end_loss``'s bits.
+from a ``calibrate`` list whose hidden inputs it drops: each hidden
+input is formed from the one before when the walk reaches its layer, so
+a caller (``run_job``, ``glq eval``, ``glq hessian``) holds one layer's
+input at a time, and ``end_loss_from_input`` takes the end loss from
+the last one, with ``end_loss``'s bits.
 
 ``calibrate`` and ``train`` share that pass (``_forward_backward``, the
 only place the recursion lives). It writes into a workspace made by
@@ -343,18 +343,22 @@ def calibrate(model: MlpModel, data: Dataset) -> list[LayerCalibration]:
     return [LayerCalibration(X=A, gradZ=Gz) for A, Gz in zip([X, *acts], [*grads, G])]
 
 
-def walk_calibration(model: MlpModel, X: Matrix,
-                     grads: list[Matrix]) -> Iterator[LayerCalibration]:
-    """Each layer's LayerCalibration in turn, from the model's input X
-    and the output gradients `grads` of `calibrate`'s records, with the
-    bits of `calibrate`'s records: a hidden layer's input is formed from
-    the one before when the walk reaches it, by `_forward`'s own step.
+def walk_calibration(model: MlpModel,
+                     calib: list[LayerCalibration]) -> Iterator[LayerCalibration]:
+    """Each layer's LayerCalibration in turn, from `calib`, a `calibrate`
+    list, with the bits of its records: a hidden layer's input is formed
+    from the one before when the walk reaches it, by `_forward`'s own
+    step.
 
-    The walk takes `grads` over and drops each entry as it moves past its
-    record; it holds no record, and between records only the input of
-    the layer it last handed out. So a caller that drops each record
-    before asking for the next holds one layer's input, and no input of
-    a layer it has not reached."""
+    The walk takes `calib` over when it starts: it keeps the model's
+    input and the output gradients and empties the list, so the hidden
+    inputs go. It drops each gradient as it moves past its record and
+    holds no record, and between records only the input of the layer it
+    last handed out. So a caller that drops each record before asking
+    for the next holds one layer's input, and no input of a layer it has
+    not reached."""
+    X, grads = calib[0].X, [c.gradZ for c in calib]
+    calib.clear()
     for l, W in enumerate(model.layers):
         yield LayerCalibration(X=X, gradZ=grads[l])
         grads[l] = None

@@ -9,22 +9,23 @@ a command with the same inputs reproduces its outputs byte for byte.
 ``quantize`` builds its QuantJob from three layers, each overriding the
 one before: QUANTIZE_DEFAULTS, the ``--config`` JSON object, the flags.
 ``hessian``, ``quantize`` and ``eval`` each calibrate the model on the
-dataset themselves; no calibration artifact is written.
+dataset themselves and walk its layers holding one layer's calibration
+and at most one Hessian set at a time; no calibration artifact is
+written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
-from operator import itemgetter
 from pathlib import Path
 
 from . import artifacts
 from .calib_model import calibrate as run_calibrate
 from .calib_model import end_loss, gen_dataset, random_model, train as run_train
-from .errors import ConfigError, GlqError
+from .calib_model import walk_calibration
+from .errors import ConfigError, CorruptFile, GlqError
 from .guidedquant import (
     JOB_KEYS,
     METHODS,
@@ -35,7 +36,7 @@ from .guidedquant import (
     sweep as run_sweep,
 )
 from .hessian import DEFAULT_DAMPING_REL, DEFAULT_GRAD_SCALE, HessianCache, layer_hessians
-from .tensorio import write_json_atomic
+from .tensorio import read_json_object, write_json_atomic
 
 # What quantize runs when neither --config nor a flag says otherwise; every
 # other default a flag shows is QuantJob's own.
@@ -172,14 +173,13 @@ def cmd_train(args) -> int:
 def cmd_hessian(args) -> int:
     model = artifacts.load_model(args.model)
     data, _ = artifacts.load_dataset(args.data)
-    calib = run_calibrate(model, data)
-    # always rebuilt and rewritten, so a rerun replaces a damaged entry;
+    # always rebuilt and rewritten, so a rerun replaces a damaged entry
+    layer_set = layer_hessians(model, data, args.kind, args.g, args.grad_scale,
+                               args.damping_rel, cache=HessianCache(args.out), reuse=False)
+    records = walk_calibration(model, run_calibrate(model, data))
     # each set is stored as it is built and only its key kept, so one
-    # set is held at a time
-    keys = map(itemgetter(0), layer_hessians(model, data, calib, args.kind, args.g,
-                                             args.grad_scale, args.damping_rel,
-                                             cache=HessianCache(args.out), reuse=False))
-    index = {str(l): key for l, key in enumerate(keys)}
+    # layer's record and set are held at a time
+    index = {str(l): layer_set(l, next(records))[0] for l in range(model.n_layers)}
     write_json_atomic(Path(args.out) / "index.json",
                       {"kind": args.kind, "layers": index})
     print(f"wrote {len(index)} hessian sets ({args.kind}) to {args.out}")
@@ -188,12 +188,9 @@ def cmd_hessian(args) -> int:
 
 def _read_config(path: str) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return raw
+        return read_json_object(path)
+    except (OSError, CorruptFile) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc  # exc names the file
 
 
 def cmd_quantize(args) -> int:
@@ -225,7 +222,7 @@ def cmd_eval(args) -> int:
     report = job_report(model, quantized, data, job)
     print(format_table([report.csv_row()]))
     if args.csv:
-        Path(args.csv).write_text(artifacts.report_csv_text([report.csv_row()]))
+        artifacts.write_report_csv(args.csv, [report.csv_row()])
     return 0
 
 
@@ -246,7 +243,7 @@ def cmd_sweep(args) -> int:
     rows = run_sweep(model, data, jobs)
     print(format_table(rows))
     if args.out:
-        Path(args.out).write_text(artifacts.report_csv_text(rows))
+        artifacts.write_report_csv(args.out, rows)
         print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -17,12 +17,12 @@ Layers are quantized one at a time on one walk (`_walk`, shared by
 ``calibrate`` pass, of which only the output gradients are kept, and
 each layer's input formed from the one before when the walk reaches it
 (``calib_model.walk_calibration``). Each layer is solved against its
-own Hessian set (`job_hessians` reads the record in hand and keeps no
-set once it is handed out). A layer's set is taken after anything that
-does not read it and dropped once the layer is solved and its damped
-objective taken; the layer's report row follows at once, so at most one
-set is live, and none while a row is made. The end loss before
-quantization comes from the last layer's input, with `end_loss`'s bits.
+own Hessian set, which one `job_hessians` call makes from the layer's
+record. A layer's set is taken after anything that does not read it
+and dropped once the layer is solved and its damped objective taken;
+the layer's report row follows at once, so at most one set is live, and
+none while a row is made. The end loss before quantization comes from
+the last layer's input, with `end_loss`'s bits.
 For the LNQ methods one ``squeezellm_init`` call (arrays, no SSE trace)
 covers the layer, channel j seeded by (seed, j) as in the squeezellm
 baseline, so every method and every g starts a layer from the same
@@ -32,9 +32,8 @@ Arrays are freed at their last use, so on the 64-256-256-16 mid model
 (n 512, g 4, 3 bits, seeds 8-10, from the second run in a process on)
 ``glq quantize`` peaks at 8.5-8.9 MiB of tracemalloc above its start,
 in layer 1's codebook and CD phases, and ``glq eval`` at 7.1 MiB, in
-layer 1's guided build (10.6-10.9 and 9.1 MiB, with every layer's
-calibration held to the end, before). A group Hessian that does not
-factor raises SingularHessian naming the layer, the group and the cause.
+layer 1's guided build. A group Hessian that does not factor raises
+SingularHessian naming the layer, the group and the cause.
 Reported objectives per layer: the plain reconstruction error
 ||X (W - What)||_F^2, the gradient-weighted error
 ||gradZ * (X (W - What))||_F^2 (elementwise product), and the damped
@@ -50,9 +49,8 @@ which the tests check the guided objective against.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
-from operator import itemgetter
 
 import numpy as np
 
@@ -184,28 +182,27 @@ class QuantReport:
 def job_hessians(
     model: MlpModel,
     data: Dataset,
-    calib: Iterable[LayerCalibration],
     job: QuantJob,
     cache: HessianCache | None = None,
-) -> Iterator[HessianSet]:
-    """Each layer's HessianSet for `job`'s method in turn, from
-    `layer_hessians`, which reads one record of `calib` per set: the
-    grouped guided Hessians for lnq_guided, the plain ones (one group,
-    unit grad scale) for every other method. The LNQ methods quantize
-    against them and every method reports its damped objective under
-    them. `cache` is consulted only for the LNQ methods. No set is held
-    here once the next is asked for."""
+) -> Callable[[int, LayerCalibration], HessianSet]:
+    """The function `(l, c) -> HessianSet` that gives layer `l`'s set for
+    `job`'s method from its record `c` (`layer_hessians`): the grouped
+    guided Hessians for lnq_guided, the plain ones (one group, unit grad
+    scale) for every other method. The LNQ methods quantize against them
+    and every method reports its damped objective under them. `cache` is
+    consulted only for the LNQ methods."""
     kind = "guided" if job.method == "lnq_guided" else "plain"
     cache = cache if job.method in ("lnq_plain", "lnq_guided") else None
-    return map(itemgetter(1), layer_hessians(model, data, calib, kind, job.g, job.grad_scale,
-                                             job.damping_rel, cache=cache))
+    layer_set = layer_hessians(model, data, kind, job.g, job.grad_scale, job.damping_rel,
+                               cache=cache)
+    return lambda l, c: layer_set(l, c)[1]
 
 
 def _walk(
     model: MlpModel,
     data: Dataset,
     job: QuantJob,
-    step: Callable[[int, Matrix, LayerCalibration, Iterator[HessianSet]],
+    step: Callable[[int, Matrix, LayerCalibration, Callable[[], HessianSet]],
                    tuple[Matrix, HessianSet]],
     cache: HessianCache | None = None,
 ) -> tuple[list[dict], float]:
@@ -216,25 +213,20 @@ def _walk(
     `calibrate` runs once, and only its output gradients are kept: each
     layer's input is formed from the one before when the walk reaches it
     (`walk_calibration`). For each layer in order, `step(l, W, c,
-    hsets)` gets the layer's index, weights and record and takes the
-    layer's set from `hsets`, the `job_hessians` iterator, which reads
-    the record in hand; it returns the quantized weights and the set. The
-    layer's damped objective is taken under the set, the set is dropped,
-    and then its `eval_objectives` row is made, so no set is alive while
-    a row is made; the record goes when the walk moves on. The end loss
-    comes from the last layer's input (`end_loss_from_input`), with
+    take_set)` gets the layer's index, weights and record, and calls
+    `take_set()` for the layer's `job_hessians` set when it needs it; it
+    returns the quantized weights and the set. The layer's damped
+    objective is taken under the set, the set is dropped, and then its
+    `eval_objectives` row is made, so no set is alive while a row is
+    made; the record goes when the walk moves on. The end loss comes
+    from the last layer's input (`end_loss_from_input`), with
     `end_loss`'s bits."""
-    calib = calibrate(model, data)
-    records = walk_calibration(model, calib[0].X, [r.gradZ for r in calib])
-    del calib  # the hidden inputs: the walk forms each when it reaches its layer
-    c = None
-    # the set iterator reads the record in hand whenever `step` asks it
-    # for a set
-    hsets = job_hessians(model, data, iter(lambda: c, None), job, cache)
+    hessians = job_hessians(model, data, job, cache)
+    records = walk_calibration(model, calibrate(model, data))
     rows = []
     for l, W in enumerate(model.layers):
         c = next(records)
-        W_hat, hset = step(l, W, c, hsets)
+        W_hat, hset = step(l, W, c, lambda: hessians(l, c))
         damped = damped_quadratic(hset, W, W_hat)
         del hset  # no set is alive while the row is made
         (row,) = eval_objectives(model, [W_hat], [c], layers=[l])
@@ -279,11 +271,11 @@ def run_job(
     """
     qlayers = []
 
-    def step(l, W, c, hsets):
+    def step(l, W, c, take_set):
         if job.method in ("lnq_plain", "lnq_guided"):
             init = squeezellm_init(W, fisher_diag(c), job.bits,
                                    [(job.seed, j) for j in range(W.shape[1])])
-            hset = next(hsets)
+            hset = take_set()
             ql = lnq_quantize(hset.hessians, W, job.bits, job.T, job.K, init, layer_idx=l,
                               sizes=hset.partition.sizes)
         else:
@@ -291,7 +283,7 @@ def run_job(
                 ql = rtn_quantize(W, job.bits, layer_idx=l)
             else:
                 ql = squeezellm_quantize(W, fisher_diag(c), job.bits, seed=job.seed, layer_idx=l)
-            hset = next(hsets)
+            hset = take_set()
         qlayers.append(ql)
         return ql.W_hat, hset
 
@@ -306,7 +298,7 @@ def job_report(model: MlpModel, quantized: MlpModel, data: Dataset, job: QuantJo
     ones under the layer's `job_hessians` set, and the end loss of both
     models. `glq eval` rebuilds it from an artifact."""
     rows, before = _walk(model, data, job,
-                         lambda l, W, c, hsets: (quantized.layers[l], next(hsets)))
+                         lambda l, W, c, take_set: (quantized.layers[l], take_set()))
     return _report(job, quantized, data, rows, before)
 
 

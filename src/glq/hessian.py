@@ -33,25 +33,21 @@ scale, damping rule, kind), which its key hashes; ``HessianCache.load``
 refuses an entry whose recorded request is not the one asked for, and
 builds the set on the partition the caller already holds.
 
-``layer_hessians`` hands out one layer's set at a time and keeps none
-once it is handed out, not even the last while the caller goes on, so
-a caller that drops each set before asking for the next (``run_job``,
-``glq eval``, ``glq hessian``) holds one layer's set at a time and none
-once it is done with the last: at g = d_out a set holds d_out d x d
-matrices. A set's build holds one n x d buffer beside the set. It reads
-the layers' calibration records from an iterable, one per set, so
-``run_job`` and ``glq eval`` hand it the record of the layer in hand
-(``calib_model.walk_calibration``) and ``glq hessian`` ``calibrate``'s
-list.
+``layer_hessians`` checks the settings, hashes the model and dataset
+once when a cache is given, and returns one function that builds or
+loads one layer's set from that layer's calibration record. It keeps no
+set and no record, so a caller that drops each set before it asks for
+the next (``run_job``, ``glq eval``, ``glq hessian``) holds one layer's
+set at a time: at g = d_out a set holds d_out d x d matrices. A set's
+build holds one n x d buffer beside the set.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -144,24 +140,6 @@ def _check_calib(calib: LayerCalibration) -> tuple[Matrix, Matrix]:
     return X, G
 
 
-# Rows per band of `_symmetrise`.
-_BAND = 64
-
-
-def _symmetrise(M: Matrix) -> Matrix:
-    """M <- 0.5 * (M + M^T) in place, with that formula's bits, one band
-    of rows and its mirrored columns at a time: entries (i, j) and
-    (j, i) both get 0.5 * (M[i, j] + M[j, i]), as addition commutes."""
-    d = M.shape[0]
-    for s in range(0, d, _BAND):
-        e = min(s + _BAND, d)
-        v = M[s:e, s:] + M[s:, s:e].T
-        v *= 0.5
-        M[s:e, s:] = v
-        M[s:, s:e] = v.T
-    return M
-
-
 def _damped(M: Matrix, damping_rel: float) -> Matrix:
     """M + lam * I in place, with the bits of that formula, for lam =
     damping_rel * mean(diag(M)): the off-diagonal entries add lam * 0.0
@@ -178,13 +156,15 @@ def _gram_set(X: Matrix, s: Matrix, partition: ChannelPartition, layer_idx: int,
     """The set of damped B^T B, B = X * sqrt(s[:, k]) row by row, one per
     group k of `partition`: the one build of every layer Hessian. B is
     one n x d buffer rewritten for each group, and each Hessian is
-    symmetrised and damped where B^T B put it, so a group adds one d x d
-    matrix to the set and a band of rows of scratch."""
+    damped where B^T B put it, so a group adds one d x d matrix to the
+    set and no scratch. numpy forms B^T B with one symmetric rank-k
+    update and mirrors its triangle, so the product is exactly
+    symmetric."""
     hessians = []
     B = np.empty_like(X)
     for k in range(partition.g):
         np.multiply(X, np.sqrt(s[:, k])[:, None], out=B)
-        hessians.append(_damped(_symmetrise(B.T @ B), damping_rel))
+        hessians.append(_damped(B.T @ B, damping_rel))
     return HessianSet(layer_idx, partition, hessians)
 
 
@@ -381,16 +361,15 @@ class HessianCache:
 def layer_hessians(
     model: MlpModel,
     data: Dataset,
-    calib: Iterable[LayerCalibration],
     kind: str,
     g: int = 1,
     grad_scale: float = DEFAULT_GRAD_SCALE,
     damping_rel: float = DEFAULT_DAMPING_REL,
     cache: HessianCache | None = None,
     reuse: bool = True,
-) -> Iterator[tuple[str | None, HessianSet]]:
-    """(cache key, HessianSet) of each layer of `model` in turn, one per
-    record of `calib`, which is consumed one record per set.
+) -> Callable[[int, LayerCalibration], tuple[str | None, HessianSet]]:
+    """The function `(l, c) -> (cache key, HessianSet)` that builds or
+    loads the set of layer `l` of `model`, calibrated by the record `c`.
 
     kind "plain" builds X^T X with one group, keyed with g = 1 and unit
     grad scale; kind "guided" builds the grouped Hessians over
@@ -401,21 +380,17 @@ def layer_hessians(
     refused (CorruptFile) unless it records this layer's request
     (`hessian_request`); every set built here is stored under its key.
     Without one, no request is made and the key is None, so the model
-    and dataset are not hashed. This is the only place a layer Hessian
-    is built and keyed, so a quantize run finds exactly the entries a
-    hessian run wrote, and stores each set it has to build itself
-    (`glq quantize --hessian-cache` adds, say, plain entries to a cache
-    of guided ones); the cache's `index.json` lists only what `glq
-    hessian` wrote.
+    and dataset are not hashed; with one, they are hashed once, here.
+    This is the only place a layer Hessian is built and keyed, so a
+    quantize run finds exactly the entries a hessian run wrote, and
+    stores each set it has to build itself (`glq quantize
+    --hessian-cache` adds, say, plain entries to a cache of guided
+    ones); the cache's `index.json` lists only what `glq hessian` wrote.
 
-    The sets come one layer at a time and nothing here keeps a set or a
-    record once it is handed out (each pair is made by one call on the
-    next record, and `map` keeps neither), so a caller that drops each
-    set before asking for the next holds one layer's set at a time, and
-    none once it has dropped the last: no set is alive while `run_job`
-    or `glq eval` makes a report row. An unknown kind, a grad scale that
-    is not > 0 and a negative damping are refused before the first set
-    (ConfigError), with `QuantJob`'s text (`check_settings`).
+    The function keeps no set or record, so a caller holds exactly the
+    sets it keeps. An unknown kind, a grad scale that is not > 0 and a
+    negative damping are refused here, before any set (ConfigError),
+    with `QuantJob`'s text (`check_settings`).
     """
     if kind not in ("plain", "guided"):
         raise ConfigError(f"unknown hessian kind {kind!r}")
@@ -423,24 +398,21 @@ def layer_hessians(
     if kind == "plain":
         g, grad_scale = 1, 1.0
     digests = (model_hash(model), dataset_hash(data)) if cache is not None else None
-    return map(functools.partial(_layer_set, digests, kind, g, grad_scale, damping_rel, cache,
-                                 reuse), itertools.count(), calib)
 
+    def layer_set(l: int, c: LayerCalibration) -> tuple[str | None, HessianSet]:
+        part = ChannelPartition.consecutive(c.gradZ.shape[1], min(g, c.gradZ.shape[1]))
+        request = None if cache is None else hessian_request(*digests, l, part.g, grad_scale,
+                                                             damping_rel, kind)
+        hset = cache.load(request, part) if cache is not None and reuse else None
+        if hset is None:
+            if kind == "plain":
+                hset = plain_hessian(c, layer_idx=l, damping_rel=damping_rel)
+            else:
+                hset = guided_hessians(
+                    c, part, layer_idx=l, grad_scale=grad_scale, damping_rel=damping_rel
+                )
+            if cache is not None:
+                cache.store(request, hset)
+        return (None if request is None else hessian_cache_key(request)), hset
 
-def _layer_set(digests, kind, g, grad_scale, damping_rel, cache, reuse, l, c):
-    """(cache key, HessianSet) of layer `l`, calibrated by `c`; the key
-    and request are made only with a cache, whose `digests` they hash."""
-    part = ChannelPartition.consecutive(c.gradZ.shape[1], min(g, c.gradZ.shape[1]))
-    request = None if cache is None else hessian_request(*digests, l, part.g, grad_scale,
-                                                         damping_rel, kind)
-    hset = cache.load(request, part) if cache is not None and reuse else None
-    if hset is None:
-        if kind == "plain":
-            hset = plain_hessian(c, layer_idx=l, damping_rel=damping_rel)
-        else:
-            hset = guided_hessians(
-                c, part, layer_idx=l, grad_scale=grad_scale, damping_rel=damping_rel
-            )
-        if cache is not None:
-            cache.store(request, hset)
-    return (None if request is None else hessian_cache_key(request)), hset
+    return layer_set

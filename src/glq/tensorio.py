@@ -56,8 +56,7 @@ def tensor_bytes(arr: np.ndarray) -> bytes:
 
 def write_tensor(path: str | Path, arr: np.ndarray) -> None:
     """Atomically write `arr` to `path` in the container format."""
-    path = Path(path)
-    _atomic_write_bytes(path, tensor_bytes(arr))
+    write_bytes_atomic(path, tensor_bytes(arr))
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
@@ -89,7 +88,10 @@ def read_tensor(path: str | Path) -> np.ndarray:
     return arr.reshape(dims).copy()
 
 
-def _atomic_write_bytes(path: Path, blob: bytes) -> None:
+def write_bytes_atomic(path: str | Path, blob: bytes) -> None:
+    """Write `blob` to a temporary file beside `path`, then os.replace
+    it into place."""
+    path = Path(path)
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
     tmp.write_bytes(blob)
     os.replace(tmp, path)
@@ -97,9 +99,8 @@ def _atomic_write_bytes(path: Path, blob: bytes) -> None:
 
 def write_json_atomic(path: str | Path, obj) -> None:
     """Write canonical JSON (sorted keys, fixed separators) atomically."""
-    path = Path(path)
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"), indent=1).encode()
-    _atomic_write_bytes(path, blob + b"\n")
+    write_bytes_atomic(path, blob + b"\n")
 
 
 def file_sha256(path: str | Path) -> str:

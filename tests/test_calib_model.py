@@ -211,9 +211,8 @@ class TestCalibrate:
         model = random_model(widths, seed + 1, loss=loss)
         want = calibrate(model, data)
         calib = calibrate(model, data)
-        grads = [c.gradZ for c in calib]
-        walked = list(calib_model.walk_calibration(model, calib[0].X, grads))
-        assert grads == [None] * model.n_layers  # taken over, entry by entry
+        walked = list(calib_model.walk_calibration(model, calib))
+        assert calib == []  # taken over
         assert len(walked) == model.n_layers
         for got, rec in zip(walked, want):
             assert got.X.shape == rec.X.shape and got.X.tobytes() == rec.X.tobytes()
@@ -228,9 +227,7 @@ class TestCalibrate:
 
         model = random_model([5, 7, 6, 3], 0)
         data = gen_dataset(0, 9, 5, 3)
-        calib = calibrate(model, data)
-        walk = calib_model.walk_calibration(model, calib[0].X, [c.gradZ for c in calib])
-        del calib
+        walk = calib_model.walk_calibration(model, calibrate(model, data))
         first = next(walk)
         assert first.X is data.inputs
         ref = weakref.ref(first)

@@ -5,13 +5,14 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import glq
-from glq import artifacts, hessian, tensorio
+from glq import artifacts, cli, hessian, tensorio
 from glq.calib_model import calibrate
 from glq.cli import QUANTIZE_DEFAULTS, build_parser, main
 from glq.errors import ConfigError, CorruptFile
@@ -196,6 +197,52 @@ def test_eval_holds_no_set_while_reporting(pipeline, tmp_path, monkeypatch):
     assert seen == [0, 0]  # the 6-10-3 model's two layers
 
 
+def test_hessian_holds_one_layer_record_at_a_time(pipeline, tmp_path, monkeypatch):
+    # glq hessian walks the layers as quantize and eval do: while a
+    # layer's set is built, none of calibrate's hidden inputs and no
+    # earlier layer's record or gradient is alive
+    data, model = pipeline
+    hidden, earlier, seen = [], [], []
+    real_calibrate, real_build = cli.run_calibrate, hessian.guided_hessians
+
+    def calibrate_(*args):
+        calib = real_calibrate(*args)
+        hidden.extend(weakref.ref(c.X) for c in calib[1:])
+        return calib
+
+    def build(c, *args, **kw):
+        seen.append(sum(r() is not None for r in hidden + earlier))
+        earlier.extend([weakref.ref(c), weakref.ref(c.gradZ)])
+        return real_build(c, *args, **kw)
+
+    monkeypatch.setattr(cli, "run_calibrate", calibrate_)
+    monkeypatch.setattr(hessian, "guided_hessians", build)
+    assert main(["hessian", "--model", str(model), "--data", str(data), "--g", "2",
+                 "--out", str(tmp_path / "h")]) == 0
+    assert len(hidden) == 1 and seen == [0, 0]  # the 6-10-3 model's two layers
+
+
+@pytest.mark.parametrize("command", ["quantize", "eval", "sweep"])
+def test_every_file_a_command_writes_is_replaced_into_place(pipeline, tmp_path, monkeypatch,
+                                                            command):
+    # each file, report.csv and the --csv and --out tables included, is
+    # written beside its target and moved in by os.replace, so a crash
+    # never leaves a half-written one
+    data, model = pipeline
+    base, quant, out = ["--model", str(model), "--data", str(data)], tmp_path / "q", tmp_path / "o"
+    assert main(["quantize", *base, "--method", "rtn", "--out", str(quant)]) == 0
+    out.mkdir()
+    argv = {"quantize": ["quantize", *base, "--method", "rtn", "--out", str(out / "q")],
+            "eval": ["eval", *base, "--quant", str(quant), "--csv", str(out / "eval.csv")],
+            "sweep": ["sweep", *base, "--methods", "rtn", "--out", str(out / "sweep.csv")]}
+    replaced, real = [], os.replace
+    monkeypatch.setattr(os, "replace",
+                        lambda src, dst: replaced.append(Path(dst)) or real(src, dst))
+    assert main(argv[command]) == 0
+    written = sorted(p for p in out.rglob("*") if p.is_file())
+    assert written and sorted(replaced) == written
+
+
 def test_each_load_reads_each_json_file_once(pipeline, tmp_path, monkeypatch):
     # the manifest a load reads for its hash check also gives the layer
     # files it checks n_layers against (artifacts) and the request it
@@ -219,8 +266,8 @@ def test_each_load_reads_each_json_file_once(pipeline, tmp_path, monkeypatch):
         load(path)
         assert sorted(reads) == names, load.__name__
     reads.clear()
-    hsets = list(hessian.layer_hessians(m, d, calibrate(m, d), "guided", 2,
-                                        cache=hessian.HessianCache(cache)))
+    layer_set = hessian.layer_hessians(m, d, "guided", 2, cache=hessian.HessianCache(cache))
+    hsets = [layer_set(l, c) for l, c in enumerate(calibrate(m, d))]
     assert len(hsets) == m.n_layers and reads == ["manifest.json"] * m.n_layers
 
 
@@ -472,6 +519,18 @@ class TestQuantizeAndEval:
         cfg.write_text(json.dumps({"method": "rtn", "bitz": 2}))
         assert main(["quantize", "--model", str(model), "--data", str(data),
                      "--config", str(cfg), "--out", str(tmp_path / "q")]) == 2
+
+    @pytest.mark.parametrize("text", [b'{"method": "rtn\xff"}', b"[" * 100_000 + b"]" * 100_000],
+                             ids=["invalid_utf8", "deep_nesting"])
+    def test_unreadable_config_names_the_file(self, pipeline, tmp_path, capsys, text):
+        data, model = pipeline
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(text)
+        assert main(["quantize", "--model", str(model), "--data", str(data),
+                     "--config", str(cfg), "--out", str(tmp_path / "q")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config: {cfg}: "
+                                                  f"not valid JSON: ")
+        assert not (tmp_path / "q").exists()
 
     def test_eval_reproduces_report_row(self, pipeline, tmp_path):
         # quantize and eval both take the damped objective under the Hessian

@@ -192,12 +192,16 @@ class TestRunJob:
         real = guidedquant.job_hessians
 
         def one_singular(*args, **kw):
-            for l, hset in enumerate(real(*args, **kw)):
+            hessians = real(*args, **kw)
+
+            def layer_set(l, c):
+                hset = hessians(l, c)
                 if l == 0:
                     H = hset.hessians[2].copy()
                     H[5, :] = H[:, 5] = 0.0
                     hset.hessians[2] = H
-                yield hset
+                return hset
+            return layer_set
 
         monkeypatch.setattr(guidedquant, "job_hessians", one_singular)
         with pytest.raises(SingularHessian, match=r"^layer 0 group 2: .*feature 5"):
@@ -490,7 +494,8 @@ def _run_job_one_group_at_a_time(model, data, job):
     layer-wide squeezellm init, cut into the channel groups, and one
     lnq_quantize call per group."""
     calib = calibrate(model, data)
-    hsets = list(job_hessians(model, data, calib, job))
+    hessians = job_hessians(model, data, job)
+    hsets = [hessians(l, c) for l, c in enumerate(calib)]
     qlayers = []
     for l, (W, hset) in enumerate(zip(model.layers, hsets)):
         init = squeezellm_quantize(W, fisher_diag(calib[l]), job.bits, seed=job.seed,

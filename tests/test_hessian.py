@@ -214,39 +214,42 @@ def _with_zeros(draw, M):
 
 
 class TestInPlaceBuild:
-    # the Hessian build symmetrises and damps B^T B where it lies; its
-    # bytes must be those of the formulas it replaced
+    # the Hessian build damps B^T B where it lies; its bytes must be
+    # those of the formulas it replaced
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), d=st.integers(1, 150),
            damping_rel=st.sampled_from([0.0, 1e-7, 0.25, 3.0]))
-    def test_symmetrise_and_damp_match_the_formulas(self, data, d, damping_rel):
-        from glq.hessian import _damped, _symmetrise
+    def test_damp_matches_the_formula(self, data, d, damping_rel):
+        from glq.hessian import _damped
 
         M = _with_zeros(data.draw, np.random.default_rng(d).standard_normal((d, d)))
         sym = 0.5 * (M + M.T)
         lam = damping_rel * float(np.mean(np.diag(sym)))
         want = sym + lam * np.eye(d)
-        got = _symmetrise(M.copy())
-        assert got.tobytes() == sym.tobytes()
-        assert _damped(got, damping_rel).tobytes() == want.tobytes()
+        assert _damped(sym.copy(), damping_rel).tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 40), d=st.integers(1, 70), c=st.integers(1, 9),
            damping_rel=st.sampled_from([0.0, 1e-7, 0.5]))
     def test_gram_set_matches_the_formulas(self, data, n, d, c, damping_rel):
+        # B^T B is exactly symmetric as numpy forms it, so the formula's
+        # 0.5 * (M + M^T) is M bit for bit and the build leaves it out
         rng = np.random.default_rng(n * 1000 + d)
         calib = LayerCalibration(X=_with_zeros(data.draw, rng.standard_normal((n, d))),
                                  gradZ=rng.standard_normal((n, c)))
         part = ChannelPartition.consecutive(c, data.draw(st.integers(1, c)))
         s = squared_grad_averages(calib, part, grad_scale=1.0)
         hset = guided_hessians(calib, part, grad_scale=1.0, damping_rel=damping_rel)
+        plain = plain_hessian(calib, damping_rel=damping_rel)
+        for H in hset.hessians + plain.hessians:
+            assert H.tobytes() == H.T.tobytes()
         for k in range(part.g):
             B = calib.X * np.sqrt(s[:, k])[:, None]
             M = B.T @ B
             M = 0.5 * (M + M.T)
             lam = damping_rel * float(np.mean(np.diag(M)))
             assert hset.hessians[k].tobytes() == (M + lam * np.eye(d)).tobytes()
-        H = plain_hessian(calib, damping_rel=damping_rel).hessians[0]
+        H = plain.hessians[0]
         M = calib.X * 1.0
         M = M.T @ M
         M = 0.5 * (M + M.T)
@@ -460,33 +463,40 @@ def _cache_with_edited_manifest(root, edit) -> HessianCache:
     return cache
 
 
+def _layer_sets(model, data, calib, *args, **kw) -> list:
+    """(cache key, HessianSet) of every layer: one call of the
+    `layer_hessians` function per record of `calib`."""
+    layer_set = layer_hessians(model, data, *args, **kw)
+    return [layer_set(l, c) for l, c in enumerate(calib)]
+
+
 class TestLayerHessians:
     def test_plain_keys_ignore_group_knobs(self, tmp_path, toy_problem, toy_calib):
         model, data = toy_problem
         cache = HessianCache(tmp_path)
-        a = list(layer_hessians(model, data, toy_calib, "plain", cache=cache))
-        b = list(layer_hessians(model, data, toy_calib, "plain", g=4, grad_scale=5.0,
-                                cache=cache, reuse=False))
+        a = _layer_sets(model, data, toy_calib, "plain", cache=cache)
+        b = _layer_sets(model, data, toy_calib, "plain", g=4, grad_scale=5.0,
+                        cache=cache, reuse=False)
         assert [k for k, _ in a] == [k for k, _ in b]
         assert all(h.partition.g == 1 for _, h in b)
-        guided = list(layer_hessians(model, data, toy_calib, "guided", g=4, cache=cache))
+        guided = _layer_sets(model, data, toy_calib, "guided", g=4, cache=cache)
         assert all(h.partition.g == 4 for _, h in guided)
         assert {k for k, _ in guided}.isdisjoint(k for k, _ in a)
         with pytest.raises(ConfigError):  # refused at the call, before any set
-            layer_hessians(model, data, toy_calib, "fisher")
+            layer_hessians(model, data, "fisher")
 
     def test_reuse_loads_and_rebuild_overwrites(self, tmp_path, toy_problem, toy_calib):
         model, data = toy_problem
         cache = HessianCache(tmp_path)
-        built = list(layer_hessians(model, data, toy_calib, "guided", g=2, cache=cache))
+        built = _layer_sets(model, data, toy_calib, "guided", g=2, cache=cache)
         victim = tmp_path / built[0][0] / "hess.L0.G0.gqt"
         blob = bytearray(victim.read_bytes())
         blob[-8] ^= 0x01
         victim.write_bytes(bytes(blob))
         with pytest.raises(CorruptFile):
-            list(layer_hessians(model, data, toy_calib, "guided", g=2, cache=cache))
-        list(layer_hessians(model, data, toy_calib, "guided", g=2, cache=cache, reuse=False))
-        again = list(layer_hessians(model, data, toy_calib, "guided", g=2, cache=cache))
+            _layer_sets(model, data, toy_calib, "guided", g=2, cache=cache)
+        _layer_sets(model, data, toy_calib, "guided", g=2, cache=cache, reuse=False)
+        again = _layer_sets(model, data, toy_calib, "guided", g=2, cache=cache)
         for (k1, h1), (k2, h2) in zip(built, again):
             assert k1 == k2
             for a, b in zip(h1.hessians, h2.hessians):
@@ -497,10 +507,10 @@ class TestLayerHessians:
         # channel, keyed as g = 4, while the 16-wide layers keep g = 6
         model, data = toy_problem
         cache = HessianCache(tmp_path)
-        wide = list(layer_hessians(model, data, toy_calib, "guided", g=6, cache=cache))
+        wide = _layer_sets(model, data, toy_calib, "guided", g=6, cache=cache)
         assert [h.partition.g for _, h in wide] == [6, 6, 4]
-        at_four = list(layer_hessians(model, data, toy_calib, "guided", g=4, cache=cache,
-                                      reuse=False))
+        at_four = _layer_sets(model, data, toy_calib, "guided", g=4, cache=cache,
+                              reuse=False)
         assert wide[2][0] == at_four[2][0]
         for a, b in zip(wide[2][1].hessians, at_four[2][1].hessians):
             npt.assert_array_equal(a, b)
@@ -509,7 +519,7 @@ class TestLayerHessians:
             assert key == hessian_cache_key(hessian_request(
                 digest, data_digest, l, 6, DEFAULT_GRAD_SCALE, DEFAULT_DAMPING_REL, "guided"))
         with pytest.raises(InvalidSize):
-            list(layer_hessians(model, data, toy_calib, "guided", g=0))
+            _layer_sets(model, data, toy_calib, "guided", g=0)
 
     def test_no_cache_hashes_nothing(self, toy_problem, toy_calib, monkeypatch):
         # without a cache no request is made, so neither the model nor the
@@ -523,7 +533,7 @@ class TestLayerHessians:
         monkeypatch.setattr(hessian, "model_hash", refuse)
         monkeypatch.setattr(hessian, "dataset_hash", refuse)
         for kind in ("plain", "guided"):
-            keys = [k for k, _ in layer_hessians(model, data, toy_calib, kind, g=2)]
+            keys = [k for k, _ in _layer_sets(model, data, toy_calib, kind, g=2)]
             assert keys == [None] * model.n_layers
         for method in METHODS:
             job = QuantJob(method=method, bits=2, g=2)
@@ -542,11 +552,11 @@ class TestLayerHessians:
         cache = HessianCache(tmp_path / "hc")
         with pytest.raises(SingularHessian, match=r"^layer 0 group 0: .*1 of 8 input "
                                                   r"features .*\(first: feature 3\)"):
-            list(layer_hessians(model, dead, calib, kind, 2, 1e3, 0.0, cache=cache))
+            _layer_sets(model, dead, calib, kind, 2, 1e3, 0.0, cache=cache)
         assert not (tmp_path / "hc").exists() or not any((tmp_path / "hc").iterdir())
         # without a cache the set is built as before, and the methods
         # that never factor it still run
-        hsets = list(layer_hessians(model, dead, calib, kind, 2, 1e3, 0.0))
+        hsets = _layer_sets(model, dead, calib, kind, 2, 1e3, 0.0)
         assert all(H[3, 3] == 0.0 for H in hsets[0][1].hessians)
         for method in ("rtn", "squeezellm"):
             run_job(model, dead, QuantJob(method=method, bits=2, damping_rel=0.0))

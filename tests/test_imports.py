@@ -15,6 +15,9 @@
   reference. Names are matched without regard to their module.
   ``oracle.py`` holds the brute-force references the tests check
   against, so its own definitions are exempt.
+* Every module-level private function and constant of the package is
+  referenced in the package outside its own definition, so a helper or
+  constant left behind when its last use goes fails the scan.
 * No package module imports a private numpy module or name, or reaches
   one through an attribute of an imported numpy name (for example
   ``numpy.linalg._umath_linalg``, whose ``lstsq`` gufunc would batch the
@@ -180,6 +183,56 @@ def test_reference_scanner_flags_test_only_definitions():
 def test_no_test_only_definitions_in_package():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in NON_TEST_SOURCES}
     assert unreferenced(sources, exempt={"src/glq/oracle.py"}) == []
+
+
+def private_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Name -> node of every module-level function and assigned name that
+    is private (one leading underscore, not a dunder)."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        out.update((name, node) for name in names if _private(name))
+    return out
+
+
+def dead_private_definitions(sources: dict[str, str]) -> list[str]:
+    """module:name of every private definition in `sources` (module ->
+    text) that no source references outside the definition itself."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    out = []
+    for mod, tree in trees.items():
+        for name, node in private_definitions(tree).items():
+            if not any(name in uses(other, {id(node)}) for other in trees.values()):
+                out.append(f"{mod}:{name}")
+    return out
+
+
+def test_dead_definition_scanner():
+    sources = {
+        "lib": ("_BAND = 64\n"
+                "_USED: int = 2\n"
+                "_A, _B = 1, 2\n"
+                "__all__ = ['f']\n"
+                "def _left_behind(M): return M[:_BAND]\n"
+                "def _recursive(n): return _recursive(n - 1)\n"
+                "def _helper(): return _USED + _A\n"
+                "def f(): return _helper()\n"
+                "class C:\n"
+                "    def _method(self): return 0\n"),
+        "app": "from lib import _B\nprint(_B)\n",
+    }
+    assert dead_private_definitions(sources) == ["lib:_left_behind", "lib:_recursive"]
+
+
+def test_no_dead_private_definitions():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_definitions(sources) == []
 
 
 def _private(part: str) -> bool:
