@@ -25,7 +25,7 @@ from . import artifacts
 from .calib_model import calibrate as run_calibrate
 from .calib_model import end_loss, gen_dataset, random_model, train as run_train
 from .calib_model import walk_calibration
-from .errors import ConfigError, CorruptFile, GlqError
+from .errors import ConfigError, CorruptFile, DivergedLoss, GlqError
 from .guidedquant import (
     JOB_KEYS,
     METHODS,
@@ -163,7 +163,12 @@ def cmd_train(args) -> int:
     dims = [data.inputs.shape[1], *args.hidden, data.targets.shape[1]]
     model = random_model(dims, args.seed, loss=task)
     before = end_loss(model, data)
-    model = run_train(model, data, steps=args.steps, lr=args.lr)
+    try:
+        model = run_train(model, data, steps=args.steps, lr=args.lr)
+    except DivergedLoss as exc:
+        raise DivergedLoss(f"{exc}: training diverged at --lr {args.lr:g} on n={data.n} "
+                           f"samples. The loss is summed over the samples, not averaged, "
+                           f"so the step grows with n: try a smaller --lr") from exc
     after = end_loss(model, data)
     artifacts.save_model(args.out, model)
     print(f"trained dims={dims}: loss {before:.6g} -> {after:.6g}; wrote {args.out}")
@@ -217,8 +222,7 @@ def cmd_eval(args) -> int:
     job = QuantJob.from_dict({k: meta[k] for k in JOB_KEYS if k in meta})
     quantized = model.with_layers([ql.W_hat for ql in qlayers])
     del qlayers  # only the quantized weights are read from here on
-    # one layer's calibration and set at a time (mid model: 7.1 MiB
-    # tracemalloc peak above the command's start, in layer 1's guided build)
+    # one layer's calibration and set at a time
     report = job_report(model, quantized, data, job)
     print(format_table([report.csv_row()]))
     if args.csv:

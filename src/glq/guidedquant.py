@@ -28,11 +28,9 @@ covers the layer, channel j seeded by (seed, j) as in the squeezellm
 baseline, so every method and every g starts a layer from the same
 init; it runs before the set is taken, and ``lnq_quantize`` solves the
 layer's groups in place on the init's row-major arrays (see ``lnq``).
-Arrays are freed at their last use, so on the 64-256-256-16 mid model
-(n 512, g 4, 3 bits, seeds 8-10, from the second run in a process on)
-``glq quantize`` peaks at 8.5-8.9 MiB of tracemalloc above its start,
-in layer 1's codebook and CD phases, and ``glq eval`` at 7.1 MiB, in
-layer 1's guided build. A group Hessian that does not factor raises
+Arrays are freed at their last use (README gives the measured peaks).
+``lnq_quantize`` takes the layer's set itself, which checked its
+matrices when it was made. A group Hessian that does not factor raises
 SingularHessian naming the layer, the group and the cause.
 Reported objectives per layer: the plain reconstruction error
 ||X (W - What)||_F^2, the gradient-weighted error
@@ -265,9 +263,8 @@ def run_job(
     layer's weights and diagonal Fisher, channel j seeded by (seed, j),
     gives the init of one `lnq_quantize` call over the layer's
     consecutive groups, which solves the layer in place on the init's
-    arrays. On the mid model `glq quantize` peaks at 8.5-8.9 MiB of
-    tracemalloc (see the module docstring). Returns the quantized model,
-    one QuantizedLayer per layer, and the report.
+    arrays. Returns the quantized model, one QuantizedLayer per layer,
+    and the report.
     """
     qlayers = []
 
@@ -276,8 +273,7 @@ def run_job(
             init = squeezellm_init(W, fisher_diag(c), job.bits,
                                    [(job.seed, j) for j in range(W.shape[1])])
             hset = take_set()
-            ql = lnq_quantize(hset.hessians, W, job.bits, job.T, job.K, init, layer_idx=l,
-                              sizes=hset.partition.sizes)
+            ql = lnq_quantize(hset, W, job.bits, job.T, job.K, init)
         else:
             if job.method == "rtn":
                 ql = rtn_quantize(W, job.bits, layer_idx=l)
@@ -352,28 +348,23 @@ def _errors(c: LayerCalibration, W: Matrix, Wh: Matrix) -> tuple[float, float]:
 def damped_quadratic(hset: HessianSet, W: Matrix, W_hat: Matrix) -> float:
     """sum over groups and their channels of delta^T Hbar_k delta.
 
-    `W_hat` and each group Hessian are validated once, not once per
-    channel; every term is float(v @ H @ v) with v = What_j - W_j."""
+    `W_hat` is validated once, not once per channel, and the set's
+    matrices were checked when it was made; every term is
+    float(v @ H @ v) with v = What_j - W_j."""
     W_hat = ensure_matrix(W_hat, "W_hat")
     if W_hat.shape != W.shape:
         raise DimensionMismatch(f"W_hat is {W_hat.shape}, W is {W.shape}")
+    if hset.hessians[0].shape != (W.shape[0], W.shape[0]):  # the set holds one d
+        raise DimensionMismatch(f"H is {hset.hessians[0].shape}, weights have d_in={W.shape[0]}")
     total = 0.0
     for H, (o, e) in zip(hset.hessians, hset.partition.bounds):
-        H = ensure_matrix(H, "H")
-        if H.shape != (W.shape[0], W.shape[0]):
-            raise DimensionMismatch(f"H is {H.shape}, weights have d_in={W.shape[0]}")
         for j in range(o, e):
             v = W_hat[:, j] - W[:, j]
             total += float(v @ H @ v)
     return total
 
 
-def sweep(
-    model: MlpModel,
-    data: Dataset,
-    jobs: list[QuantJob],
-    hessian_cache: HessianCache | None = None,
-) -> list[dict]:
+def sweep(model: MlpModel, data: Dataset, jobs: list[QuantJob]) -> list[dict]:
     """Run jobs in order and return one CSV row dict per job.
 
     Rows follow CSV_COLUMNS and contain no timing, so a repeated sweep
@@ -382,7 +373,7 @@ def sweep(
     """
     rows = []
     for job in jobs:
-        _, _, report = run_job(model, data, job, hessian_cache=hessian_cache)
+        _, _, report = run_job(model, data, job)
         rows.append(report.csv_row())
     return rows
 

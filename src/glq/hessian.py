@@ -26,6 +26,12 @@ positive semidefinite by construction; the relative damping makes it
 positive definite whenever B has a nonzero row. A group whose s_k is
 zero on every sample (a zero-gradient group) would get Hbar_k = 0 and
 lambda_k = 0; ``guided_hessians`` refuses it with ZeroGradientGroup.
+A grad scale that overflows the squared gradients gives a Hessian with
+non-finite entries. A ``HessianSet`` checks its matrices once, when it
+is made, so such a set is refused (SingularHessian, naming the layer
+and the group) before it is returned or stored, and so is a cache
+entry that holds one, when it is loaded. The solvers take the set
+itself and do not check its matrices again.
 
 A cache entry records the request it was built for
 (``hessian_request``: model and dataset digests, layer, clipped g, grad
@@ -57,6 +63,7 @@ from .calib_model import Dataset, LayerCalibration, MlpModel
 from .errors import (
     ConfigError,
     CorruptFile,
+    DimensionMismatch,
     EmptyCalibration,
     InvalidSize,
     PartitionMismatch,
@@ -108,7 +115,14 @@ class ChannelPartition:
 @dataclass
 class HessianSet:
     """Damped proxy Hessians for one layer, one matrix per channel group;
-    ``hessians[k]`` already includes its diagonal shift lambda_k."""
+    ``hessians[k]`` already includes its diagonal shift lambda_k.
+
+    The one check of a set's matrices, made when it is constructed (by
+    the build and by a cache load alike): each is held as a C-contiguous
+    float64 d x d array, one d for the whole set (DimensionMismatch
+    otherwise), and a matrix with a NaN or infinite entry, which cannot
+    be factored, raises SingularHessian. Both errors name the layer and
+    the group, and the solvers read the set unchecked."""
 
     layer_idx: int
     partition: ChannelPartition
@@ -117,6 +131,16 @@ class HessianSet:
     def __post_init__(self) -> None:
         if len(self.hessians) != self.partition.g:
             raise PartitionMismatch("one hessian per group required")
+        self.hessians = [np.ascontiguousarray(H, dtype=np.float64) for H in self.hessians]
+        first = self.hessians[0].shape
+        for k, H in enumerate(self.hessians):
+            where = f"layer {self.layer_idx} group {k}"
+            if H.ndim != 2 or H.shape[0] != H.shape[1]:
+                raise DimensionMismatch(f"{where}: Hessian is {H.shape}, not d x d")
+            if H.shape != first:
+                raise DimensionMismatch(f"{where}: Hessian is {H.shape}, group 0's is {first}")
+            if not np.all(np.isfinite(H)):
+                raise SingularHessian(self.layer_idx, k, "non-finite entries")
 
 
 def check_settings(grad_scale: float = 1.0, damping_rel: float = 0.0) -> None:
@@ -314,7 +338,9 @@ class HessianCache:
     hashes, so it is bit-exact or refused. The ``lambdas`` key that older
     entries carry is not read. A set with an input feature
     of zero curvature, which no solver can factor, is never stored:
-    ``store`` raises SingularHessian first.
+    ``store`` raises SingularHessian first. A set with a non-finite
+    matrix cannot be made at all (``HessianSet``), so it is neither
+    stored nor loaded.
     """
 
     def __init__(self, root: str | Path) -> None:

@@ -69,10 +69,12 @@ per-channel objective trace (initial value, then one entry after every
 phase, then one after the final codebook solve: 2T + 2 values) never
 increases.
 
-``lnq_quantize`` and ``cd_cycle`` take one layer's own row-major
-arrays, W and A d x c and C c x m (``scalar_quant.QuantizedLayer``'s
-layout), with the consecutive group sizes and one Hessian per group,
-and give the bits of one run per group. ``lnq_quantize`` takes the bit
+``lnq_quantize`` and ``cd_cycle`` take one layer's
+``hessian.HessianSet``, whose partition gives the consecutive groups
+and whose matrices, one per group, were checked when the set was made,
+with the layer's own row-major arrays, W and A d x c and C c x m
+(``scalar_quant.QuantizedLayer``'s layout), and give the bits of one
+run per group. ``lnq_quantize`` takes the bit
 width, T and K as ints, takes over a (codebooks, assignments) pair of
 arrays as its start, solves the layer in place on them and returns the
 layer's ``QuantizedLayer``, which holds them. A CD row step is
@@ -100,7 +102,8 @@ from .errors import (
     SingularHessian,
     ZeroDiagonal,
 )
-from .linalg import cholesky, ensure_matrix, least_squares, zero_curvature
+from .hessian import HessianSet
+from .linalg import cholesky, least_squares, zero_curvature
 from .scalar_quant import QuantizedLayer, _codebook_size, check_codebooks, round_rows
 
 CD_BATCH = 128
@@ -111,16 +114,6 @@ CD_BLOCK_BYTES = 1 << 20
 # channel) one codebook chunk holds; a walk holds the columns of at most
 # half of it, so a group too wide for a chunk keeps its factor beside them.
 CODEBOOK_BYTES = 1 << 21
-
-
-def _group_bounds(c: int, sizes) -> list[tuple[int, int]]:
-    """(first, end) columns of each group of consecutive sizes `sizes`
-    over c channels; None is one group of all c."""
-    sizes = [c] if sizes is None else [int(k) for k in sizes]
-    if any(k < 1 for k in sizes) or sum(sizes) != c:
-        raise DimensionMismatch(f"group sizes {sizes} do not split {c} channels")
-    ends = np.cumsum(sizes).tolist()
-    return list(zip([0] + ends[:-1], ends))
 
 
 def _group_deltas(W: np.ndarray, C: np.ndarray, A: np.ndarray,
@@ -235,15 +228,14 @@ def codebook_closed_form(
 
 
 def cd_cycle(
-    H, W: np.ndarray, C: np.ndarray, A: np.ndarray, cycles: int,
-    sizes=None, b: int = CD_BATCH, stats: dict | None = None,
+    hset: HessianSet, W: np.ndarray, C: np.ndarray, A: np.ndarray, cycles: int,
+    b: int = CD_BATCH, stats: dict | None = None,
 ) -> None:
     """`cycles` sweeps of coordinate descent over rows 0..d-1, in place.
 
     Runs one layer's groups at once: W and A are the layer's d x c
-    weights and slots, C its c x m codebooks, `sizes` the consecutive
-    group sizes (None: one group of all c) and `H` one d x d Hessian per
-    group (a single 2-D H is one group).
+    weights and slots, C its c x m codebooks and `hset` the layer's
+    Hessian set, whose partition gives the consecutive groups.
 
     Htil = Diag(H)^-1 H; B = StrictUpper(Htil) (What - W) gives each
     row's correction from rows not yet visited in the sweep. Inside a
@@ -267,12 +259,10 @@ def cd_cycle(
     below a batch are formed one group at a time, so no copy of the
     whole Hessian set is made.
     """
-    if isinstance(H, np.ndarray) and H.ndim == 2:
-        H = [H]
+    H, bounds = hset.hessians, hset.partition.bounds
     d, c = W.shape
-    bounds = _group_bounds(c, sizes)
-    if len(H) != len(bounds):
-        raise DimensionMismatch(f"{len(H)} Hessians for {len(bounds)} groups")
+    if hset.partition.d_out != c:
+        raise DimensionMismatch(f"group sizes {hset.partition.sizes} do not split {c} channels")
     if A.shape != (d, c) or C.shape[0] != c:
         raise DimensionMismatch(f"weights {W.shape}, codebooks {C.shape} and slots {A.shape} "
                                 "are not d x c, c x m and d x c")
@@ -336,25 +326,23 @@ def _cd_chunk(H, diags, bounds, W, C, A, cycles, b, stats) -> None:
 
 
 def lnq_quantize(
-    H_damped,
+    hset: HessianSet,
     W_block: np.ndarray,
     bits: int,
     T: int,
     K: int,
     init: tuple[np.ndarray, np.ndarray],
-    layer_idx: int = 0,
     stats: dict | None = None,
-    sizes=None,
 ) -> QuantizedLayer:
     """Alternating minimization for one layer's channel groups.
 
-    `W_block` holds the layer's d x c weights, `sizes` its consecutive
-    group sizes (None: one group of all c) and `H_damped` one d x d
-    Hessian per group (a single 2-D matrix is one group). Each must
-    already include its diagonal shift; no further damping is applied
-    here. A Hessian that does not factor raises SingularHessian, a
-    NotPositiveDefinite naming `layer_idx`, the group's index in the
-    layer and the cause (exit 2 from the CLI); nothing retries with
+    `W_block` holds the layer's d x c weights and `hset` its Hessian
+    set: the consecutive groups (its partition) and one d x d Hessian
+    per group, checked when the set was made and read here as it is.
+    Each already includes its diagonal shift; no further damping is
+    applied here. A Hessian that does not factor raises SingularHessian,
+    a NotPositiveDefinite naming the set's layer, the group's index in
+    the layer and the cause (exit 2 from the CLI); nothing retries with
     more damping. `bits` (1..8), `T` and `K` (>= 1) are checked first
     (InvalidSize). `init` is the starting (codebooks, assignments) pair,
     c x m and d x c arrays with m = 2**bits, which this call takes over:
@@ -378,15 +366,12 @@ def lnq_quantize(
         raise DimensionMismatch(f"W_block must be d x c, got ndim={W.ndim}")
     if not np.all(np.isfinite(W)):
         raise ValueError("W_block: non-finite entries")
-    if isinstance(H_damped, np.ndarray) and H_damped.ndim == 2:
-        H_damped = [H_damped]
-    H = [ensure_matrix(Hk, "H_damped") for Hk in H_damped]
+    H, bounds = hset.hessians, hset.partition.bounds
     d, c = W.shape
-    bounds = _group_bounds(c, sizes)
-    if len(H) != len(bounds):
-        raise DimensionMismatch(f"{len(H)} Hessians for {len(bounds)} groups")
-    if any(Hk.shape != (d, d) for Hk in H):
+    if H[0].shape != (d, d):  # the set holds one d
         raise DimensionMismatch(f"H is {H[0].shape}, weights have d_in={d}")
+    if hset.partition.d_out != c:
+        raise DimensionMismatch(f"group sizes {hset.partition.sizes} do not split {c} channels")
     if C.shape != (c, m) or A.shape != (d, c):
         raise DimensionMismatch(f"init codebooks {C.shape} and assignments {A.shape}, "
                                 f"expected {(c, m)} and {(d, c)}")
@@ -406,7 +391,7 @@ def lnq_quantize(
         try:
             L = cholesky(H[k])
         except NotPositiveDefinite as exc:
-            raise SingularHessian(layer_idx, k, zero_curvature(H[k]) or str(exc)) from exc
+            raise SingularHessian(hset.layer_idx, k, zero_curvature(H[k]) or str(exc)) from exc
         if first:  # one gemv per channel, the bits of L.T @ w
             o, e = bounds[k]
             LtW[o:e] = np.matmul(L.T, np.ascontiguousarray(W[:, o:e].T)[:, :, None])[:, :, 0]
@@ -435,9 +420,9 @@ def lnq_quantize(
     for _ in range(T):
         solve_codebooks()
         record()
-        cd_cycle(H, W, C, A, K, sizes=sizes, stats=stats)
+        cd_cycle(hset, W, C, A, K, stats=stats)
         record()
     solve_codebooks()
     record()
 
-    return QuantizedLayer(layer_idx, bits, C, A, np.array(traces).T.tolist())
+    return QuantizedLayer(hset.layer_idx, bits, C, A, np.array(traces).T.tolist())

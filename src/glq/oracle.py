@@ -3,7 +3,9 @@
 Everything here trades speed for independence: no code is shared with
 the fast paths being checked, caps keep runtimes sane, and outputs are
 deterministic (enumeration order is fixed, ties resolve to the first
-candidate in that order).
+candidate in that order). ``naive_cd_cycle`` takes a layer's
+``hessian.HessianSet``, the input ``lnq.cd_cycle`` takes, so either can
+run inside ``lnq_quantize``: the two share that input format, not code.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .calib_model import Dataset, LayerCalibration, MlpModel, calibrate, end_loss, weight_gradients
 from .errors import DimensionMismatch, InvalidSize, PartitionMismatch, TooLarge, ZeroDiagonal
-from .hessian import _check_calib
+from .hessian import HessianSet, _check_calib
 from .linalg import Matrix, ensure_matrix, ensure_vector
 
 EXHAUSTIVE_CAP = 1_000_000
@@ -117,30 +119,24 @@ def cd_step_naive(H: Matrix, w: np.ndarray, values: np.ndarray, idx: np.ndarray,
 
 
 def naive_cd_cycle(
-    H, W: np.ndarray, C: np.ndarray, A: np.ndarray, cycles: int,
-    sizes=None, stats: dict | None = None,
+    hset: HessianSet, W: np.ndarray, C: np.ndarray, A: np.ndarray, cycles: int,
+    stats: dict | None = None,
 ) -> None:
-    """Reference for lnq.cd_cycle: same arguments (a layer's d x c W and
-    A, c x m C, consecutive group `sizes` with one Hessian per group, or
-    one 2-D H for one group), same in-place update of A, every
-    coordinate decided by naive_candidate_objectives. The groups are
-    independent, so they run one after another. No rounding margins are
-    recorded; `stats` is accepted so the two are interchangeable inside
-    lnq_quantize."""
-    if isinstance(H, np.ndarray) and H.ndim == 2:
-        H = [H]
+    """Reference for lnq.cd_cycle: same arguments (a layer's Hessian set,
+    its d x c W and A and c x m C), same in-place update of A, every
+    coordinate decided by naive_candidate_objectives. The groups of the
+    set's partition are independent, so they run one after another. No
+    rounding margins are recorded; `stats` is accepted so the two are
+    interchangeable inside lnq_quantize."""
     c = W.shape[1]
-    sizes = [c] if sizes is None else list(sizes)
-    if len(H) != len(sizes) or sum(sizes) != c:
-        raise DimensionMismatch(f"{len(H)} Hessians and group sizes {sizes} for {c} channels")
-    first = 0
-    for Hk, size in zip(H, sizes):
+    if hset.partition.d_out != c:
+        raise DimensionMismatch(f"group sizes {hset.partition.sizes} for {c} channels")
+    for Hk, (o, e) in zip(hset.hessians, hset.partition.bounds):
         for _ in range(cycles):
             for i in range(W.shape[0]):
-                for j in range(first, first + size):
+                for j in range(o, e):
                     objs = naive_candidate_objectives(Hk, W[:, j], C[j], A[:, j], i)
                     A[i, j] = int(objs.argmin())
-        first += size
 
 
 def fisher_block_oracle(calib: LayerCalibration, j: int, n: int) -> Matrix:

@@ -238,8 +238,8 @@ def lloyd(
     the smaller value) and then moves each center to the weighted mean
     of its points; a center whose points carry zero total weight stays
     put. Centers are re-sorted after every update. The returned
-    assignment is the nearest-center rule under the final codebook, so
-    iters=0 just assigns against the input codebook. When `trace` is
+    assignment is the nearest-center rule under the final codebook.
+    `iters` below 1 raises InvalidSize. When `trace` is
     given, each channel's weighted SSE after every half-step (2 * iters
     + 1 values, never increasing) is appended to it, channel after
     channel.
@@ -258,8 +258,8 @@ def lloyd(
     Each cluster sum adds its points in index order starting from 0.0
     (``np.bincount``), and each SSE is its row's ``.sum()``.
     """
-    if iters < 0:
-        raise InvalidSize(f"iters must be >= 0, got {iters}")
+    if iters < 1:
+        raise InvalidSize(f"iters must be >= 1, got {iters}")
     X, Wt = _check_points(X, Wt)
     centers = np.array(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] != X.shape[0]:
@@ -269,27 +269,6 @@ def lloyd(
     A = np.empty(X.shape, dtype=np.int64)
     sse = None if trace is None else np.empty((r, 2 * iters + 1))
     dist = np.empty((min(width, r), n, centers.shape[1]))  # one buffer: fewer large heap blocks
-    if iters:
-        _lloyd_pool(X, Wt, centers, A, iters, dist, sse)
-    else:
-        for s in range(0, r, width):
-            A[s:s + width] = round_rows(X[s:s + width], centers[s:s + width, None, :],
-                                        out=dist[:min(width, r - s)])
-            if sse is not None:
-                sse[s:s + width, 0] = _weighted_sse(X[s:s + width], Wt[s:s + width],
-                                                    centers[s:s + width], A[s:s + width])
-    if trace is not None:
-        trace.extend(sse.ravel().tolist())
-    return centers, A
-
-
-def _lloyd_pool(X: np.ndarray, Wt: np.ndarray, centers: np.ndarray, A: np.ndarray,
-                iters: int, dist: np.ndarray, sse: np.ndarray | None) -> None:
-    """Lloyd (iters >= 1) over a refilled pool of dist.shape[0] channels:
-    updates the r x m `centers` in place, writes the final assignments
-    into `A` and, when `sse` is given, every channel's SSE trace into
-    its row."""
-    r = X.shape[0]
     nxt = dist.shape[0]  # the next channel to start
     live = np.arange(nxt)  # the pool's channels, at iteration `it` each
     it = np.zeros(nxt, dtype=np.int64)
@@ -329,6 +308,9 @@ def _lloyd_pool(X: np.ndarray, Wt: np.ndarray, centers: np.ndarray, A: np.ndarra
         w = np.concatenate([w[keep], Wt[enter]])
         wx = np.concatenate([wx[keep], Wt[enter] * X[enter]])
         c = np.concatenate([new[keep], centers[enter]])
+    if trace is not None:
+        trace.extend(sse.ravel().tolist())
+    return centers, A
 
 
 def check_codebooks(C: np.ndarray) -> None:

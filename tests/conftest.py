@@ -7,6 +7,7 @@ from glq import hessian
 
 from glq.calib_model import calibrate
 from glq.calib_model import toy_problem as build_toy_problem
+from glq.hessian import ChannelPartition, HessianSet
 from glq.scalar_quant import round_rows
 
 _toy_cache = {}
@@ -38,6 +39,16 @@ def random_spd(rng: np.random.Generator, d: int, damp: float = 1e-6) -> np.ndarr
     H = X.T @ X
     H = 0.5 * (H + H.T)
     return H + damp * float(np.mean(np.diag(H))) * np.eye(d)
+
+
+def hset_of(H, sizes, layer_idx: int = 0) -> HessianSet:
+    """Layer `layer_idx`'s HessianSet of the Hessians `H` (one 2-D
+    matrix: a set of one group) over consecutive groups of `sizes`
+    channels (an int: one group of that many), the set the solvers
+    take."""
+    H = [H] if isinstance(H, np.ndarray) and H.ndim == 2 else list(H)
+    sizes = (sizes,) if isinstance(sizes, int) else tuple(sizes)
+    return HessianSet(layer_idx, ChannelPartition(sizes), H)
 
 
 def uniform_init(W: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

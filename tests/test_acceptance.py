@@ -37,7 +37,7 @@ from glq.oracle import (
 from glq.scalar_quant import kmeans_pp_init, lloyd
 from glq.tensorio import file_sha256
 
-from conftest import random_lnq_instance, uniform_init
+from conftest import hset_of, random_lnq_instance, uniform_init
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -66,7 +66,7 @@ def test_criterion_02_objective_trace_never_increases():
         d = int(rng.integers(2, 33))
         bits = int(rng.integers(2, 4))
         H, w, init = random_lnq_instance(rng, d, bits)
-        out = lnq_quantize(H, w.reshape(-1, 1), bits, 3, 4, init)
+        out = lnq_quantize(hset_of(H, 1), w.reshape(-1, 1), bits, 3, 4, init)
         tr = out.traces[0]
         for a, b in zip(tr, tr[1:]):
             assert b <= a + 1e-12 * (1.0 + abs(a)), f"trace rose: {a} -> {b}"
@@ -95,7 +95,7 @@ def test_criterion_03_cd_engines_agree_on_tie_free_instances(monkeypatch):
         for name, engine in engines:
             stats: dict = {}
             monkeypatch.setattr(lnq, "cd_cycle", engine)
-            out = lnq_quantize(H, w.reshape(-1, 1), bits, 2, 2, init, stats=stats)
+            out = lnq_quantize(hset_of(H, 1), w.reshape(-1, 1), bits, 2, 2, init, stats=stats)
             monkeypatch.undo()
             if stats.get("min_margin", np.inf) < 1e-6:
                 tie_free = False
@@ -119,7 +119,7 @@ def test_criterion_04_final_objective_bracketed_by_oracle_and_init():
     for d in range(4, 9):
         for _ in range(6):
             H, w, init = random_lnq_instance(rng, d, bits=1)
-            out = lnq_quantize(H, w.reshape(-1, 1), 1, 2, 4, init)
+            out = lnq_quantize(hset_of(H, 1), w.reshape(-1, 1), 1, 2, 4, init)
             res = exhaustive_lnq(H, w, 2)
             assert res.n_enumerated == 2 ** d
             tr = out.traces[0]
@@ -216,7 +216,7 @@ def test_criterion_09_gradient_scaling_leaves_decisions_unchanged():
             tie_free = True
             for hset in hsets:
                 stats: dict = {}
-                outs.append(lnq_quantize(hset.hessians[k], W[:, group],
+                outs.append(lnq_quantize(hset_of(hset.hessians[k], len(group)), W[:, group],
                                          2, 2, 2, init, stats=stats))
                 if stats.get("min_margin", np.inf) < 1e-6:
                     tie_free = False

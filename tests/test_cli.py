@@ -123,6 +123,11 @@ class TestGenData:
         assert np.array_equal(data.targets.sum(axis=1), np.ones(12))
 
 
+# what `glq train` adds to a DivergedLoss at the default --lr
+_DIVERGED = ("training diverged at --lr 0.002 on n={n} samples. The loss is summed over the "
+             "samples, not averaged, so the step grows with n: try a smaller --lr")
+
+
 class TestTrainCalibrateHessian:
     def test_train_reduces_loss(self, pipeline, capsys):
         data, model = pipeline
@@ -148,7 +153,21 @@ class TestTrainCalibrateHessian:
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert proc.returncode == 2
-        assert proc.stderr == "error: non-finite loss at step 94\n"
+        assert proc.stderr == ("error: non-finite loss at step 94: " + _DIVERGED.format(n=512)
+                               + "\n")
+
+    def test_diverging_train_names_lr_and_n(self, tmp_path, capsys):
+        # 256 squared-error samples diverge at the default lr, as the loss
+        # is their sum; a tenth of it trains
+        data, out = tmp_path / "data", tmp_path / "model"
+        assert main(["gen-data", "--seed", "0", "--n", "256", "--task", "squared_error",
+                     "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: non-finite loss at step 236: "
+                                           + _DIVERGED.format(n=256) + "\n")
+        assert not out.exists()
+        assert main(["train", "--data", str(data), "--lr", "2e-4", "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("lr, shown", [("-1", "-1.0"), ("nan", "nan")])
     def test_train_refuses_bad_lr(self, pipeline, tmp_path, capsys, lr, shown):
@@ -474,6 +493,25 @@ class TestHessianCacheFlag:
             "error: layer 0 group 0: cannot factor the damped Hessian: 1 of 6 input features "
             "have zero curvature and no damping lifts them (first: feature 3)\n")
         assert not cache.exists() or not any(cache.iterdir())
+
+    def test_overflowing_grad_scale_is_refused_and_not_written(self, pipeline, tmp_path,
+                                                               capsys):
+        # (1e300 * gradZ)**2 overflows, so every group's Hessian has
+        # non-finite entries: the set is refused as it is made, before
+        # anything is stored, and quantize refuses it the same way
+        data, model = pipeline
+        cache = tmp_path / "hc"
+        error = "error: layer 0 group 0: cannot factor the damped Hessian: non-finite entries"
+        capsys.readouterr()
+        assert main(["hessian", "--model", str(model), "--data", str(data), "--g", "2",
+                     "--grad-scale", "1e300", "--out", str(cache)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == error
+        assert not cache.exists()
+        assert main(["quantize", "--model", str(model), "--data", str(data), "--g", "2",
+                     "--grad-scale", "1e300", "--hessian-cache", str(cache),
+                     "--out", str(tmp_path / "q")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == error
+        assert not cache.exists() and not (tmp_path / "q").exists()
 
 
 class TestQuantizeAndEval:

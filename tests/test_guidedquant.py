@@ -41,7 +41,7 @@ from glq.lnq import lnq_quantize
 from glq.oracle import full_fisher_quadratic
 from glq.scalar_quant import QuantizedLayer, squeezellm_quantize
 
-from conftest import live_sets_at_each_build, live_sets_at_rows, toy
+from conftest import hset_of, live_sets_at_each_build, live_sets_at_rows, toy
 
 
 class TestQuantJob:
@@ -502,8 +502,8 @@ def _run_job_one_group_at_a_time(model, data, job):
                                    layer_idx=l)
         groups = []
         for H, (o, e) in zip(hset.hessians, hset.partition.bounds):
-            groups.append(lnq_quantize(H, W[:, o:e], job.bits, job.T, job.K,
-                                       (init.C[o:e], init.A[:, o:e]), layer_idx=l))
+            groups.append(lnq_quantize(hset_of(H, e - o, layer_idx=l), W[:, o:e], job.bits,
+                                       job.T, job.K, (init.C[o:e], init.A[:, o:e])))
         qlayers.append(QuantizedLayer(l, job.bits, np.concatenate([q.C for q in groups]),
                                       np.concatenate([q.A for q in groups], axis=1),
                                       [tr for q in groups for tr in q.traces]))
@@ -539,14 +539,14 @@ class TestStackedGroups:
 
     def test_one_cd_call_per_layer_per_phase(self, ragged_problem, monkeypatch):
         # every layer, ragged ones included, runs one cd_cycle call per CD
-        # phase over its d x c arrays and its group sizes
+        # phase over its d x c arrays and its Hessian set's group sizes
         model, data = ragged_problem
         calls = []
         real = lnq.cd_cycle
 
-        def counting(H, W, C, A, cycles, sizes=None, **kw):
-            calls.append((W.shape, A.shape, C.shape, tuple(sizes), len(H)))
-            return real(H, W, C, A, cycles, sizes=sizes, **kw)
+        def counting(hset, W, C, A, cycles, **kw):
+            calls.append((W.shape, A.shape, C.shape, hset.partition.sizes, len(hset.hessians)))
+            return real(hset, W, C, A, cycles, **kw)
 
         monkeypatch.setattr(lnq, "cd_cycle", counting)
         run_job(model, data, QuantJob(method="lnq_guided", bits=2, g=4, T=2))

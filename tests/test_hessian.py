@@ -12,6 +12,7 @@ from glq.calib_model import Dataset, LayerCalibration, calibrate, gen_dataset
 from glq.errors import (
     ConfigError,
     CorruptFile,
+    DimensionMismatch,
     EmptyCalibration,
     GlqError,
     InvalidSize,
@@ -25,6 +26,7 @@ from glq.hessian import (
     DEFAULT_GRAD_SCALE,
     ChannelPartition,
     HessianCache,
+    HessianSet,
     dataset_hash,
     fisher_diag,
     guided_hessians,
@@ -71,6 +73,53 @@ class TestPartition:
         for sizes in ((2, 0), (), (2, -1), (1.0, 2)):
             with pytest.raises(PartitionMismatch):
                 ChannelPartition(sizes)
+
+
+class TestSetChecks:
+    """A HessianSet checks its matrices once, when it is made; each
+    refusal names the layer and the group."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_is_refused(self, bad):
+        H = [np.eye(3), np.eye(3)]
+        H[1][2, 0] = bad
+        with pytest.raises(SingularHessian, match=r"^layer 4 group 1: cannot factor the "
+                                                  r"damped Hessian: non-finite entries$"):
+            HessianSet(4, ChannelPartition((2, 3)), H)
+
+    @pytest.mark.parametrize("H,shape", [(np.ones((3, 4)), "(3, 4)"), (np.ones(3), "(3,)"),
+                                         (np.ones((1, 3, 3)), "(1, 3, 3)")])
+    def test_non_square_matrix_is_refused(self, H, shape):
+        with pytest.raises(DimensionMismatch, match=f"^layer 2 group 1: Hessian is "
+                                                    f"{re.escape(shape)}, not d x d$"):
+            HessianSet(2, ChannelPartition((1, 1)), [np.eye(3), H])
+
+    def test_matrices_of_two_sizes_are_refused(self):
+        with pytest.raises(DimensionMismatch, match=r"^layer 1 group 2: Hessian is \(4, 4\), "
+                                                    r"group 0's is \(3, 3\)$"):
+            HessianSet(1, ChannelPartition((1, 1, 1)), [np.eye(3), np.eye(3), np.eye(4)])
+
+    def test_matrices_are_held_as_float64_rows(self):
+        # a float64 C-contiguous matrix is kept as it is, any other is
+        # converted once, so the solvers read the set as it is
+        H = np.eye(3)
+        hset = HessianSet(0, ChannelPartition((1, 1)), [H, np.asfortranarray(np.eye(3, k=1) + 2)])
+        assert hset.hessians[0] is H
+        assert all(M.dtype == np.float64 and M.flags.c_contiguous for M in hset.hessians)
+        ints = HessianSet(0, ChannelPartition((2,)), [np.eye(3, dtype=np.int64)]).hessians[0]
+        assert ints.dtype == np.float64 and np.array_equal(ints, np.eye(3))
+
+    def test_cache_entry_with_a_non_finite_matrix_is_refused(self, tmp_path):
+        # an entry written before sets were checked, its hashes intact
+        from glq.tensorio import write_manifest, write_tensor
+
+        cache = HessianCache(tmp_path)
+        entry = cache.store(_REQUEST, guided_hessians(_calib(11, 12, 3, 5), _PART))
+        names = [f"hess.L0.G{k}.gqt" for k in range(2)]
+        write_tensor(entry / names[1], np.full((3, 3), np.nan))
+        write_manifest(entry, {"request": _REQUEST}, names)
+        with pytest.raises(SingularHessian, match=r"^layer 0 group 1: .*non-finite entries$"):
+            cache.load(_REQUEST, _PART)
 
 
 class TestPlainHessian:

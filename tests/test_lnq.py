@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glq import lnq
-from glq.errors import DimensionMismatch, InvalidSize, SingularHessian, ZeroDiagonal
+from glq.errors import (
+    DimensionMismatch,
+    InvalidSize,
+    PartitionMismatch,
+    SingularHessian,
+    ZeroDiagonal,
+)
 from glq.linalg import cholesky, least_squares
 from glq.lnq import cd_cycle, codebook_closed_form, lnq_quantize
 from glq.oracle import (
@@ -19,7 +25,7 @@ from glq.oracle import (
 )
 from glq.scalar_quant import round_rows
 
-from conftest import random_lnq_instance, random_spd, uniform_init
+from conftest import hset_of, random_lnq_instance, random_spd, uniform_init
 
 
 def _copy(init):
@@ -175,11 +181,11 @@ class TestCdSteps:
             W = w.reshape(-1, 1)
             A = A0.copy()
             stats: dict = {}
-            cd_cycle(H, W, C, A, 1, stats=stats)
+            cd_cycle(hset_of(H, 1), W, C, A, 1, stats=stats)
             if stats.get("min_margin", np.inf) < 1e-9:
                 continue
             ref = A0.copy()
-            naive_cd_cycle(H, W, C, ref, 1)
+            naive_cd_cycle(hset_of(H, 1), W, C, ref, 1)
             checked += 1
             npt.assert_array_equal(A, ref)
 
@@ -191,7 +197,7 @@ class TestCdSteps:
         with pytest.raises(ZeroDiagonal):
             cd_step_naive(H, w, C[0], A[:, 0], 1)
         with pytest.raises(ZeroDiagonal):
-            cd_cycle(H, w.reshape(-1, 1), C, A, 1)
+            cd_cycle(hset_of(H, 1), w.reshape(-1, 1), C, A, 1)
 
 
 class TestCycleEngines:
@@ -209,11 +215,11 @@ class TestCycleEngines:
             H, W, C, A = self._block(rng, d, c, bits=2)
             A_cd = A.copy()
             stats: dict = {}
-            cd_cycle(H, W, C, A_cd, 2, stats=stats)
+            cd_cycle(hset_of(H, c), W, C, A_cd, 2, stats=stats)
             if stats.get("min_margin", np.inf) < 1e-6:
                 continue
             A_ref = A.copy()
-            naive_cd_cycle(H, W, C, A_ref, 2)
+            naive_cd_cycle(hset_of(H, c), W, C, A_ref, 2)
             npt.assert_array_equal(A_cd, A_ref)
             matched += 1
 
@@ -227,7 +233,7 @@ class TestCycleEngines:
             runs = []
             for b in (1, d, d + 7):
                 A_b = A.copy()
-                cd_cycle(H, W, C, A_b, 3, b=b)
+                cd_cycle(hset_of(H, c), W, C, A_b, 3, b=b)
                 runs.append(A_b)
             npt.assert_array_equal(runs[0], runs[1])
             npt.assert_array_equal(runs[1], runs[2])
@@ -240,12 +246,12 @@ class TestCycleEngines:
             H, W, C, A = self._block(rng, d, 2, bits=2)
             stats: dict = {}
             A_full = A.copy()
-            cd_cycle(H, W, C, A_full, 2, b=d, stats=stats)
+            cd_cycle(hset_of(H, 2), W, C, A_full, 2, b=d, stats=stats)
             if stats.get("min_margin", np.inf) < 1e-6:
                 continue
             for b in (2, 3, 4):
                 A_b = A.copy()
-                cd_cycle(H, W, C, A_b, 2, b=b)
+                cd_cycle(hset_of(H, 2), W, C, A_b, 2, b=b)
                 npt.assert_array_equal(A_full, A_b)
             matched += 1
 
@@ -253,7 +259,7 @@ class TestCycleEngines:
         rng = np.random.default_rng(20)
         H, W, C, A = self._block(rng, 4, 1, bits=1)
         with pytest.raises(InvalidSize):
-            cd_cycle(H, W, C, A, 1, b=0)
+            cd_cycle(hset_of(H, 1), W, C, A, 1, b=0)
 
     def test_diagonal_hessian_single_cycle_is_rtn(self):
         rng = np.random.default_rng(11)
@@ -261,7 +267,7 @@ class TestCycleEngines:
         H = np.diag(rng.uniform(0.5, 3.0, d))
         W = rng.standard_normal((d, 1))
         C, A = uniform_init(W, 4)
-        cd_cycle(H, W, C, A, 1)
+        cd_cycle(hset_of(H, 1), W, C, A, 1)
         npt.assert_array_equal(A[:, 0], round_rows(W[:, 0], np.repeat(C, d, axis=0)))
 
 
@@ -273,7 +279,7 @@ class TestLnqQuantize:
             bits = int(rng.integers(1, 4))
             H, w, init = random_lnq_instance(rng, d, bits)
             T, K = int(rng.integers(1, 4)), int(rng.integers(1, 5))
-            out = lnq_quantize(H, w.reshape(-1, 1), bits, T, K, init)
+            out = lnq_quantize(hset_of(H, 1), w.reshape(-1, 1), bits, T, K, init)
             tr = out.traces[0]
             assert len(tr) == 2 * T + 2
             for a, b in zip(tr, tr[1:]):
@@ -282,7 +288,7 @@ class TestLnqQuantize:
     def test_final_state_consistent(self):
         rng = np.random.default_rng(13)
         H, w, init = random_lnq_instance(rng, 8, bits=2)
-        out = lnq_quantize(H, w.reshape(-1, 1), 2, 2, 4, init)
+        out = lnq_quantize(hset_of(H, 1), w.reshape(-1, 1), 2, 2, 4, init)
         values, idx, w_hat = out.C[0], out.A[:, 0], out.W_hat[:, 0]
         npt.assert_array_equal(w_hat, values[idx])
         assert np.all(np.diff(values) >= 0)
@@ -295,7 +301,7 @@ class TestLnqQuantize:
         w = values[rng.integers(0, 2, size=6)]
         H = random_spd(rng, 6)
         init = (values[None, :], (w > 0).astype(np.int64)[:, None])
-        out = lnq_quantize(H, w.reshape(-1, 1), 1, 1, 1, init)
+        out = lnq_quantize(hset_of(H, 1), w.reshape(-1, 1), 1, 1, 1, init)
         assert out.traces[0][-1] == pytest.approx(0.0, abs=1e-18)
         npt.assert_allclose(out.W_hat[:, 0], w, atol=1e-12)
 
@@ -308,14 +314,14 @@ class TestLnqQuantize:
             cfg = (bits, 2, 3)
             H, w, init = random_lnq_instance(rng, d, bits)
             stats: dict = {}
-            base = lnq_quantize(H, w.reshape(-1, 1), *cfg, _copy(init), stats=stats)
+            base = lnq_quantize(hset_of(H, 1), w.reshape(-1, 1), *cfg, _copy(init), stats=stats)
             if stats.get("min_margin", np.inf) < 1e-6:
                 continue
             found += 1
             for engine in (naive_cd_cycle, *(functools.partial(cd_cycle, b=b)
                                              for b in (1, 4, 64))):
                 monkeypatch.setattr(lnq, "cd_cycle", engine)
-                out = lnq_quantize(H, w.reshape(-1, 1), *cfg, _copy(init))
+                out = lnq_quantize(hset_of(H, 1), w.reshape(-1, 1), *cfg, _copy(init))
                 monkeypatch.undo()
                 npt.assert_array_equal(out.A, base.A)
                 npt.assert_array_equal(out.C, base.C)
@@ -324,7 +330,7 @@ class TestLnqQuantize:
         rng = np.random.default_rng(16)
         for d in (4, 5, 6):
             H, w, init = random_lnq_instance(rng, d, bits=2)
-            out = lnq_quantize(H, w.reshape(-1, 1), 2, 2, 4, init)
+            out = lnq_quantize(hset_of(H, 1), w.reshape(-1, 1), 2, 2, 4, init)
             tr = out.traces[0]
             best = exhaustive_lnq(H, w, 4).objective
             slack = 1e-9 * (1.0 + best)
@@ -335,8 +341,8 @@ class TestLnqQuantize:
         rng = np.random.default_rng(17)
         for scale in (4.0, 0.25):
             H, w, init = random_lnq_instance(rng, 10, bits=2)
-            a = lnq_quantize(H, w.reshape(-1, 1), 2, 2, 2, _copy(init))
-            b = lnq_quantize(scale * H, w.reshape(-1, 1), 2, 2, 2, init)
+            a = lnq_quantize(hset_of(H, 1), w.reshape(-1, 1), 2, 2, 2, _copy(init))
+            b = lnq_quantize(hset_of(scale * H, 1), w.reshape(-1, 1), 2, 2, 2, init)
             npt.assert_array_equal(a.A, b.A)
             npt.assert_array_equal(a.C, b.C)
 
@@ -351,12 +357,12 @@ class TestLnqQuantize:
             W = rng.standard_normal((d, c))
             C, A = uniform_init(W, 4)
             stats: dict = {}
-            block = lnq_quantize(H, W, 2, 2, 2, (C.copy(), A.copy()), stats=stats)
+            block = lnq_quantize(hset_of(H, c), W, 2, 2, 2, (C.copy(), A.copy()), stats=stats)
             if stats.get("min_margin", np.inf) < 1e-6:
                 continue
             matched += 1
             for j in range(c):
-                solo = lnq_quantize(H, W[:, j].reshape(-1, 1), 2, 2, 2,
+                solo = lnq_quantize(hset_of(H, 1), W[:, j].reshape(-1, 1), 2, 2, 2,
                                     (C[j:j + 1].copy(), A[:, j:j + 1].copy()))
                 npt.assert_array_equal(block.A[:, j], solo.A[:, 0])
                 npt.assert_allclose(block.C[j], solo.C[0], rtol=1e-9, atol=1e-12)
@@ -365,21 +371,22 @@ class TestLnqQuantize:
         rng = np.random.default_rng(19)
         H, w, (C, A) = random_lnq_instance(rng, 4, bits=1)
         with pytest.raises(DimensionMismatch):  # an init for two channels
-            lnq_quantize(H, w.reshape(-1, 1), 1, 2, 4, (np.vstack([C, C]), np.hstack([A, A])))
+            lnq_quantize(hset_of(H, 1), w.reshape(-1, 1), 1, 2, 4,
+                         (np.vstack([C, C]), np.hstack([A, A])))
         with pytest.raises(DimensionMismatch):
-            lnq_quantize(np.eye(3), w.reshape(-1, 1), 1, 2, 4, (C, A))
+            lnq_quantize(hset_of(np.eye(3), 1), w.reshape(-1, 1), 1, 2, 4, (C, A))
         H, W, C, A = _groups(rng, (2, 2), 5, 4)  # a layer of two groups
+        with pytest.raises(PartitionMismatch):  # one Hessian for two groups: no set
+            hset_of(H[:1], (2, 2))
         with pytest.raises(DimensionMismatch):
-            cd_cycle(H[:1], W, C, A, 1, sizes=(2, 2))
-        with pytest.raises(DimensionMismatch):
-            lnq_quantize(H[:1], W, 2, 2, 4, (C, A), sizes=(2, 2))
-        with pytest.raises(DimensionMismatch):
-            lnq_quantize(H, W, 2, 2, 4, (C[:, :1], A), sizes=(2, 2))
-        for sizes in ((2, 1), (2, 3), (4, 0)):  # sizes that do not split the 4 channels
+            lnq_quantize(hset_of(H, (2, 2)), W, 2, 2, 4, (C[:, :1], A))
+        for sizes in ((2, 1), (2, 3)):  # sizes that do not split the 4 channels
             with pytest.raises(DimensionMismatch, match="do not split 4 channels"):
-                lnq_quantize(H, W, 2, 2, 4, (C, A), sizes=sizes)
+                lnq_quantize(hset_of(H, sizes), W, 2, 2, 4, (C, A))
             with pytest.raises(DimensionMismatch, match="do not split 4 channels"):
-                cd_cycle(H, W, C, A, 1, sizes=sizes)
+                cd_cycle(hset_of(H, sizes), W, C, A, 1)
+        with pytest.raises(PartitionMismatch):  # an empty group: no partition
+            hset_of(H, (4, 0))
 
     def test_init_is_taken_over_and_solved_in_place(self):
         # a writeable float64 / int64 C-contiguous pair (squeezellm_init's)
@@ -390,8 +397,8 @@ class TestLnqQuantize:
         H = [random_spd(rng, 9) for _ in range(2)]
         W = rng.standard_normal((9, 5))
         C, A = uniform_init(W, 4)
-        want = lnq_quantize(H, W, 2, 2, 2, _copy((C, A)), sizes=(3, 2))
-        got = lnq_quantize(H, W, 2, 2, 2, (C, A), sizes=(3, 2))
+        want = lnq_quantize(hset_of(H, (3, 2)), W, 2, 2, 2, _copy((C, A)))
+        got = lnq_quantize(hset_of(H, (3, 2)), W, 2, 2, 2, (C, A))
         assert got.C is C and got.A is A
         assert C.tobytes() == want.C.tobytes() and A.tobytes() == want.A.tobytes()
         C, A = uniform_init(W, 4)
@@ -400,7 +407,7 @@ class TestLnqQuantize:
         for M in read_only:
             M.flags.writeable = False
         for init in ((Cf, A32), read_only):
-            got = lnq_quantize(H, W, 2, 2, 2, init, sizes=(3, 2))
+            got = lnq_quantize(hset_of(H, (3, 2)), W, 2, 2, 2, init)
             assert got.C is not init[0] and got.A is not init[1]
             npt.assert_array_equal(init[0], C)
             npt.assert_array_equal(init[1], A)
@@ -423,7 +430,7 @@ class TestLnqQuantize:
 
         monkeypatch.setattr(lnq, "codebook_closed_form", spy)
         monkeypatch.setattr(lnq, "CODEBOOK_BYTES", 8 * (9 * 9 + 2 * 4 * 9))  # one group a chunk
-        lnq_quantize(H, W, 2, 1, 1, (C, A), sizes=(2, 2, 2))
+        lnq_quantize(hset_of(H, (2, 2, 2)), W, 2, 1, 1, (C, A))
         assert seen[:3] == [(True, True)] * 3
 
     def test_config_validation(self):
@@ -436,7 +443,7 @@ class TestLnqQuantize:
                                  (2, 0, 4, "T must be >= 1, got 0"),
                                  (2, 2, 0, "K must be >= 1, got 0")):
             with pytest.raises(InvalidSize, match=f"^{re.escape(text)}$"):
-                lnq_quantize(H, w.reshape(-1, 1), bits, T, K, init)
+                lnq_quantize(hset_of(H, 1), w.reshape(-1, 1), bits, T, K, init)
 
 
 @settings(max_examples=25, deadline=None)
@@ -445,7 +452,7 @@ class TestLnqQuantize:
 def test_descent_property(seed, d, bits, T, K):
     rng = np.random.default_rng(seed)
     H, w, init = random_lnq_instance(rng, d, bits)
-    out = lnq_quantize(H, w.reshape(-1, 1), bits, T, K, init)
+    out = lnq_quantize(hset_of(H, 1), w.reshape(-1, 1), bits, T, K, init)
     tr = out.traces[0]
     for a, b in zip(tr, tr[1:]):
         assert b <= a + 1e-12 * (1.0 + abs(a))
@@ -579,7 +586,7 @@ def test_codebook_phase_checks_the_stack(monkeypatch, bad, message):
     H, W, C, A = _groups(rng, (2, 2), 5, 4)
     monkeypatch.setattr(lnq, "codebook_closed_form", corrupt)
     with pytest.raises(ValueError, match=f"codebook values must be {message}"):
-        lnq_quantize(H, W, 2, 2, 4, (C, A), sizes=(2, 2))
+        lnq_quantize(hset_of(H, (2, 2)), W, 2, 2, 4, (C, A))
 
 
 def _groups(rng, sizes, d, m):
@@ -610,10 +617,10 @@ def test_stacked_cd_cycle_equals_one_call_per_group(seed, sizes, d, m, cycles):
     rng = np.random.default_rng(seed)
     H, W, C, A = _groups(rng, sizes, d, m)
     layer = A.copy()
-    cd_cycle(H, W, C, layer, cycles, sizes=sizes)
+    cd_cycle(hset_of(H, sizes), W, C, layer, cycles)
     for k, cols in enumerate(_columns(sizes)):
         alone = A[:, cols].copy()
-        cd_cycle(H[k], W[:, cols].copy(), C[cols], alone, cycles)
+        cd_cycle(hset_of(H[k], sizes[k]), W[:, cols].copy(), C[cols], alone, cycles)
         npt.assert_array_equal(layer[:, cols], alone)
         before = A[:, cols].copy()
         _cd_cycle_one_group(H[k], W[:, cols].copy(), C[cols], before, cycles)
@@ -632,7 +639,7 @@ def test_chunked_cd_equals_one_pass(monkeypatch, sizes, d, groups_per_chunk):
     H, W, C, A = _groups(rng, sizes, d, 4)
     one_pass = A.copy()
     stats_one: dict = {}
-    cd_cycle(H, W, C, one_pass, 2, sizes=sizes, stats=stats_one)
+    cd_cycle(hset_of(H, sizes), W, C, one_pass, 2, stats=stats_one)
     b = min(lnq.CD_BATCH, d)
     monkeypatch.setattr(lnq, "CD_BLOCK_BYTES", groups_per_chunk * 8 * b * b)
     chunks = []
@@ -640,7 +647,7 @@ def test_chunked_cd_equals_one_pass(monkeypatch, sizes, d, groups_per_chunk):
     monkeypatch.setattr(lnq, "_cd_chunk", lambda H, *a: chunks.append(len(H)) or real(H, *a))
     chunked = A.copy()
     stats_chunked: dict = {}
-    cd_cycle(H, W, C, chunked, 2, sizes=sizes, stats=stats_chunked)
+    cd_cycle(hset_of(H, sizes), W, C, chunked, 2, stats=stats_chunked)
     assert chunks == [min(groups_per_chunk, len(sizes) - k)
                       for k in range(0, len(sizes), groups_per_chunk)]
     npt.assert_array_equal(chunked, one_pass)
@@ -677,10 +684,10 @@ def test_stacked_lnq_equals_one_run_per_group(sizes):
         H = [random_spd(rng, d) for _ in sizes]
         W = [rng.standard_normal((d, c)) for c in sizes]
         inits = [uniform_init(Wk, 4) for Wk in W]
-        alone = [lnq_quantize(Hk, Wk, 2, 2, 2, _copy(ik)) for Hk, Wk, ik in zip(H, W, inits)]
-        layer = lnq_quantize(H, np.hstack(W), 2, 2, 2,
-                             (np.vstack([C for C, _ in inits]), np.hstack([A for _, A in inits])),
-                             sizes=sizes)
+        alone = [lnq_quantize(hset_of(Hk, Wk.shape[1]), Wk, 2, 2, 2, _copy(ik))
+                 for Hk, Wk, ik in zip(H, W, inits)]
+        layer = lnq_quantize(hset_of(H, sizes), np.hstack(W), 2, 2, 2,
+                             (np.vstack([C for C, _ in inits]), np.hstack([A for _, A in inits])))
         want = np.concatenate([q.C for q in alone])
         assert layer.C.shape == want.shape and layer.C.tobytes() == want.tobytes()
         npt.assert_array_equal(layer.A, np.concatenate([q.A for q in alone], axis=1))
@@ -693,10 +700,10 @@ def test_naive_cd_cycle_takes_a_stack():
     sizes = (2, 2, 1)
     H, W, C, A = _groups(rng, sizes, 6, 4)
     layer = A.copy()
-    naive_cd_cycle(H, W, C, layer, 2, sizes=sizes)
+    naive_cd_cycle(hset_of(H, sizes), W, C, layer, 2)
     for k, cols in enumerate(_columns(sizes)):
         alone = A[:, cols].copy()
-        naive_cd_cycle(H[k], W[:, cols], C[cols], alone, 2)
+        naive_cd_cycle(hset_of(H[k], sizes[k]), W[:, cols], C[cols], alone, 2)
         npt.assert_array_equal(layer[:, cols], alone)
 
 
@@ -736,7 +743,7 @@ def _lnq_by_groups(H, W, sizes, bits, T, K, init, cd=cd_cycle):
         record()
         for Hk, s in zip(H, groups):
             a = A[:, s].copy()
-            cd(Hk, W[:, s].copy(), C[s].copy(), a, K)
+            cd(hset_of(Hk, a.shape[1]), W[:, s].copy(), C[s].copy(), a, K)
             A[:, s] = a
         record()
     solve()
@@ -783,7 +790,7 @@ def test_codebook_phase_equals_one_solve_per_channel(monkeypatch, d, bits, sizes
 
     monkeypatch.setattr(lnq, "codebook_closed_form", spy)
     solves = _counted_lstsq(monkeypatch)
-    got = lnq_quantize(H, W, bits, 2, 4, _copy((C0, A0)), sizes=sizes)
+    got = lnq_quantize(hset_of(H, sizes), W, bits, 2, 4, _copy((C0, A0)))
     n_solves = len(solves)
     monkeypatch.undo()
     C, A, traces, changed = _lnq_by_groups(H, W, sizes, bits, 2, 4, (C0, A0))
@@ -818,7 +825,7 @@ def test_unchanged_channels_are_not_solved_again(monkeypatch):
 
     monkeypatch.setattr(lnq, "cd_cycle", no_change)
     solves = _counted_lstsq(monkeypatch)
-    got = lnq_quantize(H, W, 2, 2, 1, _copy((C0, A0)), sizes=sizes)
+    got = lnq_quantize(hset_of(H, sizes), W, 2, 2, 1, _copy((C0, A0)))
     assert len(solves) == sum(sizes)
     monkeypatch.undo()
     C, A, traces, changed = _lnq_by_groups(H, W, sizes, 2, 2, 1, (C0, A0), cd=no_change)
@@ -836,4 +843,4 @@ def test_singular_group_inside_a_chunk_is_named():
     H[1][5, :] = H[1][:, 5] = 0.0
     with pytest.raises(SingularHessian, match=r"^layer 3 group 1: .*1 of 20 input features "
                                               r".*feature 5\)$"):
-        lnq_quantize(H, W, 2, 1, 1, (C, A), layer_idx=3, sizes=(2, 2, 2))
+        lnq_quantize(hset_of(H, (2, 2, 2), layer_idx=3), W, 2, 1, 1, (C, A))

@@ -384,7 +384,7 @@ def lloyd_case(draw):
     m = draw(st.integers(1, 6))
     vals = draw(st.lists(st.sampled_from(pool) | st.floats(-20, 20), min_size=m, max_size=m))
     return ((np.array(x, dtype=np.float64), np.array(w, dtype=np.float64)),
-            np.sort(np.array(vals, dtype=np.float64)), draw(st.integers(0, 60)))
+            np.sort(np.array(vals, dtype=np.float64)), draw(st.integers(1, 60)))
 
 
 class TestLloyd:
@@ -417,13 +417,6 @@ class TestLloyd:
         assert vals.tobytes() == ref_vals.tobytes()
         assert wsum.tobytes() == ref.tobytes()
 
-    def test_zero_iters_assigns_only(self):
-        pts = _pts([0.0, 1.0, 10.0])
-        cb = np.array([0.0, 8.0])
-        out_cb, assign = _lloyd_one(pts, cb, 0)
-        npt.assert_array_equal(out_cb, cb)
-        npt.assert_array_equal(assign, [0, 0, 1])
-
     def test_empty_cluster_keeps_center(self):
         pts = _pts([0.0, 0.1])
         cb = np.array([0.05, 99.0])
@@ -438,7 +431,7 @@ class TestLloyd:
         assert out_cb[0] == pytest.approx(0.75, abs=1e-13)
 
     @settings(max_examples=30, deadline=None)
-    @given(weighted_points(), st.integers(1, 5), st.integers(0, 6))
+    @given(weighted_points(), st.integers(1, 5), st.integers(1, 6))
     def test_sse_trace_never_increases(self, pts, m, iters):
         m = min(m, len(np.unique(pts[0])))
         if m < 1:
@@ -562,7 +555,7 @@ def lloyd_stack(draw):
         w[rng.integers(0, n)] = 1.0
         X[i], Wt[i] = x, w
         C[i] = np.sort(np.where(rng.random(m) < 0.6, rng.choice(pool, m), rng.uniform(-20, 20, m)))
-    return X, Wt, C, draw(st.integers(0, 60))
+    return X, Wt, C, draw(st.integers(1, 60))
 
 
 class TestLloydStack:
@@ -604,14 +597,15 @@ class TestLloydStack:
             npt.assert_array_equal(A[i], ref_a)
         assert traces[1][2:4] != traces[1][4:6]  # still moving after the first iteration
 
-    def test_zero_iters_assigns_against_the_input(self):
+    def test_zero_iters_is_refused(self):
+        # lloyd runs at least one iteration; assigning against a
+        # codebook alone is round_rows
         X = np.array([[0.0, 1.0, 10.0], [3.0, -3.0, 0.4]])
         C0 = np.array([[0.0, 8.0], [-1.0, 1.0]])
         trace: list[float] = []
-        C, A = lloyd(X, np.ones_like(X), C0, 0, trace)
-        assert C.tobytes() == C0.tobytes()
-        npt.assert_array_equal(A, [[0, 0, 1], [1, 0, 1]])
-        assert len(trace) == 2
+        with pytest.raises(InvalidSize, match=r"^iters must be >= 1, got 0$"):
+            lloyd(X, np.ones_like(X), C0, 0, trace)
+        assert trace == []
 
     def test_channel_ignores_its_stack_mates(self):
         # a channel alone (a stack of one) and inside a stack give the
@@ -667,7 +661,7 @@ class TestLloydPool:
     def test_pool_equals_every_iteration_per_channel(self, case, width):
         self._check(*case, width)
 
-    @pytest.mark.parametrize("iters", [0, 1, 40])
+    @pytest.mark.parametrize("iters", [1, 40])
     @pytest.mark.parametrize("width", [1, 2, 5])
     def test_settling_at_different_iterations(self, iters, width):
         # channel 0 starts at its fixed point, channel 3 has a zero-weight
@@ -795,11 +789,11 @@ class TestBaselines:
             for a, b in zip(tr, tr[1:]):
                 assert b <= a + 1e-9 * (1.0 + abs(a))
 
-    @pytest.mark.parametrize("lloyd_iters", [0, 7, 50])
+    @pytest.mark.parametrize("lloyd_iters", [1, 7, 50])
     def test_clustered_trace_length(self, lloyd_iters):
         # traces.json stores these traces: one entry per half-step plus
         # the final SSE, whatever iteration Lloyd settles at; squeezellm
-        # runs DEFAULT_LLOYD_ITERS, lloyd any number
+        # runs DEFAULT_LLOYD_ITERS, lloyd any number from 1
         rng = np.random.default_rng(13)
         W = rng.standard_normal((40, 5))
         W[:, 0] = np.repeat([1.0, 2.0], 20)  # fits the codebook, not clustered

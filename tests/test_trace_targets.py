@@ -71,3 +71,8 @@ def test_hooks_count_a_toy_cli_pipeline(tmp_path):
     assert counters["cache.hits"] == counters["cache.loads"]
     loads = [s for s in rec.spans if s.name == "hessian.HessianCache.load"]
     assert loads and all(s.layer is not None for s in loads)
+    # the solver spans find their model layer through the Hessian set
+    # they are given: one lnq_quantize per layer, T = 2 CD calls in each
+    solves = [s.layer for s in rec.spans if s.name == "lnq.lnq_quantize"]
+    cds = [s.layer for s in rec.spans if s.name == "lnq.cd_cycle"]
+    assert solves == [0, 1] and cds == [0, 0, 1, 1]
