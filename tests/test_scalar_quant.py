@@ -417,6 +417,15 @@ class TestLloyd:
         assert vals.tobytes() == ref_vals.tobytes()
         assert wsum.tobytes() == ref.tobytes()
 
+    def test_zero_iters_assigns_only(self):
+        # one channel: lloyd refuses 0 iterations; the assign-only step is
+        # round_rows against the codebook
+        pts = _pts([0.0, 1.0, 10.0])
+        cb = np.array([0.0, 8.0])
+        with pytest.raises(InvalidSize, match=r"^iters must be >= 1, got 0$"):
+            _lloyd_one(pts, cb, 0)
+        npt.assert_array_equal(round_rows(pts[0], cb), [0, 0, 1])
+
     def test_empty_cluster_keeps_center(self):
         pts = _pts([0.0, 0.1])
         cb = np.array([0.05, 99.0])
@@ -597,15 +606,16 @@ class TestLloydStack:
             npt.assert_array_equal(A[i], ref_a)
         assert traces[1][2:4] != traces[1][4:6]  # still moving after the first iteration
 
-    def test_zero_iters_is_refused(self):
-        # lloyd runs at least one iteration; assigning against a
-        # codebook alone is round_rows
+    def test_zero_iters_assigns_against_the_input(self):
+        # lloyd runs at least one iteration and refuses 0; assigning each
+        # channel against its input codebook alone is round_rows
         X = np.array([[0.0, 1.0, 10.0], [3.0, -3.0, 0.4]])
         C0 = np.array([[0.0, 8.0], [-1.0, 1.0]])
         trace: list[float] = []
         with pytest.raises(InvalidSize, match=r"^iters must be >= 1, got 0$"):
             lloyd(X, np.ones_like(X), C0, 0, trace)
         assert trace == []
+        npt.assert_array_equal(round_rows(X, C0[:, None, :]), [[0, 0, 1], [1, 0, 1]])
 
     def test_channel_ignores_its_stack_mates(self):
         # a channel alone (a stack of one) and inside a stack give the
