@@ -68,14 +68,15 @@ PROTOCOL = {
 
 def end_loss_comparison(
     seeds=None,
-    bits: int = 2,
-    g: int = 4,
-    T: int = 2,
-    K: int = 4,
-    task: str = "softmax_cross_entropy",
-    steps: int = 4000,
+    bits: int = PROTOCOL["bits"],
+    g: int = PROTOCOL["g"],
+    T: int = PROTOCOL["T"],
+    K: int = PROTOCOL["K"],
+    task: str = PROTOCOL["task"],
+    steps: int = PROTOCOL["steps"],
 ) -> dict:
-    """Run the three-method comparison; defaults are the locked protocol.
+    """Run the three-method comparison; defaults are the locked protocol
+    (`PROTOCOL`, its seeds when `seeds` is None).
 
     Returns a dict with the protocol, per-seed end losses, seed means,
     and the two ordering margins (positive = ordering holds).

@@ -183,12 +183,15 @@ def _gram_set(X: Matrix, s: Matrix, partition: ChannelPartition, layer_idx: int,
     damped where B^T B put it, so a group adds one d x d matrix to the
     set and no scratch. numpy forms B^T B with one symmetric rank-k
     update and mirrors its triangle, so the product is exactly
-    symmetric."""
+    symmetric. An infinite weight makes non-finite entries, which
+    `HessianSet` refuses, so numpy's warnings would only repeat the
+    error."""
     hessians = []
     B = np.empty_like(X)
-    for k in range(partition.g):
-        np.multiply(X, np.sqrt(s[:, k])[:, None], out=B)
-        hessians.append(_damped(B.T @ B, damping_rel))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(partition.g):
+            np.multiply(X, np.sqrt(s[:, k])[:, None], out=B)
+            hessians.append(_damped(B.T @ B, damping_rel))
     return HessianSet(layer_idx, partition, hessians)
 
 
@@ -217,15 +220,18 @@ def squared_grad_averages(
     Each group's mean runs over a column-major copy of its columns, so
     it adds the channels one after another; a row-major slice would sum
     them pairwise and move the last bits. A grad scale that is not > 0
-    (NaN included) raises ConfigError (`check_settings`)."""
+    (NaN included) raises ConfigError (`check_settings`). A product
+    that overflows is left infinite, without numpy's warning: the
+    Hessians built from it are refused (`HessianSet`)."""
     check_settings(grad_scale=grad_scale)
     _, G = _check_calib(calib)
     if partition.d_out != G.shape[1]:
         raise PartitionMismatch(
             f"partition covers {partition.d_out} channels, layer has {G.shape[1]}"
         )
-    sq = (grad_scale * G) ** 2
-    cols = [np.mean(np.asfortranarray(sq[:, o:e]), axis=1) for o, e in partition.bounds]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (grad_scale * G) ** 2
+        cols = [np.mean(np.asfortranarray(sq[:, o:e]), axis=1) for o, e in partition.bounds]
     return np.stack(cols, axis=1)
 
 

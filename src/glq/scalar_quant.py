@@ -13,16 +13,16 @@ stacks of values X and weights Wt, one channel per row, the
 sensitivity-weighted baseline for quantizing a channel with
 diagonal-Fisher weights. Each checks its stacks once at entry and runs
 a layer's channels in one call with the bits of one run per channel.
-``kmeans_pp_init`` stacks the channels with equal distinct counts and
-makes each draw as ``Generator.choice`` does, from the channel's own
-generator. ``lloyd`` runs a pool of at most LLOYD_STACK // (n m)
-channels, each at its own iteration: a channel leaves the pool at its
-fixed point and the next channel not yet started takes its row, so the
-pool stays full until the queue runs dry; kmeans_pp_init's stacks hold
-at most that many channels too. Each cluster sum adds the cluster's
-points in index order from 0.0, one ``np.bincount`` over every
-cluster of the pool. The SSE traces rest on one rule of numpy's: a sum
-along the contiguous last axis adds each row as that row's ``.sum()``.
+Both batch by one rule: fixed stacks of at most LLOYD_STACK // (n m)
+channels of n points and m centers. ``kmeans_pp_init`` stacks the
+channels with equal distinct counts and makes each draw as
+``Generator.choice`` does, from the channel's own generator. ``lloyd``
+takes consecutive channels, and each stack iterates on its rows that
+are still moving: a row drops out at its fixed point. Each cluster sum
+adds the cluster's points in index order from 0.0, one ``np.bincount``
+over every cluster of the stack. The SSE traces rest on one rule of
+numpy's: a sum along the contiguous last axis adds each row as that
+row's ``.sum()``.
 ``squeezellm_init`` is the one squeezellm path: codebooks and
 assignments of a d x c layer as arrays, one seed per channel, with the
 SSE traces only when asked for (then one ``lloyd`` call per channel,
@@ -50,10 +50,11 @@ from .errors import (
 )
 
 DEFAULT_LLOYD_ITERS = 50
-# Point-to-center distances (1 MiB of float64) Lloyd's pool of live
-# channels holds; kmeans_pp_init's stacks take as many channels. On the
-# 64-256-256-16 benchmark model (64 channels of 256 points and 8
-# centers) this pool ran the init 18 % faster than a 16-channel one, for
+# Point-to-center distances (1 MiB of float64) one stack of channels
+# holds, in Lloyd and in kmeans_pp_init. On the 64-256-256-16 benchmark
+# model (seed 7, 3 bits: stacks of 256, 64 and 16 channels) Lloyd's
+# three init calls took 43-47 ms with this width against 49-52 ms with
+# 16-channel stacks (medians of 30 alternating runs, 2 vCPUs), for
 # about 0.5 MiB of peak RSS, which holding one layer's Hessian set at a
 # time instead of all of them more than pays for.
 LLOYD_STACK = 1 << 17
@@ -123,8 +124,8 @@ def kmeans_pp_init(X: np.ndarray, Wt: np.ndarray, m: int, seed: Sequence) -> np.
     values not yet chosen.
 
     Channels with the same number of distinct values run as stacks of
-    at most LLOYD_STACK // (n m) (n points per channel), Lloyd's pool
-    width: row i holds channel i's sorted distinct values and their
+    at most LLOYD_STACK // (n m) (n points per channel), as Lloyd's do:
+    row i holds channel i's sorted distinct values and their
     summed weights. Each draw is the one Generator.choice(n, p=mass/total)
     makes: cdf = p.cumsum(), cdf /= cdf[-1], and the index is the count
     of cdf <= rng.random(), with every total and cumsum taken along the
@@ -249,11 +250,12 @@ def lloyd(
     repeat it: the channel stops there, and its last assignment is its
     final one. Its trace still gets all 2 * iters + 1 values, the
     skipped half-steps padded with the last SSE, the value they would
-    have recomputed. The channels run in a pool of at most
-    LLOYD_STACK // (n m) at a time, each at its own iteration; a channel
-    that stops is replaced by the next one not yet started. Every step
-    is a function of each row alone, so results equal running all
-    `iters` on each channel alone, bit for bit.
+    have recomputed. The channels run in fixed stacks of at most
+    LLOYD_STACK // (n m) consecutive ones; a stack iterates on its rows
+    still moving, and a row that stops drops out. After `iters`, the
+    rows still moving get their final assignment. Every step is a
+    function of each row alone, so results equal running all `iters` on
+    each channel alone, bit for bit.
 
     Each cluster sum adds its points in index order starting from 0.0
     (``np.bincount``), and each SSE is its row's ``.sum()``.
@@ -269,45 +271,36 @@ def lloyd(
     A = np.empty(X.shape, dtype=np.int64)
     sse = None if trace is None else np.empty((r, 2 * iters + 1))
     dist = np.empty((min(width, r), n, centers.shape[1]))  # one buffer: fewer large heap blocks
-    nxt = dist.shape[0]  # the next channel to start
-    live = np.arange(nxt)  # the pool's channels, at iteration `it` each
-    it = np.zeros(nxt, dtype=np.int64)
-    x, w, c = X[:nxt], Wt[:nxt], centers[:nxt].copy()  # their rows
-    wx = w * x
-    while live.size:
-        a = round_rows(x, c[:, None, :], out=dist[:live.size])
-        if sse is not None:
-            sse[live, 2 * it] = _weighted_sse(x, w, c, a)
-        new = np.sort(_cluster_means(w, wx, a, c), axis=1)
-        if sse is not None:
-            sse[live, 2 * it + 1] = _weighted_sse(x, w, new, a)
-        moved = np.any(new.view(np.int64) != c.view(np.int64), axis=1)  # bits: -0.0 != 0.0
-        centers[live] = new
-        it += 1
-        stop = ~moved | (it == iters)
-        if not stop.any():
-            c = new
-            continue
-        settled = ~moved
-        A[live[settled]] = a[settled]  # the centers did not move: a is final
-        if sse is not None:
-            for i, k in zip(live[settled].tolist(), it[settled].tolist()):
-                sse[i, 2 * k:] = sse[i, 2 * k - 1]
-        last = moved & stop  # ran all iterations, still moving
-        if last.any():
-            ids = live[last]
-            A[ids] = round_rows(x[last], new[last][:, None, :], out=dist[:ids.size])
+    for s in range(0, r, width):
+        live = np.arange(s, min(s + width, r))  # the stack's channels still moving
+        x, w, c = X[s:s + width], Wt[s:s + width], centers[s:s + width]  # their rows
+        wx = w * x
+        for k in range(iters):
+            a = round_rows(x, c[:, None, :], out=dist[:live.size])
             if sse is not None:
-                sse[ids, -1] = _weighted_sse(x[last], w[last], new[last], A[ids])
-        keep = ~stop
-        enter = np.arange(nxt, min(nxt + int(stop.sum()), r))
-        nxt += enter.size
-        live = np.concatenate([live[keep], enter])
-        it = np.concatenate([it[keep], np.zeros(enter.size, dtype=np.int64)])
-        x = np.concatenate([x[keep], X[enter]])
-        w = np.concatenate([w[keep], Wt[enter]])
-        wx = np.concatenate([wx[keep], Wt[enter] * X[enter]])
-        c = np.concatenate([new[keep], centers[enter]])
+                sse[live, 2 * k] = _weighted_sse(x, w, c, a)
+            new = np.sort(_cluster_means(w, wx, a, c), axis=1)
+            if sse is not None:
+                sse[live, 2 * k + 1] = _weighted_sse(x, w, new, a)
+            moved = np.any(new.view(np.int64) != c.view(np.int64), axis=1)  # bits: -0.0 != 0.0
+            c = new
+            if moved.all():
+                continue
+            done = live[~moved]  # the centers did not move: a is final
+            A[done], centers[done] = a[~moved], c[~moved]
+            if sse is not None:
+                sse[done, 2 * k + 2:] = sse[done, 2 * k + 1, None]
+            live, c = live[moved], c[moved]
+            x = x[moved]  # one array at a time: one stale copy alive at most
+            w = w[moved]
+            wx = wx[moved]
+            if not live.size:
+                break
+        if live.size:  # still moving after `iters`: assign under the final centers
+            A[live] = round_rows(x, c[:, None, :], out=dist[:live.size])
+            centers[live] = c
+            if sse is not None:
+                sse[live, -1] = _weighted_sse(x, w, c, A[live])
     if trace is not None:
         trace.extend(sse.ravel().tolist())
     return centers, A

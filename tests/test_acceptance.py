@@ -211,13 +211,13 @@ def test_criterion_09_gradient_scaling_leaves_decisions_unchanged():
         hsets = [guided_hessians(c, part, grad_scale=s) for s in (1.0, 1e3)]
         for k, (o, e) in enumerate(part.bounds):
             group = list(range(o, e))
-            init = uniform_init(W[:, group], 4)
             outs = []
             tie_free = True
             for hset in hsets:
+                # lnq_quantize solves in place on its init: a fresh pair each
                 stats: dict = {}
                 outs.append(lnq_quantize(hset_of(hset.hessians[k], len(group)), W[:, group],
-                                         2, 2, 2, init, stats=stats))
+                                         2, 2, 2, uniform_init(W[:, group], 4), stats=stats))
                 if stats.get("min_margin", np.inf) < 1e-6:
                     tie_free = False
             if not tie_free:

@@ -644,9 +644,9 @@ class TestLloydStack:
 
 
 class TestLloydPool:
-    """Untraced and traced `lloyd` over stacks wider than its pool: the
-    pool refills as channels settle, each channel at its own iteration,
-    and every channel keeps the bits of one run of all iterations."""
+    """Untraced and traced `lloyd` over more channels than one stack
+    holds: each fixed stack drops its channels as they settle, and
+    every channel keeps the bits of one run of all iterations."""
 
     @staticmethod
     def _check(X, Wt, C0, iters, width):
