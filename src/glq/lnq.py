@@ -15,7 +15,8 @@ phases alternate T times:
   factorization. Slots with no assigned weight get value 0.0
   and stay available to later descent steps. The phase works on the
   whole layer, in chunks of consecutive groups whose factors (d x d
-  each) and L^T P columns (m x d per channel) fit CODEBOOK_BYTES. Each
+  each), L^T P columns (m x d per channel) and, for channels not in
+  one range, copies of their L^T w and slots fit CODEBOOK_BYTES. Each
   group is factored once per phase, while its chunk is solved; a
   group too wide for the budget is a chunk of its own, walked a piece
   of its channels at a time. ``codebook_closed_form`` solves one chunk:
@@ -47,9 +48,10 @@ phases alternate T times:
   smaller value). One engine, ``cd_cycle``, applies this rule in the
   GPTQ-style lazy-batch form (Frantar et al., arXiv 2210.17323): rows
   are normalized once (Htil = Diag(H)^-1 H), the corrections from
-  not-yet-visited rows are formed as one product per cycle, and each
-  update is propagated to the later rows of its batch of b rows at
-  once and to the rows after the batch in one blocked product. Batch
+  not-yet-visited rows are formed as one product per cycle, the
+  updates of a batch of b rows reach a later row of the batch when the
+  walk gets to it (added in row order, as pushing each on at once did:
+  the same bits) and the rows after it in one blocked product. Batch
   size changes only the order in which the floating-point corrections
   are summed: b = 1 and every b >= d give the same bits, and any b
   gives the same assignments whenever no rounding decision is within
@@ -79,8 +81,7 @@ width, T and K as ints, takes over a (codebooks, assignments) pair of
 arrays as its start, solves the layer in place on them and returns the
 layer's ``QuantizedLayer``, which holds them. A CD row step is
 elementwise, so it reads row i of W and B and writes row i of A for
-every channel of the layer at once, and each run of equal-size groups
-gets its rank-1 update through one (rows, groups, size) view. Every
+every channel of the layer at once. Every
 matrix product and column sum is still formed per group, on a
 C-contiguous copy of the group's columns with the shapes one group
 alone would use: on OpenBLAS the bits of a product follow the layout of
@@ -110,9 +111,10 @@ CD_BATCH = 128
 # Bytes of the in-batch Htil blocks (b x b per group) one CD pass holds;
 # a layer whose groups need more runs them in consecutive chunks.
 CD_BLOCK_BYTES = 1 << 20
-# Bytes of group factors (d x d each) and L^T P columns (m x d per
-# channel) one codebook chunk holds; a walk holds the columns of at most
-# half of it, so a group too wide for a chunk keeps its factor beside them.
+# Bytes of group factors (d x d each), L^T P columns (m x d per channel)
+# and copies of scattered channels (2 x d each) one codebook chunk holds;
+# a walk holds the columns of at most half of it, so a group too wide
+# for a chunk keeps its factor beside them.
 CODEBOOK_BYTES = 1 << 21
 
 
@@ -123,26 +125,27 @@ def _group_deltas(W: np.ndarray, C: np.ndarray, A: np.ndarray,
     products (OpenBLAS bits follow the operand layout) and column sums
     keep their bits in. No layer-wide copy is made."""
     for o, e in bounds:
-        yield np.subtract(np.take_along_axis(C[o:e], A[:, o:e].T, axis=1).T, W[:, o:e],
-                          out=np.empty((W.shape[0], e - o)))
+        D = C.take(A[:, o:e] + np.arange(o, e) * C.shape[1])  # flat C
+        yield np.subtract(D, W[:, o:e], out=D)
 
 
 def _codebook_chunks(bounds: list[tuple[int, int]], pending: np.ndarray, d: int, m: int):
     """The pending channels (sorted indices) of consecutive groups, as
-    lists of (group, channels) whose factors and L^T P columns fit
-    CODEBOOK_BYTES; a group that does not fit alone is a chunk of its
-    own, and a group with no pending channel is in none."""
-    budget = CODEBOOK_BYTES // 8  # float64 entries
-    chunk, size = [], 0
+    lists of (group, channels) whose factors, L^T P columns and copies
+    (of channels not in one range) fit CODEBOOK_BYTES; a group too big
+    alone is a chunk of its own, a group with no pending channel in none."""
+    budget = CODEBOOK_BYTES // 8  # float64 (and int64) entries
+    chunk, size, n = [], 0, 0
     for k, js in enumerate(np.split(pending, np.searchsorted(pending, [e for _, e in bounds[:-1]]))):
         if not js.size:
             continue
         need = d * d + js.size * m * d
-        if chunk and size + need > budget:
+        scattered = js[-1] + 1 - (chunk[0][1][0] if chunk else js[0]) != n + js.size
+        if chunk and size + need + scattered * 2 * d * (n + js.size) > budget:
             yield chunk
-            chunk, size = [], 0
+            chunk, size, n = [], 0, 0
         chunk.append((k, js))
-        size += need
+        size, n = size + need, n + js.size
     if chunk:
         yield chunk
 
@@ -206,7 +209,7 @@ def codebook_closed_form(
         by_count = np.argsort(count, kind="stable")
         row = np.empty((k, m), dtype=np.int64)
         row[by_count] = (np.cumsum(used[by_count]) - 1).reshape(k, m)
-        slots = np.ascontiguousarray(np.take_along_axis(row, a.T, axis=1).T)
+        slots = row.take(a + np.arange(0, k * m, m))  # row[j, a[i, j]], d x k
         gk = group[j0:j0 + k]
         if np.all(gk == gk[0]):
             gk = gk[0]  # one factor: its row is broadcast, not gathered per channel
@@ -222,9 +225,9 @@ def codebook_closed_form(
             values[j0 + js[:, None], q] = least_squares(stack, LtW[j0 + js])
             r0 += js.size * u
     order = np.argsort(values, axis=1, kind="stable")
-    inv = np.empty((c, m), dtype=np.int64)
-    np.put_along_axis(inv, order, np.arange(m)[None, :], axis=1)
-    return np.take_along_axis(values, order, axis=1), np.take_along_axis(inv, A.T, axis=1).T
+    base = np.arange(0, c * m, m)  # each channel's first entry in a flat c x m array
+    # the argsort of a permutation is its inverse: each old slot's new slot
+    return values.take(order + base[:, None]), np.argsort(order, axis=1).take(A + base)
 
 
 def cd_cycle(
@@ -238,26 +241,27 @@ def cd_cycle(
     Hessian set, whose partition gives the consecutive groups.
 
     Htil = Diag(H)^-1 H; B = StrictUpper(Htil) (What - W) gives each
-    row's correction from rows not yet visited in the sweep. Inside a
-    batch of b rows every update reaches the rows after it in the batch
-    as a rank-1 correction from the strict lower column of Htil; rows
-    after the batch receive one blocked correction when it finishes.
-    The batch size is clipped to d. When `stats` is given, its
+    row's correction from rows not yet visited in the sweep. In a batch
+    of b rows from s, row r's correction from rows s..r-1 is formed when
+    the walk reaches r: np.add.reduce adds B[r] and each product
+    Htil[r, i] D[i], D = What - W, one after another, as pushing each
+    update into the later rows at once did (the same bits). Rows after
+    the batch receive one blocked correction when it finishes. The
+    batch size is clipped to d. When `stats` is given, its
     "min_margin" entry tracks the smallest distance gap between the
     best and the runner-up codebook value over all rounding decisions.
 
     A row step reads row i of W and B and writes row i of A, for every
-    channel of the layer at once; the rank-1 correction reaches each run
-    of equal-size groups through one (rows, groups, size) view. Each
-    group's products are formed with the shapes and contiguous operands
-    the group alone would use, so a layer gives the bits of one call per
-    group. Each group's U = StrictUpper(Htil) is formed once per cycle,
-    in place in one d x d buffer (the bits of np.triu(Htil, 1)), and
-    What - W one group at a time; of Htil only the batch's diagonal
-    blocks are held for several groups (b x b each), the groups running
-    in consecutive chunks whose blocks fit CD_BLOCK_BYTES, and the rows
-    below a batch are formed one group at a time, so no copy of the
-    whole Hessian set is made.
+    channel of the layer at once. Each group's products are formed with
+    the shapes and contiguous operands the group alone would use, so a
+    layer gives the bits of one call per group. Each group's U =
+    StrictUpper(Htil) is formed once per cycle, in place in one d x d
+    buffer (the bits of np.triu(Htil, 1)), whose memory the batch's
+    deltas and products (b x c each) reuse after it, and What - W one
+    group at a time; of Htil only the batch's diagonal blocks are held
+    for several groups (b x b each), the groups running in consecutive
+    chunks whose blocks fit CD_BLOCK_BYTES, and the rows below a batch
+    are formed one group at a time: no copy of the Hessian set is made.
     """
     H, bounds = hset.hessians, hset.partition.bounds
     d, c = W.shape
@@ -284,17 +288,24 @@ def _cd_chunk(H, diags, bounds, W, C, A, cycles, b, stats) -> None:
     """`cd_cycle` over a chunk of consecutive groups: W, C and A are the
     chunk's columns and `bounds` its groups' columns within them."""
     d, c = W.shape
-    rows = np.arange(c)
+    m = C.shape[1]
+    slot0 = np.arange(0, c * m, m)  # each channel's first value in C, flat
     B = np.empty((d, c))
-    # (first group, groups, first column, size, view of B) per run of equal sizes
-    runs = []
+    buf = np.empty(max(d * d, 2 * b * c))
+    U = buf[:d * d].reshape(d, d)  # StrictUpper(Htil) of one group, rewritten in place
+    delta = buf[:b * c].reshape(b, c)  # What - W of the batch's rows
+    Hblk = np.empty((b, b, len(H)))  # Htil[s:e, s:e] of group k in [:, :, k]
+    # row n of a batch: its stack (B row, n products), (Htil, delta, product) views per run
+    steps = [(buf[b * c:(b + n + 1) * c].reshape(n + 1, c), []) for n in range(b)]
     sizes = [t - o for o, t in bounds]
     for size, run in itertools.groupby(range(len(bounds)), key=sizes.__getitem__):
         ks = list(run)
-        o = bounds[ks[0]][0]
-        runs.append((ks[0], len(ks), o, size, B[:, o:o + len(ks) * size].reshape(d, len(ks), size)))
-    Hblk = np.empty((b, b, len(H)))  # Htil[s:e, s:e] of group k in [:, :, k]
-    U = np.empty((d, d))  # StrictUpper(Htil) of one group, rewritten in place
+        cols = slice(bounds[ks[0]][0], bounds[ks[-1]][1])
+        D3 = delta[:, cols].reshape(b, len(ks), size)
+        for n, (T, views) in enumerate(steps):
+            views.append((Hblk[n, :n, ks[0]:ks[-1] + 1, None], D3[:n],
+                          T[1:, cols].reshape(n, len(ks), size)))
+    dist, urow = np.empty((c, m)), np.empty(c)
     lower = np.tri(d, dtype=bool)  # the entries np.triu(., 1) zeroes
     for _ in range(cycles):
         for (o, e), Hk, dk, Dk in zip(bounds, H, diags, _group_deltas(W, C, A, bounds)):
@@ -305,23 +316,27 @@ def _cd_chunk(H, diags, bounds, W, C, A, cycles, b, stats) -> None:
             e = min(s + b, d)
             for k, (Hk, dk) in enumerate(zip(H, diags)):
                 np.divide(Hk[s:e, s:e], dk[s:e, None], out=Hblk[:e - s, :e - s, k])
-            for i in range(s, e):
-                u = W[i] - B[i]
-                if stats is not None and C.shape[1] > 1:
+            for Bi, Wi, Ai, Di, (T, views) in zip(B[s:e], W[s:e], A[s:e], delta, steps):
+                if len(T) > 1:  # B[i] plus the updates of rows s..i-1, in that order
+                    T[0] = Bi
+                    for h, D, out in views:
+                        np.multiply(h, D, out=out)
+                    if c > 1:  # rows one after another; -0.0 + x is x
+                        np.add.reduce(T, axis=0, out=Bi, initial=-0.0)
+                    else:  # numpy sums a lone column pairwise
+                        Bi[:] = np.add.accumulate(T, axis=0)[-1]
+                u = np.subtract(Wi, Bi, out=urow)
+                if stats is not None and m > 1:
                     part = np.partition(np.abs(C - u[:, None]), 1, axis=1)
                     margin = float(np.min(part[:, 1] - part[:, 0]))
                     stats["min_margin"] = min(stats.get("min_margin", np.inf), margin)
-                q = round_rows(u, C)
-                A[i] = q
-                if i + 1 < e:
-                    new_delta = C[rows, q] - W[i]
-                    col = Hblk[i + 1 - s:e - s, i - s]  # rows x groups
-                    for k0, G, o, size, B3 in runs:
-                        B3[i + 1:e] += (col[:, k0:k0 + G, None]
-                                        * new_delta[o:o + G * size].reshape(G, size))
+                q = round_rows(u, C, out=dist)
+                Ai[:] = q
+                C.take(np.add(q, slot0, out=q), out=Di, mode="clip")  # "clip": unbuffered
+                np.subtract(Di, Wi, out=Di)
             if e < d:
-                for (o, t), Hk, dk, Dk in zip(bounds, H, diags,
-                                              _group_deltas(W[s:e], C, A[s:e], bounds)):
+                for (o, t), Hk, dk in zip(bounds, H, diags):
+                    Dk = np.ascontiguousarray(delta[:e - s, o:t])
                     B[e:, o:t] += (Hk[e:, s:e] / dk[e:, None]) @ Dk
 
 

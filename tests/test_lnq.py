@@ -1,5 +1,7 @@
 import functools
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -503,8 +505,10 @@ def _codebook_closed_form_objects(L, w, a, m):
     return values[order], inv[a]
 
 
-def _cd_cycle_one_group(H, W, C, A, cycles, b=lnq.CD_BATCH):
-    """cd_cycle for one group, 2-D arrays, Htil and U formed up front."""
+def _cd_cycle_one_group(H, W, C, A, cycles, b=lnq.CD_BATCH, us=None):
+    """cd_cycle for one group, 2-D arrays, Htil and U formed up front,
+    each update pushed into the later rows of its batch as it is made;
+    appends each row's u = W[i] - B[i] to `us` when given."""
     d, c = W.shape
     b = min(b, d)
     diag = np.diag(H).copy()
@@ -516,7 +520,10 @@ def _cd_cycle_one_group(H, W, C, A, cycles, b=lnq.CD_BATCH):
         for s in range(0, d, b):
             e = min(s + b, d)
             for i in range(s, e):
-                A[i, :] = round_rows(W[i, :] - B[i, :], C)
+                u = W[i, :] - B[i, :]
+                if us is not None:
+                    us.append(u)
+                A[i, :] = round_rows(u, C)
                 new_delta = C[np.arange(c), A[i, :]] - W[i, :]
                 if i + 1 < e:
                     B[i + 1 : e, :] += Htil[i + 1 : e, i : i + 1] * new_delta[None, :]
@@ -609,22 +616,77 @@ def _columns(sizes):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(1, 4), min_size=1, max_size=4),
-       st.sampled_from([1, 2, 7, 128, 129, 300]), st.sampled_from([2, 4, 8]), st.integers(1, 2))
-def test_stacked_cd_cycle_equals_one_call_per_group(seed, sizes, d, m, cycles):
+       st.sampled_from([1, 2, 7, 128, 129, 300]), st.sampled_from([2, 4, 8]), st.integers(1, 2),
+       st.sampled_from([1, 2, 3, 5, 128]), st.booleans())
+def test_stacked_cd_cycle_equals_one_call_per_group(seed, sizes, d, m, cycles, b, zeros):
     # one call over a layer of groups (ragged sizes included) against one
-    # call per group; d = 129 and 300 leave rows after the first batch of
-    # 128, so the blocked correction below a batch runs too
+    # call per group and the eager reference, at batch size b; d = 129
+    # and 300 leave rows after a batch of 128, so the blocked correction
+    # below a batch runs too. Each row's u = W[i] - B[i] is compared bit
+    # for bit. With `zeros`, every codebook holds -0.0 and a duplicate
+    # 0.0 slot and some weights equal a codebook value or 0.0, so deltas
+    # of 0.0 and -0.0 reach the corrections.
     rng = np.random.default_rng(seed)
     H, W, C, A = _groups(rng, sizes, d, m)
+    if zeros:
+        C[:, :2] = [-0.0, 0.0]
+        C = np.sort(C, axis=1, kind="stable")
+        W = np.where(rng.random(W.shape) < 0.3, np.take_along_axis(C, A.T, axis=1).T, W)
+        W[rng.random(W.shape) < 0.3] = 0.0
+
+    def rows_of_u(*args):
+        """Run cd_cycle on `args`; return the u of every row step, the
+        value each correction leaves to be rounded, as one array."""
+        us = []
+        with mock.patch.object(lnq, "round_rows", lambda u, *a, **k: us.append(u.copy())
+                               or round_rows(u, *a, **k)):
+            cd_cycle(*args, cycles, b=b)
+        return np.array(us)
+
     layer = A.copy()
-    cd_cycle(hset_of(H, sizes), W, C, layer, cycles)
+    layer_u = rows_of_u(hset_of(H, sizes), W, C, layer)
     for k, cols in enumerate(_columns(sizes)):
         alone = A[:, cols].copy()
-        cd_cycle(hset_of(H[k], sizes[k]), W[:, cols].copy(), C[cols], alone, cycles)
+        alone_u = rows_of_u(hset_of(H[k], sizes[k]), W[:, cols].copy(), C[cols], alone)
         npt.assert_array_equal(layer[:, cols], alone)
-        before = A[:, cols].copy()
-        _cd_cycle_one_group(H[k], W[:, cols].copy(), C[cols], before, cycles)
+        before, before_u = A[:, cols].copy(), []
+        _cd_cycle_one_group(H[k], W[:, cols].copy(), C[cols], before, cycles, b=b, us=before_u)
         npt.assert_array_equal(layer[:, cols], before)
+        # bit for bit, zero signs included
+        want = np.ascontiguousarray(layer_u[:, cols]).tobytes()
+        assert alone_u.tobytes() == want and np.array(before_u).tobytes() == want
+
+
+def test_cd_row_step_allocates_no_batch_sized_temporary(monkeypatch):
+    # the eager form pushed each update into the later rows of its batch
+    # through a (rows below) x c product of up to (b - 1) x c floats: its
+    # stretches between two rows of a batch of 128 on this 256 x 256
+    # layer of 4 groups held up to 383 KiB. Formed when its row is
+    # reached, a correction is written into U's memory, so a stretch
+    # allocates only the row's slot indices (c int64) and the buffer
+    # numpy's broadcasting multiply takes (8192 float64, 64 KiB): 66
+    # KiB. The bound is half of b x c floats (128 KiB).
+    d, c, g, m, b = 256, 256, 4, 8, lnq.CD_BATCH
+    rng = np.random.default_rng(31)
+    H, W, C, A = _groups(rng, [c // g] * g, d, m)
+    held = []  # the most each stretch between two rounding calls held above its end
+
+    def spy(u, codebooks, out=None):
+        current, peak = tracemalloc.get_traced_memory()
+        held.append(peak - current)
+        tracemalloc.reset_peak()
+        return round_rows(u, codebooks, out=out)
+
+    monkeypatch.setattr(lnq, "round_rows", spy)
+    tracemalloc.start()
+    try:
+        cd_cycle(hset_of(H, [c // g] * g), W, C, A, 1)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == d
+    # held[i]: from row i - 1's rounding to row i's, inside one batch
+    # when i is not a batch's first row
+    assert max(held[i] for i in range(1, d) if i % b) < b * c * 8 // 2
 
 
 @pytest.mark.parametrize("sizes,d,groups_per_chunk", [
@@ -673,6 +735,23 @@ def test_chunked_codebook_equals_one_pass(monkeypatch, per_chunk, c):
     npt.assert_array_equal(chunked_values, values)
     npt.assert_array_equal(chunked_assign, assign)
     assert np.count_nonzero(values[1] == 0.0) >= 2  # its empty slots are 0.0
+
+
+def test_codebook_chunks_count_the_copies_of_scattered_channels(monkeypatch):
+    # two groups (d 8, m 4) with six pending channels: two factors and six
+    # channels' L^T P columns take 2 * 64 + 6 * 32 = 320 of a 400-entry
+    # budget. Channels 2..7 are one range, read through views; channels
+    # 0, 2, 4..7 are copied (L^T w rows and slots, 2 * d entries each),
+    # 96 more entries, so each group is a chunk of its own
+    monkeypatch.setattr(lnq, "CODEBOOK_BYTES", 8 * 400)
+    bounds = [(0, 4), (4, 8)]
+
+    def chunks(pending):
+        return [[(k, js.tolist()) for k, js in chunk]
+                for chunk in lnq._codebook_chunks(bounds, np.array(pending), 8, 4)]
+
+    assert chunks([2, 3, 4, 5, 6, 7]) == [[(0, [2, 3]), (1, [4, 5, 6, 7])]]
+    assert chunks([0, 2, 4, 5, 6, 7]) == [[(0, [0, 2])], [(1, [4, 5, 6, 7])]]
 
 
 @pytest.mark.parametrize("sizes", [(3, 3, 2, 2), (1, 1, 1), (2, 1), (4,), (5, 5, 5, 4)])
