@@ -35,7 +35,7 @@ from .guidedquant import (
     run_job,
     sweep as run_sweep,
 )
-from .hessian import DEFAULT_DAMPING_REL, DEFAULT_GRAD_SCALE, HessianCache, layer_hessians
+from .hessian import DEFAULT_DAMPING_REL, HessianCache, layer_hessians
 from .tensorio import read_json_object, write_json_atomic
 
 # What quantize runs when neither --config nor a flag says otherwise; every
@@ -106,7 +106,6 @@ def build_parser() -> _Parser:
     h.add_argument("--data", required=True)
     h.add_argument("--kind", default="guided", choices=["plain", "guided"])
     h.add_argument("--g", type=int, default=QUANTIZE_DEFAULTS["g"])
-    h.add_argument("--grad-scale", type=float, default=DEFAULT_GRAD_SCALE)
     h.add_argument("--damping-rel", type=float, default=DEFAULT_DAMPING_REL)
     h.add_argument("--out", required=True)
     h.set_defaults(func=cmd_hessian)
@@ -122,7 +121,6 @@ def build_parser() -> _Parser:
     q.add_argument("--seed", type=_seed)
     q.add_argument("--T", type=int)
     q.add_argument("--K", type=int)
-    q.add_argument("--grad-scale", type=float)
     q.add_argument("--damping-rel", type=float)
     q.add_argument("--hessian-cache")
     q.add_argument("--out", required=True)
@@ -144,7 +142,6 @@ def build_parser() -> _Parser:
     s.add_argument("--seeds", type=_seed_list, default=[QuantJob.seed])
     s.add_argument("--T", type=int, default=QuantJob.T)
     s.add_argument("--K", type=int, default=QuantJob.K)
-    s.add_argument("--grad-scale", type=float, default=QuantJob.grad_scale)
     s.add_argument("--damping-rel", type=float, default=QuantJob.damping_rel)
     s.add_argument("--out", help="CSV output path")
     s.set_defaults(func=cmd_sweep)
@@ -179,8 +176,8 @@ def cmd_hessian(args) -> int:
     model = artifacts.load_model(args.model)
     data, _ = artifacts.load_dataset(args.data)
     # always rebuilt and rewritten, so a rerun replaces a damaged entry
-    layer_set = layer_hessians(model, data, args.kind, args.g, args.grad_scale,
-                               args.damping_rel, cache=HessianCache(args.out), reuse=False)
+    layer_set = layer_hessians(model, data, args.kind, args.g, args.damping_rel,
+                               cache=HessianCache(args.out), reuse=False)
     records = walk_calibration(model, run_calibrate(model, data))
     # each set is stored as it is built and only its key kept, so one
     # layer's record and set are held at a time
@@ -239,11 +236,8 @@ def cmd_sweep(args) -> int:
             for bits in args.bits:
                 gs = args.g if method == "lnq_guided" else [1]
                 for g in gs:
-                    jobs.append(QuantJob(
-                        method=method, bits=bits, g=g, seed=seed,
-                        grad_scale=args.grad_scale, damping_rel=args.damping_rel,
-                        T=args.T, K=args.K,
-                    ))
+                    jobs.append(QuantJob(method=method, bits=bits, g=g, seed=seed,
+                                         damping_rel=args.damping_rel, T=args.T, K=args.K))
     rows = run_sweep(model, data, jobs)
     print(format_table(rows))
     if args.out:

@@ -35,8 +35,8 @@ SingularHessian naming the layer, the group and the cause.
 Reported objectives per layer: the plain reconstruction error
 ||X (W - What)||_F^2, the gradient-weighted error
 ||gradZ * (X (W - What))||_F^2 (elementwise product), and the damped
-quadratic under the method's Hessian sets (`job_hessians`: plain ones,
-unit gradient scale, for every method but lnq_guided). `glq eval`
+quadratic under the method's Hessian sets (`job_hessians`: plain ones
+for every method but lnq_guided). `glq eval`
 rebuilds those sets from the job recorded in the artifact, so it
 reproduces every column of the quantize report. The gradient-weighted
 error equals the sum of per-channel Fisher quadratic forms
@@ -64,7 +64,6 @@ from .calib_model import (
 from .errors import ConfigError, DimensionMismatch
 from .hessian import (
     DEFAULT_DAMPING_REL,
-    DEFAULT_GRAD_SCALE,
     HessianCache,
     HessianSet,
     check_settings,
@@ -101,7 +100,6 @@ class QuantJob:
     bits: int
     g: int = 1
     seed: int = 0
-    grad_scale: float = DEFAULT_GRAD_SCALE
     damping_rel: float = DEFAULT_DAMPING_REL
     T: int = 2
     K: int = 4
@@ -123,7 +121,7 @@ class QuantJob:
         for ok, msg in checks:
             if not ok:
                 raise ConfigError(msg)
-        check_settings(self.grad_scale, self.damping_rel)
+        check_settings(self.damping_rel)
         if self.method != "lnq_guided":
             self.g = 1
 
@@ -185,14 +183,13 @@ def job_hessians(
 ) -> Callable[[int, LayerCalibration], HessianSet]:
     """The function `(l, c) -> HessianSet` that gives layer `l`'s set for
     `job`'s method from its record `c` (`layer_hessians`): the grouped
-    guided Hessians for lnq_guided, the plain ones (one group, unit grad
-    scale) for every other method. The LNQ methods quantize against them
-    and every method reports its damped objective under them. `cache` is
-    consulted only for the LNQ methods."""
+    guided Hessians for lnq_guided, the plain ones (one group) for every
+    other method. The LNQ methods quantize against them and every method
+    reports its damped objective under them. `cache` is consulted only
+    for the LNQ methods."""
     kind = "guided" if job.method == "lnq_guided" else "plain"
     cache = cache if job.method in ("lnq_plain", "lnq_guided") else None
-    layer_set = layer_hessians(model, data, kind, job.g, job.grad_scale, job.damping_rel,
-                               cache=cache)
+    layer_set = layer_hessians(model, data, kind, job.g, job.damping_rel, cache=cache)
     return lambda l, c: layer_set(l, c)[1]
 
 

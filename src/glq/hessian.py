@@ -10,32 +10,30 @@ J_1..J_g (a ``ChannelPartition``: the block sizes, in channel order) and
 shares one Hessian per block, built from the within-block average of
 squared gradients (the n x g ``squared_grad_averages``):
 
-    s_k[i] = mean_{j in J_k} (grad_scale * G[i, j])^2
+    s_k[i] = mean_{j in J_k} G[i, j]^2
     Hbar_k = X^T Diag(s_k) X + lambda_k I,
     lambda_k = damping_rel * mean(diag(X^T Diag(s_k) X)).
 
-``grad_scale`` (default 1e3) guards against underflow in the squared
-gradients of a well-trained model; scaling all gradients by s multiplies
-Hbar_k and lambda_k by s^2 and therefore changes no quantization
-decision downstream. The plain (loss-agnostic) Hessian is X^T X + l I
-with a single group covering every channel: the same build with unit
-weights, since B = X * 1.0 is X bit for bit.
+The plain (loss-agnostic) Hessian is X^T X + l I with a single group
+covering every channel: the same build with unit weights, since
+B = X * 1.0 is X bit for bit.
 
 Each Hbar_k is assembled as B^T B with B = Diag(sqrt(s_k)) X, so it is
 positive semidefinite by construction; the relative damping makes it
 positive definite whenever B has a nonzero row. A group whose s_k is
 zero on every sample (a zero-gradient group) would get Hbar_k = 0 and
 lambda_k = 0; ``guided_hessians`` refuses it with ZeroGradientGroup.
-A grad scale that overflows the squared gradients gives a Hessian with
-non-finite entries. A ``HessianSet`` checks its matrices once, when it
-is made, so such a set is refused (SingularHessian, naming the layer
-and the group) before it is returned or stored, and so is a cache
-entry that holds one, when it is loaded. The solvers take the set
-itself and do not check its matrices again.
+A gradient so large (from huge targets in the data, say) that its
+square overflows gives a Hessian with non-finite entries. A
+``HessianSet`` checks its matrices once, when it is made, so such a set
+is refused (SingularHessian, naming the layer and the group) before it
+is returned or stored, and so is a cache entry that holds one, when it
+is loaded. The solvers take the set itself and do not check its
+matrices again.
 
 A cache entry records the request it was built for
-(``hessian_request``: model and dataset digests, layer, clipped g, grad
-scale, damping rule, kind), which its key hashes; ``HessianCache.load``
+(``hessian_request``: model and dataset digests, layer, clipped g,
+damping rule, kind), which its key hashes; ``HessianCache.load``
 refuses an entry whose recorded request is not the one asked for, and
 builds the set on the partition the caller already holds.
 
@@ -72,7 +70,6 @@ from .errors import (
 )
 from .linalg import Matrix, ensure_matrix, zero_curvature
 
-DEFAULT_GRAD_SCALE = 1e3
 DEFAULT_DAMPING_REL = 1e-7
 
 
@@ -143,13 +140,10 @@ class HessianSet:
                 raise SingularHessian(self.layer_idx, k, "non-finite entries")
 
 
-def check_settings(grad_scale: float = 1.0, damping_rel: float = 0.0) -> None:
-    """Refuse (ConfigError) a grad scale that is not > 0 and a negative
-    relative damping, NaN included: the one check of both, which
-    `QuantJob`, `layer_hessians`, both builders and
-    `squared_grad_averages` make (the last two pass the one they take)."""
-    if not grad_scale > 0:
-        raise ConfigError(f"grad_scale must be > 0, got {grad_scale}")
+def check_settings(damping_rel: float) -> None:
+    """Refuse (ConfigError) a negative relative damping, NaN included:
+    the one check of it, which `QuantJob`, `layer_hessians` and both
+    builders make."""
     if not damping_rel >= 0:
         raise ConfigError(f"damping_rel must be >= 0, got {damping_rel}")
 
@@ -203,34 +197,27 @@ def plain_hessian(
     """X^T X + damping_rel * mean(diag) * I, one group over all channels:
     the guided build with one group and unit weights. A negative (or
     NaN) damping raises ConfigError (`check_settings`)."""
-    check_settings(damping_rel=damping_rel)
+    check_settings(damping_rel)
     X, G = _check_calib(calib)
     return _gram_set(X, np.ones((X.shape[0], 1)), ChannelPartition.consecutive(G.shape[1], 1),
                      layer_idx, damping_rel)
 
 
-def squared_grad_averages(
-    calib: LayerCalibration,
-    partition: ChannelPartition,
-    grad_scale: float = DEFAULT_GRAD_SCALE,
-) -> Matrix:
-    """The n x g array s[i, k] = mean over j in J_k of
-    (grad_scale * gradZ[i, j])^2.
+def squared_grad_averages(calib: LayerCalibration, partition: ChannelPartition) -> Matrix:
+    """The n x g array s[i, k] = mean over j in J_k of gradZ[i, j]^2.
 
     Each group's mean runs over a column-major copy of its columns, so
     it adds the channels one after another; a row-major slice would sum
-    them pairwise and move the last bits. A grad scale that is not > 0
-    (NaN included) raises ConfigError (`check_settings`). A product
-    that overflows is left infinite, without numpy's warning: the
-    Hessians built from it are refused (`HessianSet`)."""
-    check_settings(grad_scale=grad_scale)
+    them pairwise and move the last bits. A square that overflows is
+    left infinite, without numpy's warning: the Hessians built from it
+    are refused (`HessianSet`)."""
     _, G = _check_calib(calib)
     if partition.d_out != G.shape[1]:
         raise PartitionMismatch(
             f"partition covers {partition.d_out} channels, layer has {G.shape[1]}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = (grad_scale * G) ** 2
+        sq = G ** 2
         cols = [np.mean(np.asfortranarray(sq[:, o:e]), axis=1) for o, e in partition.bounds]
     return np.stack(cols, axis=1)
 
@@ -239,20 +226,18 @@ def guided_hessians(
     calib: LayerCalibration,
     partition: ChannelPartition,
     layer_idx: int = 0,
-    grad_scale: float = DEFAULT_GRAD_SCALE,
     damping_rel: float = DEFAULT_DAMPING_REL,
 ) -> HessianSet:
     """One damped Hbar_k per channel group (see module docstring).
 
-    Raises ZeroGradientGroup when a group's scaled squared gradients are
-    zero on every sample: its Hbar_k and lambda_k would both be 0, which
-    no solver downstream can factor. A grad scale that is not > 0 and a
-    negative damping, NaN included, raise ConfigError (`check_settings`)
-    before anything is built.
+    Raises ZeroGradientGroup when a group's squared gradients are zero
+    on every sample: its Hbar_k and lambda_k would both be 0, which no
+    solver downstream can factor. A negative damping, NaN included,
+    raises ConfigError (`check_settings`) before anything is built.
     """
-    check_settings(grad_scale, damping_rel)
+    check_settings(damping_rel)
     X, _ = _check_calib(calib)
-    s = squared_grad_averages(calib, partition, grad_scale)
+    s = squared_grad_averages(calib, partition)
     for k, (o, e) in enumerate(partition.bounds):
         if not np.any(s[:, k]):
             raise ZeroGradientGroup(
@@ -267,11 +252,14 @@ def fisher_diag(calib: LayerCalibration) -> Matrix:
     """Diagonal empirical Fisher per weight, d_in x d_out.
 
     Entry (i, j) = (1/n) sum_s (gradZ[s, j] * X[s, i])^2. Used as the
-    per-weight sensitivity for the weighted k-means baseline.
+    per-weight sensitivity for the weighted k-means baseline. An entry
+    that overflows is left infinite, without numpy's warning: the
+    squeezellm init refuses it (NonFiniteFisher).
     """
     X, G = _check_calib(calib)
     n = X.shape[0]
-    return ((X ** 2).T @ (G ** 2)) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ((X ** 2).T @ (G ** 2)) / n
 
 
 def model_hash(model: MlpModel) -> str:
@@ -308,7 +296,6 @@ def hessian_request(
     dataset_digest: str,
     layer_idx: int,
     g: int,
-    grad_scale: float,
     damping_rel: float,
     kind: str,
 ) -> dict:
@@ -321,7 +308,6 @@ def hessian_request(
         "dataset": dataset_digest,
         "layer": layer_idx,
         "g": g,
-        "grad_scale": repr(float(grad_scale)),
         "damping_rel": repr(float(damping_rel)),
         "kind": kind,
     }
@@ -395,7 +381,6 @@ def layer_hessians(
     data: Dataset,
     kind: str,
     g: int = 1,
-    grad_scale: float = DEFAULT_GRAD_SCALE,
     damping_rel: float = DEFAULT_DAMPING_REL,
     cache: HessianCache | None = None,
     reuse: bool = True,
@@ -403,11 +388,10 @@ def layer_hessians(
     """The function `(l, c) -> (cache key, HessianSet)` that builds or
     loads the set of layer `l` of `model`, calibrated by the record `c`.
 
-    kind "plain" builds X^T X with one group, keyed with g = 1 and unit
-    grad scale; kind "guided" builds the grouped Hessians over
-    min(g, d_out) consecutive channel groups, so a layer narrower than g
-    gets one group per channel, and keys each layer with that clipped
-    count. A layer with d_out >= g keeps the key of its unclipped g.
+    kind "plain" builds X^T X with one group, keyed with g = 1; kind
+    "guided" builds the grouped Hessians over min(g, d_out) consecutive
+    channel groups, so a layer narrower than g gets one group per
+    channel, and keys each layer with that clipped count. A layer with d_out >= g keeps the key of its unclipped g.
     With a `cache`, an existing entry is loaded when `reuse` is set, and
     refused (CorruptFile) unless it records this layer's request
     (`hessian_request`); every set built here is stored under its key.
@@ -420,29 +404,27 @@ def layer_hessians(
     ones); the cache's `index.json` lists only what `glq hessian` wrote.
 
     The function keeps no set or record, so a caller holds exactly the
-    sets it keeps. An unknown kind, a grad scale that is not > 0 and a
-    negative damping are refused here, before any set (ConfigError),
-    with `QuantJob`'s text (`check_settings`).
+    sets it keeps. An unknown kind and a negative damping are refused
+    here, before any set (ConfigError), with `QuantJob`'s text
+    (`check_settings`).
     """
     if kind not in ("plain", "guided"):
         raise ConfigError(f"unknown hessian kind {kind!r}")
-    check_settings(grad_scale, damping_rel)
+    check_settings(damping_rel)
     if kind == "plain":
-        g, grad_scale = 1, 1.0
+        g = 1
     digests = (model_hash(model), dataset_hash(data)) if cache is not None else None
 
     def layer_set(l: int, c: LayerCalibration) -> tuple[str | None, HessianSet]:
         part = ChannelPartition.consecutive(c.gradZ.shape[1], min(g, c.gradZ.shape[1]))
-        request = None if cache is None else hessian_request(*digests, l, part.g, grad_scale,
+        request = None if cache is None else hessian_request(*digests, l, part.g,
                                                              damping_rel, kind)
         hset = cache.load(request, part) if cache is not None and reuse else None
         if hset is None:
             if kind == "plain":
                 hset = plain_hessian(c, layer_idx=l, damping_rel=damping_rel)
             else:
-                hset = guided_hessians(
-                    c, part, layer_idx=l, grad_scale=grad_scale, damping_rel=damping_rel
-                )
+                hset = guided_hessians(c, part, layer_idx=l, damping_rel=damping_rel)
             if cache is not None:
                 cache.store(request, hset)
         return (None if request is None else hessian_cache_key(request)), hset

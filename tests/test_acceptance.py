@@ -155,7 +155,7 @@ def test_criterion_06_grouped_hessians_reduce_to_channel_and_plain_forms():
     for c in calib:
         d_out = c.gradZ.shape[1]
         singles = ChannelPartition.consecutive(d_out, d_out)
-        hset = guided_hessians(c, singles, grad_scale=1.0, damping_rel=0.0)
+        hset = guided_hessians(c, singles, damping_rel=0.0)
         for k, (j, end) in enumerate(singles.bounds):
             assert end == j + 1
             ref = (c.X * (c.gradZ[:, j] ** 2)[:, None]).T @ c.X
@@ -163,7 +163,7 @@ def test_criterion_06_grouped_hessians_reduce_to_channel_and_plain_forms():
             assert diff <= 1e-10 * max(1.0, float(np.max(np.abs(ref))))
         ones = LayerCalibration(X=c.X, gradZ=np.ones_like(c.gradZ))
         whole = ChannelPartition.consecutive(d_out, 1)
-        h_ones = guided_hessians(ones, whole, grad_scale=1.0, damping_rel=0.0)
+        h_ones = guided_hessians(ones, whole, damping_rel=0.0)
         h_plain = plain_hessian(ones, damping_rel=0.0)
         diff = np.max(np.abs(h_ones.hessians[0] - h_plain.hessians[0]))
         scale = max(1.0, float(np.max(np.abs(h_plain.hessians[0]))))
@@ -208,7 +208,8 @@ def test_criterion_09_gradient_scaling_leaves_decisions_unchanged():
         W = model.layers[l]
         d_out = c.gradZ.shape[1]
         part = ChannelPartition.consecutive(d_out, 4)
-        hsets = [guided_hessians(c, part, grad_scale=s) for s in (1.0, 1e3)]
+        scaled = LayerCalibration(X=c.X, gradZ=1e3 * c.gradZ)
+        hsets = [guided_hessians(r, part) for r in (c, scaled)]
         for k, (o, e) in enumerate(part.bounds):
             group = list(range(o, e))
             outs = []

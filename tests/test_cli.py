@@ -13,7 +13,7 @@ import pytest
 
 import glq
 from glq import artifacts, cli, hessian, tensorio
-from glq.calib_model import calibrate
+from glq.calib_model import Dataset, calibrate
 from glq.cli import QUANTIZE_DEFAULTS, build_parser, main
 from glq.errors import ConfigError, CorruptFile
 from glq.guidedquant import METHODS, QuantJob
@@ -324,7 +324,7 @@ class TestHessianCacheFlag:
         assert main(args + [str(tmp_path / "qa")]) == 0
         m, (d, _) = artifacts.load_model(model), artifacts.load_dataset(data)
         plain = {hessian.hessian_cache_key(hessian.hessian_request(
-                     hessian.model_hash(m), hessian.dataset_hash(d), l, 1, 1.0,
+                     hessian.model_hash(m), hessian.dataset_hash(d), l, 1,
                      hessian.DEFAULT_DAMPING_REL, "plain")) for l in range(m.n_layers)}
         assert not plain & guided
         assert {p.name for p in cache.iterdir() if p.is_dir()} == guided | plain
@@ -442,7 +442,7 @@ class TestHessianCacheFlag:
             request = meta["request"]
             write_manifest(cache / key, {
                 "layer_idx": request["layer"], "kind": request["kind"],
-                "grad_scale": float(request["grad_scale"]),
+                "grad_scale": 1000.0,
                 "damping_rel": float(request["damping_rel"])}, list(meta["files"]))
         quantize_args = ["quantize", "--model", str(model), "--data", str(data), "--method",
                          "lnq_guided", "--bits", "2", "--g", "2", "--hessian-cache", str(cache),
@@ -464,7 +464,6 @@ class TestHessianCacheFlag:
     @pytest.mark.parametrize("flag,value,message", [
         ("--damping-rel", "-1e-3", "damping_rel must be >= 0, got -0.001"),
         ("--damping-rel", "-1", "damping_rel must be >= 0, got -1.0"),
-        ("--grad-scale", "0", "grad_scale must be > 0, got 0.0"),
     ])
     def test_hessian_refuses_settings_quantize_refuses(self, pipeline, tmp_path, capsys,
                                                        flag, value, message):
@@ -494,24 +493,28 @@ class TestHessianCacheFlag:
             "have zero curvature and no damping lifts them (first: feature 3)\n")
         assert not cache.exists() or not any(cache.iterdir())
 
-    def test_overflowing_grad_scale_is_refused_and_not_written(self, pipeline, tmp_path,
+    def test_overflowing_gradients_are_refused_and_not_written(self, pipeline, tmp_path,
                                                                capsys):
-        # (1e300 * gradZ)**2 overflows, so every group's Hessian has
-        # non-finite entries: the set is refused as it is made, before
-        # anything is stored, and quantize refuses it the same way; the
+        # squared-error targets x 1e160 give finite gradients whose squares
+        # overflow, so every group's Hessian has non-finite entries: the set
+        # is refused as it is made, before anything is stored. quantize's
+        # squeezellm init refuses the infinite Fisher diagonal first. The
         # error line is all either prints
         data, model = pipeline
+        loaded, task = artifacts.load_dataset(data)
+        huge = tmp_path / "huge"
+        artifacts.save_dataset(huge, Dataset(loaded.inputs, loaded.targets * 1e160,
+                                             loaded.seed), task)
         cache = tmp_path / "hc"
-        error = "error: layer 0 group 0: cannot factor the damped Hessian: non-finite entries"
         capsys.readouterr()
-        assert main(["hessian", "--model", str(model), "--data", str(data), "--g", "2",
-                     "--grad-scale", "1e300", "--out", str(cache)]) == 2
-        assert capsys.readouterr().err == error + "\n"
+        assert main(["hessian", "--model", str(model), "--data", str(huge), "--g", "2",
+                     "--out", str(cache)]) == 2
+        assert capsys.readouterr().err == (
+            "error: layer 0 group 0: cannot factor the damped Hessian: non-finite entries\n")
         assert not cache.exists()
-        assert main(["quantize", "--model", str(model), "--data", str(data), "--g", "2",
-                     "--grad-scale", "1e300", "--hessian-cache", str(cache),
-                     "--out", str(tmp_path / "q")]) == 2
-        assert capsys.readouterr().err == error + "\n"
+        assert main(["quantize", "--model", str(model), "--data", str(huge), "--g", "2",
+                     "--hessian-cache", str(cache), "--out", str(tmp_path / "q")]) == 2
+        assert capsys.readouterr().err == "error: channel 0: Fisher diagonal entry 0 is inf\n"
         assert not cache.exists() and not (tmp_path / "q").exists()
 
 
@@ -586,13 +589,14 @@ class TestQuantizeAndEval:
 
     def test_eval_loads_quant_json_with_removed_keys(self, pipeline, tmp_path):
         # quant.json as older versions wrote it, with the CD engine knobs
+        # and the gradient scale
         data, model = pipeline
         out = tmp_path / "q"
         assert main(["quantize", "--model", str(model), "--data", str(data),
                      "--method", "lnq_guided", "--bits", "2", "--g", "2",
                      "--out", str(out)]) == 0
         meta = json.loads((out / "quant.json").read_text())
-        assert "cd_engine" not in meta and "lazy_batch_size" not in meta
+        assert not {"cd_engine", "lazy_batch_size", "grad_scale"} & set(meta)
 
         def eval_csv(name: str) -> str:
             assert main(["eval", "--model", str(model), "--data", str(data),
@@ -601,7 +605,8 @@ class TestQuantizeAndEval:
 
         new = eval_csv("new.csv")
         write_json_atomic(out / "quant.json",
-                          dict(meta, cd_engine="precompute", lazy_batch_size=128))
+                          dict(meta, cd_engine="precompute", lazy_batch_size=128,
+                               grad_scale=1000.0))
         manifest = read_manifest(out)
         write_manifest(out, {"kind": manifest["kind"]}, list(manifest["files"]))
         assert verify_manifest(out) == []
@@ -612,17 +617,19 @@ class TestQuantizeAndEval:
         data, model = pipeline
         base = ["--model", str(model), "--data", str(data)]
         for extra in (["--workers", "2"], ["--cd-engine", "precompute"],
-                      ["--lazy-batch-size", "4"]):
+                      ["--lazy-batch-size", "4"], ["--grad-scale", "1e3"]):
             assert main(["quantize", *base, "--method", "rtn", *extra,
                          "--out", str(tmp_path / "q")]) == 1
-        assert main(["sweep", *base, "--methods", "rtn", "--workers", "2"]) == 1
-        assert not (tmp_path / "q").exists()
+        for extra in (["--workers", "2"], ["--grad-scale", "1e3"]):
+            assert main(["sweep", *base, "--methods", "rtn", *extra]) == 1
+        assert main(["hessian", *base, "--grad-scale", "1e3", "--out", str(tmp_path / "h")]) == 1
+        assert not (tmp_path / "q").exists() and not (tmp_path / "h").exists()
 
     def test_config_removed_key_rejected(self, pipeline, tmp_path, capsys):
         # a removed knob, and a training key that no quantize run reads
         data, model = pipeline
         cfg = tmp_path / "run.json"
-        for key, value in (("workers", 2), ("hidden", [16, 16])):
+        for key, value in (("workers", 2), ("grad_scale", 1e3), ("hidden", [16, 16])):
             cfg.write_text(json.dumps({"method": "rtn", key: value}))
             assert main(["quantize", "--model", str(model), "--data", str(data),
                          "--config", str(cfg), "--out", str(tmp_path / "q")]) == 2
@@ -782,17 +789,14 @@ def test_parser_defaults_come_from_their_sources():
     parser = build_parser()
     need = ["--model", "m", "--data", "d"]
     h = parser.parse_args(["hessian", *need, "--out", "o"])
-    assert (h.g, h.grad_scale, h.damping_rel) == (
-        QUANTIZE_DEFAULTS["g"], hessian.DEFAULT_GRAD_SCALE, hessian.DEFAULT_DAMPING_REL)
+    assert (h.g, h.damping_rel) == (QUANTIZE_DEFAULTS["g"], hessian.DEFAULT_DAMPING_REL)
     s = parser.parse_args(["sweep", *need])
     job = {f.name: f.default for f in dataclasses.fields(QuantJob)}
     assert s.methods == list(METHODS)
     assert (s.bits, s.g, s.seeds) == ([QUANTIZE_DEFAULTS["bits"]], [QUANTIZE_DEFAULTS["g"]],
                                       [job["seed"]])
-    assert (s.T, s.K, s.grad_scale, s.damping_rel) == (
-        job["T"], job["K"], hessian.DEFAULT_GRAD_SCALE, hessian.DEFAULT_DAMPING_REL)
-    assert (job["grad_scale"], job["damping_rel"]) == (
-        hessian.DEFAULT_GRAD_SCALE, hessian.DEFAULT_DAMPING_REL)
+    assert (s.T, s.K, s.damping_rel) == (job["T"], job["K"], hessian.DEFAULT_DAMPING_REL)
+    assert job["damping_rel"] == hessian.DEFAULT_DAMPING_REL
     quantize = [*need, "--out", "o", "--method"]
     for method in METHODS:
         assert parser.parse_args(["quantize", *quantize, method]).method == method
@@ -814,10 +818,10 @@ class TestSweepAndVerify:
 
 @pytest.mark.parametrize("key,value", [
     ("bits", 0), ("bits", 9), ("bits", 99), ("g", 0), ("seed", -1), ("T", 0), ("K", 0),
-    ("grad_scale", 0.0), ("grad_scale", -1.0), ("damping_rel", -1e-9),
+    ("damping_rel", -1e-9),
     # values of the wrong type: a bool is not an int, a float not an int
     ("bits", "2"), ("bits", True), ("g", 2.5), ("seed", 1.0), ("T", None),
-    ("K", [4]), ("grad_scale", "1e3"), ("damping_rel", False), ("method", 1),
+    ("damping_rel", False), ("method", 1), ("K", [4]),
 ])
 def test_config_value_out_of_range_rejected(pipeline, tmp_path, capsys, key, value):
     with pytest.raises(ConfigError, match=key):

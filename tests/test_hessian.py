@@ -23,7 +23,6 @@ from glq import hessian
 from glq.guidedquant import METHODS, QuantJob, job_report, run_job
 from glq.hessian import (
     DEFAULT_DAMPING_REL,
-    DEFAULT_GRAD_SCALE,
     ChannelPartition,
     HessianCache,
     HessianSet,
@@ -150,7 +149,7 @@ class TestGuidedHessians:
             gradZ=np.array([[0.5], [-1.0]]),
         )
         part = ChannelPartition.consecutive(1, 1)
-        h = guided_hessians(c, part, grad_scale=1.0, damping_rel=0.0)
+        h = guided_hessians(c, part, damping_rel=0.0)
         npt.assert_allclose(
             h.hessians[0], [[9.25, 12.5], [12.5, 17.0]], atol=1e-12
         )
@@ -158,11 +157,11 @@ class TestGuidedHessians:
     def test_averaging_consistency(self):
         c = _calib(3, 12, 5, 6)
         part = ChannelPartition.consecutive(6, 3)
-        h = guided_hessians(c, part, grad_scale=7.0, damping_rel=0.0)
+        h = guided_hessians(c, part, damping_rel=0.0)
         for k, (o, e) in enumerate(part.bounds):
             acc = np.zeros((5, 5))
             for j in range(o, e):
-                g2 = (7.0 * c.gradZ[:, j]) ** 2
+                g2 = c.gradZ[:, j] ** 2
                 acc += (c.X * g2[:, None]).T @ c.X
             acc /= e - o
             scale = max(1.0, float(np.max(np.abs(acc))))
@@ -171,19 +170,11 @@ class TestGuidedHessians:
     def test_g_equals_dout_is_per_channel(self):
         c = _calib(4, 10, 4, 5)
         part = ChannelPartition.consecutive(5, 5)
-        h = guided_hessians(c, part, grad_scale=1.0, damping_rel=0.0)
+        h = guided_hessians(c, part, damping_rel=0.0)
         for j in range(5):
             direct = (c.X * (c.gradZ[:, j] ** 2)[:, None]).T @ c.X
             scale = max(1.0, float(np.max(np.abs(direct))))
             assert np.max(np.abs(h.hessians[j] - direct)) <= 1e-10 * scale
-
-    def test_grad_scale_quadratic_law(self):
-        c = _calib(5, 10, 4, 4)
-        part = ChannelPartition.consecutive(4, 2)
-        h1 = guided_hessians(c, part, grad_scale=1.0, damping_rel=0.0)
-        hs = guided_hessians(c, part, grad_scale=50.0, damping_rel=0.0)
-        for a, b in zip(h1.hessians, hs.hessians):
-            npt.assert_allclose(b, 2500.0 * a, rtol=1e-12)
 
     def test_positive_semidefinite(self):
         c = _calib(6, 8, 6, 4)
@@ -200,8 +191,8 @@ class TestGuidedHessians:
     def test_squared_grad_averages_values(self):
         c = _calib(8, 6, 3, 4)
         part = ChannelPartition.consecutive(4, 2)
-        s = squared_grad_averages(c, part, grad_scale=3.0)
-        expect0 = np.mean((3.0 * c.gradZ[:, [0, 1]]) ** 2, axis=1)
+        s = squared_grad_averages(c, part)
+        expect0 = np.mean(c.gradZ[:, [0, 1]] ** 2, axis=1)
         assert s.shape == (c.gradZ.shape[0], 2)
         npt.assert_allclose(s[:, 0], expect0, atol=1e-13)
 
@@ -221,34 +212,19 @@ class TestGuidedHessians:
 
 class TestBuildersCheckSettings:
     # called directly, the builders used to skip check_settings: on the
-    # seed-0 toy's layer 1, grad_scale=nan gave all-NaN Hessians with
-    # lambda nan, damping_rel=nan NaN Hessians, and damping_rel=-2.0 an
-    # indefinite set (min eigenvalue -2.2e6 guided, -45.9 plain)
-    @pytest.mark.parametrize("grad_scale, damping_rel, message", [
-        (float("nan"), 1e-7, "grad_scale must be > 0, got nan"),
-        (0.0, 1e-7, "grad_scale must be > 0, got 0.0"),
-        (1e3, float("nan"), "damping_rel must be >= 0, got nan"),
-        (1e3, -2.0, "damping_rel must be >= 0, got -2.0"),
-    ])
-    def test_guided_hessians_refuses(self, toy_calib, grad_scale, damping_rel, message):
+    # seed-0 toy's layer 1, damping_rel=nan gave NaN Hessians, and
+    # damping_rel=-2.0 an indefinite set (min eigenvalue -2.2e6 guided,
+    # -45.9 plain)
+    @pytest.mark.parametrize("damping_rel, shown", [(float("nan"), "nan"), (-2.0, "-2.0")])
+    def test_guided_hessians_refuses(self, toy_calib, damping_rel, shown):
         part = ChannelPartition.consecutive(toy_calib[1].gradZ.shape[1], 4)
-        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
-            guided_hessians(toy_calib[1], part, layer_idx=1, grad_scale=grad_scale,
-                            damping_rel=damping_rel)
+        with pytest.raises(ConfigError, match=rf"^damping_rel must be >= 0, got {shown}$"):
+            guided_hessians(toy_calib[1], part, layer_idx=1, damping_rel=damping_rel)
 
     @pytest.mark.parametrize("damping_rel, shown", [(float("nan"), "nan"), (-2.0, "-2.0")])
     def test_plain_hessian_refuses(self, toy_calib, damping_rel, shown):
         with pytest.raises(ConfigError, match=rf"^damping_rel must be >= 0, got {shown}$"):
             plain_hessian(toy_calib[1], layer_idx=1, damping_rel=damping_rel)
-
-    @pytest.mark.parametrize("grad_scale, shown", [
-        (float("nan"), "nan"), (0.0, "0.0"), (-1.0, "-1.0"),
-    ])
-    def test_squared_grad_averages_refuses(self, toy_calib, grad_scale, shown):
-        # the old guard was grad_scale <= 0.0 (a ValueError), which NaN passes
-        part = ChannelPartition.consecutive(toy_calib[1].gradZ.shape[1], 4)
-        with pytest.raises(ConfigError, match=rf"^grad_scale must be > 0, got {shown}$"):
-            squared_grad_averages(toy_calib[1], part, grad_scale=grad_scale)
 
 
 def _with_zeros(draw, M):
@@ -287,8 +263,8 @@ class TestInPlaceBuild:
         calib = LayerCalibration(X=_with_zeros(data.draw, rng.standard_normal((n, d))),
                                  gradZ=rng.standard_normal((n, c)))
         part = ChannelPartition.consecutive(c, data.draw(st.integers(1, c)))
-        s = squared_grad_averages(calib, part, grad_scale=1.0)
-        hset = guided_hessians(calib, part, grad_scale=1.0, damping_rel=damping_rel)
+        s = squared_grad_averages(calib, part)
+        hset = guided_hessians(calib, part, damping_rel=damping_rel)
         plain = plain_hessian(calib, damping_rel=damping_rel)
         for H in hset.hessians + plain.hessians:
             assert H.tobytes() == H.T.tobytes()
@@ -331,19 +307,17 @@ class TestFisherOracle:
 # the request the cache tests store their entries under: layer 0 of a
 # stand-in model and dataset in 2 groups; _PART splits the 5-channel layer
 # of `_cache_with_edited_manifest` into them
-_REQUEST = hessian_request("a" * 64, "b" * 64, 0, 2, DEFAULT_GRAD_SCALE, DEFAULT_DAMPING_REL,
-                           "guided")
+_REQUEST = hessian_request("a" * 64, "b" * 64, 0, 2, DEFAULT_DAMPING_REL, "guided")
 _PART = ChannelPartition.consecutive(5, 2)
 
 
 # one strategy per `hessian_request` argument, in its order: the model and
-# dataset digests, the layer, g, the grad scale, the damping and the kind
+# dataset digests, the layer, g, the damping and the kind
 _REQUEST_FIELDS = (
     st.text("0123456789abcdef", min_size=1, max_size=64),
     st.text("0123456789abcdef", min_size=1, max_size=64),
     st.integers(0, 64),
     st.integers(1, 4096),
-    st.floats(min_value=0, exclude_min=True, allow_infinity=False),
     st.floats(min_value=0, allow_infinity=False),
     st.sampled_from(["guided", "plain"]),
 )
@@ -360,9 +334,9 @@ class TestCacheAndHash:
         assert model_hash(bumped) != h1
 
     def test_key_stability(self):
-        k1 = hessian_cache_key(hessian_request("abc", "def", 1, 4, 1e3, 1e-7, "guided"))
-        k2 = hessian_cache_key(hessian_request("abc", "def", 1, 4, 1e3, 1e-7, "guided"))
-        k3 = hessian_cache_key(hessian_request("abc", "def", 1, 2, 1e3, 1e-7, "guided"))
+        k1 = hessian_cache_key(hessian_request("abc", "def", 1, 4, 1e-7, "guided"))
+        k2 = hessian_cache_key(hessian_request("abc", "def", 1, 4, 1e-7, "guided"))
+        k3 = hessian_cache_key(hessian_request("abc", "def", 1, 2, 1e-7, "guided"))
         assert k1 == k2 and k1 != k3
 
     @settings(max_examples=300, deadline=None)
@@ -375,11 +349,10 @@ class TestCacheAndHash:
         assert hessian_cache_key(hessian_request(*list(base))) == key
         assert hessian_cache_key(hessian_request(*other)) != key
 
-    @pytest.mark.parametrize("field, value", [(4, 1e3), (5, 1e-7)])
-    def test_key_tells_adjacent_floats_apart(self, field, value):
-        base = ["abc", "def", 1, 4, 1e3, 1e-7, "guided"]
+    def test_key_tells_adjacent_floats_apart(self):
+        base = ["abc", "def", 1, 4, 1e-7, "guided"]
         other = list(base)
-        other[field] = float(np.nextafter(value, 1))
+        other[4] = float(np.nextafter(1e-7, 1))
         assert hessian_cache_key(hessian_request(*other)) != hessian_cache_key(
             hessian_request(*base))
 
@@ -389,8 +362,7 @@ class TestCacheAndHash:
         part = ChannelPartition.consecutive(calib[1].gradZ.shape[1], 4)
         hset = guided_hessians(calib[1], part, layer_idx=1)
         cache = HessianCache(tmp_path)
-        request = hessian_request(model_hash(model), dataset_hash(data), 1, 4, 1e3, 1e-7,
-                                  "guided")
+        request = hessian_request(model_hash(model), dataset_hash(data), 1, 4, 1e-7, "guided")
         cache.store(request, hset)
         back = cache.load(request, part)
         assert back is not None
@@ -435,7 +407,7 @@ class TestCacheAndHash:
 
     @pytest.mark.parametrize("key,value", [pytest.param(key, value, id=key) for key, value in (
         ("model", "0" * 64), ("dataset", "0" * 64), ("layer", 1), ("g", 3),
-        ("grad_scale", "1.0"), ("damping_rel", "0.0"), ("kind", "plain"),
+        ("damping_rel", "0.0"), ("kind", "plain"),
     )])
     def test_load_refuses_entry_built_for_another_request(self, tmp_path, key, value):
         # an entry whose recorded request differs from the one asked for
@@ -524,8 +496,7 @@ class TestLayerHessians:
         model, data = toy_problem
         cache = HessianCache(tmp_path)
         a = _layer_sets(model, data, toy_calib, "plain", cache=cache)
-        b = _layer_sets(model, data, toy_calib, "plain", g=4, grad_scale=5.0,
-                        cache=cache, reuse=False)
+        b = _layer_sets(model, data, toy_calib, "plain", g=4, cache=cache, reuse=False)
         assert [k for k, _ in a] == [k for k, _ in b]
         assert all(h.partition.g == 1 for _, h in b)
         guided = _layer_sets(model, data, toy_calib, "guided", g=4, cache=cache)
@@ -566,7 +537,7 @@ class TestLayerHessians:
         digest, data_digest = model_hash(model), dataset_hash(data)
         for l, (key, _) in enumerate(wide[:2]):
             assert key == hessian_cache_key(hessian_request(
-                digest, data_digest, l, 6, DEFAULT_GRAD_SCALE, DEFAULT_DAMPING_REL, "guided"))
+                digest, data_digest, l, 6, DEFAULT_DAMPING_REL, "guided"))
         with pytest.raises(InvalidSize):
             _layer_sets(model, data, toy_calib, "guided", g=0)
 
@@ -601,11 +572,11 @@ class TestLayerHessians:
         cache = HessianCache(tmp_path / "hc")
         with pytest.raises(SingularHessian, match=r"^layer 0 group 0: .*1 of 8 input "
                                                   r"features .*\(first: feature 3\)"):
-            _layer_sets(model, dead, calib, kind, 2, 1e3, 0.0, cache=cache)
+            _layer_sets(model, dead, calib, kind, 2, 0.0, cache=cache)
         assert not (tmp_path / "hc").exists() or not any((tmp_path / "hc").iterdir())
         # without a cache the set is built as before, and the methods
         # that never factor it still run
-        hsets = _layer_sets(model, dead, calib, kind, 2, 1e3, 0.0)
+        hsets = _layer_sets(model, dead, calib, kind, 2, 0.0)
         assert all(H[3, 3] == 0.0 for H in hsets[0][1].hessians)
         for method in ("rtn", "squeezellm"):
             run_job(model, dead, QuantJob(method=method, bits=2, damping_rel=0.0))

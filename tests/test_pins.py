@@ -51,12 +51,12 @@ RUN_JOB_PINS = {
     ("squared_error", "lnq_plain", 3, 5): "77e0787866b8a80a",
     ("squared_error", "lnq_plain", 4, 0): "f38cafcc46ffbf3c",
     ("squared_error", "lnq_plain", 4, 5): "77e0787866b8a80a",
-    ("squared_error", "lnq_guided", 1, 0): "c9302bea4a09be69",
-    ("squared_error", "lnq_guided", 1, 5): "19c4d575f24bfab1",
-    ("squared_error", "lnq_guided", 3, 0): "f4f133afe5c137e7",
-    ("squared_error", "lnq_guided", 3, 5): "adda2260e4dc9136",
-    ("squared_error", "lnq_guided", 4, 0): "e76609c12d5d7120",
-    ("squared_error", "lnq_guided", 4, 5): "3890d655bc09bd91",
+    ("squared_error", "lnq_guided", 1, 0): "1b4f6cf139a51090",
+    ("squared_error", "lnq_guided", 1, 5): "1dbc59d9fd6b3514",
+    ("squared_error", "lnq_guided", 3, 0): "3dee16577796bea7",
+    ("squared_error", "lnq_guided", 3, 5): "48a0ebe3dd0098c2",
+    ("squared_error", "lnq_guided", 4, 0): "d0120d0f6aa73011",
+    ("squared_error", "lnq_guided", 4, 5): "a6bd5e36637cc009",
     ("softmax_cross_entropy", "rtn", 1, 0): "a86994632587c7f9",
     ("softmax_cross_entropy", "rtn", 1, 5): "1dc46fdeaf372ff5",
     ("softmax_cross_entropy", "rtn", 3, 0): "a86994632587c7f9",
@@ -75,12 +75,12 @@ RUN_JOB_PINS = {
     ("softmax_cross_entropy", "lnq_plain", 3, 5): "81f850d1cc8f19d9",
     ("softmax_cross_entropy", "lnq_plain", 4, 0): "27837be32da06ea0",
     ("softmax_cross_entropy", "lnq_plain", 4, 5): "81f850d1cc8f19d9",
-    ("softmax_cross_entropy", "lnq_guided", 1, 0): "e653852f772643a1",
-    ("softmax_cross_entropy", "lnq_guided", 1, 5): "053bddf97813809f",
-    ("softmax_cross_entropy", "lnq_guided", 3, 0): "aaffc42ec59b5690",
-    ("softmax_cross_entropy", "lnq_guided", 3, 5): "547913549f901ddf",
-    ("softmax_cross_entropy", "lnq_guided", 4, 0): "a78567699436add5",
-    ("softmax_cross_entropy", "lnq_guided", 4, 5): "5e3c079a92b37533",
+    ("softmax_cross_entropy", "lnq_guided", 1, 0): "2892257aab3f8b48",
+    ("softmax_cross_entropy", "lnq_guided", 1, 5): "c6cbd3c3070d06b7",
+    ("softmax_cross_entropy", "lnq_guided", 3, 0): "8152c94b724210da",
+    ("softmax_cross_entropy", "lnq_guided", 3, 5): "7a0fb8d5a7d00f75",
+    ("softmax_cross_entropy", "lnq_guided", 4, 0): "44b17810200f71c9",
+    ("softmax_cross_entropy", "lnq_guided", 4, 5): "b80635807c8b90b0",
 }
 
 
@@ -102,8 +102,8 @@ QUANTIZE_FILE_PINS = {
         "assign.L1.gqt": "2cbeb4b621f8",
         "codebook.L0.gqt": "daa3433602e4",
         "codebook.L1.gqt": "04fa5e082a54",
-        "manifest.json": "a31fc3eba1c5",
-        "quant.json": "29cd3e4d5946",
+        "manifest.json": "d33d609d3c91",
+        "quant.json": "f05c5d72d85d",
         "report.csv": "ca66a2f6048c",
         "traces.json": "7d33b31700e2",
     },
@@ -112,8 +112,8 @@ QUANTIZE_FILE_PINS = {
         "assign.L1.gqt": "817979bca84e",
         "codebook.L0.gqt": "4b3d97d7c84a",
         "codebook.L1.gqt": "1c694283a25f",
-        "manifest.json": "4589bba19470",
-        "quant.json": "e20b2bbe606e",
+        "manifest.json": "abf622ee0680",
+        "quant.json": "663c114b40ec",
         "report.csv": "0d55d4910ecf",
         "traces.json": "16c3a6a2577c",
     },
@@ -122,20 +122,20 @@ QUANTIZE_FILE_PINS = {
         "assign.L1.gqt": "781d03763f1a",
         "codebook.L0.gqt": "68231dbc3190",
         "codebook.L1.gqt": "780095c2814b",
-        "manifest.json": "ed6101e3aea6",
-        "quant.json": "79292a788109",
+        "manifest.json": "daad75913b83",
+        "quant.json": "d75d2917ffd0",
         "report.csv": "a580b3473e3a",
         "traces.json": "a6366b09de10",
     },
     "lnq_guided": {
         "assign.L0.gqt": "e7f45225c4dd",
         "assign.L1.gqt": "817979bca84e",
-        "codebook.L0.gqt": "defe336eb3ad",
-        "codebook.L1.gqt": "a9449f0a6e4d",
-        "manifest.json": "beebccfbc0fa",
-        "quant.json": "0c97fa669e2e",
-        "report.csv": "90d1384889a5",
-        "traces.json": "31d49ac98861",
+        "codebook.L0.gqt": "afca84e340ec",
+        "codebook.L1.gqt": "8d6df14d48ad",
+        "manifest.json": "38a5cc4e8ce1",
+        "quant.json": "3579f9f05ee5",
+        "report.csv": "60476801d817",
+        "traces.json": "97c936429b1f",
     },
 }
 
@@ -169,20 +169,20 @@ def test_criterion_10_quantize_files_are_pinned(criterion_10_inputs, method):
 # path within the cache, per kind.
 HESSIAN_CACHE_PINS = {
     "guided": {
-        "bc7a3950d1952089f272de0a/hess.L1.G0.gqt": "3ec5f69b46fe",
-        "bc7a3950d1952089f272de0a/hess.L1.G1.gqt": "dee82235362e",
-        "bc7a3950d1952089f272de0a/manifest.json": "2e02bd58c154",
-        "c37a9777e14ea8377aacf543/hess.L0.G0.gqt": "fe4f57bc7798",
-        "c37a9777e14ea8377aacf543/hess.L0.G1.gqt": "f079a25b593e",
-        "c37a9777e14ea8377aacf543/manifest.json": "e1959d04c729",
-        "index.json": "e1fad32147c6",
+        "18781f7631321a9bf991e73d/hess.L0.G0.gqt": "7ee23e6d4c3c",
+        "18781f7631321a9bf991e73d/hess.L0.G1.gqt": "41552d27df47",
+        "18781f7631321a9bf991e73d/manifest.json": "96f11399631a",
+        "982669e3af6e0efe763507fb/hess.L1.G0.gqt": "e71c52896e9f",
+        "982669e3af6e0efe763507fb/hess.L1.G1.gqt": "627bcdf5cb8e",
+        "982669e3af6e0efe763507fb/manifest.json": "aade62302fda",
+        "index.json": "c3467b8708c5",
     },
     "plain": {
-        "c399a13feb6c0cde48fa7c19/hess.L1.G0.gqt": "b4d6d73bdd44",
-        "c399a13feb6c0cde48fa7c19/manifest.json": "29d321639d42",
-        "d9e2a9da9cbe28c3c0a45f49/hess.L0.G0.gqt": "902dca019941",
-        "d9e2a9da9cbe28c3c0a45f49/manifest.json": "15db1acbe2be",
-        "index.json": "889b7b98c7c8",
+        "2d0b789155a77220dda222c2/hess.L0.G0.gqt": "902dca019941",
+        "2d0b789155a77220dda222c2/manifest.json": "4b4f8d2dcf53",
+        "8387b2768c270250f3918c26/hess.L1.G0.gqt": "b4d6d73bdd44",
+        "8387b2768c270250f3918c26/manifest.json": "f1d275229f07",
+        "index.json": "27187840fe27",
     },
 }
 
