@@ -22,20 +22,32 @@ input at a time, and ``end_loss_from_input`` takes the end loss from
 the last one, with ``end_loss``'s bits.
 
 ``calibrate`` and ``train`` share that pass (``_forward_backward``, the
-only place the recursion lives). It writes into a workspace made by
-``_workspace``: per hidden layer one buffer each for the post-tanh
-activations and the output gradients, and one (1 - X^2) scratch block
-that every hidden layer shares, filled with ``out=``. Only the small
-n x d_out output arrays are allocated per pass. The pass computes no
-loss: it returns the output gradient and the loss inputs that gradient
-forms on its way (``_output_grad``), and ``_losses`` turns the inputs of
-one pass, or of a stack of passes, into per-sample losses with the same
-operations for each pass; ``end_loss`` and ``per_sample_losses`` use it
-on one. ``calibrate`` runs the pass on a fresh workspace, whose arrays
-its records then own. ``train`` makes one workspace per call and reuses
-it on every step, so a step allocates no activation-sized array: on the
+only place the recursion lives), and the pass allocates nothing. It
+writes, with ``out=``, into a workspace made by ``_workspace``: per
+hidden layer a buffer for the post-tanh activations, per layer one for
+the output gradients, and one scratch block that the (1 - X^2) factors
+and the cross-entropy gradient's transposed copy of Z share. Its last
+product writes Z into a row of a loss store (``_rows``), where the
+output gradient (``_output_grad``) leaves the loss inputs it forms on
+its way: R = Z - Y in place of Z, or Z with its row maxima and totals.
+The pass computes no loss: ``_losses`` turns the inputs of one pass, or
+of a stack of passes, into per-sample losses with the same operations
+for each pass; ``end_loss`` and ``per_sample_losses`` use it on one.
+``calibrate`` runs the pass on a fresh workspace, whose arrays its
+records then own. ``train`` makes one workspace and one store per call
+and reuses them on every step, so a step allocates no array: on the
 64-256-256-16 mid model a 300-step train takes about 2 K minor page
 faults, not 370 K.
+
+Every matrix product, in the pass, in ``train``'s weight gradients and
+in ``end_loss_from_input``, is ``np.dot(a, b, out=...)``. On the toy
+model numpy's cost per call, not the flops, sets a step's time, and
+``np.dot`` costs less per call than ``np.matmul`` (1.4 against 1.9 us
+for a 64 x 16 by 16 x 16 product, one BLAS thread) while it calls the
+same BLAS routines, with the same bits: the training tests compare it
+with a pass written with ``@``. Every operand is C-contiguous or the
+transpose of a C-contiguous array, so ``np.dot`` never takes its
+non-BLAS loop.
 
 ``train`` runs the pass once per step: the pass over the weights after
 update s yields both the summed loss that update s is checked against
@@ -168,25 +180,38 @@ def gen_dataset(seed: int, n: int, d0: int, dt: int, task: str = "squared_error"
 
     Same seed, same byte-for-byte dataset.
     """
-    if n < 1:
-        raise InvalidSize(f"need n >= 1 samples, got {n}")
+    return teacher_datasets(seed, [n], d0, dt, task)[0]
+
+
+def teacher_datasets(seed: int, sizes: list[int], d0: int, dt: int,
+                     task: str = "squared_error") -> list[Dataset]:
+    """One dataset of each size in `sizes`, all labelled by the teacher of
+    `gen_dataset(seed, ...)` and drawn from its one generator: the first
+    set's inputs, then the teacher, then each later set's inputs in
+    order. So the first set is `gen_dataset(seed, sizes[0], d0, dt,
+    task)` byte for byte, and no set depends on the sizes after it."""
+    if min(sizes) < 1:
+        raise InvalidSize(f"need n >= 1 samples, got {min(sizes)}")
     if d0 < 1 or dt < 1:
         raise InvalidSize("dimensions must be >= 1")
     if task not in LOSSES:
         raise ValueError(f"unknown task {task!r}")
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, d0))
+    inputs = [rng.standard_normal((sizes[0], d0))]
     h = max(d0, dt, 8)
     Wt1 = rng.standard_normal((d0, h)) / np.sqrt(d0)
     Wt2 = rng.standard_normal((h, dt)) / np.sqrt(h)
-    base = np.tanh(X @ Wt1) @ Wt2
-    if task == "squared_error":
-        Y = base * (1.0 + np.arange(dt, dtype=np.float64))
-    else:
-        labels = np.argmax(base, axis=1)
-        Y = np.zeros((n, dt))
-        Y[np.arange(n), labels] = 1.0
-    return Dataset(inputs=X, targets=Y, seed=seed)
+    inputs += [rng.standard_normal((n, d0)) for n in sizes[1:]]
+    sets = []
+    for X in inputs:
+        base = np.tanh(X @ Wt1) @ Wt2
+        if task == "squared_error":
+            Y = base * (1.0 + np.arange(dt, dtype=np.float64))
+        else:
+            Y = np.zeros((len(X), dt))
+            Y[np.arange(len(X)), np.argmax(base, axis=1)] = 1.0
+        sets.append(Dataset(inputs=X, targets=Y, seed=seed))
+    return sets
 
 
 def toy_problem(seed: int = 0, loss: str = "squared_error",
@@ -214,46 +239,53 @@ def random_model(dims: list[int], seed: int, loss: str = "squared_error") -> Mlp
 def forward(model: MlpModel, X: Matrix) -> tuple[list[Matrix], Matrix]:
     """Return ([X^(0), ..., X^(L-1)] layer inputs, final output Z)."""
     X = ensure_matrix(X, "X")
-    acts = [np.empty((X.shape[0], d)) for d in model.dims[1:-1]]
-    return [X, *acts], _forward(model.layers, X, acts)
+    n = X.shape[0]
+    acts = [np.empty((n, d)) for d in model.dims[1:-1]]
+    return [X, *acts], _forward(model.layers, X, acts, np.empty((n, model.dims[-1])))
 
 
-def _forward(layers: list[Matrix], X: Matrix, acts: list[Matrix]) -> Matrix:
+def _forward(layers: list[Matrix], X: Matrix, acts: list[Matrix], Z: Matrix) -> Matrix:
     """Write each hidden layer's post-tanh output into its buffer in
-    `acts` (n x d_l, l = 1..L-1) and return the final output Z."""
+    `acts` (n x d_l, l = 1..L-1) and the final output into Z."""
     cur = X
     for W, A in zip(layers, acts):
         cur = _hidden(cur, W, A)
-    return cur @ layers[-1]
+    return np.dot(cur, layers[-1], out=Z)
 
 
 def _hidden(X: Matrix, W: Matrix, out: Matrix) -> Matrix:
     """tanh(X W), the input of the layer after W, written into `out`."""
-    return np.tanh(np.matmul(X, W, out=out), out=out)
+    return np.tanh(np.dot(X, W, out=out), out=out)
 
 
-def _output_grad(loss: str, Z: Matrix, Y: Matrix) -> tuple[tuple[Matrix, ...], Matrix]:
-    """The per-sample output gradient dZ of one pass, and the inputs
-    `_losses` needs for its per-sample losses, which the gradient forms
-    on its way: the residual R = Z - Y for squared error (dZ = 2R); for
-    cross entropy, Z with its row maxima and the row totals of the
-    shifted exponentials (dZ = softmax(Z) - Y)."""
-    if Z.shape != Y.shape:
-        raise DimensionMismatch(f"outputs {Z.shape} vs targets {Y.shape}")
+_Row = tuple[np.ndarray, ...]
+
+
+def _output_grad(loss: str, Y: Matrix, row: _Row, dZ: Matrix, ZT: Matrix) -> tuple[_Row, Matrix]:
+    """The per-sample output gradient of one pass, written into dZ, and
+    the inputs `_losses` needs for its per-sample losses, which the
+    gradient forms on its way, written into the pass's store row `row`
+    (`_rows`), whose first slot holds the pass's output Z: the residual
+    R = Z - Y for squared error (dZ = 2R); for cross entropy, Z with its
+    row maxima and the row totals of the shifted exponentials
+    (dZ = softmax(Z) - Y). Returns the row and dZ."""
     if loss == "squared_error":
-        R = Z - Y
-        return (R,), 2.0 * R
+        (R,) = row
+        np.subtract(R, Y, out=R)
+        return row, np.multiply(R, 2.0, out=dZ)
     # softmax cross entropy, stable via the logsumexp shift. The row
-    # maxima come from an elementwise reduce over a transposed copy, which
-    # costs less than numpy's row-by-row reduce over a few columns. A
-    # maximum is exact whatever the order, and the sign of a zero maximum
-    # reaches neither Z - zmax nor zmax + log(total).
-    zmax = np.maximum.reduce(np.ascontiguousarray(Z.T))
-    soft = np.subtract(Z, zmax[:, None])
-    np.exp(soft, out=soft)
-    total = soft.sum(axis=1)
-    soft /= total[:, None]
-    return (Z, zmax, total), np.subtract(soft, Y, out=soft)
+    # maxima come from an elementwise reduce over the transposed copy ZT
+    # (d x n), which costs less than numpy's row-by-row reduce over a few
+    # columns. A maximum is exact whatever the order, and the sign of a
+    # zero maximum reaches neither Z - zmax nor zmax + log(total).
+    Z, zmax, total = row
+    np.copyto(ZT, Z.T)
+    np.maximum.reduce(ZT, out=zmax)
+    np.subtract(Z, zmax[:, None], out=dZ)
+    np.exp(dZ, out=dZ)
+    np.add.reduce(dZ, axis=1, out=total)
+    np.divide(dZ, total[:, None], out=dZ)
+    return row, np.subtract(dZ, Y, out=dZ)
 
 
 def _losses(loss: str, inputs: tuple[np.ndarray, ...], Y: Matrix) -> np.ndarray:
@@ -277,7 +309,7 @@ def end_loss_from_input(model: MlpModel, X: Matrix, data: Dataset) -> float:
     """`end_loss(model, data)` from X, the last layer's input on `data`
     (the last `walk_calibration` record's), with its bits: the forward
     pass's last product and the same losses and sum."""
-    return float(np.sum(_sample_losses(model.loss, X @ model.layers[-1], data.targets)))
+    return float(np.sum(_sample_losses(model.loss, np.dot(X, model.layers[-1]), data.targets)))
 
 
 def per_sample_losses(model: MlpModel, data: Dataset) -> np.ndarray:
@@ -287,7 +319,12 @@ def per_sample_losses(model: MlpModel, data: Dataset) -> np.ndarray:
 
 
 def _sample_losses(loss: str, Z: Matrix, Y: Matrix) -> np.ndarray:
-    inputs, _ = _output_grad(loss, Z, Y)
+    """Per-sample losses of the output Z, by `_output_grad` on a
+    one-pass store row that Z is copied into."""
+    n, d = Z.shape
+    (row,) = _rows(_loss_store(loss, n, d, passes=1), Y)
+    np.copyto(row[0], Z)
+    inputs, _ = _output_grad(loss, Y, row, np.empty((n, d)), np.empty((d, n)))
     return _losses(loss, inputs, Y)
 
 
@@ -296,39 +333,44 @@ _Workspace = tuple[list[Matrix], list[Matrix], list[Matrix]]
 
 def _workspace(n: int, dims: list[int]) -> _Workspace:
     """Uninitialised buffers for passes over n samples through a model of
-    widths `dims`: per hidden layer l = 1..L-1, its post-tanh output
-    X^(l), the output gradient G^(l-1) of the layer before it, and a
-    (1 - X^(l)^2) scratch, each n x d_l. The backward pass uses one
+    widths `dims` = [d_0, ..., d_L]: per hidden layer l = 1..L-1 its
+    post-tanh output X^(l), per layer the output gradient G^(l-1), each
+    n x d_l, and the scratches: per hidden layer a (1 - X^(l)^2) block,
+    n x d_l, and last the d_L x n transposed copy of Z that the
+    cross-entropy gradient reduces (`_output_grad`). A pass uses one
     scratch at a time, so the scratches are views of one block sized
-    for the widest hidden layer.
+    for the widest.
 
     Raises EmptyCalibration when n is zero.
     """
     if n == 0:
         raise EmptyCalibration("calibration requires at least one sample")
     hidden = dims[1:-1]
-    block = np.empty(n * max(hidden, default=0))
+    block = np.empty(n * max(dims[1:]))
     scratch = [block[:n * d].reshape(n, d) for d in hidden]
-    return [np.empty((n, d)) for d in hidden], [np.empty((n, d)) for d in hidden], scratch
+    scratch.append(block[:n * dims[-1]].reshape(dims[-1], n))
+    return [np.empty((n, d)) for d in hidden], [np.empty((n, d)) for d in dims[1:]], scratch
 
 
 def _forward_backward(
-    layers: list[Matrix], loss: str, X: Matrix, Y: Matrix, ws: _Workspace
-) -> tuple[tuple[Matrix, ...], Matrix]:
+    layers: list[Matrix], loss: str, X: Matrix, Y: Matrix, ws: _Workspace, row: _Row
+) -> tuple[_Row, Matrix]:
     """One forward/backward pass over plain weight arrays, written into
-    the workspace `ws` = (acts, grads, scratch) of `_workspace`: the
-    `_output_grad` loss inputs and the last layer's output gradient are
-    returned, the hidden inputs X^(1..L-1) are left in acts and the
-    gradients G^(0..L-2) in grads."""
+    the workspace `ws` = (acts, grads, scratch) of `_workspace` and the
+    store row `row` of `_rows`: the last product writes Z into the row,
+    `_output_grad` turns it into the row's loss inputs, the hidden
+    inputs X^(1..L-1) are left in acts and the gradients G^(0..L-1) in
+    grads. Returns the row's loss inputs and the last layer's output
+    gradient grads[-1]."""
     acts, grads, scratch = ws
-    inputs, G_last = _output_grad(loss, _forward(layers, X, acts), Y)
+    _forward(layers, X, acts, row[0])
+    inputs, G = _output_grad(loss, Y, row, grads[-1], scratch[-1])
     # Walk backwards: gradient w.r.t. the input of layer i+1 is
     # (G W^T) * (1 - X^2) because acts[i] holds the post-tanh values.
-    G = G_last
     for i in range(len(layers) - 2, -1, -1):
         S = np.subtract(1.0, np.square(acts[i], out=scratch[i]), out=scratch[i])
-        G = np.multiply(np.matmul(G, layers[i + 1].T, out=grads[i]), S, out=grads[i])
-    return inputs, G_last
+        G = np.multiply(np.dot(G, layers[i + 1].T, out=grads[i]), S, out=grads[i])
+    return inputs, grads[-1]
 
 
 def calibrate(model: MlpModel, data: Dataset) -> list[LayerCalibration]:
@@ -337,10 +379,10 @@ def calibrate(model: MlpModel, data: Dataset) -> list[LayerCalibration]:
     Raises EmptyCalibration when the dataset has zero rows.
     """
     X = ensure_matrix(data.inputs, "X")
-    ws = _workspace(X.shape[0], model.dims)
-    _, G = _forward_backward(model.layers, model.loss, X, data.targets, ws)
-    acts, grads, _ = ws
-    return [LayerCalibration(X=A, gradZ=Gz) for A, Gz in zip([X, *acts], [*grads, G])]
+    ws = acts, grads, _ = _workspace(X.shape[0], model.dims)
+    (row,) = _rows(_loss_store(model.loss, X.shape[0], model.dims[-1], passes=1), data.targets)
+    _forward_backward(model.layers, model.loss, X, data.targets, ws, row)
+    return [LayerCalibration(X=A, gradZ=Gz) for A, Gz in zip([X, *acts], grads)]
 
 
 def walk_calibration(model: MlpModel,
@@ -372,13 +414,26 @@ def weight_gradients(model: MlpModel, data: Dataset) -> list[Matrix]:
     return [c.X.T @ c.gradZ for c in calib]
 
 
-def _loss_store(loss: str, n: int, d: int) -> tuple[np.ndarray, ...]:
+def _loss_store(loss: str, n: int, d: int, passes: int | None = None) -> tuple[np.ndarray, ...]:
     """Uninitialised stacks for the `_output_grad` loss inputs of one
-    block of passes over n samples with d outputs: as many passes as
-    LOSS_BLOCK_BYTES holds, and at least one."""
+    block of `passes` passes over n samples with d outputs; by default
+    as many passes as LOSS_BLOCK_BYTES holds, and at least one."""
     shapes = [(n, d)] if loss == "squared_error" else [(n, d), (n,), (n,)]
-    passes = max(1, LOSS_BLOCK_BYTES // (8 * sum(math.prod(s) for s in shapes)))
+    if passes is None:
+        passes = max(1, LOSS_BLOCK_BYTES // (8 * sum(math.prod(s) for s in shapes)))
     return tuple(np.empty((passes, *s)) for s in shapes)
+
+
+def _rows(store: tuple[np.ndarray, ...], Y: Matrix) -> list[_Row]:
+    """Each pass's row of `store`, as `_output_grad` fills it: the views
+    of the pass's loss inputs, the first of which the pass's last
+    product writes Z into.
+
+    Raises DimensionMismatch when a pass's output Z would not have the
+    shape of the targets Y."""
+    if store[0].shape[1:] != Y.shape:
+        raise DimensionMismatch(f"outputs {store[0].shape[1:]} vs targets {Y.shape}")
+    return [tuple(a[j] for a in store) for j in range(len(store[0]))]
 
 
 def _flat_buffer(shapes: list[tuple[int, int]]) -> tuple[np.ndarray, list[Matrix]]:
@@ -404,10 +459,14 @@ def train(model: MlpModel, data: Dataset, steps: int, lr: float) -> MlpModel:
 
     An lr that is not > 0 (NaN included) raises ConfigError before the
     first pass. The layers are reshaped views of one flat parameter
-    vector P and the gradients views of a second vector G, and every
-    pass writes into one workspace made for this call. P is updated in
-    place by the same two rounded operations as W - lr * g. The checks,
-    one pass at a time, in the order they are made:
+    vector P and the gradients views of a second vector G. Every pass
+    writes into one workspace made for this call and its loss inputs
+    into its own row of one store (`_loss_store`), whose row views, like
+    the operands of the weight-gradient products, are made once per
+    call; the targets' shape is checked once, as the rows are made
+    (DimensionMismatch). P is updated in place by the same two rounded
+    operations as W - lr * g. The checks, one pass at a time, in the
+    order they are made:
 
     * pass s > 0: a non-finite summed loss raises DivergedLoss
       "non-finite loss at step s - 1" (the update that produced it);
@@ -424,12 +483,13 @@ def train(model: MlpModel, data: Dataset, steps: int, lr: float) -> MlpModel:
     The passes run in blocks, as many as `_loss_store` holds the loss
     inputs of (LOSS_BLOCK_BYTES; 85 passes on the cross-entropy toy, 3 on
     the 64-256-256-16 mid model), and the checks run once per block: P
-    is saved, the block's passes and updates run unchecked, each pass's
-    loss inputs are kept, and then one `_losses` call sums every pass's
-    loss and one test sees whether P is finite. A non-finite entry of P
-    stays non-finite under P - lr * G (inf - finite = inf, inf - inf =
-    NaN, NaN - x = NaN), so a finite P at the end of a block means that
-    no update in it failed; every loss is checked, not just the last.
+    is saved, the block's passes and updates run unchecked, each pass
+    leaving its loss inputs in its store row, and then one `_losses`
+    call sums every pass's loss and one test sees whether P is finite.
+    A non-finite entry of P stays non-finite under P - lr * G (inf -
+    finite = inf, inf - inf = NaN, NaN - x = NaN), so a finite P at the
+    end of a block means that no update in it failed; every loss is
+    checked, not just the last.
     When the block fails, P is restored and the block is replayed one
     pass at a time with the checks above, which raises the same error at
     the same step as checking every pass; the replay costs at most one
@@ -454,9 +514,11 @@ def train(model: MlpModel, data: Dataset, steps: int, lr: float) -> MlpModel:
     saved = np.empty_like(P)
     ws = _workspace(X.shape[0], model.dims)
     store = _loss_store(model.loss, X.shape[0], model.dims[-1])
+    rows = _rows(store, data.targets)
     # every pass rewrites the same buffers, so the transposed layer
-    # inputs X^(l)^T are taken once
-    inputs_T = [A.T for A in [X, *ws[0]]]
+    # inputs X^(l)^T and the operands of each weight gradient are taken
+    # once
+    products = list(zip([A.T for A in [X, *ws[0]]], ws[1], grads))
     step, replay_end = 0, 0
     with np.errstate(over="ignore", invalid="ignore"):
         while step <= steps:
@@ -464,11 +526,9 @@ def train(model: MlpModel, data: Dataset, steps: int, lr: float) -> MlpModel:
             if k > 1:
                 np.copyto(saved, P)
             for j in range(k):
-                inputs, Gz = _forward_backward(layers, model.loss, X, data.targets, ws)
-                for stack, a in zip(store, inputs):
-                    stack[j] = a
-                for A_T, Gl, g in zip(inputs_T, [*ws[1], Gz], grads):
-                    np.matmul(A_T, Gl, out=g)
+                _forward_backward(layers, model.loss, X, data.targets, ws, rows[j])
+                for A_T, Gl, g in products:
+                    np.dot(A_T, Gl, out=g)
                 if step + j < steps:
                     np.multiply(G, lr, out=scaled)
                     np.subtract(P, scaled, out=P)

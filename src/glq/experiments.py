@@ -40,7 +40,7 @@ import time
 
 import numpy as np
 
-from .calib_model import toy_problem
+from .calib_model import Dataset, teacher_datasets, toy_problem
 from .guidedquant import QuantJob, run_job
 
 COMPARED_METHODS = ("squeezellm", "lnq_plain", "lnq_guided")
@@ -64,6 +64,30 @@ PROTOCOL = {
     "task": "softmax_cross_entropy",
     "steps": 4000,
 }
+
+#: A regime that generalizes, unlike `PROTOCOL`'s 64 samples fitted for
+#: 4000 steps, which its model memorizes: the toy widths trained on
+#: 4096 samples of one `teacher_split` at lr 3e-5 (the loss is a sum)
+#: for 2000 full-batch steps. ``scripts/held_out_gap.py`` measures its
+#: per-sample loss on the training and the held-out split.
+GENERALIZING_REGIME = {
+    "dims": [8, 16, 16, 4],
+    "task": "softmax_cross_entropy",
+    "n_train": 4096,
+    "lr": 3e-5,
+    "steps": 2000,
+}
+
+
+def teacher_split(seed: int, n_train: int, n_test: int, n_cal: int, d0: int, dt: int,
+                  task: str) -> tuple[Dataset, Dataset, Dataset]:
+    """Three disjoint draws from the teacher of `gen_dataset(seed, ...)`:
+    the training set, which is `gen_dataset(seed, n_train, d0, dt, task)`
+    byte for byte, a held-out set of n_test samples and a calibration set
+    of n_cal. The held-out set is drawn before the calibration set, so
+    it does not depend on n_cal."""
+    train, test, cal = teacher_datasets(seed, [n_train, n_test, n_cal], d0, dt, task)
+    return train, test, cal
 
 
 def end_loss_comparison(

@@ -61,7 +61,7 @@ from .calib_model import (
     end_loss_from_input,
     walk_calibration,
 )
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError, DimensionMismatch, NonFiniteFisher
 from .hessian import (
     DEFAULT_DAMPING_REL,
     HessianCache,
@@ -266,17 +266,19 @@ def run_job(
     qlayers = []
 
     def step(l, W, c, take_set):
-        if job.method in ("lnq_plain", "lnq_guided"):
-            init = squeezellm_init(W, fisher_diag(c), job.bits,
-                                   [(job.seed, j) for j in range(W.shape[1])])
-            hset = take_set()
-            ql = lnq_quantize(hset, W, job.bits, job.T, job.K, init)
-        else:
+        try:
             if job.method == "rtn":
                 ql = rtn_quantize(W, job.bits, layer_idx=l)
-            else:
+            elif job.method == "squeezellm":
                 ql = squeezellm_quantize(W, fisher_diag(c), job.bits, seed=job.seed, layer_idx=l)
-            hset = take_set()
+            else:
+                init = squeezellm_init(W, fisher_diag(c), job.bits,
+                                       [(job.seed, j) for j in range(W.shape[1])])
+        except NonFiniteFisher as exc:  # squeezellm_init names the channel only
+            raise NonFiniteFisher(f"layer {l} {exc}") from exc
+        hset = take_set()
+        if job.method in ("lnq_plain", "lnq_guided"):
+            ql = lnq_quantize(hset, W, job.bits, job.T, job.K, init)
         qlayers.append(ql)
         return ql.W_hat, hset
 

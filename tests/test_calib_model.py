@@ -39,16 +39,31 @@ GOLDEN_TARGETS_CE = "9b2237201c7ea408"
 
 def two_pass_train(model: MlpModel, data: Dataset, steps: int, lr: float) -> MlpModel:
     """`train` as it was before it was fused, kept as the reference: a
-    gradient pass, a rebuilt model and a separate loss pass per step."""
+    gradient pass, a rebuilt model and a separate loss pass per step,
+    each pass `_reference_pass`, which shares no code with `train`'s."""
     cur = model.copy()
     for step in range(steps):
-        grads = weight_gradients(cur, data)
+        _, grads = _reference_pass(cur, data)
         if any(not np.all(np.isfinite(g)) for g in grads):
             raise DivergedLoss(f"non-finite gradient at step {step}")
         cur = cur.with_layers([W - lr * g for W, g in zip(cur.layers, grads)])
-        if not np.isfinite(end_loss(cur, data)):
+        if not np.isfinite(np.sum(_reference_pass(cur, data)[0])):
             raise DivergedLoss(f"non-finite loss at step {step}")
     return cur
+
+
+def _reference_pass(model: MlpModel, data: Dataset) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per-sample losses and weight gradients of one forward/backward
+    pass, written with `@`, `np.tanh` and `_one_pass_loss_and_grad`."""
+    acts = [data.inputs]
+    for W in model.layers[:-1]:
+        acts.append(np.tanh(acts[-1] @ W))
+    per, G = _one_pass_loss_and_grad(model.loss, acts[-1] @ model.layers[-1], data.targets)
+    grads = [acts[-1].T @ G]
+    for i in range(model.n_layers - 2, -1, -1):
+        G = (G @ model.layers[i + 1].T) * (1.0 - np.square(acts[i + 1]))
+        grads.insert(0, acts[i].T @ G)
+    return per, grads
 
 
 def _outcome(fn, *args):
@@ -304,15 +319,46 @@ class TestTrain:
         real = calib_model._forward_backward
         seen = []
 
-        def spy(layers, loss, X, Y, ws):
+        def spy(layers, loss, X, Y, ws, row):
             seen.append([id(a) for part in ws for a in part])
-            return real(layers, loss, X, Y, ws)
+            return real(layers, loss, X, Y, ws, row)
 
         monkeypatch.setattr(calib_model, "_forward_backward", spy)
         model, data = random_model([4, 5, 6, 3], 2), gen_dataset(2, 16, 4, 3)
         train(model, data, steps=5, lr=1e-3)
-        assert len(seen) == 6 and len(seen[0]) == 3 * 2
+        # 2 hidden inputs, 3 output gradients, 2 (1 - X^2) scratches and Z^T
+        assert len(seen) == 6 and len(seen[0]) == 2 + 3 + 3
         assert all(ids == seen[0] for ids in seen)
+
+    @pytest.mark.parametrize("loss", ["squared_error", "softmax_cross_entropy"])
+    def test_pass_returns_views_of_workspace_and_its_store_row(self, monkeypatch, loss):
+        # a pass allocates nothing: the output gradient it returns lives in
+        # the workspace and its loss inputs in the store row of that pass
+        real_pass, real_store = calib_model._forward_backward, calib_model._loss_store
+        stores, passes = [], []
+
+        def store_spy(*args):
+            stores.append(real_store(*args))
+            return stores[-1]
+
+        def spy(layers, loss, X, Y, ws, row):
+            inputs, G = real_pass(layers, loss, X, Y, ws, row)
+            passes.append((ws, inputs, G))
+            return inputs, G
+
+        monkeypatch.setattr(calib_model, "LOSS_BLOCK_BYTES", _block_budget(loss, 16, 3, 3))
+        monkeypatch.setattr(calib_model, "_loss_store", store_spy)
+        monkeypatch.setattr(calib_model, "_forward_backward", spy)
+        model = random_model([4, 5, 6, 3], 2, loss=loss)
+        train(model, gen_dataset(2, 16, 4, 3, task=loss), steps=7, lr=1e-3)
+        (store,) = stores
+        assert len(store[0]) == 3 and len(passes) == 8
+        for p, (ws, inputs, G) in enumerate(passes):
+            assert ws is passes[0][0] and G is ws[1][-1]
+            assert len(inputs) == len(store)
+            for a, stack in zip(inputs, store):
+                owners = [j for j in range(3) if np.shares_memory(a, stack[j])]
+                assert owners == [p % 3] and a.shape == stack.shape[1:]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -502,6 +548,15 @@ def _one_pass_loss_and_grad(loss: str, Z: np.ndarray, Y: np.ndarray):
     return per, soft - Y
 
 
+def _output_grad(loss: str, Z: np.ndarray, Y: np.ndarray):
+    """`calib_model._output_grad` on a one-pass store row holding a copy
+    of Z and on buffers of its own."""
+    n, d = Z.shape
+    (row,) = calib_model._rows(calib_model._loss_store(loss, n, d, passes=1), Y)
+    row[0][...] = Z
+    return calib_model._output_grad(loss, Y, row, np.empty((n, d)), np.empty((d, n)))
+
+
 def _bits(a) -> np.ndarray:
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
@@ -660,7 +715,7 @@ class TestStackedLosses:
             Y = np.zeros((n, d))
             Y[np.arange(n), labels] = 1.0
         with np.errstate(over="ignore"):
-            passes = [calib_model._output_grad(loss, Z.copy(), Y) for Z in Zs]
+            passes = [_output_grad(loss, Z, Y) for Z in Zs]
             stacked = tuple(np.stack(parts) for parts in zip(*(p[0] for p in passes)))
             per = calib_model._losses(loss, stacked, Y)
             sums = per.sum(axis=1)
@@ -679,7 +734,7 @@ class TestStackedLosses:
     def test_overflowing_loss_with_finite_gradient(self, loss, Z, Y):
         Z, Y = np.array(Z), np.array(Y)
         with np.errstate(over="ignore"):
-            inputs, grad = calib_model._output_grad(loss, Z.copy(), Y)
+            inputs, grad = _output_grad(loss, Z, Y)
             per = calib_model._losses(loss, tuple(a[None] for a in inputs), Y)
             want_per, want_grad = _one_pass_loss_and_grad(loss, Z, Y)
         assert np.isposinf(per).all() and np.isfinite(grad).all()

@@ -514,7 +514,7 @@ class TestHessianCacheFlag:
         assert not cache.exists()
         assert main(["quantize", "--model", str(model), "--data", str(huge), "--g", "2",
                      "--hessian-cache", str(cache), "--out", str(tmp_path / "q")]) == 2
-        assert capsys.readouterr().err == "error: channel 0: Fisher diagonal entry 0 is inf\n"
+        assert capsys.readouterr().err == "error: layer 0 channel 0: Fisher diagonal entry 0 is inf\n"
         assert not cache.exists() and not (tmp_path / "q").exists()
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from glq import guidedquant, lnq
 from glq.calib_model import (
+    Dataset,
     LayerCalibration,
     MlpModel,
     calibrate,
@@ -21,6 +22,7 @@ from glq.errors import (
     ConfigError,
     DimensionMismatch,
     GlqError,
+    NonFiniteFisher,
     NotPositiveDefinite,
     SingularHessian,
 )
@@ -313,6 +315,22 @@ class TestRunJob:
                             lambda c: calls.append(1) or real(c))
         run_job(model, data, QuantJob(method="lnq_guided", bits=2, g=4))
         assert len(calls) == model.n_layers
+
+    @pytest.mark.parametrize("method", ["squeezellm", "lnq_plain"])
+    def test_non_finite_fisher_names_its_layer(self, method):
+        # x W_0 is +-40 or +-80, whose tanh rounds to +-1, so layer 0's
+        # output gradients carry the factor 1 - h^2 = 0 and its Fisher is
+        # 0; layer 1's gradients 2 (z - 1e160) square past the float64 range
+        model = MlpModel(layers=[np.array([[40.0, -40.0, 80.0]]),
+                                 np.array([[1.0, 0.5], [-1.0, 2.0], [0.25, 1.0]])])
+        data = Dataset(inputs=np.array([[1.0], [-1.0], [2.0], [-2.0]]),
+                       targets=np.full((4, 2), 1e160), seed=0)
+        calib = calibrate(model, data)
+        assert np.all(np.isfinite(fisher_diag(calib[0])))
+        assert np.isposinf(fisher_diag(calib[1])).all()
+        with pytest.raises(NonFiniteFisher,
+                           match=r"^layer 1 channel 0: Fisher diagonal entry 0 is inf$"):
+            run_job(model, data, QuantJob(method=method, bits=1, g=1))
 
 
 @pytest.mark.parametrize("method", METHODS)
