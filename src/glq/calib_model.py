@@ -113,6 +113,7 @@ class MlpModel:
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
         self.layers = [ensure_matrix(W, f"layer {i}") for i, W in enumerate(self.layers)]
+        _check_widths(W.shape for W in self.layers)
         for i in range(len(self.layers) - 1):
             if self.layers[i].shape[1] != self.layers[i + 1].shape[0]:
                 raise DimensionMismatch(
@@ -138,6 +139,14 @@ class MlpModel:
 
     def with_layers(self, layers: list[Matrix]) -> "MlpModel":
         return MlpModel(layers=list(layers), activation=self.activation, loss=self.loss)
+
+
+def _check_widths(shapes) -> None:
+    """Refuse (InvalidSize, naming the layer) a layer shape d_in x d_out
+    with a width below 1: an empty layer leaves nothing to quantize."""
+    for i, (d_in, d_out) in enumerate(shapes):
+        if min(d_in, d_out) < 1:
+            raise InvalidSize(f"layer {i} is {d_in} x {d_out}: every width must be >= 1")
 
 
 @dataclass
@@ -225,9 +234,11 @@ def toy_problem(seed: int = 0, loss: str = "squared_error",
 
 
 def random_model(dims: list[int], seed: int, loss: str = "squared_error") -> MlpModel:
-    """Fresh model with N(0, 1/d_in) weights, deterministic in `seed`."""
+    """Fresh model with N(0, 1/d_in) weights, deterministic in `seed`; a
+    width below 1 is refused before any weight is drawn."""
     if len(dims) < 2:
         raise InvalidSize("need at least [d_in, d_out]")
+    _check_widths(zip(dims[:-1], dims[1:]))
     rng = np.random.default_rng(seed)
     layers = [
         rng.standard_normal((dims[i], dims[i + 1])) / np.sqrt(dims[i])

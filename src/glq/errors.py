@@ -54,8 +54,8 @@ class NonFiniteMass(GlqError):
 class NonFiniteFisher(GlqError):
     """A channel's diagonal Fisher (its k-means weights) has a NaN or
     infinite entry, for example from overflowing activations.
-    `squeezellm_init` names the channel, and `run_job` the layer before
-    it ("layer 1 channel 0: ...")."""
+    `squeezellm_init` names the layer and the channel ("layer 1 channel
+    0: ...")."""
 
 
 class ZeroDiagonal(GlqError):

@@ -24,10 +24,11 @@ the layer's report row follows at once, so at most one set is live, and
 none while a row is made. The end loss before quantization comes from
 the last layer's input, with `end_loss`'s bits.
 For the LNQ methods one ``squeezellm_init`` call (arrays, no SSE trace)
-covers the layer, channel j seeded by (seed, j) as in the squeezellm
-baseline, so every method and every g starts a layer from the same
-init; it runs before the set is taken, and ``lnq_quantize`` solves the
-layer's groups in place on the init's row-major arrays (see ``lnq``).
+covers the layer; it seeds channel j by (seed, j), as for the
+squeezellm baseline, so every method and every g starts a layer from
+the same init; it runs before the set is taken, and ``lnq_quantize``
+solves the layer's groups in place on the init's row-major arrays (see
+``lnq``).
 Arrays are freed at their last use (README gives the measured peaks).
 ``lnq_quantize`` takes the layer's set itself, which checked its
 matrices when it was made. A group Hessian that does not factor raises
@@ -36,8 +37,10 @@ Reported objectives per layer: the plain reconstruction error
 ||X (W - What)||_F^2, the gradient-weighted error
 ||gradZ * (X (W - What))||_F^2 (elementwise product), and the damped
 quadratic under the method's Hessian sets (`job_hessians`: plain ones
-for every method but lnq_guided). `glq eval`
-rebuilds those sets from the job recorded in the artifact, so it
+for every method but lnq_guided), the sum of every channel's
+`lnq.damped_objectives` value: the one a trace records, so an LNQ
+layer's damped objective is the sum of its final trace entries. `glq
+eval` rebuilds those sets from the job recorded in the artifact, so it
 reproduces every column of the quantize report. The gradient-weighted
 error equals the sum of per-channel Fisher quadratic forms
 n * delta^T F_j delta with n F_j = X^T Diag(gradZ[:, j]^2) X; the
@@ -61,7 +64,7 @@ from .calib_model import (
     end_loss_from_input,
     walk_calibration,
 )
-from .errors import ConfigError, DimensionMismatch, NonFiniteFisher
+from .errors import ConfigError, DimensionMismatch
 from .hessian import (
     DEFAULT_DAMPING_REL,
     HessianCache,
@@ -71,7 +74,7 @@ from .hessian import (
     layer_hessians,
 )
 from .linalg import Matrix, ensure_matrix
-from .lnq import lnq_quantize
+from .lnq import damped_objectives, lnq_quantize
 from .scalar_quant import QuantizedLayer, rtn_quantize, squeezellm_init, squeezellm_quantize
 
 METHODS = ("rtn", "squeezellm", "lnq_plain", "lnq_guided")
@@ -257,25 +260,20 @@ def run_job(
     (LNQ) or its weights quantized (rtn, squeezellm) and dropped once
     the layer is solved and its damped objective taken; the layer's
     report row follows. For the LNQ methods `squeezellm_init` on the
-    layer's weights and diagonal Fisher, channel j seeded by (seed, j),
-    gives the init of one `lnq_quantize` call over the layer's
-    consecutive groups, which solves the layer in place on the init's
-    arrays. Returns the quantized model, one QuantizedLayer per layer,
-    and the report.
+    layer's weights and diagonal Fisher gives the init of one
+    `lnq_quantize` call over the layer's consecutive groups, which
+    solves the layer in place on the init's arrays. Returns the
+    quantized model, one QuantizedLayer per layer, and the report.
     """
     qlayers = []
 
     def step(l, W, c, take_set):
-        try:
-            if job.method == "rtn":
-                ql = rtn_quantize(W, job.bits, layer_idx=l)
-            elif job.method == "squeezellm":
-                ql = squeezellm_quantize(W, fisher_diag(c), job.bits, seed=job.seed, layer_idx=l)
-            else:
-                init = squeezellm_init(W, fisher_diag(c), job.bits,
-                                       [(job.seed, j) for j in range(W.shape[1])])
-        except NonFiniteFisher as exc:  # squeezellm_init names the channel only
-            raise NonFiniteFisher(f"layer {l} {exc}") from exc
+        if job.method == "rtn":
+            ql = rtn_quantize(W, job.bits, layer_idx=l)
+        elif job.method == "squeezellm":
+            ql = squeezellm_quantize(W, fisher_diag(c), job.bits, seed=job.seed, layer_idx=l)
+        else:
+            init = squeezellm_init(W, fisher_diag(c), job.bits, job.seed, layer_idx=l)
         hset = take_set()
         if job.method in ("lnq_plain", "lnq_guided"):
             ql = lnq_quantize(hset, W, job.bits, job.T, job.K, init)
@@ -347,20 +345,18 @@ def _errors(c: LayerCalibration, W: Matrix, Wh: Matrix) -> tuple[float, float]:
 def damped_quadratic(hset: HessianSet, W: Matrix, W_hat: Matrix) -> float:
     """sum over groups and their channels of delta^T Hbar_k delta.
 
-    `W_hat` is validated once, not once per channel, and the set's
-    matrices were checked when it was made; every term is
-    float(v @ H @ v) with v = What_j - W_j."""
+    `W_hat` is validated once, and the set's matrices were checked when
+    it was made. Each channel's term is `lnq.damped_objectives`' value,
+    the one its trace records, and the terms are added in channel order
+    from 0, so an LNQ layer's result is the sum of its final trace
+    entries."""
     W_hat = ensure_matrix(W_hat, "W_hat")
     if W_hat.shape != W.shape:
         raise DimensionMismatch(f"W_hat is {W_hat.shape}, W is {W.shape}")
     if hset.hessians[0].shape != (W.shape[0], W.shape[0]):  # the set holds one d
         raise DimensionMismatch(f"H is {hset.hessians[0].shape}, weights have d_in={W.shape[0]}")
-    total = 0.0
-    for H, (o, e) in zip(hset.hessians, hset.partition.bounds):
-        for j in range(o, e):
-            v = W_hat[:, j] - W[:, j]
-            total += float(v @ H @ v)
-    return total
+    deltas = (W_hat[:, o:e] - W[:, o:e] for o, e in hset.partition.bounds)
+    return sum(damped_objectives(hset.hessians, deltas).tolist())
 
 
 def sweep(model: MlpModel, data: Dataset, jobs: list[QuantJob]) -> list[dict]:

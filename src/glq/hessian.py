@@ -148,7 +148,10 @@ def check_settings(damping_rel: float) -> None:
         raise ConfigError(f"damping_rel must be >= 0, got {damping_rel}")
 
 
-def _check_calib(calib: LayerCalibration) -> tuple[Matrix, Matrix]:
+def check_calib(calib: LayerCalibration) -> tuple[Matrix, Matrix]:
+    """A record's X and gradZ as checked matrices; a record with no
+    samples, or whose two arrays disagree on the count, raises
+    EmptyCalibration."""
     X = ensure_matrix(calib.X, "X")
     G = ensure_matrix(calib.gradZ, "gradZ")
     if X.shape[0] == 0:
@@ -198,7 +201,7 @@ def plain_hessian(
     the guided build with one group and unit weights. A negative (or
     NaN) damping raises ConfigError (`check_settings`)."""
     check_settings(damping_rel)
-    X, G = _check_calib(calib)
+    X, G = check_calib(calib)
     return _gram_set(X, np.ones((X.shape[0], 1)), ChannelPartition.consecutive(G.shape[1], 1),
                      layer_idx, damping_rel)
 
@@ -211,7 +214,7 @@ def squared_grad_averages(calib: LayerCalibration, partition: ChannelPartition) 
     them pairwise and move the last bits. A square that overflows is
     left infinite, without numpy's warning: the Hessians built from it
     are refused (`HessianSet`)."""
-    _, G = _check_calib(calib)
+    _, G = check_calib(calib)
     if partition.d_out != G.shape[1]:
         raise PartitionMismatch(
             f"partition covers {partition.d_out} channels, layer has {G.shape[1]}"
@@ -236,7 +239,7 @@ def guided_hessians(
     raises ConfigError (`check_settings`) before anything is built.
     """
     check_settings(damping_rel)
-    X, _ = _check_calib(calib)
+    X, _ = check_calib(calib)
     s = squared_grad_averages(calib, partition)
     for k, (o, e) in enumerate(partition.bounds):
         if not np.any(s[:, k]):
@@ -256,7 +259,7 @@ def fisher_diag(calib: LayerCalibration) -> Matrix:
     that overflows is left infinite, without numpy's warning: the
     squeezellm init refuses it (NonFiniteFisher).
     """
-    X, G = _check_calib(calib)
+    X, G = check_calib(calib)
     n = X.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         return ((X ** 2).T @ (G ** 2)) / n

@@ -69,7 +69,10 @@ phases alternate T times:
 Both phases descend the same damped objective, so the recorded
 per-channel objective trace (initial value, then one entry after every
 phase, then one after the final codebook solve: 2T + 2 values) never
-increases.
+increases. Every entry is ``damped_objectives``' value, the one
+definition of a channel's damped objective, whose sum over a layer's
+channels is the report's ``damped_objective``
+(``guidedquant.damped_quadratic``).
 
 ``lnq_quantize`` and ``cd_cycle`` take one layer's
 ``hessian.HessianSet``, whose partition gives the consecutive groups
@@ -105,7 +108,7 @@ from .errors import (
 )
 from .hessian import HessianSet
 from .linalg import cholesky, least_squares, zero_curvature
-from .scalar_quant import QuantizedLayer, _codebook_size, check_codebooks, round_rows
+from .scalar_quant import QuantizedLayer, check_codebooks, codebook_size, round_rows
 
 CD_BATCH = 128
 # Bytes of the in-batch Htil blocks (b x b per group) one CD pass holds;
@@ -127,6 +130,17 @@ def _group_deltas(W: np.ndarray, C: np.ndarray, A: np.ndarray,
     for o, e in bounds:
         D = C.take(A[:, o:e] + np.arange(o, e) * C.shape[1])  # flat C
         yield np.subtract(D, W[:, o:e], out=D)
+
+
+def damped_objectives(H: list[np.ndarray], deltas) -> np.ndarray:
+    """The damped objective delta^T Hbar_k delta of every channel, delta =
+    What_j - W_j: the one definition the traces and the report use.
+
+    `deltas` gives each group's What - W in turn as a C-contiguous d x c_k
+    array, the layout the group's rows would have alone, and H[k] is
+    group k's Hessian. Group k's values are the column sums of
+    D * (H[k] @ D); they come back concatenated, channels in order."""
+    return np.concatenate([np.sum(D * (Hk @ D), axis=0) for Hk, D in zip(H, deltas)])
 
 
 def _codebook_chunks(bounds: list[tuple[int, int]], pending: np.ndarray, d: int, m: int):
@@ -369,7 +383,7 @@ def lnq_quantize(
     non-increasing damped objective trace described in the module
     docstring, and gives the bits of one run per group.
     """
-    m = _codebook_size(bits)
+    m = codebook_size(bits)
     if T < 1:
         raise InvalidSize(f"T must be >= 1, got {T}")
     if K < 1:
@@ -393,8 +407,7 @@ def lnq_quantize(
     traces = []  # one length-c array of objectives per record()
 
     def record() -> None:
-        traces.append(np.concatenate([np.sum(D * (Hk @ D), axis=0)
-                                      for Hk, D in zip(H, _group_deltas(W, C, A, bounds))]))
+        traces.append(damped_objectives(H, _group_deltas(W, C, A, bounds)))
 
     LtW = np.empty((c, d))  # L^T w of every channel, formed in the first phase
     # the slots each channel's last solve started from and returned

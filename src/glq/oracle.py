@@ -17,7 +17,7 @@ import numpy as np
 
 from .calib_model import Dataset, LayerCalibration, MlpModel, calibrate, end_loss, weight_gradients
 from .errors import DimensionMismatch, InvalidSize, PartitionMismatch, TooLarge, ZeroDiagonal
-from .hessian import HessianSet, _check_calib
+from .hessian import HessianSet, check_calib
 from .linalg import Matrix, ensure_matrix, ensure_vector
 
 EXHAUSTIVE_CAP = 1_000_000
@@ -147,7 +147,7 @@ def fisher_block_oracle(calib: LayerCalibration, j: int, n: int) -> Matrix:
     for the Diag-identity path used everywhere else. The inputs are
     validated as the Hessian builders validate theirs.
     """
-    X, G = _check_calib(calib)
+    X, G = check_calib(calib)
     if not 0 <= j < G.shape[1]:
         raise PartitionMismatch(f"channel {j} out of range")
     if n < 1:

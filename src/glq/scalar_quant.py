@@ -24,11 +24,11 @@ over every cluster of the stack. The SSE traces rest on one rule of
 numpy's: a sum along the contiguous last axis adds each row as that
 row's ``.sum()``.
 ``squeezellm_init`` is the one squeezellm path: codebooks and
-assignments of a d x c layer as arrays, one seed per channel, with the
-SSE traces only when asked for (then one ``lloyd`` call per channel,
-the form ``bench/spans.py`` reads); ``squeezellm_quantize`` wraps them
-into a layer, and ``run_job`` calls it once per layer for the LNQ
-init.
+assignments of a d x c layer as arrays, channel j seeded by (seed, j),
+with the SSE traces only when asked for (then one ``lloyd`` call per
+channel, the form ``bench/spans.py`` reads); ``squeezellm_quantize``
+wraps them into a layer, and ``run_job`` calls it once per layer for
+the LNQ init.
 The exact 1-D k-means DP they are checked against is
 ``oracle.kmeans_1d_exact``.
 """
@@ -329,7 +329,7 @@ class QuantizedLayer:
     traces: list[list[float]]
 
     def __post_init__(self) -> None:
-        m = _codebook_size(self.bits)
+        m = codebook_size(self.bits)
         C = np.ascontiguousarray(self.C, dtype=np.float64)
         A = np.ascontiguousarray(self.A, dtype=np.int64)
         if C.ndim != 2 or A.ndim != 2 or C.shape[0] != A.shape[1]:
@@ -379,7 +379,7 @@ def rtn_quantize(W: np.ndarray, bits: int, layer_idx: int = 0) -> QuantizedLayer
     [min, max] (or the distinct values themselves when they fit), then
     every weight rounded in one broadcast `round_rows`."""
     W = np.asarray(W, dtype=np.float64)
-    m = _codebook_size(bits)
+    m = codebook_size(bits)
     C = np.empty((W.shape[1], m))
     for j, col in enumerate(W.T):
         distinct = np.unique(col)
@@ -390,7 +390,8 @@ def rtn_quantize(W: np.ndarray, bits: int, layer_idx: int = 0) -> QuantizedLayer
     return QuantizedLayer(layer_idx, bits, C, round_rows(W, C), [[] for _ in C])
 
 
-def _codebook_size(bits: int) -> int:
+def codebook_size(bits: int) -> int:
+    """m = 2**bits codebook slots; bits outside 1..8 raise InvalidSize."""
     if not 1 <= bits <= 8:
         raise InvalidSize(f"bits must be in 1..8, got {bits}")
     return 2 ** bits
@@ -400,7 +401,8 @@ def squeezellm_init(
     W: np.ndarray,
     fisher_diag: np.ndarray,
     bits: int,
-    seeds: Sequence,
+    seed: int,
+    layer_idx: int = 0,
     traces: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sensitivity-weighted k-means, one codebook per channel, as arrays.
@@ -408,32 +410,29 @@ def squeezellm_init(
     Channel j clusters the weights W[:, j] with diagonal-Fisher weights
     fisher_diag[:, j] (uniform weights if none is positive); a Fisher
     column with a NaN or infinite entry is refused first, with
-    NonFiniteFisher naming the channel. The d x c arrays are checked
-    once, as `lloyd` checks its points, and one sort counts each
-    channel's distinct values: a channel with no more of them than
-    codebook slots is represented exactly. The others are seeded by
-    k-means++ in one `kmeans_pp_init` pass, channel j from `seeds[j]`
-    (one SeedSequence entropy per channel), and refined by one `lloyd`
-    call of DEFAULT_LLOYD_ITERS iterations (with `traces`, one call per
-    channel, a stack of one; the same bits). `run_job` calls it once per
-    layer. Returns the codebooks
-    (c x m, rows sorted) and the assignments (d x c). When `traces` is
-    given, one list per channel is appended to it: Lloyd's weighted SSE
-    trace, or [0.0] for an exact channel; without it no SSE is
-    computed.
+    NonFiniteFisher naming the layer `layer_idx` and the channel. The
+    d x c arrays are checked once, as `lloyd` checks its points, and one
+    sort counts each channel's distinct values: a channel with no more
+    of them than codebook slots is represented exactly. The others are
+    seeded by k-means++ in one `kmeans_pp_init` pass, channel j from the
+    SeedSequence entropy (seed, j), and refined by one `lloyd` call of
+    DEFAULT_LLOYD_ITERS iterations (with `traces`, one call per channel,
+    a stack of one; the same bits). Returns the codebooks (c x m, rows
+    sorted) and the assignments (d x c). When `traces` is given, one
+    list per channel is appended to it: Lloyd's weighted SSE trace, or
+    [0.0] for an exact channel; without it no SSE is computed.
     """
-    m = _codebook_size(bits)
+    m = codebook_size(bits)
     Wt = np.array(np.transpose(fisher_diag), dtype=np.float64, order="C")  # the fallback writes
     if Wt.ndim == 2:
         bad = np.argwhere(~np.isfinite(Wt))
         if bad.size:
             j, i = bad[0].tolist()
-            raise NonFiniteFisher(f"channel {j}: Fisher diagonal entry {i} is {Wt[j, i]}")
+            raise NonFiniteFisher(f"layer {layer_idx} channel {j}: "
+                                  f"Fisher diagonal entry {i} is {Wt[j, i]}")
     Wt[~np.any(Wt > 0, axis=-1)] = 1.0
     X, Wt = _check_points(np.transpose(W), Wt)
     c, d = X.shape
-    if len(seeds) != c:
-        raise DimensionMismatch(f"{len(seeds)} seeds for {c} channels")
     # distinct values per channel, counted as np.unique counts them (-0.0 == 0.0)
     exact = np.count_nonzero(np.diff(np.sort(X, axis=1), axis=1), axis=1) < m
     C = np.empty((c, m))
@@ -446,7 +445,7 @@ def squeezellm_init(
     if clustered.size:
         if clustered.size < c:
             X, Wt = X[clustered], Wt[clustered]
-        inits = kmeans_pp_init(X, Wt, m, [seeds[j] for j in clustered.tolist()])
+        inits = kmeans_pp_init(X, Wt, m, [(seed, j) for j in clustered.tolist()])
         if traces is None:
             C[clustered], assign = lloyd(X, Wt, inits, DEFAULT_LLOYD_ITERS)
             A[:, clustered] = assign.T
@@ -472,9 +471,7 @@ def squeezellm_quantize(
     layer_idx: int = 0,
 ) -> QuantizedLayer:
     """The squeezellm baseline layer: `squeezellm_init`'s codebooks and
-    assignments, channel j seeded by (seed, j), with each channel's SSE
-    trace."""
+    assignments, with each channel's SSE trace."""
     traces: list[list[float]] = []
-    seeds = [(seed, j) for j in range(np.shape(W)[1])]
-    C, A = squeezellm_init(W, fisher_diag, bits, seeds, traces)
+    C, A = squeezellm_init(W, fisher_diag, bits, seed, layer_idx, traces)
     return QuantizedLayer(layer_idx, bits, C, A, traces)

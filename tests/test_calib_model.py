@@ -121,6 +121,17 @@ class TestModel:
         with pytest.raises(DimensionMismatch):
             MlpModel(layers=[np.ones((3, 4)), np.ones((5, 2))])
 
+    def test_zero_width_layer_refused(self):
+        # an empty layer leaves nothing to quantize: refused, naming it
+        with pytest.raises(InvalidSize, match=r"^layer 1 is 8 x 0: every width must be >= 1$"):
+            random_model([6, 8, 0, 4], 0)
+        with pytest.raises(InvalidSize, match=r"^layer 2 is 2 x -1: "):
+            random_model([6, 8, 2, -1, 4], 0)
+        with pytest.raises(InvalidSize, match=r"^layer 0 is 0 x 2: "):
+            MlpModel(layers=[np.ones((0, 2))])
+        with pytest.raises(InvalidSize, match=r"^layer 1 is 3 x 0: "):
+            MlpModel(layers=[np.ones((2, 3)), np.ones((3, 0))])
+
     def test_unknown_tags_rejected(self):
         with pytest.raises(ValueError):
             MlpModel(layers=[np.ones((2, 2))], loss="hinge")

@@ -13,7 +13,7 @@ import pytest
 
 import glq
 from glq import artifacts, cli, hessian, tensorio
-from glq.calib_model import Dataset, calibrate
+from glq.calib_model import Dataset, calibrate, random_model
 from glq.cli import QUANTIZE_DEFAULTS, build_parser, main
 from glq.errors import ConfigError, CorruptFile
 from glq.guidedquant import METHODS, QuantJob
@@ -168,6 +168,19 @@ class TestTrainCalibrateHessian:
                                            + _DIVERGED.format(n=256) + "\n")
         assert not out.exists()
         assert main(["train", "--data", str(data), "--lr", "2e-4", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("hidden, shape", [("8,0", "8 x 0"), ("8,-1", "8 x -1")])
+    def test_train_refuses_an_empty_layer(self, pipeline, tmp_path, capsys, monkeypatch,
+                                          hidden, shape):
+        # exit 2 before any training step, naming the layer; no model
+        data, _ = pipeline
+        out = tmp_path / "model"
+        monkeypatch.setattr(cli, "run_train", lambda *a, **kw: pytest.fail("trained"))
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--hidden", hidden, "--steps", "5",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: layer 1 is {shape}: every width must be >= 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("lr, shown", [("-1", "-1.0"), ("nan", "nan")])
     def test_train_refuses_bad_lr(self, pipeline, tmp_path, capsys, lr, shown):
@@ -587,6 +600,31 @@ class TestQuantizeAndEval:
                          "--quant", str(out), "--csv", str(csv_path)]) == 0
             assert csv_path.read_text() == (out / "report.csv").read_text(), method
 
+    @pytest.mark.parametrize("data_seed, n, d0, hidden, steps, method, g", [
+        ("0", "32", "6", "8", "60", "lnq_guided", "2"),  # criterion 10's artifact
+        ("3", "64", "8", "16,16", "100", "lnq_plain", "1"),
+        ("3", "64", "8", "16,16", "100", "lnq_guided", "4"),
+    ])
+    def test_eval_damped_objective_is_the_sum_of_final_trace_entries(
+            self, tmp_path, data_seed, n, d0, hidden, steps, method, g):
+        # eval's damped total is the sum over the layers of their channels'
+        # final trace entries, bit for bit; on the 8-16-16-4 model a
+        # v @ H @ v sum per channel misses it in the last bits
+        data, model, out = (tmp_path / s for s in ("data", "model", "quant"))
+        assert main(["gen-data", "--seed", data_seed, "--n", n, "--d0", d0, "--dt", "4",
+                     "--out", str(data)]) == 0
+        assert main(["train", "--data", str(data), "--hidden", hidden, "--steps", steps,
+                     "--out", str(model)]) == 0
+        assert main(["quantize", "--model", str(model), "--data", str(data),
+                     "--method", method, "--bits", "2", "--g", g, "--seed", "0",
+                     "--out", str(out)]) == 0
+        assert main(["eval", "--model", str(model), "--data", str(data), "--quant", str(out),
+                     "--csv", str(tmp_path / "eval.csv")]) == 0
+        head, row = (tmp_path / "eval.csv").read_text().splitlines()
+        got = float(row.split(",")[head.split(",").index("damped_objective")])
+        traces = json.loads((out / "traces.json").read_text())
+        assert got == sum(sum(tr[-1] for tr in traces[str(l)]) for l in range(len(traces)))
+
     def test_eval_loads_quant_json_with_removed_keys(self, pipeline, tmp_path):
         # quant.json as older versions wrote it, with the CD engine knobs
         # and the gradient scale
@@ -770,6 +808,18 @@ class TestQuantizeAndEval:
         with pytest.raises(CorruptFile, match=f"^{re.escape(str(d))}: inputs and targets "
                                               "disagree on sample count$"):
             artifacts.load_dataset(d)
+
+    def test_load_model_refuses_a_zero_width_layer(self, tmp_path):
+        # a 6-8-0-3 model, as `glq train --hidden 8,0` wrote it before the
+        # width check: refused naming its first empty layer
+        d = tmp_path / "model"
+        artifacts.save_model(d, random_model([6, 8, 2, 3], 0))
+        write_tensor(d / "layer.1.weight.gqt", np.zeros((8, 0)))
+        write_tensor(d / "layer.2.weight.gqt", np.zeros((0, 3)))
+        _resign(d)
+        with pytest.raises(CorruptFile, match=f"^{re.escape(str(d))}: layer 1 is 8 x 0: "
+                                              "every width must be >= 1$"):
+            artifacts.load_model(d)
 
     def test_eval_detects_tampering(self, pipeline, tmp_path):
         data, model = pipeline

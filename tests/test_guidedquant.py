@@ -43,7 +43,7 @@ from glq.lnq import lnq_quantize
 from glq.oracle import full_fisher_quadratic
 from glq.scalar_quant import QuantizedLayer, squeezellm_quantize
 
-from conftest import hset_of, live_sets_at_each_build, live_sets_at_rows, toy
+from conftest import hset_of, live_sets_at_each_build, live_sets_at_rows, random_spd, toy
 
 
 class TestQuantJob:
@@ -217,10 +217,33 @@ class TestRunJob:
             hset = plain_hessian(calib[l], layer_idx=l)
             recomputed = damped_quadratic(hset, model.layers[l], ql.W_hat)
             from_traces = sum(tr[-1] for tr in ql.traces)
-            assert from_traces == pytest.approx(recomputed, rel=1e-9)
-            assert report.layers[l]["damped_objective"] == pytest.approx(
-                recomputed, rel=1e-9
-            )
+            assert from_traces == recomputed
+            assert report.layers[l]["damped_objective"] == recomputed
+
+    @pytest.mark.parametrize("g", [1, 3, 4])
+    @pytest.mark.parametrize("method", ["lnq_plain", "lnq_guided"])
+    @pytest.mark.parametrize("loss", ["squared_error", "softmax_cross_entropy"])
+    def test_damped_objective_is_the_sum_of_final_trace_entries(self, loss, method, g):
+        # the report and the traces take each channel's objective from one
+        # formula, so a layer's row is its final entries' sum, bit for bit
+        model, data = toy(loss)
+        _, qlayers, report = run_job(model, data, QuantJob(method=method, bits=2, g=g))
+        for row, ql in zip(report.layers, qlayers):
+            assert row["damped_objective"] == sum(tr[-1] for tr in ql.traces)
+
+    def test_damped_quadratic_matches_channel_by_channel_forms(self):
+        # against delta^T H delta of each channel on its own, ragged groups
+        rng = np.random.default_rng(21)
+        d, sizes = 7, [2, 1, 3]
+        W, W_hat = rng.standard_normal((2, d, sum(sizes)))
+        Hs = [random_spd(rng, d) for _ in sizes]
+        hset = hset_of(Hs, sizes)
+        want, j = 0.0, 0
+        for H, size in zip(Hs, sizes):
+            for _ in range(size):
+                v = W_hat[:, j] - W[:, j]
+                want, j = want + float(v @ H @ v), j + 1
+        assert damped_quadratic(hset, W, W_hat) == pytest.approx(want, rel=1e-12)
 
     def test_lnq_plain_descends_from_its_init(self, toy_problem):
         # lnq_plain starts at the squeezellm solution and descends the

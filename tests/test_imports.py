@@ -18,6 +18,10 @@
 * Every module-level private function and constant of the package is
   referenced in the package outside its own definition, so a helper or
   constant left behind when its last use goes fails the scan.
+* No package module imports another package module's private name, or
+  reaches one through an attribute of a package module it imported
+  (``from . import lnq`` then ``lnq._group_deltas``). A helper that
+  another module needs is public, so its checks have one owner.
 * No package module imports a private numpy module or name, or reaches
   one through an attribute of an imported numpy name (for example
   ``numpy.linalg._umath_linalg``, whose ``lstsq`` gufunc would batch the
@@ -298,3 +302,54 @@ def test_private_numpy_scanner():
 @pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"], ids=lambda p: p.name)
 def test_no_private_numpy(path):
     assert private_numpy_uses(path.read_text()) == []
+
+
+def private_package_uses(source: str) -> list[tuple[str, int]]:
+    """(dotted name, line) of every private name the source imports from
+    a package module (a relative import or one from ``glq``), or reaches
+    as an attribute of a package module it imported by name; dunders
+    such as ``__doc__`` are public."""
+    tree = ast.parse(source)
+    modules: dict[str, str] = {}  # local name -> package module it names
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or
+                                                 (node.module or "").split(".")[0] == "glq"):
+            base = node.module or ""
+            for a in node.names:
+                found.append((f"{base}.{a.name}".lstrip("."), node.lineno))
+                if base in ("", "glq"):
+                    modules[a.asname or a.name] = a.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.append((f"{modules[node.value.id]}.{node.attr}", node.lineno))
+    return sorted({(name, line) for name, line in found
+                   if any(_private(part) for part in name.split("."))},
+                  key=lambda t: (t[1], t[0]))
+
+
+def test_private_package_scanner():
+    src = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from . import lnq, scalar_quant as sq\n"
+        "from .hessian import HessianSet, _check_calib\n"
+        "from glq.scalar_quant import _codebook_size as size, round_rows\n"
+        "from ._helpers import public\n"
+        "x = lnq._group_deltas, sq.round_rows, sq._pad_codebook, lnq.__doc__, np._core\n"
+        "class A:\n"
+        "    def f(self): return self._x, HessianSet, size, public\n"
+    )
+    assert private_package_uses(src) == [
+        ("hessian._check_calib", 4),
+        ("glq.scalar_quant._codebook_size", 5),
+        ("_helpers.public", 6),
+        ("lnq._group_deltas", 7),
+        ("scalar_quant._pad_codebook", 7),
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"], ids=lambda p: p.name)
+def test_no_private_package_imports(path):
+    assert private_package_uses(path.read_text()) == []

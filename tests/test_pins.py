@@ -33,12 +33,12 @@ def _run_job_digest(qlayers, report) -> str:
 # (loss, method, g, seed) -> digest; g is forced to 1 for every method
 # but lnq_guided, so those rows repeat one job three times.
 RUN_JOB_PINS = {
-    ("squared_error", "rtn", 1, 0): "17a3154831f4fff6",
-    ("squared_error", "rtn", 1, 5): "96e1f6d84c063991",
-    ("squared_error", "rtn", 3, 0): "17a3154831f4fff6",
-    ("squared_error", "rtn", 3, 5): "96e1f6d84c063991",
-    ("squared_error", "rtn", 4, 0): "17a3154831f4fff6",
-    ("squared_error", "rtn", 4, 5): "96e1f6d84c063991",
+    ("squared_error", "rtn", 1, 0): "b106475f9ccc71ca",
+    ("squared_error", "rtn", 1, 5): "414d200243fd44f2",
+    ("squared_error", "rtn", 3, 0): "b106475f9ccc71ca",
+    ("squared_error", "rtn", 3, 5): "414d200243fd44f2",
+    ("squared_error", "rtn", 4, 0): "b106475f9ccc71ca",
+    ("squared_error", "rtn", 4, 5): "414d200243fd44f2",
     ("squared_error", "squeezellm", 1, 0): "e456eb09abf91397",
     ("squared_error", "squeezellm", 1, 5): "5b2ce01069facd7f",
     ("squared_error", "squeezellm", 3, 0): "e456eb09abf91397",
@@ -51,11 +51,11 @@ RUN_JOB_PINS = {
     ("squared_error", "lnq_plain", 3, 5): "77e0787866b8a80a",
     ("squared_error", "lnq_plain", 4, 0): "f38cafcc46ffbf3c",
     ("squared_error", "lnq_plain", 4, 5): "77e0787866b8a80a",
-    ("squared_error", "lnq_guided", 1, 0): "1b4f6cf139a51090",
-    ("squared_error", "lnq_guided", 1, 5): "1dbc59d9fd6b3514",
-    ("squared_error", "lnq_guided", 3, 0): "3dee16577796bea7",
-    ("squared_error", "lnq_guided", 3, 5): "48a0ebe3dd0098c2",
-    ("squared_error", "lnq_guided", 4, 0): "d0120d0f6aa73011",
+    ("squared_error", "lnq_guided", 1, 0): "606ef8dc3caadc7f",
+    ("squared_error", "lnq_guided", 1, 5): "aabaa740b90600bc",
+    ("squared_error", "lnq_guided", 3, 0): "da09ec027151ab7a",
+    ("squared_error", "lnq_guided", 3, 5): "4b49941a9faa69ca",
+    ("squared_error", "lnq_guided", 4, 0): "04d6519a46f29ffd",
     ("squared_error", "lnq_guided", 4, 5): "a6bd5e36637cc009",
     ("softmax_cross_entropy", "rtn", 1, 0): "a86994632587c7f9",
     ("softmax_cross_entropy", "rtn", 1, 5): "1dc46fdeaf372ff5",
@@ -64,23 +64,23 @@ RUN_JOB_PINS = {
     ("softmax_cross_entropy", "rtn", 4, 0): "a86994632587c7f9",
     ("softmax_cross_entropy", "rtn", 4, 5): "1dc46fdeaf372ff5",
     ("softmax_cross_entropy", "squeezellm", 1, 0): "b591f89b3345e137",
-    ("softmax_cross_entropy", "squeezellm", 1, 5): "394d55f28ba2aebe",
+    ("softmax_cross_entropy", "squeezellm", 1, 5): "9637bcd5577045e3",
     ("softmax_cross_entropy", "squeezellm", 3, 0): "b591f89b3345e137",
-    ("softmax_cross_entropy", "squeezellm", 3, 5): "394d55f28ba2aebe",
+    ("softmax_cross_entropy", "squeezellm", 3, 5): "9637bcd5577045e3",
     ("softmax_cross_entropy", "squeezellm", 4, 0): "b591f89b3345e137",
-    ("softmax_cross_entropy", "squeezellm", 4, 5): "394d55f28ba2aebe",
-    ("softmax_cross_entropy", "lnq_plain", 1, 0): "27837be32da06ea0",
-    ("softmax_cross_entropy", "lnq_plain", 1, 5): "81f850d1cc8f19d9",
-    ("softmax_cross_entropy", "lnq_plain", 3, 0): "27837be32da06ea0",
-    ("softmax_cross_entropy", "lnq_plain", 3, 5): "81f850d1cc8f19d9",
-    ("softmax_cross_entropy", "lnq_plain", 4, 0): "27837be32da06ea0",
-    ("softmax_cross_entropy", "lnq_plain", 4, 5): "81f850d1cc8f19d9",
-    ("softmax_cross_entropy", "lnq_guided", 1, 0): "2892257aab3f8b48",
-    ("softmax_cross_entropy", "lnq_guided", 1, 5): "c6cbd3c3070d06b7",
+    ("softmax_cross_entropy", "squeezellm", 4, 5): "9637bcd5577045e3",
+    ("softmax_cross_entropy", "lnq_plain", 1, 0): "bd22478f5b551f77",
+    ("softmax_cross_entropy", "lnq_plain", 1, 5): "ed73ffe55b4a694f",
+    ("softmax_cross_entropy", "lnq_plain", 3, 0): "bd22478f5b551f77",
+    ("softmax_cross_entropy", "lnq_plain", 3, 5): "ed73ffe55b4a694f",
+    ("softmax_cross_entropy", "lnq_plain", 4, 0): "bd22478f5b551f77",
+    ("softmax_cross_entropy", "lnq_plain", 4, 5): "ed73ffe55b4a694f",
+    ("softmax_cross_entropy", "lnq_guided", 1, 0): "131bcb8bfbfe968e",
+    ("softmax_cross_entropy", "lnq_guided", 1, 5): "4e89b83eefa711d7",
     ("softmax_cross_entropy", "lnq_guided", 3, 0): "8152c94b724210da",
     ("softmax_cross_entropy", "lnq_guided", 3, 5): "7a0fb8d5a7d00f75",
     ("softmax_cross_entropy", "lnq_guided", 4, 0): "44b17810200f71c9",
-    ("softmax_cross_entropy", "lnq_guided", 4, 5): "b80635807c8b90b0",
+    ("softmax_cross_entropy", "lnq_guided", 4, 5): "dd670f10b389bdc1",
 }
 
 

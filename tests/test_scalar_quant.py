@@ -120,7 +120,7 @@ class TestTypes:
             yield "kmeans_pp_init", lambda: kmeans_pp_init(X, Wt, 2, [0] * len(X))
             yield "lloyd", lambda: lloyd(X, Wt, np.zeros((len(X), 2)), 3)
             yield "squeezellm_init", lambda: squeezellm_init(np.asarray(X).T, np.asarray(Wt).T,
-                                                             1, [0] * len(X))
+                                                             1, 0)
 
         cases = [
             (np.where(X == 4.0, np.nan, X), Wt, ValueError, "points and weights must be finite"),
@@ -134,7 +134,7 @@ class TestTypes:
                 if name == "squeezellm_init" and np.isinf(Wc).any():
                     # there the weights are a Fisher diagonal, refused by
                     # its own error (TestNonFiniteFisher)
-                    err, text = NonFiniteFisher, "^channel 1: "
+                    err, text = NonFiniteFisher, "^layer 0 channel 1: "
                 with pytest.raises(err, match=text):
                     call()
         zero_row = np.where(X > 2.0, 0.0, Wt)  # channel 1 has no weight
@@ -828,12 +828,11 @@ class TestBaselines:
         F[:, 1] = 0.0
         W[::2, 2] = W[1::2, 2]
         ql = squeezellm_quantize(W, F, bits, seed=5)
-        seeds = [(5, j) for j in range(W.shape[1])]
-        C, A = squeezellm_init(W, F, bits, seeds)
+        C, A = squeezellm_init(W, F, bits, 5)
         assert C.tobytes() == ql.codebook_matrix().tobytes()
         assert A.tobytes() == ql.assign_matrix().tobytes()
         traces: list = []
-        C2, A2 = squeezellm_init(W, F, bits, seeds, traces=traces)
+        C2, A2 = squeezellm_init(W, F, bits, 5, traces=traces)
         assert C2.tobytes() == C.tobytes() and A2.tobytes() == A.tobytes()
         assert traces == ql.traces
 
@@ -856,8 +855,7 @@ class TestBaselines:
         F[::2, 7] = 0.0  # half the weights zero
         C, A, traces = _squeezellm_one_channel_at_a_time(W, F, bits, seed)
         for got_traces in (None, []):
-            got_C, got_A = squeezellm_init(W, F, bits, [(seed, j) for j in range(8)],
-                                           traces=got_traces)
+            got_C, got_A = squeezellm_init(W, F, bits, seed, traces=got_traces)
             assert got_C.tobytes() == C.tobytes() and got_A.tobytes() == A.tobytes()
         assert got_traces == traces
 
@@ -884,11 +882,13 @@ class TestNonFiniteFisher:
             F[:, 1] = value
         else:
             F[7, 1] = value
-        text = f"^channel 1: Fisher diagonal entry {0 if where == 'all' else 7} is {value}$"
-        with pytest.raises(NonFiniteFisher, match=text):
-            squeezellm_init(W, F, 2, [0, 1, 2])
-        with pytest.raises(NonFiniteFisher, match=text):
-            squeezellm_quantize(W, F, 2, seed=0)
+        text = f"channel 1: Fisher diagonal entry {0 if where == 'all' else 7} is {value}$"
+        with pytest.raises(NonFiniteFisher, match="^layer 0 " + text):
+            squeezellm_init(W, F, 2, 0)
+        with pytest.raises(NonFiniteFisher, match="^layer 3 " + text):
+            squeezellm_init(W, F, 2, 0, layer_idx=3)
+        with pytest.raises(NonFiniteFisher, match="^layer 2 " + text):
+            squeezellm_quantize(W, F, 2, seed=0, layer_idx=2)
 
 
 def _squeezellm_one_channel_at_a_time(W, F, bits, seed, lloyd_iters=50):
