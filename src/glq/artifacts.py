@@ -8,8 +8,12 @@ tied together by a manifest that hashes each file. Layouts:
 * quantized:  codebook.L<l>.gqt (d_out x m, float64),
               assign.L<l>.gqt (d_in x d_out, uint8),
               traces.json (per layer, per channel objective traces),
-              quant.json (the QuantJob fields plus n_layers),
+              quant.json (the report's QuantJob, its fields plus n_layers),
               report.csv
+
+``save_quantized`` and ``load_quantized`` are the one writer and the
+one reader of quant.json: loading returns the layers and the QuantJob
+that made them, so ``glq eval`` rebuilds its report from that job.
 
 Loads reject directories whose manifest is missing or stale, so a
 half-copied artifact fails loudly instead of quietly feeding garbage
@@ -18,23 +22,24 @@ that is not a JSON object, a field it reads that is missing or of the
 wrong type, an n_layers that disagrees with the layer files in the
 manifest, or a dataset's n, d0 and dt that disagree with its tensors,
 raises CorruptFile naming the directory or the file. So do an unknown
-task and a dataset or model that fails its own checks, and
-``load_quantized`` names the layer too when a layer fails its
-``QuantizedLayer`` checks (shapes, m = 2**bits, finite sorted
-codebooks, slots in range, one trace per channel).
+task, a dataset or model that fails its own checks and a quant.json job
+that QuantJob refuses, and ``load_quantized`` names the layer too when
+a layer fails its ``QuantizedLayer`` checks (shapes, m = 2**bits,
+finite sorted codebooks, slots in range, one trace per channel).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .calib_model import LOSSES, Dataset, MlpModel
-from .errors import CorruptFile, GlqError
-from .guidedquant import CSV_COLUMNS, QuantReport
+from .errors import ConfigError, CorruptFile, GlqError
+from .guidedquant import CSV_COLUMNS, JOB_KEYS, QuantJob, QuantReport
 from .scalar_quant import QuantizedLayer
 from .tensorio import (
     read_json_object,
@@ -155,12 +160,11 @@ def write_report_csv(path: str | Path, rows: list[dict]) -> None:
     write_bytes_atomic(path, buf.getvalue().encode())
 
 
-def save_quantized(
-    dir_path: str | Path,
-    qlayers: list[QuantizedLayer],
-    report: QuantReport,
-    job_meta: dict,
-) -> None:
+def save_quantized(dir_path: str | Path, qlayers: list[QuantizedLayer],
+                   report: QuantReport) -> None:
+    """Write the quantized layers `qlayers` of `report`'s run to
+    `dir_path`: quant.json is `report.job`'s fields plus n_layers, and
+    report.csv is the report's one row."""
     d = Path(dir_path)
     d.mkdir(parents=True, exist_ok=True)
     names = []
@@ -172,24 +176,31 @@ def save_quantized(
         names += [cb_name, as_name]
     traces = {str(ql.layer_idx): [list(map(float, tr)) for tr in ql.traces] for ql in qlayers}
     write_json_atomic(d / "traces.json", traces)
-    write_json_atomic(d / "quant.json", dict(job_meta, bits=report.bits,
-                                             n_layers=len(qlayers)))
+    write_json_atomic(d / "quant.json", dict(asdict(report.job), n_layers=len(qlayers)))
     write_report_csv(d / "report.csv", [report.csv_row()])
     write_manifest(d, {"kind": "quantized"},
                    names + ["traces.json", "quant.json", "report.csv"])
 
 
-def load_quantized(dir_path: str | Path) -> tuple[list[QuantizedLayer], dict]:
+def load_quantized(dir_path: str | Path) -> tuple[list[QuantizedLayer], QuantJob]:
+    """The quantized layers in `dir_path` and the QuantJob that made
+    them. A job field that an older quant.json lacks takes today's
+    QuantJob default, and a key that is no longer a field is ignored; a
+    field that QuantJob refuses raises CorruptFile naming the file."""
     d, entry = _check(dir_path)
     meta = _header(d, "quant.json", {"bits": int, "n_layers": int})
     _layer_files(d, entry, "quant.json", meta["n_layers"], "codebook.L{}.gqt")
+    try:
+        job = QuantJob.from_dict({k: meta[k] for k in JOB_KEYS if k in meta})
+    except ConfigError as exc:
+        raise CorruptFile(f"{d}: quant.json: {exc}") from exc
     traces = read_json_object(d / "traces.json")
     qlayers = []
     for l in range(meta["n_layers"]):
         C = read_tensor(d / f"codebook.L{l}.gqt")
         A = read_tensor(d / f"assign.L{l}.gqt")
         try:
-            qlayers.append(QuantizedLayer(l, meta["bits"], C, A, traces[str(l)]))
+            qlayers.append(QuantizedLayer(l, job.bits, C, A, traces[str(l)]))
         except (GlqError, ValueError, KeyError, TypeError) as exc:
             raise CorruptFile(f"{d}: layer {l}: {exc}") from exc
-    return qlayers, meta
+    return qlayers, job

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from collections.abc import Callable
 from pathlib import Path
 
 from . import artifacts
@@ -52,30 +52,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}") from exc
+def _integer(low: int | None = None) -> Callable[[str], int]:
+    """The parser of an integer flag value; one below `low` is refused."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
-def _seed(text: str) -> int:
-    """A --seed value: numpy's seeding takes only integers >= 0."""
-    try:
-        seed = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
+# A --seed value: numpy's seeding takes only integers >= 0.
+_seed = _integer(0)
 
 
-def _seed_list(text: str) -> list[int]:
-    return [_seed(tok) for tok in text.split(",") if tok != ""]
-
-
-def _str_list(text: str) -> list[str]:
-    return [tok for tok in text.split(",") if tok != ""]
+def _listed(item: Callable[[str], object]) -> Callable[[str], list]:
+    """The parser of a comma-separated list flag of `item` values. The
+    empty string is the empty list; an empty entry is refused."""
+    def parse(text: str) -> list:
+        tokens = text.split(",") if text else []
+        if "" in tokens:
+            raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
+        return [item(tok) for tok in tokens]
+    return parse
 
 
 def build_parser() -> _Parser:
@@ -94,7 +96,7 @@ def build_parser() -> _Parser:
 
     t = sub.add_parser("train", help="train a fresh model on a dataset")
     t.add_argument("--data", required=True)
-    t.add_argument("--hidden", type=_int_list, default=[16, 16])
+    t.add_argument("--hidden", type=_listed(_integer(1)), default=[16, 16])
     t.add_argument("--steps", type=int, default=300)
     t.add_argument("--lr", type=float, default=2e-3)
     t.add_argument("--seed", type=_seed, default=0)
@@ -136,10 +138,10 @@ def build_parser() -> _Parser:
     s = sub.add_parser("sweep", help="grid of quantization jobs -> CSV table")
     s.add_argument("--model", required=True)
     s.add_argument("--data", required=True)
-    s.add_argument("--methods", type=_str_list, default=list(METHODS))
-    s.add_argument("--bits", type=_int_list, default=[QUANTIZE_DEFAULTS["bits"]])
-    s.add_argument("--g", type=_int_list, default=[QUANTIZE_DEFAULTS["g"]])
-    s.add_argument("--seeds", type=_seed_list, default=[QuantJob.seed])
+    s.add_argument("--methods", type=_listed(str), default=list(METHODS))
+    s.add_argument("--bits", type=_listed(_integer()), default=[QUANTIZE_DEFAULTS["bits"]])
+    s.add_argument("--g", type=_listed(_integer()), default=[QUANTIZE_DEFAULTS["g"]])
+    s.add_argument("--seeds", type=_listed(_seed), default=[QuantJob.seed])
     s.add_argument("--T", type=int, default=QuantJob.T)
     s.add_argument("--K", type=int, default=QuantJob.K)
     s.add_argument("--damping-rel", type=float, default=QuantJob.damping_rel)
@@ -205,7 +207,7 @@ def cmd_quantize(args) -> int:
     data, _ = artifacts.load_dataset(args.data)
     cache = HessianCache(args.hessian_cache) if args.hessian_cache else None
     _, qlayers, report = run_job(model, data, job, hessian_cache=cache)
-    artifacts.save_quantized(args.out, qlayers, report, asdict(job))
+    artifacts.save_quantized(args.out, qlayers, report)
     print(format_table([report.csv_row()]))
     print(f"wrote quantized layers to {args.out}")
     return 0
@@ -214,9 +216,7 @@ def cmd_quantize(args) -> int:
 def cmd_eval(args) -> int:
     model = artifacts.load_model(args.model)
     data, _ = artifacts.load_dataset(args.data)
-    qlayers, meta = artifacts.load_quantized(args.quant)
-    # job keys an older artifact lacks take today's QuantJob defaults
-    job = QuantJob.from_dict({k: meta[k] for k in JOB_KEYS if k in meta})
+    qlayers, job = artifacts.load_quantized(args.quant)
     quantized = model.with_layers([ql.W_hat for ql in qlayers])
     del qlayers  # only the quantized weights are read from here on
     # one layer's calibration and set at a time

@@ -148,12 +148,12 @@ JOB_KEYS = tuple(f.name for f in fields(QuantJob))
 
 @dataclass
 class QuantReport:
-    """Objectives and end losses for one finished job."""
+    """Objectives and end losses for one finished `job`. The job is the
+    report's only record of its settings: `csv_row` reads method, bits,
+    g and seed from it, and `artifacts.save_quantized` writes it as
+    quant.json."""
 
-    method: str
-    bits: int
-    g: int
-    seed: int
+    job: QuantJob
     end_loss_before: float
     end_loss_after: float
     layers: list[dict]
@@ -168,10 +168,10 @@ class QuantReport:
     def csv_row(self) -> dict:
         """The report's CSV_COLUMNS."""
         return {
-            "method": self.method,
-            "bits": self.bits,
-            "g": self.g,
-            "seed": self.seed,
+            "method": self.job.method,
+            "bits": self.job.bits,
+            "g": self.job.g,
+            "seed": self.job.seed,
             "end_loss_before": self.end_loss_before,
             "end_loss_after": self.end_loss_after,
             **self.totals(),
@@ -234,19 +234,6 @@ def _walk(
     return rows, end_loss_from_input(model, c.X, data)
 
 
-def _report(job: QuantJob, quantized: MlpModel, data: Dataset, rows: list[dict],
-            end_loss_before: float) -> QuantReport:
-    return QuantReport(
-        method=job.method,
-        bits=job.bits,
-        g=job.g,
-        seed=job.seed,
-        end_loss_before=end_loss_before,
-        end_loss_after=end_loss(quantized, data),
-        layers=rows,
-    )
-
-
 def run_job(
     model: MlpModel,
     data: Dataset,
@@ -282,7 +269,7 @@ def run_job(
 
     rows, before = _walk(model, data, job, step, hessian_cache)
     quantized = model.with_layers([ql.W_hat for ql in qlayers])
-    return quantized, qlayers, _report(job, quantized, data, rows, before)
+    return quantized, qlayers, QuantReport(job, before, end_loss(quantized, data), rows)
 
 
 def job_report(model: MlpModel, quantized: MlpModel, data: Dataset, job: QuantJob) -> QuantReport:
@@ -292,7 +279,7 @@ def job_report(model: MlpModel, quantized: MlpModel, data: Dataset, job: QuantJo
     models. `glq eval` rebuilds it from an artifact."""
     rows, before = _walk(model, data, job,
                          lambda l, W, c, take_set: (quantized.layers[l], take_set()))
-    return _report(job, quantized, data, rows, before)
+    return QuantReport(job, before, end_loss(quantized, data), rows)
 
 
 def eval_objectives(

@@ -172,11 +172,14 @@ def _damped(M: Matrix, damping_rel: float) -> Matrix:
     return M
 
 
-def _gram_set(X: Matrix, s: Matrix, partition: ChannelPartition, layer_idx: int,
-              damping_rel: float) -> HessianSet:
+def weighted_hessians(X: Matrix, s: Matrix, partition: ChannelPartition, layer_idx: int,
+                      damping_rel: float) -> HessianSet:
     """The set of damped B^T B, B = X * sqrt(s[:, k]) row by row, one per
-    group k of `partition`: the one build of every layer Hessian. B is
-    one n x d buffer rewritten for each group, and each Hessian is
+    group k of `partition`, from the n x g per-sample weights `s`: the
+    one build of every layer Hessian, which `plain_hessian` (unit
+    weights) and `guided_hessians` (`squared_grad_averages`) call. The
+    caller checks X (`check_calib`) and the damping (`check_settings`).
+    B is one n x d buffer rewritten for each group, and each Hessian is
     damped where B^T B put it, so a group adds one d x d matrix to the
     set and no scratch. numpy forms B^T B with one symmetric rank-k
     update and mirrors its triangle, so the product is exactly
@@ -202,8 +205,8 @@ def plain_hessian(
     NaN) damping raises ConfigError (`check_settings`)."""
     check_settings(damping_rel)
     X, G = check_calib(calib)
-    return _gram_set(X, np.ones((X.shape[0], 1)), ChannelPartition.consecutive(G.shape[1], 1),
-                     layer_idx, damping_rel)
+    return weighted_hessians(X, np.ones((X.shape[0], 1)),
+                             ChannelPartition.consecutive(G.shape[1], 1), layer_idx, damping_rel)
 
 
 def squared_grad_averages(calib: LayerCalibration, partition: ChannelPartition) -> Matrix:
@@ -248,7 +251,7 @@ def guided_hessians(
                 f"zero gradient on every sample, so its guided Hessian and "
                 f"damping would both be 0"
             )
-    return _gram_set(X, s, partition, layer_idx, damping_rel)
+    return weighted_hessians(X, s, partition, layer_idx, damping_rel)
 
 
 def fisher_diag(calib: LayerCalibration) -> Matrix:

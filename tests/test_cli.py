@@ -93,6 +93,34 @@ class TestUsageErrors:
         assert f"argument {flag}: must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--hidden", "8,,4"), ("--hidden", "8,"), ("--hidden", ","),
+        ("--methods", "rtn,"), ("--bits", "2,,3"), ("--g", ",4"), ("--seeds", "0,,1"),
+    ])
+    def test_list_flag_refuses_an_empty_entry(self, tmp_path, capsys, flag, value):
+        # a typo'd list is refused naming the flag, not read as a shorter one
+        out = tmp_path / "out"
+        argv = (["train", "--data", "d"] if flag == "--hidden"
+                else ["sweep", "--model", "m", "--data", "d"])
+        assert main([*argv, flag, value, "--out", str(out)]) == 1
+        assert f"argument {flag}: empty entry in {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_list_flag_parses_its_items(self, capsys):
+        parser = build_parser()
+        need = ["sweep", "--model", "m", "--data", "d"]
+        args = parser.parse_args([*need, "--methods", "rtn,lnq_plain", "--bits", "2,3",
+                                  "--g", "1,4", "--seeds", "0,7"])
+        assert (args.methods, args.bits, args.g, args.seeds) == (
+            ["rtn", "lnq_plain"], [2, 3], [1, 4], [0, 7])
+        # the empty string is the empty list: sweep's empty table
+        empty = parser.parse_args([*need, "--methods", "", "--bits", "", "--seeds", ""])
+        assert (empty.methods, empty.bits, empty.seeds) == ([], [], [])
+        assert parser.parse_args(["train", "--data", "d", "--hidden", "",
+                                  "--out", "o"]).hidden == []
+        assert main([*need, "--bits", "2,x"]) == 1
+        assert "argument --bits: expected an integer, got 'x'" in capsys.readouterr().err
+
 
 class TestGenData:
     def test_artifact_layout(self, tmp_path):
@@ -169,17 +197,17 @@ class TestTrainCalibrateHessian:
         assert not out.exists()
         assert main(["train", "--data", str(data), "--lr", "2e-4", "--out", str(out)]) == 0
 
-    @pytest.mark.parametrize("hidden, shape", [("8,0", "8 x 0"), ("8,-1", "8 x -1")])
+    @pytest.mark.parametrize("hidden, width", [("8,0", "0"), ("8,-1", "-1")])
     def test_train_refuses_an_empty_layer(self, pipeline, tmp_path, capsys, monkeypatch,
-                                          hidden, shape):
-        # exit 2 before any training step, naming the layer; no model
+                                          hidden, width):
+        # a usage error naming the flag, before any training step; no model
         data, _ = pipeline
         out = tmp_path / "model"
         monkeypatch.setattr(cli, "run_train", lambda *a, **kw: pytest.fail("trained"))
         capsys.readouterr()
         assert main(["train", "--data", str(data), "--hidden", hidden, "--steps", "5",
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: layer 1 is {shape}: every width must be >= 1\n"
+                     "--out", str(out)]) == 1
+        assert f"argument --hidden: must be >= 1, got {width}\n" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("lr, shown", [("-1", "-1.0"), ("nan", "nan")])
@@ -547,8 +575,8 @@ class TestQuantizeAndEval:
         out = tmp_path / "q"
         assert main(["quantize", "--model", str(model), "--data", str(data),
                      "--method", "rtn", "--bits", "3", "--out", str(out)]) == 0
-        qlayers, meta = artifacts.load_quantized(out)
-        assert meta["bits"] == 3 and meta["method"] == "rtn"
+        qlayers, job = artifacts.load_quantized(out)
+        assert job.bits == 3 and job.method == "rtn"
         m = artifacts.load_model(model)
         for W, ql in zip(m.layers, qlayers):
             assert ql.W_hat.shape == W.shape
@@ -563,10 +591,25 @@ class TestQuantizeAndEval:
         out = tmp_path / "q"
         assert main(["quantize", "--model", str(model), "--data", str(data),
                      "--config", str(cfg), "--bits", "2", "--out", str(out)]) == 0
-        _, meta = artifacts.load_quantized(out)
-        assert meta["method"] == "squeezellm"
-        assert meta["bits"] == 2  # flag wins over config file
-        assert meta["seed"] == 7
+        _, job = artifacts.load_quantized(out)
+        assert job.method == "squeezellm"
+        assert job.bits == 2  # flag wins over config file
+        assert job.seed == 7
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_load_quantized_returns_the_run_job(self, pipeline, tmp_path, monkeypatch, method):
+        # the job quantize ran, every field off its default, is the job
+        # its artifact loads
+        data, model = pipeline
+        out, ran = tmp_path / "q", []
+        real = cli.run_job
+        monkeypatch.setattr(cli, "run_job", lambda m, d, job, **kw: ran.append(job)
+                            or real(m, d, job, **kw))
+        assert main(["quantize", "--model", str(model), "--data", str(data),
+                     "--method", method, "--bits", "3", "--g", "2", "--seed", "5",
+                     "--T", "1", "--K", "3", "--damping-rel", "1e-3", "--out", str(out)]) == 0
+        _, job = artifacts.load_quantized(out)
+        assert ran == [job] and job == QuantJob(method, 3, 2, 5, 1e-3, 1, 3)
 
     def test_config_unknown_key_rejected(self, pipeline, tmp_path):
         data, model = pipeline
@@ -685,6 +728,9 @@ class TestQuantizeAndEval:
         # quant.json fields checked before any layer (layer None)
         ("bits_a_string", None), ("n_layers_missing", None), ("n_layers_a_string", None),
         ("n_layers_past_files", None), ("n_layers_below_files", None),
+        # job fields that QuantJob refuses
+        ("g_a_string", None), ("method_unknown", None), ("T_zero", None),
+        ("damping_rel_negative", None),
     ])
     def test_load_refuses_inconsistent_layer(self, pipeline, tmp_path, case, layer):
         # each edit is followed by a fresh manifest, so only the per-layer
@@ -714,7 +760,9 @@ class TestQuantizeAndEval:
             assert meta["n_layers"] == 2
             edit = {"bits_a_string": {"bits": "2"}, "n_layers_a_string": {"n_layers": "2"},
                     "n_layers_past_files": {"n_layers": 3},
-                    "n_layers_below_files": {"n_layers": 1}}.get(case, {})
+                    "n_layers_below_files": {"n_layers": 1},
+                    "g_a_string": {"g": "4"}, "method_unknown": {"method": "gptq"},
+                    "T_zero": {"T": 0}, "damping_rel_negative": {"damping_rel": -1}}.get(case, {})
             write_json_atomic(out / "quant.json", {k: v for k, v in dict(meta, **edit).items()
                                                    if case != "n_layers_missing" or k != "n_layers"})
         manifest = read_manifest(out)

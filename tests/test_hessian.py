@@ -35,6 +35,7 @@ from glq.hessian import (
     model_hash,
     plain_hessian,
     squared_grad_averages,
+    weighted_hessians,
 )
 from glq.oracle import fisher_block_oracle
 
@@ -256,24 +257,29 @@ class TestInPlaceBuild:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 40), d=st.integers(1, 70), c=st.integers(1, 9),
            damping_rel=st.sampled_from([0.0, 1e-7, 0.5]))
-    def test_gram_set_matches_the_formulas(self, data, n, d, c, damping_rel):
+    def test_weighted_hessians_match_the_formulas(self, data, n, d, c, damping_rel):
         # B^T B is exactly symmetric as numpy forms it, so the formula's
-        # 0.5 * (M + M^T) is M bit for bit and the build leaves it out
+        # 0.5 * (M + M^T) is M bit for bit and the build leaves it out;
+        # the guided weights and arbitrary non-negative ones alike
         rng = np.random.default_rng(n * 1000 + d)
         calib = LayerCalibration(X=_with_zeros(data.draw, rng.standard_normal((n, d))),
                                  gradZ=rng.standard_normal((n, c)))
         part = ChannelPartition.consecutive(c, data.draw(st.integers(1, c)))
         s = squared_grad_averages(calib, part)
+        w = rng.exponential(size=(n, part.g))
         hset = guided_hessians(calib, part, damping_rel=damping_rel)
+        wset = weighted_hessians(calib.X, w, part, 3, damping_rel)
         plain = plain_hessian(calib, damping_rel=damping_rel)
-        for H in hset.hessians + plain.hessians:
+        assert (wset.layer_idx, wset.partition) == (3, part)
+        for H in hset.hessians + wset.hessians + plain.hessians:
             assert H.tobytes() == H.T.tobytes()
-        for k in range(part.g):
-            B = calib.X * np.sqrt(s[:, k])[:, None]
-            M = B.T @ B
-            M = 0.5 * (M + M.T)
-            lam = damping_rel * float(np.mean(np.diag(M)))
-            assert hset.hessians[k].tobytes() == (M + lam * np.eye(d)).tobytes()
+        for weights, got in ((s, hset), (w, wset)):
+            for k in range(part.g):
+                B = calib.X * np.sqrt(weights[:, k])[:, None]
+                M = B.T @ B
+                M = 0.5 * (M + M.T)
+                lam = damping_rel * float(np.mean(np.diag(M)))
+                assert got.hessians[k].tobytes() == (M + lam * np.eye(d)).tobytes()
         H = plain.hessians[0]
         M = calib.X * 1.0
         M = M.T @ M
