@@ -18,8 +18,10 @@ valid because X^(l+1) stores the post-tanh values.
 from a ``calibrate`` list whose hidden inputs it drops: each hidden
 input is formed from the one before when the walk reaches its layer, so
 a caller (``run_job``, ``glq eval``, ``glq hessian``) holds one layer's
-input at a time, and ``end_loss_from_input`` takes the end loss from
-the last one, with ``end_loss``'s bits.
+input at a time. ``end_loss`` forms the hidden inputs by the same step,
+one alive at a time, and hands the last to ``end_loss_from_input``, the
+one routine that turns a last-layer input into the end loss; a walk's
+caller calls it on the last record's input and gets ``end_loss``'s bits.
 
 ``calibrate`` and ``train`` share that pass (``_forward_backward``, the
 only place the recursion lives), and the pass allocates nothing. It
@@ -32,7 +34,8 @@ output gradient (``_output_grad``) leaves the loss inputs it forms on
 its way: R = Z - Y in place of Z, or Z with its row maxima and totals.
 The pass computes no loss: ``_losses`` turns the inputs of one pass, or
 of a stack of passes, into per-sample losses with the same operations
-for each pass; ``end_loss`` and ``per_sample_losses`` use it on one.
+for each pass; ``end_loss_from_input`` uses it on one, whose last
+product it writes into a one-pass store row in the same way.
 ``calibrate`` runs the pass on a fresh workspace, whose arrays its
 records then own. ``train`` makes one workspace and one store per call
 and reuses them on every step, so a step allocates no array: on the
@@ -130,13 +133,6 @@ class MlpModel:
     def n_layers(self) -> int:
         return len(self.layers)
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            layers=[W.copy() for W in self.layers],
-            activation=self.activation,
-            loss=self.loss,
-        )
-
     def with_layers(self, layers: list[Matrix]) -> "MlpModel":
         return MlpModel(layers=list(layers), activation=self.activation, loss=self.loss)
 
@@ -199,8 +195,8 @@ def teacher_datasets(seed: int, sizes: list[int], d0: int, dt: int,
     set's inputs, then the teacher, then each later set's inputs in
     order. So the first set is `gen_dataset(seed, sizes[0], d0, dt,
     task)` byte for byte, and no set depends on the sizes after it."""
-    if min(sizes) < 1:
-        raise InvalidSize(f"need n >= 1 samples, got {min(sizes)}")
+    if min(sizes, default=0) < 1:
+        raise InvalidSize(f"need one or more sets of n >= 1 samples, got sizes {sizes}")
     if d0 < 1 or dt < 1:
         raise InvalidSize("dimensions must be >= 1")
     if task not in LOSSES:
@@ -245,14 +241,6 @@ def random_model(dims: list[int], seed: int, loss: str = "squared_error") -> Mlp
         for i in range(len(dims) - 1)
     ]
     return MlpModel(layers=layers, loss=loss)
-
-
-def forward(model: MlpModel, X: Matrix) -> tuple[list[Matrix], Matrix]:
-    """Return ([X^(0), ..., X^(L-1)] layer inputs, final output Z)."""
-    X = ensure_matrix(X, "X")
-    n = X.shape[0]
-    acts = [np.empty((n, d)) for d in model.dims[1:-1]]
-    return [X, *acts], _forward(model.layers, X, acts, np.empty((n, model.dims[-1])))
 
 
 def _forward(layers: list[Matrix], X: Matrix, acts: list[Matrix], Z: Matrix) -> Matrix:
@@ -312,31 +300,30 @@ def _losses(loss: str, inputs: tuple[np.ndarray, ...], Y: Matrix) -> np.ndarray:
 
 
 def end_loss(model: MlpModel, data: Dataset) -> float:
-    """Summed loss over all samples (no 1/n)."""
-    return float(np.sum(per_sample_losses(model, data)))
+    """Summed loss over all samples (no 1/n). Each hidden input is formed
+    from the one before by `_hidden`, the step `walk_calibration` takes,
+    so one is alive at a time; `end_loss_from_input` takes the loss from
+    the last."""
+    X = ensure_matrix(data.inputs, "X")
+    for W in model.layers[:-1]:
+        X = _hidden(X, W, np.empty((X.shape[0], W.shape[1])))
+    return end_loss_from_input(model, X, data)
 
 
 def end_loss_from_input(model: MlpModel, X: Matrix, data: Dataset) -> float:
-    """`end_loss(model, data)` from X, the last layer's input on `data`
-    (the last `walk_calibration` record's), with its bits: the forward
-    pass's last product and the same losses and sum."""
-    return float(np.sum(_sample_losses(model.loss, np.dot(X, model.layers[-1]), data.targets)))
+    """The summed loss of `model` on `data` from X, the last layer's input
+    on `data` (`end_loss`'s last hidden input, or the last
+    `walk_calibration` record's), with `end_loss`'s bits: the last
+    product writes Z into a one-pass store row (`_rows`), where
+    `_output_grad` forms the loss inputs that `_losses` turns into the
+    per-sample losses this sums.
 
-
-def per_sample_losses(model: MlpModel, data: Dataset) -> np.ndarray:
-    """Vector of l_i; end_loss is its exact sum."""
-    _, Z = forward(model, data.inputs)
-    return _sample_losses(model.loss, Z, data.targets)
-
-
-def _sample_losses(loss: str, Z: Matrix, Y: Matrix) -> np.ndarray:
-    """Per-sample losses of the output Z, by `_output_grad` on a
-    one-pass store row that Z is copied into."""
-    n, d = Z.shape
-    (row,) = _rows(_loss_store(loss, n, d, passes=1), Y)
-    np.copyto(row[0], Z)
-    inputs, _ = _output_grad(loss, Y, row, np.empty((n, d)), np.empty((d, n)))
-    return _losses(loss, inputs, Y)
+    Raises DimensionMismatch when Z would not have the targets' shape."""
+    n, d = X.shape[0], model.layers[-1].shape[1]
+    (row,) = _rows(_loss_store(model.loss, n, d, passes=1), data.targets)
+    np.dot(X, model.layers[-1], out=row[0])
+    inputs, _ = _output_grad(model.loss, data.targets, row, np.empty((n, d)), np.empty((d, n)))
+    return float(np.sum(_losses(model.loss, inputs, data.targets)))
 
 
 _Workspace = tuple[list[Matrix], list[Matrix], list[Matrix]]
@@ -417,12 +404,6 @@ def walk_calibration(model: MlpModel,
         grads[l] = None
         if l + 1 < model.n_layers:
             X = _hidden(X, W, np.empty((X.shape[0], W.shape[1])))
-
-
-def weight_gradients(model: MlpModel, data: Dataset) -> list[Matrix]:
-    """Gradient of the summed loss w.r.t. each weight matrix."""
-    calib = calibrate(model, data)
-    return [c.X.T @ c.gradZ for c in calib]
 
 
 def _loss_store(loss: str, n: int, d: int, passes: int | None = None) -> tuple[np.ndarray, ...]:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package's production modules.
+
+``oracle.TooLarge``, which only the brute-force references raise when
+asked for more work than their caps allow, is defined with them.
+"""
 
 
 class GlqError(Exception):
@@ -60,10 +64,6 @@ class NonFiniteFisher(GlqError):
 
 class ZeroDiagonal(GlqError):
     """A Hessian diagonal entry is <= 0 where a division by it is required."""
-
-
-class TooLarge(GlqError):
-    """A brute-force oracle was asked for more work than its hard cap."""
 
 
 class CorruptFile(GlqError):

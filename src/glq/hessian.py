@@ -185,7 +185,11 @@ def weighted_hessians(X: Matrix, s: Matrix, partition: ChannelPartition, layer_i
     update and mirrors its triangle, so the product is exactly
     symmetric. An infinite weight makes non-finite entries, which
     `HessianSet` refuses, so numpy's warnings would only repeat the
-    error."""
+    error. Weights `s` whose shape is not (n, g) raise DimensionMismatch,
+    naming both shapes."""
+    if s.shape != (X.shape[0], partition.g):
+        raise DimensionMismatch(f"weights {s.shape} for X {X.shape}: want (n, g) = "
+                                f"{(X.shape[0], partition.g)}")
     hessians = []
     B = np.empty_like(X)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -15,8 +15,9 @@ needs upstream:
 curvature, the cause LNQ and the Hessian cache report for a set that
 cannot be factored.
 
-Inputs are validated once at this boundary (``ensure_matrix`` /
-``ensure_vector``) so the callers can stay free of shape boilerplate.
+Matrix inputs are validated once at this boundary (``ensure_matrix``)
+so the callers can stay free of shape boilerplate. The oracle's vector
+check, ``oracle.ensure_vector``, lives with the only code that calls it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import DimensionMismatch, NotPositiveDefinite
 
 # Convention: a Matrix is a 2-D, C-contiguous float64 ndarray.
 Matrix = np.ndarray
-Vector = np.ndarray
 
 # Relative tolerance for the symmetry check in `cholesky`.
 _SYM_RTOL = 1e-10
@@ -38,16 +38,6 @@ def ensure_matrix(a: np.ndarray, name: str = "matrix") -> Matrix:
     arr = np.ascontiguousarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name}: expected a 2-D array, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: non-finite entries")
-    return arr
-
-
-def ensure_vector(v: np.ndarray, name: str = "vector") -> Vector:
-    """Return `v` as a C-contiguous float64 1-D array, validated finite."""
-    arr = np.ascontiguousarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"{name}: expected a 1-D array, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: non-finite entries")
     return arr

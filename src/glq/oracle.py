@@ -6,6 +6,12 @@ deterministic (enumeration order is fixed, ties resolve to the first
 candidate in that order). ``naive_cd_cycle`` takes a layer's
 ``hessian.HessianSet``, the input ``lnq.cd_cycle`` takes, so either can
 run inside ``lnq_quantize``: the two share that input format, not code.
+
+Helpers that only these references use live here too, so that no
+production module keeps a definition alive for the oracle alone:
+``TooLarge`` (the error a capped enumeration raises), ``ensure_vector``
+and ``weight_gradients`` (the summed-loss gradient that
+``fd_gradient_check`` checks against finite differences of ``end_loss``).
 """
 
 from __future__ import annotations
@@ -15,13 +21,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calib_model import Dataset, LayerCalibration, MlpModel, calibrate, end_loss, weight_gradients
-from .errors import DimensionMismatch, InvalidSize, PartitionMismatch, TooLarge, ZeroDiagonal
+from .calib_model import Dataset, LayerCalibration, MlpModel, calibrate, end_loss
+from .errors import DimensionMismatch, GlqError, InvalidSize, PartitionMismatch, ZeroDiagonal
 from .hessian import HessianSet, check_calib
-from .linalg import Matrix, ensure_matrix, ensure_vector
+from .linalg import Matrix, ensure_matrix
 
 EXHAUSTIVE_CAP = 1_000_000
 FISHER_WEIGHT_CAP = 5_000
+
+
+class TooLarge(GlqError):
+    """A brute-force oracle was asked for more work than its hard cap."""
+
+
+def ensure_vector(v: np.ndarray, name: str = "vector") -> np.ndarray:
+    """Return `v` as a C-contiguous float64 1-D array, validated finite."""
+    arr = np.ascontiguousarray(v, dtype=np.float64)
+    if arr.ndim != 1:
+        raise DimensionMismatch(f"{name}: expected a 1-D array, got ndim={arr.ndim}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name}: non-finite entries")
+    return arr
+
+
+def weight_gradients(model: MlpModel, data: Dataset) -> list[Matrix]:
+    """Gradient of the summed loss w.r.t. each weight matrix: X^T gradZ
+    of each `calibrate` record."""
+    return [c.X.T @ c.gradZ for c in calibrate(model, data)]
 
 
 @dataclass
@@ -209,7 +235,7 @@ def fd_gradient_check(
         i = int(rng.integers(W.shape[0]))
         j = int(rng.integers(W.shape[1]))
         analytic = float(grads[l][i, j])
-        probe = model.copy()
+        probe = model.with_layers([V.copy() for V in model.layers])
         probe.layers[l][i, j] = W[i, j] + h
         up = end_loss(probe, data)
         probe.layers[l][i, j] = W[i, j] - h

@@ -14,12 +14,9 @@ from glq.calib_model import (
     MlpModel,
     calibrate,
     end_loss,
-    forward,
     gen_dataset,
-    per_sample_losses,
     random_model,
     train,
-    weight_gradients,
 )
 from glq import calib_model
 from glq.errors import (
@@ -29,7 +26,7 @@ from glq.errors import (
     EmptyCalibration,
     InvalidSize,
 )
-from glq.oracle import fd_gradient_check
+from glq.oracle import fd_gradient_check, weight_gradients
 
 # frozen golden checksums for gen_dataset(0, 64, 8, 4)
 GOLDEN_INPUTS = "db187c1ce8968af3"
@@ -41,7 +38,7 @@ def two_pass_train(model: MlpModel, data: Dataset, steps: int, lr: float) -> Mlp
     """`train` as it was before it was fused, kept as the reference: a
     gradient pass, a rebuilt model and a separate loss pass per step,
     each pass `_reference_pass`, which shares no code with `train`'s."""
-    cur = model.copy()
+    cur = model.with_layers([W.copy() for W in model.layers])
     for step in range(steps):
         _, grads = _reference_pass(cur, data)
         if any(not np.all(np.isfinite(g)) for g in grads):
@@ -81,6 +78,12 @@ def _scalar_problem(x: float, w0: float) -> tuple[MlpModel, Dataset]:
     return model, Dataset(inputs=np.array([[x]]), targets=np.zeros((1, 1)), seed=0)
 
 
+def _samples(data: Dataset) -> list[Dataset]:
+    """One single-sample dataset per row of `data`."""
+    return [Dataset(inputs=data.inputs[i:i + 1], targets=data.targets[i:i + 1], seed=data.seed)
+            for i in range(data.n)]
+
+
 def _sha(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()[:16]
 
@@ -115,6 +118,12 @@ class TestGenDataset:
         with pytest.raises(ValueError):
             gen_dataset(0, 4, 4, 2, task="nope")
 
+    @pytest.mark.parametrize("sizes", [[], [4, 0], [0, 4]])
+    def test_teacher_datasets_refuses_an_empty_set_or_none(self, sizes):
+        with pytest.raises(InvalidSize, match=rf"^need one or more sets of n >= 1 samples, "
+                                              rf"got sizes \[{', '.join(map(str, sizes))}\]$"):
+            calib_model.teacher_datasets(0, sizes, 4, 2)
+
 
 class TestModel:
     def test_dim_chain_validated(self):
@@ -139,20 +148,15 @@ class TestModel:
             MlpModel(layers=[np.ones((2, 2))], activation="relu")
 
     def test_single_layer_is_linear(self):
+        # target 0, so the output gradient 2 Z exposes Z = X W exactly
         rng = np.random.default_rng(0)
         W = rng.standard_normal((4, 3))
         X = rng.standard_normal((6, 4))
         model = MlpModel(layers=[W])
-        acts, Z = forward(model, X)
-        npt.assert_array_equal(Z, X @ W)
-        assert len(acts) == 1
-        npt.assert_array_equal(acts[0], X)
-
-    def test_copy_is_deep(self):
-        model = random_model([3, 2], 0)
-        clone = model.copy()
-        clone.layers[0][0, 0] += 1.0
-        assert model.layers[0][0, 0] != clone.layers[0][0, 0]
+        data = Dataset(inputs=X, targets=np.zeros((6, 3)), seed=0)
+        (rec,) = calibrate(model, data)
+        npt.assert_array_equal(rec.X, X)
+        npt.assert_array_equal(rec.gradZ, 2.0 * (X @ W))
 
 
 class TestLosses:
@@ -184,13 +188,13 @@ class TestLosses:
     def test_ce_loss_nonnegative(self):
         model = random_model([5, 3], 2, loss="softmax_cross_entropy")
         data = gen_dataset(2, 16, 5, 3, task="softmax_cross_entropy")
-        assert np.all(per_sample_losses(model, data) >= 0.0)
+        assert all(end_loss(model, one) >= 0.0 for one in _samples(data))
 
     def test_per_sample_sum_is_end_loss(self):
         for loss in ("squared_error", "softmax_cross_entropy"):
             model = random_model([6, 5, 4], 3, loss=loss)
             data = gen_dataset(3, 24, 6, 4, task=loss)
-            per = per_sample_losses(model, data)
+            per = [end_loss(model, one) for one in _samples(data)]
             assert end_loss(model, data) == pytest.approx(float(np.sum(per)), rel=1e-12)
 
     def test_loss_additive_over_concat(self):
@@ -532,7 +536,8 @@ class TestTrain:
         lse = zmax[:, 0] + np.log(np.sum(np.exp(Z - zmax), axis=1))
         soft = np.exp(Z - zmax)
         soft /= np.sum(soft, axis=1, keepdims=True)
-        assert np.array_equal(per_sample_losses(model, data), lse - np.sum(Z * Y, axis=1))
+        want = float(np.sum(lse - np.sum(Z * Y, axis=1)))
+        assert np.float64(end_loss(model, data)).tobytes() == np.float64(want).tobytes()
         assert np.array_equal(calibrate(model, data)[0].gradZ, soft - Y)
 
     def test_training_deterministic(self):

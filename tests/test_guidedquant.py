@@ -273,7 +273,7 @@ class TestRunJob:
     def test_degenerate_channels_stay_finite_and_descend(self, toy_problem, case):
         # a layer-1 channel with one distinct value, or two equal channels
         model, data = toy_problem
-        model = model.copy()
+        model = model.with_layers([W.copy() for W in model.layers])
         W = model.layers[1]
         if case == "constant":
             W[:, 5] = 0.37

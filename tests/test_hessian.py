@@ -287,6 +287,16 @@ class TestInPlaceBuild:
         lam = damping_rel * float(np.mean(np.diag(M)))
         assert H.tobytes() == (M + lam * np.eye(d)).tobytes()
 
+    @pytest.mark.parametrize("shape", [(5, 4), (7, 2), (5, 1), (5,)])
+    def test_weighted_hessians_refuse_weights_not_n_by_g(self, shape):
+        # (5, 4) used to build 2 groups from the first two columns, and
+        # (7, 2) to fail inside a numpy broadcast
+        X = np.random.default_rng(0).standard_normal((5, 3))
+        part = ChannelPartition.consecutive(6, 2)
+        want = re.escape(f"weights {shape} for X (5, 3): want (n, g) = (5, 2)")
+        with pytest.raises(DimensionMismatch, match=f"^{want}$"):
+            weighted_hessians(X, np.ones(shape), part, 0, 1e-7)
+
 
 class TestFisherOracle:
     def test_diag_identity(self):
@@ -334,8 +344,8 @@ class TestCacheAndHash:
     def test_model_hash_sensitivity(self, toy_problem):
         model, _ = toy_problem
         h1 = model_hash(model)
-        assert h1 == model_hash(model.copy())
-        bumped = model.copy()
+        assert h1 == model_hash(model.with_layers([W.copy() for W in model.layers]))
+        bumped = model.with_layers([W.copy() for W in model.layers])
         bumped.layers[0][0, 0] += 1e-9
         assert model_hash(bumped) != h1
 

@@ -14,7 +14,9 @@
   an import alone, such as a re-export from ``__init__.py``, is not a
   reference. Names are matched without regard to their module.
   ``oracle.py`` holds the brute-force references the tests check
-  against, so its own definitions are exempt.
+  against, so its own definitions are exempt, and its references do
+  not count: a production definition that only the oracle uses belongs
+  in ``oracle.py``.
 * Every module-level private function and constant of the package is
   referenced in the package outside its own definition, so a helper or
   constant left behind when its last use goes fails the scan.
@@ -147,9 +149,10 @@ def uses(tree: ast.Module, skip: set[int]) -> set[str]:
 
 def unreferenced(sources: dict[str, str], exempt: set[str]) -> list[str]:
     """module:qualname of every definition in `sources` (module -> text),
-    outside the `exempt` modules, that no source references."""
+    outside the `exempt` modules, that no source outside them
+    references."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    used = {name: uses(tree, set()) for name, tree in trees.items()}
+    used = {name: uses(tree, set()) for name, tree in trees.items() if name not in exempt}
     out = []
     for mod, tree in trees.items():
         if mod in exempt:
@@ -181,7 +184,7 @@ def test_reference_scanner_flags_test_only_definitions():
         "init": "from lib import reexported\n",
     }
     assert unreferenced(sources, exempt={"ref"}) == ["lib:A.test_only", "lib:recursive",
-                                                     "lib:reexported"]
+                                                     "lib:reexported", "lib:for_oracle"]
 
 
 def test_no_test_only_definitions_in_package():

@@ -3,11 +3,12 @@ import numpy.testing as npt
 import pytest
 
 from glq.calib_model import calibrate, gen_dataset, random_model
-from glq.errors import DimensionMismatch, InvalidSize, TooLarge
+from glq.errors import DimensionMismatch, InvalidSize
 from glq.guidedquant import eval_objectives
 from glq.linalg import least_squares
 from glq.oracle import (
     EXHAUSTIVE_CAP,
+    TooLarge,
     exhaustive_lnq,
     fd_gradient_check,
     full_fisher_quadratic,

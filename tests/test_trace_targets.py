@@ -48,17 +48,20 @@ def test_hooks_count_a_toy_cli_pipeline(tmp_path):
     # each hook reads arguments by name (lloyd's `trace`, cd_cycle's `A`
     # and `cycles`, eval_objectives' `calib`, guided_hessians' `calib` and
     # `partition`) or a loaded set's `layer_idx`; a rename there would
-    # zero its metric without an error, so every counter must be positive
+    # zero its metric without an error, so every counter must be positive.
+    # A target that still resolves but that nothing calls any more would
+    # zero its per-layer metrics in the same way, so the whole pipeline
+    # runs traced and every target must open a span.
     from glq.cli import main
 
     data, model, cache = tmp_path / "data", tmp_path / "model", tmp_path / "hc"
-    assert main(["gen-data", "--seed", "0", "--n", "32", "--d0", "6", "--dt", "4",
-                 "--out", str(data)]) == 0
-    assert main(["train", "--data", str(data), "--hidden", "8", "--steps", "60",
-                 "--out", str(model)]) == 0
-    assert main(["hessian", "--model", str(model), "--data", str(data), "--g", "2",
-                 "--out", str(cache)]) == 0
     with spans.Recorder() as rec:
+        assert main(["gen-data", "--seed", "0", "--n", "32", "--d0", "6", "--dt", "4",
+                     "--out", str(data)]) == 0
+        assert main(["train", "--data", str(data), "--hidden", "8", "--steps", "60",
+                     "--out", str(model)]) == 0
+        assert main(["hessian", "--model", str(model), "--data", str(data), "--g", "2",
+                     "--out", str(cache)]) == 0
         for method in ("squeezellm", "lnq_guided"):
             assert main(["quantize", "--model", str(model), "--data", str(data),
                          "--method", method, "--bits", "2", "--g", "2",
@@ -76,3 +79,5 @@ def test_hooks_count_a_toy_cli_pipeline(tmp_path):
     solves = [s.layer for s in rec.spans if s.name == "lnq.lnq_quantize"]
     cds = [s.layer for s in rec.spans if s.name == "lnq.cd_cycle"]
     assert solves == [0, 1] and cds == [0, 0, 1, 1]
+    opened = {s.name for s in rec.spans}
+    assert [name for name, _, _ in spans.TARGETS if name not in opened] == []
